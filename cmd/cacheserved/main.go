@@ -102,8 +102,10 @@ func parseTenants(spec string) ([]tenantSpec, error) {
 }
 
 // latencySampleStride keeps latency measurement off the hot path: one in this
-// many operations is timed.
-const latencySampleStride = 64
+// many operations is timed. 61 is prime, so it is coprime with every tenant
+// count: the driver picks tenant i%tenants, and a power-of-two stride would
+// only ever time tenant 0.
+const latencySampleStride = 61
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cacheserved", flag.ContinueOnError)

@@ -65,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		reqOverride  = fs.Float64("requests", 0, "override the scale's request-count factor (0 = scale default)")
 		loadSched    = fs.String("loadsched", "", "load schedule for the fig7 transient experiment (default: a 3x burst aligned to the stat windows); see ubiksim -loadsched for the syntax")
 		parallelism  = fs.Int("parallelism", 0, "worker pool size for mix sweeps, load sweeps and isolation baselines (0 = GOMAXPROCS); results are identical at any setting")
-		intraPar     = fs.Int("intraparallel", 0, "workers one simulation may use to speculatively pre-step independent batch apps between scheduler quanta (0 = auto, 1 = strictly serial); results are identical at any setting")
 		noShard      = fs.Bool("noshard", false, "disable sub-mix sharding (load points and isolation baselines run serially)")
 		warmReuse    = fs.Bool("warmreuse", true, "reuse warm simulator state across sweep points: memoize exactly-repeated calibration/isolation runs and fork schedule sweeps from per-scheme warm checkpoints; results are byte-identical either way")
 		noWarmReuse  = fs.Bool("nowarmreuse", false, "disable warm-state reuse (the naive re-warm path; overrides -warmreuse)")
@@ -170,7 +169,6 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	if *noHier {
 		cfg.Hierarchy = cache.HierarchyConfig{}
 	}
-	cfg.IntraParallel = *intraPar
 
 	sched := experiment.DefaultFig7Schedule(cfg)
 	if *loadSched != "" {

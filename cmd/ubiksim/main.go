@@ -39,7 +39,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/prof"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -58,7 +57,7 @@ func main() {
 var specFlags = []string{
 	"lc", "load", "instances", "batch", "scheme", "slack", "requests", "seed",
 	"loadsched", "nodes", "fanout", "quorum", "balancer", "hedge",
-	"l1kb", "l2kb", "inclusive", "nohier", "intraparallel",
+	"l1kb", "l2kb", "inclusive", "nohier",
 	"tracefile", "traceapps",
 }
 
@@ -83,21 +82,18 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		traceFile    = fs.String("tracefile", "", "replay a recorded mem trace (tracegen -kind mem, or internal/tracein CSV/binary) as the batch set instead of the synthetic -batch applications")
 		traceApps    = fs.Int("traceapps", 1, "with -tracefile: how many of the recording's app columns to replay, one batch slot per column (trace_app 0..N-1)")
 		parallelism  = fs.Int("parallelism", 0, "workers for the per-instance isolation baselines and per-node cluster simulations (0 = GOMAXPROCS); results are identical at any setting")
-		intraPar     = fs.Int("intraparallel", 0, "workers one simulation may use to speculatively pre-step independent batch apps between scheduler quanta (0 = auto, 1 = strictly serial); results are identical at any setting")
 		nodes        = fs.Int("nodes", 1, "cluster size: replica nodes, one latency-critical replica plus the batch set each (1 = plain single-node mix)")
 		fanout       = fs.Int("fanout", 1, "cluster fan-out: nodes each query touches; the query completes at its quorum-th response")
 		quorum       = fs.Int("quorum", 0, "cluster quorum: leaf responses that complete a query (0 = fanout, i.e. wait for the slowest leaf)")
 		balancer     = fs.String("balancer", "rr", "cluster balancer: rr, random, weighted, p2c")
 		hedge        = fs.Float64("hedge", 0, "cluster hedging: issue one eager duplicate per query to a spare node after this fraction of the deadline (0 disables)")
-		warmReuse    = fs.Bool("warmreuse", true, "accept warm-state reuse (parity with the experiments cmd; a single ubiksim invocation runs each calibration/isolation exactly once, so both settings take the identical path)")
-		noWarmReuse  = fs.Bool("nowarmreuse", false, "force the naive re-warm path (overrides -warmreuse; identical output)")
 		l1KB         = fs.Float64("l1kb", 32, "private L1 size in model KB (0 disables the level)")
 		l2KB         = fs.Float64("l2kb", 256, "private L2 size in model KB (0 disables the level)")
 		inclusive    = fs.Bool("inclusive", false, "make the private L2 inclusive of L1 (evictions back-invalidate)")
 		noHier       = fs.Bool("nohier", false, "disable the private L1/L2 levels entirely (flat pre-hierarchy LLC)")
 		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile   = fs.String("memprofile", "", "write a heap profile to this file at exit")
-		tracePath    = fs.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing or ui.perfetto.dev) recording scheduler quanta, reconfigurations, fault activations and speculation events of every scheme run; recording is observational, results are identical with or without it")
+		tracePath    = fs.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing or ui.perfetto.dev) recording scheduler quanta, reconfigurations, fault activations and cold restarts of every scheme run; recording is observational, results are identical with or without it")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -148,29 +144,21 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 			loadSched: *loadSched, nodes: *nodes, fanout: *fanout, quorum: *quorum,
 			balancer: *balancer, hedge: *hedge,
 			l1KB: *l1KB, l2KB: *l2KB, inclusive: *inclusive, noHier: *noHier,
-			intraParallel: *intraPar,
-			traceFile:     *traceFile, traceApps: *traceApps,
+			traceFile: *traceFile, traceApps: *traceApps,
 		})
 		if err != nil {
 			return err
 		}
 	}
 
-	// Warm-state reuse: accepted for CLI parity with cmd/experiments, but a
-	// single ubiksim invocation runs each calibration/isolation exactly once
-	// (per-seed keys never repeat), so no pool is kept — retaining results in
-	// a pool that can never hit would only double peak memory. Both settings
-	// take the identical path; the scenario runner treats a nil pool as the
-	// naive path.
-	_, _ = *warmReuse, *noWarmReuse
-	var pool *sim.WarmPool
-
 	var rec *trace.Recorder
 	if *tracePath != "" {
 		rec = trace.NewRecorder(0)
 	}
 	progress := func(format string, a ...any) { fmt.Fprintf(stdout, format, a...) }
-	out, err := experiment.RunScenarioTraced(spec, workers, pool, progress, rec)
+	// No warm pool: a single invocation runs each calibration/isolation exactly
+	// once (per-seed keys never repeat), so a pool could never hit.
+	out, err := experiment.RunScenarioTraced(spec, workers, nil, progress, rec)
 	if err != nil {
 		return err
 	}
@@ -217,7 +205,6 @@ type flagSpec struct {
 	hedge                 float64
 	l1KB, l2KB            float64
 	inclusive, noHier     bool
-	intraParallel         int
 	traceFile             string
 	traceApps             int
 }
@@ -248,7 +235,6 @@ func specFromFlags(f flagSpec) (scenario.Spec, error) {
 		}
 		spec.Machine.InclusiveL2 = f.inclusive
 	}
-	spec.Machine.IntraParallel = f.intraParallel
 	lcApp := scenario.App{LC: f.lc, Load: f.load}
 	sched, err := workload.ParseSchedule(f.loadSched)
 	if err != nil {

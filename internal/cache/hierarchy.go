@@ -276,14 +276,6 @@ func (l *PrivateLevel) CloneIn(words []uint64) *PrivateLevel {
 	return &n
 }
 
-// CopyStateFrom overwrites the level's mutable state (tags, stamps, clock,
-// statistics) with src's. Both levels must share a configuration.
-func (l *PrivateLevel) CopyStateFrom(src *PrivateLevel) {
-	copy(l.words, src.words)
-	l.clock = src.clock
-	l.stats = src.stats
-}
-
 // Reset returns the level to its freshly constructed state in place.
 func (l *PrivateLevel) Reset() {
 	if l == nil {
@@ -425,18 +417,6 @@ func (h *Hierarchy) CloneWithLLCIn(llc Cache, words []uint64) *Hierarchy {
 	return &Hierarchy{l1: h.l1.CloneIn(w1), l2: h.l2.CloneIn(w2), llc: llc}
 }
 
-// CopyPrivateStateFrom overwrites both private levels' mutable state with
-// src's. The shared LLC binding is untouched. Used by the epoch-parallel
-// stepping engine to publish a speculated private prefix at commit time.
-func (h *Hierarchy) CopyPrivateStateFrom(src *Hierarchy) {
-	if h.l1 != nil {
-		h.l1.CopyStateFrom(src.l1)
-	}
-	if h.l2 != nil {
-		h.l2.CopyStateFrom(src.l2)
-	}
-}
-
 // Reset returns both private levels to their freshly constructed state in
 // place (the shared LLC is reset separately by its owner).
 func (h *Hierarchy) Reset() {
@@ -462,15 +442,19 @@ func (h *Hierarchy) Access(addr uint64, part PartitionID, meta uint64) Hierarchy
 	if level, served := h.AccessPrivate(addr); served {
 		return HierarchyResult{Level: level}
 	}
-	return h.AccessShared(addr, part, meta)
+	res := h.llc.Access(addr, part, meta)
+	level := LevelMemory
+	if res.Hit {
+		level = LevelLLC
+	}
+	return HierarchyResult{Level: level, ReachedLLC: true, LLC: res}
 }
 
 // AccessPrivate runs exactly the private-level portion of Access — the L1 and
 // L2 probes, fills and any inclusive back-invalidation — and reports the
 // serving level, or served == false when the access falls through to the
-// shared LLC. Splitting the walk here is what lets a speculative private
-// prefix run on a worker goroutine: the private levels are per-application
-// state, and the LLC half (AccessShared) replays serially at commit.
+// shared LLC. It touches only per-application state, so the private filter
+// can be measured (or driven) without a shared LLC behind it.
 func (h *Hierarchy) AccessPrivate(addr uint64) (level int, served bool) {
 	if h.l1 != nil || h.l2 != nil {
 		hash := hashAddr(addr)
@@ -492,15 +476,4 @@ func (h *Hierarchy) AccessPrivate(addr uint64) (level int, served bool) {
 		}
 	}
 	return 0, false
-}
-
-// AccessShared runs the shared-LLC half of Access for an address whose
-// private probes (AccessPrivate) already missed.
-func (h *Hierarchy) AccessShared(addr uint64, part PartitionID, meta uint64) HierarchyResult {
-	res := h.llc.Access(addr, part, meta)
-	level := LevelMemory
-	if res.Hit {
-		level = LevelLLC
-	}
-	return HierarchyResult{Level: level, ReachedLLC: true, LLC: res}
 }

@@ -97,6 +97,34 @@ func TestReplayerCounts(t *testing.T) {
 	}
 }
 
+// TestReplayLatencySamplesEveryTenant pins the latency stride against
+// aliasing: a recording that alternates two tenants, replayed by two workers,
+// must yield latency samples for both tenants (a stride sharing a factor with
+// the tenant or worker count only ever times tenant 0).
+func TestReplayLatencySamplesEveryTenant(t *testing.T) {
+	recs := []tracein.Record{
+		{Cycle: 1, App: 0, Op: tracein.OpGet, Key: 1},
+		{Cycle: 2, App: 1, Op: tracein.OpGet, Key: 1},
+	}
+	tr, err := tracein.FromRecords(tracein.KindKV, 2, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := NewReplayer(replayCache(t, 2), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := rp.Run(8*replayLatencyStride, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tenant, s := range ts {
+		if s.Latency.Len() == 0 {
+			t.Errorf("tenant %d has no latency samples out of %d gets", tenant, s.Gets)
+		}
+	}
+}
+
 // BenchmarkTraceReplay measures replayed-trace throughput end to end through
 // the file format: the trace is written to disk and reopened (exercising the
 // mmap fast path), the replayer preps its tables outside the timer, and the

@@ -167,12 +167,6 @@ func RunPooled(spec Spec, parallelism int, pool *sim.WarmPool, schemeKey string)
 		}
 		slow := spec.slowWindowsFor(n)
 		restarts := spec.restartsFor(n)
-		// Up to `parallelism` node simulations run at once; divide the machine
-		// so each run's speculation stays within its share. An explicit
-		// IntraParallel (or a caller that already budgeted for an outer sweep)
-		// passes through untouched, and pool keys are unaffected (PoolIdentity
-		// clears the knob).
-		nodeCfg := node.Config.WithIntraBudget(parallelism)
 		runNode := func() (sim.Result, error) {
 			lc := node.LC
 			lc.Arrivals = workload.NewReplayArrivals(times)
@@ -184,13 +178,13 @@ func RunPooled(spec Spec, parallelism int, pool *sim.WarmPool, schemeKey string)
 			specs = append(specs, lc)
 			specs = append(specs, node.Batch...)
 			if len(restarts) == 0 {
-				return sim.RunMix(nodeCfg, specs, node.NewPolicy())
+				return sim.RunMix(node.Config, specs, node.NewPolicy())
 			}
 			// Rolling restart: run to each restart boundary, dump the node's
 			// warm state (caches, monitors, policy), and continue. RunUntil
 			// pauses only at scheduler pop boundaries, so the restarted run is
 			// deterministic at any parallelism.
-			s, err := sim.New(nodeCfg, specs, node.NewPolicy())
+			s, err := sim.New(node.Config, specs, node.NewPolicy())
 			if err != nil {
 				return sim.Result{}, err
 			}

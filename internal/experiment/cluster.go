@@ -62,9 +62,7 @@ func buildClusterSpec(cfg sim.Config, scale Scale, scheme Scheme, base sim.LCBas
 	nodes, fanout int, balancer cluster.BalancerKind, stragglerIdx int) (cluster.Spec, error) {
 	specs := make([]cluster.NodeSpec, nodes)
 	for i := 0; i < nodes; i++ {
-		// Cluster cells shard over scale.shardWorkers() (each running its
-		// nodes serially); budget each node's speculation width against that.
-		nodeCfg := cfg.WithIntraBudget(scale.shardWorkers())
+		nodeCfg := cfg
 		nodeCfg.Seed = workload.SplitSeed(scale.Seed, 0xC10+uint64(i))
 		if i == stragglerIdx {
 			nodeCfg.LLC = cache.DefaultZ452(cfg.LLC.Lines/4, cfg.LLC.Partitions)

@@ -314,9 +314,7 @@ func RunMixScheme(cfg sim.Config, scale Scale, baselines *Baselines, m mix.Mix, 
 		batchBaselines = append(batchBaselines, ipc)
 	}
 
-	// Mix runs execute scale.parallelism() at a time under Sweep; divide the
-	// machine so speculation inside each run cannot oversubscribe it.
-	runCfg := cfg.WithIntraBudget(scale.parallelism())
+	runCfg := cfg
 	if scheme.Unpartitioned {
 		runCfg.LLC.Mode = cache.ModeLRU
 	}

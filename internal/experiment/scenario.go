@@ -250,9 +250,7 @@ func runScenarioSingle(out *ScenarioOutcome, spec scenario.Spec, schemes []scena
 	out.Schemes = make([]ScenarioScheme, len(schemes))
 	return parallel.For(len(schemes), workers, func(i int) error {
 		rs := schemes[i]
-		// Scheme runs execute `workers` at a time; divide the machine so
-		// in-run speculation cannot oversubscribe it.
-		runCfg := cfg.WithIntraBudget(workers)
+		runCfg := cfg
 		if rec != nil {
 			rec.SetPIDName(int32(i), "scheme "+rs.Scheme.Name)
 			runCfg.Trace = rec.NewSink(int32(i))
@@ -392,14 +390,7 @@ func runScenarioCluster(out *ScenarioOutcome, spec scenario.Spec, schemes []scen
 	out.Schemes = make([]ScenarioScheme, len(schemes))
 	return parallel.For(len(schemes), schemeWorkers, func(i int) error {
 		rs := schemes[i]
-		// schemeWorkers × nodeWorkers node simulations run at once in either
-		// shape; budget each node's speculation width against that product
-		// (pool identities are unaffected: PoolIdentity clears the knob).
-		spec := buildSpec(rs, i)
-		for n := range spec.Nodes {
-			spec.Nodes[n].Config = spec.Nodes[n].Config.WithIntraBudget(workers)
-		}
-		res, err := cluster.RunPooled(spec, nodeWorkers, pool, rs.Key)
+		res, err := cluster.RunPooled(buildSpec(rs, i), nodeWorkers, pool, rs.Key)
 		if err != nil {
 			return fmt.Errorf("scheme %s: %w", rs.Scheme.Name, err)
 		}

@@ -55,9 +55,7 @@ type transientRun struct {
 // application slots for one scheme and schedule. Every run derives its seeds
 // from scale.Seed only, so a fixed seed is bit-identical at any parallelism.
 func transientMixSpecs(cfg sim.Config, scale Scale, scheme Scheme, sched workload.ScheduleSpec, base sim.LCBaseline, reqFactor float64) (sim.Config, []sim.AppSpec, error) {
-	// Transient runs shard over scale.shardWorkers(); budget the in-run
-	// speculation width so total workers stay within the machine.
-	runCfg := cfg.WithIntraBudget(scale.shardWorkers())
+	runCfg := cfg
 	runCfg.LatencyWindowCycles = transientWindowCycles(cfg)
 	if scheme.Unpartitioned {
 		runCfg.LLC.Mode = cache.ModeLRU

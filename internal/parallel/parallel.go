@@ -10,44 +10,6 @@ import (
 	"sync/atomic"
 )
 
-// Pool bounds how many asynchronous tasks run concurrently without keeping
-// idle worker goroutines alive: each accepted task gets its own goroutine and
-// a counting semaphore caps how many exist at once, so a pool needs no
-// Close/shutdown — when the last task returns, nothing of the pool remains
-// running. The simulator's speculative stepping engine uses one per run.
-type Pool struct {
-	sem chan struct{}
-}
-
-// NewPool returns a pool running at most workers tasks concurrently; workers
-// below 1 is treated as 1.
-func NewPool(workers int) *Pool {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Pool{sem: make(chan struct{}, workers)}
-}
-
-// Workers returns the pool's concurrency bound.
-func (p *Pool) Workers() int { return cap(p.sem) }
-
-// TrySubmit starts fn on its own goroutine if a worker slot is free and
-// reports whether it did. It never blocks or queues: callers with optional
-// work (speculative pre-stepping) skip the task when the pool is saturated
-// instead of stalling behind it.
-func (p *Pool) TrySubmit(fn func()) bool {
-	select {
-	case p.sem <- struct{}{}:
-	default:
-		return false
-	}
-	go func() {
-		defer func() { <-p.sem }()
-		fn()
-	}()
-	return true
-}
-
 // For runs fn(i) for every i in [0, n), distributing indices over at most
 // workers goroutines, and returns the first (lowest-index) error. workers <= 1
 // runs inline. fn must confine its side effects to index-addressed state; the

@@ -3,7 +3,6 @@ package parallel
 import (
 	"errors"
 	"testing"
-	"time"
 )
 
 func TestForCoversAllIndices(t *testing.T) {
@@ -43,47 +42,5 @@ func TestForReturnsLowestIndexError(t *testing.T) {
 func TestForEmpty(t *testing.T) {
 	if err := For(0, 4, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestPoolBoundsConcurrency pins TrySubmit's contract: at most Workers()
-// tasks run at once, a saturated pool refuses instead of blocking, and a
-// freed slot accepts again.
-func TestPoolBoundsConcurrency(t *testing.T) {
-	p := NewPool(2)
-	if p.Workers() != 2 {
-		t.Fatalf("Workers() = %d, want 2", p.Workers())
-	}
-	block := make(chan struct{})
-	started := make(chan struct{}, 2)
-	task := func() {
-		started <- struct{}{}
-		<-block
-	}
-	if !p.TrySubmit(task) || !p.TrySubmit(task) {
-		t.Fatal("an idle 2-worker pool must accept two tasks")
-	}
-	<-started
-	<-started
-	if p.TrySubmit(func() {}) {
-		t.Fatal("a saturated pool must refuse, not queue")
-	}
-	close(block)
-	// Slots free asynchronously after fn returns; poll until one reopens.
-	deadline := time.Now().Add(5 * time.Second)
-	for !p.TrySubmit(func() {}) {
-		if time.Now().After(deadline) {
-			t.Fatal("pool never freed a slot after its tasks returned")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestPoolMinimumOneWorker pins the workers<1 clamp.
-func TestPoolMinimumOneWorker(t *testing.T) {
-	for _, w := range []int{-3, 0, 1} {
-		if got := NewPool(w).Workers(); got != 1 {
-			t.Errorf("NewPool(%d).Workers() = %d, want 1", w, got)
-		}
 	}
 }

@@ -79,11 +79,6 @@ type Machine struct {
 	InclusiveL2 bool `json:"inclusive_l2,omitempty"`
 	// Flat disables both private levels (the pre-hierarchy machine).
 	Flat bool `json:"flat,omitempty"`
-	// IntraParallel bounds the worker goroutines one simulation may use to
-	// speculatively pre-step independent batch apps between scheduler quanta
-	// (0 = auto-size to the host, 1 = strictly serial). Purely a wall-clock
-	// knob: results are bit-identical at every setting.
-	IntraParallel int `json:"intra_parallel,omitempty"`
 }
 
 // App is one application entry of the mix. Exactly one of LC, Batch and
@@ -142,7 +137,8 @@ type NodeOverride struct {
 	// LLCMB overrides the node's LLC capacity (0 = the machine's).
 	LLCMB float64 `json:"llc_mb,omitempty"`
 	// Weight overrides the node's capacity weight for the weighted balancer
-	// (0 = derived from LLC size).
+	// (0 = derived from LLC size). Weights are relative: give every node one
+	// or none.
 	Weight float64 `json:"weight,omitempty"`
 }
 
@@ -284,7 +280,6 @@ func (s Spec) BaseConfig() sim.Config {
 		}
 		cfg.Hierarchy = sim.HierarchyForKB(l1, l2, s.Machine.InclusiveL2)
 	}
-	cfg.IntraParallel = s.Machine.IntraParallel
 	return cfg
 }
 
@@ -448,9 +443,6 @@ func (s Spec) Validate() error {
 	if s.Machine.Flat && (s.Machine.L1KB != 0 || s.Machine.L2KB != 0 || s.Machine.InclusiveL2) {
 		return fmt.Errorf("scenario: machine.flat disables the private levels; drop l1_kb/l2_kb/inclusive_l2")
 	}
-	if s.Machine.IntraParallel < 0 {
-		return fmt.Errorf("scenario: machine.intra_parallel must be >= 0 (0 = auto), got %d", s.Machine.IntraParallel)
-	}
 	if len(s.Apps) == 0 {
 		return fmt.Errorf("scenario: apps is required (at least one entry)")
 	}
@@ -582,6 +574,10 @@ func (s Spec) validateCluster() error {
 			return fmt.Errorf("scenario: hedging needs a spare node (fanout %d already touches all %d nodes)", fanout, c.Nodes)
 		}
 	}
+	// weighted counts the nodes NodeWeight resolves to an explicit weight
+	// (a node's first override wins, as there).
+	seen := make(map[int]bool, len(c.Overrides))
+	weighted := 0
 	for i, o := range c.Overrides {
 		if o.Node < 0 || o.Node >= c.Nodes {
 			return fmt.Errorf("scenario: cluster.overrides[%d] targets node %d, want [0,%d)", i, o.Node, c.Nodes)
@@ -589,6 +585,18 @@ func (s Spec) validateCluster() error {
 		if o.LLCMB < 0 || o.Weight < 0 {
 			return fmt.Errorf("scenario: cluster.overrides[%d] needs positive llc_mb and weight", i)
 		}
+		if !seen[o.Node] {
+			seen[o.Node] = true
+			if o.Weight > 0 {
+				weighted++
+			}
+		}
+	}
+	// Weights are relative. A node without one falls back to its LLC line
+	// count (~1e5), so next to explicit weights it takes all the traffic and
+	// the run fails with "node N received no measured leaves".
+	if weighted != 0 && weighted != c.Nodes {
+		return fmt.Errorf("scenario: cluster.overrides give %d of %d nodes a weight; weights are relative, so give every node one or none (an unweighted node defaults to its LLC line count)", weighted, c.Nodes)
 	}
 	return s.validateFaults()
 }

@@ -22,7 +22,10 @@ func fullSpec() Spec {
 		},
 		Cluster: &Cluster{
 			Nodes: 4, Fanout: 2, Quorum: 1, Balancer: "p2c", Hedge: 0.4,
-			Overrides: []NodeOverride{{Node: 3, LLCMB: 6, Weight: 0.5}},
+			Overrides: []NodeOverride{
+				{Node: 0, Weight: 1}, {Node: 1, Weight: 1}, {Node: 2, Weight: 1},
+				{Node: 3, LLCMB: 6, Weight: 0.5},
+			},
 		},
 		Schemes: []Scheme{{Name: "ubik", Slack: 0.1}, {Name: "lru"}},
 		Faults: []Fault{
@@ -222,6 +225,9 @@ func TestValidate(t *testing.T) {
 		{"override out of range", func(s *Spec) {
 			s.Cluster = &Cluster{Nodes: 2, Overrides: []NodeOverride{{Node: 5, LLCMB: 6}}}
 		}, "overrides[0] targets node 5"},
+		{"mixed explicit and derived weights", func(s *Spec) {
+			s.Cluster = &Cluster{Nodes: 3, Overrides: []NodeOverride{{Node: 1, Weight: 0.5}, {Node: 2, LLCMB: 6}}}
+		}, "give 1 of 3 nodes a weight"},
 		{"fault strands queries", func(s *Spec) {
 			s.Cluster = &Cluster{Nodes: 2, Fanout: 2}
 			s.Faults = []Fault{{Kind: "node-down", Node: 0, AtCycle: 10, DurationCycles: 100}}

@@ -9,7 +9,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
@@ -65,21 +64,15 @@ type Config struct {
 	// exact smallest-clock-first interleaving. Runs are deterministic for any
 	// fixed value (see DESIGN.md §2).
 	StepQuantumCycles uint64
-	// IntraParallel bounds the worker goroutines one run may use to
-	// speculatively pre-step independent batch applications between scheduler
-	// quanta (DESIGN.md §10). 0 (the default) sizes the engine to
-	// runtime.GOMAXPROCS(0); 1 steps strictly serially. Results are
-	// bit-identical at every setting — the engine only executes accesses the
-	// serial schedule provably performs and commits them in the serial order —
-	// so this is purely a wall-clock knob, excluded from warm-pool identities
-	// (see Config.PoolIdentity).
+	// Deprecated: ignored — the simulator has one, serial, run path; kept only
+	// until bench/ stops assigning it.
 	IntraParallel int
 	// Trace, when non-nil, records structured run events — scheduler quanta,
-	// reconfiguration boundaries, fault activations, cold restarts, and
-	// speculation commits/aborts — into the sink's ring (see internal/trace).
-	// Recording is strictly observational: the hooks only read simulator
-	// state, so numerics are bit-identical with tracing on or off. Like
-	// IntraParallel it is excluded from warm-pool identities.
+	// reconfiguration boundaries, fault activations and cold restarts — into
+	// the sink's ring (see internal/trace). Recording is strictly
+	// observational: the hooks only read simulator state, so numerics are
+	// bit-identical with tracing on or off, and the field is excluded from
+	// warm-pool identities (see PoolIdentity).
 	Trace *trace.Sink
 }
 
@@ -170,52 +163,16 @@ func (c Config) Validate() error {
 	if c.LatencyWindowCycles > 0 && c.LatencyWindowCycles < 1024 {
 		return fmt.Errorf("sim: latency window must be 0 (off) or at least 1024 cycles, got %d", c.LatencyWindowCycles)
 	}
-	if c.IntraParallel < 0 {
-		return fmt.Errorf("sim: IntraParallel must be >= 0 (0 = auto), got %d", c.IntraParallel)
-	}
 	return nil
 }
 
-// PoolIdentity returns the configuration with every pure wall-clock or
-// observational knob cleared — currently IntraParallel and Trace — the form
-// memoization keys must format: two runs differing only in such knobs produce
-// bit-identical results and have to share a warm-pool entry.
+// PoolIdentity returns the configuration with every field that cannot change
+// results cleared — the form memoization keys must format: two runs differing
+// only in those fields produce bit-identical results and have to share a
+// warm-pool entry.
 func (c Config) PoolIdentity() Config {
-	c.IntraParallel = 0
-	c.Trace = nil
-	return c
-}
-
-// IntraAutoWidth returns the speculation width one run should use when it is
-// one of outerWorkers simulations running concurrently: the machine's
-// processors divided evenly among the outer workers, at least 1. Sweeps that
-// fan runs out over a worker pool must budget this way — an IntraParallel of
-// 0 inside each of GOMAXPROCS outer workers would otherwise spin up
-// GOMAXPROCS² goroutines contending for the same cores.
-func IntraAutoWidth(outerWorkers int) int {
-	return intraAutoWidth(runtime.GOMAXPROCS(0), outerWorkers)
-}
-
-func intraAutoWidth(procs, outerWorkers int) int {
-	if outerWorkers < 1 {
-		outerWorkers = 1
-	}
-	w := procs / outerWorkers
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// WithIntraBudget caps the configuration's speculation width for a run that
-// shares the machine with outerWorkers-1 sibling runs. An explicit
-// IntraParallel is respected; only the auto setting (0) is resolved, so a
-// user pinning the width keeps it regardless of sweep shape. Results are
-// identical either way (IntraParallel is a pure wall-clock knob).
-func (c Config) WithIntraBudget(outerWorkers int) Config {
-	if c.IntraParallel == 0 {
-		c.IntraParallel = IntraAutoWidth(outerWorkers)
-	}
+	c.IntraParallel = 0 // ignored by the run
+	c.Trace = nil       // observational
 	return c
 }
 

@@ -110,45 +110,14 @@ func TestGoldenDigestHierarchy(t *testing.T) {
 	}
 }
 
-// TestGoldenDigestIntraParallel pins the speculative stepping engine's
-// determinism contract (DESIGN.md §10): the golden runs, stepped with the
-// intra-run engine forced on (4 workers) and forced off (1), must reproduce
-// the serial golden digests bit for bit. The flat configuration doubles as
-// the engine's self-gating check — without private levels there is no
-// speculation, at any setting.
-func TestGoldenDigestIntraParallel(t *testing.T) {
-	for _, ip := range []int{1, 4} {
-		flat := DefaultConfig()
-		flat.Hierarchy = cache.HierarchyConfig{}
-		flat.IntraParallel = ip
-		if got := resultDigest(goldenRun(t, flat)); got != 0x576fdec701773e44 {
-			t.Errorf("flat golden digest at IntraParallel=%d: %#x, want 0x576fdec701773e44", ip, got)
-		}
-		hier := DefaultConfig()
-		hier.IntraParallel = ip
-		if got := resultDigest(goldenRun(t, hier)); got != 0xdb4d74909e94b33f {
-			t.Errorf("hierarchy golden digest at IntraParallel=%d: %#x, want 0xdb4d74909e94b33f", ip, got)
-		}
-		if got := resultDigest(goldenBurstRunAt(t, ip)); got != 0x78997f0b3064a37c {
-			t.Errorf("burst golden digest at IntraParallel=%d: %#x, want 0x78997f0b3064a37c", ip, got)
-		}
-	}
-}
-
 // goldenBurstRun is the scenario-engine analogue of goldenRun: the same
 // fixed-seed mix driven through a 4x load burst with windowed latency
 // recording, exercising the schedule evaluator, the modulated arrival
 // process and the per-window statistics end to end.
 func goldenBurstRun(t *testing.T) Result {
-	return goldenBurstRunAt(t, 0)
-}
-
-// goldenBurstRunAt is goldenBurstRun at an explicit IntraParallel setting.
-func goldenBurstRunAt(t *testing.T, intraParallel int) Result {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Seed = 42
-	cfg.IntraParallel = intraParallel
 	cfg.LatencyWindowCycles = 200_000
 	lc, err := workload.LCByName("masstree")
 	if err != nil {

@@ -102,11 +102,6 @@ type appRuntime struct {
 	// done marks an app that has no further work to simulate.
 	done bool
 
-	// sp is the app's speculative stepping scratch (speculate.go), built
-	// lazily on its first window; nil for latency-critical apps, flat
-	// configurations and serial runs. Never cloned — forks build their own.
-	sp *speculation
-
 	// tr records structured run events (Config.Trace); nil means off. Shared
 	// with clones: a fork's events land in the same ring as its parent's.
 	tr *trace.Sink
@@ -282,9 +277,6 @@ func (a *appRuntime) enqueueArrivals(now uint64, coalesce uint64) {
 // ArrivalProcess).
 func (a *appRuntime) clone(llc cache.Cache) (*appRuntime, error) {
 	c := *a
-	// The speculation scratch is bound to the parent's run; the clone grows
-	// its own lazily.
-	c.sp = nil
 	if a.lcApp != nil {
 		c.lcApp = a.lcApp.Clone()
 		c.stream = c.lcApp.Stream()

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/monitor"
-	"repro/internal/parallel"
 	"repro/internal/policy"
 	"repro/internal/trace"
 )
@@ -38,12 +37,6 @@ type Simulator struct {
 	targetSamples    []float64
 	targetSampleN    uint64
 	measureArmed     bool
-
-	// Speculative stepping engine state (speculate.go): the worker pool, or
-	// specOff once the run is known to be ineligible. Never copied by forks —
-	// each simulator sizes its own engine lazily on first runLoop entry.
-	specPool *parallel.Pool
-	specOff  bool
 }
 
 // New builds a simulator for the given configuration, application slots and
@@ -341,8 +334,6 @@ func (s *Simulator) ColdRestart(pol policy.Policy) error {
 // stop.
 func (s *Simulator) runLoop(stop uint64) error {
 	s.startSchedule()
-	s.specSetup()
-	defer s.drainSpecs()
 	quantum := s.cfg.StepQuantumCycles
 	maxCycles := s.cfg.MaxCycles
 	for s.pending() {
@@ -367,10 +358,6 @@ func (s *Simulator) runLoop(stop uint64) error {
 			s.running = nil
 			return fmt.Errorf("sim: exceeded MaxCycles=%d; configuration is likely unstable (offered load too high)", maxCycles)
 		}
-		// Publish a's speculation window, if one ran while the other apps had
-		// the machine: the pre-stepped private prefix lands wholesale and the
-		// deferred shared-LLC accesses replay here, in serial order.
-		s.commitSpec(a)
 		quantumStart := a.clock
 		countersAtQuantum := a.counters
 		// The batch horizon: a runs while it would still win the heap within
@@ -414,9 +401,6 @@ func (s *Simulator) runLoop(stop uint64) error {
 			}
 		} else {
 			s.pushApp(a)
-			// a is now at rest until it next wins the heap: overlap its next
-			// window's private prefix with the other apps' turns.
-			s.launchSpec(a)
 		}
 	}
 	return nil

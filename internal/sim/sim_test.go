@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/policy"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -76,6 +77,21 @@ func TestConfigValidate(t *testing.T) {
 	bad.Core.MemLatencyCycles = 0
 	if err := bad.Validate(); err == nil {
 		t.Errorf("invalid core model should be rejected")
+	}
+}
+
+// TestPoolIdentityDropsWallClockKnobs pins the memoization contract: two
+// configurations differing only in an observational field (the trace sink)
+// share one pool identity.
+func TestPoolIdentityDropsWallClockKnobs(t *testing.T) {
+	a := DefaultConfig()
+	b := DefaultConfig()
+	b.Trace = trace.NewRecorder(16).NewSink(0)
+	if a.PoolIdentity() != b.PoolIdentity() {
+		t.Error("PoolIdentity should be identical with and without a trace sink")
+	}
+	if a == b {
+		t.Error("test needs the raw configs to differ")
 	}
 }
 

@@ -72,28 +72,6 @@ func TestTraceObservesWithoutPerturbing(t *testing.T) {
 	}
 }
 
-// TestTraceIdenticalWithSpeculation repeats the check with the intra-run
-// speculative engine on: numerics still match the serial digest, and the
-// speculation layer's commits show up in the trace.
-func TestTraceIdenticalWithSpeculation(t *testing.T) {
-	rec := trace.NewRecorder(trace.DefaultCapacity)
-	cfg := DefaultConfig()
-	cfg.IntraParallel = 4
-	cfg.Trace = rec.NewSink(0)
-	if got := resultDigest(goldenRun(t, cfg)); got != 0xdb4d74909e94b33f {
-		t.Errorf("traced speculative golden digest = %#x, want 0xdb4d74909e94b33f", got)
-	}
-	var commits int
-	for _, e := range rec.Events() {
-		if e.Kind == trace.KindSpecCommit {
-			commits++
-		}
-	}
-	if commits == 0 {
-		t.Error("speculative run recorded no spec-commit events")
-	}
-}
-
 // TestTraceRecordsFaultActivations runs the golden mix with a fail-slow
 // window on the LC slot and checks every inflated service demand lands in the
 // trace, confined to the window and carrying both sides of the inflation.

@@ -1,8 +1,8 @@
 // Package trace is a lightweight structured event recorder for simulator
-// runs: scheduler quanta, policy reconfigurations, fault-model activations,
-// cold restarts, and speculation commits/aborts land in a preallocated ring
-// and export as Chrome trace-event JSON (load the file in chrome://tracing
-// or https://ui.perfetto.dev).
+// runs: scheduler quanta, policy reconfigurations, fault-model activations
+// and cold restarts land in a preallocated ring and export as Chrome
+// trace-event JSON (load the file in chrome://tracing or
+// https://ui.perfetto.dev).
 //
 // Recording must not perturb the run: events are fixed-size value types, the
 // ring is allocated once up front, and Record is a mutex-guarded append with
@@ -36,13 +36,6 @@ const (
 	KindFault
 	// KindRestart is a cold restart of the policy plant: Start is the cycle.
 	KindRestart
-	// KindSpecCommit is a committed speculative window: Start is the commit
-	// cycle, A = windows still pending after the commit, B = clock advance
-	// in cycles the commit applied.
-	KindSpecCommit
-	// KindSpecAbort is a speculative window discarded without commit: Start
-	// is the cycle at drain, A = windows discarded.
-	KindSpecAbort
 )
 
 // name returns the Chrome trace event name for a kind.
@@ -56,10 +49,6 @@ func (k Kind) name() string {
 		return "fault"
 	case KindRestart:
 		return "restart"
-	case KindSpecCommit:
-		return "spec_commit"
-	case KindSpecAbort:
-		return "spec_abort"
 	}
 	return "unknown"
 }

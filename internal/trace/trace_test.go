@@ -158,13 +158,11 @@ func TestChromeJSONShape(t *testing.T) {
 
 func TestKindNames(t *testing.T) {
 	want := map[Kind]string{
-		KindQuantum:    "quantum",
-		KindReconfig:   "reconfig",
-		KindFault:      "fault",
-		KindRestart:    "restart",
-		KindSpecCommit: "spec_commit",
-		KindSpecAbort:  "spec_abort",
-		Kind(200):      "unknown",
+		KindQuantum:  "quantum",
+		KindReconfig: "reconfig",
+		KindFault:    "fault",
+		KindRestart:  "restart",
+		Kind(200):    "unknown",
 	}
 	for k, n := range want {
 		if k.name() != n {

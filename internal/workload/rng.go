@@ -53,12 +53,6 @@ func (r *Rand) Clone() *Rand {
 	return &Rand{Rand: rand.New(src), src: src}
 }
 
-// CopyStateFrom resynchronises the RNG to continue src's draw sequence,
-// without allocating. It is the in-place counterpart of Clone, used by
-// scratch state that is re-primed from a live object many times (the
-// simulator's speculative stepping engine).
-func (r *Rand) CopyStateFrom(src *Rand) { r.src.state = src.src.state }
-
 func (s *splitmix64) next() uint64 {
 	s.state += 0x9e3779b97f4a7c15
 	z := s.state

@@ -155,20 +155,6 @@ func (s *Stream) Clone() *Stream {
 	return &c
 }
 
-// CopyStateFrom resynchronises the stream to continue src's address sequence,
-// without allocating: the RNG cursor, the streaming cursor and the request
-// counter are a stream's only mutable state (layers, weights and Zipf
-// samplers are constants precomputed from the profile, and the Zipf samplers
-// draw through the stream's own RNG). Both streams must have been built from
-// the same profile — typically dst was Clone()d from src earlier — as the
-// simulator's speculative stepping engine does when it re-primes a persistent
-// scratch stream before every speculation window.
-func (s *Stream) CopyStateFrom(src *Stream) {
-	s.rng.CopyStateFrom(src.rng)
-	s.streamNext = src.streamNext
-	s.requestID = src.requestID
-}
-
 // Footprint returns the total number of distinct lines in persistent layers,
 // the application's long-lived working set.
 func (s *Stream) Footprint() uint64 {

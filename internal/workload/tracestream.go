@@ -5,10 +5,9 @@ import "fmt"
 // AddressStream is the address-generation interface the simulator steps
 // applications through. Two implementations exist: the synthetic layered
 // generator (*Stream) and the recorded-trace replayer (*TraceStream). Both
-// obey the same checkpoint/clone contract the simulator's fork and
-// speculation engines rely on: CloneAddressStream yields an independent copy
-// continuing the identical sequence, and CopyAddressState re-primes an
-// existing clone in place without allocating.
+// obey the same checkpoint/clone contract the simulator's fork engine relies
+// on: CloneAddressStream yields an independent copy continuing the identical
+// sequence.
 type AddressStream interface {
 	// BeginRequest tells the stream a new request is starting.
 	BeginRequest()
@@ -21,11 +20,6 @@ type AddressStream interface {
 	// CloneAddressStream returns a deep copy that continues the identical
 	// address sequence independently of the original.
 	CloneAddressStream() AddressStream
-	// CopyAddressState resynchronises the stream to continue src's sequence
-	// without allocating. src must be the same concrete type — typically the
-	// stream this one was cloned from — and the copy is refused (false)
-	// otherwise.
-	CopyAddressState(src AddressStream) bool
 }
 
 var (
@@ -35,16 +29,6 @@ var (
 
 // CloneAddressStream implements AddressStream.
 func (s *Stream) CloneAddressStream() AddressStream { return s.Clone() }
-
-// CopyAddressState implements AddressStream.
-func (s *Stream) CopyAddressState(src AddressStream) bool {
-	o, ok := src.(*Stream)
-	if !ok {
-		return false
-	}
-	s.CopyStateFrom(o)
-	return true
-}
 
 // TraceStream replays a recorded address sequence — the trace-ingestion
 // counterpart of Stream. The backing words are immutable and shared by every
@@ -135,21 +119,3 @@ func (t *TraceStream) Clone() *TraceStream {
 
 // CloneAddressStream implements AddressStream.
 func (t *TraceStream) CloneAddressStream() AddressStream { return t.Clone() }
-
-// CopyStateFrom resynchronises the stream to continue src's sequence without
-// allocating. Both streams must share a backing (one cloned from the other).
-func (t *TraceStream) CopyStateFrom(src *TraceStream) {
-	t.pos = src.pos
-	t.wraps = src.wraps
-	t.requestID = src.requestID
-}
-
-// CopyAddressState implements AddressStream.
-func (t *TraceStream) CopyAddressState(src AddressStream) bool {
-	o, ok := src.(*TraceStream)
-	if !ok {
-		return false
-	}
-	t.CopyStateFrom(o)
-	return true
-}

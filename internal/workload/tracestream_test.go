@@ -52,8 +52,8 @@ func TestTraceStreamRejectsBadViews(t *testing.T) {
 }
 
 // TestTraceStreamCloneContract checks the checkpoint/fork contract: a clone
-// continues the identical sequence, advances independently, shares the backing
-// words, and CopyAddressState re-syncs it in place.
+// continues the identical sequence, advances independently and shares the
+// backing words.
 func TestTraceStreamCloneContract(t *testing.T) {
 	ts, err := NewTraceStreamAddrs([]uint64{1, 2, 3, 4, 5}, 5)
 	if err != nil {
@@ -77,37 +77,11 @@ func TestTraceStreamCloneContract(t *testing.T) {
 			t.Fatalf("divergence at step %d: %d vs %d", i, a, b)
 		}
 	}
-	// Advance the clone past the original, then re-sync it.
-	c.Next()
-	c.Next()
-	if !c.CopyAddressState(ts) {
-		t.Fatal("CopyAddressState refused a same-type source")
-	}
-	if c.Pos() != ts.Pos() || c.Wraps() != ts.Wraps() || c.RequestID() != ts.RequestID() {
-		t.Fatal("CopyAddressState did not restore cursor state")
-	}
-	if a, b := ts.Next(), c.Next(); a != b {
-		t.Fatalf("post-copy divergence: %d vs %d", a, b)
-	}
 }
 
-func TestAddressStreamCrossTypeCopyRefused(t *testing.T) {
-	ts, _ := NewTraceStreamAddrs([]uint64{1}, 1)
-	st, err := NewStream(0, nil, 1, NewClonableRand(7))
-	if err != nil {
-		t.Fatalf("NewStream: %v", err)
-	}
-	if ts.CopyAddressState(st) {
-		t.Fatal("TraceStream accepted state from a *Stream")
-	}
-	if st.CopyAddressState(ts) {
-		t.Fatal("Stream accepted state from a *TraceStream")
-	}
-}
-
-// TestStreamAddressStreamAdapter pins that the AddressStream wrappers on the
-// synthetic *Stream delegate to Clone/CopyStateFrom: the cloned stream
-// continues the identical draw sequence.
+// TestStreamAddressStreamAdapter pins that the AddressStream wrapper on the
+// synthetic *Stream delegates to Clone: the cloned stream continues the
+// identical draw sequence.
 func TestStreamAddressStreamAdapter(t *testing.T) {
 	st, err := NewStream(0, []Layer{{Name: "hot", Lines: 64, Weight: 1}}, 0, NewClonableRand(42))
 	if err != nil {
@@ -122,13 +96,6 @@ func TestStreamAddressStreamAdapter(t *testing.T) {
 		if a != b {
 			t.Fatalf("clone divergence at step %d: %d vs %d", i, a, b)
 		}
-	}
-	c.Next()
-	if !c.CopyAddressState(as) {
-		t.Fatal("CopyAddressState refused a same-type source")
-	}
-	if a, b := as.Next(), c.Next(); a != b {
-		t.Fatalf("post-copy divergence: %d vs %d", a, b)
 	}
 }
 
