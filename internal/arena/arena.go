@@ -160,31 +160,6 @@ func (s *Snapshot) Fork() *Arena {
 	}
 }
 
-// Clone returns an independent fully owned copy of the arena's logical
-// contents (materialising nothing in the receiver).
-func (a *Arena) Clone() *Arena {
-	buf := getBuf(len(a.data))
-	if a.present == nil {
-		copy(buf, a.data)
-		return &Arena{data: buf}
-	}
-	// Copy owned chunks from the fork, the rest from the base.
-	nc := numChunks(len(a.data))
-	for c := 0; c < nc; c++ {
-		lo := c << chunkShift
-		hi := lo + ChunkWords
-		if hi > len(a.data) {
-			hi = len(a.data)
-		}
-		if a.present[c>>6]&(uint64(1)<<(c&63)) != 0 {
-			copy(buf[lo:hi], a.data[lo:hi])
-		} else {
-			copy(buf[lo:hi], a.base.data[lo:hi])
-		}
-	}
-	return &Arena{data: buf}
-}
-
 // Reset detaches any parent snapshot and zeroes the arena in place, reusing
 // the existing buffer. Afterwards the arena is fully owned and all-zero —
 // the state a fresh New(n) returns — without new allocations.

@@ -171,27 +171,6 @@ func TestReset(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	a := New(2*ChunkWords + 5)
-	fill(a, 9)
-	want := append([]uint64(nil), a.Data()...)
-
-	// Clone of a fully owned arena.
-	equal(t, words(a.Clone()), want, "owned clone")
-
-	// Clone of a partially materialised fork sees base + dirty chunks.
-	f := a.Seal().Fork()
-	f.Ensure(0)
-	f.Data()[0] = 77
-	wantFork := append([]uint64(nil), want...)
-	wantFork[0] = 77
-	c := f.Clone()
-	equal(t, words(c), wantFork, "fork clone")
-	if c.Pending() {
-		t.Fatal("clone must be fully owned")
-	}
-}
-
 func TestZeroLength(t *testing.T) {
 	a := New(0)
 	s := a.Seal()

@@ -70,7 +70,7 @@ func TestForkMutationIsolationArena(t *testing.T) {
 			for i := 0; i < 4096; i++ {
 				c.Access(uint64(i*7+1), PartitionID(i%4), uint64(i))
 			}
-			sealed := c.(Sealer).Seal()
+			sealed := c.Seal()
 			snap := sealedArena(t, sealed)
 			nonzero := false
 			for i := 0; i < snap.Words() && !nonzero; i++ {

@@ -58,27 +58,21 @@ type Cache interface {
 	PartitionStats(part PartitionID) PartitionStats
 	// ResetStats clears all cumulative statistics (occupancy is preserved).
 	ResetStats()
-	// Clone returns a deep copy of the cache — contents, partition state and
-	// statistics — so a checkpointed simulation can fork without aliasing any
-	// mutable state. Accesses to either copy cannot affect the other.
-	Clone() Cache
+	// Seal freezes the current state — contents, partition state and
+	// statistics — into an immutable Sealed image and leaves the receiver
+	// running as a copy-on-write fork of that image: subsequent accesses
+	// materialise storage chunks on demand. Sealing a cache that is itself an
+	// untouched fork of an earlier snapshot is O(1) and returns that snapshot.
+	Seal() Sealed
 }
 
 // Sealed is an immutable snapshot of a cache's complete state. Forking is
 // cheap (bookkeeping proportional to the chunk count, not the capacity) and
 // safe from multiple goroutines concurrently.
 type Sealed interface {
-	// Fork returns a new independent cache initialised from the snapshot.
+	// Fork returns a new independent cache initialised from the snapshot:
+	// accesses to the fork cannot affect the snapshot or any other fork.
 	Fork() Cache
-}
-
-// Sealer is implemented by cache arrays that support delta snapshots. Seal
-// freezes the current state into an immutable Sealed image and leaves the
-// receiver running as a copy-on-write fork of that image: subsequent accesses
-// materialise storage chunks on demand. Sealing a cache that is itself an
-// untouched fork of an earlier snapshot is O(1) and returns that snapshot.
-type Sealer interface {
-	Seal() Sealed
 }
 
 // Stats holds cumulative whole-cache statistics.

@@ -252,16 +252,11 @@ func (l *PrivateLevel) Fill(addr uint64) (evicted uint64, wasValid bool) {
 	return evicted, wasValid
 }
 
-// Clone returns a deep copy of the level (tags, LRU stamps, statistics) with
-// its own storage. Cloning a nil level returns nil, matching the "always
-// miss" convention.
-func (l *PrivateLevel) Clone() *PrivateLevel {
-	return l.CloneIn(nil)
-}
-
-// CloneIn is Clone with caller-provided storage of the same size (nil to
-// self-allocate); a per-application arena slab passes its carved regions here
-// so all levels of a forked hierarchy land in one contiguous block.
+// CloneIn returns a deep copy of the level (tags, LRU stamps, statistics) over
+// caller-provided storage of the same size (nil to self-allocate); a
+// per-application arena slab passes its carved regions here so all levels of
+// a forked hierarchy land in one contiguous block. Cloning a nil level
+// returns nil, matching the "always miss" convention.
 func (l *PrivateLevel) CloneIn(words []uint64) *PrivateLevel {
 	if l == nil {
 		return nil
@@ -390,18 +385,11 @@ func NewHierarchyIn(cfg HierarchyConfig, llc Cache, words []uint64) (*Hierarchy,
 	return &Hierarchy{l1: l1, l2: l2, llc: llc}, nil
 }
 
-// CloneWithLLC returns a deep copy of the private levels (including their
+// CloneWithLLCIn returns a deep copy of the private levels (including their
 // back-invalidation statistics) chained in front of the given shared LLC.
-// Hierarchies do not own the LLC, so forking a simulation clones the LLC once
+// Hierarchies do not own the LLC, so forking a simulation forks the LLC once
 // and rebinds every application's hierarchy clone to it through this method.
-func (h *Hierarchy) CloneWithLLC(llc Cache) *Hierarchy {
-	return h.CloneWithLLCIn(llc, nil)
-}
-
-// CloneWithLLCIn is CloneWithLLC over caller-provided storage (the forked
-// application's arena region, already holding a copy of the parent's slab —
-// the level contents are copied again here, which is cheap and keeps the
-// region layout authoritative in one place).
+// words is the forked application's arena region (nil to self-allocate).
 func (h *Hierarchy) CloneWithLLCIn(llc Cache, words []uint64) *Hierarchy {
 	var w1, w2 []uint64
 	if words != nil {

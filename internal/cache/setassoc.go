@@ -13,9 +13,8 @@ import (
 //
 // Line state lives in one contiguous arena slab, four words per line
 // (address, lastUse, metadata, part<<1|valid) in set-major order, so a whole
-// set is one contiguous run: an access touches one storage range, Clone is a
-// single copy, and Seal/Fork give chunk-granular copy-on-write snapshots like
-// the zcache's.
+// set is one contiguous run: an access touches one storage range, and
+// Seal/Fork give chunk-granular copy-on-write snapshots like the zcache's.
 type SetAssoc struct {
 	numSets  uint64
 	ways     int
@@ -367,25 +366,13 @@ func (c *SetAssoc) lruVictim(set []uint64) int {
 	return best
 }
 
-// Clone implements Cache.
-func (c *SetAssoc) Clone() Cache {
-	n := *c
-	n.slab = c.slab.Clone()
-	n.words = n.slab.Data()
-	n.parts = c.parts.clone()
-	if c.wayOwner != nil {
-		n.wayOwner = append([]PartitionID(nil), c.wayOwner...)
-	}
-	return &n
-}
-
 // setAssocSnapshot is a sealed set-associative image, mirroring the zcache's.
 type setAssocSnapshot struct {
 	tpl  SetAssoc
 	snap *arena.Snapshot
 }
 
-// Seal implements Sealer.
+// Seal implements Cache.
 func (c *SetAssoc) Seal() Sealed {
 	snap := c.slab.Seal()
 	c.words = c.slab.Data()
@@ -441,7 +428,4 @@ func (c *SetAssoc) Contains(addr uint64) bool {
 	return false
 }
 
-var (
-	_ Cache  = (*SetAssoc)(nil)
-	_ Sealer = (*SetAssoc)(nil)
-)
+var _ Cache = (*SetAssoc)(nil)

@@ -473,24 +473,6 @@ func (c *ZCache) replacementWalk(inserting PartitionID) (int, bool) {
 	return lruIdx, false // ModeLRU
 }
 
-// Clone implements Cache. The slot slab, partition table and counters are
-// deep-copied; the replacement-walk scratch state (whose contents never
-// influence a walk's outcome — entries are generation-stamped and the
-// generation restarts with the clone) is allocated fresh. The per-way index
-// multipliers are immutable after construction and shared.
-func (c *ZCache) Clone() Cache {
-	n := *c
-	n.slab = c.slab.Clone()
-	n.words = n.slab.Data()
-	n.parts = c.parts.clone()
-	n.walkNodes = make([]walkNode, 0, cap(c.walkNodes))
-	n.seenTab = make([]seenEntry, len(c.seenTab))
-	n.gen = 0
-	n.overTab = make([]uint64, len(c.overTab))
-	n.posBuf = make([]uint64, len(c.posBuf))
-	return &n
-}
-
 // zcacheSnapshot is a sealed zcache image: the slot slab as an immutable
 // arena snapshot plus a frozen copy of the scalar state and partition table.
 type zcacheSnapshot struct {
@@ -498,7 +480,7 @@ type zcacheSnapshot struct {
 	snap *arena.Snapshot
 }
 
-// Seal implements Sealer. The slot slab is frozen into an immutable snapshot
+// Seal implements Cache. The slot slab is frozen into an immutable snapshot
 // (O(1) when the cache is itself an untouched fork of an earlier snapshot —
 // repeated checkpoints of a paused simulation cost nothing) and the receiver
 // keeps running as a copy-on-write fork of it.
@@ -558,7 +540,4 @@ func (c *ZCache) Contains(addr uint64) bool {
 	return false
 }
 
-var (
-	_ Cache  = (*ZCache)(nil)
-	_ Sealer = (*ZCache)(nil)
-)
+var _ Cache = (*ZCache)(nil)

@@ -198,13 +198,7 @@ func RunPooled(spec Spec, parallelism int, pool *sim.WarmPool, schemeKey string)
 			}
 			return s.Run()
 		}
-		var res sim.Result
-		var err error
-		if pool != nil {
-			res, err = pool.Result(nodeKey(node, schemeKey, times, warmup, slow, restarts), runNode)
-		} else {
-			res, err = runNode()
-		}
+		res, err := pool.Result(nodeKey(node, schemeKey, times, warmup, slow, restarts), runNode)
 		if err != nil {
 			return fmt.Errorf("cluster: node %d: %w", n, err)
 		}
@@ -295,8 +289,8 @@ func aggregate(spec Spec, plan *queryPlan, results []sim.Result) (Result, error)
 			Sim:      results[n],
 			Leaves:   uint64(leafSample.Len()),
 			LeafMean: leafSample.Mean(),
-			LeafP95:  percentileOrZero(leafSample, 95),
-			LeafP99:  percentileOrZero(leafSample, 99),
+			LeafP95:  leafSample.PercentileOrZero(95),
+			LeafP99:  leafSample.PercentileOrZero(99),
 		}
 		if nodeWindows[n] != nil {
 			for i, t := range plan.nodeTimes[n] {
@@ -310,8 +304,8 @@ func aggregate(spec Spec, plan *queryPlan, results []sim.Result) (Result, error)
 	}
 
 	res.Mean = res.QueryLatencies.Mean()
-	res.P95 = percentileOrZero(res.QueryLatencies, 95)
-	res.P99 = percentileOrZero(res.QueryLatencies, 99)
+	res.P95 = res.QueryLatencies.PercentileOrZero(95)
+	res.P99 = res.QueryLatencies.PercentileOrZero(99)
 	if tm, err := res.QueryLatencies.TailMean(spec.tailPercentile()); err == nil {
 		res.TailMean = tm
 	}
@@ -339,13 +333,4 @@ func kthSmallest(vals []float64, k int) float64 {
 		k = len(vals)
 	}
 	return vals[k-1]
-}
-
-// percentileOrZero flattens the empty-sample error to 0.
-func percentileOrZero(s *stats.Sample, p float64) float64 {
-	v, err := s.Percentile(p)
-	if err != nil {
-		return 0
-	}
-	return v
 }

@@ -124,7 +124,7 @@ func clusterTailTables(cfg sim.Config, scale Scale, schemes []Scheme, nodes int,
 	}
 	fanouts := clusterFanouts(nodes)
 	runs := make([]cluster.Result, len(schemes)*len(fanouts))
-	if err := parallel.For(len(runs), scale.shardWorkers(), func(i int) error {
+	if err := parallel.For(len(runs), scale.parallelism(), func(i int) error {
 		scheme := schemes[i/len(fanouts)]
 		fanout := fanouts[i%len(fanouts)]
 		spec, err := buildClusterSpec(cfg, scale, scheme, base, reqFactor, nodes, fanout, cluster.BalanceRoundRobin, -1)
@@ -218,7 +218,7 @@ func clusterHeteroTables(cfg sim.Config, scale Scale, nodes int, service string)
 		idx  int
 	}{{"uniform", -1}, {"straggler", straggler}}
 	cells := make([]cell, len(schemes)*len(variants)*len(fanouts))
-	if err := parallel.For(len(cells), scale.shardWorkers(), func(i int) error {
+	if err := parallel.For(len(cells), scale.parallelism(), func(i int) error {
 		scheme := schemes[i/(len(variants)*len(fanouts))]
 		variant := variants[(i/len(fanouts))%len(variants)]
 		fanout := fanouts[i%len(fanouts)]

@@ -8,7 +8,7 @@ import (
 // TestClusterExperimentDeterministicUnderParallelism locks the cluster
 // experiment's determinism contract in the style of
 // TestSweepDeterministicUnderParallelism: the rendered tables are
-// byte-identical at any parallelism, with sharding on or off.
+// byte-identical at any parallelism.
 func TestClusterExperimentDeterministicUnderParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster sweeps are slow")
@@ -18,18 +18,15 @@ func TestClusterExperimentDeterministicUnderParallelism(t *testing.T) {
 	variants := []struct {
 		name        string
 		parallelism int
-		shard       bool
 	}{
-		{"p1-noshard", 1, false},
-		{"p1-shard", 1, true},
-		{"p4-shard", 4, true},
+		{"p1", 1},
+		{"p4", 4},
 	}
 	var reference []Table
 	for _, v := range variants {
 		scale := microScale()
 		scale.RequestFactor = 0.04
 		scale.Parallelism = v.parallelism
-		scale.SubMixSharding = v.shard
 		tables, err := clusterTailTables(cfg, scale, schemes, 2, "masstree")
 		if err != nil {
 			t.Fatalf("%s: %v", v.name, err)
@@ -46,7 +43,7 @@ func TestClusterExperimentDeterministicUnderParallelism(t *testing.T) {
 			continue
 		}
 		if !reflect.DeepEqual(reference, tables) {
-			t.Errorf("%s: cluster tables differ from the p1-noshard reference", v.name)
+			t.Errorf("%s: cluster tables differ from the p1 reference", v.name)
 		}
 	}
 }
@@ -58,12 +55,7 @@ func TestClusterHeteroShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster sweeps are slow")
 	}
-	scale := microScale()
-	scale.RequestFactor = 0.04
-	tables, err := clusterHeteroTables(microConfig(), scale, 2, "masstree")
-	if err != nil {
-		t.Fatal(err)
-	}
+	tables := goldenTables(t, "hetero", 4).tables
 	if len(tables) != 1 {
 		t.Fatalf("expected 1 hetero table, got %d", len(tables))
 	}

@@ -37,37 +37,36 @@ type Scale struct {
 	LoadPoints int
 	// Seed drives mix selection and all run randomness.
 	Seed uint64
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
+	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS), at the mix
+	// level and below it: load-sweep points, per-instance isolation baselines
+	// and baseline cache warming all shard over the same worker count.
+	// Results are bit-identical at any setting (each shard is an independent,
+	// seed-determined simulation whose output lands in an index-addressed
+	// slot).
 	Parallelism int
-	// SubMixSharding distributes work below the mix level across the worker
-	// pool as well: load-sweep points, per-instance isolation baselines, and
-	// baseline cache warming all shard over Parallelism workers. Results are
-	// bit-identical with sharding on or off and at any parallelism (each
-	// shard is an independent, seed-determined simulation whose output lands
-	// in an index-addressed slot).
-	SubMixSharding bool
-	// WarmReuse enables warm-state reuse (the -warmreuse flag, on by
-	// default): exactly-repeated calibration/isolation/baseline runs are
-	// memoized, and sweeps that share a warmup prefix (the flash-crowd
-	// magnitude sweep) warm once per scheme and fork each sweep point from
-	// the snapshot. Every reuse is exact-identity keyed or
-	// quiescence-verified, so results are byte-identical to the naive
-	// re-warm path (locked by the differential tests in warmreuse_test.go).
-	WarmReuse bool
-	// Warm is the pool backing WarmReuse. Leave nil: each experiment entry
-	// point allocates its own through withPool. Set it explicitly (as
+	// Warm is the warm pool the experiment's runs go through: exactly-repeated
+	// calibration/isolation/baseline runs are memoized, and sweeps that share
+	// a warmup prefix (the flash-crowd magnitude sweep) warm once per scheme
+	// and fork each sweep point from the snapshot. Every reuse is
+	// exact-identity keyed or quiescence-verified, so tables are
+	// byte-identical to re-warming every run (pinned by the golden table
+	// digests in golden_test.go). Leave nil: each experiment entry point
+	// allocates its own through withPool. Set it explicitly (as
 	// cmd/experiments does) to share warm state across several experiments in
 	// one invocation.
 	Warm *sim.WarmPool
+
+	// Deprecated: ignored — sub-mix work always shards over Parallelism;
+	// kept only until bench/ stops assigning it.
+	SubMixSharding bool
+	// Deprecated: ignored — experiments always run through a warm pool; kept
+	// only until bench/ stops assigning it.
+	WarmReuse bool
 }
 
-// withPool resolves the scale's warm pool: WarmReuse off forces nil (the
-// naive path), WarmReuse on without an explicit pool allocates a fresh one
-// for this experiment.
+// withPool gives the scale a fresh warm pool unless the caller shared one.
 func (s Scale) withPool() Scale {
-	if !s.WarmReuse {
-		s.Warm = nil
-	} else if s.Warm == nil {
+	if s.Warm == nil {
 		s.Warm = sim.NewWarmPool()
 	}
 	return s
@@ -76,18 +75,18 @@ func (s Scale) withPool() Scale {
 // QuickScale is sized for benchmarks and smoke tests (minutes for the whole
 // suite).
 func QuickScale() Scale {
-	return Scale{RequestFactor: 0.08, MixesPerLC: 1, BatchROI: 300_000, LoadPoints: 4, Seed: 1, SubMixSharding: true, WarmReuse: true}
+	return Scale{RequestFactor: 0.08, MixesPerLC: 1, BatchROI: 300_000, LoadPoints: 4, Seed: 1}
 }
 
 // DefaultScale is the development default: small but statistically meaningful.
 func DefaultScale() Scale {
-	return Scale{RequestFactor: 0.25, MixesPerLC: 4, BatchROI: 600_000, LoadPoints: 6, Seed: 1, SubMixSharding: true, WarmReuse: true}
+	return Scale{RequestFactor: 0.25, MixesPerLC: 4, BatchROI: 600_000, LoadPoints: 6, Seed: 1}
 }
 
 // FullScale approximates the paper's evaluation breadth (all 400 mixes, full
 // request counts); expect hours of runtime.
 func FullScale() Scale {
-	return Scale{RequestFactor: 1.0, MixesPerLC: 40, BatchROI: 1_500_000, LoadPoints: 9, Seed: 1, SubMixSharding: true, WarmReuse: true}
+	return Scale{RequestFactor: 1.0, MixesPerLC: 40, BatchROI: 1_500_000, LoadPoints: 9, Seed: 1}
 }
 
 func (s Scale) parallelism() int {
@@ -99,15 +98,6 @@ func (s Scale) parallelism() int {
 		n = 1
 	}
 	return n
-}
-
-// shardWorkers returns the worker count for sub-mix work: the pool size when
-// sharding is enabled, otherwise 1 (serial).
-func (s Scale) shardWorkers() int {
-	if !s.SubMixSharding {
-		return 1
-	}
-	return s.parallelism()
 }
 
 func (s Scale) requestFactor() float64 {
@@ -213,9 +203,9 @@ func (b *Baselines) LC(lc mix.LCConfig) (sim.LCBaseline, error) {
 
 // PooledIsolatedTail returns the pooled isolated tail latency across the
 // configuration's instances, run with exactly the seeds the mix instances
-// use. With SubMixSharding the per-instance isolation runs are distributed
-// over the worker pool; the pooled sample is assembled in instance order, so
-// the result is identical at any parallelism.
+// use. The per-instance isolation runs are distributed over the worker pool;
+// the pooled sample is assembled in instance order, so the result is
+// identical at any parallelism.
 func (b *Baselines) PooledIsolatedTail(lc mix.LCConfig, percentile float64) (float64, error) {
 	key := lc.Name()
 	b.mu.Lock()
@@ -233,7 +223,7 @@ func (b *Baselines) PooledIsolatedTail(lc mix.LCConfig, percentile float64) (flo
 		seeds[i] = instanceSeed(b.scale.Seed, lc, i)
 	}
 	results, err := sim.RunIsolatedLCShardsPooled(b.scale.Warm, b.cfg, lc.App, lc.App.TargetLines(), base.MeanInterarrival,
-		b.scale.requestFactor(), seeds, b.scale.shardWorkers())
+		b.scale.requestFactor(), seeds, b.scale.parallelism())
 	if err != nil {
 		return 0, err
 	}
@@ -357,9 +347,8 @@ func RunMixScheme(cfg sim.Config, scale Scale, baselines *Baselines, m mix.Mix, 
 }
 
 // Sweep runs every mix under every scheme, in parallel across mixes, and
-// returns all records. Baseline caches are warmed first — sharded across the
-// worker pool when SubMixSharding is on, serially otherwise — so the mix jobs
-// never race to compute the same baseline key.
+// returns all records. Baseline caches are warmed first, sharded across the
+// worker pool, so the mix jobs never race to compute the same baseline key.
 func Sweep(cfg sim.Config, scale Scale, baselines *Baselines, mixes []mix.Mix, schemes []Scheme) ([]MixRecord, error) {
 	type job struct {
 		m mix.Mix
@@ -409,7 +398,7 @@ func warmBaselines(cfg sim.Config, scale Scale, baselines *Baselines, mixes []mi
 			}
 		}
 	}
-	workers := scale.shardWorkers()
+	workers := scale.parallelism()
 	if err := parallel.For(len(lcs), workers, func(i int) error {
 		_, err := baselines.LC(lcs[i])
 		return err

@@ -242,8 +242,8 @@ func TestMicroSweepAndAggregations(t *testing.T) {
 
 // TestSweepDeterministicUnderParallelism is the contract the sharded runners
 // must keep: the same Scale.Seed produces bit-identical MixRecords whether the
-// sweep runs on 1 or 4 workers and whether sub-mix sharding (load points and
-// per-instance isolation baselines distributed across the pool) is on or off.
+// sweep — and the load points and per-instance isolation baselines below it —
+// runs on 1 or 4 workers.
 func TestSweepDeterministicUnderParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps are slow")
@@ -260,18 +260,14 @@ func TestSweepDeterministicUnderParallelism(t *testing.T) {
 	variants := []struct {
 		name        string
 		parallelism int
-		shard       bool
 	}{
-		{"p1-noshard", 1, false},
-		{"p1-shard", 1, true},
-		{"p4-shard", 4, true},
-		{"p4-noshard", 4, false},
+		{"p1", 1},
+		{"p4", 4},
 	}
 	var reference []MixRecord
 	for _, v := range variants {
 		scale := microScale()
 		scale.Parallelism = v.parallelism
-		scale.SubMixSharding = v.shard
 		// Fresh baselines per variant: cached values must be recomputed under
 		// each parallelism setting for the comparison to mean anything.
 		records, err := Sweep(cfg, scale, NewBaselines(cfg, scale), mixes, schemes)
@@ -314,20 +310,8 @@ func TestFig14HierarchySweepDeterministicUnderParallelism(t *testing.T) {
 	if len(Fig14HierarchyConfigs()) != 5 {
 		t.Fatalf("expected 5 hierarchy configurations")
 	}
-	run := func(parallelism int, shard bool) []Table {
-		cfg := microConfig()
-		scale := microScale()
-		scale.RequestFactor = 0.02
-		scale.Parallelism = parallelism
-		scale.SubMixSharding = shard
-		tables, err := Fig14HierarchySweep(cfg, scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tables
-	}
-	serial := run(1, false)
-	sharded := run(4, true)
+	serial := goldenTables(t, "fig14", 1).tables
+	sharded := goldenTables(t, "fig14", 4).tables
 	if !reflect.DeepEqual(serial, sharded) {
 		t.Errorf("sharded hierarchy sweep differs from serial:\n got  %+v\n want %+v", sharded, serial)
 	}
@@ -347,20 +331,8 @@ func TestFig1LoadLatencyDeterministicUnderSharding(t *testing.T) {
 	if testing.Short() {
 		t.Skip("load sweeps are slow")
 	}
-	cfg := microConfig()
-	run := func(parallelism int, shard bool) []Table {
-		scale := microScale()
-		scale.RequestFactor = 0.02
-		scale.Parallelism = parallelism
-		scale.SubMixSharding = shard
-		tables, err := Fig1LoadLatency(cfg, scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tables
-	}
-	serial := run(1, false)
-	sharded := run(4, true)
+	serial := goldenTables(t, "fig1a", 1).tables
+	sharded := goldenTables(t, "fig1a", 4).tables
 	if !reflect.DeepEqual(serial, sharded) {
 		t.Errorf("sharded load sweep differs from serial:\n got  %+v\n want %+v", sharded, serial)
 	}

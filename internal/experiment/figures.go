@@ -13,10 +13,9 @@ import (
 
 // Fig1LoadLatency reproduces Figure 1a: mean and tail latency as a function of
 // offered load for every latency-critical application running alone on a 2 MB
-// LLC. The (application, load point) grid is sharded across the worker pool
-// when SubMixSharding is on; every point is an independent seed-determined
-// calibration whose row lands in its grid slot, so the tables are identical
-// at any parallelism.
+// LLC. The (application, load point) grid is sharded across the worker pool;
+// every point is an independent seed-determined calibration whose row lands
+// in its grid slot, so the tables are identical at any parallelism.
 func Fig1LoadLatency(cfg sim.Config, scale Scale) ([]Table, error) {
 	scale = scale.withPool()
 	points := scale.LoadPoints
@@ -25,7 +24,7 @@ func Fig1LoadLatency(cfg sim.Config, scale Scale) ([]Table, error) {
 	}
 	profiles := workload.AllLCProfiles()
 	rows := make([][]string, len(profiles)*points)
-	err := parallel.For(len(rows), scale.shardWorkers(), func(i int) error {
+	err := parallel.For(len(rows), scale.parallelism(), func(i int) error {
 		p := profiles[i/points]
 		load := 0.1 + 0.8*float64(i%points)/float64(points-1)
 		base, err := sim.MeasureLCBaselinePooled(scale.Warm, cfg, p, p.TargetLines(), load, scale.requestFactor())

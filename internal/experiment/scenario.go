@@ -452,21 +452,9 @@ func clusterQuorum(s cluster.Spec) int {
 // counterpart of the cluster's query windows.
 func pooledLCWindowStats(res sim.Result, width uint64, tailPct float64) []stats.WindowStat {
 	lcs := res.LCResults()
-	maxWin := 0
-	for _, a := range lcs {
-		if len(a.WindowSamples) > maxWin {
-			maxWin = len(a.WindowSamples)
-		}
-	}
-	out := make([]stats.WindowStat, maxWin)
-	for w := 0; w < maxWin; w++ {
-		var parts []*stats.Sample
-		for _, a := range lcs {
-			if w < len(a.WindowSamples) {
-				parts = append(parts, a.WindowSamples[w])
-			}
-		}
-		pooled := stats.PoolWindows(parts)
+	out := make([]stats.WindowStat, windowCount(lcs))
+	for w := range out {
+		pooled := pooledWindow(lcs, w)
 		st := stats.WindowStat{
 			Index:      uint64(w),
 			StartCycle: uint64(w) * width,
@@ -475,12 +463,8 @@ func pooledLCWindowStats(res sim.Result, width uint64, tailPct float64) []stats.
 		}
 		if pooled.Len() > 0 {
 			st.Mean = pooled.Mean()
-			if p, err := pooled.Percentile(95); err == nil {
-				st.P95 = p
-			}
-			if p, err := pooled.Percentile(99); err == nil {
-				st.P99 = p
-			}
+			st.P95 = pooled.PercentileOrZero(95)
+			st.P99 = pooled.PercentileOrZero(99)
 			if tm, err := pooled.TailMean(tailPct); err == nil {
 				st.TailMean = tm
 			}

@@ -31,7 +31,8 @@ func outcomeDigest(t *testing.T, out *ScenarioOutcome) uint64 {
 // goldenScenarioDigest pins the shipped flash-crowd-plus-node-failure
 // scenario. If an intentional change to the simulator, the cluster layer or
 // the scenario runner moves this number, update it here and note the change;
-// anything else moving it is a determinism regression.
+// anything else moving it is a determinism regression. The seven
+// experiment-table digests are pinned beside it in golden_test.go.
 const goldenScenarioDigest = 0x41f4dc8aa838ae5b
 
 // TestScenarioGoldenDigest runs the shipped flash-crowd-failure scenario at

@@ -101,15 +101,14 @@ func runTransientMix(cfg sim.Config, scale Scale, scheme Scheme, sched workload.
 // schedule swapped in. The checkpoint key deliberately excludes the schedule
 // — interchangeability up to the warm boundary is exactly what
 // RunFromCheckpointWithSchedule verifies per fork, and any fork the engine
-// cannot prove safe falls back to the naive full re-warm, so results are
-// byte-identical to runTransientMix either way (locked by the differential
-// tests). A nil pool takes the naive path directly.
-func runTransientMixWarmFork(pool *sim.WarmPool, cfg sim.Config, scale Scale, scheme Scheme, sched workload.ScheduleSpec, base sim.LCBaseline, reqFactor float64) (sim.Result, error) {
+// cannot prove safe falls back to a full re-warm, so results are
+// byte-identical to runTransientMix either way (pinned by the flash golden
+// table digest).
+func runTransientMixWarmFork(cfg sim.Config, scale Scale, scheme Scheme, sched workload.ScheduleSpec, base sim.LCBaseline, reqFactor float64) (sim.Result, error) {
 	warmCycle := sched.QuiescentUntil()
-	if pool == nil || warmCycle == 0 || warmCycle == ^uint64(0) {
-		// No pool, a schedule modulated from cycle 0 (nothing shareable), or
-		// a constant schedule (no sweep to fork): the naive path is the fast
-		// path.
+	if warmCycle == 0 || warmCycle == ^uint64(0) {
+		// A schedule modulated from cycle 0 (nothing shareable) or a constant
+		// schedule (no sweep to fork): a straight run is the fast path.
 		return runTransientMix(cfg, scale, scheme, sched, base, reqFactor)
 	}
 	// Pause a margin before the first rate deviation: an idle app jumps its
@@ -130,7 +129,7 @@ func runTransientMixWarmFork(pool *sim.WarmPool, cfg sim.Config, scale Scale, sc
 	}
 	key := fmt.Sprintf("transient-warm|%#v|%s|%#v|%v|%d|%v|%d",
 		runCfg.PoolIdentity(), scheme.Name, base, reqFactor, scale.BatchROI, scale.Seed, warmCycle)
-	cp, err := pool.Checkpoint(key, func() (*sim.Checkpoint, error) {
+	cp, err := scale.Warm.Checkpoint(key, func() (*sim.Checkpoint, error) {
 		return sim.WarmCheckpoint(runCfg, specs, scheme.NewPolicy(), warmCycle)
 	})
 	if err != nil {
@@ -140,7 +139,7 @@ func runTransientMixWarmFork(pool *sim.WarmPool, cfg sim.Config, scale Scale, sc
 	if errors.Is(err, sim.ErrScheduleSwapUnsafe) {
 		// The warm prefix consumed a draw past the quiescent boundary
 		// (possible when an idle app's clock overshoots the pause): re-warm
-		// naively. Any other error is a real failure and propagates.
+		// from cold. Any other error is a real failure and propagates.
 		return runTransientMix(cfg, scale, scheme, sched, base, reqFactor)
 	}
 	return res, err
@@ -227,15 +226,6 @@ func phaseBounds(sched workload.ScheduleSpec, window uint64, windows int) (int, 
 	return start, end, start < end
 }
 
-// percentileOrZero returns the sample's p-th percentile, or 0 when empty.
-func percentileOrZero(s *stats.Sample, p float64) float64 {
-	v, err := s.Percentile(p)
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
 // Fig7Transient runs the five standard schemes through one time-varying load
 // schedule and reports the pooled per-window tail latencies (p95 and p99 vs
 // time) plus a per-phase summary (steady / transient / recovery). Scheme
@@ -253,7 +243,7 @@ func Fig7Transient(cfg sim.Config, scale Scale, sched workload.ScheduleSpec) ([]
 	}
 	schemes := StandardSchemes()
 	runs := make([]transientRun, len(schemes))
-	if err := parallel.For(len(schemes), scale.shardWorkers(), func(i int) error {
+	if err := parallel.For(len(schemes), scale.parallelism(), func(i int) error {
 		res, err := runTransientMix(cfg, scale, schemes[i], sched, base, reqFactor)
 		if err != nil {
 			return err
@@ -301,7 +291,7 @@ func Fig7Transient(cfg sim.Config, scale Scale, sched workload.ScheduleSpec) ([]
 				fmt.Sprintf("%d", pooled[0][w].Len()),
 			}
 			for i := range runs {
-				row = append(row, f0(percentileOrZero(pooled[i][w], pct)))
+				row = append(row, f0(pooled[i][w].PercentileOrZero(pct)))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -336,8 +326,8 @@ func Fig7Transient(cfg sim.Config, scale Scale, sched workload.ScheduleSpec) ([]
 				r.scheme, ph.name,
 				fmt.Sprintf("%d", pooled.Len()),
 				f0(pooled.Mean()),
-				f0(percentileOrZero(pooled, 95)),
-				f0(percentileOrZero(pooled, 99)),
+				f0(pooled.PercentileOrZero(95)),
+				f0(pooled.PercentileOrZero(99)),
 			})
 		}
 	}
@@ -356,11 +346,11 @@ func FlashMagnitudes() []float64 { return []float64{2, 4, 8} }
 // The (magnitude, scheme) grid shards across the worker pool with
 // bit-identical results at any parallelism.
 //
-// With warm reuse on, the sweep exploits that every magnitude's schedule is
-// quiescent until the spike: each scheme warms once up to the spike onset and
-// every magnitude forks from that snapshot, eliminating the repeated warmup
-// (the schedule swap is verified per fork, falling back to a full re-warm if
-// unsafe, so the table is byte-identical either way).
+// The sweep exploits that every magnitude's schedule is quiescent until the
+// spike: each scheme warms once up to the spike onset and every magnitude
+// forks from that snapshot, eliminating the repeated warmup (the schedule
+// swap is verified per fork, falling back to a full re-warm if unsafe, so the
+// table is byte-identical to re-warming every cell).
 func FlashRecovery(cfg sim.Config, scale Scale) ([]Table, error) {
 	return FlashRecoveryAt(cfg, scale, 4, FlashMagnitudes())
 }
@@ -381,7 +371,7 @@ func FlashRecoveryAt(cfg sim.Config, scale Scale, spikeWindow uint64, mags []flo
 		cells  []string
 	}
 	rows := make([]flashRow, len(mags)*len(schemes))
-	if err := parallel.For(len(rows), scale.shardWorkers(), func(i int) error {
+	if err := parallel.For(len(rows), scale.parallelism(), func(i int) error {
 		mag := mags[i/len(schemes)]
 		scheme := schemes[i%len(schemes)]
 		sched := workload.ScheduleSpec{
@@ -390,7 +380,7 @@ func FlashRecoveryAt(cfg sim.Config, scale Scale, spikeWindow uint64, mags []flo
 			Mult:        mag,
 			DecayCycles: window,
 		}
-		res, err := runTransientMixWarmFork(scale.Warm, cfg, scale, scheme, sched, base, reqFactor)
+		res, err := runTransientMixWarmFork(cfg, scale, scheme, sched, base, reqFactor)
 		if err != nil {
 			return err
 		}
@@ -403,14 +393,14 @@ func FlashRecoveryAt(cfg sim.Config, scale Scale, spikeWindow uint64, mags []flo
 		steady := pooledRange(lcs, 0, start)
 		spike := pooledRange(lcs, start, end)
 		post := pooledRange(lcs, end, wins)
-		steadyP95 := percentileOrZero(steady, 95)
+		steadyP95 := steady.PercentileOrZero(95)
 		recovery := "-"
 		for w := start; w < wins; w++ {
 			pw := pooledWindow(lcs, w)
 			if pw.Len() == 0 {
 				continue
 			}
-			if percentileOrZero(pw, 95) <= 1.25*steadyP95 {
+			if pw.PercentileOrZero(95) <= 1.25*steadyP95 {
 				recovery = fmt.Sprintf("%d", w-start)
 				break
 			}
@@ -421,8 +411,8 @@ func FlashRecoveryAt(cfg sim.Config, scale Scale, spikeWindow uint64, mags []flo
 			cells: []string{
 				fmt.Sprintf("%g", mag), scheme.Name,
 				f0(steadyP95),
-				f0(percentileOrZero(spike, 95)),
-				f0(percentileOrZero(post, 95)),
+				f0(spike.PercentileOrZero(95)),
+				f0(post.PercentileOrZero(95)),
 				recovery,
 			},
 		}

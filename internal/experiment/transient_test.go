@@ -8,12 +8,6 @@ import (
 	"repro/internal/workload"
 )
 
-// transientMicroScale keeps the transient tests fast: the doubled transient
-// request factor still yields only ~32 requests per run.
-func transientMicroScale() Scale {
-	return Scale{RequestFactor: 0.02, MixesPerLC: 1, BatchROI: 120_000, LoadPoints: 3, Seed: 5, Parallelism: 4, SubMixSharding: true}
-}
-
 func TestDefaultFig7ScheduleValid(t *testing.T) {
 	cfg := microConfig()
 	sched := DefaultFig7Schedule(cfg)
@@ -34,20 +28,8 @@ func TestFig7TransientDeterministicUnderParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient sweeps are slow")
 	}
-	cfg := microConfig()
-	sched := DefaultFig7Schedule(cfg)
-	run := func(parallelism int, shard bool) []Table {
-		scale := transientMicroScale()
-		scale.Parallelism = parallelism
-		scale.SubMixSharding = shard
-		tables, err := Fig7Transient(cfg, scale, sched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tables
-	}
-	serial := run(1, false)
-	sharded := run(4, true)
+	serial := goldenTables(t, "fig7", 1).tables
+	sharded := goldenTables(t, "fig7", 4).tables
 	if !reflect.DeepEqual(serial, sharded) {
 		t.Errorf("sharded fig7 differs from serial:\n got  %+v\n want %+v", sharded, serial)
 	}
@@ -95,11 +77,7 @@ func TestFig7BurstConcentratesArrivals(t *testing.T) {
 	}
 	cfg := microConfig()
 	sched := DefaultFig7Schedule(cfg)
-	tables, err := Fig7Transient(cfg, transientMicroScale(), sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phase := tables[2]
+	phase := goldenTables(t, "fig7", 4).tables[2]
 	perPhase := map[string]float64{}
 	for _, row := range phase.Rows {
 		if row[0] != "Ubik" {
@@ -127,18 +105,8 @@ func TestFlashRecoveryDeterministicAndShaped(t *testing.T) {
 	if testing.Short() {
 		t.Skip("transient sweeps are slow")
 	}
-	cfg := microConfig()
-	run := func(parallelism int) []Table {
-		scale := transientMicroScale()
-		scale.Parallelism = parallelism
-		tables, err := FlashRecovery(cfg, scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tables
-	}
-	a := run(4)
-	b := run(1)
+	a := goldenTables(t, "flash", 4).tables
+	b := goldenTables(t, "flash", 1).tables
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("flash sweep differs across parallelism:\n got  %+v\n want %+v", a, b)
 	}

@@ -212,17 +212,6 @@ func (s Spec) LCApps() []App {
 	return out
 }
 
-// BatchApps returns the batch entries in mix order.
-func (s Spec) BatchApps() []App {
-	var out []App
-	for _, a := range s.Apps {
-		if a.Batch != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // TraceApps returns the trace-replay entries in mix order.
 func (s Spec) TraceApps() []App {
 	var out []App

@@ -20,39 +20,19 @@ import (
 // Checkpoint is an immutable deep snapshot of a paused simulation. It may be
 // forked concurrently: forking only reads the snapshot.
 type Checkpoint struct {
+	// src is the template simulator: every application runtime and the
+	// policy, but no LLC of its own (it never runs).
 	src *Simulator
-	// sealed is the LLC's immutable delta image when the cache array supports
-	// Seal/Fork (the default zcache and set-associative arrays do). Forking
-	// then costs chunk-count bookkeeping instead of an LLC-sized copy, and is
-	// a pure read — safe from any number of goroutines.
+	// sealed is the LLC's immutable delta image. Forking it costs chunk-count
+	// bookkeeping instead of an LLC-sized copy, and is a pure read — safe
+	// from any number of goroutines.
 	sealed cache.Sealed
-	// boundary is the RunUntil stop cycle the snapshot was taken at (purely
-	// diagnostic; the snapshot itself records the exact state).
-	boundary uint64
 }
 
-// Boundary returns the pause cycle the checkpoint was taken at.
-func (cp *Checkpoint) Boundary() uint64 { return cp.boundary }
-
-// fork deep-copies the whole simulator: the shared LLC, every application
-// runtime (bound to the new LLC), and the policy. Scheduler heap state is not
-// copied — it is a pure function of the per-app clocks and is rebuilt when
-// the fork resumes. The LLC is forked through its delta-snapshot path when
-// the array supports it (Seal mutates the receiver, so this method must not
-// run concurrently with anything else touching s; checkpoints fork through
-// Checkpoint.fork, which only reads).
-func (s *Simulator) fork() (*Simulator, error) {
-	var llc cache.Cache
-	if sealer, ok := s.llc.(cache.Sealer); ok {
-		llc = sealer.Seal().Fork()
-	} else {
-		llc = s.llc.Clone()
-	}
-	return s.forkWithLLC(llc)
-}
-
-// forkWithLLC clones everything but the shared LLC, binding the clone to the
-// given (already forked) cache. It only reads s.
+// forkWithLLC deep-copies the simulator — every application runtime and the
+// policy — binding the copy to the given (already forked) shared LLC.
+// Scheduler heap state is not copied: it is a pure function of the per-app
+// clocks and is rebuilt when the fork resumes. It only reads s.
 func (s *Simulator) forkWithLLC(llc cache.Cache) (*Simulator, error) {
 	n := &Simulator{
 		cfg:              s.cfg,
@@ -87,31 +67,20 @@ func (s *Simulator) Checkpoint() (*Checkpoint, error) {
 	// Seal the LLC once, here, on the caller's goroutine: the checkpoint keeps
 	// the immutable image and every later fork is a pure read of it. The live
 	// simulator continues as a copy-on-write fork of its own snapshot,
-	// materialising storage chunks as it dirties them. The checkpoint's
-	// template simulator never runs, so it gets no LLC of its own (each fork
-	// binds a fresh copy-on-write fork of the sealed image); only a cache
-	// without Seal support forces an eager LLC-sized clone.
-	var sealed cache.Sealed
-	var llc cache.Cache
-	if sealer, ok := s.llc.(cache.Sealer); ok {
-		sealed = sealer.Seal()
-	} else {
-		llc = s.llc.Clone()
-	}
-	snap, err := s.forkWithLLC(llc)
+	// materialising storage chunks as it dirties them.
+	sealed := s.llc.Seal()
+	snap, err := s.forkWithLLC(nil)
 	if err != nil {
 		return nil, err
 	}
-	return &Checkpoint{src: snap, sealed: sealed, boundary: s.globalTime()}, nil
+	return &Checkpoint{src: snap, sealed: sealed}, nil
 }
 
-// fork builds a fresh runnable simulator from the checkpoint. Only reads the
-// snapshot, so concurrent forks are safe.
+// fork builds a fresh runnable simulator from the checkpoint: the template's
+// applications and policy bound to a copy-on-write fork of the sealed LLC.
+// Only reads the snapshot, so concurrent forks are safe.
 func (cp *Checkpoint) fork() (*Simulator, error) {
-	if cp.sealed != nil {
-		return cp.src.forkWithLLC(cp.sealed.Fork())
-	}
-	return cp.src.fork()
+	return cp.src.forkWithLLC(cp.sealed.Fork())
 }
 
 // RunFromCheckpoint forks the checkpoint and runs the fork to completion.

@@ -75,16 +75,11 @@ func isolationKey(kind string, iso Config, profile workload.LCProfile, args ...a
 	return fmt.Sprintf("%s|%#v|%#v|%v", kind, iso.PoolIdentity(), profile, args)
 }
 
-// CalibrateService measures an application's mean request service time when it
-// runs alone with a warm private LLC of targetLines lines, using widely spaced
-// arrivals so queueing never occurs.
-func CalibrateService(cfg Config, profile workload.LCProfile, targetLines uint64, requestFactor float64) (float64, error) {
-	return CalibrateServicePooled(nil, cfg, profile, targetLines, requestFactor)
-}
-
-// CalibrateServicePooled is CalibrateService memoized through a warm pool:
-// the calibration run does not depend on the offered load, so a load sweep
-// that calibrates per point pays for the run once. A nil pool disables reuse.
+// CalibrateServicePooled measures an application's mean request service time
+// when it runs alone with a warm private LLC of targetLines lines, using
+// widely spaced arrivals so queueing never occurs. The run is memoized through
+// the warm pool: it does not depend on the offered load, so a load sweep that
+// calibrates per point pays for it once. A nil pool disables reuse.
 func CalibrateServicePooled(pool *WarmPool, cfg Config, profile workload.LCProfile, targetLines uint64, requestFactor float64) (float64, error) {
 	iso := isolationConfig(cfg, targetLines)
 	spec := AppSpec{
@@ -138,17 +133,12 @@ func RunIsolatedLCPooled(pool *WarmPool, cfg Config, profile workload.LCProfile,
 	})
 }
 
-// RunIsolatedLCShards runs one isolation instance per seed — the per-instance
-// baselines a mix comparison needs — distributing the instances over at most
-// parallelism workers. Each instance is an independent single-app simulation
-// with its own seed, so the result slice (returned in seed order) is
-// bit-identical at any parallelism level.
-func RunIsolatedLCShards(cfg Config, profile workload.LCProfile, targetLines uint64, meanInterarrival, requestFactor float64, seeds []uint64, parallelism int) ([]Result, error) {
-	return RunIsolatedLCShardsPooled(nil, cfg, profile, targetLines, meanInterarrival, requestFactor, seeds, parallelism)
-}
-
-// RunIsolatedLCShardsPooled is RunIsolatedLCShards with each per-seed
-// instance memoized through a warm pool. A nil pool disables reuse.
+// RunIsolatedLCShardsPooled runs one isolation instance per seed — the
+// per-instance baselines a mix comparison needs — distributing the instances
+// over at most parallelism workers, each memoized through the warm pool (nil
+// disables reuse). Each instance is an independent single-app simulation with
+// its own seed, so the result slice (returned in seed order) is bit-identical
+// at any parallelism level.
 func RunIsolatedLCShardsPooled(pool *WarmPool, cfg Config, profile workload.LCProfile, targetLines uint64, meanInterarrival, requestFactor float64, seeds []uint64, parallelism int) ([]Result, error) {
 	results := make([]Result, len(seeds))
 	err := parallel.For(len(seeds), parallelism, func(i int) error {

@@ -133,6 +133,16 @@ func (s *Sample) Percentile(p float64) (float64, error) {
 	return s.values[lo]*(1-frac) + s.values[hi]*frac, nil
 }
 
+// PercentileOrZero is Percentile with the empty-sample error flattened to 0,
+// for report cells where "no observations" prints as zero.
+func (s *Sample) PercentileOrZero(p float64) float64 {
+	v, err := s.Percentile(p)
+	if err != nil {
+		return 0
+	}
+	return v
+}
+
 // TailMean returns the mean of all observations at or beyond the p-th
 // percentile. This is the paper's tail-latency metric (Section 3.2): unlike a
 // raw percentile it cannot be gamed by degrading only the requests beyond the

@@ -38,6 +38,9 @@ func TestEmptySample(t *testing.T) {
 	if _, err := s.Percentile(50); err != ErrEmpty {
 		t.Errorf("Percentile on empty sample: want ErrEmpty, got %v", err)
 	}
+	if got := s.PercentileOrZero(50); got != 0 {
+		t.Errorf("PercentileOrZero on empty sample = %v, want 0", got)
+	}
 	if _, err := s.TailMean(95); err != ErrEmpty {
 		t.Errorf("TailMean on empty sample: want ErrEmpty, got %v", err)
 	}
@@ -98,6 +101,9 @@ func TestPercentileInterpolation(t *testing.T) {
 	}
 	if math.Abs(got-5) > 1e-9 {
 		t.Errorf("Percentile(50) of {0,10} = %v, want 5", got)
+	}
+	if orZero := s.PercentileOrZero(50); orZero != got {
+		t.Errorf("PercentileOrZero(50) = %v, want Percentile's %v", orZero, got)
 	}
 }
 

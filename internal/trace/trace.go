@@ -16,6 +16,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 )
@@ -230,4 +231,20 @@ func (r *Recorder) WriteChromeJSON(w io.Writer) error {
 	}
 	bw.WriteString("\n]}\n")
 	return bw.Flush()
+}
+
+// WriteFile exports the trace as Chrome trace-event JSON to path, creating or
+// truncating it. The file is closed on every path, and a short write (a full
+// disk surfaces at Flush or Close) comes back as an error rather than a
+// silently truncated trace.
+func (r *Recorder) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.WriteChromeJSON(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing trace %s: %w", path, err)
+	}
+	return f.Close()
 }

@@ -3,6 +3,8 @@ package trace
 import (
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -153,6 +155,41 @@ func TestChromeJSONShape(t *testing.T) {
 	}
 	if math.IsNaN(doc.TraceEvents[1].Ts) {
 		t.Error("ts is NaN")
+	}
+}
+
+// TestWriteFile covers the file export the cmds share: a good path round-trips
+// to the same bytes WriteChromeJSON produces, an uncreatable path and a device
+// that refuses the write (/dev/full: ENOSPC at flush) both come back as errors
+// naming the file.
+func TestWriteFile(t *testing.T) {
+	r := NewRecorder(8)
+	r.NewSink(0).Record(KindQuantum, 0, 1000, 2000, 3, 1)
+	var want strings.Builder
+	if err := r.WriteChromeJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "run.trace.json")
+	if err := r.WriteFile(path); err != nil {
+		t.Fatalf("WriteFile: %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want.String() {
+		t.Errorf("WriteFile wrote %q, want %q", got, want.String())
+	}
+
+	missing := filepath.Join(t.TempDir(), "no-such-dir", "run.trace.json")
+	if err := r.WriteFile(missing); err == nil || !strings.Contains(err.Error(), missing) {
+		t.Errorf("WriteFile into a missing directory: got %v, want an error naming %s", err, missing)
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("/dev/full not available; write-failure path not exercised")
+	}
+	if err := r.WriteFile("/dev/full"); err == nil || !strings.Contains(err.Error(), "/dev/full") {
+		t.Errorf("WriteFile to a full device: got %v, want an error naming /dev/full", err)
 	}
 }
 
