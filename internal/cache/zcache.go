@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/arena"
 )
@@ -18,48 +19,59 @@ import (
 // essentially never victimised — the property Ubik's transient analysis needs.
 //
 // The replacement walk is the simulator's hottest code (every simulated miss
-// visits ~candidates scattered slots), so the array lives in one contiguous
-// arena slab laid out for the walk's access pattern: each slot's address and
-// replacement-state word are adjacent (a 16-byte pair, always within one
-// cache line), so the walk's info load warms the address load that a BFS
-// expansion of the same node needs, and the lookup's address load warms the
-// info load of a hit. Caller metadata, touched only on hits and evictions,
-// sits in a separate region of the same slab. Candidates are scored as they
-// are appended (no separate victim-selection passes), duplicate slots are
-// rejected through a small generation-stamped hash table instead of a linear
-// scan, and slot indexing is divide-free. All walk state is preallocated; an
-// access never allocates.
+// visits ~candidates scattered slots), and its cost is instructions and
+// branch mispredicts, not memory: the whole array sits in the host L2. So the
+// array is one contiguous arena slab of 32-byte slots, [addr, info, meta,
+// stamp] per line, and a slot never straddles a host cache line:
+//
+//   - a hit reads and writes one host line, and the walk's info load brings
+//     in the address a BFS expansion of that node needs;
+//   - stamp is the generation of the last walk that visited the slot, so
+//     "already a candidate" is a compare against a word the info load already
+//     fetched, and clearing between walks is one counter increment. Stamps
+//     are part of the slab, so the generation is part of the cache's state:
+//     it travels through Seal and Fork and keeps counting across Reset;
+//   - victims are scored without branches. Which candidate is best so far is
+//     data-dependent and mispredicts (the unpartitioned LRU walk used to
+//     measure slower than the Vantage one for exactly that reason), so the
+//     running best is updated through a borrow-derived select mask instead.
+//
+// All walk state is preallocated; an access never allocates.
 //
 // The slab makes snapshots cheap: Seal freezes the whole array as an
-// immutable arena.Snapshot and Fork starts a copy-on-write child that
-// materialises 4 KiB chunks only as accesses touch them, so forking stops
-// scaling with the LLC size.
+// immutable arena.Snapshot and Fork starts a copy-on-write child, so forking
+// stops scaling with the LLC size. A fork faults 4 KiB chunks in as hits
+// touch them and takes the rest of its copy at its first miss (see Access).
 type ZCache struct {
 	numSetsPerWay uint64
 	ways          int
 	candidates    int
 	mode          ReplacementMode
 	slab          *arena.Arena
-	words         []uint64 // slab storage: [0,2n) (addr,info) pairs, [2n,3n) metas
-	metaOff       uint64   // = 2 * NumLines
+	words         []uint64 // slab storage: slotWords words per line
 	parts         *partitionTable
 	stats         Stats
 	clock         uint64
+	gen           uint64 // generation of the last replacement walk
 
-	// Walk state, reused across replacements to keep the miss path
-	// allocation-free. seenTab is an open-addressing hash set of slot
-	// positions; a slot is "in the set" when its entry's generation stamp
-	// equals the current walk's generation, so clearing between walks is a
-	// single counter increment. Stamp and position share one entry so a probe
-	// touches a single cache line.
+	// Walk scratch, reused across replacements to keep the miss path
+	// allocation-free.
 	walkNodes []walkNode
-	seenTab   []seenEntry
-	seenMask  uint64
-	gen       uint64
-	overTab   []uint64 // per-partition quota excess, rebuilt at each walk
+	overTab   []uint64 // per-partition quota excess, rebuilt at each Vantage walk
 	wayMuls   []uint64 // per-way odd multipliers for skewed indexing
-	posBuf    []uint64 // lookup probe positions, handed to the walk as roots
 }
+
+// Layout of a slot. arena.ChunkWords is a multiple of slotWords, so a slot
+// never spans two copy-on-write chunks and one Ensure covers it; the slab base
+// is 32-byte aligned (TestSlotsDoNotStraddleHostLines), so it never spans two
+// host cache lines either.
+const (
+	slotWords = 4
+	slotAddr  = 0
+	slotInfo  = 1
+	slotMeta  = 2
+	slotStamp = 3
+)
 
 // Packing of the per-slot info word. The access clock fits comfortably in 48
 // bits (2.8e14 accesses per cache instance); the partition count is capped at
@@ -77,25 +89,19 @@ func infoPart(inf uint64) PartitionID {
 	return PartitionID(inf >> zPartShift & zPartMask)
 }
 
-// seenEntry is one slot of the walk's dedup hash set.
-type seenEntry struct {
-	gen uint64
-	pos uint64
-}
-
-// walkNode is one node of the replacement-candidate BFS. pos is the slot's
-// position in the slot arrays, way the hash way that produced it, and parent
-// indexes into the walk buffer (-1 for roots).
+// walkNode is one node of the replacement-candidate BFS: the word offset of
+// its slot in the slab and its parent's index in the walk buffer (-1 for the
+// incoming address's own slots).
 type walkNode struct {
-	pos    uint64
-	way    int32
+	off    uint64
 	parent int32
 }
 
 // NewZCache builds a zcache with totalLines lines, the given number of ways
 // (hash functions) and replacement candidates per eviction. totalLines must be
-// a multiple of ways, and totalLines/ways must be a power of two.
-// candidates must be at least ways.
+// a positive multiple of ways; the per-way set count need not be a power of
+// two (the paper-default 6144/4 = 1536 is not). candidates must be at least
+// ways.
 func NewZCache(totalLines uint64, ways, candidates int, mode ReplacementMode, numPartitions int) (*ZCache, error) {
 	if ways <= 0 {
 		return nil, fmt.Errorf("cache: zcache ways must be positive, got %d", ways)
@@ -115,14 +121,6 @@ func NewZCache(totalLines uint64, ways, candidates int, mode ReplacementMode, nu
 	if totalLines == 0 || totalLines%uint64(ways) != 0 {
 		return nil, fmt.Errorf("cache: total lines %d must be a positive multiple of ways %d", totalLines, ways)
 	}
-	setsPerWay := totalLines / uint64(ways)
-	// Size the dedup table at ≥4x the maximum number of walk entries so probe
-	// chains stay short; it lives in L1 for the default 52-candidate
-	// configuration.
-	seenSize := uint64(64)
-	for seenSize < uint64(4*(candidates+ways)) {
-		seenSize *= 2
-	}
 	// Each way indexes through its own odd multiplier applied to one shared
 	// base mix of the address: a full independent hash per way costs ~3x more
 	// on the walk, and multiply-shift families are what hardware skew caches
@@ -131,22 +129,18 @@ func NewZCache(totalLines uint64, ways, candidates int, mode ReplacementMode, nu
 	for w := range wayMuls {
 		wayMuls[w] = splitmix64(uint64(w)) | 1
 	}
-	slab := arena.New(int(3 * totalLines))
+	slab := arena.New(int(slotWords * totalLines))
 	return &ZCache{
-		numSetsPerWay: setsPerWay,
+		numSetsPerWay: totalLines / uint64(ways),
 		ways:          ways,
 		candidates:    candidates,
 		mode:          mode,
 		slab:          slab,
 		words:         slab.Data(),
-		metaOff:       2 * totalLines,
 		parts:         newPartitionTable(numPartitions),
-		walkNodes:     make([]walkNode, 0, candidates+ways),
-		seenTab:       make([]seenEntry, seenSize),
-		seenMask:      seenSize - 1,
+		walkNodes:     make([]walkNode, candidates),
 		overTab:       make([]uint64, numPartitions),
 		wayMuls:       wayMuls,
-		posBuf:        make([]uint64, ways),
 	}, nil
 }
 
@@ -211,15 +205,12 @@ func (c *ZCache) SetPartitionTarget(p PartitionID, lines uint64) {
 	c.parts.targets[p] = lines
 }
 
-// slotIndex returns the position in the slot arrays of addr's slot in the
-// given way. baseHash(addr) is folded through the way's multiplier so callers
-// that probe several ways pay the full address mix only once.
-func (c *ZCache) slotIndex(addr uint64, way int) uint64 {
-	return c.slotIndexHashed(baseHash(addr), way)
-}
-
-func (c *ZCache) slotIndexHashed(h uint64, way int) uint64 {
-	return uint64(way)*c.numSetsPerWay + reduceRange(h*c.wayMuls[way], c.numSetsPerWay)
+// slotOffset returns the word offset in the slab of the slot that an address
+// with base hash h maps to in the given way. The hash is folded through the
+// way's multiplier so callers that probe several ways pay the full address mix
+// only once.
+func (c *ZCache) slotOffset(h uint64, way int) uint64 {
+	return (uint64(way)*c.numSetsPerWay + reduceRange(h*c.wayMuls[way], c.numSetsPerWay)) * slotWords
 }
 
 // Access implements Cache.
@@ -231,54 +222,48 @@ func (c *ZCache) Access(addr uint64, part PartitionID, meta uint64) AccessResult
 	c.stats.Accesses++
 	ps := &c.parts.stats[part]
 	ps.Accesses++
-	newInfo := c.clock<<zUseShift | uint64(part)<<zPartShift | zValidBit
 
-	// Lookup: the line can only be in one of its ways' positions. A slot's
-	// address and info words form one 16-byte pair, so the valid-bit check on
-	// an address match is served from the line the address load just pulled
-	// in. Pairs start at even word offsets and the copy-on-write chunk size is
-	// even, so one Ensure covers both words of a pair.
+	// Lookup: the line can only be in one of its ways' positions, and
+	// everything a hit reads or writes is in that one slot.
 	slab := c.slab
 	pending := slab.Pending()
 	words := c.words
 	h := baseHash(addr)
-	posBuf := c.posBuf
 	for w := 0; w < c.ways; w++ {
-		pos := c.slotIndexHashed(h, w)
-		posBuf[w] = pos
+		off := c.slotOffset(h, w)
 		if pending {
-			slab.Ensure(2 * pos)
+			slab.Ensure(off)
 		}
-		if words[2*pos] == addr {
-			if inf := words[2*pos+1]; inf&zValidBit != 0 {
-				c.stats.Hits++
-				ps.Hits++
-				mi := c.metaOff + pos
-				if pending {
-					slab.Ensure(mi)
-				}
-				res := AccessResult{Hit: true, PrevMeta: words[mi]}
-				// A hit refreshes the line's recency but must not change its
-				// partition ownership (in the workloads used here address
-				// spaces are disjoint per app, but the occupancy counters
-				// would silently diverge if a cross-partition hit relabelled
-				// the line without moving the sizes).
-				words[2*pos+1] = c.clock<<zUseShift | inf&(1<<zUseShift-1)
-				words[mi] = meta
-				return res
-			}
+		s := words[off : off+slotWords : off+slotWords]
+		if inf := s[slotInfo]; s[slotAddr] == addr && inf&zValidBit != 0 {
+			c.stats.Hits++
+			ps.Hits++
+			res := AccessResult{Hit: true, PrevMeta: s[slotMeta]}
+			// A hit refreshes the line's recency but must not change its
+			// partition ownership (in the workloads used here address
+			// spaces are disjoint per app, but the occupancy counters
+			// would silently diverge if a cross-partition hit relabelled
+			// the line without moving the sizes).
+			s[slotInfo] = c.clock<<zUseShift | inf&(1<<zUseShift-1)
+			s[slotMeta] = meta
+			return res
 		}
 	}
 
-	// Miss: run the replacement walk.
+	// Miss: run the replacement walk. It lands on ~candidates scattered slots,
+	// which is most of a forked slab's chunks within a miss or two, so a
+	// copy-on-write fork takes the rest of its copy here, once, and the walk
+	// (and the relocation below) run on plain memory.
 	c.stats.Misses++
 	ps.Misses++
+	if pending {
+		slab.MaterializeAll()
+	}
 
-	victimIdx, forced := c.replacementWalk(part)
-	all := c.walkNodes
+	victim, forced := c.replacementWalk(h, part)
+	nodes := c.walkNodes
 	res := AccessResult{}
-	vpos := all[victimIdx].pos
-	if vinf := words[2*vpos+1]; vinf&zValidBit != 0 {
+	if vinf := words[nodes[victim].off+slotInfo]; vinf&zValidBit != 0 {
 		vp := infoPart(vinf)
 		res.Evicted = true
 		res.EvictedPartition = vp
@@ -295,182 +280,106 @@ func (c *ZCache) Access(addr uint64, part PartitionID, meta uint64) AccessResult
 		}
 	}
 	// Relocation chain: move each ancestor's line into its child's slot,
-	// freeing a root slot for the incoming line. Every position on the chain
-	// is a walk node, whose pair the walk already materialised; only the
-	// metadata words may still live in the parent snapshot.
-	pending = slab.Pending()
-	node := victimIdx
-	for all[node].parent >= 0 {
-		parent := all[node].parent
-		dst, src := all[node].pos, all[parent].pos
-		if pending {
-			slab.Ensure(c.metaOff + dst)
-			slab.Ensure(c.metaOff + src)
-		}
-		words[2*dst] = words[2*src]
-		words[2*dst+1] = words[2*src+1]
-		words[c.metaOff+dst] = words[c.metaOff+src]
-		node = int(parent)
+	// freeing a root slot for the incoming line. Stamps stay behind: they
+	// belong to the slot, not the line.
+	node := nodes[victim]
+	for node.parent >= 0 {
+		parent := nodes[node.parent]
+		copy(words[node.off:node.off+slotStamp], words[parent.off:parent.off+slotStamp])
+		node = parent
 	}
-	ipos := all[node].pos
-	if pending {
-		slab.Ensure(c.metaOff + ipos)
-	}
-	words[2*ipos] = addr
-	words[2*ipos+1] = newInfo
-	words[c.metaOff+ipos] = meta
+	s := words[node.off : node.off+slotWords : node.off+slotWords]
+	s[slotAddr] = addr
+	s[slotInfo] = c.clock<<zUseShift | uint64(part)<<zPartShift | zValidBit
+	s[slotMeta] = meta
 	c.parts.sizes[part]++
 	return res
 }
 
-// replacementWalk expands replacement candidates breadth-first starting from
-// the incoming address's own slots (whose positions the missed lookup left in
-// posBuf) and picks a victim according to the replacement mode, returning the chosen node's index in the walk buffer (so
+// replacementWalk expands replacement candidates breadth-first from the slots
+// of the incoming address (base hash h) and picks a victim according to the
+// replacement mode, returning the chosen node's index in the walk buffer (so
 // the relocation chain can be applied) and whether the eviction was forced.
 //
-// Candidates are scored as they are appended, fusing what used to be three
-// separate passes (invalid scan, Vantage quota scan, LRU scan) into the
-// expansion itself: an invalid slot wins outright and ends the walk early,
-// and the best over-quota and global-LRU candidates are tracked incrementally
-// in append order, which preserves the exact victim choice of a sequential
-// scan of the full candidate buffer.
-func (c *ZCache) replacementWalk(inserting PartitionID) (int, bool) {
-	// Everything the loops touch is hoisted into locals: the stores into the
-	// walk buffers would otherwise force reloads of the receiver's fields on
-	// every candidate.
-	c.gen++
-	gen := c.gen
-	slab := c.slab
-	pending := slab.Pending()
-	words := c.words
-	seen, seenMask := c.seenTab, c.seenMask
-	nodes := c.walkNodes[:cap(c.walkNodes)]
-	n := 0
-	ways := c.ways
-	cand := c.candidates
-	spw := c.numSetsPerWay
-	muls := c.wayMuls
-
+// A slot becomes a candidate the first time a walk reaches it: its stamp is
+// compared against, then set to, this walk's generation. The incoming
+// address's own slots are expanded exactly like any other node's children,
+// and a node's child in its own way needs no special case — it is the node's
+// own slot, which is already stamped.
+//
+// Candidates are scored as they are appended. An invalid slot wins outright
+// and ends the walk. Otherwise the victim is the candidate with the greatest
+// (quota excess, ^lastUse) pair, first one winning ties: the most over-quota
+// partition's least recently used line under Vantage, and — because the pair
+// degenerates to ^lastUse when no candidate is over quota — the global LRU
+// line when the eviction has to be forced. In LRU mode the excess table stays
+// all-zero and the same comparison is plain LRU. The running best is replaced
+// through a select mask derived from the borrow of a two-word subtraction, so
+// scoring costs no data-dependent branch.
+func (c *ZCache) replacementWalk(h uint64, inserting PartitionID) (int, bool) {
 	// Partition sizes and targets cannot change during a walk, so the quota
 	// excess each candidate would be scored with is precomputed per
 	// partition; scoring a candidate is then a single indexed load.
 	over := c.overTab
-	targets, sizes := c.parts.targets, c.parts.sizes
-	for p := range over {
-		size := sizes[p]
-		if PartitionID(p) == inserting {
-			size++
-		}
-		if size > targets[p] {
-			over[p] = size - targets[p]
-		} else {
-			over[p] = 0
-		}
-	}
-
-	bestVan := -1                   // best over-quota candidate (ModeVantage)
-	var bestOver, bestVanUse uint64 // its quota excess and lastUse
-	lruIdx, lruUse := 0, ^uint64(0) // global LRU candidate (fallback / ModeLRU)
-
-	// Roots: the incoming address's own slots, whose positions (and pairs —
-	// the lookup ensured them) the lookup that just missed already computed.
-	roots := c.posBuf
-	for w := 0; w < ways; w++ {
-		pos := roots[w]
-		si := pos * 0x9e3779b97f4a7c15 >> 32
-		for {
-			e := &seen[si&seenMask]
-			if e.gen != gen {
-				e.gen, e.pos = gen, pos
-				break
-			}
-			if e.pos == pos {
-				goto nextRoot
-			}
-			si++
-		}
-		{
-			i := n
-			nodes[i] = walkNode{pos: pos, way: int32(w), parent: -1}
-			n++
-			inf := words[2*pos+1]
-			if inf&zValidBit == 0 {
-				c.walkNodes = nodes[:n]
-				return i, false
-			}
-			use := inf >> zUseShift
-			if use < lruUse {
-				lruIdx, lruUse = i, use
-			}
-			if o := over[inf>>zPartShift&zPartMask]; o != 0 && (o > bestOver || (o == bestOver && use < bestVanUse)) {
-				bestVan, bestOver, bestVanUse = i, o, use
-			}
-		}
-	nextRoot:
-	}
-
-	// Expand breadth-first (the buffer itself is the queue) until the
-	// candidate budget is reached. Every node reached here holds a valid line
-	// (an invalid slot would have ended the walk above), and the address load
-	// of an expanded node is served from the cache line its info load already
-	// brought in.
-	for scan := 0; scan < n && n < cand; scan++ {
-		node := nodes[scan]
-		nodeHash := baseHash(words[2*node.pos])
-		for w := 0; w < ways; w++ {
-			if int32(w) == node.way {
-				continue
-			}
-			if n >= cand {
-				break
-			}
-			pos := uint64(w)*spw + reduceRange(nodeHash*muls[w], spw)
-			si := pos * 0x9e3779b97f4a7c15 >> 32
-			for {
-				e := &seen[si&seenMask]
-				if e.gen != gen {
-					e.gen, e.pos = gen, pos
-					break
-				}
-				if e.pos == pos {
-					goto nextChild
-				}
-				si++
-			}
-			{
-				i := n
-				nodes[i] = walkNode{pos: pos, way: int32(w), parent: int32(scan)}
-				n++
-				if pending {
-					slab.Ensure(2 * pos)
-				}
-				inf := words[2*pos+1]
-				if inf&zValidBit == 0 {
-					c.walkNodes = nodes[:n]
-					return i, false
-				}
-				use := inf >> zUseShift
-				if use < lruUse {
-					lruIdx, lruUse = i, use
-				}
-				if o := over[inf>>zPartShift&zPartMask]; o != 0 && (o > bestOver || (o == bestOver && use < bestVanUse)) {
-					bestVan, bestOver, bestVanUse = i, o, use
-				}
-			}
-		nextChild:
-		}
-	}
-	c.walkNodes = nodes[:n]
-
 	if c.mode == ModeVantage {
-		if bestVan >= 0 {
-			return bestVan, false
+		targets, sizes := c.parts.targets, c.parts.sizes
+		for p := range over {
+			size := sizes[p]
+			if PartitionID(p) == inserting {
+				size++
+			}
+			over[p] = 0
+			if size > targets[p] {
+				over[p] = size - targets[p]
+			}
 		}
-		// All candidates belong to partitions at/below target: forced (the
-		// situation the large walk makes negligibly rare).
-		return lruIdx, true
 	}
-	return lruIdx, false // ModeLRU
+
+	// Only the state the loop carries from one candidate to the next lives in
+	// locals. The read-only configuration is deliberately read through the
+	// receiver: those loads hit the host L1 and fold into the instructions
+	// that use them, whereas hoisting them too leaves the compiler short of
+	// registers and it spills the loop-carried values instead.
+	c.gen++
+	words := c.words
+
+	var best, bestOver, bestNotUse uint64
+	// The buffer itself is the BFS queue: scan is the node being expanded,
+	// starting from the virtual parent (-1) of the incoming address's slots,
+	// and w the way its next child is looked up in.
+	n, w, scan := 0, 0, int32(-1)
+	for n < len(c.walkNodes) {
+		off := c.slotOffset(h, w)
+		s := words[off : off+slotWords : off+slotWords]
+		if s[slotStamp] != c.gen {
+			s[slotStamp] = c.gen
+			c.walkNodes[n] = walkNode{off: off, parent: scan}
+			inf := s[slotInfo]
+			if inf&zValidBit == 0 {
+				return n, false
+			}
+			o, notUse := c.overTab[inf>>zPartShift&zPartMask], ^(inf >> zUseShift)
+			_, lt := bits.Sub64(bestNotUse, notUse, 0)
+			_, lt = bits.Sub64(bestOver, o, lt)
+			sel := -lt // all ones iff (bestOver, bestNotUse) < (o, notUse)
+			best ^= (best ^ uint64(n)) & sel
+			bestOver ^= (bestOver ^ o) & sel
+			bestNotUse ^= (bestNotUse ^ notUse) & sel
+			n++
+		}
+		if w++; w == len(c.wayMuls) {
+			// Every node reached here holds a valid line (an invalid slot
+			// would have ended the walk above), and its address is on the
+			// host line its info load already brought in.
+			if scan++; int(scan) >= n {
+				break
+			}
+			w, h = 0, baseHash(words[c.walkNodes[scan].off+slotAddr])
+		}
+	}
+	// All candidates at or below target under Vantage: forced (the situation
+	// the large walk makes negligibly rare).
+	return int(best), c.mode == ModeVantage && bestOver == 0
 }
 
 // zcacheSnapshot is a sealed zcache image: the slot slab as an immutable
@@ -483,7 +392,8 @@ type zcacheSnapshot struct {
 // Seal implements Cache. The slot slab is frozen into an immutable snapshot
 // (O(1) when the cache is itself an untouched fork of an earlier snapshot —
 // repeated checkpoints of a paused simulation cost nothing) and the receiver
-// keeps running as a copy-on-write fork of it.
+// keeps running as a copy-on-write fork of it. The walk generation is sealed
+// with the slab whose stamps it is compared against.
 func (c *ZCache) Seal() Sealed {
 	snap := c.slab.Seal()
 	c.words = c.slab.Data()
@@ -492,10 +402,7 @@ func (c *ZCache) Seal() Sealed {
 	tpl.slab = nil
 	tpl.words = nil
 	tpl.walkNodes = nil
-	tpl.seenTab = nil
 	tpl.overTab = nil
-	tpl.posBuf = nil
-	tpl.gen = 0
 	return &zcacheSnapshot{tpl: tpl, snap: snap}
 }
 
@@ -507,19 +414,16 @@ func (zs *zcacheSnapshot) Fork() Cache {
 	n.parts = zs.tpl.parts.clone()
 	n.slab = zs.snap.Fork()
 	n.words = n.slab.Data()
-	n.walkNodes = make([]walkNode, 0, n.candidates+n.ways)
-	n.seenTab = make([]seenEntry, zs.tpl.seenMask+1)
+	n.walkNodes = make([]walkNode, n.candidates)
 	n.overTab = make([]uint64, len(n.parts.targets))
-	n.posBuf = make([]uint64, n.ways)
 	return &n
 }
 
 // Reset returns the cache to its freshly constructed state without new
 // allocations: the slab is detached from any parent snapshot and zeroed in
-// place, and partition state and counters are cleared. The walk's dedup table
-// and generation counter are deliberately kept (the generation keeps
-// counting, so stale stamps can never alias a future walk, and scratch
-// contents never influence a walk's outcome).
+// place, and partition state and counters are cleared. The walk generation
+// keeps counting, so no stamp written before the reset can alias a later
+// walk.
 func (c *ZCache) Reset() {
 	c.slab.Reset()
 	c.words = c.slab.Data()
@@ -530,10 +434,11 @@ func (c *ZCache) Reset() {
 
 // Contains reports whether addr is currently cached (used by tests).
 func (c *ZCache) Contains(addr uint64) bool {
+	h := baseHash(addr)
 	for w := 0; w < c.ways; w++ {
-		pos := c.slotIndex(addr, w)
-		c.slab.Ensure(2 * pos)
-		if c.words[2*pos] == addr && c.words[2*pos+1]&zValidBit != 0 {
+		off := c.slotOffset(h, w)
+		c.slab.Ensure(off)
+		if c.words[off+slotAddr] == addr && c.words[off+slotInfo]&zValidBit != 0 {
 			return true
 		}
 	}

@@ -69,36 +69,45 @@ func Lookahead(curves []WeightedCurve, budgetLines, bucketLines uint64) []uint64
 		return curves[i].Max
 	}
 
+	// An allocation only ever sits on the grid Min + k*bucketLines, so each
+	// application's cost is evaluated once per grid point it can reach; a
+	// round then costs one subtraction and one division per candidate chunk
+	// instead of an interpolated curve lookup.
+	rows := make([]lookaheadRow, n)
+	for i := range rows {
+		var reach uint64 // buckets grantable before Max or the budget is reached
+		if alloc[i] < maxFor(i) {
+			reach = min((maxFor(i)-alloc[i])/bucketLines, remainingBuckets)
+		}
+		r := &rows[i]
+		r.cost = make([]float64, reach+1)
+		for k := range r.cost {
+			r.cost[k] = curves[i].CostAt(alloc[i] + uint64(k)*bucketLines)
+		}
+		r.rescan(remainingBuckets, bucketLines)
+	}
+
 	for remainingBuckets > 0 {
-		bestApp, bestChunk := -1, uint64(0)
-		bestMU := 0.0
-		for i := range curves {
-			cur := alloc[i]
-			if cur >= maxFor(i) {
-				continue
+		bestApp, bestMU := -1, 0.0
+		for i := range rows {
+			r := &rows[i]
+			// A row's best chunk stays its best while the budget shrinks,
+			// unless the chunk itself no longer fits.
+			if r.chunk > remainingBuckets {
+				r.rescan(remainingBuckets, bucketLines)
 			}
-			base := curves[i].CostAt(cur)
-			// Scan all feasible chunk sizes for this app's best marginal
-			// utility (cost reduction per line).
-			maxChunks := remainingBuckets
-			if cap := (maxFor(i) - cur) / bucketLines; cap < maxChunks {
-				maxChunks = cap
-			}
-			for k := uint64(1); k <= maxChunks; k++ {
-				lines := k * bucketLines
-				mu := (base - curves[i].CostAt(cur+lines)) / float64(lines)
-				if mu > bestMU {
-					bestMU = mu
-					bestApp = i
-					bestChunk = k
-				}
+			if r.mu > bestMU {
+				bestApp, bestMU = i, r.mu
 			}
 		}
 		if bestApp < 0 {
 			break // nobody benefits from more space
 		}
-		alloc[bestApp] += bestChunk * bucketLines
-		remainingBuckets -= bestChunk
+		r := &rows[bestApp]
+		alloc[bestApp] += r.chunk * bucketLines
+		remainingBuckets -= r.chunk
+		r.cost = r.cost[r.chunk:]
+		r.rescan(remainingBuckets, bucketLines)
 	}
 
 	// Spread any leftover space round-robin (it has no measured utility, but
@@ -113,6 +122,27 @@ func Lookahead(curves []WeightedCurve, budgetLines, bucketLines uint64) []uint64
 		}
 	}
 	return alloc
+}
+
+// lookaheadRow is one application's state in a Lookahead call: its cost at
+// every grid point it can still reach, and its best next chunk from where it
+// stands.
+type lookaheadRow struct {
+	cost  []float64 // cost[k] is the cost k buckets above the current allocation
+	chunk uint64    // best next chunk in buckets (0: none has positive utility)
+	mu    float64   // its marginal utility, cost reduction per line
+}
+
+// rescan finds the chunk with the highest positive marginal utility among
+// those that fit both the row and the remaining budget, the smallest such
+// chunk winning ties.
+func (r *lookaheadRow) rescan(remainingBuckets, bucketLines uint64) {
+	r.chunk, r.mu = 0, 0
+	for k := uint64(1); k < uint64(len(r.cost)) && k <= remainingBuckets; k++ {
+		if mu := (r.cost[0] - r.cost[k]) / float64(k*bucketLines); mu > r.mu {
+			r.chunk, r.mu = k, mu
+		}
+	}
 }
 
 // MarginalHits returns the extra hits an application would gain from

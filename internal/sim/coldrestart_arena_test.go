@@ -76,3 +76,52 @@ func TestColdRestartReusesArenas(t *testing.T) {
 		t.Errorf("run after %d stacked restarts digest = %#x, want single-restart %#x", runs+1, got, want)
 	}
 }
+
+// TestColdRestartAfterForkMatchesUnforked is the simulator-level form of the
+// zcache's stamp-lifetime contract: the LLC slab carries the replacement
+// walk's visit stamps through Seal and Fork, and a restart resets that slab
+// in place. A checkpointed simulator and a fork of its checkpoint, both cold
+// restarted at the boundary, must finish exactly like a twin that was never
+// checkpointed.
+func TestColdRestartAfterForkMatchesUnforked(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 42
+	specs := goldenSpecs(t, workload.ScheduleSpec{})
+	paused := func() *Simulator {
+		s, err := New(cfg, specs, core.NewUbikWithSlack(0.05))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunUntil(600_000); err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	restartAndFinish := func(s *Simulator) uint64 {
+		if err := s.ColdRestart(core.NewUbikWithSlack(0.05)); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resultDigest(res)
+	}
+	want := restartAndFinish(paused())
+
+	parent := paused()
+	cp, err := parent.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork, err := cp.fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := restartAndFinish(fork); got != want {
+		t.Errorf("restarted fork digest = %#x, want the unforked twin's %#x", got, want)
+	}
+	if got := restartAndFinish(parent); got != want {
+		t.Errorf("restarted checkpointed parent digest = %#x, want the unforked twin's %#x", got, want)
+	}
+}
