@@ -263,3 +263,86 @@ func TestScenarioRunWithReport(t *testing.T) {
 		t.Error("CSV report is missing the windowed tail columns")
 	}
 }
+
+// TestExperimentIndexCannotDrift holds the copies of the experiment index
+// together: every registry id must appear in -list, in the -exp usage string
+// and in DESIGN.md §3's table, in registry order, and `-exp all` must emit the
+// same tables in the same order as naming the ids explicitly (checked on the
+// static tables, which need no simulation).
+func TestExperimentIndexCannotDrift(t *testing.T) {
+	var list, usage bytes.Buffer
+	if err := run([]string{"-list"}, &list, &usage); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-h"}, &bytes.Buffer{}, &usage); err != nil {
+		t.Fatal(err)
+	}
+	design, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	section := string(design)
+	section = section[strings.Index(section, "## §3 Experiment index"):]
+	section = section[:strings.Index(section, "## §4")]
+	// inOrder reports the first registry id missing from text, or found
+	// before its predecessor; mark wraps an id the way text spells it.
+	inOrder := func(text string, mark func(id string) string) string {
+		at := 0
+		for _, e := range registry {
+			i := strings.Index(text[at:], mark(e.id))
+			if i < 0 {
+				return e.id
+			}
+			at += i
+		}
+		return ""
+	}
+	if id := inOrder("\n"+list.String(), func(id string) string { return "\n" + id + " " }); id != "" {
+		t.Errorf("-list misses or misorders %q", id)
+	}
+	if lines := strings.Count(list.String(), "\n"); lines != len(registry) {
+		t.Errorf("-list prints %d lines for %d registry entries", lines, len(registry))
+	}
+	if id := inOrder(usage.String(), func(id string) string { return id }); id != "" {
+		t.Errorf("-exp usage string misses or misorders %q", id)
+	}
+	if id := inOrder(section, func(id string) string { return "| `" + id + "` |" }); id != "" {
+		t.Errorf("DESIGN.md §3 misses or misorders %q", id)
+	}
+	if rows := strings.Count(section, "\n| `"); rows != len(registry) {
+		t.Errorf("DESIGN.md §3 lists %d experiments, the registry %d", rows, len(registry))
+	}
+
+	tableIDs := func(exp string) string {
+		var stdout, stderr bytes.Buffer
+		if err := run([]string{"-exp", exp, "-csv"}, &stdout, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		var ids []string
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if strings.HasPrefix(line, "# ") {
+				ids = append(ids, line)
+			}
+		}
+		return strings.Join(ids, "\n")
+	}
+	// Named out of order on purpose: dispatch follows the registry, not the
+	// flag. The registry is then cut down to those three so that "all" can be
+	// compared against them without simulating anything.
+	statics := "utilization,table2,table1"
+	named := tableIDs(statics)
+	if !strings.HasPrefix(named, "# table1: ") || strings.Count(named, "\n") != 2 {
+		t.Fatalf("static tables = %q, want table1, table2, utilization", named)
+	}
+	full := registry
+	defer func() { registry = full }()
+	registry = nil
+	for _, e := range full {
+		if strings.Contains(","+statics+",", ","+e.id+",") {
+			registry = append(registry, e)
+		}
+	}
+	if all := tableIDs("all"); all != named {
+		t.Errorf("-exp all emits\n%s\nbut naming every id emits\n%s", all, named)
+	}
+}

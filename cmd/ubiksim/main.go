@@ -32,14 +32,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
-	"repro/internal/cluster"
 	"repro/internal/experiment"
-	"repro/internal/prof"
 	"repro/internal/scenario"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -68,163 +64,136 @@ var specFlags = []string{
 func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("ubiksim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		scenarioPath = fs.String("scenario", "", "run a declarative scenario file (JSON; see examples/scenarios) instead of assembling the run from flags")
-		lcName       = fs.String("lc", "specjbb", "latency-critical application (xapian, masstree, moses, shore, specjbb)")
-		load         = fs.Float64("load", 0.2, "offered load for the latency-critical app (0,1)")
-		instances    = fs.Int("instances", 3, "number of latency-critical instances")
-		batchList    = fs.String("batch", "mcf,libquantum,soplex", "comma-separated batch applications")
-		schemeName   = fs.String("scheme", "ubik", "management scheme: lru, ucp, onoff, staticlc, ubik")
-		slack        = fs.Float64("slack", 0.05, "Ubik tail-latency slack")
-		reqFactor    = fs.Float64("requests", 0.25, "request-count scale factor")
-		seed         = fs.Uint64("seed", 1, "random seed")
-		loadSched    = fs.String("loadsched", "const", "time-varying load schedule for the LC instances (const, burst:at=,dur=,x=[,period=], ramp:dur=,to=[,at=,from=], diurnal:period=[,amp=], flash:at=,x=,decay=, mmpp:x=,on=,off=[,lo=]); non-constant schedules also print per-window tails")
-		traceFile    = fs.String("tracefile", "", "replay a recorded mem trace (tracegen -kind mem, or internal/tracein CSV/binary) as the batch set instead of the synthetic -batch applications")
-		traceApps    = fs.Int("traceapps", 1, "with -tracefile: how many of the recording's app columns to replay, one batch slot per column (trace_app 0..N-1)")
-		parallelism  = fs.Int("parallelism", 0, "workers for the per-instance isolation baselines and per-node cluster simulations (0 = GOMAXPROCS); results are identical at any setting")
-		nodes        = fs.Int("nodes", 1, "cluster size: replica nodes, one latency-critical replica plus the batch set each (1 = plain single-node mix)")
-		fanout       = fs.Int("fanout", 1, "cluster fan-out: nodes each query touches; the query completes at its quorum-th response")
-		quorum       = fs.Int("quorum", 0, "cluster quorum: leaf responses that complete a query (0 = fanout, i.e. wait for the slowest leaf)")
-		balancer     = fs.String("balancer", "rr", "cluster balancer: rr, random, weighted, p2c")
-		hedge        = fs.Float64("hedge", 0, "cluster hedging: issue one eager duplicate per query to a spare node after this fraction of the deadline (0 disables)")
-		l1KB         = fs.Float64("l1kb", 32, "private L1 size in model KB (0 disables the level)")
-		l2KB         = fs.Float64("l2kb", 256, "private L2 size in model KB (0 disables the level)")
-		inclusive    = fs.Bool("inclusive", false, "make the private L2 inclusive of L1 (evictions back-invalidate)")
-		noHier       = fs.Bool("nohier", false, "disable the private L1/L2 levels entirely (flat pre-hierarchy LLC)")
-		cpuProfile   = fs.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile   = fs.String("memprofile", "", "write a heap profile to this file at exit")
-		tracePath    = fs.String("trace", "", "write a Chrome trace-event JSON file (open in chrome://tracing or ui.perfetto.dev) recording scheduler quanta, reconfigurations, fault activations and cold restarts of every scheme run; recording is observational, results are identical with or without it")
-	)
+	rf := scenario.RegisterRunFlags(fs,
+		0.25, "request-count scale factor",
+		"const", "time-varying load schedule for the LC instances (const, burst:at=,dur=,x=[,period=], ramp:dur=,to=[,at=,from=], diurnal:period=[,amp=], flash:at=,x=,decay=, mmpp:x=,on=,off=[,lo=]); non-constant schedules also print per-window tails")
+	f := flagSpec{RunFlags: rf}
+	fs.StringVar(&f.lc, "lc", "specjbb", "latency-critical application (xapian, masstree, moses, shore, specjbb)")
+	fs.Float64Var(&f.load, "load", 0.2, "offered load for the latency-critical app (0,1)")
+	fs.IntVar(&f.instances, "instances", 3, "number of latency-critical instances")
+	fs.StringVar(&f.batch, "batch", "mcf,libquantum,soplex", "comma-separated batch applications")
+	fs.StringVar(&f.scheme, "scheme", "ubik", "management scheme: lru, ucp, onoff, staticlc, ubik")
+	fs.Float64Var(&f.slack, "slack", 0.05, "Ubik tail-latency slack")
+	fs.StringVar(&f.traceFile, "tracefile", "", "replay a recorded mem trace (tracegen -kind mem, or internal/tracein CSV/binary) as the batch set instead of the synthetic -batch applications")
+	fs.IntVar(&f.traceApps, "traceapps", 1, "with -tracefile: how many of the recording's app columns to replay, one batch slot per column (trace_app 0..N-1)")
+	fs.IntVar(&f.nodes, "nodes", 1, "cluster size: replica nodes, one latency-critical replica plus the batch set each (1 = plain single-node mix)")
+	fs.IntVar(&f.fanout, "fanout", 1, "cluster fan-out: nodes each query touches; the query completes at its quorum-th response")
+	fs.IntVar(&f.quorum, "quorum", 0, "cluster quorum: leaf responses that complete a query (0 = fanout, i.e. wait for the slowest leaf)")
+	fs.StringVar(&f.balancer, "balancer", "rr", "cluster balancer: rr, random, weighted, p2c")
+	fs.Float64Var(&f.hedge, "hedge", 0, "cluster hedging: issue one eager duplicate per query to a spare node after this fraction of the deadline (0 disables)")
+	fs.BoolVar(&f.inclusive, "inclusive", false, "make the private L2 inclusive of L1 (evictions back-invalidate)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return nil // usage already printed; asking for help is not a failure
 		}
 		return fmt.Errorf("invalid arguments (details above)") // the FlagSet already reported specifics
 	}
-	stopProf, err := prof.Start(*cpuProfile, *memProfile)
+	finishProf, err := rf.Prof.Start()
 	if err != nil {
 		return err
 	}
-	defer func() {
-		// A truncated profile must fail the run, but never mask a run error.
-		if perr := stopProf(); retErr == nil {
-			retErr = perr
-		}
-	}()
-	explicit := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	workers := *parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	defer finishProf(&retErr)
 
 	var spec scenario.Spec
-	if *scenarioPath != "" {
-		for _, f := range specFlags {
-			if explicit[f] {
-				return fmt.Errorf("-%s conflicts with -scenario: the scenario file defines the whole run (drop -%s or edit %s)", f, f, *scenarioPath)
-			}
-		}
-		var err error
-		spec, err = scenario.ParseFile(*scenarioPath)
-		if err != nil {
+	if *rf.Scenario != "" {
+		if err := rf.ScenarioConflict(specFlags...); err != nil {
 			return err
 		}
+		spec, err = scenario.ParseFile(*rf.Scenario)
 	} else {
-		if err := validateClusterFlags(*nodes, *fanout, *quorum, *balancer, *hedge, explicit); err != nil {
-			return err
-		}
-		if err := validateTraceFlags(*traceFile, *traceApps, *nodes, explicit); err != nil {
-			return err
-		}
-		var err error
-		spec, err = specFromFlags(flagSpec{
-			lc: *lcName, load: *load, instances: *instances, batch: *batchList,
-			scheme: *schemeName, slack: *slack, reqFactor: *reqFactor, seed: *seed,
-			loadSched: *loadSched, nodes: *nodes, fanout: *fanout, quorum: *quorum,
-			balancer: *balancer, hedge: *hedge,
-			l1KB: *l1KB, l2KB: *l2KB, inclusive: *inclusive, noHier: *noHier,
-			traceFile: *traceFile, traceApps: *traceApps,
-		})
-		if err != nil {
-			return err
-		}
+		spec, err = specFromFlags(f)
+	}
+	if err != nil {
+		return err
 	}
 
-	var rec *trace.Recorder
-	if *tracePath != "" {
-		rec = trace.NewRecorder(0)
-	}
+	rec := rf.Recorder()
 	progress := func(format string, a ...any) { fmt.Fprintf(stdout, format, a...) }
 	// No warm pool: a single invocation runs each calibration/isolation exactly
 	// once (per-seed keys never repeat), so a pool could never hit.
-	out, err := experiment.RunScenarioTraced(spec, workers, nil, progress, rec)
+	out, err := experiment.RunScenarioTraced(spec, rf.Workers(), nil, progress, rec)
 	if err != nil {
 		return err
 	}
 	printOutcome(stdout, out)
 	if rec != nil {
-		if err := rec.WriteFile(*tracePath); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "\ntrace: %d events written to %s (%d oldest dropped by ring wrap)\n", rec.Len(), *tracePath, rec.Dropped())
+		fmt.Fprintln(stdout)
 	}
-	return nil
+	return rf.WriteTrace(stdout, rec)
 }
 
 // flagSpec carries the flag values specFromFlags lowers to a scenario.
 type flagSpec struct {
+	*scenario.RunFlags
 	lc                    string
 	load                  float64
 	instances             int
 	batch                 string
 	scheme                string
 	slack                 float64
-	reqFactor             float64
-	seed                  uint64
-	loadSched             string
 	nodes, fanout, quorum int
 	balancer              string
 	hedge                 float64
-	l1KB, l2KB            float64
-	inclusive, noHier     bool
+	inclusive             bool
 	traceFile             string
 	traceApps             int
+}
+
+// flagConflicts are the explicit-flag combinations a scenario spec cannot
+// show, because lowering would silently drop the named flag: each row fires
+// when one of its flags was given while its condition holds. Every other rule
+// (fan-out, quorum, hedge and balancer ranges, trace replay being
+// single-node, ...) is spec.Validate's.
+var flagConflicts = []struct {
+	flags []string
+	when  func(f flagSpec) bool
+	msg   string // the offending flag's name is the one %s
+}{
+	{[]string{"fanout", "quorum", "balancer", "hedge"}, func(f flagSpec) bool { return f.nodes == 1 },
+		"-%s is a cluster flag and would be ignored on a single-node mix; set -nodes above 1 to run a cluster"},
+	{[]string{"instances"}, func(f flagSpec) bool { return f.nodes > 1 },
+		"-%s applies to the single-node mix; a cluster runs exactly one replica per node (drop -instances or -nodes)"},
+	{[]string{"traceapps"}, func(f flagSpec) bool { return f.traceFile == "" },
+		"-%s selects app columns of a -tracefile recording; add -tracefile or drop -traceapps"},
+	{[]string{"batch"}, func(f flagSpec) bool { return f.traceFile != "" },
+		"-%s conflicts with -tracefile: the recording replaces the synthetic batch set (drop one)"},
+	{[]string{"loadsched"}, func(f flagSpec) bool { return f.traceFile != "" },
+		"-%s conflicts with -tracefile: a recording replays fixed accesses and cannot be re-timed (drop one)"},
 }
 
 // specFromFlags lowers the flag form to the same scenario spec a file would
 // declare — the flags are a thin builder over the scenario engine, so the two
 // entry points share every line of run wiring.
 func specFromFlags(f flagSpec) (scenario.Spec, error) {
+	if f.nodes < 1 {
+		return scenario.Spec{}, fmt.Errorf("-nodes must be at least 1, got %d", f.nodes)
+	}
+	if f.traceFile != "" && f.traceApps < 1 {
+		return scenario.Spec{}, fmt.Errorf("-traceapps must be at least 1, got %d", f.traceApps)
+	}
+	explicit := f.Explicit()
+	for _, c := range flagConflicts {
+		for _, name := range c.flags {
+			if explicit[name] && c.when(f) {
+				return scenario.Spec{}, fmt.Errorf(c.msg, name)
+			}
+		}
+	}
 	spec := scenario.Spec{
 		Version:       scenario.Version,
 		Name:          "cli",
-		Seed:          f.seed,
-		RequestFactor: f.reqFactor,
+		Seed:          *f.Seed,
+		RequestFactor: *f.Requests,
+		Machine:       f.Machine(),
 	}
-	if f.noHier {
-		spec.Machine.Flat = true
-	} else {
-		// The scenario format reads 0 as "default" and negative as "level
-		// disabled"; the flags read 0 as "disabled" with the default in the
-		// flag's own default value.
-		spec.Machine.L1KB = f.l1KB
-		if f.l1KB == 0 {
-			spec.Machine.L1KB = -1
-		}
-		spec.Machine.L2KB = f.l2KB
-		if f.l2KB == 0 {
-			spec.Machine.L2KB = -1
-		}
-		spec.Machine.InclusiveL2 = f.inclusive
-	}
+	spec.Machine.InclusiveL2 = f.inclusive && !spec.Machine.Flat
 	lcApp := scenario.App{LC: f.lc, Load: f.load}
-	sched, err := workload.ParseSchedule(f.loadSched)
+	sched, err := workload.ParseSchedule(*f.LoadSched)
 	if err != nil {
 		return scenario.Spec{}, err
 	}
 	if !sched.IsConstant() {
-		lcApp.Sched = f.loadSched
+		lcApp.Sched = *f.LoadSched
 	}
 	if f.nodes > 1 {
 		spec.Cluster = &scenario.Cluster{
@@ -331,77 +300,4 @@ func printClusterScheme(stdout io.Writer, out *experiment.ScenarioOutcome, i int
 	if base.TailLatency > 0 {
 		fmt.Fprintf(stdout, "query tail amplification: %.3fx (query p95 vs isolated leaf tail)\n", sc.TailAmplification)
 	}
-}
-
-// validateTraceFlags rejects contradictory trace-replay flag combinations up
-// front, mirroring validateClusterFlags: every flag that would silently
-// re-shape or be displaced by the recording is an explicit error.
-func validateTraceFlags(traceFile string, traceApps, nodes int, explicit map[string]bool) error {
-	if traceFile == "" {
-		if explicit["traceapps"] {
-			return fmt.Errorf("-traceapps selects app columns of a -tracefile recording; add -tracefile or drop -traceapps")
-		}
-		return nil
-	}
-	if explicit["batch"] {
-		return fmt.Errorf("-batch conflicts with -tracefile: the recording replaces the synthetic batch set (drop one)")
-	}
-	if explicit["loadsched"] {
-		return fmt.Errorf("-loadsched conflicts with -tracefile: a recording replays fixed accesses and cannot be re-timed (drop one)")
-	}
-	if nodes > 1 {
-		return fmt.Errorf("-tracefile replay is single-node; drop -nodes or the trace")
-	}
-	if traceApps < 1 {
-		return fmt.Errorf("-traceapps must be at least 1, got %d", traceApps)
-	}
-	return nil
-}
-
-// validateClusterFlags rejects contradictory cluster flag combinations up
-// front, with errors that say how to fix them, instead of silently clamping.
-func validateClusterFlags(nodes, fanout, quorum int, balancer string, hedge float64, explicit map[string]bool) error {
-	if nodes < 1 {
-		return fmt.Errorf("-nodes must be at least 1, got %d", nodes)
-	}
-	if nodes == 1 {
-		for _, f := range []string{"fanout", "quorum", "balancer", "hedge"} {
-			if explicit[f] {
-				return fmt.Errorf("-%s is a cluster flag and would be ignored on a single-node mix; set -nodes above 1 to run a cluster", f)
-			}
-		}
-	}
-	if fanout < 1 {
-		return fmt.Errorf("-fanout must be at least 1, got %d", fanout)
-	}
-	if fanout > nodes {
-		return fmt.Errorf("-fanout %d exceeds -nodes %d: a query cannot touch more nodes than the cluster has", fanout, nodes)
-	}
-	if quorum < 0 || quorum > fanout {
-		return fmt.Errorf("-quorum %d must be in [1, -fanout %d] (0 means wait for all leaves)", quorum, fanout)
-	}
-	if hedge < 0 || hedge >= 1 {
-		return fmt.Errorf("-hedge must be a deadline fraction in [0,1), got %v", hedge)
-	}
-	if hedge > 0 {
-		if fanout == 1 {
-			return fmt.Errorf("hedging with -fanout 1 is just a wider fan-out; use -fanout 2 -quorum 1 instead of -hedge")
-		}
-		if fanout >= nodes {
-			return fmt.Errorf("hedging needs a spare node: -fanout %d already touches all %d nodes", fanout, nodes)
-		}
-	}
-	known := false
-	for _, k := range cluster.BalancerKinds() {
-		if string(k) == balancer {
-			known = true
-		}
-	}
-	if !known {
-		return fmt.Errorf("unknown balancer %q (want rr, random, weighted, or p2c)", balancer)
-	}
-	if nodes > 1 && explicit["instances"] {
-		return fmt.Errorf("-instances applies to the single-node mix; a cluster runs exactly one replica per node (drop -instances or -nodes)")
-	}
-	return nil
 }

@@ -79,17 +79,17 @@ func TestRunEndToEnd(t *testing.T) {
 		{
 			name:    "fanout beyond cluster fails",
 			args:    []string{"-nodes", "2", "-fanout", "3"},
-			wantErr: "-fanout 3 exceeds -nodes 2",
+			wantErr: "fan-out 3 exceeds the cluster size 2",
 		},
 		{
 			name:    "quorum beyond fanout fails",
 			args:    []string{"-nodes", "2", "-fanout", "2", "-quorum", "3"},
-			wantErr: "-quorum 3 must be in [1, -fanout 2]",
+			wantErr: "quorum 3 must be in [1, fan-out 2]",
 		},
 		{
 			name:    "hedging a fan-out-1 query fails",
 			args:    []string{"-nodes", "2", "-hedge", "0.3"},
-			wantErr: "use -fanout 2 -quorum 1 instead",
+			wantErr: "use fan-out 2, quorum 1 instead",
 		},
 		{
 			name:    "hedging without a spare node fails",

@@ -122,8 +122,8 @@ func DefaultHierarchy() HierarchyConfig {
 
 // PrivateLevel is one private set-associative filter cache with LRU
 // replacement. It stores only tags — private levels filter the stream; the
-// simulator's line metadata lives on LLC lines. Probe, Fill and the fused
-// access path never allocate.
+// simulator's line metadata lives on LLC lines. The access path never
+// allocates.
 type PrivateLevel struct {
 	numSets   uint64
 	ways      uint64
@@ -190,8 +190,7 @@ func (l *PrivateLevel) set(hash uint64) []uint64 {
 // access is the fused probe+fill: one scan over the set either finds addr
 // (hit, LRU stamp refreshed) or selects the LRU victim and inserts addr in
 // its place. The returned eviction information lets inclusive levels
-// back-invalidate upstream. This is the hierarchy hot path; Probe and Fill
-// below are the two halves exposed for tests and out-of-band invalidation.
+// back-invalidate upstream. This is the hierarchy hot path.
 func (l *PrivateLevel) access(hash, addr uint64) (hit bool, evicted uint64, evictedValid bool) {
 	l.clock++
 	l.stats.Accesses++
@@ -214,42 +213,6 @@ func (l *PrivateLevel) access(hash, addr uint64) (hit bool, evicted uint64, evic
 	}
 	set[victim], set[victim+1] = addr, l.clock
 	return false, evicted, evictedValid
-}
-
-// Probe looks addr up, refreshing its LRU stamp on a hit.
-func (l *PrivateLevel) Probe(addr uint64) bool {
-	l.clock++
-	l.stats.Accesses++
-	set := l.set(hashAddr(addr))
-	for i := 0; i < len(set); i += 2 {
-		if set[i+1] != 0 && set[i] == addr {
-			set[i+1] = l.clock
-			l.stats.Hits++
-			return true
-		}
-	}
-	l.stats.Misses++
-	return false
-}
-
-// Fill inserts addr (which must have just missed), evicting the set's LRU
-// line if no slot is free. It returns the evicted address and whether a valid
-// line was displaced, so inclusive levels can back-invalidate upstream.
-func (l *PrivateLevel) Fill(addr uint64) (evicted uint64, wasValid bool) {
-	l.clock++
-	set := l.set(hashAddr(addr))
-	victim, victimUse := 0, ^uint64(0)
-	for i := 0; i < len(set); i += 2 {
-		if set[i+1] < victimUse {
-			victim, victimUse = i, set[i+1]
-		}
-	}
-	evicted, wasValid = set[victim], victimUse != 0
-	if wasValid {
-		l.stats.Evictions++
-	}
-	set[victim], set[victim+1] = addr, l.clock
-	return evicted, wasValid
 }
 
 // CloneIn returns a deep copy of the level (tags, LRU stamps, statistics) over

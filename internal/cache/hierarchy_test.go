@@ -59,12 +59,11 @@ func TestPrivateLevelBasics(t *testing.T) {
 	if l.NumLines() != 16 {
 		t.Errorf("NumLines = %d, want 16", l.NumLines())
 	}
-	if l.Probe(42) {
-		t.Errorf("first probe should miss")
+	if hit, _, _ := l.access(hashAddr(42), 42); hit {
+		t.Errorf("first access should miss")
 	}
-	l.Fill(42)
-	if !l.Probe(42) {
-		t.Errorf("probe after fill should hit")
+	if hit, _, _ := l.access(hashAddr(42), 42); !hit {
+		t.Errorf("access after the fill should hit")
 	}
 	st := l.Stats()
 	if st.Accesses != 2 || st.Hits != 1 || st.Misses != 1 {
@@ -94,12 +93,12 @@ func TestPrivateLevelLRUWithinSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	for a := uint64(0); a < 4; a++ {
-		l.Fill(a)
+		l.access(hashAddr(a), a)
 	}
-	l.Probe(0) // refresh 0; 1 becomes LRU
-	evicted, wasValid := l.Fill(100)
+	l.access(hashAddr(0), 0) // refresh 0; 1 becomes LRU
+	_, evicted, wasValid := l.access(hashAddr(100), 100)
 	if !wasValid || evicted != 1 {
-		t.Errorf("Fill should have evicted LRU line 1, got (%d, %v)", evicted, wasValid)
+		t.Errorf("the fill should have evicted LRU line 1, got (%d, %v)", evicted, wasValid)
 	}
 	if !l.Contains(0) || l.Contains(1) || !l.Contains(100) {
 		t.Errorf("LRU replacement order wrong")
@@ -114,9 +113,7 @@ func TestPrivateLevelCapacity(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 10000; i++ {
 		a := uint64(r.Intn(1000))
-		if !l.Probe(a) {
-			l.Fill(a)
-		}
+		l.access(hashAddr(a), a)
 	}
 	resident := 0
 	for a := uint64(0); a < 1000; a++ {

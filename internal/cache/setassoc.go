@@ -204,21 +204,6 @@ func (c *SetAssoc) syncTargetsFromWays() {
 	copy(c.parts.targets, counts)
 }
 
-// WaysOwnedBy returns how many ways partition p currently owns
-// (ModeWayPartition only).
-func (c *SetAssoc) WaysOwnedBy(p PartitionID) int {
-	if c.mode != ModeWayPartition {
-		return 0
-	}
-	n := 0
-	for _, owner := range c.wayOwner {
-		if owner == p {
-			n++
-		}
-	}
-	return n
-}
-
 // Access implements Cache. This is one of the simulator's two hot paths: the
 // hit scan is a single pass over the set's contiguous words with the
 // per-partition stat row hoisted out, set indexing avoids the 64-bit modulo,

@@ -74,8 +74,18 @@ func NewBalancer(kind BalancerKind, n int, weights []float64, seed uint64) (Bala
 	case BalanceP2C:
 		return &powerOfTwo{n: n, rng: workload.NewRand(workload.SplitSeed(seed, 0xBA3))}, nil
 	default:
-		return nil, fmt.Errorf("cluster: unknown balancer %q (want rr, random, weighted, or p2c)", kind)
+		return nil, kind.check()
 	}
+}
+
+// check rejects a kind that names no supported policy.
+func (k BalancerKind) check() error {
+	for _, known := range BalancerKinds() {
+		if k == known {
+			return nil
+		}
+	}
+	return fmt.Errorf("cluster: unknown balancer %q (want rr, random, weighted, or p2c)", k)
 }
 
 // roundRobin serves query q from the k nodes starting at cursor q mod n, so

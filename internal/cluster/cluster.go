@@ -134,12 +134,78 @@ func (s Spec) arrivalSeed() uint64 {
 // hedged reports whether the spec issues hedged requests.
 func (s Spec) hedged() bool { return s.HedgeDelayCycles > 0 }
 
-// Validate reports specification problems — including the contradictory
-// combinations the command-line front-ends surface verbatim.
-func (s Spec) Validate() error {
-	m := len(s.Nodes)
+// Shape is the part of a cluster run that can be judged before any node is
+// calibrated: the fleet size, the query model, the report settings and the
+// fault plan. It is the one rulebook for those facts — Spec.Validate applies
+// it to its own fields and the scenario format lowers to it — so a
+// validate-only pass rejects exactly the plans a run would, in the same words.
+type Shape struct {
+	// Nodes is the fleet size.
+	Nodes int
+	// Fanout and Quorum are the query model (Quorum 0 = Fanout).
+	Fanout, Quorum int
+	// Hedged reports whether each query sends one duplicate to a spare node.
+	Hedged bool
+	// Balancer is the leaf-assignment policy.
+	Balancer BalancerKind
+	// WindowCycles is the query-latency window width (0 = off).
+	WindowCycles uint64
+	// TailPercentile is the tail metric percentile (0 = 95).
+	TailPercentile float64
+	// Faults is the fault plan.
+	Faults []Fault
+}
+
+// shape extracts the node-independent half of the spec.
+func (s Spec) shape() Shape {
+	return Shape{
+		Nodes: len(s.Nodes), Fanout: s.Fanout, Quorum: s.Quorum, Hedged: s.hedged(),
+		Balancer: s.Balancer, WindowCycles: s.WindowCycles, TailPercentile: s.TailPercentile,
+		Faults: s.Faults,
+	}
+}
+
+// Validate reports contradictory fleet shapes and malformed fault plans — the
+// messages the command-line front-ends surface verbatim.
+func (sh Shape) Validate() error {
+	m := sh.Nodes
 	if m < 1 {
-		return fmt.Errorf("cluster: need at least one node")
+		return fmt.Errorf("cluster: need at least one node, got %d", m)
+	}
+	if sh.Fanout < 1 {
+		return fmt.Errorf("cluster: fan-out must be at least 1, got %d", sh.Fanout)
+	}
+	if sh.Fanout > m {
+		return fmt.Errorf("cluster: fan-out %d exceeds the cluster size %d: a query cannot touch more nodes than the cluster has", sh.Fanout, m)
+	}
+	if sh.Quorum < 0 || sh.Quorum > sh.Fanout {
+		return fmt.Errorf("cluster: quorum %d must be in [1, fan-out %d] (0 means wait for all leaves)", sh.Quorum, sh.Fanout)
+	}
+	if sh.Hedged {
+		if sh.Fanout == 1 {
+			return fmt.Errorf("cluster: hedging a fan-out-1 query is just a 2-node fan-out; use fan-out 2, quorum 1 instead")
+		}
+		if sh.Fanout >= m {
+			return fmt.Errorf("cluster: hedging needs a spare node (fan-out %d already touches all %d nodes)", sh.Fanout, m)
+		}
+	}
+	if err := sh.Balancer.check(); err != nil {
+		return err
+	}
+	if sh.WindowCycles > 0 && sh.WindowCycles < 1024 {
+		return fmt.Errorf("cluster: window width must be 0 (off) or at least 1024 cycles, got %d", sh.WindowCycles)
+	}
+	if sh.TailPercentile < 0 || sh.TailPercentile >= 100 {
+		return fmt.Errorf("cluster: tail percentile must be in (0,100), got %v", sh.TailPercentile)
+	}
+	return sh.validateFaults()
+}
+
+// Validate reports specification problems: the shape rulebook first, then
+// what only calibrated nodes and a sized query stream can show.
+func (s Spec) Validate() error {
+	if err := s.shape().Validate(); err != nil {
+		return err
 	}
 	for i, n := range s.Nodes {
 		if err := n.Config.Validate(); err != nil {
@@ -163,23 +229,6 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("cluster: node %d has negative capacity weight %v", i, n.Weight)
 		}
 	}
-	if s.Fanout < 1 {
-		return fmt.Errorf("cluster: fan-out must be at least 1, got %d", s.Fanout)
-	}
-	if s.Fanout > m {
-		return fmt.Errorf("cluster: fan-out %d exceeds the cluster size %d", s.Fanout, m)
-	}
-	if s.Quorum < 0 || s.Quorum > s.Fanout {
-		return fmt.Errorf("cluster: quorum %d must be in [1, fan-out %d]", s.Quorum, s.Fanout)
-	}
-	if s.hedged() {
-		if s.Fanout == 1 {
-			return fmt.Errorf("cluster: hedging a fan-out-1 query is just a 2-node fan-out; use fanout=2, quorum=1 instead")
-		}
-		if s.Fanout >= m {
-			return fmt.Errorf("cluster: hedging needs a spare node (fan-out %d already touches all %d nodes)", s.Fanout, m)
-		}
-	}
 	if s.Queries < 1 {
 		return fmt.Errorf("cluster: need at least one measured query, got %d", s.Queries)
 	}
@@ -189,19 +238,7 @@ func (s Spec) Validate() error {
 	if s.QueryMeanInterarrival <= 0 {
 		return fmt.Errorf("cluster: query mean interarrival must be positive, got %v", s.QueryMeanInterarrival)
 	}
-	if err := s.Sched.Validate(); err != nil {
-		return err
-	}
-	if s.WindowCycles > 0 && s.WindowCycles < 1024 {
-		return fmt.Errorf("cluster: window width must be 0 (off) or at least 1024 cycles, got %d", s.WindowCycles)
-	}
-	if s.TailPercentile < 0 || s.TailPercentile >= 100 {
-		return fmt.Errorf("cluster: tail percentile must be in (0,100), got %v", s.TailPercentile)
-	}
-	if _, err := NewBalancer(s.Balancer, m, weightsOf(s.Nodes), s.Seed); err != nil {
-		return err
-	}
-	return validateFaults(s)
+	return s.Sched.Validate()
 }
 
 // weightsOf collects the resolved capacity weights.
@@ -289,7 +326,7 @@ func buildPlan(spec Spec) (*queryPlan, error) {
 		// once per query, down nodes or not.
 		if len(spec.Faults) > 0 {
 			for n := 0; n < m; n++ {
-				if spec.downAt(n, t) {
+				if downAt(spec.Faults, n, t) {
 					taken[n] = true
 				}
 			}

@@ -88,28 +88,28 @@ func (f Fault) validate(i, nodes int) error {
 }
 
 // validateFaults checks the whole fault plan: well-formed entries, per-node
-// non-overlapping fail-slow windows, distinct per-node restart cycles, and —
-// the routing-safety invariant — enough healthy nodes at every instant to
-// serve a query's fan-out (plus the hedge spare). The simultaneous-down count
+// disjoint fail-slow windows, distinct per-node restart cycles, and — the
+// routing-safety invariant — enough nodes up at every instant to serve a
+// query's fan-out (plus the hedge spare). The simultaneous-down count
 // is piecewise constant and only increases at window starts, so checking each
 // window's start cycle bounds the maximum.
-func validateFaults(s Spec) error {
-	m := len(s.Nodes)
-	for i, f := range s.Faults {
+func (sh Shape) validateFaults() error {
+	m := sh.Nodes
+	for i, f := range sh.Faults {
 		if err := f.validate(i, m); err != nil {
 			return err
 		}
 	}
-	need := s.Fanout
-	if s.hedged() {
-		need++
+	need, spare := sh.Fanout, ""
+	if sh.Hedged {
+		need, spare = need+1, " + hedge spare"
 	}
-	for i, f := range s.Faults {
+	for i, f := range sh.Faults {
 		if f.Kind != FaultNodeDown {
 			continue
 		}
 		down := map[int]bool{}
-		for _, g := range s.Faults {
+		for _, g := range sh.Faults {
 			if g.Kind != FaultNodeDown {
 				continue
 			}
@@ -119,18 +119,18 @@ func validateFaults(s Spec) error {
 		}
 		if m-len(down) < need {
 			return fmt.Errorf("cluster: fault %d leaves only %d healthy nodes at cycle %d; queries need %d (fan-out%s)",
-				i, m-len(down), f.AtCycle, need, hedgeSuffix(s))
+				i, m-len(down), f.AtCycle, need, spare)
 		}
 	}
 	for n := 0; n < m; n++ {
-		slow := s.slowWindowsFor(n)
+		slow := slowWindowsFor(sh.Faults, n)
 		for i := 1; i < len(slow); i++ {
 			if slow[i].StartCycle < slow[i-1].EndCycle {
 				return fmt.Errorf("cluster: node %d has overlapping fail-slow windows ([%d,%d) and [%d,%d))",
 					n, slow[i-1].StartCycle, slow[i-1].EndCycle, slow[i].StartCycle, slow[i].EndCycle)
 			}
 		}
-		restarts := s.restartsFor(n)
+		restarts := restartsFor(sh.Faults, n)
 		for i := 1; i < len(restarts); i++ {
 			if restarts[i] == restarts[i-1] {
 				return fmt.Errorf("cluster: node %d has duplicate restart at cycle %d", n, restarts[i])
@@ -140,17 +140,9 @@ func validateFaults(s Spec) error {
 	return nil
 }
 
-// hedgeSuffix renders the hedge-spare part of the healthy-count error.
-func hedgeSuffix(s Spec) string {
-	if s.hedged() {
-		return " + hedge spare"
-	}
-	return ""
-}
-
 // downAt reports whether node n is inside a node-down window at cycle t.
-func (s Spec) downAt(n int, t uint64) bool {
-	for _, f := range s.Faults {
+func downAt(faults []Fault, n int, t uint64) bool {
+	for _, f := range faults {
 		if f.Kind == FaultNodeDown && f.Node == n {
 			if start, end := f.window(); t >= start && t < end {
 				return true
@@ -162,9 +154,9 @@ func (s Spec) downAt(n int, t uint64) bool {
 
 // slowWindowsFor collects node n's fail-slow windows as the simulator's
 // SlowWindow plumbing, sorted by start cycle.
-func (s Spec) slowWindowsFor(n int) []sim.SlowWindow {
+func slowWindowsFor(faults []Fault, n int) []sim.SlowWindow {
 	var out []sim.SlowWindow
-	for _, f := range s.Faults {
+	for _, f := range faults {
 		if f.Kind == FaultFailSlow && f.Node == n {
 			start, end := f.window()
 			out = append(out, sim.SlowWindow{StartCycle: start, EndCycle: end, Factor: f.Factor})
@@ -175,9 +167,9 @@ func (s Spec) slowWindowsFor(n int) []sim.SlowWindow {
 }
 
 // restartsFor collects node n's restart cycles, sorted ascending.
-func (s Spec) restartsFor(n int) []uint64 {
+func restartsFor(faults []Fault, n int) []uint64 {
 	var out []uint64
-	for _, f := range s.Faults {
+	for _, f := range faults {
 		if f.Kind == FaultRestart && f.Node == n {
 			out = append(out, f.AtCycle)
 		}

@@ -67,16 +67,16 @@ func TestFaultValidation(t *testing.T) {
 		{"duplicate restart cycle", []Fault{
 			{Kind: FaultRestart, Node: 0, AtCycle: 5},
 			{Kind: FaultRestart, Node: 0, AtCycle: 5},
-		}, "restart"},
+		}, "duplicate restart at cycle 5"},
 		{"overlapping fail-slow windows", []Fault{
 			{Kind: FaultFailSlow, Node: 0, AtCycle: 10, DurationCycles: 100, Factor: 2},
 			{Kind: FaultFailSlow, Node: 0, AtCycle: 50, DurationCycles: 100, Factor: 3},
-		}, "overlap"},
+		}, "overlapping fail-slow windows"},
 		{"all nodes down strands queries", []Fault{
 			{Kind: FaultNodeDown, Node: 0, AtCycle: 100, DurationCycles: 1000},
 			{Kind: FaultNodeDown, Node: 1, AtCycle: 100, DurationCycles: 1000},
 			{Kind: FaultNodeDown, Node: 2, AtCycle: 100, DurationCycles: 1000},
-		}, "healthy"},
+		}, "leaves only 0 healthy nodes"},
 	}
 	for _, c := range cases {
 		c := c

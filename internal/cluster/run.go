@@ -137,7 +137,7 @@ func nodeKey(node NodeSpec, schemeKey string, times []uint64, warmup int, slow [
 
 // RunPooled is Run with the per-node simulations memoized through a warm
 // pool: any node whose (configuration, policy, leaf stream) identity repeats
-// across cluster runs — the healthy nodes of a straggler-vs-uniform
+// across cluster runs — the full-size nodes of a straggler-vs-uniform
 // comparison, or identical replicas across sweep variants — is simulated
 // once. schemeKey must uniquely identify what NewPolicy constructs (pool
 // keys cannot see inside the closure); a nil pool runs every node.
@@ -165,8 +165,8 @@ func RunPooled(spec Spec, parallelism int, pool *sim.WarmPool, schemeKey string)
 			}
 			return fmt.Errorf("cluster: node %d received no measured leaves (only %d warmup); raise Queries or rebalance", n, warmup)
 		}
-		slow := spec.slowWindowsFor(n)
-		restarts := spec.restartsFor(n)
+		slow := slowWindowsFor(spec.Faults, n)
+		restarts := restartsFor(spec.Faults, n)
 		runNode := func() (sim.Result, error) {
 			lc := node.LC
 			lc.Arrivals = workload.NewReplayArrivals(times)

@@ -15,9 +15,9 @@ import (
 func TestUbikCloneMidBoost(t *testing.T) {
 	v := ubikView()
 	orig := NewUbikWithSlack(0.05)
-	v.Apply(orig.Reconfigure(v))
+	apply(v, orig.Reconfigure(v))
 	// Enter the boost phase.
-	v.Apply(orig.OnActive(0, v))
+	apply(v, orig.OnActive(0, v))
 	if !orig.Boosting(0) {
 		t.Fatal("expected the LC app to be boosting after OnActive")
 	}
@@ -44,7 +44,7 @@ func TestUbikCloneMidBoost(t *testing.T) {
 	// the app would have missed more at s_active than it actually did, so
 	// both must de-boost now and emit the same resizes.
 	v.Apps[0].Misses = 100
-	v.Apps[0].UMONMissesAtFn = func(lines uint64) float64 { return 500 }
+	v.Apps[0].MissesAtSince = func(_ monitor.UMONSnapshot, _ uint64) float64 { return 500 }
 	origResizes := orig.OnLCCheck(0, v)
 	cloneResizes := clone.OnLCCheck(0, v)
 	if !reflect.DeepEqual(origResizes, cloneResizes) {
@@ -60,20 +60,20 @@ func TestUbikCloneMidBoost(t *testing.T) {
 func TestUbikCloneIsolation(t *testing.T) {
 	v := ubikView()
 	orig := NewUbikWithSlack(0.05)
-	v.Apply(orig.Reconfigure(v))
+	apply(v, orig.Reconfigure(v))
 	clone := orig.Clone().(*Ubik)
 
 	// Shift the original onto a very different epoch.
 	v2 := ubikView()
 	v2.Apps[3].Curve = policytest.LinearCurve(6144, 6144, 9000, 5, 9000)
-	v2.Apps[0].Idle = 0.0
-	v.Apply(orig.Reconfigure(v2))
+	v2.Apps[0].IdleFraction = 0.0
+	apply(v, orig.Reconfigure(v2))
 
 	// The clone must still answer from the old epoch: compare against a
 	// fresh policy driven only through the old epoch.
 	ref := NewUbikWithSlack(0.05)
 	vRef := ubikView()
-	vRef.Apply(ref.Reconfigure(vRef))
+	apply(vRef, ref.Reconfigure(vRef))
 	got := clone.OnIdle(0, v)
 	want := ref.OnIdle(0, vRef)
 	if !reflect.DeepEqual(got, want) {

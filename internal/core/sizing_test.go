@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/monitor"
 	"repro/internal/policy/policytest"
 )
 
@@ -30,7 +31,7 @@ func sensitiveInput() SizingInput {
 // it loses nothing by being downsized.
 func insensitiveInput() SizingInput {
 	in := sensitiveInput()
-	in.Curve = policytest.FlatCurve(6144, 30, 1000)
+	in.Curve = monitor.FlatCurve(6144, 65, 30, 1000)
 	return in
 }
 
@@ -157,7 +158,7 @@ func TestReduceActiveSize(t *testing.T) {
 		t.Errorf("reduced size violates the miss-slack bound")
 	}
 	// A flat curve can be reduced to zero.
-	flat := policytest.FlatCurve(6144, 50, 1000)
+	flat := monitor.FlatCurve(6144, 65, 50, 1000)
 	if got := ReduceActiveSize(flat, target, 0.01, 16); got != 0 {
 		t.Errorf("flat curve should reduce to 0, got %d", got)
 	}

@@ -28,33 +28,45 @@ func hasResizeFor(resizes []policy.Resize, app int) bool {
 	return false
 }
 
+// apply folds a policy's resizes into the view's targets, the way a plant
+// threads its live allocation through successive policy calls.
+func apply(v *policy.PlantView, resizes []policy.Resize) {
+	targets := make([]uint64, len(v.Apps))
+	for i, a := range v.Apps {
+		targets[i] = a.CurrentTarget
+	}
+	for i, target := range policy.ApplyResizes(targets, resizes) {
+		v.Apps[i].CurrentTarget = target
+	}
+}
+
 // ubikView builds the canonical 3 LC + 3 batch view used by the Ubik tests.
 // LC apps have moderately steep miss curves; batch apps want space.
-func ubikView() *policytest.FakeView {
+func ubikView() *policy.PlantView {
 	total := uint64(6144)
-	v := &policytest.FakeView{Lines: total, Interval: 2_000_000}
+	v := &policy.PlantView{Lines: total, EpochCycles: 2_000_000}
 	for i := 0; i < 3; i++ {
-		v.Apps = append(v.Apps, policytest.AppState{
-			LatencyCritical:   true,
-			ActiveNow:         false,
-			Curve:             policytest.LinearCurve(total, 2560, 400, 40, 1000),
-			MissPenaltyCycles: 100,
-			CyclesPerAccess:   60,
-			LCTarget:          1024,
-			Deadline:          500_000,
-			Idle:              0.8,
-			Target:            1024,
-			Occupancy:         1024,
+		v.Apps = append(v.Apps, policy.AppObservation{
+			LatencyCritical:    true,
+			Active:             false,
+			Curve:              policytest.LinearCurve(total, 2560, 400, 40, 1000),
+			MissPenalty:        100,
+			CyclesPerAccessHit: 60,
+			LCTargetLines:      1024,
+			DeadlineCycles:     500_000,
+			IdleFraction:       0.8,
+			CurrentTarget:      1024,
+			Occupancy:          1024,
 		})
 	}
 	for i := 0; i < 3; i++ {
-		v.Apps = append(v.Apps, policytest.AppState{
-			ActiveNow:         true,
-			Curve:             policytest.LinearCurve(total, 3000, 6000, 500, 8000),
-			MissPenaltyCycles: 80,
-			CyclesPerAccess:   30,
-			Target:            1024,
-			Occupancy:         1024,
+		v.Apps = append(v.Apps, policy.AppObservation{
+			Active:             true,
+			Curve:              policytest.LinearCurve(total, 3000, 6000, 500, 8000),
+			MissPenalty:        80,
+			CyclesPerAccessHit: 30,
+			CurrentTarget:      1024,
+			Occupancy:          1024,
 		})
 	}
 	return v
@@ -113,11 +125,11 @@ func TestUbikReconfigureDownsizesIdleLCApps(t *testing.T) {
 func TestUbikBoostOnActivation(t *testing.T) {
 	u := NewUbik()
 	v := ubikView()
-	v.Apply(u.Reconfigure(v))
+	apply(v, u.Reconfigure(v))
 
 	// LC app 0 becomes active: it must be boosted above sActive if it was
 	// downsized while idle.
-	v.Apps[0].ActiveNow = true
+	v.Apps[0].Active = true
 	resizes := u.OnActive(0, v)
 	s, _ := u.Sizing(0)
 	if s.SIdle < s.SActive && !u.Boosting(0) {
@@ -131,12 +143,12 @@ func TestUbikBoostOnActivation(t *testing.T) {
 			t.Errorf("boost size should exceed sActive when the app idled below it")
 		}
 	}
-	v.Apply(resizes)
+	apply(v, resizes)
 
 	// Batch apps must have shrunk to make room for the boost.
 	var batchTotal uint64
 	for i := 3; i < 6; i++ {
-		batchTotal += v.Apps[i].Target
+		batchTotal += v.Apps[i].CurrentTarget
 	}
 	if batchTotal+targetOf(t, resizes, 0) > v.Lines {
 		t.Errorf("boost must come out of batch space")
@@ -146,10 +158,10 @@ func TestUbikBoostOnActivation(t *testing.T) {
 func TestUbikDeboostWhenRecovered(t *testing.T) {
 	u := NewUbik()
 	v := ubikView()
-	v.Apply(u.Reconfigure(v))
-	v.Apps[0].ActiveNow = true
+	apply(v, u.Reconfigure(v))
+	v.Apps[0].Active = true
 	v.Apps[0].Misses = 1000
-	v.Apply(u.OnActive(0, v))
+	apply(v, u.OnActive(0, v))
 	if !u.Boosting(0) {
 		t.Skip("app was not downsized enough to boost; nothing to deboost")
 	}
@@ -157,7 +169,7 @@ func TestUbikDeboostWhenRecovered(t *testing.T) {
 	// While actual misses exceed what the UMON says the app would have had at
 	// sActive, the boost must persist.
 	v.Apps[0].Misses = 1100 // 100 actual misses since boost
-	v.Apps[0].UMONMissesAtFn = func(lines uint64) float64 { return 10 }
+	v.Apps[0].MissesAtSince = func(_ monitor.UMONSnapshot, _ uint64) float64 { return 10 }
 	if resizes := u.OnLCCheck(0, v); resizes != nil {
 		t.Errorf("boost should persist while the app is still behind, got %v", resizes)
 	}
@@ -167,7 +179,7 @@ func TestUbikDeboostWhenRecovered(t *testing.T) {
 
 	// Once the UMON-tracked would-have-been misses exceed the actual misses
 	// (plus guard), the lost cycles are recovered and Ubik de-boosts.
-	v.Apps[0].UMONMissesAtFn = func(lines uint64) float64 { return 200 }
+	v.Apps[0].MissesAtSince = func(_ monitor.UMONSnapshot, _ uint64) float64 { return 200 }
 	resizes := u.OnLCCheck(0, v)
 	if resizes == nil {
 		t.Fatalf("expected de-boost resizes")
@@ -184,15 +196,15 @@ func TestUbikDeboostWhenRecovered(t *testing.T) {
 func TestUbikBoostTimeout(t *testing.T) {
 	u := NewUbik()
 	v := ubikView()
-	v.Apply(u.Reconfigure(v))
-	v.Apps[0].ActiveNow = true
-	v.Apply(u.OnActive(0, v))
+	apply(v, u.Reconfigure(v))
+	v.Apps[0].Active = true
+	apply(v, u.OnActive(0, v))
 	if !u.Boosting(0) {
 		t.Skip("app was not downsized enough to boost")
 	}
 	// Never "recovers" according to the UMON, but the deadline-based backstop
 	// eventually de-boosts it.
-	v.Apps[0].UMONMissesAtFn = func(lines uint64) float64 { return 0 }
+	v.Apps[0].MissesAtSince = func(_ monitor.UMONSnapshot, _ uint64) float64 { return 0 }
 	v.Clock = 10 * 500_000 // far past BoostTimeoutDeadlines * deadline
 	if resizes := u.OnLCCheck(0, v); resizes == nil {
 		t.Fatalf("timeout should force a de-boost")
@@ -205,19 +217,19 @@ func TestUbikBoostTimeout(t *testing.T) {
 func TestUbikIdleReturnsSpace(t *testing.T) {
 	u := NewUbik()
 	v := ubikView()
-	v.Apply(u.Reconfigure(v))
-	v.Apps[0].ActiveNow = true
-	v.Apply(u.OnActive(0, v))
-	activeBatch := v.Apps[3].Target + v.Apps[4].Target + v.Apps[5].Target
+	apply(v, u.Reconfigure(v))
+	v.Apps[0].Active = true
+	apply(v, u.OnActive(0, v))
+	activeBatch := v.Apps[3].CurrentTarget + v.Apps[4].CurrentTarget + v.Apps[5].CurrentTarget
 
-	v.Apps[0].ActiveNow = false
+	v.Apps[0].Active = false
 	resizes := u.OnIdle(0, v)
-	v.Apply(resizes)
+	apply(v, resizes)
 	s, _ := u.Sizing(0)
 	if got := targetOf(t, resizes, 0); got != s.SIdle {
 		t.Errorf("idle target should be sIdle (%d), got %d", s.SIdle, got)
 	}
-	idleBatch := v.Apps[3].Target + v.Apps[4].Target + v.Apps[5].Target
+	idleBatch := v.Apps[3].CurrentTarget + v.Apps[4].CurrentTarget + v.Apps[5].CurrentTarget
 	if idleBatch < activeBatch {
 		t.Errorf("batch space should not shrink when an LC app idles: %d -> %d", activeBatch, idleBatch)
 	}
@@ -278,9 +290,9 @@ func TestUbikSlackShrinksActiveSizeForInsensitiveApps(t *testing.T) {
 	slacked := NewUbikWithSlack(0.05)
 	vStrict := ubikView()
 	vSlack := ubikView()
-	for _, v := range []*policytest.FakeView{vStrict, vSlack} {
+	for _, v := range []*policy.PlantView{vStrict, vSlack} {
 		for i := 0; i < 3; i++ {
-			v.Apps[i].Curve = policytest.FlatCurve(v.Lines, 300, 1000)
+			v.Apps[i].Curve = monitor.FlatCurve(v.Lines, 65, 300, 1000)
 		}
 	}
 	// Open up the miss slack with comfortable request latencies.
@@ -293,8 +305,8 @@ func TestUbikSlackShrinksActiveSizeForInsensitiveApps(t *testing.T) {
 
 	// Both downsize the idle flat-curve app fully; the difference shows in the
 	// *active* size, which the slack variant reduces below the target.
-	vSlack.Apps[0].ActiveNow = true
-	vStrict.Apps[0].ActiveNow = true
+	vSlack.Apps[0].Active = true
+	vStrict.Apps[0].Active = true
 	sStrict, _ := strict.Sizing(0)
 	sSlack, _ := slacked.Sizing(0)
 	if sSlack.SActive >= sStrict.SActive {
@@ -314,23 +326,23 @@ func TestUbikLowWatermarkRevertsToStrictSizing(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		u.OnRequestComplete(0, 50_000, v)
 	}
-	v.Apply(u.Reconfigure(v))
-	v.Apps[0].ActiveNow = true
+	apply(v, u.Reconfigure(v))
+	v.Apps[0].Active = true
 	v.Apps[0].Misses = 5000
-	v.Apply(u.OnActive(0, v))
+	apply(v, u.OnActive(0, v))
 	if !u.Boosting(0) {
 		t.Skip("app did not boost; low watermark not exercised")
 	}
 	// The request suffers far more misses than the no-downsizing estimate:
 	// the low watermark must trip and revert to the strict sizing.
 	v.Apps[0].Misses = 5000 + 1000
-	v.Apps[0].UMONMissesAtFn = func(lines uint64) float64 { return 10 }
+	v.Apps[0].MissesAtSince = func(_ monitor.UMONSnapshot, _ uint64) float64 { return 10 }
 	resizes := u.OnLCCheck(0, v)
 	if resizes == nil {
 		t.Fatalf("low watermark should trigger a resize")
 	}
 	s, _ := u.Sizing(0)
-	if s.SActive != v.Apps[0].LCTarget && targetOf(t, resizes, 0) < v.Apps[0].LCTarget {
+	if s.SActive != v.Apps[0].LCTargetLines && targetOf(t, resizes, 0) < v.Apps[0].LCTargetLines {
 		t.Errorf("after the low watermark the app should fall back to its full target sizing")
 	}
 	if !hasResizeFor(resizes, 0) {
@@ -341,14 +353,14 @@ func TestUbikLowWatermarkRevertsToStrictSizing(t *testing.T) {
 func TestUbikDisableDeboostKeepsBoostUntilTimeout(t *testing.T) {
 	u := NewUbikWithConfig(Config{DisableDeboost: true})
 	v := ubikView()
-	v.Apply(u.Reconfigure(v))
-	v.Apps[0].ActiveNow = true
-	v.Apply(u.OnActive(0, v))
+	apply(v, u.Reconfigure(v))
+	v.Apps[0].Active = true
+	apply(v, u.OnActive(0, v))
 	if !u.Boosting(0) {
 		t.Skip("app did not boost")
 	}
 	// Even a clearly recovered app stays boosted when de-boosting is disabled.
-	v.Apps[0].UMONMissesAtFn = func(lines uint64) float64 { return 1e9 }
+	v.Apps[0].MissesAtSince = func(_ monitor.UMONSnapshot, _ uint64) float64 { return 1e9 }
 	if resizes := u.OnLCCheck(0, v); resizes != nil {
 		t.Errorf("with de-boosting disabled the boost should persist, got %v", resizes)
 	}
@@ -363,7 +375,7 @@ func TestRepartTableBasics(t *testing.T) {
 	curves := []monitor.MissCurve{
 		policytest.LinearCurve(total, 3000, 6000, 500, 8000), // sensitive
 		policytest.LinearCurve(total, 1600, 4000, 200, 6000), // fitting
-		policytest.FlatCurve(total, 9000, 10000),             // streaming
+		monitor.FlatCurve(total, 65, 9000, 10000),            // streaming
 	}
 	weights := []float64{80, 80, 80}
 	tab := BuildRepartTable(apps, curves, weights, 3072, total, 256)
@@ -420,12 +432,12 @@ func TestRepartTableEmptyAndDegenerate(t *testing.T) {
 		t.Errorf("no batch apps should give zero hits")
 	}
 	// Degenerate bucket counts clamp.
-	tab2 := BuildRepartTable([]int{0}, []monitor.MissCurve{policytest.FlatCurve(64, 10, 10)}, []float64{1}, 64, 64, 0)
+	tab2 := BuildRepartTable([]int{0}, []monitor.MissCurve{monitor.FlatCurve(64, 65, 10, 10)}, []float64{1}, 64, 64, 0)
 	if tab2.Buckets() < 1 {
 		t.Errorf("bucket count should clamp to at least 1")
 	}
 	// Baseline budget beyond the total clamps.
-	tab3 := BuildRepartTable([]int{0}, []monitor.MissCurve{policytest.FlatCurve(64, 10, 10)}, []float64{1}, 10_000, 64, 4)
+	tab3 := BuildRepartTable([]int{0}, []monitor.MissCurve{monitor.FlatCurve(64, 65, 10, 10)}, []float64{1}, 10_000, 64, 4)
 	if got := tab3.AllocationsFor(64); len(got) != 1 {
 		t.Errorf("allocations should still be produced")
 	}

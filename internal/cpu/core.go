@@ -256,15 +256,6 @@ func (p PerfCounters) MissRate() float64 {
 	return float64(p.LLCMisses) / float64(p.LLCAccesses)
 }
 
-// PrivateHitRate returns the fraction of demand accesses served by the
-// private L1/L2 levels (0 on a flat hierarchy).
-func (p PerfCounters) PrivateHitRate() float64 {
-	if p.DemandAccesses == 0 {
-		return 0
-	}
-	return float64(p.L1Hits+p.L2Hits) / float64(p.DemandAccesses)
-}
-
 // APKI returns LLC accesses per thousand instructions over the window.
 func (p PerfCounters) APKI() float64 {
 	if p.Instructions == 0 {

@@ -108,23 +108,16 @@ func TestPerfCountersAtLevel(t *testing.T) {
 	if p.DemandAccesses != 4 || p.L1Hits != 1 || p.L2Hits != 1 || p.LLCAccesses != 2 || p.LLCMisses != 1 {
 		t.Errorf("per-level counters wrong: %+v", p)
 	}
-	if p.PrivateHitRate() != 0.5 {
-		t.Errorf("private hit rate = %v, want 0.5", p.PrivateHitRate())
-	}
 	snap := p
 	p.AddAtLevel(100, 54, 1)
 	d := p.Sub(snap)
 	if d.DemandAccesses != 1 || d.L1Hits != 1 || d.LLCAccesses != 0 {
 		t.Errorf("windowed per-level counters wrong: %+v", d)
 	}
-	var empty PerfCounters
-	if empty.PrivateHitRate() != 0 {
-		t.Errorf("empty counters should report zero private hit rate")
-	}
 	// The flat Add counts every access as a demand access reaching the LLC.
 	var flat PerfCounters
 	flat.Add(100, 70, false)
-	if flat.DemandAccesses != 1 || flat.LLCAccesses != 1 || flat.PrivateHitRate() != 0 {
+	if flat.DemandAccesses != 1 || flat.LLCAccesses != 1 || flat.L1Hits+flat.L2Hits != 0 {
 		t.Errorf("flat Add counters wrong: %+v", flat)
 	}
 }

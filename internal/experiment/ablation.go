@@ -12,7 +12,7 @@ import (
 // throughput without improving tail latency.
 func AblationDeboost(cfg sim.Config, scale Scale) (Table, error) {
 	schemes := []Scheme{
-		{Name: "Ubik (accurate de-boost)", NewPolicy: func() policy.Policy { return core.NewUbikWithSlack(0.05) }},
+		catalogued("Ubik (accurate de-boost)", "ubik", 0.05),
 		{Name: "Ubik (deadline de-boost)", NewPolicy: func() policy.Policy {
 			return core.NewUbikWithConfig(core.Config{Slack: 0.05, DisableDeboost: true, BoostTimeoutDeadlines: 1})
 		}},
@@ -26,7 +26,7 @@ func AblationDeboost(cfg sim.Config, scale Scale) (Table, error) {
 // throughput.
 func AblationTransientBound(cfg sim.Config, scale Scale) (Table, error) {
 	schemes := []Scheme{
-		{Name: "Ubik (conservative bounds)", NewPolicy: func() policy.Policy { return core.NewUbikWithSlack(0.05) }},
+		catalogued("Ubik (conservative bounds)", "ubik", 0.05),
 		{Name: "Ubik (exact transients)", NewPolicy: func() policy.Policy {
 			return core.NewUbikWithConfig(core.Config{Slack: 0.05, ExactTransients: true})
 		}},

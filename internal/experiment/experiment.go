@@ -13,10 +13,10 @@ import (
 	"sync"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/mix"
 	"repro/internal/parallel"
 	"repro/internal/policy"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -119,15 +119,26 @@ type Scheme struct {
 	Unpartitioned bool
 }
 
+// catalogued builds a table scheme from the scenario layer's scheme catalogue
+// — the single place a scheme name becomes a policy and a cache organisation —
+// under the display name the tables print.
+func catalogued(display, name string, slack float64) Scheme {
+	r, err := scenario.ResolveScheme(name, slack)
+	if err != nil {
+		panic(err) // every caller passes a literal catalogue name
+	}
+	return Scheme{Name: display, NewPolicy: r.NewPolicy, Unpartitioned: r.Unpartitioned}
+}
+
 // StandardSchemes returns the five schemes of Figures 9-11: LRU, UCP, OnOff,
 // StaticLC and Ubik with the paper's default 5% slack.
 func StandardSchemes() []Scheme {
 	return []Scheme{
-		{Name: "LRU", NewPolicy: func() policy.Policy { return policy.NewLRU() }, Unpartitioned: true},
-		{Name: "UCP", NewPolicy: func() policy.Policy { return policy.NewUCP() }},
-		{Name: "OnOff", NewPolicy: func() policy.Policy { return policy.NewOnOff() }},
-		{Name: "StaticLC", NewPolicy: func() policy.Policy { return policy.NewStaticLC() }},
-		{Name: "Ubik", NewPolicy: func() policy.Policy { return core.NewUbikWithSlack(0.05) }},
+		catalogued("LRU", "lru", 0),
+		catalogued("UCP", "ucp", 0),
+		catalogued("OnOff", "onoff", 0),
+		catalogued("StaticLC", "staticlc", 0),
+		catalogued("Ubik", "ubik", 0.05),
 	}
 }
 
@@ -135,11 +146,7 @@ func StandardSchemes() []Scheme {
 func UbikSlackSchemes() []Scheme {
 	var out []Scheme
 	for _, slack := range []float64{0, 0.01, 0.05, 0.10} {
-		slack := slack
-		out = append(out, Scheme{
-			Name:      fmt.Sprintf("Ubik slack=%g%%", slack*100),
-			NewPolicy: func() policy.Policy { return core.NewUbikWithSlack(slack) },
-		})
+		out = append(out, catalogued(fmt.Sprintf("Ubik slack=%g%%", slack*100), "ubik", slack))
 	}
 	return out
 }

@@ -108,18 +108,6 @@ func (m MissCurve) Scale(factor float64) MissCurve {
 	return out
 }
 
-// MonotonicNonIncreasing reports whether the curve never increases with
-// allocation (true for LRU-managed caches by inclusion; sampled curves can
-// violate it slightly, and the policies tolerate that).
-func (m MissCurve) MonotonicNonIncreasing() bool {
-	for i := 1; i < len(m.Misses); i++ {
-		if m.Misses[i] > m.Misses[i-1]+1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
 // Validate reports structural problems in the curve.
 func (m MissCurve) Validate() error {
 	if len(m.Misses) < 2 {

@@ -11,8 +11,7 @@ package monitor
 // M is one of the two inputs to Ubik's transient model (the other is the miss
 // probability curve from the UMON).
 type MLPProfiler struct {
-	misses      uint64
-	stallCycles float64
+	misses uint64
 	// window keeps an exponentially-decayed estimate so that M tracks phase
 	// changes without forgetting everything at every reconfiguration.
 	decayedMisses float64
@@ -36,7 +35,6 @@ func (p *MLPProfiler) RecordMiss(stallCycles float64) {
 		stallCycles = 0
 	}
 	p.misses++
-	p.stallCycles += stallCycles
 	p.decayedMisses = p.decayedMisses*p.decay + 1
 	p.decayedStall = p.decayedStall*p.decay + stallCycles
 }
@@ -53,14 +51,6 @@ func (p *MLPProfiler) AvgMissPenalty(fallback float64) float64 {
 	return p.decayedStall / p.decayedMisses
 }
 
-// CumulativeAvg returns the undecayed average penalty over all recorded misses.
-func (p *MLPProfiler) CumulativeAvg(fallback float64) float64 {
-	if p.misses == 0 {
-		return fallback
-	}
-	return p.stallCycles / float64(p.misses)
-}
-
 // Clone returns an independent copy of the profiler.
 func (p *MLPProfiler) Clone() *MLPProfiler {
 	c := *p
@@ -70,7 +60,6 @@ func (p *MLPProfiler) Clone() *MLPProfiler {
 // Reset clears the profiler.
 func (p *MLPProfiler) Reset() {
 	p.misses = 0
-	p.stallCycles = 0
 	p.decayedMisses = 0
 	p.decayedStall = 0
 }

@@ -73,31 +73,6 @@ func (r *ReuseProfiler) Breakdown() []float64 {
 	return out
 }
 
-// HitFraction returns the overall hit rate.
-func (r *ReuseProfiler) HitFraction() float64 {
-	if r.accesses == 0 {
-		return 0
-	}
-	return 1 - float64(r.misses)/float64(r.accesses)
-}
-
-// CrossRequestHitFraction returns the fraction of *hits* whose line was last
-// touched by a previous request — the paper's measure of inertia ("more than
-// half of the hits come from lines brought in by previous requests").
-func (r *ReuseProfiler) CrossRequestHitFraction() float64 {
-	var hits, cross uint64
-	for age, h := range r.hitsByAge {
-		hits += h
-		if age >= 1 {
-			cross += h
-		}
-	}
-	if hits == 0 {
-		return 0
-	}
-	return float64(cross) / float64(hits)
-}
-
 // Reset clears the profiler.
 func (r *ReuseProfiler) Reset() {
 	for i := range r.hitsByAge {

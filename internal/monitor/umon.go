@@ -119,14 +119,6 @@ func NewUMONIn(modelLines uint64, ways, sampleSets int, words []uint64) (*UMON, 
 // Ways returns the monitor's associativity (the number of raw curve points).
 func (u *UMON) Ways() int { return u.ways }
 
-// ModelLines returns the allocation corresponding to the full monitored cache.
-func (u *UMON) ModelLines() uint64 { return u.modelLines }
-
-// SamplingRatio returns the fraction of sets (and hence accesses) sampled.
-func (u *UMON) SamplingRatio() float64 {
-	return float64(u.sampleSets) / float64(u.totalSets)
-}
-
 // hashAddr mixes the line address for set selection.
 func umonHash(addr uint64) uint64 {
 	x := addr

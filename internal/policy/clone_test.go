@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/monitor"
 	"repro/internal/policy"
 	"repro/internal/policy/policytest"
 )
@@ -16,17 +17,17 @@ import (
 // side must be invisible to the other.
 
 // onOffView builds a two-LC, two-batch machine with distinguishable curves.
-func onOffView() *policytest.FakeView {
-	return &policytest.FakeView{
-		Lines:    4096,
-		Interval: 1_000_000,
-		Apps: []policytest.AppState{
-			{LatencyCritical: true, ActiveNow: true, LCTarget: 1024,
-				Curve: policytest.LinearCurve(4096, 1024, 800, 50, 1000), MissPenaltyCycles: 100},
-			{LatencyCritical: true, ActiveNow: false, LCTarget: 1024,
-				Curve: policytest.LinearCurve(4096, 1024, 700, 40, 900), MissPenaltyCycles: 100},
-			{Curve: policytest.LinearCurve(4096, 2048, 900, 100, 2000), MissPenaltyCycles: 120},
-			{Curve: policytest.FlatCurve(4096, 500, 1500), MissPenaltyCycles: 80},
+func onOffView() *policy.PlantView {
+	return &policy.PlantView{
+		Lines:       4096,
+		EpochCycles: 1_000_000,
+		Apps: []policy.AppObservation{
+			{LatencyCritical: true, Active: true, LCTargetLines: 1024,
+				Curve: policytest.LinearCurve(4096, 1024, 800, 50, 1000), MissPenalty: 100},
+			{LatencyCritical: true, Active: false, LCTargetLines: 1024,
+				Curve: policytest.LinearCurve(4096, 1024, 700, 40, 900), MissPenalty: 100},
+			{Curve: policytest.LinearCurve(4096, 2048, 900, 100, 2000), MissPenalty: 120},
+			{Curve: monitor.FlatCurve(4096, 65, 500, 1500), MissPenalty: 80},
 		},
 	}
 }
@@ -39,7 +40,7 @@ func onOffView() *policytest.FakeView {
 func TestOnOffCloneCarriesPendingTransitions(t *testing.T) {
 	v := onOffView()
 	orig := policy.NewOnOff()
-	v.Apply(orig.Reconfigure(v))
+	apply(v, orig.Reconfigure(v))
 
 	clone, ok := orig.Clone().(*policy.OnOff)
 	if !ok {
@@ -48,7 +49,7 @@ func TestOnOffCloneCarriesPendingTransitions(t *testing.T) {
 
 	// The pending transition: app 1 becomes active. Both copies must answer
 	// from the same precomputed row.
-	v.Apps[1].ActiveNow = true
+	v.Apps[1].Active = true
 	origResizes := orig.OnActive(1, v)
 	cloneResizes := clone.OnActive(1, v)
 	if !reflect.DeepEqual(origResizes, cloneResizes) {
@@ -62,16 +63,16 @@ func TestOnOffCloneCarriesPendingTransitions(t *testing.T) {
 	// genuinely changes, then check the clone still serves the old epoch.
 	v2 := onOffView()
 	v2.Apps[2].Curve = policytest.LinearCurve(4096, 4096, 4000, 10, 8000)
-	v2.Apps[1].ActiveNow = true
-	v2.Apply(orig.Reconfigure(v2))
+	v2.Apps[1].Active = true
+	apply(v2, orig.Reconfigure(v2))
 
-	v.Apps[1].ActiveNow = false
+	v.Apps[1].Active = false
 	cloneIdle := clone.OnIdle(1, v)
 	// Re-derive what a fresh policy at the old epoch would answer.
 	ref := policy.NewOnOff()
 	vRef := onOffView()
-	vRef.Apply(ref.Reconfigure(vRef))
-	vRef.Apps[1].ActiveNow = false
+	apply(vRef, ref.Reconfigure(vRef))
+	vRef.Apps[1].Active = false
 	refIdle := ref.OnIdle(1, vRef)
 	if !reflect.DeepEqual(cloneIdle, refIdle) {
 		t.Errorf("reconfiguring the original leaked into the clone's table:\nclone %v\nref   %v", cloneIdle, refIdle)

@@ -144,26 +144,3 @@ func (r *lookaheadRow) rescan(remainingBuckets, bucketLines uint64) {
 		}
 	}
 }
-
-// MarginalHits returns the extra hits an application would gain from
-// additional lines on top of a base allocation, according to its miss curve.
-func MarginalHits(curve monitor.MissCurve, baseLines, extraLines uint64) float64 {
-	gain := curve.At(baseLines) - curve.At(baseLines+extraLines)
-	if gain < 0 {
-		return 0
-	}
-	return gain
-}
-
-// MarginalMisses returns the extra misses an application would suffer from
-// losing lines below a base allocation.
-func MarginalMisses(curve monitor.MissCurve, baseLines, lostLines uint64) float64 {
-	if lostLines > baseLines {
-		lostLines = baseLines
-	}
-	loss := curve.At(baseLines-lostLines) - curve.At(baseLines)
-	if loss < 0 {
-		return 0
-	}
-	return loss
-}

@@ -90,17 +90,17 @@ func lookaheadNaive(curves []policy.WeightedCurve, budgetLines, bucketLines uint
 func randomCurve(rng *rand.Rand, total uint64) monitor.MissCurve {
 	switch rng.Intn(4) {
 	case 0:
-		return policytest.FlatCurve(total, float64(rng.Intn(1000)), 1000)
+		return monitor.FlatCurve(total, 65, float64(rng.Intn(1000)), 1000)
 	case 1:
 		return policytest.LinearCurve(total, uint64(rng.Int63n(int64(total)+1)), 1000, float64(rng.Intn(500)), 1000)
 	case 2:
-		c := policytest.FlatCurve(total, 1000, 1000)
+		c := monitor.FlatCurve(total, 65, 1000, 1000)
 		for i := rng.Intn(len(c.Misses)); i < len(c.Misses); i++ {
 			c.Misses[i] = 100
 		}
 		return c
 	default:
-		c := policytest.FlatCurve(total, 0, 1000)
+		c := monitor.FlatCurve(total, 65, 0, 1000)
 		m := 1000.0
 		for i := range c.Misses {
 			c.Misses[i] = m

@@ -112,19 +112,3 @@ func (Base) OnLCCheck(int, View) []Resize { return nil }
 
 // OnRequestComplete implements Policy.
 func (Base) OnRequestComplete(int, uint64, View) []Resize { return nil }
-
-// EqualShare returns resizes that split the cache evenly across all
-// applications, the natural starting allocation before any profiling data
-// exists.
-func EqualShare(v View) []Resize {
-	n := v.NumApps()
-	if n == 0 {
-		return nil
-	}
-	per := v.TotalLines() / uint64(n)
-	out := make([]Resize, n)
-	for i := 0; i < n; i++ {
-		out[i] = Resize{App: i, Target: per}
-	}
-	return out
-}

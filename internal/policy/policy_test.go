@@ -44,7 +44,7 @@ func TestLookaheadPrefersSensitiveApp(t *testing.T) {
 	// most of the budget to app 0.
 	curves := []policy.WeightedCurve{
 		{Curve: policytest.LinearCurve(1024, 800, 1000, 0, 1000), Weight: 100},
-		{Curve: policytest.FlatCurve(1024, 500, 1000), Weight: 100},
+		{Curve: monitor.FlatCurve(1024, 65, 500, 1000), Weight: 100},
 	}
 	alloc := policy.Lookahead(curves, 1024, 4)
 	if alloc[0] < 700 {
@@ -73,7 +73,7 @@ func TestLookaheadEdgeCases(t *testing.T) {
 	if alloc := policy.Lookahead(nil, 100, 4); len(alloc) != 0 {
 		t.Errorf("no curves should give empty allocation")
 	}
-	curves := []policy.WeightedCurve{{Curve: policytest.FlatCurve(100, 10, 10), Weight: 1}}
+	curves := []policy.WeightedCurve{{Curve: monitor.FlatCurve(100, 65, 10, 10), Weight: 1}}
 	if alloc := policy.Lookahead(curves, 0, 4); alloc[0] != 0 {
 		t.Errorf("zero budget should give zero allocation")
 	}
@@ -83,7 +83,7 @@ func TestLookaheadEdgeCases(t *testing.T) {
 		t.Errorf("flat curve should still absorb leftover budget: %d", alloc[0])
 	}
 	// Minimums larger than the budget are truncated.
-	big := []policy.WeightedCurve{{Curve: policytest.FlatCurve(100, 10, 10), Weight: 1, Min: 1000}}
+	big := []policy.WeightedCurve{{Curve: monitor.FlatCurve(100, 65, 10, 10), Weight: 1, Min: 1000}}
 	if a := policy.Lookahead(big, 100, 4); a[0] != 100 {
 		t.Errorf("minimum should be truncated to the budget: %d", a[0])
 	}
@@ -93,7 +93,7 @@ func TestLookaheadNeverExceedsBudget(t *testing.T) {
 	curves := []policy.WeightedCurve{
 		{Curve: policytest.LinearCurve(4096, 3000, 5000, 100, 5000), Weight: 50},
 		{Curve: policytest.LinearCurve(4096, 1000, 2000, 50, 2000), Weight: 80},
-		{Curve: policytest.FlatCurve(4096, 1000, 1000), Weight: 120},
+		{Curve: monitor.FlatCurve(4096, 65, 1000, 1000), Weight: 120},
 	}
 	for _, budget := range []uint64{0, 16, 100, 1000, 4096} {
 		alloc := policy.Lookahead(curves, budget, 16)
@@ -107,42 +107,33 @@ func TestLookaheadNeverExceedsBudget(t *testing.T) {
 	}
 }
 
-func TestMarginalHitsAndMisses(t *testing.T) {
-	c := policytest.LinearCurve(1000, 1000, 1000, 0, 1000)
-	if got := policy.MarginalHits(c, 100, 100); got < 90 || got > 110 {
-		t.Errorf("MarginalHits = %v, want about 100", got)
+// apply folds a policy's resizes into the view's targets, the way a plant
+// threads its live allocation through successive policy calls.
+func apply(v *policy.PlantView, resizes []policy.Resize) {
+	targets := make([]uint64, len(v.Apps))
+	for i, a := range v.Apps {
+		targets[i] = a.CurrentTarget
 	}
-	if got := policy.MarginalMisses(c, 200, 100); got < 90 || got > 110 {
-		t.Errorf("MarginalMisses = %v, want about 100", got)
-	}
-	// Losing more than the base allocation clamps.
-	if got := policy.MarginalMisses(c, 50, 500); got < 40 || got > 60 {
-		t.Errorf("clamped MarginalMisses = %v, want about 50", got)
-	}
-	flat := policytest.FlatCurve(1000, 500, 1000)
-	if policy.MarginalHits(flat, 0, 1000) != 0 {
-		t.Errorf("flat curve should have no marginal hits")
-	}
-	if policy.MarginalMisses(flat, 1000, 1000) != 0 {
-		t.Errorf("flat curve should have no marginal misses")
+	for i, target := range policy.ApplyResizes(targets, resizes) {
+		v.Apps[i].CurrentTarget = target
 	}
 }
 
 // mixView builds a 6-app view: apps 0-2 latency-critical, apps 3-5 batch.
-func mixView() *policytest.FakeView {
+func mixView() *policy.PlantView {
 	total := uint64(6144)
-	v := &policytest.FakeView{Lines: total, Interval: 1_000_000}
+	v := &policy.PlantView{Lines: total, EpochCycles: 1_000_000}
 	for i := 0; i < 3; i++ {
-		v.Apps = append(v.Apps, policytest.AppState{
-			LatencyCritical:   true,
-			ActiveNow:         i == 0, // only LC app 0 is active right now
-			Curve:             policytest.LinearCurve(total, 1024, 200, 20, 400),
-			MissPenaltyCycles: 100,
-			CyclesPerAccess:   60,
-			LCTarget:          1024,
-			Deadline:          500_000,
-			Idle:              0.8,
-			Target:            1024,
+		v.Apps = append(v.Apps, policy.AppObservation{
+			LatencyCritical:    true,
+			Active:             i == 0, // only LC app 0 is active right now
+			Curve:              policytest.LinearCurve(total, 1024, 200, 20, 400),
+			MissPenalty:        100,
+			CyclesPerAccessHit: 60,
+			LCTargetLines:      1024,
+			DeadlineCycles:     500_000,
+			IdleFraction:       0.8,
+			CurrentTarget:      1024,
 		})
 	}
 	// Batch apps: one sensitive, one fitting, one streaming.
@@ -151,15 +142,15 @@ func mixView() *policytest.FakeView {
 	}{
 		{policytest.LinearCurve(total, 2048, 5000, 500, 8000)},
 		{policytest.LinearCurve(total, 1600, 4000, 200, 6000)},
-		{policytest.FlatCurve(total, 9000, 10000)},
+		{monitor.FlatCurve(total, 65, 9000, 10000)},
 	}
 	for _, b := range batchCurves {
-		v.Apps = append(v.Apps, policytest.AppState{
-			ActiveNow:         true,
-			Curve:             b.curve,
-			MissPenaltyCycles: 80,
-			CyclesPerAccess:   30,
-			Target:            1024,
+		v.Apps = append(v.Apps, policy.AppObservation{
+			Active:             true,
+			Curve:              b.curve,
+			MissPenalty:        80,
+			CyclesPerAccessHit: 30,
+			CurrentTarget:      1024,
 		})
 	}
 	return v
@@ -202,12 +193,12 @@ func TestUCPIgnoresLatencyCriticality(t *testing.T) {
 	// Make the LC apps' curves look nearly flat (low utility), as they do
 	// when the apps are mostly idle.
 	for i := 0; i < 3; i++ {
-		v.Apps[i].Curve = policytest.FlatCurve(v.Lines, 10, 20)
+		v.Apps[i].Curve = monitor.FlatCurve(v.Lines, 65, 10, 20)
 	}
 	p := policy.NewUCP()
 	resizes := p.Reconfigure(v)
 	for i := 0; i < 3; i++ {
-		if got := targetOf(t, resizes, i); got > v.Apps[i].LCTarget/2 {
+		if got := targetOf(t, resizes, i); got > v.Apps[i].LCTargetLines/2 {
 			t.Errorf("UCP should starve low-utility LC app %d, gave %d lines", i, got)
 		}
 	}
@@ -261,8 +252,8 @@ func TestOnOffGivesSpaceOnlyWhenActive(t *testing.T) {
 	}
 
 	// Now LC app 1 becomes active: it should get its target back immediately.
-	v.Apply(resizes)
-	v.Apps[1].ActiveNow = true
+	apply(v, resizes)
+	v.Apps[1].Active = true
 	resizes = p.OnActive(1, v)
 	if got := targetOf(t, resizes, 1); got != 1024 {
 		t.Errorf("newly active LC app should get its target, got %d", got)
@@ -276,8 +267,8 @@ func TestOnOffGivesSpaceOnlyWhenActive(t *testing.T) {
 	}
 
 	// And when it goes idle again, batch space grows back.
-	v.Apply(resizes)
-	v.Apps[1].ActiveNow = false
+	apply(v, resizes)
+	v.Apps[1].Active = false
 	resizes = p.OnIdle(1, v)
 	if got := targetOf(t, resizes, 1); got != 0 {
 		t.Errorf("idle LC app should get nothing, got %d", got)
@@ -306,25 +297,8 @@ func TestOnOffBeforeReconfigureIsSafe(t *testing.T) {
 	}
 }
 
-func TestEqualShare(t *testing.T) {
-	v := mixView()
-	resizes := policy.EqualShare(v)
-	if len(resizes) != 6 {
-		t.Fatalf("expected 6 resizes")
-	}
-	for _, r := range resizes {
-		if r.Target != v.Lines/6 {
-			t.Errorf("app %d target %d, want %d", r.App, r.Target, v.Lines/6)
-		}
-	}
-	empty := &policytest.FakeView{}
-	if policy.EqualShare(empty) != nil {
-		t.Errorf("no apps should give no resizes")
-	}
-}
-
 func TestPoliciesHandleZeroApps(t *testing.T) {
-	empty := &policytest.FakeView{Lines: 1024}
+	empty := &policy.PlantView{Lines: 1024}
 	for _, p := range []policy.Policy{policy.NewUCP(), policy.NewStaticLC(), policy.NewOnOff(), policy.NewLRU()} {
 		if got := p.Reconfigure(empty); len(got) != 0 {
 			t.Errorf("%s with zero apps should return no resizes", p.Name())

@@ -4,6 +4,7 @@
 package prof
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -17,22 +18,40 @@ var osCreate = os.Create
 // can finish the profiles on error paths that bypass main's defer.
 var active func() error
 
+// Flags holds the parsed -cpuprofile and -memprofile values.
+type Flags struct{ cpu, mem *string }
+
+// RegisterFlags declares -cpuprofile and -memprofile on fs.
+func RegisterFlags(fs *flag.FlagSet) *Flags {
+	return &Flags{
+		cpu: fs.String("cpuprofile", "", "write a CPU profile to this file"),
+		mem: fs.String("memprofile", "", "write a heap profile to this file at exit"),
+	}
+}
+
+// Start begins the profiles the parsed flags ask for. Call it right after
+// flag parsing and defer the returned function with the address of the
+// caller's named error result: it finishes the profiles, and since a
+// truncated profile must fail the run but never mask a run error, it stores
+// a failure to finish them only into a nil *retErr.
+func (f *Flags) Start() (finish func(retErr *error), err error) {
+	stop, err := Start(*f.cpu, *f.mem)
+	if err != nil {
+		return nil, err
+	}
+	return func(retErr *error) {
+		if perr := stop(); *retErr == nil {
+			*retErr = perr
+		}
+	}, nil
+}
+
 // Start begins CPU profiling to cpuPath (if non-empty) and returns an
 // idempotent stop function that ends the CPU profile, closes its file, and
-// writes a heap profile to memPath (if non-empty). Call it right after flag
-// parsing and run the stop function on every exit path, checking its error —
-// a close that fails can truncate the profile trailer, and a perf run with a
-// silently corrupt profile is worse than no run:
-//
-//	stop, err := prof.Start(*cpuProfile, *memProfile)
-//	if err != nil {
-//		return err
-//	}
-//	defer func() {
-//		if perr := stop(); retErr == nil {
-//			retErr = perr
-//		}
-//	}()
+// writes a heap profile to memPath (if non-empty). Run the stop function on
+// every exit path, checking its error — a close that fails can truncate the
+// profile trailer, and a perf run with a silently corrupt profile is worse
+// than no run.
 //
 // Error paths that exit via os.Exit (skipping defers) must call Flush first,
 // or the CPU profile is left without its trailer and the heap profile is

@@ -74,14 +74,6 @@ func (q *FIFO) Pop() *Request {
 	return r
 }
 
-// Peek returns the oldest request without removing it, or nil if empty.
-func (q *FIFO) Peek() *Request {
-	if len(q.items) == 0 {
-		return nil
-	}
-	return q.items[0]
-}
-
 // Clone returns a deep copy of the queue; every queued request is duplicated
 // so mutations through either queue cannot alias the other. The copies are
 // block-allocated — two allocations regardless of queue depth — because
@@ -109,11 +101,9 @@ func (q *FIFO) Clone() FIFO {
 type Recorder struct {
 	latencies    *stats.Sample
 	serviceTimes *stats.Sample
-	queueDelays  *stats.Sample
 	windows      *stats.Windowed
 	perRequest   []float64 // nil unless KeepPerRequest enabled recording
 	completed    uint64
-	warmups      uint64
 }
 
 // NewRecorder returns an empty recorder sized for n requests.
@@ -121,7 +111,6 @@ func NewRecorder(n int) *Recorder {
 	return &Recorder{
 		latencies:    stats.NewSample(n),
 		serviceTimes: stats.NewSample(n),
-		queueDelays:  stats.NewSample(n),
 	}
 }
 
@@ -142,9 +131,7 @@ func (rec *Recorder) Clone() *Recorder {
 	c := &Recorder{
 		latencies:    rec.latencies.Clone(),
 		serviceTimes: rec.serviceTimes.Clone(),
-		queueDelays:  rec.queueDelays.Clone(),
 		completed:    rec.completed,
-		warmups:      rec.warmups,
 	}
 	if rec.windows != nil {
 		c.windows = rec.windows.Clone()
@@ -156,13 +143,12 @@ func (rec *Recorder) Clone() *Recorder {
 	return c
 }
 
-// Record adds a completed request; warmup requests are counted but not
-// included in the statistics. Windowed latencies are keyed by the request's
+// Record adds a completed request; warmup requests are excluded from the
+// statistics. Windowed latencies are keyed by the request's
 // arrival cycle: a request that arrived during a burst counts against the
 // burst's window even if it completed after the burst ended.
 func (rec *Recorder) Record(r *Request) {
 	if r.Warmup {
-		rec.warmups++
 		return
 	}
 	rec.completed++
@@ -171,7 +157,6 @@ func (rec *Recorder) Record(r *Request) {
 	}
 	rec.latencies.Add(float64(r.Latency()))
 	rec.serviceTimes.Add(float64(r.ServiceTime()))
-	rec.queueDelays.Add(float64(r.QueueDelay()))
 	if rec.windows != nil {
 		rec.windows.Add(r.ArrivalCycle, float64(r.Latency()))
 	}
@@ -220,9 +205,6 @@ func (rec *Recorder) WindowCycles() uint64 {
 // Completed returns the number of measured (non-warmup) requests.
 func (rec *Recorder) Completed() uint64 { return rec.completed }
 
-// Warmups returns the number of warmup requests recorded.
-func (rec *Recorder) Warmups() uint64 { return rec.warmups }
-
 // MeanLatency returns the mean request latency in cycles.
 func (rec *Recorder) MeanLatency() float64 { return rec.latencies.Mean() }
 
@@ -261,9 +243,6 @@ func (rec *Recorder) Latencies() *stats.Sample { return rec.latencies }
 // ServiceTimes returns the service-time sample (no queueing delay), the
 // quantity plotted in Figure 1b.
 func (rec *Recorder) ServiceTimes() *stats.Sample { return rec.serviceTimes }
-
-// QueueDelays returns the queueing-delay sample.
-func (rec *Recorder) QueueDelays() *stats.Sample { return rec.queueDelays }
 
 // MeanServiceTime returns the mean service time in cycles.
 func (rec *Recorder) MeanServiceTime() float64 { return rec.serviceTimes.Mean() }

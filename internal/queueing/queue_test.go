@@ -28,17 +28,14 @@ func TestFIFOOrdering(t *testing.T) {
 	if !q.Empty() || q.Len() != 0 {
 		t.Errorf("new queue should be empty")
 	}
-	if q.Pop() != nil || q.Peek() != nil {
-		t.Errorf("pop/peek on empty queue should return nil")
+	if q.Pop() != nil {
+		t.Errorf("pop on empty queue should return nil")
 	}
 	for i := uint64(0); i < 5; i++ {
 		q.Push(&Request{ID: i})
 	}
 	if q.Len() != 5 || q.Empty() {
 		t.Errorf("queue length wrong")
-	}
-	if q.Peek().ID != 0 {
-		t.Errorf("peek should return the oldest request")
 	}
 	for i := uint64(0); i < 5; i++ {
 		r := q.Pop()
@@ -82,9 +79,6 @@ func TestRecorder(t *testing.T) {
 	if rec.Completed() != 2 {
 		t.Errorf("Completed = %d, want 2", rec.Completed())
 	}
-	if rec.Warmups() != 1 {
-		t.Errorf("Warmups = %d, want 1", rec.Warmups())
-	}
 	if math.Abs(rec.MeanLatency()-200) > 1e-9 {
 		t.Errorf("MeanLatency = %v, want 200", rec.MeanLatency())
 	}
@@ -95,7 +89,7 @@ func TestRecorder(t *testing.T) {
 	if math.Abs(rec.TailLatency(95)-300) > 1e-9 {
 		t.Errorf("TailLatency = %v, want 300", rec.TailLatency(95))
 	}
-	if rec.Latencies().Len() != 2 || rec.ServiceTimes().Len() != 2 || rec.QueueDelays().Len() != 2 {
+	if rec.Latencies().Len() != 2 || rec.ServiceTimes().Len() != 2 {
 		t.Errorf("samples should hold only measured requests")
 	}
 }
@@ -201,8 +195,8 @@ func TestRecorderWindowed(t *testing.T) {
 	if win.MeanLatency() != plain.MeanLatency() || win.TailLatency(95) != plain.TailLatency(95) {
 		t.Errorf("windowing must not change the aggregate statistics")
 	}
-	if win.Completed() != 4 || win.Warmups() != 1 {
-		t.Errorf("completed/warmups = %d/%d, want 4/1", win.Completed(), win.Warmups())
+	if win.Completed() != 4 {
+		t.Errorf("completed = %d, want 4 (the warmup stays out)", win.Completed())
 	}
 	if win.WindowCycles() != 1000 {
 		t.Errorf("WindowCycles = %d, want 1000", win.WindowCycles())

@@ -367,10 +367,14 @@ type ResolvedScheme struct {
 // PolicyName returns the display name of the scheme's policy.
 func (r ResolvedScheme) PolicyName() string { return r.NewPolicy().Name() }
 
-// ResolveScheme lowers one scheme entry.
-func ResolveScheme(sc Scheme) (ResolvedScheme, error) {
-	r := ResolvedScheme{Scheme: sc, Key: fmt.Sprintf("%s|slack=%v", strings.ToLower(sc.Name), sc.SlackOrDefault())}
-	switch strings.ToLower(sc.Name) {
+// ResolveScheme is the scheme catalogue: the one place a scheme name becomes a
+// policy constructor and a cache organisation. slack is Ubik's exact
+// tail-latency slack — 0 is strict Ubik, and the other schemes ignore it; a
+// scenario entry's "0 = the default" is resolved by the caller
+// (ResolvedSchemes).
+func ResolveScheme(name string, slack float64) (ResolvedScheme, error) {
+	r := ResolvedScheme{Key: fmt.Sprintf("%s|slack=%v", strings.ToLower(name), slack)}
+	switch strings.ToLower(name) {
 	case "lru":
 		r.NewPolicy, r.Unpartitioned = func() policy.Policy { return policy.NewLRU() }, true
 	case "ucp":
@@ -380,10 +384,9 @@ func ResolveScheme(sc Scheme) (ResolvedScheme, error) {
 	case "staticlc":
 		r.NewPolicy = func() policy.Policy { return policy.NewStaticLC() }
 	case "ubik":
-		slack := sc.SlackOrDefault()
 		r.NewPolicy = func() policy.Policy { return core.NewUbikWithSlack(slack) }
 	default:
-		return ResolvedScheme{}, fmt.Errorf("scenario: unknown scheme %q (known: lru, ucp, onoff, staticlc, ubik)", sc.Name)
+		return ResolvedScheme{}, fmt.Errorf("scenario: unknown scheme %q (known: lru, ucp, onoff, staticlc, ubik)", name)
 	}
 	return r, nil
 }
@@ -392,10 +395,11 @@ func ResolveScheme(sc Scheme) (ResolvedScheme, error) {
 func (s Spec) ResolvedSchemes() ([]ResolvedScheme, error) {
 	out := make([]ResolvedScheme, len(s.Schemes))
 	for i, sc := range s.Schemes {
-		r, err := ResolveScheme(sc)
+		r, err := ResolveScheme(sc.Name, sc.SlackOrDefault())
 		if err != nil {
 			return nil, err
 		}
+		r.Scheme = sc
 		out[i] = r
 	}
 	return out, nil
@@ -413,9 +417,11 @@ func (s Spec) ClusterFaults() []cluster.Fault {
 	return out
 }
 
-// Validate reports semantic problems with the scenario: unknown profile or
-// scheme names, malformed schedules, contradictory cluster shapes, and
-// fault plans that would strand a query without enough healthy nodes.
+// Validate reports semantic problems with the scenario. It checks itself
+// what only the format can get wrong (unknown profile or scheme names,
+// malformed schedules, the mix a fleet replicates) and lowers the rest to the
+// layer that runs it: the machine and report blocks to sim.Config's rules,
+// the fleet shape and fault plan to cluster.Shape's.
 func (s Spec) Validate() error {
 	if s.Version != Version {
 		return fmt.Errorf("scenario: unsupported version %d (this build reads version %d)", s.Version, Version)
@@ -447,7 +453,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario: schemes is required (at least one entry)")
 	}
 	for i, sc := range s.Schemes {
-		if _, err := ResolveScheme(sc); err != nil {
+		if _, err := ResolveScheme(sc.Name, sc.SlackOrDefault()); err != nil {
 			return fmt.Errorf("scenario: schemes[%d]: %w", i, err)
 		}
 		if sc.Slack != 0 && strings.ToLower(sc.Name) != "ubik" {
@@ -457,20 +463,19 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario: schemes[%d]: slack must be in (0,1), got %v", i, sc.Slack)
 		}
 	}
-	if s.Cluster != nil {
-		if err := s.validateCluster(); err != nil {
-			return err
+	// The machine and report settings are judged by the layer they lower to.
+	cfg := s.BaseConfig()
+	if s.Cluster == nil {
+		if len(s.Faults) > 0 {
+			return fmt.Errorf("scenario: faults need a cluster (fault plans target fleet nodes)")
 		}
-	} else if len(s.Faults) > 0 {
-		return fmt.Errorf("scenario: faults need a cluster (fault plans target fleet nodes)")
+		cfg.LatencyWindowCycles = s.Report.WindowCycles
+		return cfg.Validate()
 	}
-	if s.Report.WindowCycles > 0 && s.Report.WindowCycles < 1024 {
-		return fmt.Errorf("scenario: report.window_cycles must be 0 (auto) or at least 1024, got %d", s.Report.WindowCycles)
+	if err := cfg.Validate(); err != nil {
+		return err
 	}
-	if s.Report.TailPercentile < 0 || s.Report.TailPercentile >= 100 {
-		return fmt.Errorf("scenario: report.tail_percentile must be in (0,100), got %v", s.Report.TailPercentile)
-	}
-	return nil
+	return s.validateCluster()
 }
 
 // validateApp checks one mix entry.
@@ -523,12 +528,22 @@ func validateApp(i int, a App) error {
 	return nil
 }
 
-// validateCluster checks the fleet shape and the fault plan against it.
+// clusterShape lowers the fleet block, report settings and fault plan to the
+// cluster layer's rulebook (cluster scenarios only).
+func (s Spec) clusterShape() cluster.Shape {
+	c := s.Cluster
+	return cluster.Shape{
+		Nodes: c.Nodes, Fanout: c.FanoutOrDefault(), Quorum: c.Quorum, Hedged: c.Hedge > 0,
+		Balancer: c.BalancerKind(), WindowCycles: s.Report.WindowCycles,
+		TailPercentile: s.Report.TailPercentile, Faults: s.ClusterFaults(),
+	}
+}
+
+// validateCluster checks what only the scenario format can get wrong — the
+// mix a fleet replicates, the hedge fraction, the per-node overrides — and
+// leaves the fleet shape and fault plan to the cluster layer's rulebook.
 func (s Spec) validateCluster() error {
 	c := s.Cluster
-	if c.Nodes < 1 {
-		return fmt.Errorf("scenario: cluster.nodes must be at least 1, got %d", c.Nodes)
-	}
 	lcs := s.LCApps()
 	if len(lcs) != 1 || lcs[0].InstancesOrDefault() != 1 {
 		return fmt.Errorf("scenario: a cluster runs exactly one latency-critical replica per node; use one lc entry with instances 1")
@@ -536,32 +551,11 @@ func (s Spec) validateCluster() error {
 	if len(s.TraceApps()) > 0 {
 		return fmt.Errorf("scenario: trace replay is single-node; drop the cluster block or the trace entries")
 	}
-	fanout := c.FanoutOrDefault()
-	if fanout < 1 || fanout > c.Nodes {
-		return fmt.Errorf("scenario: cluster.fanout %d must be in [1, nodes %d]", fanout, c.Nodes)
-	}
-	if c.Quorum < 0 || c.Quorum > fanout {
-		return fmt.Errorf("scenario: cluster.quorum %d must be in [1, fanout %d] (0 means wait for all)", c.Quorum, fanout)
-	}
-	known := false
-	for _, k := range cluster.BalancerKinds() {
-		if k == c.BalancerKind() {
-			known = true
-		}
-	}
-	if !known {
-		return fmt.Errorf("scenario: unknown cluster.balancer %q (want rr, random, weighted, or p2c)", c.Balancer)
-	}
 	if c.Hedge < 0 || c.Hedge >= 1 {
 		return fmt.Errorf("scenario: cluster.hedge must be a deadline fraction in [0,1), got %v", c.Hedge)
 	}
-	if c.Hedge > 0 {
-		if fanout == 1 {
-			return fmt.Errorf("scenario: hedging with fanout 1 is just a wider fan-out; use fanout 2, quorum 1")
-		}
-		if fanout >= c.Nodes {
-			return fmt.Errorf("scenario: hedging needs a spare node (fanout %d already touches all %d nodes)", fanout, c.Nodes)
-		}
+	if err := s.clusterShape().Validate(); err != nil {
+		return err
 	}
 	// weighted counts the nodes NodeWeight resolves to an explicit weight
 	// (a node's first override wins, as there).
@@ -586,64 +580,6 @@ func (s Spec) validateCluster() error {
 	// the run fails with "node N received no measured leaves".
 	if weighted != 0 && weighted != c.Nodes {
 		return fmt.Errorf("scenario: cluster.overrides give %d of %d nodes a weight; weights are relative, so give every node one or none (an unweighted node defaults to its LLC line count)", weighted, c.Nodes)
-	}
-	return s.validateFaults()
-}
-
-// validateFaults mirrors the cluster layer's fault-plan checks so a
-// validate-only pass (the CI scenario check) catches bad plans without
-// calibrating or simulating anything.
-func (s Spec) validateFaults() error {
-	c := s.Cluster
-	need := c.FanoutOrDefault()
-	if c.Hedge > 0 {
-		need++
-	}
-	for i, f := range s.Faults {
-		if f.Node < 0 || f.Node >= c.Nodes {
-			return fmt.Errorf("scenario: faults[%d] targets node %d, want [0,%d)", i, f.Node, c.Nodes)
-		}
-		switch cluster.FaultKind(f.Kind) {
-		case cluster.FaultNodeDown:
-			if f.DurationCycles == 0 {
-				return fmt.Errorf("scenario: faults[%d] (node-down) needs a positive duration_cycles", i)
-			}
-			if f.Factor != 0 {
-				return fmt.Errorf("scenario: faults[%d] (node-down) must not set factor", i)
-			}
-		case cluster.FaultFailSlow:
-			if f.DurationCycles == 0 {
-				return fmt.Errorf("scenario: faults[%d] (fail-slow) needs a positive duration_cycles", i)
-			}
-			if f.Factor < 1 {
-				return fmt.Errorf("scenario: faults[%d] (fail-slow) needs factor >= 1, got %v", i, f.Factor)
-			}
-		case cluster.FaultRestart:
-			if f.AtCycle == 0 {
-				return fmt.Errorf("scenario: faults[%d] (restart) needs a positive at_cycle", i)
-			}
-			if f.DurationCycles != 0 || f.Factor != 0 {
-				return fmt.Errorf("scenario: faults[%d] (restart) is instantaneous; drop duration_cycles and factor", i)
-			}
-		default:
-			return fmt.Errorf("scenario: faults[%d] has unknown kind %q (known: %v)", i, f.Kind, cluster.FaultKinds())
-		}
-	}
-	for i, f := range s.Faults {
-		if cluster.FaultKind(f.Kind) != cluster.FaultNodeDown {
-			continue
-		}
-		down := map[int]bool{}
-		for _, g := range s.Faults {
-			if cluster.FaultKind(g.Kind) == cluster.FaultNodeDown &&
-				f.AtCycle >= g.AtCycle && f.AtCycle < g.AtCycle+g.DurationCycles {
-				down[g.Node] = true
-			}
-		}
-		if c.Nodes-len(down) < need {
-			return fmt.Errorf("scenario: faults[%d] leaves only %d healthy nodes at cycle %d; queries need %d",
-				i, c.Nodes-len(down), f.AtCycle, need)
-		}
 	}
 	return nil
 }

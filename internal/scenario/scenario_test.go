@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/cluster"
 )
 
 // fullSpec exercises every field of the format at once.
@@ -220,7 +222,7 @@ func TestValidate(t *testing.T) {
 			s.Cluster = &Cluster{Nodes: 2}
 			s.Apps = append(s.Apps, App{LC: "masstree", Load: 0.2})
 		}, "exactly one latency-critical replica"},
-		{"fanout beyond fleet", func(s *Spec) { s.Cluster = &Cluster{Nodes: 2, Fanout: 3} }, "fanout"},
+		{"fanout beyond fleet", func(s *Spec) { s.Cluster = &Cluster{Nodes: 2, Fanout: 3} }, "fan-out 3 exceeds the cluster size 2"},
 		{"unknown balancer", func(s *Spec) { s.Cluster = &Cluster{Nodes: 2, Balancer: "dns"} }, "balancer"},
 		{"override out of range", func(s *Spec) {
 			s.Cluster = &Cluster{Nodes: 2, Overrides: []NodeOverride{{Node: 5, LLCMB: 6}}}
@@ -236,7 +238,8 @@ func TestValidate(t *testing.T) {
 			s.Cluster = &Cluster{Nodes: 2}
 			s.Faults = []Fault{{Kind: "restart", Node: 0, AtCycle: 10, DurationCycles: 5}}
 		}, "instantaneous"},
-		{"tiny report window", func(s *Spec) { s.Report.WindowCycles = 100 }, "window_cycles"},
+		{"tiny report window", func(s *Spec) { s.Report.WindowCycles = 100 }, "latency window must be 0 (off) or at least 1024"},
+		{"private level larger than the LLC", func(s *Spec) { s.Machine = Machine{LLCMB: 0.1} }, "must be smaller than the LLC"},
 	}
 	if err := valid().Validate(); err != nil {
 		t.Fatalf("the base spec must validate: %v", err)
@@ -253,6 +256,65 @@ func TestValidate(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("error %q does not mention %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestBadPlansFailValidationLikeTheRun pins the one-rulebook contract: every
+// fleet shape or fault plan the cluster layer rejects at run time is rejected
+// by scenario validation too, with the cluster layer's own message — so
+// `experiments -validate` cannot pass a scenario whose run would die after
+// calibration.
+func TestBadPlansFailValidationLikeTheRun(t *testing.T) {
+	cases := []struct {
+		name    string
+		cluster Cluster
+		faults  []Fault
+		want    string
+	}{
+		{"overlapping fail-slow on one node", Cluster{Nodes: 4, Fanout: 2}, []Fault{
+			{Kind: "fail-slow", Node: 1, AtCycle: 2_000_000, DurationCycles: 3_000_000, Factor: 3},
+			{Kind: "fail-slow", Node: 1, AtCycle: 4_000_000, DurationCycles: 3_000_000, Factor: 2},
+		}, "node 1 has overlapping fail-slow windows ([2000000,5000000) and [4000000,7000000))"},
+		{"duplicate restart cycle", Cluster{Nodes: 4, Fanout: 2}, []Fault{
+			{Kind: "restart", Node: 1, AtCycle: 3_000_000},
+			{Kind: "restart", Node: 1, AtCycle: 3_000_000},
+		}, "node 1 has duplicate restart at cycle 3000000"},
+		{"node-down leaves too few healthy nodes for fan-out + hedge spare", Cluster{Nodes: 4, Fanout: 3, Hedge: 0.3}, []Fault{
+			{Kind: "node-down", Node: 0, AtCycle: 10, DurationCycles: 100},
+		}, "leaves only 3 healthy nodes at cycle 10; queries need 4 (fan-out + hedge spare)"},
+		{"unknown kind", Cluster{Nodes: 2}, []Fault{{Kind: "meteor", Node: 0, AtCycle: 1}}, `unknown kind "meteor"`},
+		{"restart with a duration", Cluster{Nodes: 2}, []Fault{
+			{Kind: "restart", Node: 0, AtCycle: 10, DurationCycles: 5},
+		}, "is instantaneous"},
+		{"fail-slow factor below 1", Cluster{Nodes: 2}, []Fault{
+			{Kind: "fail-slow", Node: 0, AtCycle: 10, DurationCycles: 5, Factor: 0.5},
+		}, "needs an inflation factor >= 1"},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			spec := Spec{
+				Version: 1, Name: "bad-plan",
+				Apps:    []App{{LC: "xapian", Load: 0.3}, {Batch: "mcf"}},
+				Cluster: &c.cluster, Schemes: []Scheme{{Name: "ubik"}}, Faults: c.faults,
+			}
+			got := spec.Validate()
+			if got == nil || !strings.Contains(got.Error(), c.want) {
+				t.Fatalf("scenario validation = %v, want an error mentioning %q", got, c.want)
+			}
+			// The spec the runner would hand cluster.Run: calibration only adds
+			// node configs and stream sizes, which the shape rules never read.
+			lowered := cluster.Spec{
+				Nodes:  make([]cluster.NodeSpec, c.cluster.Nodes),
+				Fanout: c.cluster.FanoutOrDefault(), Quorum: c.cluster.Quorum,
+				Balancer:         c.cluster.BalancerKind(),
+				HedgeDelayCycles: uint64(c.cluster.Hedge * 40_000),
+				Faults:           spec.ClusterFaults(),
+			}
+			if run := lowered.Validate(); run == nil || run.Error() != got.Error() {
+				t.Errorf("run-time validation = %v, scenario validation = %v; want the same message", run, got)
 			}
 		})
 	}

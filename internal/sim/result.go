@@ -148,17 +148,6 @@ func (r Result) WeightedSpeedup(baselines []float64) (float64, error) {
 	return stats.WeightedSpeedup(ipcs, baselines)
 }
 
-// MaxTailLatency returns the worst tail latency across latency-critical apps.
-func (r Result) MaxTailLatency() float64 {
-	max := 0.0
-	for _, a := range r.LCResults() {
-		if a.TailLatency > max {
-			max = a.TailLatency
-		}
-	}
-	return max
-}
-
 // PooledLCTail returns the tail latency across all latency-critical requests
 // from all app instances pooled together (the statistic the paper plots per
 // mix: "the 95th percentile tail latency across all three app instances").

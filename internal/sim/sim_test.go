@@ -339,9 +339,6 @@ func TestMixRunAllPolicies(t *testing.T) {
 			if res.PooledLCTail(95) <= 0 {
 				t.Errorf("pooled tail should be positive")
 			}
-			if res.MaxTailLatency() <= 0 {
-				t.Errorf("max tail should be positive")
-			}
 		})
 	}
 }
@@ -375,9 +372,6 @@ func TestWeightedSpeedupHelper(t *testing.T) {
 	}
 	if _, err := r.WeightedSpeedup([]float64{1.0}); err == nil {
 		t.Errorf("mismatched baselines should error")
-	}
-	if r.MaxTailLatency() != 10 {
-		t.Errorf("max tail wrong")
 	}
 }
 

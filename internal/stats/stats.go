@@ -1,7 +1,6 @@
 // Package stats provides the statistical machinery used throughout the Ubik
 // reproduction: percentiles, tail means (the paper's tail-latency metric),
-// empirical CDFs, histograms, confidence intervals, and the weighted-speedup
-// metric used for batch applications.
+// empirical CDFs, and the weighted-speedup metric used for batch applications.
 package stats
 
 import (
@@ -19,7 +18,6 @@ type Sample struct {
 	values []float64
 	sorted bool
 	sum    float64
-	sumSq  float64
 }
 
 // NewSample returns a sample pre-sized for n observations.
@@ -42,7 +40,6 @@ func (s *Sample) Add(v float64) {
 	s.values = append(s.values, v)
 	s.sorted = false
 	s.sum += v
-	s.sumSq += v * v
 }
 
 // AddAll appends all observations in vs.
@@ -65,25 +62,6 @@ func (s *Sample) Mean() float64 {
 	}
 	return s.sum / float64(len(s.values))
 }
-
-// Variance returns the unbiased sample variance, or 0 for samples of size < 2.
-func (s *Sample) Variance() float64 {
-	n := float64(len(s.values))
-	if n < 2 {
-		return 0
-	}
-	mean := s.Mean()
-	// Numerically safer than sumSq - n*mean^2 for small samples.
-	var acc float64
-	for _, v := range s.values {
-		d := v - mean
-		acc += d * d
-	}
-	return acc / (n - 1)
-}
-
-// StdDev returns the sample standard deviation.
-func (s *Sample) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
 // Min returns the smallest observation, or 0 for an empty sample.
 func (s *Sample) Min() float64 {
@@ -200,37 +178,6 @@ func (s *Sample) CDF(points int) ([]CDFPoint, error) {
 	return out, nil
 }
 
-// ConfidenceInterval returns the half-width of the (level) confidence interval
-// for the mean, using a normal approximation (appropriate for the sample sizes
-// the harness produces). level is e.g. 0.95.
-func (s *Sample) ConfidenceInterval(level float64) float64 {
-	n := float64(len(s.values))
-	if n < 2 {
-		return 0
-	}
-	z := zScore(level)
-	return z * s.StdDev() / math.Sqrt(n)
-}
-
-// zScore returns the two-sided standard-normal critical value for the given
-// confidence level using a small lookup with interpolation.
-func zScore(level float64) float64 {
-	switch {
-	case level >= 0.999:
-		return 3.2905
-	case level >= 0.99:
-		return 2.5758
-	case level >= 0.95:
-		return 1.9600
-	case level >= 0.90:
-		return 1.6449
-	case level >= 0.80:
-		return 1.2816
-	default:
-		return 1.0
-	}
-}
-
 // WeightedSpeedup computes the batch-application metric from Section 6:
 // (sum_i IPC_i / IPC_i,alone) / N. ipcs and baselines must have equal nonzero
 // length and strictly positive baselines.
@@ -255,62 +202,4 @@ func Degradation(value, baseline float64) float64 {
 		return math.Inf(1)
 	}
 	return value / baseline
-}
-
-// Histogram is a fixed-width bucket histogram over [min, max).
-type Histogram struct {
-	Min, Max float64
-	Counts   []uint64
-	under    uint64
-	over     uint64
-	total    uint64
-}
-
-// NewHistogram creates a histogram with the given bucket count over [min,max).
-func NewHistogram(min, max float64, buckets int) *Histogram {
-	if buckets < 1 {
-		buckets = 1
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]uint64, buckets)}
-}
-
-// Observe adds one observation.
-func (h *Histogram) Observe(v float64) {
-	h.total++
-	if v < h.Min {
-		h.under++
-		return
-	}
-	if v >= h.Max {
-		h.over++
-		return
-	}
-	idx := int((v - h.Min) / (h.Max - h.Min) * float64(len(h.Counts)))
-	if idx >= len(h.Counts) {
-		idx = len(h.Counts) - 1
-	}
-	h.Counts[idx]++
-}
-
-// Total returns the number of observations, including out-of-range ones.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Quantile returns an approximate quantile (0..1) from the histogram buckets.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	target := uint64(q * float64(h.total))
-	var cum uint64 = h.under
-	if cum > target {
-		return h.Min
-	}
-	width := (h.Max - h.Min) / float64(len(h.Counts))
-	for i, c := range h.Counts {
-		if cum+c >= target {
-			return h.Min + width*float64(i+1)
-		}
-		cum += c
-	}
-	return h.Max
 }

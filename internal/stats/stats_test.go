@@ -49,27 +49,6 @@ func TestEmptySample(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
-	s := NewSample(5)
-	s.AddAll([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	// Known example: population variance 4, sample variance 32/7.
-	want := 32.0 / 7.0
-	if got := s.Variance(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("Variance = %v, want %v", got, want)
-	}
-	if got := s.StdDev(); math.Abs(got-math.Sqrt(want)) > 1e-9 {
-		t.Errorf("StdDev = %v, want %v", got, math.Sqrt(want))
-	}
-}
-
-func TestVarianceSmallSamples(t *testing.T) {
-	var s Sample
-	s.Add(3)
-	if s.Variance() != 0 {
-		t.Errorf("variance of single observation should be 0")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	s := NewSample(101)
 	for i := 0; i <= 100; i++ {
@@ -253,32 +232,6 @@ func TestCDF(t *testing.T) {
 	}
 }
 
-func TestConfidenceInterval(t *testing.T) {
-	s := NewSample(10000)
-	r := rand.New(rand.NewSource(7))
-	for i := 0; i < 10000; i++ {
-		s.Add(r.NormFloat64())
-	}
-	ci := s.ConfidenceInterval(0.95)
-	// For 10k standard-normal samples, the 95% CI half-width is about 0.0196.
-	if ci < 0.01 || ci > 0.03 {
-		t.Errorf("CI = %v, want around 0.02", ci)
-	}
-	var empty Sample
-	if empty.ConfidenceInterval(0.95) != 0 {
-		t.Errorf("CI of empty sample should be 0")
-	}
-}
-
-func TestZScoreLevels(t *testing.T) {
-	if zScore(0.95) >= zScore(0.99) {
-		t.Errorf("z-scores should increase with confidence level")
-	}
-	if zScore(0.5) != 1.0 {
-		t.Errorf("default z-score should be 1.0")
-	}
-}
-
 func TestWeightedSpeedup(t *testing.T) {
 	ws, err := WeightedSpeedup([]float64{1.0, 2.0, 3.0}, []float64{1.0, 1.0, 1.0})
 	if err != nil {
@@ -304,37 +257,6 @@ func TestDegradation(t *testing.T) {
 	}
 	if !math.IsInf(Degradation(1, 0), 1) {
 		t.Errorf("Degradation with zero baseline should be +Inf")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 10)
-	for i := 0; i < 10; i++ {
-		h.Observe(float64(i) + 0.5)
-	}
-	h.Observe(-1) // under
-	h.Observe(20) // over
-	if h.Total() != 12 {
-		t.Errorf("Total = %d, want 12", h.Total())
-	}
-	for i, c := range h.Counts {
-		if c != 1 {
-			t.Errorf("bucket %d count = %d, want 1", i, c)
-		}
-	}
-	q := h.Quantile(0.5)
-	if q < 4 || q > 7 {
-		t.Errorf("median quantile = %v, want around 5-6", q)
-	}
-	if NewHistogram(0, 1, 0) == nil {
-		t.Errorf("histogram with zero buckets should clamp, not fail")
-	}
-}
-
-func TestHistogramEmptyQuantile(t *testing.T) {
-	h := NewHistogram(0, 1, 4)
-	if h.Quantile(0.5) != 0 {
-		t.Errorf("quantile of empty histogram should be 0")
 	}
 }
 

@@ -179,16 +179,6 @@ var batchProfiles = func() map[string]BatchProfile {
 	return m
 }()
 
-// BatchNames returns the names of all built-in batch profiles, sorted.
-func BatchNames() []string {
-	out := make([]string, 0, len(batchProfiles))
-	for n := range batchProfiles {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // BatchByName returns the built-in batch profile with the given name.
 func BatchByName(name string) (BatchProfile, error) {
 	p, ok := batchProfiles[name]

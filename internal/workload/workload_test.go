@@ -363,12 +363,11 @@ func TestLCProfileValidation(t *testing.T) {
 }
 
 func TestBatchProfiles(t *testing.T) {
-	names := BatchNames()
-	if len(names) != 29 {
-		t.Fatalf("expected 29 batch profiles (SPEC CPU2006), got %d", len(names))
+	if len(batchProfiles) != 29 {
+		t.Fatalf("expected 29 batch profiles (SPEC CPU2006), got %d", len(batchProfiles))
 	}
 	classCounts := map[BatchClass]int{}
-	for _, n := range names {
+	for n := range batchProfiles {
 		p, err := BatchByName(n)
 		if err != nil {
 			t.Fatalf("BatchByName(%q): %v", n, err)
