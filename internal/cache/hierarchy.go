@@ -137,16 +137,10 @@ type PrivateLevel struct {
 // NewPrivateLevelIn (0 for a disabled level).
 func LevelWords(cfg LevelConfig) int { return int(2 * cfg.Lines) }
 
-// NewPrivateLevel builds a private level from its configuration, with its own
-// storage. It returns nil (a valid "always miss" level for the Hierarchy)
-// when the level is disabled.
-func NewPrivateLevel(cfg LevelConfig) (*PrivateLevel, error) {
-	return NewPrivateLevelIn(cfg, nil)
-}
-
 // NewPrivateLevelIn builds a private level over caller-provided zeroed
 // storage of exactly LevelWords(cfg) words (pass nil to self-allocate). It
-// returns nil when the level is disabled.
+// returns nil (a valid "always miss" level for the Hierarchy) when the level
+// is disabled.
 func NewPrivateLevelIn(cfg LevelConfig, words []uint64) (*PrivateLevel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -52,7 +52,7 @@ func TestHierarchyConfigValidate(t *testing.T) {
 }
 
 func TestPrivateLevelBasics(t *testing.T) {
-	l, err := NewPrivateLevel(LevelConfig{Lines: 16, Ways: 4})
+	l, err := NewPrivateLevelIn(LevelConfig{Lines: 16, Ways: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,14 +81,14 @@ func TestPrivateLevelBasics(t *testing.T) {
 		t.Errorf("ResetStats did not clear")
 	}
 	// Disabled level constructs as nil without error.
-	if nl, err := NewPrivateLevel(LevelConfig{}); err != nil || nl != nil {
+	if nl, err := NewPrivateLevelIn(LevelConfig{}, nil); err != nil || nl != nil {
 		t.Errorf("disabled level should be (nil, nil), got (%v, %v)", nl, err)
 	}
 }
 
 func TestPrivateLevelLRUWithinSet(t *testing.T) {
 	// One set: 4 lines, 4 ways. Exact LRU order applies.
-	l, err := NewPrivateLevel(LevelConfig{Lines: 4, Ways: 4})
+	l, err := NewPrivateLevelIn(LevelConfig{Lines: 4, Ways: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestPrivateLevelLRUWithinSet(t *testing.T) {
 }
 
 func TestPrivateLevelCapacity(t *testing.T) {
-	l, err := NewPrivateLevel(LevelConfig{Lines: 64, Ways: 4})
+	l, err := NewPrivateLevelIn(LevelConfig{Lines: 64, Ways: 4}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

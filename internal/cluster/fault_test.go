@@ -210,16 +210,12 @@ func TestWarmPoolKeysSeparateFaultPlans(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster runs are slow")
 	}
-	pool := sim.NewWarmPool()
-	plain, err := RunPooled(faultTestSpec(t, nil), 2, pool, "scheme")
-	if err != nil {
-		t.Fatal(err)
-	}
 	faults := []Fault{{Kind: FaultRestart, Node: 0, AtCycle: 600_000}}
-	restarted, err := RunPooled(faultTestSpec(t, faults), 2, pool, "scheme")
+	both, err := RunAll([]Spec{faultTestSpec(t, nil), faultTestSpec(t, faults)}, []string{"scheme", "scheme"}, 2, sim.NewWarmPool())
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain, restarted := both[0], both[1]
 	if reflect.DeepEqual(plain.Nodes[0].Sim, restarted.Nodes[0].Sim) {
 		t.Error("warm pool served the healthy node result for the restarted plan (key collision)")
 	}

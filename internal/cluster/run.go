@@ -94,13 +94,14 @@ func (s *Spec) SizeForPerNodeLoad(perNodeRequests, perNodeWarmup int, leafMeanIn
 	s.QueryMeanInterarrival = leafMeanInterarrival * float64(k) / float64(m)
 }
 
-// Run plans, simulates and aggregates a cluster: the serial front-end builds
-// the query plan, the M node simulations run independently over at most
-// parallelism workers (<= 1 runs inline), and the serial aggregator joins
-// leaf latencies into query latencies. Results are bit-identical at any
-// parallelism.
-func Run(spec Spec, parallelism int) (Result, error) {
-	return RunPooled(spec, parallelism, nil, "")
+// Run plans, simulates and aggregates one cluster with no warm pool: RunAll
+// on a one-spec list.
+func Run(spec Spec, workers int) (Result, error) {
+	res, err := RunAll([]Spec{spec}, []string{""}, workers, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
 }
 
 // nodeKey is the warm-pool identity of one node simulation: the complete
@@ -135,79 +136,117 @@ func nodeKey(node NodeSpec, schemeKey string, times []uint64, warmup int, slow [
 		lc.RequestFactor, lc.Seed, batch, warmup, slow, restarts, len(times), h)
 }
 
-// RunPooled is Run with the per-node simulations memoized through a warm
-// pool: any node whose (configuration, policy, leaf stream) identity repeats
-// across cluster runs — the full-size nodes of a straggler-vs-uniform
-// comparison, or identical replicas across sweep variants — is simulated
-// once. schemeKey must uniquely identify what NewPolicy constructs (pool
-// keys cannot see inside the closure); a nil pool runs every node.
-func RunPooled(spec Spec, parallelism int, pool *sim.WarmPool, schemeKey string) (Result, error) {
-	if err := spec.Validate(); err != nil {
-		return Result{}, err
+// RunAll plans, simulates and aggregates a list of clusters as one schedule:
+// every spec is validated and planned up front (serial), every (cluster, node)
+// simulation of the whole list goes into one flat job list over at most
+// workers goroutines (<= 1 runs inline), and each cluster's serial aggregator
+// joins its leaf latencies into query latencies. The unit of scheduling is the
+// node, so S clusters of M nodes keep up to S*M workers busy; results[i]
+// belongs to specs[i], bit-identical at any workers value.
+//
+// Node simulations are memoized through pool (nil runs every node): a node
+// whose (configuration, policy, leaf stream) identity repeats — the full-size
+// nodes of a straggler-vs-uniform comparison, identical replicas across sweep
+// variants — is simulated once. keys[i] must uniquely identify what specs[i]'s
+// NewPolicy constructs (pool keys cannot see inside the closure); a non-empty
+// key also prefixes every error from its cluster.
+func RunAll(specs []Spec, keys []string, workers int, pool *sim.WarmPool) ([]Result, error) {
+	if len(keys) != len(specs) {
+		return nil, fmt.Errorf("cluster: %d keys for %d specs", len(keys), len(specs))
 	}
-	plan, err := buildPlan(spec)
-	if err != nil {
-		return Result{}, err
-	}
-	m := len(spec.Nodes)
-	results := make([]sim.Result, m)
-	if err := parallel.For(m, parallelism, func(n int) error {
-		node := spec.Nodes[n]
-		times := plan.nodeTimes[n]
-		warmup := plan.nodeWarmup[n]
-		measured := len(times) - warmup
-		if measured < 1 {
-			if len(spec.Faults) > 0 {
-				// A node routed around for the whole measured run (a long
-				// node-down window) legitimately serves nothing; leave its
-				// slot empty and let the aggregator skip it.
-				return nil
-			}
-			return fmt.Errorf("cluster: node %d received no measured leaves (only %d warmup); raise Queries or rebalance", n, warmup)
+	named := func(c int, err error) error {
+		if err == nil || keys[c] == "" {
+			return err
 		}
-		slow := slowWindowsFor(spec.Faults, n)
-		restarts := restartsFor(spec.Faults, n)
-		runNode := func() (sim.Result, error) {
-			lc := node.LC
-			lc.Arrivals = workload.NewReplayArrivals(times)
-			lc.ExplicitRequests = measured
-			lc.ExplicitWarmup = warmup
-			lc.Sched = workload.ScheduleSpec{} // the replayed stream already carries the global schedule
-			lc.SlowWindows = slow
-			specs := make([]sim.AppSpec, 0, 1+len(node.Batch))
-			specs = append(specs, lc)
-			specs = append(specs, node.Batch...)
-			if len(restarts) == 0 {
-				return sim.RunMix(node.Config, specs, node.NewPolicy())
-			}
-			// Rolling restart: run to each restart boundary, dump the node's
-			// warm state (caches, monitors, policy), and continue. RunUntil
-			// pauses only at scheduler pop boundaries, so the restarted run is
-			// deterministic at any parallelism.
-			s, err := sim.New(node.Config, specs, node.NewPolicy())
-			if err != nil {
+		return fmt.Errorf("%s: %w", keys[c], err)
+	}
+	type job struct{ c, n int }
+	var jobs []job
+	plans := make([]*queryPlan, len(specs))
+	sims := make([][]sim.Result, len(specs))
+	for c, spec := range specs {
+		err := spec.Validate()
+		if err == nil {
+			plans[c], err = buildPlan(spec)
+		}
+		if err != nil {
+			return nil, named(c, err)
+		}
+		sims[c] = make([]sim.Result, len(spec.Nodes))
+		for n := range spec.Nodes {
+			jobs = append(jobs, job{c, n})
+		}
+	}
+	if err := parallel.For(len(jobs), workers, func(i int) (err error) {
+		c, n := jobs[i].c, jobs[i].n
+		sims[c][n], err = runNode(specs[c], plans[c], n, keys[c], pool)
+		return named(c, err)
+	}); err != nil {
+		return nil, err
+	}
+	out := make([]Result, len(specs))
+	for c, spec := range specs {
+		var err error
+		if out[c], err = aggregate(spec, plans[c], sims[c]); err != nil {
+			return nil, named(c, err)
+		}
+	}
+	return out, nil
+}
+
+// runNode simulates node n of a planned cluster: replay the leaf arrivals the
+// front-end dealt it, under its fail-slow windows and rolling restarts.
+func runNode(spec Spec, plan *queryPlan, n int, schemeKey string, pool *sim.WarmPool) (sim.Result, error) {
+	node := spec.Nodes[n]
+	times := plan.nodeTimes[n]
+	warmup := plan.nodeWarmup[n]
+	measured := len(times) - warmup
+	if measured < 1 {
+		if len(spec.Faults) > 0 {
+			// A node routed around for the whole measured run (a long
+			// node-down window) legitimately serves nothing; leave its
+			// slot empty and let the aggregator skip it.
+			return sim.Result{}, nil
+		}
+		return sim.Result{}, fmt.Errorf("cluster: node %d received no measured leaves (only %d warmup); raise Queries or rebalance", n, warmup)
+	}
+	slow := slowWindowsFor(spec.Faults, n)
+	restarts := restartsFor(spec.Faults, n)
+	res, err := pool.Result(nodeKey(node, schemeKey, times, warmup, slow, restarts), func() (sim.Result, error) {
+		lc := node.LC
+		lc.Arrivals = workload.NewReplayArrivals(times)
+		lc.ExplicitRequests = measured
+		lc.ExplicitWarmup = warmup
+		lc.Sched = workload.ScheduleSpec{} // the replayed stream already carries the global schedule
+		lc.SlowWindows = slow
+		specs := make([]sim.AppSpec, 0, 1+len(node.Batch))
+		specs = append(specs, lc)
+		specs = append(specs, node.Batch...)
+		if len(restarts) == 0 {
+			return sim.RunMix(node.Config, specs, node.NewPolicy())
+		}
+		// Rolling restart: run to each restart boundary, dump the node's
+		// warm state (caches, monitors, policy), and continue. RunUntil
+		// pauses only at scheduler pop boundaries, so the restarted run is
+		// deterministic at any parallelism.
+		s, err := sim.New(node.Config, specs, node.NewPolicy())
+		if err != nil {
+			return sim.Result{}, err
+		}
+		for _, r := range restarts {
+			if err := s.RunUntil(r); err != nil {
 				return sim.Result{}, err
 			}
-			for _, r := range restarts {
-				if err := s.RunUntil(r); err != nil {
-					return sim.Result{}, err
-				}
-				if err := s.ColdRestart(node.NewPolicy()); err != nil {
-					return sim.Result{}, err
-				}
+			if err := s.ColdRestart(node.NewPolicy()); err != nil {
+				return sim.Result{}, err
 			}
-			return s.Run()
 		}
-		res, err := pool.Result(nodeKey(node, schemeKey, times, warmup, slow, restarts), runNode)
-		if err != nil {
-			return fmt.Errorf("cluster: node %d: %w", n, err)
-		}
-		results[n] = res
-		return nil
-	}); err != nil {
-		return Result{}, err
+		return s.Run()
+	})
+	if err != nil {
+		return sim.Result{}, fmt.Errorf("cluster: node %d: %w", n, err)
 	}
-	return aggregate(spec, plan, results)
+	return res, nil
 }
 
 // aggregate joins per-node leaf latencies into query latencies and builds the

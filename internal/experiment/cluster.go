@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/cluster"
-	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -106,9 +105,8 @@ func buildClusterSpec(cfg sim.Config, scale Scale, scheme Scheme, base sim.LCBas
 
 // ClusterTail runs the tail-at-scale experiment: query p95/p99 versus
 // fan-out k for the five standard schemes on a 4-node cluster under
-// round-robin balancing. The (scheme, fan-out) grid shards across the worker
-// pool; each cell is an independent seed-determined cluster run landing in
-// an index-addressed slot, so the tables are bit-identical at any
+// round-robin balancing. The whole (scheme, fan-out, node) grid is one
+// cluster.RunAll job list, so the tables are bit-identical at any
 // parallelism.
 func ClusterTail(cfg sim.Config, scale Scale) ([]Table, error) {
 	return clusterTailTables(cfg, scale, StandardSchemes(), clusterNodes, clusterService)
@@ -123,17 +121,19 @@ func clusterTailTables(cfg sim.Config, scale Scale, schemes []Scheme, nodes int,
 		return nil, err
 	}
 	fanouts := clusterFanouts(nodes)
-	runs := make([]cluster.Result, len(schemes)*len(fanouts))
-	if err := parallel.For(len(runs), scale.parallelism(), func(i int) error {
-		scheme := schemes[i/len(fanouts)]
-		fanout := fanouts[i%len(fanouts)]
-		spec, err := buildClusterSpec(cfg, scale, scheme, base, reqFactor, nodes, fanout, cluster.BalanceRoundRobin, -1)
-		if err != nil {
-			return err
+	var specs []cluster.Spec
+	var keys []string
+	for _, scheme := range schemes {
+		for _, fanout := range fanouts {
+			spec, err := buildClusterSpec(cfg, scale, scheme, base, reqFactor, nodes, fanout, cluster.BalanceRoundRobin, -1)
+			if err != nil {
+				return nil, err
+			}
+			specs, keys = append(specs, spec), append(keys, scheme.Name)
 		}
-		runs[i], err = cluster.RunPooled(spec, 1, scale.Warm, scheme.Name)
-		return err
-	}); err != nil {
+	}
+	runs, err := cluster.RunAll(specs, keys, scale.parallelism(), scale.Warm)
+	if err != nil {
 		return nil, err
 	}
 
@@ -207,32 +207,27 @@ func clusterHeteroTables(cfg sim.Config, scale Scale, nodes int, service string)
 	schemes := []Scheme{all[0], all[len(all)-1]} // LRU and Ubik
 	fanouts := clusterFanouts(nodes)
 	straggler := nodes - 1
-	type cell struct {
-		scheme  string
-		variant string
-		fanout  int
-		res     cluster.Result
-	}
 	variants := []struct {
 		name string
 		idx  int
 	}{{"uniform", -1}, {"straggler", straggler}}
-	cells := make([]cell, len(schemes)*len(variants)*len(fanouts))
-	if err := parallel.For(len(cells), scale.parallelism(), func(i int) error {
-		scheme := schemes[i/(len(variants)*len(fanouts))]
-		variant := variants[(i/len(fanouts))%len(variants)]
-		fanout := fanouts[i%len(fanouts)]
-		spec, err := buildClusterSpec(cfg, scale, scheme, base, reqFactor, nodes, fanout, cluster.BalanceRoundRobin, variant.idx)
-		if err != nil {
-			return err
+	var specs []cluster.Spec
+	var keys []string
+	var labels [][]string
+	for _, scheme := range schemes {
+		for _, variant := range variants {
+			for _, fanout := range fanouts {
+				spec, err := buildClusterSpec(cfg, scale, scheme, base, reqFactor, nodes, fanout, cluster.BalanceRoundRobin, variant.idx)
+				if err != nil {
+					return nil, err
+				}
+				specs, keys = append(specs, spec), append(keys, scheme.Name)
+				labels = append(labels, []string{scheme.Name, variant.name, fmt.Sprintf("%d", fanout)})
+			}
 		}
-		res, err := cluster.RunPooled(spec, 1, scale.Warm, scheme.Name)
-		if err != nil {
-			return err
-		}
-		cells[i] = cell{scheme: scheme.Name, variant: variant.name, fanout: fanout, res: res}
-		return nil
-	}); err != nil {
+	}
+	cells, err := cluster.RunAll(specs, keys, scale.parallelism(), scale.Warm)
+	if err != nil {
 		return nil, err
 	}
 
@@ -242,12 +237,8 @@ func clusterHeteroTables(cfg sim.Config, scale Scale, nodes int, service string)
 			straggler, nodes),
 		Header: []string{"scheme", "cluster", "fanout", "query_p95", "query_p99", fmt.Sprintf("node%d_leaf_p95", straggler)},
 	}
-	for _, c := range cells {
-		t.Rows = append(t.Rows, []string{
-			c.scheme, c.variant, fmt.Sprintf("%d", c.fanout),
-			f0(c.res.P95), f0(c.res.P99),
-			f0(c.res.Nodes[straggler].LeafP95),
-		})
+	for i, res := range cells {
+		t.Rows = append(t.Rows, append(labels[i], f0(res.P95), f0(res.P99), f0(res.Nodes[straggler].LeafP95)))
 	}
 	return []Table{t}, nil
 }

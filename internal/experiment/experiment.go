@@ -187,92 +187,88 @@ func NewBaselines(cfg sim.Config, scale Scale) *Baselines {
 	}
 }
 
+// memo returns m[key], computing and storing it on first use. compute runs
+// outside the lock; racing first uses compute the same deterministic value.
+func memo[T any](b *Baselines, m map[string]T, key string, compute func() (T, error)) (T, error) {
+	b.mu.Lock()
+	v, ok := m[key]
+	b.mu.Unlock()
+	if ok {
+		return v, nil
+	}
+	v, err := compute()
+	if err == nil {
+		b.mu.Lock()
+		m[key] = v
+		b.mu.Unlock()
+	}
+	return v, err
+}
+
 // LC returns (computing on first use) the calibration baseline for an LC
 // configuration: mean service time, arrival rate for its load, and its
 // isolated tail latency (the deadline).
 func (b *Baselines) LC(lc mix.LCConfig) (sim.LCBaseline, error) {
-	key := lc.Name()
-	b.mu.Lock()
-	if base, ok := b.lc[key]; ok {
-		b.mu.Unlock()
-		return base, nil
-	}
-	b.mu.Unlock()
-	base, err := sim.MeasureLCBaselinePooled(b.scale.Warm, b.cfg, lc.App, lc.App.TargetLines(), lc.Level.Value(), b.scale.requestFactor())
+	return memo(b, b.lc, lc.Name(), func() (sim.LCBaseline, error) {
+		return sim.MeasureLCBaselinePooled(b.scale.Warm, b.cfg, lc.App, lc.App.TargetLines(), lc.Level.Value(), b.scale.requestFactor())
+	})
+}
+
+// isolated runs instance i of an LC configuration alone, with exactly the seed
+// the mix instance uses, and returns its request latencies.
+func (b *Baselines) isolated(lc mix.LCConfig, i int) ([]float64, error) {
+	base, err := b.LC(lc)
 	if err != nil {
-		return sim.LCBaseline{}, err
+		return nil, err
 	}
-	b.mu.Lock()
-	b.lc[key] = base
-	b.mu.Unlock()
-	return base, nil
+	res, err := sim.RunIsolatedLCPooled(b.scale.Warm, b.cfg, lc.App, lc.App.TargetLines(), base.MeanInterarrival,
+		b.scale.requestFactor(), instanceSeed(b.scale.Seed, lc, i))
+	if err != nil {
+		return nil, err
+	}
+	lcRes := res.LCResults()
+	if len(lcRes) != 1 {
+		return nil, fmt.Errorf("experiment: isolation run returned %d LC results", len(lcRes))
+	}
+	return lcRes[0].Latencies.Values(), nil
+}
+
+// pooledIsolated returns (computing on first use) the configuration's isolated
+// latencies pooled in instance order; latencies supplies instance i's.
+func (b *Baselines) pooledIsolated(lc mix.LCConfig, latencies func(i int) ([]float64, error)) (*stats.Sample, error) {
+	return memo(b, b.lcPooled, lc.Name(), func() (*stats.Sample, error) {
+		pooled := stats.NewSample(256)
+		for i := 0; i < lc.Instances; i++ {
+			lat, err := latencies(i)
+			if err != nil {
+				return nil, err
+			}
+			pooled.AddAll(lat)
+		}
+		return pooled, nil
+	})
 }
 
 // PooledIsolatedTail returns the pooled isolated tail latency across the
-// configuration's instances, run with exactly the seeds the mix instances
-// use. The per-instance isolation runs are distributed over the worker pool;
-// the pooled sample is assembled in instance order, so the result is
-// identical at any parallelism.
+// configuration's instances, run with exactly the seeds the mix instances use.
+// A cold key runs its instances serially (the caller may be a worker); Sweep
+// warms every key through one flat list first.
 func (b *Baselines) PooledIsolatedTail(lc mix.LCConfig, percentile float64) (float64, error) {
-	key := lc.Name()
-	b.mu.Lock()
-	if s, ok := b.lcPooled[key]; ok {
-		b.mu.Unlock()
-		return tailOf(s, percentile)
-	}
-	b.mu.Unlock()
-	base, err := b.LC(lc)
+	pooled, err := b.pooledIsolated(lc, func(i int) ([]float64, error) { return b.isolated(lc, i) })
 	if err != nil {
 		return 0, err
 	}
-	seeds := make([]uint64, lc.Instances)
-	for i := range seeds {
-		seeds[i] = instanceSeed(b.scale.Seed, lc, i)
-	}
-	results, err := sim.RunIsolatedLCShardsPooled(b.scale.Warm, b.cfg, lc.App, lc.App.TargetLines(), base.MeanInterarrival,
-		b.scale.requestFactor(), seeds, b.scale.parallelism())
-	if err != nil {
-		return 0, err
-	}
-	pooled := stats.NewSample(256)
-	for _, res := range results {
-		lcRes := res.LCResults()
-		if len(lcRes) != 1 {
-			return 0, fmt.Errorf("experiment: isolation run returned %d LC results", len(lcRes))
-		}
-		pooled.AddAll(lcRes[0].Latencies.Values())
-	}
-	b.mu.Lock()
-	b.lcPooled[key] = pooled
-	b.mu.Unlock()
-	return tailOf(pooled, percentile)
-}
-
-func tailOf(s *stats.Sample, percentile float64) (float64, error) {
-	v, err := s.TailMean(percentile)
-	if err != nil {
-		return 0, err
-	}
-	return v, nil
+	b.mu.Lock() // tail queries sort the shared sample in place
+	defer b.mu.Unlock()
+	return pooled.TailMean(percentile)
 }
 
 // BatchIPC returns (computing on first use) the isolated IPC of a batch
 // application on a private target-sized LLC.
 func (b *Baselines) BatchIPC(p workload.BatchProfile) (float64, error) {
-	b.mu.Lock()
-	if ipc, ok := b.batchIPC[p.Name]; ok {
-		b.mu.Unlock()
-		return ipc, nil
-	}
-	b.mu.Unlock()
-	ipc, err := sim.MeasureBatchBaselineIPCPooled(b.scale.Warm, b.cfg, p, sim.LinesFor2MB, b.scale.BatchROI)
-	if err != nil {
-		return 0, err
-	}
-	b.mu.Lock()
-	b.batchIPC[p.Name] = ipc
-	b.mu.Unlock()
-	return ipc, nil
+	return memo(b, b.batchIPC, p.Name, func() (float64, error) {
+		return sim.MeasureBatchBaselineIPCPooled(b.scale.Warm, b.cfg, p, sim.LinesFor2MB, b.scale.BatchROI)
+	})
 }
 
 // MixRecord is the outcome of running one mix under one scheme.
@@ -384,10 +380,10 @@ func Sweep(cfg sim.Config, scale Scale, baselines *Baselines, mixes []mix.Mix, s
 }
 
 // warmBaselines populates the baseline caches for every distinct
-// latency-critical configuration and batch profile the mixes reference. Each
-// phase shards its distinct keys over the pool (each key is computed exactly
-// once; the per-key computations are independent, seed-determined
-// simulations, so warming order cannot affect any value).
+// latency-critical configuration and batch profile the mixes reference, one
+// flat job list per dependency phase (each key is computed exactly once; the
+// computations are independent, seed-determined simulations, so warming order
+// cannot affect any value).
 func warmBaselines(cfg sim.Config, scale Scale, baselines *Baselines, mixes []mix.Mix) error {
 	var lcs []mix.LCConfig
 	seenLC := map[string]bool{}
@@ -405,26 +401,44 @@ func warmBaselines(cfg sim.Config, scale Scale, baselines *Baselines, mixes []mi
 			}
 		}
 	}
+	// Phase 1, what depends on nothing: every calibration and batch IPC.
 	workers := scale.parallelism()
-	if err := parallel.For(len(lcs), workers, func(i int) error {
-		_, err := baselines.LC(lcs[i])
+	if err := parallel.For(len(lcs)+len(batches), workers, func(i int) error {
+		var err error
+		if i < len(lcs) {
+			_, err = baselines.LC(lcs[i])
+		} else {
+			_, err = baselines.BatchIPC(batches[i-len(lcs)])
+		}
 		return err
 	}); err != nil {
 		return err
 	}
-	// The pooled-tail phase runs its keys serially: PooledIsolatedTail
-	// already shards its per-instance isolation runs over the full pool, and
-	// nesting two full fan-outs would multiply to ~workers^2 concurrent
-	// simulations for no extra throughput.
-	for _, lc := range lcs {
-		if _, err := baselines.PooledIsolatedTail(lc, cfg.TailPercentile); err != nil {
-			return err
+	// Phase 2, what needs a calibrated arrival rate: every (configuration,
+	// instance) isolation run in one list, then pooled per configuration.
+	type instance struct{ lc, i int }
+	var instances []instance
+	for l, lc := range lcs {
+		for i := 0; i < lc.Instances; i++ {
+			instances = append(instances, instance{l, i})
 		}
 	}
-	return parallel.For(len(batches), workers, func(i int) error {
-		_, err := baselines.BatchIPC(batches[i])
+	runs := make([][]float64, len(instances))
+	if err := parallel.For(len(runs), workers, func(k int) error {
+		var err error
+		runs[k], err = baselines.isolated(lcs[instances[k].lc], instances[k].i)
 		return err
-	})
+	}); err != nil {
+		return err
+	}
+	for _, lc := range lcs {
+		mine := runs[:lc.Instances]
+		if _, err := baselines.pooledIsolated(lc, func(i int) ([]float64, error) { return mine[i], nil }); err != nil {
+			return err
+		}
+		runs = runs[lc.Instances:]
+	}
+	return nil
 }
 
 // MixesFor builds the (possibly sampled) mix list for the given scale.

@@ -3,9 +3,11 @@ package experiment
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/mix"
+	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -173,6 +175,45 @@ func TestBaselinesCaching(t *testing.T) {
 	ipc2, _ := b.BatchIPC(batch)
 	if ipc1 != ipc2 || ipc1 <= 0 {
 		t.Errorf("batch IPC should be cached and positive")
+	}
+}
+
+// TestWarmedPooledTailSharedByWorkers pins what Sweep's mix jobs rely on: the
+// pooled sample warmBaselines caches is read by every job of its
+// configuration at once, and a tail query sorts it in place — so concurrent
+// readers must agree with a serial reader (and stay clean under -race).
+func TestWarmedPooledTailSharedByWorkers(t *testing.T) {
+	cfg, scale := microConfig(), microScale()
+	lc := mix.LCConfig{App: mustLC(t, "masstree"), Level: mix.LowLoad, Instances: 2}
+	batches, err := mix.BatchMixes(1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixes := []mix.Mix{{ID: 0, LC: lc, Batch: batches[0]}}
+	serial := NewBaselines(cfg, scale)
+	want, err := serial.PooledIsolatedTail(lc, 95)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warmed := NewBaselines(cfg, scale)
+	if err := warmBaselines(cfg, scale, warmed, mixes); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, 8)
+	var lined sync.WaitGroup // start barrier: every reader queries at once
+	lined.Add(len(got))
+	if err := parallel.For(len(got), len(got), func(i int) (err error) {
+		lined.Done()
+		lined.Wait()
+		got[i], err = warmed.PooledIsolatedTail(lc, 95)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != want {
+			t.Errorf("reader %d saw pooled tail %v, want %v", i, v, want)
+		}
 	}
 }
 

@@ -63,11 +63,13 @@ type ScenarioOutcome struct {
 
 // RunScenario runs a scenario: calibrate each latency-critical entry once,
 // then run every scheme of the matrix over the same plan. workers bounds
-// parallel simulations; results are bit-identical at any workers value (the
-// scheme fan-out and each cluster's node fan-out land in index-addressed
-// slots). progress, when non-nil, receives the human progress lines the
-// interactive front-end prints; it is only called serially, before the
-// parallel phase starts. A nil pool disables warm-state reuse.
+// parallel simulations: each phase is one flat job list — every baseline,
+// then every scheme run (single-node) or every (scheme, node) simulation
+// (cluster.RunAll) — landing in index-addressed slots, so results are
+// bit-identical at any workers value. progress, when non-nil, receives the
+// human progress lines the interactive front-end prints; it is only called
+// serially, before a parallel phase starts. A nil pool disables warm-state
+// reuse.
 func RunScenario(spec scenario.Spec, workers int, pool *sim.WarmPool, progress func(format string, args ...any)) (*ScenarioOutcome, error) {
 	return RunScenarioTraced(spec, workers, pool, progress, nil)
 }
@@ -170,10 +172,9 @@ func batchSlots(spec scenario.Spec) ([]batchSlot, error) {
 	return out, nil
 }
 
-// runScenarioSingle runs the single-node mix under every scheme: pooled
-// isolation baselines on the exact instance seeds of the mix, batch baseline
-// IPCs, then one RunMix per scheme (sharded over workers when the matrix has
-// several schemes).
+// runScenarioSingle runs the single-node mix under every scheme in two flat
+// phases: every baseline (isolation runs on the exact instance seeds of the
+// mix, batch baseline IPCs), then one RunMix per scheme.
 func runScenarioSingle(out *ScenarioOutcome, spec scenario.Spec, schemes []scenario.ResolvedScheme,
 	workers int, pool *sim.WarmPool, say func(string, ...any), rec *trace.Recorder) error {
 	cfg := out.Cfg
@@ -182,11 +183,8 @@ func runScenarioSingle(out *ScenarioOutcome, spec scenario.Spec, schemes []scena
 	reqFactor := spec.RequestFactorOrDefault()
 
 	// Build the mix slots — every LC entry expanded to its instances (global
-	// instance indices drive the per-slot seeds), then the batch slots — and
-	// pool the isolated latencies of the same instances.
+	// instance indices drive the per-slot seeds), then the batch slots.
 	var specs []sim.AppSpec
-	pooledBase := stats.NewSample(256)
-	g := 0
 	for entry, a := range spec.LCApps() {
 		profile, err := workload.LCByName(a.LC)
 		if err != nil {
@@ -197,55 +195,59 @@ func runScenarioSingle(out *ScenarioOutcome, spec scenario.Spec, schemes []scena
 		if err != nil {
 			return err
 		}
-		seeds := make([]uint64, a.InstancesOrDefault())
-		for i := range seeds {
-			seeds[i] = workload.SplitSeed(seed, uint64(1000+g))
-			g++
+		for i := 0; i < a.InstancesOrDefault(); i++ {
 			specs = append(specs, sim.AppSpec{
 				LC: &profile, Load: a.Load, MeanInterarrival: base.MeanInterarrival,
 				DeadlineCycles: uint64(base.TailLatency), RequestFactor: reqFactor,
-				Seed: seeds[i], Sched: sched,
+				Seed: workload.SplitSeed(seed, uint64(1000+len(specs))), Sched: sched,
 			})
 		}
-		isoRuns, err := sim.RunIsolatedLCShardsPooled(pool, cfg, profile, profile.TargetLines(),
-			base.MeanInterarrival, reqFactor, seeds, workers)
-		if err != nil {
+	}
+	batches, err := batchSlots(spec)
+	if err != nil {
+		return err
+	}
+
+	// The baselines are one flat job list: the isolated run of every LC
+	// instance on its mix seed, then every batch slot's baseline IPC. Trace
+	// slots normalise against the stand-in profile's synthetic baseline (a
+	// fixed, deterministic reference): the warm pool memoises baselines by
+	// profile, and two different recordings sharing the trace-replay profile
+	// must not collide in it.
+	isoRuns := make([]sim.Result, len(specs))
+	out.BatchBaselineIPC = make([]float64, len(batches))
+	if err := parallel.For(len(isoRuns)+len(batches), workers, func(i int) error {
+		var err error
+		if i < len(isoRuns) {
+			a := specs[i]
+			isoRuns[i], err = sim.RunIsolatedLCPooled(pool, cfg, *a.LC, a.LC.TargetLines(), a.MeanInterarrival, reqFactor, a.Seed)
 			return err
 		}
-		for _, iso := range isoRuns {
-			pooledBase.AddAll(iso.LCResults()[0].Latencies.Values())
-		}
+		p := batches[i-len(isoRuns)].profile
+		out.BatchBaselineIPC[i-len(isoRuns)], err = sim.MeasureBatchBaselineIPCPooled(pool, cfg, p, sim.LinesFor2MB, p.ROIInstructions)
+		return err
+	}); err != nil {
+		return err
+	}
+	pooledBase := stats.NewSample(256)
+	for _, iso := range isoRuns {
+		pooledBase.AddAll(iso.LCResults()[0].Latencies.Values())
 	}
 	baseTail, err := pooledBase.TailMean(cfg.TailPercentile)
 	if err != nil {
 		return err
 	}
 	out.IsolatedPooledTail = baseTail
-
-	batches, err := batchSlots(spec)
-	if err != nil {
-		return err
-	}
 	for i := range batches {
-		// Trace slots normalise against the stand-in profile's synthetic
-		// baseline (a fixed, deterministic reference): the warm pool memoises
-		// baselines by profile, and two different recordings sharing the
-		// trace-replay profile must not collide in it.
-		ipc, err := sim.MeasureBatchBaselineIPCPooled(pool, cfg, batches[i].profile, sim.LinesFor2MB, batches[i].profile.ROIInstructions)
-		if err != nil {
-			return err
-		}
-		out.BatchBaselineIPC = append(out.BatchBaselineIPC, ipc)
 		specs = append(specs, sim.AppSpec{Batch: &batches[i].profile, Trace: batches[i].trace})
 	}
 
 	schedDesc := scheduleDescription(spec)
+	if schedDesc != "" {
+		schedDesc = " with load schedule " + schedDesc
+	}
 	for _, rs := range schemes {
-		if schedDesc == "" {
-			say("Running mix under %s...\n", rs.PolicyName())
-		} else {
-			say("Running mix under %s with load schedule %s...\n", rs.PolicyName(), schedDesc)
-		}
+		say("Running mix under %s%s...\n", rs.PolicyName(), schedDesc)
 	}
 	out.Schemes = make([]ScenarioScheme, len(schemes))
 	return parallel.For(len(schemes), workers, func(i int) error {
@@ -364,48 +366,44 @@ func runScenarioCluster(out *ScenarioOutcome, spec scenario.Spec, schemes []scen
 		return cl
 	}
 
-	first := buildSpec(schemes[0], 0)
+	// Every spec is built here, serially (building names the trace pids); the
+	// whole (scheme x node) matrix is then one flat cluster.RunAll job list.
+	specs := make([]cluster.Spec, len(schemes))
+	keys := make([]string, len(schemes))
+	for i, rs := range schemes {
+		specs[i], keys[i] = buildSpec(rs, i), rs.Key
+	}
+	first := specs[0]
 	out.ClusterSpec = &first
 	if len(spec.Faults) > 0 {
 		say("Injecting %d fault-plan entries...\n", len(spec.Faults))
 	}
 	schedDesc := scheduleDescription(spec)
-	for _, rs := range schemes {
-		if schedDesc == "" {
-			say("Running %d-node cluster under %s: fanout %d, quorum %d, balancer %s...\n",
-				c.Nodes, rs.PolicyName(), first.Fanout, clusterQuorum(first), first.Balancer)
-		} else {
-			say("Running %d-node cluster under %s: fanout %d, quorum %d, balancer %s, load schedule %s...\n",
-				c.Nodes, rs.PolicyName(), first.Fanout, clusterQuorum(first), first.Balancer, schedDesc)
-		}
+	if schedDesc != "" {
+		schedDesc = ", load schedule " + schedDesc
 	}
-	// One scheme gets the whole worker pool for its node fan-out; a matrix
-	// shards over schemes instead (each cluster runs its nodes serially).
-	// Both shapes land results in index-addressed slots, so output is
-	// bit-identical at any workers value either way.
-	schemeWorkers, nodeWorkers := 1, workers
-	if len(schemes) > 1 {
-		schemeWorkers, nodeWorkers = workers, 1
+	quorum := first.Quorum
+	if quorum == 0 {
+		quorum = first.Fanout // the cluster layer's default: wait for every leaf
+	}
+	for _, rs := range schemes {
+		say("Running %d-node cluster under %s: fanout %d, quorum %d, balancer %s%s...\n",
+			c.Nodes, rs.PolicyName(), first.Fanout, quorum, first.Balancer, schedDesc)
+	}
+	results, err := cluster.RunAll(specs, keys, workers, pool)
+	if err != nil {
+		return fmt.Errorf("scheme %w", err)
 	}
 	out.Schemes = make([]ScenarioScheme, len(schemes))
-	return parallel.For(len(schemes), schemeWorkers, func(i int) error {
-		rs := schemes[i]
-		res, err := cluster.RunPooled(buildSpec(rs, i), nodeWorkers, pool, rs.Key)
-		if err != nil {
-			return fmt.Errorf("scheme %s: %w", rs.Scheme.Name, err)
-		}
-		sc := ScenarioScheme{
-			Scheme:     rs.Scheme,
-			PolicyName: rs.PolicyName(),
-			Cluster:    &res,
-			Windows:    res.Windows,
-		}
+	for i, rs := range schemes {
+		res := &results[i]
+		sc := ScenarioScheme{Scheme: rs.Scheme, PolicyName: rs.PolicyName(), Cluster: res, Windows: res.Windows}
 		if base.TailLatency > 0 {
 			sc.TailAmplification = res.P95 / base.TailLatency
 		}
 		out.Schemes[i] = sc
-		return nil
-	})
+	}
+	return nil
 }
 
 // scheduleDescription summarises the mix's non-constant load schedules for
@@ -437,14 +435,6 @@ func scheduleDescription(spec scenario.Spec) string {
 	default:
 		return "mixed"
 	}
-}
-
-// clusterQuorum mirrors the cluster spec's quorum resolution for display.
-func clusterQuorum(s cluster.Spec) int {
-	if s.Quorum == 0 {
-		return s.Fanout
-	}
-	return s.Quorum
 }
 
 // pooledLCWindowStats pools the per-window latency samples of every

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/tracein"
 )
 
@@ -35,9 +36,10 @@ func outcomeDigest(t *testing.T, out *ScenarioOutcome) uint64 {
 // experiment-table digests are pinned beside it in golden_test.go.
 const goldenScenarioDigest = 0x41f4dc8aa838ae5b
 
-// TestScenarioGoldenDigest runs the shipped flash-crowd-failure scenario at
-// parallelism 1 and 4 and requires bit-identical outcomes, pinned to a golden
-// digest.
+// TestScenarioGoldenDigest runs the shipped flash-crowd-failure scenario (one
+// scheme, four nodes) serially and at workers 3, 4 and 64 — a non-divisor of
+// the node count and more workers than jobs — and requires bit-identical
+// outcomes, pinned to a golden digest.
 func TestScenarioGoldenDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario runs are slow")
@@ -50,15 +52,64 @@ func TestScenarioGoldenDigest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel4, err := RunScenario(spec, 4, sim.NewWarmPool(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial.Schemes, parallel4.Schemes) {
-		t.Error("scenario outcome differs between parallelism 1 and 4 (with warm pool)")
+	for _, workers := range []int{3, 4, 64} {
+		sharded, err := RunScenario(spec, workers, sim.NewWarmPool(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(serial.Schemes, sharded.Schemes) {
+			t.Errorf("scenario outcome differs between parallelism 1 and %d (with warm pool)", workers)
+		}
 	}
 	if got := outcomeDigest(t, serial); got != goldenScenarioDigest {
 		t.Errorf("flash-crowd-failure digest = %#016x, want %#016x", got, uint64(goldenScenarioDigest))
+	}
+}
+
+// TestScenarioMatrixDeterministicUnderWorkers drives the flat (scheme x node)
+// job list: the shipped fail-slow scenario widened to a three-scheme matrix
+// must produce the same outcome at every workers value — non-divisors of the
+// job count, exactly S*M, more workers than jobs — with and without a warm
+// pool, and with a trace recorder attached.
+func TestScenarioMatrixDeterministicUnderWorkers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scenario runs are slow")
+	}
+	spec, err := scenario.ParseFile("../../examples/scenarios/fail-slow.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Schemes = []scenario.Scheme{{Name: "ubik"}, {Name: "ucp"}, {Name: "lru"}}
+	spec.RequestFactor = 0.02
+	reference, err := RunScenario(spec, 1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reference.Schemes) != 3 || reflect.DeepEqual(reference.Schemes[0].Cluster, reference.Schemes[2].Cluster) {
+		t.Fatal("the matrix must hold three schemes with distinct results for the comparison to mean anything")
+	}
+	jobs := len(spec.Schemes) * spec.Cluster.Nodes
+	for _, workers := range []int{2, 3, 5, jobs, 64} {
+		for _, pool := range []*sim.WarmPool{nil, sim.NewWarmPool()} {
+			out, err := RunScenario(spec, workers, pool, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(reference.Schemes, out.Schemes) {
+				t.Errorf("matrix outcome differs between workers 1 and %d (pooled=%v)", workers, pool != nil)
+			}
+		}
+	}
+	rec := trace.NewRecorder(1 << 12)
+	traced, err := RunScenarioTraced(spec, 5, sim.NewWarmPool(), nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(reference.Schemes, traced.Schemes) {
+		t.Error("matrix outcome differs with a trace recorder attached")
+	}
+	if rec.Len() == 0 {
+		t.Error("the traced matrix run recorded no events")
 	}
 }
 

@@ -14,6 +14,14 @@ import (
 // workers goroutines, and returns the first (lowest-index) error. workers <= 1
 // runs inline. fn must confine its side effects to index-addressed state; the
 // scheduling order across workers is arbitrary.
+//
+// Once any fn fails, workers stop claiming new indices. Indices are claimed in
+// increasing order, so every index below a failed one is already in flight and
+// the lowest-index error is still the one returned.
+//
+// Callers fan a whole dependency phase out as one flat list: For is never
+// entered with workers > 1 from inside another For body, and a worker budget
+// is never split between nested levels (DESIGN.md §4).
 func For(n, workers int, fn func(int) error) error {
 	if workers > n {
 		workers = n
@@ -29,17 +37,20 @@ func For(n, workers int, fn func(int) error) error {
 	errs := make([]error, n)
 	var next atomic.Int64
 	next.Store(-1)
+	var failed atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
+			for !failed.Load() {
 				i := int(next.Add(1))
 				if i >= n {
 					return
 				}
-				errs[i] = fn(i)
+				if errs[i] = fn(i); errs[i] != nil {
+					failed.Store(true)
+				}
 			}
 		}()
 	}

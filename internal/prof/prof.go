@@ -14,10 +14,6 @@ import (
 // osCreate is os.Create, swappable by tests to exercise file-error paths.
 var osCreate = os.Create
 
-// active is the stop function of the profiling session in flight, so Flush
-// can finish the profiles on error paths that bypass main's defer.
-var active func() error
-
 // Flags holds the parsed -cpuprofile and -memprofile values.
 type Flags struct{ cpu, mem *string }
 
@@ -52,10 +48,6 @@ func (f *Flags) Start() (finish func(retErr *error), err error) {
 // every exit path, checking its error — a close that fails can truncate the
 // profile trailer, and a perf run with a silently corrupt profile is worse
 // than no run.
-//
-// Error paths that exit via os.Exit (skipping defers) must call Flush first,
-// or the CPU profile is left without its trailer and the heap profile is
-// never written.
 func Start(cpuPath, memPath string) (stop func() error, err error) {
 	var cpuFile *os.File
 	if cpuPath != "" {
@@ -88,7 +80,6 @@ func Start(cpuPath, memPath string) (stop func() error, err error) {
 		}
 		return firstErr
 	}
-	active = stop
 	return stop, nil
 }
 
@@ -106,16 +97,6 @@ func writeHeapProfile(path string) error {
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("prof: close heap profile: %w", err)
-	}
-	return nil
-}
-
-// Flush finishes any in-flight profiles and reports what finishing them
-// returned. It is safe to call when no profiling session is active, and a
-// profile is never finished twice.
-func Flush() error {
-	if active != nil {
-		return active()
 	}
 	return nil
 }

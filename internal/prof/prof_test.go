@@ -86,21 +86,3 @@ func TestStopPropagatesCPUCloseError(t *testing.T) {
 		t.Fatalf("error should identify the close step, got: %v", err)
 	}
 }
-
-func TestFlushFinishesActiveSession(t *testing.T) {
-	dir := t.TempDir()
-	cpu := filepath.Join(dir, "cpu.pprof")
-	if _, err := Start(cpu, ""); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	if err := Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	fi, err := os.Stat(cpu)
-	if err != nil || fi.Size() == 0 {
-		t.Fatalf("Flush did not finish the CPU profile: %v, size %d", err, fi.Size())
-	}
-	if err := Flush(); err != nil {
-		t.Errorf("second Flush should be a nil no-op, got %v", err)
-	}
-}

@@ -39,14 +39,6 @@ func (r Request) ServiceTime() uint64 {
 	return r.CompletionCycle - r.StartCycle
 }
 
-// QueueDelay returns the time the request waited before service began.
-func (r Request) QueueDelay() uint64 {
-	if r.StartCycle < r.ArrivalCycle {
-		return 0
-	}
-	return r.StartCycle - r.ArrivalCycle
-}
-
 // FIFO is a first-in-first-out request queue.
 type FIFO struct {
 	items []*Request

@@ -13,12 +13,9 @@ func TestRequestTimings(t *testing.T) {
 	if r.ServiceTime() != 250 {
 		t.Errorf("ServiceTime = %d, want 250", r.ServiceTime())
 	}
-	if r.QueueDelay() != 50 {
-		t.Errorf("QueueDelay = %d, want 50", r.QueueDelay())
-	}
 	// Degenerate orderings clamp to zero rather than underflowing.
 	weird := Request{ArrivalCycle: 500, StartCycle: 400, CompletionCycle: 300}
-	if weird.Latency() != 0 || weird.ServiceTime() != 0 || weird.QueueDelay() != 0 {
+	if weird.Latency() != 0 || weird.ServiceTime() != 0 {
 		t.Errorf("inverted timestamps should clamp to 0")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/parallel"
 	"repro/internal/policy"
 	"repro/internal/workload"
 )
@@ -131,25 +130,6 @@ func RunIsolatedLCPooled(pool *WarmPool, cfg Config, profile workload.LCProfile,
 	return pool.Result(isolationKey("iso", iso, profile, targetLines, meanInterarrival, requestFactor, seed), func() (Result, error) {
 		return RunMix(iso, []AppSpec{spec}, policy.NewLRU())
 	})
-}
-
-// RunIsolatedLCShardsPooled runs one isolation instance per seed — the
-// per-instance baselines a mix comparison needs — distributing the instances
-// over at most parallelism workers, each memoized through the warm pool (nil
-// disables reuse). Each instance is an independent single-app simulation with
-// its own seed, so the result slice (returned in seed order) is bit-identical
-// at any parallelism level.
-func RunIsolatedLCShardsPooled(pool *WarmPool, cfg Config, profile workload.LCProfile, targetLines uint64, meanInterarrival, requestFactor float64, seeds []uint64, parallelism int) ([]Result, error) {
-	results := make([]Result, len(seeds))
-	err := parallel.For(len(seeds), parallelism, func(i int) error {
-		var err error
-		results[i], err = RunIsolatedLCPooled(pool, cfg, profile, targetLines, meanInterarrival, requestFactor, seeds[i])
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // MeasureLCBaseline runs an application alone on a private LLC of targetLines
