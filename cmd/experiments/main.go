@@ -198,8 +198,7 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		if !*jsonOut {
 			return nil
 		}
-		// One array of every emitted table, machine-readable: the shape
-		// BENCH_cluster.json is generated with in CI.
+		// One array of every emitted table, machine-readable.
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(jsonTables)

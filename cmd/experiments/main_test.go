@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -344,5 +345,34 @@ func TestExperimentIndexCannotDrift(t *testing.T) {
 	}
 	if all := tableIDs("all"); all != named {
 		t.Errorf("-exp all emits\n%s\nbut naming every id emits\n%s", all, named)
+	}
+}
+
+// TestDocsNameOnlyExistingPaths holds README.md and DESIGN.md to the tree:
+// every cmd/, examples/, benchmarks/ or internal/ path they name — in inline
+// code, a fenced recipe or prose, with or without a leading "./" — must
+// exist, so deleting a program or package cannot leave a recipe pointing at
+// nothing. A mention ends at the first character a path cannot hold (so
+// examples/scenarios/*.json checks the directory) and sheds a trailing Go
+// selector (internal/experiment.Scale checks the package).
+func TestDocsNameOnlyExistingPaths(t *testing.T) {
+	root := filepath.Join("..", "..")
+	mention := regexp.MustCompile("(?m)(?:^|[\\s`(])(?:\\./)?((?:cmd|examples|benchmarks|internal)/[A-Za-z0-9_./-]*)")
+	selector := regexp.MustCompile(`\.[A-Z]\w*$`)
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		matches := mention.FindAllStringSubmatch(string(text), -1)
+		if len(matches) == 0 {
+			t.Errorf("%s names no repository path: the pattern has stopped matching", doc)
+		}
+		for _, m := range matches {
+			path := strings.TrimRight(selector.ReplaceAllString(m[1], ""), "./")
+			if _, err := os.Stat(filepath.Join(root, filepath.FromSlash(path))); err != nil {
+				t.Errorf("%s names `%s`, which is not in the tree", doc, path)
+			}
+		}
 	}
 }

@@ -6,19 +6,16 @@
 // readers and writers see a plain slice — zero indirection, zero overhead.
 // Seal freezes the current contents into an immutable Snapshot and turns the
 // arena into a lazy fork of that snapshot; Snapshot.Fork creates further lazy
-// forks. A lazy fork holds a full-size buffer (recycled from a pool, so no
-// zeroing cost) plus a bitmap of which fixed-size chunks have been
-// materialised from the snapshot. Callers fault chunks in with Ensure /
-// EnsureRange before touching the corresponding words; once every chunk is
-// materialised the bitmap is dropped and the arena is back on the flat
-// zero-overhead path.
+// forks. A lazy fork holds a full-size buffer plus a bitmap of which
+// fixed-size chunks have been materialised from the snapshot. Callers fault
+// chunks in with Ensure / EnsureRange before touching the corresponding
+// words; once every chunk is materialised the bitmap is dropped and the arena
+// is back on the flat zero-overhead path.
 //
 // Fork cost is therefore O(len/ChunkWords) bookkeeping — independent of how
 // much state the arena holds — and the copy cost of a fork is proportional to
 // the chunks it actually dirties, not to the LLC size.
 package arena
-
-import "sync"
 
 const (
 	// ChunkWords is the copy-on-write granularity in 8-byte words (4 KiB).
@@ -51,11 +48,7 @@ type Arena struct {
 }
 
 // New returns a fully owned, zeroed arena of n words.
-func New(n int) *Arena {
-	buf := getBuf(n)
-	clear(buf)
-	return &Arena{data: buf}
-}
+func New(n int) *Arena { return &Arena{data: make([]uint64, n)} }
 
 // Len returns the arena's size in words.
 func (a *Arena) Len() int { return len(a.data) }
@@ -128,7 +121,7 @@ func (a *Arena) MaterializeAll() {
 // already is the arena's state, so it is returned directly and the arena is
 // left unchanged. Otherwise any unmaterialised chunks are back-filled from
 // the parent, the current buffer becomes the snapshot, and the arena moves to
-// a fresh pooled buffer with every chunk pending.
+// a fresh buffer with every chunk pending.
 func (a *Arena) Seal() *Snapshot {
 	if a.present != nil && a.left == numChunks(len(a.data)) {
 		return a.base
@@ -139,7 +132,7 @@ func (a *Arena) Seal() *Snapshot {
 	if nc == 0 {
 		return snap
 	}
-	a.data = getBuf(len(snap.data))
+	a.data = make([]uint64, len(snap.data))
 	a.base = snap
 	a.present = make([]uint64, (nc+63)/64)
 	a.left = nc
@@ -150,10 +143,10 @@ func (a *Arena) Seal() *Snapshot {
 func (s *Snapshot) Fork() *Arena {
 	nc := numChunks(len(s.data))
 	if nc == 0 {
-		return &Arena{data: getBuf(0)}
+		return New(0)
 	}
 	return &Arena{
-		data:    getBuf(len(s.data)),
+		data:    make([]uint64, len(s.data)),
 		base:    s,
 		present: make([]uint64, (nc+63)/64),
 		left:    nc,
@@ -168,37 +161,4 @@ func (a *Arena) Reset() {
 	a.present = nil
 	a.left = 0
 	clear(a.data)
-}
-
-// Release returns the arena's buffer to the pool. The arena must not be used
-// afterwards, and the caller must guarantee nothing else aliases the buffer.
-// The buffer is always private to the arena — Seal hands the old buffer to
-// the snapshot and installs a fresh one — so this never touches a snapshot.
-func (a *Arena) Release() {
-	putBuf(a.data)
-	a.data = nil
-	a.present = nil
-	a.base = nil
-}
-
-// bufPools recycles buffers by exact length; simulations use a handful of
-// distinct sizes, so the map stays tiny. Pooled buffers are dirty — callers
-// that need zeroed storage (New, Reset) clear them explicitly, while
-// copy-on-write forks never read unmaterialised words.
-var bufPools sync.Map // int -> *sync.Pool
-
-func getBuf(n int) []uint64 {
-	p, _ := bufPools.LoadOrStore(n, &sync.Pool{})
-	if v := p.(*sync.Pool).Get(); v != nil {
-		return v.([]uint64)
-	}
-	return make([]uint64, n)
-}
-
-func putBuf(b []uint64) {
-	if b == nil {
-		return
-	}
-	p, _ := bufPools.LoadOrStore(len(b), &sync.Pool{})
-	p.(*sync.Pool).Put(b)
 }

@@ -36,10 +36,9 @@ func equal(t *testing.T, got, want []uint64, what string) {
 }
 
 func TestNewIsZeroed(t *testing.T) {
-	// Dirty a pooled buffer first so New must clear it.
-	a := New(3 * ChunkWords)
-	fill(a, 1)
-	a.Release()
+	// Dirty one arena first: however buffers come to be reused, the next
+	// New must not see its words.
+	fill(New(3*ChunkWords), 1)
 	b := New(3 * ChunkWords)
 	for i, w := range b.Data() {
 		if w != 0 {
@@ -183,6 +182,8 @@ func TestZeroLength(t *testing.T) {
 	}
 }
 
+var forkSink *Arena
+
 func BenchmarkFork(b *testing.B) {
 	a := New(48 * 1024) // ~ a 16K-line zcache slab
 	fill2 := a.Data()
@@ -192,7 +193,6 @@ func BenchmarkFork(b *testing.B) {
 	snap := a.Seal()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := snap.Fork()
-		f.Release()
+		forkSink = snap.Fork()
 	}
 }

@@ -128,7 +128,7 @@ func TestReplayLatencySamplesEveryTenant(t *testing.T) {
 // BenchmarkTraceReplay measures replayed-trace throughput end to end through
 // the file format: the trace is written to disk and reopened (exercising the
 // mmap fast path), the replayer preps its tables outside the timer, and the
-// measured region is pure replay traffic. Tracked by benchgate.
+// measured region is pure replay traffic.
 func BenchmarkTraceReplay(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench.trace")
 	if _, err := tracein.GenerateFile(path, tracein.GenSpec{

@@ -10,7 +10,7 @@ import (
 )
 
 // benchSpec is the bench-scale cluster: 4 Ubik nodes, fan-out 2 with
-// hedging, p2c balancing — the configuration BENCH_cluster.json reports on.
+// hedging, p2c balancing.
 func benchSpec(b *testing.B) Spec {
 	b.Helper()
 	lc, err := workload.LCByName("specjbb")

@@ -53,13 +53,7 @@ func runAblation(cfg sim.Config, scale Scale, id, title string, schemes []Scheme
 		Header: []string{"variant", "avg_tail_degradation", "worst_tail_degradation", "avg_weighted_speedup"},
 	}
 	for _, s := range schemes {
-		recs := filterRecords(records, s.Name, nil)
-		t.Rows = append(t.Rows, []string{
-			s.Name,
-			f3(mean(recs, func(r MixRecord) float64 { return r.TailDegradation })),
-			f3(maxOf(recs, func(r MixRecord) float64 { return r.TailDegradation })),
-			f3(mean(recs, func(r MixRecord) float64 { return r.WeightedSpeedup })),
-		})
+		t.Rows = append(t.Rows, summaryRow(s.Name, filterRecords(records, s.Name, nil)))
 	}
 	return t, nil
 }

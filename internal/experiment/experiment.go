@@ -486,6 +486,14 @@ func sortedValues(records []MixRecord, metric func(MixRecord) float64, descendin
 	return out
 }
 
+// summaryRow is the [name, avg tail degradation, worst tail degradation, avg
+// weighted speedup] row the per-configuration summary tables share.
+func summaryRow(name string, recs []MixRecord) []string {
+	tail := func(r MixRecord) float64 { return r.TailDegradation }
+	return []string{name, f3(mean(recs, tail)), f3(maxOf(recs, tail)),
+		f3(mean(recs, func(r MixRecord) float64 { return r.WeightedSpeedup }))}
+}
+
 // mean averages a metric over records.
 func mean(records []MixRecord, metric func(MixRecord) float64) float64 {
 	if len(records) == 0 {

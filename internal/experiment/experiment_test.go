@@ -6,8 +6,11 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/cpu"
 	"repro/internal/mix"
 	"repro/internal/parallel"
+	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -278,6 +281,73 @@ func TestMicroSweepAndAggregations(t *testing.T) {
 	}
 	if names := recordSchemes(records); len(names) != 2 {
 		t.Errorf("expected 2 schemes in records, got %v", names)
+	}
+}
+
+// TestSweepUnderEveryFigureConfiguration runs one mix through each machine
+// and scheme variation the figure runners sweep that no golden path reaches:
+// in-order cores under the five schemes (fig11), the four Ubik slack settings
+// (fig12), every Figure 13 partitioning scheme and array, and Ubik with exact
+// transient sums (abl-bound) — plus the service-time CDFs of fig1b. Every
+// record must carry a positive tail degradation and weighted speedup.
+func TestSweepUnderEveryFigureConfiguration(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweeps are slow")
+	}
+	scale := microScale()
+	scale.RequestFactor = 0.03
+	batches, err := mix.BatchMixes(1, scale.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixes := []mix.Mix{{ID: 0, LC: mix.LCConfig{App: mustLC(t, "specjbb"), Level: mix.LowLoad, Instances: 3}, Batch: batches[3]}}
+	ubik := StandardSchemes()[4:5]
+	type variation struct {
+		name    string
+		cfg     sim.Config
+		schemes []Scheme
+	}
+	inOrder := microConfig()
+	inOrder.Core = cpu.DefaultModel(cpu.InOrder)
+	variations := []variation{
+		{"fig11 in-order cores", inOrder, StandardSchemes()},
+		{"fig12 slack", microConfig(), UbikSlackSchemes()},
+		{"abl-bound exact transients", microConfig(), []Scheme{{Name: "Ubik (exact transients)", NewPolicy: func() policy.Policy {
+			return core.NewUbikWithConfig(core.Config{Slack: 0.05, ExactTransients: true})
+		}}}},
+	}
+	for _, ac := range Fig13ArrayConfigs(microConfig().LLC.Lines, microConfig().LLC.Partitions) {
+		cfg := microConfig()
+		cfg.LLC = ac.LLC
+		variations = append(variations, variation{"fig13 " + ac.Name, cfg, ubik})
+	}
+	for _, v := range variations {
+		records, err := Sweep(v.cfg, scale, NewBaselines(v.cfg, scale), mixes, v.schemes)
+		if err != nil {
+			t.Fatalf("%s: %v", v.name, err)
+		}
+		if len(records) != len(v.schemes) {
+			t.Errorf("%s: %d records for %d schemes", v.name, len(records), len(v.schemes))
+		}
+		for _, r := range records {
+			if !(r.TailDegradation > 0) || !(r.WeightedSpeedup > 0) {
+				t.Errorf("%s/%s: tail degradation %v, weighted speedup %v, want both positive",
+					v.name, r.Scheme, r.TailDegradation, r.WeightedSpeedup)
+			}
+		}
+	}
+
+	cdfs, err := Fig1ServiceCDF(microConfig(), scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cdfs) != len(workload.AllLCProfiles()) {
+		t.Errorf("fig1b: %d tables for %d latency-critical apps", len(cdfs), len(workload.AllLCProfiles()))
+	}
+	for _, table := range cdfs {
+		if len(table.Rows) == 0 {
+			t.Errorf("%s has no rows", table.ID)
+		}
 	}
 }
 

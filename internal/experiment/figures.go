@@ -333,12 +333,7 @@ func Fig13PartScheme(cfg sim.Config, scale Scale) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		summary.Rows = append(summary.Rows, []string{
-			ac.Name,
-			f3(mean(records, func(r MixRecord) float64 { return r.TailDegradation })),
-			f3(maxOf(records, func(r MixRecord) float64 { return r.TailDegradation })),
-			f3(mean(records, func(r MixRecord) float64 { return r.WeightedSpeedup })),
-		})
+		summary.Rows = append(summary.Rows, summaryRow(ac.Name, records))
 	}
 	return []Table{summary}, nil
 }
@@ -395,12 +390,7 @@ func Fig14HierarchySweep(cfg sim.Config, scale Scale) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		summary.Rows = append(summary.Rows, []string{
-			hc.Name,
-			f3(mean(records, func(r MixRecord) float64 { return r.TailDegradation })),
-			f3(maxOf(records, func(r MixRecord) float64 { return r.TailDegradation })),
-			f3(mean(records, func(r MixRecord) float64 { return r.WeightedSpeedup })),
-		})
+		summary.Rows = append(summary.Rows, summaryRow(hc.Name, records))
 	}
 	return []Table{summary}, nil
 }

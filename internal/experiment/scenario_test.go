@@ -113,6 +113,49 @@ func TestScenarioMatrixDeterministicUnderWorkers(t *testing.T) {
 	}
 }
 
+// TestWalkthroughScenarios runs the three walkthrough files README points a
+// new reader at, shrunk to a tiny request factor: each must yield one outcome
+// per declared scheme, in file order, with a positive tail degradation and
+// batch weighted speedup, bit-identical between workers 1 (no warm pool) and
+// workers 4 (with one).
+func TestWalkthroughScenarios(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scenario runs are slow")
+	}
+	for _, name := range []string{"quickstart", "colocation", "slack-sweep"} {
+		t.Run(name, func(t *testing.T) {
+			spec, err := scenario.ParseFile("../../examples/scenarios/" + name + ".json")
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.RequestFactor = 0.02
+			serial, err := RunScenario(spec, 1, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sharded, err := RunScenario(spec, 4, sim.NewWarmPool(), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(serial.Schemes, sharded.Schemes) {
+				t.Error("outcome differs between workers 1 and 4")
+			}
+			if len(serial.Schemes) != len(spec.Schemes) {
+				t.Fatalf("%d outcomes for %d declared schemes", len(serial.Schemes), len(spec.Schemes))
+			}
+			for i, sc := range serial.Schemes {
+				if sc.Scheme != spec.Schemes[i] {
+					t.Errorf("outcome %d is for %+v, want %+v", i, sc.Scheme, spec.Schemes[i])
+				}
+				if !(sc.Degradation > 0) || !(sc.WeightedSpeedup > 0) {
+					t.Errorf("%+v: degradation %v, weighted speedup %v, want both positive",
+						sc.Scheme, sc.Degradation, sc.WeightedSpeedup)
+				}
+			}
+		})
+	}
+}
+
 // TestScenarioTraceReplayDeterministic exercises the trace lowering end to
 // end through a real file: a generated trace on disk feeds a scenario trace
 // entry, and the outcome is bit-identical between workers 1 (no warm pool)

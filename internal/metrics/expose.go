@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -118,12 +117,6 @@ func (r *Registry) Snapshot() []SnapshotMetric {
 		}
 	}
 	return out
-}
-
-// WriteJSON writes the Snapshot as a JSON array.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(r.Snapshot())
 }
 
 // counterValue reads whichever counter representation the child holds.

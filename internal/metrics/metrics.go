@@ -1,9 +1,9 @@
 // Package metrics is the repo's dependency-free observability core: typed
 // counters, gauges and fixed-bucket histograms behind a registry that exposes
-// them in Prometheus text format (Registry.WriteText) and as JSON snapshots
-// (Registry.WriteJSON). It exists so the live cache service, the governor and
-// the simulator can be instrumented without importing anything, and without
-// costing the hot path an allocation.
+// them in Prometheus text format (Registry.WriteText) and as JSON-encodable
+// snapshots (Registry.Snapshot). It exists so the live cache service, the
+// governor and the simulator can be instrumented without importing anything,
+// and without costing the hot path an allocation.
 //
 // Zero-allocation contract: every write-side operation — Counter.Inc/Add,
 // ShardedCounter.Add, Gauge.Set/Add, Histogram.Observe — performs no heap
@@ -212,7 +212,7 @@ func NewRegistry() *Registry {
 }
 
 // OnCollect registers a callback run (under the registry lock, in
-// registration order) at the start of every WriteText/WriteJSON/Snapshot.
+// registration order) at the start of every WriteText/Snapshot.
 // Collectors bridge state kept elsewhere — e.g. per-shard counters summed
 // under their own locks — into registered instruments at scrape time, so hot
 // paths that already maintain counters pay nothing extra for exposition.

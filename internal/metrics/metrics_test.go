@@ -194,13 +194,13 @@ func TestJSONSnapshot(t *testing.T) {
 	r.Gauge("quota_bytes", "quota").Set(1024)
 	r.Histogram("lat_seconds", "", []float64{0.5}).Observe(0.25)
 
-	var sb strings.Builder
-	if err := r.WriteJSON(&sb); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	data, err := json.Marshal(r.Snapshot())
+	if err != nil {
+		t.Fatalf("Marshal(Snapshot): %v", err)
 	}
 	var got []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &got); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v\n%s", err, sb.String())
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatalf("snapshot is not valid JSON: %v\n%s", err, data)
 	}
 	if len(got) != 3 {
 		t.Fatalf("snapshot has %d metrics, want 3", len(got))

@@ -43,8 +43,7 @@ func largeRunSetup(tb testing.TB) (Config, []AppSpec) {
 }
 
 // BenchmarkSingleLargeRun measures one full end-to-end simulation of the
-// large mix. The "serial" sub-benchmark name is the key benchgate matches in
-// benchmarks/singlerun_baseline.json.
+// large mix.
 func BenchmarkSingleLargeRun(b *testing.B) {
 	b.Run("serial", func(b *testing.B) {
 		cfg, specs := largeRunSetup(b)
@@ -58,9 +57,7 @@ func BenchmarkSingleLargeRun(b *testing.B) {
 }
 
 // BenchmarkCheckpointClone measures checkpointing a warmed large-run state:
-// Checkpoint seals the arena-backed LLC and copies only dirty chunks. The
-// "delta" sub-benchmark name is the key benchgate matches in
-// benchmarks/singlerun_baseline.json.
+// Checkpoint seals the arena-backed LLC and copies only dirty chunks.
 func BenchmarkCheckpointClone(b *testing.B) {
 	b.Run("delta", func(b *testing.B) {
 		cfg, specs := largeRunSetup(b)

@@ -18,9 +18,9 @@ func FuzzParseTrace(f *testing.F) {
 			f.Fatalf("seed GenerateTrace: %v", err)
 		}
 		if csv {
-			f.Add(tr.EncodeCSV())
+			f.Add(image(tr.WriteCSVTo))
 		} else {
-			f.Add(tr.EncodeBinary())
+			f.Add(image(tr.WriteBinaryTo))
 		}
 	}
 	seed(GenSpec{Kind: KindMem, Gen: GenZipf, Records: 20, Apps: 2, Keys: 16, Seed: 1}, false)
@@ -52,14 +52,14 @@ func FuzzParseTrace(f *testing.F) {
 
 		if bytes.HasPrefix(data, []byte(Magic)) {
 			// Binary is fully canonical: re-encoding reproduces the input.
-			if enc := tr.EncodeBinary(); !bytes.Equal(enc, data) {
+			if enc := image(tr.WriteBinaryTo); !bytes.Equal(enc, data) {
 				t.Fatalf("binary re-encode is not the identity:\n in: %x\nout: %x", data, enc)
 			}
 			return
 		}
 		// CSV: the canonical re-encoding parses back to the same records and
 		// is itself a byte-level fixed point.
-		enc := tr.EncodeCSV()
+		enc := image(tr.WriteCSVTo)
 		tr2, err := Decode("fuzz-reencode", enc)
 		if err != nil {
 			t.Fatalf("canonical CSV re-encoding rejected: %v\n%s", err, enc)
@@ -73,7 +73,7 @@ func FuzzParseTrace(f *testing.F) {
 				t.Fatalf("re-encoded CSV changed record %d: %+v vs %+v", i, tr.Record(i), tr2.Record(i))
 			}
 		}
-		if enc2 := tr2.EncodeCSV(); !bytes.Equal(enc2, enc) {
+		if enc2 := image(tr2.WriteCSVTo); !bytes.Equal(enc2, enc) {
 			t.Fatalf("CSV canonical form is not a fixed point:\n in: %s\nout: %s", enc, enc2)
 		}
 	})

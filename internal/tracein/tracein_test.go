@@ -3,6 +3,7 @@ package tracein
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,6 +17,14 @@ func mustGen(t *testing.T, spec GenSpec) *Trace {
 		t.Fatalf("GenerateTrace(%+v): %v", spec, err)
 	}
 	return tr
+}
+
+// image returns what a trace writer (tr.WriteBinaryTo, tr.WriteCSVTo) emits:
+// the trace's canonical image in that format.
+func image(write func(io.Writer) error) []byte {
+	var b bytes.Buffer
+	write(&b) // writes to a bytes.Buffer cannot fail
+	return b.Bytes()
 }
 
 func recordsOf(t *testing.T, tr *Trace) []Record {
@@ -56,8 +65,8 @@ func TestBinaryRoundTripViaFile(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(got.EncodeBinary(), onDisk) {
-					t.Fatal("EncodeBinary of reloaded trace differs from the file image")
+				if !bytes.Equal(image(got.WriteBinaryTo), onDisk) {
+					t.Fatal("binary image of reloaded trace differs from the file image")
 				}
 			})
 		}
@@ -87,8 +96,8 @@ func TestCSVRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.EncodeCSV(), onDisk) {
-			t.Fatalf("%s EncodeCSV of reloaded trace differs from the file image", kind)
+		if !bytes.Equal(image(got.WriteCSVTo), onDisk) {
+			t.Fatalf("%s CSV image of reloaded trace differs from the file image", kind)
 		}
 	}
 }
@@ -200,7 +209,7 @@ func TestMemGeneratorKeepsAppSlabsDisjoint(t *testing.T) {
 func TestParseErrorsAreActionable(t *testing.T) {
 	dir := t.TempDir()
 	tr := mustGen(t, GenSpec{Kind: KindMem, Gen: GenZipf, Records: 50, Seed: 1})
-	good := tr.EncodeBinary()
+	good := image(tr.WriteBinaryTo)
 
 	cases := []struct {
 		name string

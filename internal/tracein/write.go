@@ -2,7 +2,6 @@ package tracein
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -67,22 +66,6 @@ func (t *Trace) WriteCSVTo(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// EncodeBinary returns the trace's canonical binary image. Decode of an
-// accepted binary input re-encodes to the identical bytes.
-func (t *Trace) EncodeBinary() []byte {
-	var b bytes.Buffer
-	b.Grow(headerBytes + t.n*recordBytes)
-	t.WriteBinaryTo(&b) // writes to a bytes.Buffer cannot fail
-	return b.Bytes()
-}
-
-// EncodeCSV returns the trace's canonical CSV image.
-func (t *Trace) EncodeCSV() []byte {
-	var b bytes.Buffer
-	t.WriteCSVTo(&b)
-	return b.Bytes()
 }
 
 // WriteFile writes the trace to path, choosing the format by extension:
