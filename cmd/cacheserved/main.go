@@ -228,6 +228,7 @@ func run(args []string, out io.Writer) error {
 	merged := make([]*stats.Sample, len(specs))
 	tenantOps := make([]uint64, len(specs))
 	tenantHits := make([]uint64, len(specs))
+	tenantRejected := make([]uint64, len(specs))
 	var elapsed time.Duration
 
 	if tr != nil {
@@ -251,6 +252,7 @@ func run(args []string, out io.Writer) error {
 			merged[t] = ts[t].Latency
 			tenantOps[t] = ts[t].Gets + ts[t].Sets
 			tenantHits[t] = ts[t].Hits
+			tenantRejected[t] = ts[t].Rejected
 			totalOps += int(tenantOps[t])
 			gets += ts[t].Gets
 			sets += ts[t].Sets
@@ -278,8 +280,8 @@ func run(args []string, out io.Writer) error {
 		defer gov.Stop()
 
 		type workerStats struct {
-			ops, hits []uint64
-			lat       []*stats.Sample
+			ops, hits, rejected []uint64
+			lat                 []*stats.Sample
 		}
 		perWorker := make([]workerStats, *goroutines)
 		opsPer := *ops / *goroutines
@@ -292,6 +294,7 @@ func run(args []string, out io.Writer) error {
 				ws := &perWorker[w]
 				ws.ops = make([]uint64, len(specs))
 				ws.hits = make([]uint64, len(specs))
+				ws.rejected = make([]uint64, len(specs))
 				ws.lat = make([]*stats.Sample, len(specs))
 				for t := range ws.lat {
 					ws.lat[t] = stats.NewSample(opsPer / latencySampleStride / len(specs))
@@ -319,12 +322,15 @@ func run(args []string, out io.Writer) error {
 					if timed {
 						begin = time.Now()
 					}
-					if rng.Float64() < *setFrac {
-						cache.Set(t, key, val, 0)
-					} else if _, ok := cache.Get(t, key); ok {
-						ws.hits[t]++
-					} else {
-						cache.Set(t, key, val, 0) // fill on miss, as a real service would
+					// A miss fills, as a real service would.
+					if rng.Float64() >= *setFrac {
+						if _, ok := cache.Get(t, key); ok {
+							ws.hits[t]++
+						} else if cache.Set(t, key, val, 0) != nil {
+							ws.rejected[t]++
+						}
+					} else if cache.Set(t, key, val, 0) != nil {
+						ws.rejected[t]++
 					}
 					if timed {
 						ws.lat[t].Add(float64(time.Since(begin).Nanoseconds()))
@@ -346,6 +352,7 @@ func run(args []string, out io.Writer) error {
 				merged[t].AddAll(perWorker[w].lat[t].Values())
 				tenantOps[t] += perWorker[w].ops[t]
 				tenantHits[t] += perWorker[w].hits[t]
+				tenantRejected[t] += perWorker[w].rejected[t]
 				totalOps += int(perWorker[w].ops[t])
 			}
 		}
@@ -354,8 +361,8 @@ func run(args []string, out io.Writer) error {
 			totalOps, elapsed.Round(time.Millisecond),
 			float64(totalOps)/elapsed.Seconds()/1e6, *goroutines, gov.Epochs())
 	}
-	fmt.Fprintf(out, "%-12s %10s %8s %9s %9s %9s %10s %12s %12s\n",
-		"tenant", "ops", "hit%", "p50us", "p95us", "p99us", "evictions", "quota0", "quota")
+	fmt.Fprintf(out, "%-12s %10s %8s %9s %9s %9s %10s %12s %12s %10s\n",
+		"tenant", "ops", "hit%", "p50us", "p95us", "p99us", "evictions", "quota0", "quota", "rejected")
 	endQuotas := quotaVector(cache)
 	cstats := cache.Stats()
 	for t, s := range specs {
@@ -366,9 +373,17 @@ func run(args []string, out io.Writer) error {
 		if tenantOps[t] > 0 {
 			hitPct = 100 * float64(tenantHits[t]) / float64(tenantOps[t])
 		}
-		fmt.Fprintf(out, "%-12s %10d %7.1f%% %9.1f %9.1f %9.1f %10d %12d %12d\n",
+		fmt.Fprintf(out, "%-12s %10d %7.1f%% %9.1f %9.1f %9.1f %10d %12d %12d %10d\n",
 			s.cfg.Name, tenantOps[t], hitPct, p50, p95, p99,
-			cstats[t].CapacityEvictions, startQuotas[t], endQuotas[t])
+			cstats[t].CapacityEvictions, startQuotas[t], endQuotas[t], tenantRejected[t])
+	}
+	if tr == nil {
+		for t, s := range specs {
+			if tenantRejected[t] > 0 && cstats[t].Sets == 0 {
+				return fmt.Errorf("tenant %q stored none of its %d sets: an entry with a %d-byte value exceeds its per-shard quota of %d bytes (%d bytes over %d shards); raise -capacity or lower -valuesize",
+					s.cfg.Name, tenantRejected[t], *valueSize, endQuotas[t]/int64(cache.NumShards()), endQuotas[t], cache.NumShards())
+			}
+		}
 	}
 
 	if *httpAddr != "" && *linger > 0 {

@@ -275,6 +275,23 @@ func TestTraceFileFlagConflicts(t *testing.T) {
 	}
 }
 
+// TestRunFailsWhenNoSetFits: values larger than a tenant's per-shard quota
+// are refused by every Set, and the run must say so and fail instead of
+// reporting a 0% hit ratio as if the cache had been working.
+func TestRunFailsWhenNoSetFits(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{
+		"-capacity", "1m", "-valuesize", "2000000", "-ops", "1000", "-keys", "100",
+		"-shards", "8", "-goroutines", "1",
+	}, &out)
+	if err == nil || !strings.Contains(err.Error(), "per-shard quota of 65536 bytes") {
+		t.Fatalf("run error = %v, want the per-shard quota named", err)
+	}
+	if !strings.Contains(out.String(), "rejected") || !strings.Contains(out.String(), " 500\n") {
+		t.Fatalf("table lacks the rejected column or its count:\n%s", out.String())
+	}
+}
+
 func TestRunRejectsBadFlags(t *testing.T) {
 	var out strings.Builder
 	for _, args := range [][]string{

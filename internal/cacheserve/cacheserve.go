@@ -8,16 +8,20 @@
 // the real access stream (see Governor in governor.go and DESIGN.md §11).
 //
 // Layout: the key space is split over a power-of-two number of shards by key
-// hash. Each shard holds one map and one intrusive LRU list per tenant under
-// a single mutex, so every operation takes exactly one lock and per-tenant
-// eviction needs no cross-shard coordination: a tenant's byte quota is
-// divided across shards, and a Set that pushes the tenant's shard usage over
-// its shard quota evicts from that tenant's LRU tail in place.
+// hash. Each shard holds, per tenant and under a single mutex, a slab of
+// entry slots linked into an LRU list by int32 slot indices and an index from
+// the 64-bit key hash to a slot, so every operation takes exactly one lock and
+// hashes its key once, and per-tenant eviction needs no cross-shard
+// coordination: a tenant's byte quota is divided across shards, and a Set
+// that pushes the tenant's shard usage over its shard quota evicts from that
+// tenant's LRU tail in place. Two keys of one tenant shard whose hashes
+// collide cannot both be cached: the later Set displaces the earlier entry as
+// a capacity eviction.
 //
 // Expiry is lazy (a Get that finds an expired entry removes it) plus an
 // optional background sweeper. Capacity evictions and expiries are reported
 // through an eviction callback, invoked after the shard lock is released, in
-// LRU order within a capacity-eviction batch.
+// LRU order within a capacity-eviction batch and in slab order within a sweep.
 package cacheserve
 
 import (
@@ -166,7 +170,7 @@ func (c Config) Validate() error {
 }
 
 // entryOverhead approximates the bookkeeping bytes charged per entry on top
-// of key and value (entry struct, map bucket share, list links).
+// of key and value (its slab slot and index share).
 const entryOverhead = 64
 
 // EntrySize returns the bytes an entry with the given key and value is
@@ -179,66 +183,88 @@ func EntrySize(key string, value []byte) int64 {
 // per-shard quota and could therefore never be admitted.
 var ErrTooLarge = fmt.Errorf("cacheserve: entry exceeds the tenant's per-shard quota")
 
-// entry is one cached key-value pair; prev/next are the intrusive links of
-// its tenant's per-shard LRU list (head = most recent).
+// entry is one slot of a tenant shard's slab. Live slots form the tenant's
+// per-shard LRU list through prev/next slot indices, closed into a ring by
+// the sentinel slot 0 (slots[0].next = most recent, slots[0].prev = least
+// recent). Free slots are threaded through next and, like the sentinel,
+// carry no key or value and expireAt 0.
 type entry struct {
 	key        string
 	value      []byte
-	size       int64
-	expireAt   int64 // unix nanoseconds; 0 = never
-	prev, next *entry
+	hash       uint64 // the index key, hashKey(tenant, key)
+	expireAt   int64  // unix nanoseconds; 0 = never
+	prev, next int32
 }
 
+func (e *entry) size() int64 { return EntrySize(e.key, e.value) }
+
 // tenantShard is one tenant's slice of one shard, all guarded by the shard
-// mutex.
+// mutex. The index holds no pointers, so the GC never scans it.
 type tenantShard struct {
-	items      map[string]*entry
-	head, tail *entry
-	bytes      int64
-	quota      int64
+	slots []entry
+	index map[uint64]int32
+	free  int32 // first free slot; 0 = none
+	bytes int64
+	quota int64
 
 	hits, misses, sets, deletes uint64
 	capEvictions, expirations   uint64
 }
 
-func (ts *tenantShard) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		ts.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		ts.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
+func (ts *tenantShard) unlink(i int32) {
+	s := ts.slots
+	s[s[i].prev].next = s[i].next
+	s[s[i].next].prev = s[i].prev
 }
 
-func (ts *tenantShard) pushFront(e *entry) {
-	e.prev, e.next = nil, ts.head
-	if ts.head != nil {
-		ts.head.prev = e
-	}
-	ts.head = e
-	if ts.tail == nil {
-		ts.tail = e
-	}
+func (ts *tenantShard) pushFront(i int32) {
+	s := ts.slots
+	s[i].prev, s[i].next = 0, s[0].next
+	s[s[0].next].prev = i
+	s[0].next = i
 }
 
-func (ts *tenantShard) moveFront(e *entry) {
-	if ts.head == e {
+func (ts *tenantShard) moveFront(i int32) {
+	if ts.slots[0].next == i {
 		return
 	}
-	ts.unlink(e)
-	ts.pushFront(e)
+	ts.unlink(i)
+	ts.pushFront(i)
 }
 
-// remove takes e out of the map, the list and the byte accounting.
-func (ts *tenantShard) remove(e *entry) {
-	delete(ts.items, e.key)
-	ts.unlink(e)
-	ts.bytes -= e.size
+// find returns the slot holding key under hash h, or 0 if there is none.
+func (ts *tenantShard) find(h uint64, key string) int32 {
+	if i, ok := ts.index[h]; ok && ts.slots[i].key == key {
+		return i
+	}
+	return 0
+}
+
+// insert stores a new entry under hash h at the LRU head, reusing a free
+// slot when there is one. h must not be indexed already.
+func (ts *tenantShard) insert(h uint64, key string, value []byte, expireAt int64) {
+	i := ts.free
+	if i == 0 {
+		i = int32(len(ts.slots))
+		ts.slots = append(ts.slots, entry{})
+	} else {
+		ts.free = ts.slots[i].next
+	}
+	ts.slots[i] = entry{key: key, value: value, hash: h, expireAt: expireAt}
+	ts.index[h] = i
+	ts.pushFront(i)
+	ts.bytes += ts.slots[i].size()
+}
+
+// remove takes slot i out of the index, the list and the byte accounting,
+// and frees it.
+func (ts *tenantShard) remove(i int32) {
+	e := &ts.slots[i]
+	delete(ts.index, e.hash)
+	ts.unlink(i)
+	ts.bytes -= e.size()
+	*e = entry{next: ts.free}
+	ts.free = i
 }
 
 type shard struct {
@@ -293,7 +319,9 @@ func New(cfg Config) (*Cache, error) {
 	for i := range c.shards {
 		c.shards[i].tenants = make([]tenantShard, nt)
 		for t := range c.shards[i].tenants {
-			c.shards[i].tenants[t].items = make(map[string]*entry)
+			ts := &c.shards[i].tenants[t]
+			ts.slots = make([]entry, 1) // the sentinel
+			ts.index = make(map[uint64]int32)
 		}
 	}
 	// Every tenant starts with an equal share; the governor redistributes.
@@ -347,9 +375,10 @@ func nextPow2(n int) int {
 	return p
 }
 
-// hashKey mixes tenant and key into the 64-bit hash used for shard selection
-// and as the UMON line address (FNV-1a with a tenant-salted seed and a final
-// avalanche, so low bits are usable as a shard mask).
+// hashKey mixes tenant and key into the 64-bit hash used for shard selection,
+// as the slot index key and as the UMON line address (FNV-1a with a
+// tenant-salted seed and a final avalanche, so low bits are usable as a shard
+// mask).
 func hashKey(tenant int, key string) uint64 {
 	h := uint64(1469598103934665603) ^ (uint64(tenant+1) * 0x9E3779B97F4A7C15)
 	for i := 0; i < len(key); i++ {
@@ -395,13 +424,19 @@ func (c *Cache) checkTenant(tenant int) error {
 
 // Set stores value under (tenant, key), copying value so later caller
 // mutations cannot alias the cache. ttl 0 applies DefaultTTL; a negative ttl
-// pins the entry (never expires). Entries displaced by quota pressure are
-// reported through OnEvict in LRU order.
+// pins the entry (never expires). Entries displaced by quota pressure (or by
+// a hash collision, see the package comment) are reported through OnEvict in
+// LRU order.
 func (c *Cache) Set(tenant int, key string, value []byte, ttl time.Duration) error {
 	if err := c.checkTenant(tenant); err != nil {
 		return err
 	}
-	h := hashKey(tenant, key)
+	return c.set(tenant, hashKey(tenant, key), key, value, ttl)
+}
+
+// set, get and del are Set, Get and Delete on an already hashed key (tests
+// pass a hash of their own to make two keys collide).
+func (c *Cache) set(tenant int, h uint64, key string, value []byte, ttl time.Duration) error {
 	size := EntrySize(key, value)
 	var expireAt int64
 	if ttl == 0 {
@@ -412,7 +447,7 @@ func (c *Cache) Set(tenant int, key string, value []byte, ttl time.Duration) err
 	}
 
 	sh := &c.shards[h&c.mask]
-	var evicted []*entry
+	var evicted []Eviction
 	sh.mu.Lock()
 	ts := &sh.tenants[tenant]
 	if size > ts.quota {
@@ -420,27 +455,22 @@ func (c *Cache) Set(tenant int, key string, value []byte, ttl time.Duration) err
 		return ErrTooLarge
 	}
 	ts.sets++
-	if e, ok := ts.items[key]; ok {
-		ts.bytes += size - e.size
-		// Install a fresh buffer rather than rewriting the old one in place:
-		// slices handed out by earlier Gets alias the old buffer and may
-		// still be read concurrently with this Set.
-		e.value = append([]byte(nil), value...)
-		e.size = size
-		e.expireAt = expireAt
-		ts.moveFront(e)
+	// Install a fresh buffer rather than rewriting the old one in place:
+	// slices handed out by earlier Gets alias the old buffer and may still be
+	// read concurrently with this Set.
+	buf := append([]byte(nil), value...)
+	if i, ok := ts.index[h]; ok && ts.slots[i].key == key {
+		e := &ts.slots[i]
+		ts.bytes += size - e.size()
+		e.value, e.expireAt = buf, expireAt
+		ts.moveFront(i)
 	} else {
-		e := &entry{key: key, value: append([]byte(nil), value...), size: size, expireAt: expireAt}
-		ts.items[key] = e
-		ts.pushFront(e)
-		ts.bytes += size
+		if ok { // another key with the same hash: the collision rule displaces it
+			evicted = c.drop(ts, tenant, i, ReasonCapacity, evicted)
+		}
+		ts.insert(h, key, buf, expireAt)
 	}
-	for ts.bytes > ts.quota {
-		victim := ts.tail
-		ts.remove(victim)
-		ts.capEvictions++
-		evicted = append(evicted, victim)
-	}
+	evicted = c.shrink(ts, tenant, evicted)
 	sh.mu.Unlock()
 	if c.metrics != nil {
 		c.metrics.opsSet.Inc(int(h & c.mask))
@@ -450,7 +480,7 @@ func (c *Cache) Set(tenant int, key string, value []byte, ttl time.Duration) err
 	if c.feeds != nil {
 		c.feeds[tenant].Access(h)
 	}
-	c.report(tenant, evicted, ReasonCapacity)
+	c.report(evicted)
 	return nil
 }
 
@@ -464,7 +494,10 @@ func (c *Cache) Get(tenant int, key string) ([]byte, bool) {
 	if c.checkTenant(tenant) != nil {
 		return nil, false
 	}
-	h := hashKey(tenant, key)
+	return c.get(tenant, hashKey(tenant, key), key)
+}
+
+func (c *Cache) get(tenant int, h uint64, key string) ([]byte, bool) {
 	if c.metrics != nil {
 		c.metrics.opsGet.Inc(int(h & c.mask))
 	}
@@ -474,22 +507,22 @@ func (c *Cache) Get(tenant int, key string) ([]byte, bool) {
 	sh := &c.shards[h&c.mask]
 	sh.mu.Lock()
 	ts := &sh.tenants[tenant]
-	e, ok := ts.items[key]
-	if !ok {
+	i := ts.find(h, key)
+	if i == 0 {
 		ts.misses++
 		sh.mu.Unlock()
 		return nil, false
 	}
+	e := &ts.slots[i]
 	if e.expireAt > 0 && c.clock() >= e.expireAt {
-		ts.remove(e)
-		ts.expirations++
+		expired := c.drop(ts, tenant, i, ReasonExpired, nil)
 		ts.misses++
 		sh.mu.Unlock()
-		c.report(tenant, []*entry{e}, ReasonExpired)
+		c.report(expired)
 		return nil, false
 	}
 	ts.hits++
-	ts.moveFront(e)
+	ts.moveFront(i)
 	v := e.value
 	sh.mu.Unlock()
 	return v, true
@@ -501,30 +534,55 @@ func (c *Cache) Delete(tenant int, key string) bool {
 	if c.checkTenant(tenant) != nil {
 		return false
 	}
-	h := hashKey(tenant, key)
+	return c.del(tenant, hashKey(tenant, key), key)
+}
+
+func (c *Cache) del(tenant int, h uint64, key string) bool {
 	if c.metrics != nil {
 		c.metrics.opsDelete.Inc(int(h & c.mask))
 	}
 	sh := &c.shards[h&c.mask]
 	sh.mu.Lock()
 	ts := &sh.tenants[tenant]
-	e, ok := ts.items[key]
-	if ok {
-		ts.remove(e)
+	i := ts.find(h, key)
+	if i != 0 {
+		ts.remove(i)
 		ts.deletes++
 	}
 	sh.mu.Unlock()
-	return ok
+	return i != 0
+}
+
+// drop removes slot i of the tenant shard for the given reason and counts
+// it. Only a cache with an OnEvict callback builds eviction batches: drop
+// then appends the entry to batch.
+func (c *Cache) drop(ts *tenantShard, tenant int, i int32, reason Reason, batch []Eviction) []Eviction {
+	if c.cfg.OnEvict != nil {
+		e := &ts.slots[i]
+		batch = append(batch, Eviction{Tenant: tenant, Key: e.key, Value: e.value, Size: e.size(), Reason: reason})
+	}
+	if reason == ReasonCapacity {
+		ts.capEvictions++
+	} else {
+		ts.expirations++
+	}
+	ts.remove(i)
+	return batch
+}
+
+// shrink evicts from the tenant shard's LRU tail until it is within quota.
+func (c *Cache) shrink(ts *tenantShard, tenant int, batch []Eviction) []Eviction {
+	for ts.bytes > ts.quota {
+		batch = c.drop(ts, tenant, ts.slots[0].prev, ReasonCapacity, batch)
+	}
+	return batch
 }
 
 // report invokes the eviction callback for a batch, outside any lock, in
 // the order the entries were removed.
-func (c *Cache) report(tenant int, batch []*entry, reason Reason) {
-	if c.cfg.OnEvict == nil || len(batch) == 0 {
-		return
-	}
-	for _, e := range batch {
-		c.cfg.OnEvict(Eviction{Tenant: tenant, Key: e.key, Value: e.value, Size: e.size, Reason: reason})
+func (c *Cache) report(batch []Eviction) {
+	for _, ev := range batch {
+		c.cfg.OnEvict(ev)
 	}
 }
 
@@ -549,28 +607,18 @@ func (c *Cache) SetQuotas(quotas []int64) error {
 	nshards := int64(len(c.shards))
 	for si := range c.shards {
 		sh := &c.shards[si]
-		var evicted []*entry
-		var tenants []int
+		var evicted []Eviction
 		sh.mu.Lock()
 		for t := range sh.tenants {
 			ts := &sh.tenants[t]
-			q := quotas[t] / nshards
+			ts.quota = quotas[t] / nshards
 			if int64(si) < quotas[t]%nshards {
-				q++
+				ts.quota++
 			}
-			ts.quota = q
-			for ts.bytes > ts.quota {
-				victim := ts.tail
-				ts.remove(victim)
-				ts.capEvictions++
-				evicted = append(evicted, victim)
-				tenants = append(tenants, t)
-			}
+			evicted = c.shrink(ts, t, evicted)
 		}
 		sh.mu.Unlock()
-		for i, e := range evicted {
-			c.report(tenants[i], []*entry{e}, ReasonCapacity)
-		}
+		c.report(evicted)
 	}
 	return nil
 }
@@ -612,7 +660,7 @@ func (c *Cache) Len() int {
 		sh := &c.shards[si]
 		sh.mu.Lock()
 		for t := range sh.tenants {
-			n += len(sh.tenants[t].items)
+			n += len(sh.tenants[t].index)
 		}
 		sh.mu.Unlock()
 	}
@@ -662,7 +710,7 @@ func (c *Cache) Stats() []TenantStats {
 			out[t].Deletes += ts.deletes
 			out[t].CapacityEvictions += ts.capEvictions
 			out[t].Expirations += ts.expirations
-			out[t].Keys += len(ts.items)
+			out[t].Keys += len(ts.index)
 			out[t].BytesUsed += ts.bytes
 			out[t].QuotaBytes += ts.quota
 		}
@@ -688,35 +736,28 @@ func (c *Cache) sweepLoop() {
 }
 
 // Sweep removes every expired entry now, shard by shard, and returns how
-// many it removed. The sweeper calls this on its interval; tests and
-// embedders may call it directly.
+// many it removed. Within a shard it walks each tenant's slab in slot order
+// (free slots carry expireAt 0, so they are skipped like pinned entries), and
+// that is the order OnEvict sees the expiries in. The sweeper calls this on
+// its interval; tests and embedders may call it directly.
 func (c *Cache) Sweep() int {
 	now := c.clock()
 	removed := 0
 	for si := range c.shards {
 		sh := &c.shards[si]
-		var evicted []*entry
-		var tenants []int
+		var expired []Eviction
 		sh.mu.Lock()
 		for t := range sh.tenants {
 			ts := &sh.tenants[t]
-			for _, e := range ts.items {
-				if e.expireAt > 0 && now >= e.expireAt {
-					evicted = append(evicted, e)
-					tenants = append(tenants, t)
+			for i := range ts.slots {
+				if e := &ts.slots[i]; e.expireAt > 0 && now >= e.expireAt {
+					expired = c.drop(ts, t, int32(i), ReasonExpired, expired)
+					removed++
 				}
 			}
 		}
-		for i, e := range evicted {
-			ts := &sh.tenants[tenants[i]]
-			ts.remove(e)
-			ts.expirations++
-		}
 		sh.mu.Unlock()
-		for i, e := range evicted {
-			c.report(tenants[i], []*entry{e}, ReasonExpired)
-		}
-		removed += len(evicted)
+		c.report(expired)
 	}
 	if c.metrics != nil {
 		c.metrics.sweepPasses.Inc()

@@ -370,6 +370,44 @@ func TestEvictionCallbackLRUOrder(t *testing.T) {
 	}
 }
 
+// TestHashCollisionDisplaces pins the one rule the hash-keyed slot index
+// adds: two keys of one tenant shard whose 64-bit hashes collide cannot both
+// be cached. The later Set displaces the earlier entry as a capacity
+// eviction, and the displaced key then misses and cannot be deleted.
+func TestHashCollisionDisplaces(t *testing.T) {
+	var evicted []Eviction
+	c := mustNew(t, testConfig(func(cfg *Config) {
+		cfg.OnEvict = func(ev Eviction) { evicted = append(evicted, ev) }
+	}))
+	const h = 0x5eed
+	first, second := []byte("1"), []byte("22")
+	if err := c.set(0, h, "first", first, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.set(0, h, "second", second, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(evicted) != 1 || evicted[0].Key != "first" || evicted[0].Reason != ReasonCapacity ||
+		evicted[0].Size != EntrySize("first", first) || string(evicted[0].Value) != "1" {
+		t.Fatalf("evictions %+v, want only %q displaced for capacity", evicted, "first")
+	}
+	if st := c.Stats()[0]; st.CapacityEvictions != 1 || st.Keys != 1 || st.BytesUsed != EntrySize("second", second) {
+		t.Fatalf("stats after the displacement: %+v", st)
+	}
+	if _, ok := c.get(0, h, "first"); ok {
+		t.Fatal("Get served the displaced key")
+	}
+	if c.del(0, h, "first") {
+		t.Fatal("Delete of the displaced key reported it present")
+	}
+	if v, ok := c.get(0, h, "second"); !ok || string(v) != "22" {
+		t.Fatalf("resident entry after Delete of the displaced key: %q, %v", v, ok)
+	}
+	if err := c.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSetQuotasValidation(t *testing.T) {
 	c := mustNew(t, testConfig(nil))
 	if err := c.SetQuotas([]int64{1}); err == nil {

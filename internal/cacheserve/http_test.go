@@ -2,6 +2,7 @@ package cacheserve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -227,33 +228,69 @@ func TestCloseStopsBackgroundGoroutines(t *testing.T) {
 	}
 }
 
-// TestInstrumentedAccessDoesNotAllocate enforces the tentpole's hot-path
-// guarantee: attaching a registry adds zero allocations to Get/Set. Get must
-// be allocation-free outright; Set inherently allocates once (it copies the
-// caller's value into the cache), so it is held to the uninstrumented cost.
+// TestInstrumentedAccessDoesNotAllocate holds the hot path to exact
+// allocation counts, with and without a metrics registry: Get allocates
+// nothing whether it hits, misses or expires an entry, and Set allocates
+// exactly once (the copy of the caller's value) whether it inserts,
+// overwrites or evicts. Without an OnEvict callback no eviction batch is
+// built.
 func TestInstrumentedAccessDoesNotAllocate(t *testing.T) {
-	reg := metrics.NewRegistry()
-	inst := mustNew(t, testConfig(func(cfg *Config) {
-		cfg.Metrics = reg
-	}))
-	plain := mustNew(t, testConfig(nil))
+	const runs = 1000
 	val := make([]byte, 64)
-	for _, c := range []*Cache{inst, plain} {
-		if err := c.Set(0, "hot", val, 0); err != nil {
-			t.Fatal(err)
+	render := func(prefix string) []string {
+		keys := make([]string, runs+1) // AllocsPerRun calls f once more to warm up
+		for i := range keys {
+			keys[i] = fmt.Sprintf("%s%04d", prefix, i)
 		}
+		return keys
 	}
-	if n := testing.AllocsPerRun(1000, func() {
-		inst.Get(0, "hot")
-	}); n != 0 {
-		t.Errorf("instrumented Get allocates %v/op, want 0", n)
-	}
-	base := testing.AllocsPerRun(1000, func() {
-		plain.Set(0, "hot", val, 0)
-	})
-	if n := testing.AllocsPerRun(1000, func() {
-		inst.Set(0, "hot", val, 0)
-	}); n != base {
-		t.Errorf("instrumented Set allocates %v/op vs %v uninstrumented; metrics must add 0", n, base)
+	keys, old := render("k"), render("o")
+	for _, instrumented := range []bool{false, true} {
+		clk := &fakeClock{now: 1}
+		configure := func(cfg *Config) {
+			cfg.Clock = clk.Now
+			if instrumented {
+				cfg.Metrics = metrics.NewRegistry()
+			}
+		}
+		allocs := func(op string, want float64, f func(key string)) {
+			t.Helper()
+			i := 0
+			if n := testing.AllocsPerRun(runs, func() { f(keys[i]); i++ }); n != want {
+				t.Errorf("%s (instrumented %v): %v allocs/op, want %v", op, instrumented, n, want)
+			}
+		}
+		c := mustNew(t, testConfig(configure))
+		// Size the slabs and indexes first, so inserts below reuse free slots.
+		for _, k := range keys {
+			c.Set(0, k, val, 0)
+			c.Delete(0, k)
+		}
+		allocs("Set insert", 1, func(k string) { c.Set(0, k, val, 0) })
+		allocs("Set overwrite", 1, func(k string) { c.Set(0, k, val, time.Second) })
+		allocs("Get hit", 0, func(k string) { c.Get(0, k) })
+		allocs("Get miss", 0, func(k string) { c.Get(1, k) })
+		clk.Advance(2 * time.Second)
+		allocs("Get expired", 0, func(k string) { c.Get(0, k) })
+		if st := c.Stats()[0]; st.Expirations != runs+1 {
+			t.Errorf("expiring gets expired %d entries, want %d", st.Expirations, runs+1)
+		}
+
+		// One shard holding exactly len(old) entries: every new key evicts one.
+		full := mustNew(t, testConfig(func(cfg *Config) {
+			configure(cfg)
+			cfg.Shards = 1
+			cfg.CapacityBytes = int64(len(old)) * EntrySize(old[0], val)
+			cfg.Tenants = []TenantConfig{{Name: "only"}}
+		}))
+		for _, k := range old {
+			if err := full.Set(0, k, val, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs("Set evicting insert", 1, func(k string) { full.Set(0, k, val, 0) })
+		if st := full.Stats()[0]; st.CapacityEvictions != runs+1 {
+			t.Errorf("evicting inserts evicted %d entries, want %d", st.CapacityEvictions, runs+1)
+		}
 	}
 }

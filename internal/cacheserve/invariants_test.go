@@ -3,53 +3,78 @@ package cacheserve
 import "fmt"
 
 // checkInvariants walks every shard under its lock and verifies the
-// structural invariants the concurrency suite relies on after quiesce:
-// LRU list doubly-linked and consistent with the map, byte accounting equal
-// to the sum of entry sizes, and usage within quota.
+// structural invariants the concurrency suite relies on after quiesce (see
+// tenantShard.check).
 func (c *Cache) checkInvariants() error {
 	for si := range c.shards {
 		sh := &c.shards[si]
 		sh.mu.Lock()
+		var err error
 		for t := range sh.tenants {
-			ts := &sh.tenants[t]
-			var n int
-			var bytes int64
-			var prev *entry
-			for e := ts.head; e != nil; e = e.next {
-				if e.prev != prev {
-					sh.mu.Unlock()
-					return fmt.Errorf("shard %d tenant %d: broken back-link at %q", si, t, e.key)
-				}
-				if got, ok := ts.items[e.key]; !ok || got != e {
-					sh.mu.Unlock()
-					return fmt.Errorf("shard %d tenant %d: list entry %q not in map", si, t, e.key)
-				}
-				if e.size != EntrySize(e.key, e.value) {
-					sh.mu.Unlock()
-					return fmt.Errorf("shard %d tenant %d: entry %q size %d != charged %d", si, t, e.key, EntrySize(e.key, e.value), e.size)
-				}
-				n++
-				bytes += e.size
-				prev = e
-			}
-			if ts.tail != prev {
-				sh.mu.Unlock()
-				return fmt.Errorf("shard %d tenant %d: tail mismatch", si, t)
-			}
-			if n != len(ts.items) {
-				sh.mu.Unlock()
-				return fmt.Errorf("shard %d tenant %d: list has %d entries, map %d", si, t, n, len(ts.items))
-			}
-			if bytes != ts.bytes {
-				sh.mu.Unlock()
-				return fmt.Errorf("shard %d tenant %d: accounted %d bytes, actual %d", si, t, ts.bytes, bytes)
-			}
-			if ts.bytes > ts.quota {
-				sh.mu.Unlock()
-				return fmt.Errorf("shard %d tenant %d: usage %d over quota %d", si, t, ts.bytes, ts.quota)
+			if err = sh.tenants[t].check(uint64(si), c.mask); err != nil {
+				err = fmt.Errorf("shard %d tenant %d: %w", si, t, err)
+				break
 			}
 		}
 		sh.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// check verifies one tenant shard: the LRU ring through the sentinel is
+// doubly linked and holds exactly the indexed slots, each under a hash that
+// routes to this shard; every other slot is on the free list and cleared;
+// the byte count is the sum of the live entries' charges; and usage is
+// within quota.
+func (ts *tenantShard) check(shard, mask uint64) error {
+	live := make(map[int32]bool, len(ts.index))
+	var bytes int64
+	prev := int32(0)
+	for i := ts.slots[0].next; i != 0; i = ts.slots[i].next {
+		e := &ts.slots[i]
+		if e.prev != prev {
+			return fmt.Errorf("broken back-link at %q", e.key)
+		}
+		if live[i] {
+			return fmt.Errorf("LRU list cycles at %q", e.key)
+		}
+		if j, ok := ts.index[e.hash]; !ok || j != i {
+			return fmt.Errorf("list entry %q not indexed by its hash", e.key)
+		}
+		if e.hash&mask != shard {
+			return fmt.Errorf("entry %q hashes to shard %d", e.key, e.hash&mask)
+		}
+		live[i] = true
+		bytes += e.size()
+		prev = i
+	}
+	if ts.slots[0].prev != prev {
+		return fmt.Errorf("tail mismatch")
+	}
+	if len(live) != len(ts.index) {
+		return fmt.Errorf("list has %d entries, index %d", len(live), len(ts.index))
+	}
+	free := 0
+	for i := ts.free; i != 0; i = ts.slots[i].next {
+		if live[i] || free == len(ts.slots) {
+			return fmt.Errorf("free list reaches live slot %d or cycles", i)
+		}
+		if e := &ts.slots[i]; e.key != "" || e.value != nil || e.expireAt != 0 {
+			return fmt.Errorf("free slot %d still holds %q", i, e.key)
+		}
+		free++
+	}
+	if 1+len(live)+free != len(ts.slots) {
+		return fmt.Errorf("%d slots but %d live, %d free and the sentinel", len(ts.slots), len(live), free)
+	}
+	if bytes != ts.bytes {
+		return fmt.Errorf("accounted %d bytes, actual %d", ts.bytes, bytes)
+	}
+	if ts.bytes > ts.quota {
+		return fmt.Errorf("usage %d over quota %d", ts.bytes, ts.quota)
 	}
 	return nil
 }

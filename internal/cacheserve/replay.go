@@ -44,6 +44,9 @@ type Replayer struct {
 // ReplayTenantStats aggregates one tenant's replayed traffic.
 type ReplayTenantStats struct {
 	Gets, Sets, Hits uint64
+	// Rejected counts the Sets, recorded or fill-on-miss, the cache refused
+	// (an entry larger than the tenant's per-shard quota).
+	Rejected uint64
 	// Latency holds the sampled per-operation wall latencies in nanoseconds.
 	Latency *stats.Sample
 }
@@ -104,8 +107,8 @@ func (rp *Replayer) Run(ops, goroutines int) ([]ReplayTenantStats, error) {
 		return nil, fmt.Errorf("cacheserve: replay needs ops and goroutines >= 1, got %d and %d", ops, goroutines)
 	}
 	type workerStats struct {
-		gets, sets, hits []uint64
-		lat              []*stats.Sample
+		gets, sets, hits, rejected []uint64
+		lat                        []*stats.Sample
 	}
 	tenants := rp.tr.Apps()
 	perWorker := make([]workerStats, goroutines)
@@ -118,6 +121,7 @@ func (rp *Replayer) Run(ops, goroutines int) ([]ReplayTenantStats, error) {
 			ws.gets = make([]uint64, tenants)
 			ws.sets = make([]uint64, tenants)
 			ws.hits = make([]uint64, tenants)
+			ws.rejected = make([]uint64, tenants)
 			ws.lat = make([]*stats.Sample, tenants)
 			for t := range ws.lat {
 				ws.lat[t] = stats.NewSample(ops / goroutines / replayLatencyStride / tenants)
@@ -133,7 +137,9 @@ func (rp *Replayer) Run(ops, goroutines int) ([]ReplayTenantStats, error) {
 					begin = time.Now()
 				}
 				if r.Op == tracein.OpSet {
-					rp.cache.Set(t, key, rp.val[:r.Size], 0)
+					if rp.cache.Set(t, key, rp.val[:r.Size], 0) != nil {
+						ws.rejected[t]++
+					}
 					ws.sets[t]++
 				} else {
 					if _, ok := rp.cache.Get(t, key); ok {
@@ -141,7 +147,9 @@ func (rp *Replayer) Run(ops, goroutines int) ([]ReplayTenantStats, error) {
 					} else {
 						// Fill on miss, as a real service would on its way
 						// back from the backing store.
-						rp.cache.Set(t, key, rp.val[:rp.fillSize], 0)
+						if rp.cache.Set(t, key, rp.val[:rp.fillSize], 0) != nil {
+							ws.rejected[t]++
+						}
 					}
 					ws.gets[t]++
 				}
@@ -160,6 +168,7 @@ func (rp *Replayer) Run(ops, goroutines int) ([]ReplayTenantStats, error) {
 			out[t].Gets += perWorker[w].gets[t]
 			out[t].Sets += perWorker[w].sets[t]
 			out[t].Hits += perWorker[w].hits[t]
+			out[t].Rejected += perWorker[w].rejected[t]
 			out[t].Latency.AddAll(perWorker[w].lat[t].Values())
 		}
 	}

@@ -97,6 +97,34 @@ func TestReplayerCounts(t *testing.T) {
 	}
 }
 
+// TestReplayerCountsRejectedSets checks that a Set the cache refuses is
+// counted, whether the trace recorded it or it fills a miss: a refused Set
+// must not pass for a stored one.
+func TestReplayerCountsRejectedSets(t *testing.T) {
+	const huge = 3 << 20 // over the 2 MiB per-shard quota of a one-tenant replayCache
+	tr, err := tracein.FromRecords(tracein.KindKV, 1, []tracein.Record{
+		{Cycle: 1, Op: tracein.OpSet, Size: huge, Key: 1},
+		{Cycle: 2, Op: tracein.OpGet, Key: 1},
+		{Cycle: 3, Op: tracein.OpSet, Size: 64, Key: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := NewReplayer(replayCache(t, 1), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := rp.Run(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The recorded huge set and the get's fill (sized to the largest set)
+	// are refused; the small set is stored.
+	if s := ts[0]; s.Sets != 2 || s.Gets != 1 || s.Hits != 0 || s.Rejected != 2 {
+		t.Fatalf("stats = %+v, want 2 sets, 1 get, 0 hits, 2 rejected", s)
+	}
+}
+
 // TestReplayLatencySamplesEveryTenant pins the latency stride against
 // aliasing: a recording that alternates two tenants, replayed by two workers,
 // must yield latency samples for both tenants (a stride sharing a factor with
