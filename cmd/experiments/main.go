@@ -9,14 +9,17 @@
 //	experiments -exp all -scale default -csv
 //	experiments -exp fig7 -loadsched 'burst:at=8e6,dur=8e6,x=3'
 //	experiments -exp cluster,hetero -scale quick -json
+//	experiments -scenario examples/scenarios/colocation.json
 //	experiments -scenario examples/scenarios/flash-crowd-failure.json -report out/
 //	experiments -scenario examples/scenarios/fail-slow.json -validate
 //
 // With -scenario the binary runs one declarative scenario file (see
-// examples/scenarios and DESIGN.md) instead of the paper's experiment tables:
-// it prints the scenario's per-scheme summary, per-slot breakdown and
-// per-window tails (as text, -csv or -json like any experiment), and -report
-// additionally writes a standalone HTML + CSV report into a directory.
+// examples/scenarios and DESIGN.md) instead of the paper's experiment tables —
+// one colocation mix or fleet under a matrix of schemes, judged against its
+// isolated baseline. It prints the scenario's per-scheme summary, per-slot (or
+// per-node) breakdown and per-window tails (as text, -csv or -json like any
+// experiment), -report additionally writes a standalone HTML + CSV report into
+// a directory, and -trace records a Chrome trace of every scheme run.
 // -validate parses and validates the scenario without simulating anything —
 // the CI check for shipped scenario files.
 package main
@@ -28,12 +31,15 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 
 	"repro/internal/experiment"
+	"repro/internal/prof"
 	"repro/internal/scenario"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -138,32 +144,39 @@ var registry = []struct {
 	}},
 }
 
-// expUsage is the -exp help text, listing the registry's ids in order.
-func expUsage() string {
+// expIDs lists the registry's ids in order, comma-separated.
+func expIDs() string {
 	ids := make([]string, len(registry))
 	for i, e := range registry {
 		ids[i] = e.id
 	}
-	return "comma-separated experiment ids (" + strings.Join(ids, ",") + ") or 'all'"
+	return strings.Join(ids, ",")
 }
 
 // run is the testable entry point: it parses args, runs the selected
-// experiments, and writes their tables to stdout. Errors come back to the
-// caller (main maps them to exit status 1).
+// experiments (or the -scenario file), and writes their tables to stdout.
+// Errors come back to the caller (main maps them to exit status 1).
 func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	rf := scenario.RegisterRunFlags(fs,
-		0, "override the scale's request-count factor (0 = scale default)",
-		"", "load schedule for the fig7 transient experiment (default: a 3x burst aligned to the stat windows); see ubiksim -loadsched for the syntax")
 	var (
-		reportDir = fs.String("report", "", "with -scenario: also write a standalone HTML + CSV report into this directory")
-		validate  = fs.Bool("validate", false, "with -scenario: parse and validate the file, run nothing")
-		expList   = fs.String("exp", "all", expUsage())
-		scaleName = fs.String("scale", "quick", "evaluation scale: quick, default, or full")
-		csv       = fs.Bool("csv", false, "emit CSV instead of aligned text")
-		jsonOut   = fs.Bool("json", false, "emit one JSON array of all result tables instead of aligned text")
-		list      = fs.Bool("list", false, "list available experiments and exit")
+		scenarioPath = fs.String("scenario", "", "run a declarative scenario file (JSON; see examples/scenarios) instead of the paper's experiments; the file defines the whole run, so run-shaping flags conflict with it")
+		reportDir    = fs.String("report", "", "with -scenario: also write a standalone HTML + CSV report into this directory")
+		validate     = fs.Bool("validate", false, "with -scenario: parse and validate the file, run nothing")
+		tracePath    = fs.String("trace", "", "with -scenario: write a Chrome trace-event JSON file (open in chrome://tracing or ui.perfetto.dev) recording scheduler quanta, reconfigurations, fault activations and cold restarts of every scheme run; recording is observational, results are identical with or without it")
+		expList      = fs.String("exp", "all", "comma-separated experiment ids ("+expIDs()+") or 'all'")
+		scaleName    = fs.String("scale", "quick", "evaluation scale: quick, default, or full")
+		seed         = fs.Uint64("seed", 1, "random seed")
+		requests     = fs.Float64("requests", 0, "override the scale's request-count factor (0 = scale default)")
+		loadSched    = fs.String("loadsched", "", "load schedule for the fig7 transient experiment (default: a 3x burst aligned to the stat windows): const, burst:at=,dur=,x=[,period=], ramp:dur=,to=[,at=,from=], diurnal:period=[,amp=], flash:at=,x=,decay=, or mmpp:x=,on=,off=[,lo=]")
+		parallelism  = fs.Int("parallelism", 0, "workers for independent simulations: sweep points, isolation baselines, cluster nodes (0 = GOMAXPROCS); results are identical at any setting")
+		l1KB         = fs.Float64("l1kb", 32, "private L1 size in model KB (0 disables the level)")
+		l2KB         = fs.Float64("l2kb", 256, "private L2 size in model KB (0 disables the level)")
+		noHier       = fs.Bool("nohier", false, "disable the private L1/L2 levels entirely (flat pre-hierarchy LLC)")
+		csv          = fs.Bool("csv", false, "emit CSV instead of aligned text")
+		jsonOut      = fs.Bool("json", false, "emit one JSON array of all result tables instead of aligned text")
+		list         = fs.Bool("list", false, "list available experiments and exit")
+		profFlags    = prof.RegisterFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -171,11 +184,15 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		}
 		return fmt.Errorf("invalid arguments (details above)") // the FlagSet already reported specifics
 	}
-	finishProf, err := rf.Prof.Start()
+	finishProf, err := profFlags.Start()
 	if err != nil {
 		return err
 	}
 	defer finishProf(&retErr)
+	workers := *parallelism
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	if *csv && *jsonOut {
 		return fmt.Errorf("-csv and -json are mutually exclusive; pick one output format")
 	}
@@ -204,18 +221,27 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		return enc.Encode(jsonTables)
 	}
 
-	if *rf.Scenario != "" {
+	if *scenarioPath != "" {
 		// Every flag that selects or shapes a paper experiment would be
 		// silently discarded.
-		if err := rf.ScenarioConflict("exp", "loadsched", "scale", "seed", "requests", "l1kb", "l2kb", "nohier", "list"); err != nil {
-			return err
+		conflict := ""
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "exp", "loadsched", "scale", "seed", "requests", "l1kb", "l2kb", "nohier", "list":
+				if conflict == "" {
+					conflict = f.Name
+				}
+			}
+		})
+		if conflict != "" {
+			return fmt.Errorf("-%s conflicts with -scenario: the scenario file defines the whole run (drop -%s or edit %s)", conflict, conflict, *scenarioPath)
 		}
-		return runScenario(stdout, rf, *reportDir, *validate, emit, flushJSON)
+		return runScenario(stdout, *scenarioPath, workers, *tracePath, *reportDir, *validate, emit, flushJSON)
 	}
 	if *reportDir != "" || *validate {
 		return fmt.Errorf("-report and -validate only apply to -scenario runs")
 	}
-	if rf.Recorder() != nil {
+	if *tracePath != "" {
 		// The paper experiments fan out over dozens of internal runs with no
 		// stable per-run identity to label trace rows with; the scenario
 		// engine is the traced path.
@@ -233,32 +259,40 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	if x.scale, err = scaleByName(*scaleName); err != nil {
 		return err
 	}
-	x.scale.Seed = *rf.Seed
-	x.scale.Parallelism = rf.Workers()
-	if *rf.Requests > 0 {
-		x.scale.RequestFactor = *rf.Requests
+	x.scale.Seed = *seed
+	x.scale.Parallelism = workers
+	if *requests > 0 {
+		x.scale.RequestFactor = *requests
 	}
 	// One pool for the whole invocation, so experiments selected together
 	// (fig7+flash, cluster+hetero, fig1a+fig1b+fig2) share their calibration
 	// and baseline runs too.
 	x.scale.Warm = sim.NewWarmPool()
-	x.cfg = scenario.Spec{Machine: rf.Machine()}.BaseConfig()
-	x.cfg.Seed = *rf.Seed // verbatim: the scenario format would read 0 as "default"
+	x.cfg = sim.DefaultConfig()
+	x.cfg.Seed = *seed
+	if *noHier {
+		*l1KB, *l2KB = 0, 0 // a size of 0 disables the level
+	}
+	x.cfg.Hierarchy = sim.HierarchyForKB(*l1KB, *l2KB, false)
 
 	x.mainComparison = sync.OnceValues(func() ([]experiment.MixRecord, error) {
 		return experiment.RunMainComparison(x.cfg, x.scale)
 	})
 
 	x.sched = experiment.DefaultFig7Schedule(x.cfg)
-	if *rf.LoadSched != "" {
-		if x.sched, err = workload.ParseSchedule(*rf.LoadSched); err != nil {
+	if *loadSched != "" {
+		if x.sched, err = workload.ParseSchedule(*loadSched); err != nil {
 			return err
 		}
 	}
 
 	wanted := map[string]bool{}
-	for _, e := range strings.Split(*expList, ",") {
-		wanted[strings.TrimSpace(e)] = true
+	for _, id := range strings.Split(*expList, ",") {
+		id = strings.TrimSpace(id)
+		if id != "all" && !strings.Contains(","+expIDs()+",", ","+id+",") {
+			return fmt.Errorf("unknown experiment %q (want a comma-separated list of %s, or all)", id, expIDs())
+		}
+		wanted[id] = true
 	}
 	for _, e := range registry {
 		if !wanted["all"] && !wanted[e.id] {
@@ -274,11 +308,12 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 }
 
 // runScenario is the -scenario entry point: parse (and maybe just validate)
-// the file, run it through the scenario engine, print its tables in the
-// selected format, and optionally write the HTML/CSV report.
-func runScenario(stdout io.Writer, rf *scenario.RunFlags, reportDir string, validateOnly bool,
+// the file, run it through the scenario engine — recording a trace when
+// tracePath is set — print its tables in the selected format, and optionally
+// write the HTML/CSV report.
+func runScenario(stdout io.Writer, path string, workers int, tracePath, reportDir string, validateOnly bool,
 	emit func([]experiment.Table), flushJSON func() error) error {
-	spec, err := scenario.ParseFile(*rf.Scenario)
+	spec, err := scenario.ParseFile(path)
 	if err != nil {
 		return err
 	}
@@ -288,11 +323,14 @@ func runScenario(stdout io.Writer, rf *scenario.RunFlags, reportDir string, vali
 			mode = fmt.Sprintf("%d-node cluster", spec.Cluster.Nodes)
 		}
 		fmt.Fprintf(stdout, "%s: valid (scenario %q, %s, %d app entries, %d schemes, %d faults)\n",
-			*rf.Scenario, spec.Name, mode, len(spec.Apps), len(spec.Schemes), len(spec.Faults))
+			path, spec.Name, mode, len(spec.Apps), len(spec.Schemes), len(spec.Faults))
 		return nil
 	}
-	rec := rf.Recorder()
-	out, err := experiment.RunScenarioTraced(spec, rf.Workers(), sim.NewWarmPool(), nil, rec)
+	var rec *trace.Recorder
+	if tracePath != "" {
+		rec = trace.NewRecorder(0)
+	}
+	out, err := experiment.RunScenarioTraced(spec, workers, sim.NewWarmPool(), rec)
 	if err != nil {
 		return err
 	}
@@ -307,7 +345,14 @@ func runScenario(stdout io.Writer, rf *scenario.RunFlags, reportDir string, vali
 		}
 		fmt.Fprintf(stdout, "report written: %s, %s\n", htmlPath, csvPath)
 	}
-	return rf.WriteTrace(stdout, rec)
+	if rec == nil {
+		return nil
+	}
+	if err := rec.WriteFile(tracePath); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "trace: %d events written to %s (%d oldest dropped by ring wrap)\n", rec.Len(), tracePath, rec.Dropped())
+	return nil
 }
 
 func scaleByName(name string) (experiment.Scale, error) {

@@ -2,21 +2,54 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/tracein"
 )
 
 // TestRunEndToEnd drives the experiments binary entry point over
-// representative flag sets, asserting error status and key output fields.
-// Simulation-backed experiments run with a tiny -requests override so the
-// table stays fast.
+// representative flag sets and small scenario files, asserting error status
+// and key output fields. Simulation-backed experiments run with a tiny
+// -requests override (scenarios with a small request_factor) so the table
+// stays fast.
 func TestRunEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end runs are slow")
 	}
+	dir := t.TempDir()
+	memTrace, kvTrace := filepath.Join(dir, "mem.trace"), filepath.Join(dir, "kv.trace")
+	for path, gen := range map[string]tracein.GenSpec{
+		memTrace: {Kind: tracein.KindMem, Gen: tracein.GenPhase, Records: 60_000, Apps: 2, Seed: 5},
+		kvTrace:  {Kind: tracein.KindKV, Gen: tracein.GenZipf, Records: 5000, Seed: 5},
+	} {
+		if _, err := tracein.GenerateFile(path, gen); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// scenarioFile writes a scenario file from its apps entries and the rest
+	// of its top-level fields.
+	scenarioFile := func(name, apps, rest string) string {
+		path := filepath.Join(dir, name+".json")
+		writeFile(t, path, fmt.Sprintf(`{ "version": 1, "name": %q, "request_factor": 0.05,
+  "apps": [ %s ], %s }`, name, apps, rest))
+		return path
+	}
+	burst := scenarioFile("burst", `{ "lc": "masstree", "load": 0.2, "instances": 2, "sched": "burst:at=2e6,dur=2e6,x=4" }, { "batch": "mcf" }`,
+		`"schemes": [ { "name": "staticlc" } ]`)
+	hedged := scenarioFile("hedged", `{ "lc": "masstree", "load": 0.2, "sched": "burst:at=2e6,dur=2e6,x=3" }, { "batch": "mcf" }`,
+		`"cluster": { "nodes": 3, "fanout": 2, "quorum": 1, "balancer": "p2c", "hedge": 0.1 }, "schemes": [ { "name": "staticlc" } ]`)
+	nodeDown := scenarioFile("node-down", `{ "lc": "masstree", "load": 0.2 }, { "batch": "mcf" }`,
+		`"cluster": { "nodes": 2 }, "schemes": [ { "name": "ubik" } ],
+  "faults": [ { "kind": "node-down", "node": 1, "at_cycle": 1, "duration_cycles": 1152921504606846976 } ]`)
+	replay := scenarioFile("replay", fmt.Sprintf(`{ "lc": "masstree", "load": 0.2 }, { "trace": %q }, { "trace": %q, "trace_app": 1 }`, memTrace, memTrace),
+		`"schemes": [ { "name": "ubik" } ]`)
+	kvReplay := scenarioFile("kv-replay", fmt.Sprintf(`{ "lc": "masstree", "load": 0.2 }, { "trace": %q }`, kvTrace),
+		`"schemes": [ { "name": "ubik" } ]`)
 	cases := []struct {
 		name    string
 		args    []string
@@ -67,6 +100,38 @@ func TestRunEndToEnd(t *testing.T) {
 			name: "hetero experiment",
 			args: []string{"-exp", "hetero", "-scale", "quick", "-requests", "0.02"},
 			want: []string{"== hetero:", "straggler", "uniform", "query_p99"},
+		},
+		{
+			name: "scheduled single-node scenario shows pooled per-window tails",
+			args: []string{"-scenario", burst, "-csv"},
+			want: []string{"# scenario-windows:", "staticlc|slack=0.05,1,2000000,4000000,"},
+		},
+		{
+			name: "hedged cluster scenario shows hedge wins and query windows",
+			args: []string{"-scenario", hedged, "-csv"},
+			want: []string{
+				"scheme,queries,mean,p95,p99,tail_mean,isolated_tail,tail_amp,hedge_wins\n",
+				"scheme,node,leaves,leaf_mean,leaf_p95,leaf_p99,lc_ipc,llc_miss,faults\n",
+				"# scenario-windows:", "staticlc|slack=0.05,1,2000000,4000000,",
+			},
+		},
+		{
+			name: "node-down scenario shows the starved node and its fault",
+			args: []string{"-scenario", nodeDown, "-csv"},
+			want: []string{"ubik|slack=0.05,1,0,0,0,0,0.000,0.000,node-down\n", ",node1:node-down\n"},
+		},
+		{
+			name: "trace scenario replays both columns",
+			args: []string{"-scenario", replay, "-csv"},
+			want: []string{
+				"scheme,slot,app,kind,mean_latency,tail_latency,ipc,missrate,l1hit,l2hit\n",
+				"ubik|slack=0.05,1,trace-replay,batch,", "ubik|slack=0.05,2,trace-replay,batch,",
+			},
+		},
+		{
+			name:    "kv trace in a scenario fails",
+			args:    []string{"-scenario", kvReplay},
+			wantErr: "cannot drive a simulator address stream",
 		},
 		{
 			name:    "csv and json together fail",
@@ -142,37 +207,52 @@ func TestRemovedEscapeHatchFlags(t *testing.T) {
 	}
 }
 
-// TestRunUnknownExperimentIsSilentlyIgnored pins the (long-standing)
-// dispatch behaviour: ids that match nothing emit nothing but do not fail,
-// so scripted invocations keep working across versions.
-func TestRunUnknownExperimentIsSilentlyIgnored(t *testing.T) {
+// TestRunUnknownExperimentFails pins that a mistyped id is an error naming
+// every valid id, and that nothing runs first: a scripted invocation with a
+// typo fails instead of emitting empty tables.
+func TestRunUnknownExperimentFails(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if err := run([]string{"-exp", "nosuchfigure"}, &stdout, &stderr); err != nil {
-		t.Fatalf("unknown experiment id should be ignored, got %v", err)
+	err := run([]string{"-exp", "table1,fig99"}, &stdout, &stderr)
+	if err == nil {
+		t.Fatal("unknown experiment id was accepted")
+	}
+	for _, want := range []string{`unknown experiment "fig99"`, expIDs(), "all"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not contain %q", err, want)
+		}
 	}
 	if stdout.Len() != 0 {
-		t.Errorf("unknown experiment id should emit nothing, got:\n%s", stdout.String())
+		t.Errorf("a failed selection should emit nothing, got:\n%s", stdout.String())
 	}
 }
 
 // TestRunFig7DeterministicAcrossParallelism pins whole-binary determinism
-// for the transient experiment: byte-identical output at different
+// for the transient experiment and for a windowed single-node scenario (a
+// flash crowd over two instances): byte-identical output at different
 // -parallelism settings.
 func TestRunFig7DeterministicAcrossParallelism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end runs are slow")
 	}
-	out := func(parallelism string) string {
-		var stdout, stderr bytes.Buffer
-		args := []string{"-exp", "fig7", "-scale", "quick", "-requests", "0.02", "-parallelism", parallelism}
-		if err := run(args, &stdout, &stderr); err != nil {
-			t.Fatal(err)
+	flash := filepath.Join(t.TempDir(), "flash.json")
+	writeFile(t, flash, `{ "version": 1, "name": "flash", "request_factor": 0.03,
+  "apps": [ { "lc": "masstree", "load": 0.2, "instances": 2, "sched": "flash:at=2e6,x=6,decay=1e6" }, { "batch": "mcf" } ],
+  "schemes": [ { "name": "ubik" } ] }`)
+	for _, args := range [][]string{
+		{"-exp", "fig7", "-scale", "quick", "-requests", "0.02"},
+		{"-scenario", flash},
+	} {
+		out := func(parallelism string) string {
+			var stdout, stderr bytes.Buffer
+			if err := run(append(args, "-parallelism", parallelism), &stdout, &stderr); err != nil {
+				t.Fatal(err)
+			}
+			return stdout.String()
 		}
-		return stdout.String()
-	}
-	a, b := out("4"), out("1")
-	if a != b {
-		t.Errorf("fig7 output differs across -parallelism:\n--- p4\n%s\n--- p1\n%s", a, b)
+		a, b := out("4"), out("1")
+		if a != b {
+			t.Errorf("%v: output differs across -parallelism:\n--- p4\n%s\n--- p1\n%s", args, a, b)
+		}
 	}
 }
 
@@ -348,19 +428,22 @@ func TestExperimentIndexCannotDrift(t *testing.T) {
 	}
 }
 
-// TestDocsNameOnlyExistingPaths holds README.md and DESIGN.md to the tree:
-// every cmd/, examples/, benchmarks/ or internal/ path they name — in inline
-// code, a fenced recipe or prose, with or without a leading "./" — must
-// exist, so deleting a program or package cannot leave a recipe pointing at
-// nothing. A mention ends at the first character a path cannot hold (so
-// examples/scenarios/*.json checks the directory) and sheds a trailing Go
-// selector (internal/experiment.Scale checks the package).
+// TestDocsNameOnlyExistingPaths holds README.md, DESIGN.md and the verify
+// skill to the tree: every cmd/, examples/, benchmarks/ or internal/ path
+// they name — in inline code, a fenced recipe or prose, with or without a
+// leading "./" — must exist, so deleting a program or package cannot leave a
+// recipe pointing at nothing. A mention ends at the first character a path
+// cannot hold (so examples/scenarios/*.json checks the directory) and sheds a
+// trailing Go selector (internal/experiment.Scale checks the package). On top
+// of that, every package a fenced `go run|test|build` recipe names ("."
+// included) must be a directory holding Go files, or for a "/..." pattern a
+// directory.
 func TestDocsNameOnlyExistingPaths(t *testing.T) {
 	root := filepath.Join("..", "..")
 	mention := regexp.MustCompile("(?m)(?:^|[\\s`(])(?:\\./)?((?:cmd|examples|benchmarks|internal)/[A-Za-z0-9_./-]*)")
 	selector := regexp.MustCompile(`\.[A-Z]\w*$`)
-	for _, doc := range []string{"README.md", "DESIGN.md"} {
-		text, err := os.ReadFile(filepath.Join(root, doc))
+	for _, doc := range []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"} {
+		text, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(doc)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,5 +457,69 @@ func TestDocsNameOnlyExistingPaths(t *testing.T) {
 				t.Errorf("%s names `%s`, which is not in the tree", doc, path)
 			}
 		}
+		for _, pkg := range fencedGoPackages(string(text)) {
+			dir := filepath.Join(root, filepath.FromSlash(strings.TrimSuffix(pkg, "...")))
+			if strings.HasSuffix(pkg, "...") {
+				if info, err := os.Stat(dir); err != nil || !info.IsDir() {
+					t.Errorf("%s runs go on `%s`, which matches no directory", doc, pkg)
+				}
+			} else if files, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(files) == 0 {
+				t.Errorf("%s runs go on `%s`, which is not a directory of Go files", doc, pkg)
+			}
+		}
+	}
+}
+
+// fencedGoPackages returns the package arguments of the go run, go test and
+// go build commands in text's fenced code blocks: go run's first non-flag
+// argument (the rest are the program's), every non-flag argument of the
+// others. A flag written without "=" takes the next word as its value unless
+// it is one of the boolean flags the recipes use.
+func fencedGoPackages(text string) []string {
+	boolFlags := map[string]bool{"-short": true, "-race": true, "-v": true, "-cover": true, "-benchmem": true}
+	var pkgs []string
+	fenced := false
+	for _, line := range strings.Split(strings.ReplaceAll(text, "\\\n", " "), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		words := strings.Fields(line)
+		for k, w := range words {
+			if strings.HasPrefix(w, "#") { // a shell comment runs to the end of the line
+				words = words[:k]
+				break
+			}
+		}
+		for i := 0; fenced && i+1 < len(words); i++ {
+			verb := words[i+1]
+			if words[i] != "go" || (verb != "run" && verb != "test" && verb != "build") {
+				continue
+			}
+			for j := i + 2; j < len(words); j++ {
+				switch w := words[j]; {
+				case strings.ContainsAny(w[:1], "|;&>"): // the command ends
+					j = len(words)
+				case w[0] == '-':
+					if !strings.Contains(w, "=") && !boolFlags[w] {
+						j++
+					}
+				default:
+					pkgs = append(pkgs, w)
+					if verb == "run" {
+						j = len(words)
+					}
+				}
+			}
+		}
+	}
+	return pkgs
+}
+
+// writeFile writes a test fixture, failing the test on error.
+func writeFile(t *testing.T, path, content string) {
+	t.Helper()
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

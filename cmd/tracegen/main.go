@@ -1,9 +1,9 @@
 // Command tracegen writes a derived trace file for the replay paths: a
-// mem-kind trace drives simulator address streams (ubiksim -tracefile,
-// scenario trace entries), a kv-kind trace drives the live cache service
-// (cacheserved -trace-file). Every generator is fully deterministic in its
-// flags, so CI and benchmarks regenerate traces on demand instead of
-// checking in fixtures.
+// mem-kind trace drives simulator address streams (a scenario's trace
+// entries, run by experiments -scenario), a kv-kind trace drives the live
+// cache service (cacheserved -trace-file). Every generator is fully
+// deterministic in its flags, so CI and benchmarks regenerate traces on
+// demand instead of checking in fixtures.
 //
 // Examples:
 //

@@ -9,11 +9,14 @@ import (
 	"strings"
 
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // ScenarioTables renders a scenario outcome as the experiment suite's table
 // form: a per-scheme summary, a per-slot breakdown, and — when the run was
-// windowed — a long-form per-window tail table with fault annotations.
+// windowed — a long-form per-window tail table with fault annotations. Rows
+// are labelled by the scheme's catalogue key (ubik|slack=0.01), so two
+// entries of one scheme stay distinguishable.
 func ScenarioTables(out *ScenarioOutcome) []Table {
 	tables := []Table{scenarioSummaryTable(out), scenarioSlotTable(out)}
 	if out.WindowCycles > 0 {
@@ -22,30 +25,31 @@ func ScenarioTables(out *ScenarioOutcome) []Table {
 	return tables
 }
 
-// scenarioSummaryTable is the one-row-per-scheme headline: tail latency,
-// degradation against isolation and batch throughput for single-node runs;
-// query tails and amplification for cluster runs.
+// scenarioSummaryTable is the one-row-per-scheme headline: tail latency
+// against the isolated pooled tail, degradation and batch throughput for
+// single-node runs; query tails, the isolated leaf tail and amplification for
+// cluster runs.
 func scenarioSummaryTable(out *ScenarioOutcome) Table {
 	t := Table{
 		ID:    "scenario-summary",
 		Title: fmt.Sprintf("scenario %q: per-scheme summary", out.Spec.Name),
 	}
 	if out.Spec.IsCluster() {
-		t.Header = []string{"scheme", "queries", "mean", "p95", "p99", "tail_mean", "tail_amp", "hedge_wins"}
+		t.Header = []string{"scheme", "queries", "mean", "p95", "p99", "tail_mean", "isolated_tail", "tail_amp", "hedge_wins"}
 		for _, sc := range out.Schemes {
 			r := sc.Cluster
 			t.Rows = append(t.Rows, []string{
-				sc.Scheme.Name, strconv.FormatUint(r.Queries, 10),
-				f0(r.Mean), f0(r.P95), f0(r.P99), f0(r.TailMean),
+				sc.Scheme.Key(), strconv.FormatUint(r.Queries, 10),
+				f0(r.Mean), f0(r.P95), f0(r.P99), f0(r.TailMean), f0(out.Baselines[0].TailLatency),
 				f3(sc.TailAmplification), strconv.FormatUint(r.HedgeWins, 10),
 			})
 		}
 		return t
 	}
-	t.Header = []string{"scheme", "pooled_lc_tail", "degradation", "weighted_speedup"}
+	t.Header = []string{"scheme", "pooled_lc_tail", "isolated_tail", "degradation", "weighted_speedup"}
 	for _, sc := range out.Schemes {
 		t.Rows = append(t.Rows, []string{
-			sc.Scheme.Name, f0(sc.PooledLCTail), f3(sc.Degradation), f3(sc.WeightedSpeedup),
+			sc.Scheme.Key(), f0(sc.PooledLCTail), f0(out.IsolatedPooledTail), f3(sc.Degradation), f3(sc.WeightedSpeedup),
 		})
 	}
 	return t
@@ -59,18 +63,23 @@ func scenarioSlotTable(out *ScenarioOutcome) Table {
 		Title: fmt.Sprintf("scenario %q: per-slot breakdown", out.Spec.Name),
 	}
 	if out.Spec.IsCluster() {
-		t.Header = []string{"scheme", "node", "leaves", "leaf_mean", "leaf_p95", "faults"}
+		t.Header = []string{"scheme", "node", "leaves", "leaf_mean", "leaf_p95", "leaf_p99", "lc_ipc", "llc_miss", "faults"}
 		for _, sc := range out.Schemes {
 			for n, nr := range sc.Cluster.Nodes {
-				row := []string{sc.Scheme.Name, strconv.Itoa(n),
-					strconv.FormatUint(nr.Leaves, 10), f0(nr.LeafMean), f0(nr.LeafP95),
-					nodeFaultSummary(out.Spec, n)}
-				t.Rows = append(t.Rows, row)
+				// A node the fault plan starved of every measured leaf skips
+				// its simulation: its replica columns read zero.
+				var lc sim.AppResult
+				if lcs := nr.Sim.LCResults(); len(lcs) > 0 {
+					lc = lcs[0]
+				}
+				t.Rows = append(t.Rows, []string{sc.Scheme.Key(), strconv.Itoa(n),
+					strconv.FormatUint(nr.Leaves, 10), f0(nr.LeafMean), f0(nr.LeafP95), f0(nr.LeafP99),
+					f3(lc.IPC), f3(lc.MissRate), nodeFaultSummary(out.Spec, n)})
 			}
 		}
 		return t
 	}
-	t.Header = []string{"scheme", "slot", "app", "kind", "mean_latency", "tail_latency", "ipc"}
+	t.Header = []string{"scheme", "slot", "app", "kind", "mean_latency", "tail_latency", "ipc", "missrate", "l1hit", "l2hit"}
 	for _, sc := range out.Schemes {
 		for i, a := range sc.Sim.Apps {
 			kind, meanLat, tailLat := "batch", "-", "-"
@@ -79,7 +88,8 @@ func scenarioSlotTable(out *ScenarioOutcome) Table {
 				meanLat, tailLat = f0(a.MeanLatency), f0(a.TailLatency)
 			}
 			t.Rows = append(t.Rows, []string{
-				sc.Scheme.Name, strconv.Itoa(i), a.Name, kind, meanLat, tailLat, f3(a.IPC),
+				sc.Scheme.Key(), strconv.Itoa(i), a.Name, kind, meanLat, tailLat,
+				f3(a.IPC), f3(a.MissRate), f3(a.L1HitFraction), f3(a.L2HitFraction),
 			})
 		}
 	}
@@ -99,7 +109,7 @@ func scenarioWindowTable(out *ScenarioOutcome) Table {
 	for _, sc := range out.Schemes {
 		for _, w := range sc.Windows {
 			t.Rows = append(t.Rows, []string{
-				sc.Scheme.Name, strconv.FormatUint(w.Index, 10),
+				sc.Scheme.Key(), strconv.FormatUint(w.Index, 10),
 				strconv.FormatUint(w.StartCycle, 10), strconv.FormatUint(w.EndCycle, 10),
 				strconv.FormatUint(w.Count, 10),
 				f0(w.Mean), f0(w.P95), f0(w.P99), f0(w.TailMean),

@@ -37,7 +37,7 @@ type ScenarioScheme struct {
 }
 
 // ScenarioOutcome is everything a scenario run produced, structured so the
-// command front-ends and the report generator render without re-simulating.
+// renderers (ScenarioTables and the HTML/CSV report) need not re-simulate.
 type ScenarioOutcome struct {
 	// Spec is the scenario that ran.
 	Spec scenario.Spec
@@ -66,12 +66,11 @@ type ScenarioOutcome struct {
 // parallel simulations: each phase is one flat job list — every baseline,
 // then every scheme run (single-node) or every (scheme, node) simulation
 // (cluster.RunAll) — landing in index-addressed slots, so results are
-// bit-identical at any workers value. progress, when non-nil, receives the
-// human progress lines the interactive front-end prints; it is only called
-// serially, before a parallel phase starts. A nil pool disables warm-state
-// reuse.
+// bit-identical at any workers value. A nil pool disables warm-state reuse.
+// progress is ignored — the runner narrates nothing, ScenarioTables renders
+// the outcome — and is kept only until bench/ stops passing it.
 func RunScenario(spec scenario.Spec, workers int, pool *sim.WarmPool, progress func(format string, args ...any)) (*ScenarioOutcome, error) {
-	return RunScenarioTraced(spec, workers, pool, progress, nil)
+	return RunScenarioTraced(spec, workers, pool, nil)
 }
 
 // RunScenarioTraced is RunScenario with an optional trace recorder: when rec
@@ -81,17 +80,12 @@ func RunScenario(spec scenario.Spec, workers int, pool *sim.WarmPool, progress f
 // traced (they are shared warm-pool state, not part of any scheme's story).
 // Tracing is observational only: outcomes are bit-identical with rec nil or
 // not.
-func RunScenarioTraced(spec scenario.Spec, workers int, pool *sim.WarmPool, progress func(format string, args ...any), rec *trace.Recorder) (*ScenarioOutcome, error) {
+func RunScenarioTraced(spec scenario.Spec, workers int, pool *sim.WarmPool, rec *trace.Recorder) (*ScenarioOutcome, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if workers < 1 {
 		workers = 1
-	}
-	say := func(format string, args ...any) {
-		if progress != nil {
-			progress(format, args...)
-		}
 	}
 	cfg := spec.BaseConfig()
 	out := &ScenarioOutcome{Spec: spec, Cfg: cfg, WindowCycles: spec.WindowCycles(cfg)}
@@ -106,19 +100,16 @@ func RunScenarioTraced(spec scenario.Spec, workers int, pool *sim.WarmPool, prog
 		if err != nil {
 			return nil, err
 		}
-		say("Calibrating %s at %.0f%% load...\n", profile.Name, a.Load*100)
 		base, err := sim.MeasureLCBaselinePooled(pool, cfg, profile, profile.TargetLines(), a.Load, reqFactor)
 		if err != nil {
 			return nil, err
 		}
-		say("  isolated: mean service %.0f cycles, mean latency %.0f, 95%% tail %.0f\n",
-			base.MeanServiceCycles, base.MeanLatency, base.TailLatency)
 		out.Baselines = append(out.Baselines, base)
 	}
 	if spec.IsCluster() {
-		err = runScenarioCluster(out, spec, schemes, workers, pool, say, rec)
+		err = runScenarioCluster(out, spec, schemes, workers, pool, rec)
 	} else {
-		err = runScenarioSingle(out, spec, schemes, workers, pool, say, rec)
+		err = runScenarioSingle(out, spec, schemes, workers, pool, rec)
 	}
 	if err != nil {
 		return nil, err
@@ -176,7 +167,7 @@ func batchSlots(spec scenario.Spec) ([]batchSlot, error) {
 // phases: every baseline (isolation runs on the exact instance seeds of the
 // mix, batch baseline IPCs), then one RunMix per scheme.
 func runScenarioSingle(out *ScenarioOutcome, spec scenario.Spec, schemes []scenario.ResolvedScheme,
-	workers int, pool *sim.WarmPool, say func(string, ...any), rec *trace.Recorder) error {
+	workers int, pool *sim.WarmPool, rec *trace.Recorder) error {
 	cfg := out.Cfg
 	cfg.LatencyWindowCycles = out.WindowCycles
 	seed := spec.SeedOrDefault()
@@ -242,13 +233,6 @@ func runScenarioSingle(out *ScenarioOutcome, spec scenario.Spec, schemes []scena
 		specs = append(specs, sim.AppSpec{Batch: &batches[i].profile, Trace: batches[i].trace})
 	}
 
-	schedDesc := scheduleDescription(spec)
-	if schedDesc != "" {
-		schedDesc = " with load schedule " + schedDesc
-	}
-	for _, rs := range schemes {
-		say("Running mix under %s%s...\n", rs.PolicyName(), schedDesc)
-	}
 	out.Schemes = make([]ScenarioScheme, len(schemes))
 	return parallel.For(len(schemes), workers, func(i int) error {
 		rs := schemes[i]
@@ -270,7 +254,7 @@ func runScenarioSingle(out *ScenarioOutcome, spec scenario.Spec, schemes []scena
 		}
 		sc := ScenarioScheme{
 			Scheme:          rs.Scheme,
-			PolicyName:      rs.PolicyName(),
+			PolicyName:      rs.NewPolicy().Name(),
 			Sim:             &res,
 			PooledLCTail:    res.PooledLCTail(cfg.TailPercentile),
 			WeightedSpeedup: ws,
@@ -291,7 +275,7 @@ func runScenarioSingle(out *ScenarioOutcome, spec scenario.Spec, schemes []scena
 // cache mode and policy differ, so every scheme replays the identical query
 // plan.
 func runScenarioCluster(out *ScenarioOutcome, spec scenario.Spec, schemes []scenario.ResolvedScheme,
-	workers int, pool *sim.WarmPool, say func(string, ...any), rec *trace.Recorder) error {
+	workers int, pool *sim.WarmPool, rec *trace.Recorder) error {
 	cfg := out.Cfg
 	seed := spec.SeedOrDefault()
 	reqFactor := spec.RequestFactorOrDefault()
@@ -375,21 +359,6 @@ func runScenarioCluster(out *ScenarioOutcome, spec scenario.Spec, schemes []scen
 	}
 	first := specs[0]
 	out.ClusterSpec = &first
-	if len(spec.Faults) > 0 {
-		say("Injecting %d fault-plan entries...\n", len(spec.Faults))
-	}
-	schedDesc := scheduleDescription(spec)
-	if schedDesc != "" {
-		schedDesc = ", load schedule " + schedDesc
-	}
-	quorum := first.Quorum
-	if quorum == 0 {
-		quorum = first.Fanout // the cluster layer's default: wait for every leaf
-	}
-	for _, rs := range schemes {
-		say("Running %d-node cluster under %s: fanout %d, quorum %d, balancer %s%s...\n",
-			c.Nodes, rs.PolicyName(), first.Fanout, quorum, first.Balancer, schedDesc)
-	}
 	results, err := cluster.RunAll(specs, keys, workers, pool)
 	if err != nil {
 		return fmt.Errorf("scheme %w", err)
@@ -397,44 +366,13 @@ func runScenarioCluster(out *ScenarioOutcome, spec scenario.Spec, schemes []scen
 	out.Schemes = make([]ScenarioScheme, len(schemes))
 	for i, rs := range schemes {
 		res := &results[i]
-		sc := ScenarioScheme{Scheme: rs.Scheme, PolicyName: rs.PolicyName(), Cluster: res, Windows: res.Windows}
+		sc := ScenarioScheme{Scheme: rs.Scheme, PolicyName: rs.NewPolicy().Name(), Cluster: res, Windows: res.Windows}
 		if base.TailLatency > 0 {
 			sc.TailAmplification = res.P95 / base.TailLatency
 		}
 		out.Schemes[i] = sc
 	}
 	return nil
-}
-
-// scheduleDescription summarises the mix's non-constant load schedules for
-// progress lines: empty when steady, the schedule when the mix has one, and
-// "mixed" for multi-schedule mixes.
-func scheduleDescription(spec scenario.Spec) string {
-	var distinct []string
-	for _, a := range spec.LCApps() {
-		sched, err := a.ScheduleSpec()
-		if err != nil || sched.IsConstant() {
-			continue
-		}
-		s := sched.String()
-		seen := false
-		for _, d := range distinct {
-			if d == s {
-				seen = true
-			}
-		}
-		if !seen {
-			distinct = append(distinct, s)
-		}
-	}
-	switch len(distinct) {
-	case 0:
-		return ""
-	case 1:
-		return distinct[0]
-	default:
-		return "mixed"
-	}
 }
 
 // pooledLCWindowStats pools the per-window latency samples of every

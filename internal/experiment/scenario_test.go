@@ -101,7 +101,7 @@ func TestScenarioMatrixDeterministicUnderWorkers(t *testing.T) {
 		}
 	}
 	rec := trace.NewRecorder(1 << 12)
-	traced, err := RunScenarioTraced(spec, 5, sim.NewWarmPool(), nil, rec)
+	traced, err := RunScenarioTraced(spec, 5, sim.NewWarmPool(), rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,9 @@ func TestScenarioMatrixDeterministicUnderWorkers(t *testing.T) {
 // new reader at, shrunk to a tiny request factor: each must yield one outcome
 // per declared scheme, in file order, with a positive tail degradation and
 // batch weighted speedup, bit-identical between workers 1 (no warm pool) and
-// workers 4 (with one).
+// workers 4 (with one). Rendered, every summary row must carry its own label
+// — the slack sweep's three Ubik entries included — and the tables the
+// isolated-tail, miss-rate and hit-fraction columns.
 func TestWalkthroughScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario runs are slow")
@@ -151,6 +153,25 @@ func TestWalkthroughScenarios(t *testing.T) {
 					t.Errorf("%+v: degradation %v, weighted speedup %v, want both positive",
 						sc.Scheme, sc.Degradation, sc.WeightedSpeedup)
 				}
+			}
+
+			tables := ScenarioTables(serial)
+			summary, slots := tables[0], tables[1]
+			labels := map[string]bool{}
+			for i, row := range summary.Rows {
+				if want := spec.Schemes[i].Key(); row[0] != want || labels[want] {
+					t.Errorf("summary row %d is labelled %q, want the distinct key %q", i, row[0], want)
+				}
+				labels[row[0]] = true
+				if want := f0(serial.IsolatedPooledTail); row[2] != want {
+					t.Errorf("summary row %d: isolated tail %q, want %q", i, row[2], want)
+				}
+			}
+			if got, want := strings.Join(summary.Header, ","), "scheme,pooled_lc_tail,isolated_tail,degradation,weighted_speedup"; got != want {
+				t.Errorf("summary header = %s, want %s", got, want)
+			}
+			if got, want := strings.Join(slots.Header, ","), "scheme,slot,app,kind,mean_latency,tail_latency,ipc,missrate,l1hit,l2hit"; got != want {
+				t.Errorf("per-slot header = %s, want %s", got, want)
 			}
 		})
 	}

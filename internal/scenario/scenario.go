@@ -354,6 +354,15 @@ func (sc Scheme) SlackOrDefault() float64 {
 	return sc.Slack
 }
 
+// Key is the entry's catalogue key (ResolvedScheme.Key), e.g.
+// "ubik|slack=0.01": unlike the name, it tells apart entries of one scheme.
+func (sc Scheme) Key() string { return catalogueKey(sc.Name, sc.SlackOrDefault()) }
+
+// catalogueKey identifies a scheme construction: its name and exact slack.
+func catalogueKey(name string, slack float64) string {
+	return fmt.Sprintf("%s|slack=%v", strings.ToLower(name), slack)
+}
+
 // ResolvedScheme is a scheme entry lowered to what the runner needs: a fresh-
 // instance policy constructor, whether the scheme runs on an unpartitioned
 // cache, and a key that uniquely identifies the construction for warm pools.
@@ -364,16 +373,13 @@ type ResolvedScheme struct {
 	Unpartitioned bool
 }
 
-// PolicyName returns the display name of the scheme's policy.
-func (r ResolvedScheme) PolicyName() string { return r.NewPolicy().Name() }
-
 // ResolveScheme is the scheme catalogue: the one place a scheme name becomes a
 // policy constructor and a cache organisation. slack is Ubik's exact
 // tail-latency slack — 0 is strict Ubik, and the other schemes ignore it; a
 // scenario entry's "0 = the default" is resolved by the caller
 // (ResolvedSchemes).
 func ResolveScheme(name string, slack float64) (ResolvedScheme, error) {
-	r := ResolvedScheme{Key: fmt.Sprintf("%s|slack=%v", strings.ToLower(name), slack)}
+	r := ResolvedScheme{Key: catalogueKey(name, slack)}
 	switch strings.ToLower(name) {
 	case "lru":
 		r.NewPolicy, r.Unpartitioned = func() policy.Policy { return policy.NewLRU() }, true

@@ -211,6 +211,8 @@ func TestValidate(t *testing.T) {
 		{"LC load out of range", func(s *Spec) { s.Apps[0].Load = 1.5 }, "load in (0,1)"},
 		{"batch with a load", func(s *Spec) { s.Apps[1].Load = 0.5 }, "load and sched do not apply"},
 		{"bad schedule", func(s *Spec) { s.Apps[0].Sched = "sawtooth:x=2" }, "sawtooth"},
+		{"malformed schedule", func(s *Spec) { s.Apps[0].Sched = "burst:x=4" }, "schedule dur must be positive"},
+		{"unknown batch profile", func(s *Spec) { s.Apps[1].Batch = "nosuchbatch" }, "unknown batch profile"},
 		{"no schemes", func(s *Spec) { s.Schemes = nil }, "schemes is required"},
 		{"unknown scheme", func(s *Spec) { s.Schemes[0].Name = "belady" }, "unknown scheme"},
 		{"slack on non-ubik", func(s *Spec) { s.Schemes = []Scheme{{Name: "lru", Slack: 0.1}} }, "slack only applies to ubik"},
@@ -222,7 +224,16 @@ func TestValidate(t *testing.T) {
 			s.Cluster = &Cluster{Nodes: 2}
 			s.Apps = append(s.Apps, App{LC: "masstree", Load: 0.2})
 		}, "exactly one latency-critical replica"},
+		{"replicated LC in a cluster", func(s *Spec) {
+			s.Cluster = &Cluster{Nodes: 2}
+			s.Apps[0].Instances = 3
+		}, "exactly one latency-critical replica"},
+		{"empty fleet", func(s *Spec) { s.Cluster = &Cluster{} }, "need at least one node, got 0"},
 		{"fanout beyond fleet", func(s *Spec) { s.Cluster = &Cluster{Nodes: 2, Fanout: 3} }, "fan-out 3 exceeds the cluster size 2"},
+		{"quorum beyond fanout", func(s *Spec) { s.Cluster = &Cluster{Nodes: 2, Fanout: 2, Quorum: 3} }, "quorum 3 must be in [1, fan-out 2]"},
+		{"hedging a fan-out-1 query", func(s *Spec) { s.Cluster = &Cluster{Nodes: 2, Hedge: 0.3} }, "use fan-out 2, quorum 1 instead"},
+		{"hedging without a spare node", func(s *Spec) { s.Cluster = &Cluster{Nodes: 2, Fanout: 2, Hedge: 0.3} }, "hedging needs a spare node"},
+		{"hedge fraction out of range", func(s *Spec) { s.Cluster = &Cluster{Nodes: 3, Fanout: 2, Hedge: 1.5} }, "deadline fraction in [0,1)"},
 		{"unknown balancer", func(s *Spec) { s.Cluster = &Cluster{Nodes: 2, Balancer: "dns"} }, "balancer"},
 		{"override out of range", func(s *Spec) {
 			s.Cluster = &Cluster{Nodes: 2, Overrides: []NodeOverride{{Node: 5, LLCMB: 6}}}
