@@ -9,14 +9,14 @@
 //
 // Layout: the key space is split over a power-of-two number of shards by key
 // hash. Each shard holds, per tenant and under a single mutex, a slab of
-// entry slots linked into an LRU list by int32 slot indices and an index from
-// the 64-bit key hash to a slot, so every operation takes exactly one lock and
-// hashes its key once, and per-tenant eviction needs no cross-shard
-// coordination: a tenant's byte quota is divided across shards, and a Set
-// that pushes the tenant's shard usage over its shard quota evicts from that
-// tenant's LRU tail in place. Two keys of one tenant shard whose hashes
-// collide cannot both be cached: the later Set displaces the earlier entry as
-// a capacity eviction.
+// entry slots linked into an LRU list by int32 slot indices and a seeded
+// open-addressing index from the 64-bit key hash to a slot (slotIndex), so
+// every operation takes exactly one lock and hashes its key once, and
+// per-tenant eviction needs no cross-shard coordination: a tenant's byte
+// quota is divided across shards, and a Set that pushes the tenant's shard
+// usage over its shard quota evicts from that tenant's LRU tail in place. Two
+// keys of one tenant shard whose hashes collide cannot both be cached: the
+// later Set displaces the earlier entry as a capacity eviction.
 //
 // Expiry is lazy (a Get that finds an expired entry removes it) plus an
 // optional background sweeper. Capacity evictions and expiries are reported
@@ -26,6 +26,7 @@ package cacheserve
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"time"
@@ -202,7 +203,7 @@ func (e *entry) size() int64 { return EntrySize(e.key, e.value) }
 // mutex. The index holds no pointers, so the GC never scans it.
 type tenantShard struct {
 	slots []entry
-	index map[uint64]int32
+	index slotIndex
 	free  int32 // first free slot; 0 = none
 	bytes int64
 	quota int64
@@ -234,7 +235,7 @@ func (ts *tenantShard) moveFront(i int32) {
 
 // find returns the slot holding key under hash h, or 0 if there is none.
 func (ts *tenantShard) find(h uint64, key string) int32 {
-	if i, ok := ts.index[h]; ok && ts.slots[i].key == key {
+	if i := ts.index.get(h, ts.slots); i != 0 && ts.slots[i].key == key {
 		return i
 	}
 	return 0
@@ -251,7 +252,7 @@ func (ts *tenantShard) insert(h uint64, key string, value []byte, expireAt int64
 		ts.free = ts.slots[i].next
 	}
 	ts.slots[i] = entry{key: key, value: value, hash: h, expireAt: expireAt}
-	ts.index[h] = i
+	ts.index.put(h, i)
 	ts.pushFront(i)
 	ts.bytes += ts.slots[i].size()
 }
@@ -260,7 +261,7 @@ func (ts *tenantShard) insert(h uint64, key string, value []byte, expireAt int64
 // and frees it.
 func (ts *tenantShard) remove(i int32) {
 	e := &ts.slots[i]
-	delete(ts.index, e.hash)
+	ts.index.del(e.hash, i)
 	ts.unlink(i)
 	ts.bytes -= e.size()
 	*e = entry{next: ts.free}
@@ -316,12 +317,13 @@ func New(cfg Config) (*Cache, error) {
 		c.clock = func() int64 { return time.Now().UnixNano() }
 	}
 	nt := len(cfg.Tenants)
+	seed := rand.Uint64() // one index seed per cache, see slotIndex
 	for i := range c.shards {
 		c.shards[i].tenants = make([]tenantShard, nt)
 		for t := range c.shards[i].tenants {
 			ts := &c.shards[i].tenants[t]
 			ts.slots = make([]entry, 1) // the sentinel
-			ts.index = make(map[uint64]int32)
+			ts.index = newSlotIndex(seed)
 		}
 	}
 	// Every tenant starts with an equal share; the governor redistributes.
@@ -459,13 +461,13 @@ func (c *Cache) set(tenant int, h uint64, key string, value []byte, ttl time.Dur
 	// slices handed out by earlier Gets alias the old buffer and may still be
 	// read concurrently with this Set.
 	buf := append([]byte(nil), value...)
-	if i, ok := ts.index[h]; ok && ts.slots[i].key == key {
+	if i := ts.index.get(h, ts.slots); i != 0 && ts.slots[i].key == key {
 		e := &ts.slots[i]
 		ts.bytes += size - e.size()
 		e.value, e.expireAt = buf, expireAt
 		ts.moveFront(i)
 	} else {
-		if ok { // another key with the same hash: the collision rule displaces it
+		if i != 0 { // another key with the same hash: the collision rule displaces it
 			evicted = c.drop(ts, tenant, i, ReasonCapacity, evicted)
 		}
 		ts.insert(h, key, buf, expireAt)
@@ -660,7 +662,7 @@ func (c *Cache) Len() int {
 		sh := &c.shards[si]
 		sh.mu.Lock()
 		for t := range sh.tenants {
-			n += len(sh.tenants[t].index)
+			n += sh.tenants[t].index.n
 		}
 		sh.mu.Unlock()
 	}
@@ -710,7 +712,7 @@ func (c *Cache) Stats() []TenantStats {
 			out[t].Deletes += ts.deletes
 			out[t].CapacityEvictions += ts.capEvictions
 			out[t].Expirations += ts.expirations
-			out[t].Keys += len(ts.index)
+			out[t].Keys += ts.index.n
 			out[t].BytesUsed += ts.bytes
 			out[t].QuotaBytes += ts.quota
 		}

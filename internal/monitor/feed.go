@@ -13,8 +13,11 @@ import (
 // The simulator feeds its UMONs every LLC access from one goroutine; a live
 // service cannot afford a lock on every operation, so the feed forwards only
 // every k-th presented access (k = round(1/rate)) into the underlying monitor
-// and takes the mutex only for those. The stride counter is a single atomic
-// add, so the unsampled fast path costs one uncontended atomic per access.
+// and takes the mutex only for those. The unsampled fast path is a single
+// atomic add on the stride counter. That counter is shared by every goroutine
+// presenting accesses to this feed (in the live cache, every goroutine
+// touching the tenant in any shard), so under concurrency the add contends:
+// its cache line moves between cores.
 //
 // Stride sampling (rather than hashing the address) keeps hot keys in the
 // sampled stream in proportion to their true access frequency — address-hash
