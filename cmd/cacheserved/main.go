@@ -1,13 +1,16 @@
 // Command cacheserved demonstrates the live cache service: it builds a
 // sharded multi-tenant cache, attaches a Ubik or UCP governor to the sampled
-// UMON feeds, drives a concurrent synthetic workload against it, and prints
-// per-tenant throughput, hit ratios, latency percentiles and the quota
+// UMON feeds, replays a kv trace against it with cacheserve.Replayer, and
+// prints per-tenant throughput, hit ratios, latency percentiles and the quota
 // trajectory the governor produced.
 //
-// Tenants are declared as a comma-separated spec, one entry per tenant:
+// The trace is a recording (-trace-file) or is built in memory from the
+// synthetic flags before the timer starts, so the op stream is the same at any
+// -goroutines: gets filled on a miss plus a -setfrac share of -valuesize-byte
+// sets, over -tenants declared one comma-separated entry each:
 //
 //	name:zipf              batch tenant, zipf-skewed reuse over -keys keys
-//	name:scan              batch tenant, sequential scan (no reuse)
+//	name:scan              batch tenant, sequential scan over 4×-keys keys
 //	name:zipf:target=1m    latency-critical tenant with a byte reserve target
 //
 // Example:
@@ -26,15 +29,14 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cacheserve"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/policy"
-	"repro/internal/stats"
 	"repro/internal/tracein"
+	"repro/internal/workload"
 )
 
 func main() {
@@ -101,11 +103,45 @@ func parseTenants(spec string) ([]tenantSpec, error) {
 	return out, nil
 }
 
-// latencySampleStride keeps latency measurement off the hot path: one in this
-// many operations is timed. 61 is prime, so it is coprime with every tenant
-// count: the driver picks tenant i%tenants, and a power-of-two stride would
-// only ever time tenant 0.
-const latencySampleStride = 61
+// syntheticTrace lowers the -tenants workload to an in-memory kv trace of ops
+// records. Each tenant's keys come from its own tracein generator (zipf over
+// keys, scan over 4×keys), and the tenants interleave round-robin: record i
+// belongs to tenant i mod len(specs) and has cycle i. The op mix is drawn
+// here rather than by the generator, which reads a zero SetFrac as its 0.1
+// default.
+func syntheticTrace(specs []tenantSpec, ops, keys int, zipfS, setFrac float64, valueSize int, seed int64) (*tracein.Trace, error) {
+	n := len(specs)
+	if ops < n {
+		return nil, fmt.Errorf("-ops %d cannot give each of the %d tenants an operation", ops, n)
+	}
+	recs := make([]tracein.Record, ops)
+	for t, s := range specs {
+		spec := tracein.GenSpec{
+			Kind: tracein.KindKV, Gen: tracein.GenZipf,
+			Records: (ops - t + n - 1) / n, Keys: uint64(keys), ZipfS: zipfS,
+			Seed: workload.SplitSeed(uint64(seed), uint64(t)),
+		}
+		if s.scan {
+			spec.Gen, spec.Keys = tracein.GenScan, 4*uint64(keys)
+		}
+		tenantRecs, err := tracein.Generate(spec)
+		if err != nil {
+			return nil, fmt.Errorf("tenant %q: %w", s.cfg.Name, err)
+		}
+		for j, r := range tenantRecs {
+			recs[t+j*n].Key = r.Key
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for i := range recs {
+		r := &recs[i]
+		r.Cycle, r.App, r.Op = uint64(i), uint32(i%n), tracein.OpGet
+		if rng.Float64() < setFrac {
+			r.Op, r.Size = tracein.OpSet, uint32(valueSize)
+		}
+	}
+	return tracein.FromRecords(tracein.KindKV, n, recs)
+}
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("cacheserved", flag.ContinueOnError)
@@ -134,32 +170,6 @@ func run(args []string, out io.Writer) error {
 	}
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	var (
-		specs []tenantSpec
-		tr    *tracein.Trace
-	)
-	if *traceFile != "" {
-		for _, f := range []string{"tenants", "keys", "zipf", "setfrac", "seed"} {
-			if explicit[f] {
-				return fmt.Errorf("-%s shapes the synthetic workload and conflicts with -trace-file: the recording already fixes the tenants, keys and op mix (drop -%s or -trace-file)", f, f)
-			}
-		}
-		var err error
-		if tr, err = tracein.Open(*traceFile); err != nil {
-			return err
-		}
-		defer tr.Close()
-		// The recording defines the tenant set: one plain batch tenant per
-		// trace column, named t0..tN-1.
-		for t := 0; t < tr.Apps(); t++ {
-			specs = append(specs, tenantSpec{cfg: cacheserve.TenantConfig{Name: fmt.Sprintf("t%d", t)}})
-		}
-	} else {
-		var err error
-		if specs, err = parseTenants(*tenants); err != nil {
-			return err
-		}
-	}
 	capBytes, err := parseSize(*capacity)
 	if err != nil {
 		return err
@@ -170,6 +180,43 @@ func run(args []string, out io.Writer) error {
 	if *zipfS <= 1 {
 		return fmt.Errorf("-zipf must be > 1")
 	}
+	if *setFrac < 0 || *setFrac > 1 {
+		return fmt.Errorf("-setfrac must be in [0, 1], got %v", *setFrac)
+	}
+
+	var (
+		specs []tenantSpec
+		tr    *tracein.Trace
+	)
+	if *traceFile != "" {
+		for _, f := range []string{"tenants", "keys", "zipf", "setfrac", "valuesize", "seed"} {
+			if explicit[f] {
+				return fmt.Errorf("-%s shapes the synthetic workload and conflicts with -trace-file: the recording already fixes the tenants, keys and op mix (drop -%s or -trace-file)", f, f)
+			}
+		}
+		if tr, err = tracein.Open(*traceFile); err != nil {
+			return err
+		}
+		// The recording defines the tenant set: one plain batch tenant per
+		// trace column, named t0..tN-1.
+		for t := 0; t < tr.Apps(); t++ {
+			specs = append(specs, tenantSpec{cfg: cacheserve.TenantConfig{Name: fmt.Sprintf("t%d", t)}})
+		}
+	} else {
+		if *setFrac == 0 && explicit["valuesize"] {
+			return fmt.Errorf("-valuesize sizes sets, and -setfrac 0 issues none (misses fill with 128-byte values); drop -valuesize or raise -setfrac")
+		}
+		if *setFrac > 0 && (*valueSize < 1 || *valueSize > tracein.MaxValueSize) {
+			return fmt.Errorf("-valuesize must be in [1, %d], got %d", tracein.MaxValueSize, *valueSize)
+		}
+		if specs, err = parseTenants(*tenants); err != nil {
+			return err
+		}
+		if tr, err = syntheticTrace(specs, *ops, *keys, *zipfS, *setFrac, *valueSize, *seed); err != nil {
+			return err
+		}
+	}
+	defer tr.Close()
 
 	tcfgs := make([]cacheserve.TenantConfig, len(specs))
 	for i, s := range specs {
@@ -224,171 +271,61 @@ func run(args []string, out io.Writer) error {
 		cache.NumTenants(), *capacity, cache.NumShards(), pol.Name(), *sample)
 	startQuotas := quotaVector(cache)
 
-	totalOps := 0
-	merged := make([]*stats.Sample, len(specs))
-	tenantOps := make([]uint64, len(specs))
-	tenantHits := make([]uint64, len(specs))
-	tenantRejected := make([]uint64, len(specs))
-	var elapsed time.Duration
-
-	if tr != nil {
-		// Replay mode: all per-record preparation (key rendering, value
-		// sizing) happens in NewReplayer, before the timer starts.
-		rp, err := cacheserve.NewReplayer(cache, tr)
-		if err != nil {
-			return err
-		}
-		gov.Start()
-		defer gov.Stop()
-		start := time.Now()
-		ts, err := rp.Run(*ops, *goroutines)
-		elapsed = time.Since(start)
-		gov.Stop()
-		if err != nil {
-			return err
-		}
-		var gets, sets uint64
-		for t := range ts {
-			merged[t] = ts[t].Latency
-			tenantOps[t] = ts[t].Gets + ts[t].Sets
-			tenantHits[t] = ts[t].Hits
-			tenantRejected[t] = ts[t].Rejected
-			totalOps += int(tenantOps[t])
-			gets += ts[t].Gets
-			sets += ts[t].Sets
-		}
-		fmt.Fprintf(out, "replayed %d ops (%d gets, %d sets; %d-record trace, %d passes) in %v (%.2fM ops/sec aggregate, %d goroutines), %d governor epochs\n",
-			totalOps, gets, sets, tr.Len(), (*ops+tr.Len()-1)/tr.Len(),
-			elapsed.Round(time.Millisecond),
-			float64(totalOps)/elapsed.Seconds()/1e6, *goroutines, gov.Epochs())
-	} else {
-		// Pre-render every tenant's key space so formatting stays off the hot path.
-		tenantKeys := make([][]string, len(specs))
-		for t, s := range specs {
-			n := *keys
-			if s.scan {
-				n *= 4
-			}
-			ks := make([]string, n)
-			for i := range ks {
-				ks[i] = fmt.Sprintf("%s-%07d", s.cfg.Name, i)
-			}
-			tenantKeys[t] = ks
-		}
-
-		gov.Start()
-		defer gov.Stop()
-
-		type workerStats struct {
-			ops, hits, rejected []uint64
-			lat                 []*stats.Sample
-		}
-		perWorker := make([]workerStats, *goroutines)
-		opsPer := *ops / *goroutines
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < *goroutines; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				ws := &perWorker[w]
-				ws.ops = make([]uint64, len(specs))
-				ws.hits = make([]uint64, len(specs))
-				ws.rejected = make([]uint64, len(specs))
-				ws.lat = make([]*stats.Sample, len(specs))
-				for t := range ws.lat {
-					ws.lat[t] = stats.NewSample(opsPer / latencySampleStride / len(specs))
-				}
-				rng := rand.New(rand.NewSource(*seed + int64(w)*7919))
-				zipfs := make([]*rand.Zipf, len(specs))
-				scanPos := make([]int, len(specs))
-				for t, s := range specs {
-					if !s.scan {
-						zipfs[t] = rand.NewZipf(rng, *zipfS, 1, uint64(len(tenantKeys[t])-1))
-					}
-				}
-				val := make([]byte, *valueSize)
-				for i := 0; i < opsPer; i++ {
-					t := i % len(specs)
-					var key string
-					if specs[t].scan {
-						key = tenantKeys[t][scanPos[t]]
-						scanPos[t] = (scanPos[t] + 1) % len(tenantKeys[t])
-					} else {
-						key = tenantKeys[t][zipfs[t].Uint64()]
-					}
-					timed := i%latencySampleStride == 0
-					var begin time.Time
-					if timed {
-						begin = time.Now()
-					}
-					// A miss fills, as a real service would.
-					if rng.Float64() >= *setFrac {
-						if _, ok := cache.Get(t, key); ok {
-							ws.hits[t]++
-						} else if cache.Set(t, key, val, 0) != nil {
-							ws.rejected[t]++
-						}
-					} else if cache.Set(t, key, val, 0) != nil {
-						ws.rejected[t]++
-					}
-					if timed {
-						ws.lat[t].Add(float64(time.Since(begin).Nanoseconds()))
-					}
-					ws.ops[t]++
-				}
-			}(w)
-		}
-		wg.Wait()
-		elapsed = time.Since(start)
-		gov.Stop()
-
-		for t := range specs {
-			merged[t] = stats.NewSample(1024)
-			for w := range perWorker {
-				if perWorker[w].lat == nil {
-					continue
-				}
-				merged[t].AddAll(perWorker[w].lat[t].Values())
-				tenantOps[t] += perWorker[w].ops[t]
-				tenantHits[t] += perWorker[w].hits[t]
-				tenantRejected[t] += perWorker[w].rejected[t]
-				totalOps += int(perWorker[w].ops[t])
-			}
-		}
-
-		fmt.Fprintf(out, "ran %d ops in %v (%.2fM ops/sec aggregate, %d goroutines), %d governor epochs\n",
-			totalOps, elapsed.Round(time.Millisecond),
-			float64(totalOps)/elapsed.Seconds()/1e6, *goroutines, gov.Epochs())
+	// All per-record preparation (key rendering, value sizing) happens in
+	// NewReplayer, before the timer starts.
+	rp, err := cacheserve.NewReplayer(cache, tr)
+	if err != nil {
+		return err
 	}
+	gov.Start()
+	defer gov.Stop()
+	start := time.Now()
+	ts, err := rp.Run(*ops, *goroutines)
+	elapsed := time.Since(start)
+	gov.Stop()
+	if err != nil {
+		return err
+	}
+	var gets, sets uint64
+	for t := range ts {
+		gets += ts[t].Gets
+		sets += ts[t].Sets
+	}
+	fmt.Fprintf(out, "replayed %d ops (%d gets, %d sets; %d-record trace, %d passes) in %v (%.2fM ops/sec aggregate, %d goroutines), %d governor epochs\n",
+		gets+sets, gets, sets, tr.Len(), (*ops+tr.Len()-1)/tr.Len(),
+		elapsed.Round(time.Millisecond),
+		float64(gets+sets)/elapsed.Seconds()/1e6, *goroutines, gov.Epochs())
+
 	fmt.Fprintf(out, "%-12s %10s %8s %9s %9s %9s %10s %12s %12s %10s\n",
 		"tenant", "ops", "hit%", "p50us", "p95us", "p99us", "evictions", "quota0", "quota", "rejected")
 	endQuotas := quotaVector(cache)
 	cstats := cache.Stats()
 	for t, s := range specs {
-		p50 := merged[t].PercentileOrZero(50) / 1e3
-		p95 := merged[t].PercentileOrZero(95) / 1e3
-		p99 := merged[t].PercentileOrZero(99) / 1e3
+		tops := ts[t].Gets + ts[t].Sets
 		hitPct := 0.0
-		if tenantOps[t] > 0 {
-			hitPct = 100 * float64(tenantHits[t]) / float64(tenantOps[t])
+		if tops > 0 {
+			hitPct = 100 * float64(ts[t].Hits) / float64(tops)
 		}
+		lat := ts[t].Latency
 		fmt.Fprintf(out, "%-12s %10d %7.1f%% %9.1f %9.1f %9.1f %10d %12d %12d %10d\n",
-			s.cfg.Name, tenantOps[t], hitPct, p50, p95, p99,
-			cstats[t].CapacityEvictions, startQuotas[t], endQuotas[t], tenantRejected[t])
+			s.cfg.Name, tops, hitPct, lat.PercentileOrZero(50)/1e3, lat.PercentileOrZero(95)/1e3, lat.PercentileOrZero(99)/1e3,
+			cstats[t].CapacityEvictions, startQuotas[t], endQuotas[t], ts[t].Rejected)
 	}
-	if tr == nil {
-		for t, s := range specs {
-			if tenantRejected[t] > 0 && cstats[t].Sets == 0 {
-				return fmt.Errorf("tenant %q stored none of its %d sets: an entry with a %d-byte value exceeds its per-shard quota of %d bytes (%d bytes over %d shards); raise -capacity or lower -valuesize",
-					s.cfg.Name, tenantRejected[t], *valueSize, endQuotas[t]/int64(cache.NumShards()), endQuotas[t], cache.NumShards())
+	for t, s := range specs {
+		if ts[t].Rejected > 0 && cstats[t].Sets == 0 {
+			// -valuesize sized the values only in a synthetic run that sets.
+			value, hint := "", ""
+			if *traceFile == "" && *setFrac > 0 {
+				value, hint = fmt.Sprintf(" with a %d-byte value", *valueSize), " or lower -valuesize"
 			}
+			return fmt.Errorf("tenant %q stored none of its %d sets: an entry%s exceeds its per-shard quota of %d bytes (%d bytes over %d shards); raise -capacity%s",
+				s.cfg.Name, ts[t].Rejected, value, endQuotas[t]/int64(cache.NumShards()), endQuotas[t], cache.NumShards(), hint)
 		}
 	}
 
 	if *httpAddr != "" && *linger > 0 {
 		// Keep the observability endpoints (and the governor: the cache still
-		// serves, even if the synthetic load is done) up for scrapes.
+		// serves, even if the load is done) up for scrapes.
 		fmt.Fprintf(out, "lingering %v for scrapes\n", *linger)
 		gov.Start()
 		select {

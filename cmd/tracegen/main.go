@@ -71,6 +71,14 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 	}
+	// The generator reads a zero as "use the default", so a zero here would be
+	// replaced, not honoured.
+	if *setFrac == 0 {
+		return fmt.Errorf("-setfrac 0 would become the generator's default 0.1 (a generated kv trace always carries sets); pass a fraction in (0, 1]")
+	}
+	if *valueSize == 0 {
+		return fmt.Errorf("-valuesize 0 would become the generator's default 128 bytes; pass a size >= 1")
+	}
 	if gen != tracein.GenPhase && explicit["phases"] {
 		return fmt.Errorf("-phases only shapes the phase generator; drop it or set -gen phase")
 	}

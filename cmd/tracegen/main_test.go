@@ -69,6 +69,8 @@ func TestRejectsContradictoryFlags(t *testing.T) {
 		{"zero records", []string{"-out", "x", "-records", "0"}, "at least 1 record"},
 		{"flat zipf", []string{"-out", "x", "-zipf", "1.0"}, "zipf skew"},
 		{"records under apps", []string{"-out", "x", "-records", "2", "-apps", "3"}, "cannot cover"},
+		{"zero setfrac", []string{"-out", "x", "-kind", "kv", "-setfrac", "0"}, "default 0.1"},
+		{"zero valuesize", []string{"-out", "x", "-kind", "kv", "-valuesize", "0"}, "default 128 bytes"},
 	}
 	for _, c := range cases {
 		c := c

@@ -18,10 +18,9 @@ import (
 const maxReplayKey = 1 << 23
 
 // replayLatencyStride keeps latency measurement off the replay hot path: one
-// in this many operations is timed (matching the synthetic driver's stride).
-// 61 is prime, so it is coprime with every tenant and goroutine count: a
-// power-of-two stride only ever times worker 0 and, when the recording
-// alternates tenants, tenant 0.
+// in this many operations is timed. 61 is prime, so it is coprime with every
+// tenant and goroutine count: a power-of-two stride only ever times worker 0
+// and, when the recording alternates tenants, tenant 0.
 const replayLatencyStride = 61
 
 // Replayer drives a recorded kv trace against a live Cache. Construction
