@@ -157,7 +157,7 @@ func run(args []string, out io.Writer) error {
 		valueSize  = fs.Int("valuesize", 128, "value size in bytes")
 		zipfS      = fs.Float64("zipf", 1.1, "zipf skew for zipf tenants (> 1)")
 		ops        = fs.Int("ops", 2_000_000, "total operations across all goroutines")
-		goroutines = fs.Int("goroutines", runtime.GOMAXPROCS(0), "concurrent load goroutines")
+		goroutines = fs.Int("goroutines", runtime.GOMAXPROCS(0), "concurrent replay goroutines, capped at the shard count (and at 256)")
 		setFrac    = fs.Float64("setfrac", 0.1, "fraction of operations that are writes")
 		seed       = fs.Int64("seed", 1, "workload RNG seed")
 		traceFile  = fs.String("trace-file", "", "replay a recorded kv trace (tracegen -kind kv, or internal/tracein CSV/binary) instead of the synthetic workload; the recording fixes the tenants, keys and op mix")
@@ -277,10 +277,13 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	// Run gives each worker whole shards, so it starts no more workers than
+	// there are shards, nor more than 256; the summary reports that count.
+	workers := min(*goroutines, cache.NumShards(), 256)
 	gov.Start()
 	defer gov.Stop()
 	start := time.Now()
-	ts, err := rp.Run(*ops, *goroutines)
+	ts, err := rp.Run(*ops, workers)
 	elapsed := time.Since(start)
 	gov.Stop()
 	if err != nil {
@@ -294,7 +297,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "replayed %d ops (%d gets, %d sets; %d-record trace, %d passes) in %v (%.2fM ops/sec aggregate, %d goroutines), %d governor epochs\n",
 		gets+sets, gets, sets, tr.Len(), (*ops+tr.Len()-1)/tr.Len(),
 		elapsed.Round(time.Millisecond),
-		float64(gets+sets)/elapsed.Seconds()/1e6, *goroutines, gov.Epochs())
+		float64(gets+sets)/elapsed.Seconds()/1e6, workers, gov.Epochs())
 
 	fmt.Fprintf(out, "%-12s %10s %8s %9s %9s %9s %10s %12s %12s %10s\n",
 		"tenant", "ops", "hit%", "p50us", "p95us", "p99us", "evictions", "quota0", "quota", "rejected")

@@ -436,6 +436,22 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
+// TestRunReportsWorkersThatRan: Replayer.Run starts at most one worker per
+// shard, and the summary line prints the workers that ran, not the flag.
+func TestRunReportsWorkersThatRan(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{
+		"-capacity", "1m", "-shards", "2", "-goroutines", "4", "-ops", "2000", "-keys", "500",
+		"-epoch", "1h", "-tenants", "hot:zipf",
+	}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "aggregate, 2 goroutines)") {
+		t.Fatalf("summary does not report the 2 workers that ran:\n%s", out.String())
+	}
+}
+
 func TestRunRejectsBadFlags(t *testing.T) {
 	var out strings.Builder
 	for _, args := range [][]string{

@@ -2,6 +2,7 @@ package cacheserve
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -11,33 +12,84 @@ import (
 
 // maxReplayKey bounds the per-tenant key table a Replayer prerenders. Key
 // strings are built once, before the timed run, so the hot loop never
-// formats; the price is a table of maxKey+1 strings per tenant, which only
+// formats; the price is a table of maxKey+1 keys per tenant, which only
 // stays honest for dense key spaces like the derived generators emit. A
 // trace with a sparse giant key defeats that layout, so it is rejected up
-// front instead of silently exhausting memory.
+// front instead of silently exhausting memory. It must stay below 10⁷: every
+// key renders as exactly seven digits, which fixes the table's key width.
 const maxReplayKey = 1 << 23
 
+// replayShardLimit caps Run's workers: each record carries its key's shard
+// modulo 256, so at most 256 workers can own disjoint shard sets.
+const replayShardLimit = 256
+
 // replayLatencyStride keeps latency measurement off the replay hot path: one
-// in this many operations is timed. 61 is prime, so it is coprime with every
-// tenant and goroutine count: a power-of-two stride only ever times worker 0
-// and, when the recording alternates tenants, tenant 0.
+// in this many operations is timed. The stride keys on the global op index,
+// and 61 is prime, so it is coprime with every tenant count: a power-of-two
+// stride, when the recording alternates tenants, only ever times tenant 0.
 const replayLatencyStride = 61
 
 // Replayer drives a recorded kv trace against a live Cache. Construction
 // does every per-record preparation that would otherwise pollute a timed
-// run — key-string rendering, value sizing, kind/tenant validation — so Run
-// measures cache traffic, not formatting.
+// run — key rendering and hashing, shard placement, value sizing,
+// kind/tenant validation — so Run measures cache traffic, not formatting.
 type Replayer struct {
-	cache *Cache
-	tr    *tracein.Trace
-	// keys[t][k] is the prerendered key string for tenant t's key k.
-	keys [][]string
+	cache   *Cache
+	tr      *tracein.Trace
+	tenants []replayKeys
+	// shard[i] is the cache shard record i's key lands on, modulo 256. Run's
+	// workers pick their records by scanning it in order; reading the key's
+	// hash instead would cost every skipped record a random memory access.
+	shard []uint8
 	// val is one shared read-only value buffer sized to the largest set in
 	// the trace; Set copies, so workers may slice it concurrently.
 	val []byte
 	// fillSize is the value size used to fill on a missed get: the trace's
 	// largest set size (gets carry no size of their own).
 	fillSize uint32
+}
+
+// replayKeys is one tenant's prerendered key table: every key 0..maxKey as
+// "name-%07d", back to back in one string, with its cache hash.
+type replayKeys struct {
+	text   string
+	width  int
+	hashes []uint64
+}
+
+// key returns key k, a substring of the table: no allocation, no copy.
+func (rk *replayKeys) key(k uint64) string {
+	off := int(k) * rk.width
+	return rk.text[off : off+rk.width]
+}
+
+// newReplayKeys renders and hashes tenant t's keys 0..maxKey.
+func newReplayKeys(t int, name string, maxKey uint64) replayKeys {
+	n := int(maxKey) + 1
+	rk := replayKeys{width: len(name) + 8, hashes: make([]uint64, n)}
+	var b strings.Builder
+	b.Grow(n * rk.width)
+	buf := make([]byte, rk.width)
+	for k := 0; k < n; k++ {
+		putReplayKey(buf, name, k)
+		b.Write(buf)
+	}
+	rk.text = b.String()
+	for k := range rk.hashes {
+		rk.hashes[k] = hashKey(t, rk.key(uint64(k)))
+	}
+	return rk
+}
+
+// putReplayKey writes fmt.Sprintf("%s-%07d", name, k) into dst, which holds
+// exactly len(name)+8 bytes; k must be below 10⁷ (see maxReplayKey).
+func putReplayKey(dst []byte, name string, k int) {
+	copy(dst, name)
+	dst[len(name)] = '-'
+	for d := len(dst) - 1; d > len(name); d-- {
+		dst[d] = byte('0' + k%10)
+		k /= 10
+	}
 }
 
 // ReplayTenantStats aggregates one tenant's replayed traffic.
@@ -77,30 +129,35 @@ func NewReplayer(c *Cache, tr *tracein.Trace) (*Replayer, error) {
 	rp := &Replayer{
 		cache:    c,
 		tr:       tr,
-		keys:     make([][]string, tr.Apps()),
+		tenants:  make([]replayKeys, tr.Apps()),
+		shard:    make([]uint8, tr.Len()),
 		val:      make([]byte, fill),
 		fillSize: fill,
 	}
-	for t := range rp.keys {
+	for t := range rp.tenants {
 		if maxKey[t] >= maxReplayKey {
 			return nil, fmt.Errorf("cacheserve: tenant %d uses key %d; the replayer prerenders dense key tables and caps them at %d keys", t, maxKey[t], uint64(maxReplayKey))
 		}
-		ks := make([]string, maxKey[t]+1)
-		name := c.Tenant(t).Name
-		for k := range ks {
-			ks[k] = fmt.Sprintf("%s-%07d", name, k)
-		}
-		rp.keys[t] = ks
+		rp.tenants[t] = newReplayKeys(t, c.Tenant(t).Name, maxKey[t])
+	}
+	for i := range rp.shard {
+		r := tr.Record(i)
+		rp.shard[i] = uint8(rp.tenants[r.App].hashes[r.Key] & c.mask)
 	}
 	return rp, nil
 }
 
-// Run replays ops operations across the given goroutines and returns the
-// per-tenant totals. Worker w handles operations i with i%goroutines == w;
-// operation i replays record i modulo the trace length, so asking for more
-// operations than the trace holds wraps the recording. Each worker keeps
-// private counters and latency samples, merged only after every worker is
-// done, so the measurement adds no shared state to the replayed traffic.
+// Run replays ops operations and returns the per-tenant totals. Operation i
+// replays record i modulo the trace length, so asking for more operations
+// than the trace holds wraps the recording. The work is split by cache
+// shard, not by op: min(goroutines, NumShards, 256) workers run, and worker
+// w replays, in trace order, every operation whose shard is w modulo the
+// worker count. No two workers touch one shard, and each shard sees its
+// operations in trace order, so without a governor moving quotas the
+// cache's contents and counters are the same at any goroutine count. Each
+// worker keeps private counters and latency samples, merged only after
+// every worker is done, so the measurement adds no shared state to the
+// replayed traffic.
 func (rp *Replayer) Run(ops, goroutines int) ([]ReplayTenantStats, error) {
 	if ops < 1 || goroutines < 1 {
 		return nil, fmt.Errorf("cacheserve: replay needs ops and goroutines >= 1, got %d and %d", ops, goroutines)
@@ -110,9 +167,10 @@ func (rp *Replayer) Run(ops, goroutines int) ([]ReplayTenantStats, error) {
 		lat                        []*stats.Sample
 	}
 	tenants := rp.tr.Apps()
-	perWorker := make([]workerStats, goroutines)
+	workers := min(goroutines, rp.cache.NumShards(), replayShardLimit)
+	perWorker := make([]workerStats, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < goroutines; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -123,37 +181,49 @@ func (rp *Replayer) Run(ops, goroutines int) ([]ReplayTenantStats, error) {
 			ws.rejected = make([]uint64, tenants)
 			ws.lat = make([]*stats.Sample, tenants)
 			for t := range ws.lat {
-				ws.lat[t] = stats.NewSample(ops / goroutines / replayLatencyStride / tenants)
+				ws.lat[t] = stats.NewSample(ops / workers / replayLatencyStride / tenants)
 			}
+			var mine [replayShardLimit]bool
+			for s := w; s < replayShardLimit; s += workers {
+				mine[s] = true
+			}
+			c := rp.cache
 			n := rp.tr.Len()
-			for i := w; i < ops; i += goroutines {
-				r := rp.tr.Record(i % n)
-				t := int(r.App)
-				key := rp.keys[t][r.Key]
-				timed := i%replayLatencyStride == 0
-				var begin time.Time
-				if timed {
-					begin = time.Now()
-				}
-				if r.Op == tracein.OpSet {
-					if rp.cache.Set(t, key, rp.val[:r.Size], 0) != nil {
-						ws.rejected[t]++
+			for pass := 0; pass < ops; pass += n {
+				for j, s := range rp.shard[:min(n, ops-pass)] {
+					if !mine[s] {
+						continue
 					}
-					ws.sets[t]++
-				} else {
-					if _, ok := rp.cache.Get(t, key); ok {
-						ws.hits[t]++
-					} else {
-						// Fill on miss, as a real service would on its way
-						// back from the backing store.
-						if rp.cache.Set(t, key, rp.val[:rp.fillSize], 0) != nil {
+					i := pass + j
+					r := rp.tr.Record(j)
+					t := int(r.App)
+					rk := &rp.tenants[t]
+					key, h := rk.key(r.Key), rk.hashes[r.Key]
+					timed := i%replayLatencyStride == 0
+					var begin time.Time
+					if timed {
+						begin = time.Now()
+					}
+					if r.Op == tracein.OpSet {
+						if c.set(t, h, key, rp.val[:r.Size], 0) != nil {
 							ws.rejected[t]++
 						}
+						ws.sets[t]++
+					} else {
+						if _, ok := c.get(t, h, key); ok {
+							ws.hits[t]++
+						} else {
+							// Fill on miss, as a real service would on its
+							// way back from the backing store.
+							if c.set(t, h, key, rp.val[:rp.fillSize], 0) != nil {
+								ws.rejected[t]++
+							}
+						}
+						ws.gets[t]++
 					}
-					ws.gets[t]++
-				}
-				if timed {
-					ws.lat[t].Add(float64(time.Since(begin).Nanoseconds()))
+					if timed {
+						ws.lat[t].Add(float64(time.Since(begin).Nanoseconds()))
+					}
 				}
 			}
 		}(w)

@@ -1,6 +1,7 @@
 package cacheserve
 
 import (
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -153,10 +154,129 @@ func TestReplayLatencySamplesEveryTenant(t *testing.T) {
 	}
 }
 
+// TestReplayDeterministicAcrossGoroutines: with no governor moving quotas,
+// a shard-affine replay leaves the same counters and cache state at any
+// goroutine count, since each shard sees its operations in trace order.
+func TestReplayDeterministicAcrossGoroutines(t *testing.T) {
+	tr, err := tracein.GenerateTrace(tracein.GenSpec{
+		Kind: tracein.KindKV, Gen: tracein.GenMixed,
+		Records: 30_000, Apps: 2, Keys: 20_000, SetFrac: 0.25, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		replay []ReplayTenantStats
+		cache  []TenantStats
+	}
+	replay := func(goroutines int) result {
+		// 1 MiB against a working set several times larger, so the LRU
+		// evicts throughout; ops wrap the recording once.
+		c, err := New(Config{CapacityBytes: 1 << 20, Shards: 8, Tenants: []TenantConfig{{Name: "a"}, {Name: "b"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		rp, err := NewReplayer(c, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts, err := rp.Run(2*tr.Len(), goroutines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return result{ts, c.Stats()}
+	}
+	want := replay(1)
+	var hits, evictions uint64
+	for _, cs := range want.cache {
+		hits += cs.Hits
+		evictions += cs.CapacityEvictions
+	}
+	if hits == 0 || evictions == 0 {
+		t.Fatalf("%d hits, %d evictions at G=1; the trace must both hit and evict", hits, evictions)
+	}
+	for _, g := range []int{2, 3, 4, 8} {
+		got := replay(g)
+		for tenant := range want.replay {
+			w, r := want.replay[tenant], got.replay[tenant]
+			if r.Gets != w.Gets || r.Sets != w.Sets || r.Hits != w.Hits || r.Rejected != w.Rejected {
+				t.Errorf("G=%d tenant %d: gets/sets/hits/rejected = %d/%d/%d/%d, G=1 gave %d/%d/%d/%d",
+					g, tenant, r.Gets, r.Sets, r.Hits, r.Rejected, w.Gets, w.Sets, w.Hits, w.Rejected)
+			}
+			wc, rc := want.cache[tenant], got.cache[tenant]
+			if rc.Hits != wc.Hits || rc.Misses != wc.Misses || rc.CapacityEvictions != wc.CapacityEvictions || rc.BytesUsed != wc.BytesUsed {
+				t.Errorf("G=%d tenant %d: cache hits/misses/evictions/bytes = %d/%d/%d/%d, G=1 gave %d/%d/%d/%d",
+					g, tenant, rc.Hits, rc.Misses, rc.CapacityEvictions, rc.BytesUsed, wc.Hits, wc.Misses, wc.CapacityEvictions, wc.BytesUsed)
+			}
+		}
+	}
+}
+
+// TestReplayKeyTable checks the prerendered fixed-width key table against
+// the format it replaces, and its hashes against the ones Get and Set
+// compute, for tenant names of several lengths.
+func TestReplayKeyTable(t *testing.T) {
+	names := []string{"a", "t1", "latency-critical"}
+	cfgs := make([]TenantConfig, len(names))
+	var recs []tracein.Record
+	for i, name := range names {
+		cfgs[i] = TenantConfig{Name: name}
+		// Tenant i's largest key differs per tenant.
+		recs = append(recs, tracein.Record{Cycle: uint64(len(recs)), App: uint32(i), Op: tracein.OpGet, Key: uint64(1000 * (i + 1))})
+	}
+	c, err := New(Config{CapacityBytes: 1 << 20, Shards: 8, Tenants: cfgs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	tr, err := tracein.FromRecords(tracein.KindKV, len(names), recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := NewReplayer(c, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tenant, name := range names {
+		rk := &rp.tenants[tenant]
+		largest := uint64(1000 * (tenant + 1))
+		if got := len(rk.hashes); got != int(largest)+1 {
+			t.Errorf("%s: table holds %d keys, want %d", name, got, largest+1)
+		}
+		for _, k := range []uint64{0, 1, largest} {
+			want := fmt.Sprintf("%s-%07d", name, k)
+			if got := rk.key(k); got != want {
+				t.Errorf("%s: key %d = %q, want %q", name, k, got, want)
+			}
+			if got, want := rk.hashes[k], hashKey(tenant, want); got != want {
+				t.Errorf("%s: hash of key %d = %#x, want hashKey's %#x", name, k, got, want)
+			}
+		}
+		// The largest key any table may hold renders through the same
+		// code at the same width (a full table would take ~150 MB).
+		buf := make([]byte, rk.width)
+		putReplayKey(buf, name, maxReplayKey-1)
+		if want := fmt.Sprintf("%s-%07d", name, maxReplayKey-1); string(buf) != want {
+			t.Errorf("%s: key %d = %q, want %q", name, maxReplayKey-1, buf, want)
+		}
+	}
+}
+
+// TestMaxReplayKeyFitsKeyWidth: every key renders as exactly seven digits,
+// so the fixed-width key table breaks silently once keys reach 10⁷.
+func TestMaxReplayKeyFitsKeyWidth(t *testing.T) {
+	if maxReplayKey >= 10_000_000 {
+		t.Fatalf("maxReplayKey = %d; keys of eight or more digits overflow the table's fixed width", maxReplayKey)
+	}
+}
+
 // BenchmarkTraceReplay measures replayed-trace throughput end to end through
 // the file format: the trace is written to disk and reopened (exercising the
 // mmap fast path), the replayer preps its tables outside the timer, and the
-// measured region is pure replay traffic.
+// measured region is pure replay traffic. The g1 and gN (GOMAXPROCS)
+// sub-benchmarks replay the same warmed cache, so side by side they show how
+// the shard-affine workers scale.
 func BenchmarkTraceReplay(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench.trace")
 	if _, err := tracein.GenerateFile(path, tracein.GenSpec{
@@ -178,17 +298,23 @@ func BenchmarkTraceReplay(b *testing.B) {
 	if _, err := rp.Run(tr.Len(), runtime.GOMAXPROCS(0)); err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	ts, err := rp.Run(b.N, runtime.GOMAXPROCS(0))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var hits, gets uint64
-	for _, s := range ts {
-		hits += s.Hits
-		gets += s.Gets
-	}
-	if gets > 0 {
-		b.ReportMetric(float64(hits)/float64(gets), "hit-ratio")
+	for _, bc := range []struct {
+		name       string
+		goroutines int
+	}{{"g1", 1}, {"gN", runtime.GOMAXPROCS(0)}} {
+		b.Run(bc.name, func(b *testing.B) {
+			ts, err := rp.Run(b.N, bc.goroutines)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var hits, gets uint64
+			for _, s := range ts {
+				hits += s.Hits
+				gets += s.Gets
+			}
+			if gets > 0 {
+				b.ReportMetric(float64(hits)/float64(gets), "hit-ratio")
+			}
+		})
 	}
 }
