@@ -210,6 +210,12 @@ type tenantShard struct {
 
 	hits, misses, sets, deletes uint64
 	capEvictions, expirations   uint64
+	// Sampling state (see sample): untilSample counts down the ops left in
+	// the current stride block, pick is the countdown value at which the
+	// block's sample is taken, pending holds that op's key hash until the
+	// block closes, and rng draws each block's pick.
+	untilSample, pick, pending uint64
+	rng                        rand.PCG
 }
 
 func (ts *tenantShard) unlink(i int32) {
@@ -353,6 +359,12 @@ func New(cfg Config) (*Cache, error) {
 			if err != nil {
 				return nil, err
 			}
+			for si := range c.shards {
+				ts := &c.shards[si].tenants[t]
+				ts.rng.Seed(uint64(si), uint64(t))
+				ts.untilSample = c.feeds[t].Stride()
+				ts.pick = ts.rng.Uint64() % ts.untilSample
+			}
 		}
 	}
 	if cfg.Metrics != nil {
@@ -457,6 +469,11 @@ func (c *Cache) set(tenant int, h uint64, key string, value []byte, ttl time.Dur
 		return ErrTooLarge
 	}
 	ts.sets++
+	// Only admitted Sets are sampled, so rejected oversized entries do not
+	// shape the governed miss curve.
+	if c.feeds != nil {
+		c.sample(ts, tenant, h)
+	}
 	// Install a fresh buffer rather than rewriting the old one in place:
 	// slices handed out by earlier Gets alias the old buffer and may still be
 	// read concurrently with this Set.
@@ -476,11 +493,6 @@ func (c *Cache) set(tenant int, h uint64, key string, value []byte, ttl time.Dur
 	sh.mu.Unlock()
 	if c.metrics != nil {
 		c.metrics.opsSet.Inc(int(h & c.mask))
-	}
-	// The UMON is fed only for admitted sets, so rejected oversized entries
-	// do not shape the governed miss curve.
-	if c.feeds != nil {
-		c.feeds[tenant].Access(h)
 	}
 	c.report(evicted)
 	return nil
@@ -503,12 +515,12 @@ func (c *Cache) get(tenant int, h uint64, key string) ([]byte, bool) {
 	if c.metrics != nil {
 		c.metrics.opsGet.Inc(int(h & c.mask))
 	}
-	if c.feeds != nil {
-		c.feeds[tenant].Access(h)
-	}
 	sh := &c.shards[h&c.mask]
 	sh.mu.Lock()
 	ts := &sh.tenants[tenant]
+	if c.feeds != nil {
+		c.sample(ts, tenant, h) // hits, misses and expiries all count
+	}
 	i := ts.find(h, key)
 	if i == 0 {
 		ts.misses++
@@ -553,6 +565,36 @@ func (c *Cache) del(tenant int, h uint64, key string) bool {
 	}
 	sh.mu.Unlock()
 	return i != 0
+}
+
+// sample counts one op of the tenant shard toward the sampling stride. The
+// shard's ops fall into blocks of Stride() consecutive ops; each block's
+// sample is the op at a position drawn uniformly from the block by the
+// shard's own generator, and it is forwarded to the tenant's feed, standing
+// for the whole block, when the block closes. A fixed position (always the
+// k-th op) would alias with cyclic traffic: a scan whose per-shard length is
+// a multiple of k would feed the same keys on every pass, and the UMON would
+// read that as reuse the full stream never has.
+//
+// All of it is plain state under the shard lock the caller holds, and the
+// generator is seeded per shard and tenant, so which ops are forwarded
+// depends only on each shard's own op order. Lock order: the feed mutex is
+// taken under a shard lock here, and nothing takes a shard lock while
+// holding a feed mutex (the governor reads its curves before SetQuotas, and
+// the stats surfaces call Stats before Fed).
+func (c *Cache) sample(ts *tenantShard, tenant int, h uint64) {
+	ts.untilSample--
+	if ts.untilSample == ts.pick {
+		ts.pending = h
+	}
+	if ts.untilSample > 0 {
+		return
+	}
+	f := c.feeds[tenant]
+	k := f.Stride()
+	f.Forward(ts.pending, k)
+	ts.untilSample = k
+	ts.pick = ts.rng.Uint64() % k
 }
 
 // drop removes slot i of the tenant shard for the given reason and counts
@@ -678,7 +720,10 @@ type TenantStats struct {
 	Keys                        int
 	BytesUsed, QuotaBytes       int64
 	// SampledAccesses is the number of accesses offered to the tenant's UMON
-	// feed (0 when sampling is off).
+	// feed: Hits + Misses + Sets, summed under the same shard locks (0 when
+	// sampling is off). Each tenant shard forwards one in Stride() of its
+	// own ops, so Fed()·Stride() trails SampledAccesses by at most
+	// Stride()−1 per shard.
 	SampledAccesses uint64
 }
 
@@ -697,9 +742,6 @@ func (c *Cache) Stats() []TenantStats {
 	out := make([]TenantStats, len(c.cfg.Tenants))
 	for t := range out {
 		out[t].Name = c.cfg.Tenants[t].Name
-		if c.feeds != nil {
-			out[t].SampledAccesses = c.feeds[t].Presented()
-		}
 	}
 	for si := range c.shards {
 		sh := &c.shards[si]
@@ -715,6 +757,9 @@ func (c *Cache) Stats() []TenantStats {
 			out[t].Keys += ts.index.n
 			out[t].BytesUsed += ts.bytes
 			out[t].QuotaBytes += ts.quota
+			if c.feeds != nil {
+				out[t].SampledAccesses += ts.hits + ts.misses + ts.sets
+			}
 		}
 		sh.mu.Unlock()
 	}

@@ -474,3 +474,52 @@ func TestSamplingFeedsUMON(t *testing.T) {
 		t.Fatalf("curve accesses = %v, want 200", curve.Accesses)
 	}
 }
+
+// TestShardStrideBookkeeping drives a known number of ops into each shard
+// (through the pre-hashed get and set, so the shard of every op is chosen)
+// and checks the per-shard stride count: each tenant shard forwards one op
+// per full block of Stride() of its own ops, the feed's presented count is
+// exactly Stride() per forwarded op, and SampledAccesses counts every op
+// offered to the feed. A refused Set counts nowhere.
+func TestShardStrideBookkeeping(t *testing.T) {
+	c := mustNew(t, testConfig(func(cfg *Config) { cfg.SampleRate = 0.1 }))
+	if c.NumShards() != 4 || c.Feed(0).Stride() != 10 {
+		t.Fatalf("want 4 shards at stride 10, got %d at %d", c.NumShards(), c.Feed(0).Stride())
+	}
+	if err := c.set(0, 0, "huge", make([]byte, 1<<20), 0); err != ErrTooLarge {
+		t.Fatalf("oversized set = %v, want ErrTooLarge", err)
+	}
+	perShard := []uint64{13, 27, 35, 9} // none a multiple of the stride
+	var wantFed uint64
+	for s, n := range perShard {
+		for i := uint64(0); i < n; i++ {
+			h := uint64(s) + 4*(i%5) // five keys per shard, all on shard s
+			key := fmt.Sprintf("k%d", h)
+			if i%3 == 0 {
+				if err := c.set(0, h, key, []byte("v"), 0); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				c.get(0, h, key)
+			}
+		}
+		wantFed += n / 10
+	}
+	feed := c.Feed(0)
+	if got := feed.Fed(); got != wantFed {
+		t.Errorf("Fed() = %d, want Σ⌊n_shard/10⌋ = %d", got, wantFed)
+	}
+	if got := feed.Presented(); got != 10*feed.Fed() {
+		t.Errorf("Presented() = %d, want 10·Fed() = %d", got, 10*feed.Fed())
+	}
+	st := c.Stats()
+	if st[0].Hits == 0 || st[0].Misses == 0 {
+		t.Fatalf("want both hits and misses, got %+v", st[0])
+	}
+	if got, want := st[0].SampledAccesses, st[0].Hits+st[0].Misses+st[0].Sets; got != want || got != 84 {
+		t.Errorf("SampledAccesses = %d, want Hits+Misses+Sets = %d = 84 ops", got, want)
+	}
+	if st[1].SampledAccesses != 0 || c.Feed(1).Fed() != 0 || c.Feed(1).Presented() != 0 {
+		t.Errorf("idle tenant sampled %d, fed %d, presented %d", st[1].SampledAccesses, c.Feed(1).Fed(), c.Feed(1).Presented())
+	}
+}

@@ -24,7 +24,10 @@ type TenantDebug struct {
 	Sets       uint64  `json:"sets"`
 	Deletes    uint64  `json:"deletes"`
 	// SampledAccesses / FedAccesses are the two sides of the UMON sampling
-	// ratio (zero when sampling is off).
+	// ratio (zero when sampling is off). sampled_accesses is hits + misses +
+	// sets, every op offered to the feed; each tenant shard forwards one in
+	// stride of its own, so once traffic stops fed_accesses·stride falls
+	// short of it by at most stride−1 per shard (equal at SampleRate 1).
 	SampledAccesses uint64 `json:"sampled_accesses"`
 	FedAccesses     uint64 `json:"fed_accesses"`
 	// MissCurve samples the tenant's lifetime rescaled miss curve: MissProb[i]

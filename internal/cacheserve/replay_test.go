@@ -213,6 +213,63 @@ func TestReplayDeterministicAcrossGoroutines(t *testing.T) {
 	}
 }
 
+// TestReplayFeedDeterministicAcrossGoroutines: each tenant shard counts its
+// own sampling stride under its lock, so which ops reach a tenant's UMON
+// depends only on each shard's trace-order op stream, not on how the
+// replay's goroutines interleave. HitsAtWay and SampledMisses are left out:
+// two shards can feed one UMON set, so the order of their forwards within
+// the set, and with it the set's LRU stack, still depends on timing.
+func TestReplayFeedDeterministicAcrossGoroutines(t *testing.T) {
+	tr, err := tracein.GenerateTrace(tracein.GenSpec{
+		Kind: tracein.KindKV, Gen: tracein.GenMixed,
+		Records: 30_000, Apps: 2, Keys: 20_000, SetFrac: 0.25, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type feedCounts struct{ total, sampled, presented uint64 }
+	replay := func(goroutines int) []feedCounts {
+		c, err := New(Config{CapacityBytes: 1 << 20, Shards: 8, SampleRate: 0.05,
+			Tenants: []TenantConfig{{Name: "a"}, {Name: "b"}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		rp, err := NewReplayer(c, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rp.Run(2*tr.Len(), goroutines); err != nil {
+			t.Fatal(err)
+		}
+		out := make([]feedCounts, c.NumTenants())
+		for tenant := range out {
+			f := c.Feed(tenant)
+			snap := f.Snapshot()
+			out[tenant] = feedCounts{snap.TotalAccesses, snap.SampledAccesses, f.Presented()}
+		}
+		return out
+	}
+	want := replay(1)
+	for _, w := range want {
+		if w.sampled == 0 {
+			t.Fatalf("G=1 fed no access into a sampled set: %+v", want)
+		}
+	}
+	for _, g := range []int{1, 2, 3, 4, 8} {
+		for run := 0; run < 3; run++ {
+			got := replay(g)
+			for tenant := range want {
+				if got[tenant] != want[tenant] {
+					t.Errorf("G=%d run %d tenant %d: fed/sampled-set/presented = %d/%d/%d, G=1 gave %d/%d/%d",
+						g, run, tenant, got[tenant].total, got[tenant].sampled, got[tenant].presented,
+						want[tenant].total, want[tenant].sampled, want[tenant].presented)
+				}
+			}
+		}
+	}
+}
+
 // TestReplayKeyTable checks the prerendered fixed-width key table against
 // the format it replaces, and its hashes against the ones Get and Set
 // compute, for tenant names of several lengths.

@@ -11,21 +11,27 @@ import (
 // cache service) rather than by a single-threaded simulator loop.
 //
 // The simulator feeds its UMONs every LLC access from one goroutine; a live
-// service cannot afford a lock on every operation, so the feed forwards only
-// every k-th presented access (k = round(1/rate)) into the underlying monitor
-// and takes the mutex only for those. The unsampled fast path is a single
-// atomic add on the stride counter. That counter is shared by every goroutine
-// presenting accesses to this feed (in the live cache, every goroutine
-// touching the tenant in any shard), so under concurrency the add contends:
-// its cache line moves between cores.
+// service cannot afford a lock on every operation, so only every k-th
+// presented access (k = round(1/rate)) is forwarded into the underlying
+// monitor, and the mutex is taken only for those. Two entry points count the
+// stride:
+//
+//   - Access counts it itself: its unsampled fast path is one atomic add on a
+//     stride counter shared by every goroutine presenting to this feed, so
+//     under concurrency the add contends and its cache line moves between
+//     cores. It suits single-stream callers.
+//   - Forward leaves the count to the caller. The live cache (cacheserve)
+//     counts the stride per tenant shard, under the shard lock its op
+//     already holds, and calls Forward(addr, k) once per block of k of that
+//     shard's ops, so unsampled ops write nothing another shard touches.
 //
 // Stride sampling (rather than hashing the address) keeps hot keys in the
 // sampled stream in proportion to their true access frequency — address-hash
 // sampling would either always or never see a given hot key, skewing the miss
-// curve of skewed workloads. The price is that under concurrency *which*
-// accesses land on the sampled stride depends on interleaving, so live-mode
-// miss curves are statistically, not bitwise, reproducible (the simulator
-// path is unaffected: it feeds UMONs directly).
+// curve of skewed workloads. With Access under concurrency, *which* accesses
+// land on the stride depends on goroutine interleaving; with per-shard
+// counting it depends only on each shard's own op order (the simulator path
+// is unaffected: it feeds UMONs directly).
 //
 // MissCurve scales the sampled curve by presented/fed, so its Accesses and
 // Misses estimate the full stream, comparable across tenants sampled at
@@ -86,6 +92,17 @@ func (s *SampledUMON) Access(addr uint64) {
 	s.mu.Unlock()
 }
 
+// Forward feeds addr into the wrapped monitor as the one sample standing for
+// n presented accesses, for callers that count the stride themselves (n is
+// normally Stride()). presented and fed move together under the feed mutex,
+// so a window of Forward calls scales by exactly n. Safe for concurrent use.
+func (s *SampledUMON) Forward(addr, n uint64) {
+	s.mu.Lock()
+	s.presented.Add(n)
+	s.u.Access(addr)
+	s.mu.Unlock()
+}
+
 // SampledSnapshot pairs the wrapped monitor's counters with the feed's
 // presented count at the same instant, so a windowed curve can be scaled by
 // its own window's presented/fed delta rather than the lifetime ratio.
@@ -117,8 +134,9 @@ func (s *SampledUMON) MissCurve(since SampledSnapshot) MissCurve {
 func (s *SampledUMON) CurveAndSnapshot(since SampledSnapshot) (MissCurve, SampledSnapshot) {
 	s.mu.Lock()
 	// presented is read while holding the feed lock: every forwarded access
-	// bumps presented before taking the lock, so presented >= fed here and a
-	// concurrent Access cannot make the window see more fed than presented.
+	// bumps presented before or under the lock, so presented >= fed here and
+	// a concurrent Access or Forward cannot make the window see more fed
+	// than presented.
 	presented := s.presented.Load()
 	curve := s.u.MissCurve(since.UMON)
 	snap := SampledSnapshot{UMON: s.u.Snapshot(), Presented: presented}
@@ -139,7 +157,9 @@ func (s *SampledUMON) CurveAndSnapshot(since SampledSnapshot) (MissCurve, Sample
 }
 
 // Reset clears the underlying monitor and the presented counter. Not safe
-// against concurrent Access; quiesce writers first.
+// against concurrent Access or Forward; quiesce writers first. A caller
+// counting its own stride keeps its countdowns, so its first forward after
+// Reset may stand for accesses presented before it.
 func (s *SampledUMON) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

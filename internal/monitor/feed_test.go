@@ -163,3 +163,20 @@ func TestSampledUMONReset(t *testing.T) {
 		t.Fatalf("UMON has %d accesses after Reset", fed)
 	}
 }
+
+func TestSampledUMONForwardScalesByN(t *testing.T) {
+	u := newFeedUMON(t)
+	s, err := NewSampledUMON(u, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 7; i++ {
+		s.Forward(uint64(i%3), s.Stride())
+	}
+	if s.Presented() != 70 || s.Fed() != 7 {
+		t.Fatalf("presented %d, fed %d; want 70 and 7", s.Presented(), s.Fed())
+	}
+	if curve := s.MissCurve(SampledSnapshot{}); curve.Accesses != 70 {
+		t.Fatalf("curve accesses = %v, want 70 (7 forwards × stride 10)", curve.Accesses)
+	}
+}
