@@ -330,7 +330,7 @@ func runScenario(stdout io.Writer, path string, workers int, tracePath, reportDi
 	if tracePath != "" {
 		rec = trace.NewRecorder(0)
 	}
-	out, err := experiment.RunScenarioTraced(spec, workers, sim.NewWarmPool(), rec)
+	out, err := experiment.RunScenario(spec, workers, sim.NewWarmPool(), rec)
 	if err != nil {
 		return err
 	}

@@ -80,17 +80,6 @@ type TenantConfig struct {
 	// TargetBytes is the latency-critical reserve target (required for LC
 	// tenants; ignored by pure utility policies for batch tenants).
 	TargetBytes int64
-	// MissPenalty weighs this tenant's misses in policy decisions (a tenant
-	// whose misses cost more — e.g. a further backing store — may claim more
-	// space per hit). 0 means 1.
-	MissPenalty float64
-}
-
-func (t TenantConfig) missPenalty() float64 {
-	if t.MissPenalty <= 0 {
-		return 1
-	}
-	return t.MissPenalty
 }
 
 // Config configures a Cache.
@@ -100,9 +89,6 @@ type Config struct {
 	// Shards is the shard count, rounded up to a power of two; 0 picks
 	// 4×GOMAXPROCS rounded up.
 	Shards int
-	// LineBytes is the accounting granularity that maps bytes to the policy
-	// layer's "lines" (quota bytes = allocation lines × LineBytes); 0 = 64.
-	LineBytes int
 	// DefaultTTL applies to Set calls passing ttl 0; DefaultTTL 0 means such
 	// entries never expire.
 	DefaultTTL time.Duration
@@ -139,9 +125,6 @@ func (c Config) Validate() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("cacheserve: Shards must be >= 0, got %d", c.Shards)
 	}
-	if c.LineBytes < 0 {
-		return fmt.Errorf("cacheserve: LineBytes must be >= 0, got %d", c.LineBytes)
-	}
 	if c.SampleRate < 0 || c.SampleRate > 1 {
 		return fmt.Errorf("cacheserve: SampleRate must be in [0,1], got %v", c.SampleRate)
 	}
@@ -163,12 +146,13 @@ func (c Config) Validate() error {
 		if t.TargetBytes < 0 {
 			return fmt.Errorf("cacheserve: tenant %q has negative TargetBytes", t.Name)
 		}
-		if t.MissPenalty < 0 {
-			return fmt.Errorf("cacheserve: tenant %q has negative MissPenalty", t.Name)
-		}
 	}
 	return nil
 }
+
+// lineBytes is the accounting granularity that maps bytes to the policy
+// layer's "lines": quota bytes = allocation lines × lineBytes.
+const lineBytes = 64
 
 // entryOverhead approximates the bookkeeping bytes charged per entry on top
 // of key and value (its slab slot and index share).
@@ -285,13 +269,12 @@ type shard struct {
 // Cache is the sharded, tenant-partitioned concurrent cache. All methods are
 // safe for concurrent use.
 type Cache struct {
-	cfg       Config
-	shards    []shard
-	mask      uint64
-	lineBytes int64
-	clock     func() int64
-	feeds     []*monitor.SampledUMON // nil when SampleRate == 0
-	metrics   *cacheMetrics          // nil when Config.Metrics is nil
+	cfg     Config
+	shards  []shard
+	mask    uint64
+	clock   func() int64
+	feeds   []*monitor.SampledUMON // nil when SampleRate == 0
+	metrics *cacheMetrics          // nil when Config.Metrics is nil
 
 	sweepStop chan struct{}
 	sweepDone chan struct{}
@@ -308,16 +291,11 @@ func New(cfg Config) (*Cache, error) {
 		nshards = 4 * runtime.GOMAXPROCS(0)
 	}
 	nshards = nextPow2(nshards)
-	lineBytes := int64(cfg.LineBytes)
-	if lineBytes == 0 {
-		lineBytes = 64
-	}
 	c := &Cache{
-		cfg:       cfg,
-		shards:    make([]shard, nshards),
-		mask:      uint64(nshards - 1),
-		lineBytes: lineBytes,
-		clock:     cfg.Clock,
+		cfg:    cfg,
+		shards: make([]shard, nshards),
+		mask:   uint64(nshards - 1),
+		clock:  cfg.Clock,
 	}
 	if c.clock == nil {
 		c.clock = func() int64 { return time.Now().UnixNano() }
@@ -414,11 +392,11 @@ func (c *Cache) NumTenants() int { return len(c.cfg.Tenants) }
 func (c *Cache) Tenant(t int) TenantConfig { return c.cfg.Tenants[t] }
 
 // LineBytes returns the byte-to-line accounting granularity.
-func (c *Cache) LineBytes() int64 { return c.lineBytes }
+func (c *Cache) LineBytes() int64 { return lineBytes }
 
 // CapacityLines returns the total capacity in policy lines.
 func (c *Cache) CapacityLines() uint64 {
-	return uint64(c.cfg.CapacityBytes / c.lineBytes)
+	return uint64(c.cfg.CapacityBytes / lineBytes)
 }
 
 // Feed returns the tenant's sampling UMON feed (nil when SampleRate is 0).

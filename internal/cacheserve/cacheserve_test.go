@@ -54,7 +54,6 @@ func TestConfigValidate(t *testing.T) {
 		{"unnamed tenant", func(c *Config) { c.Tenants[1].Name = "" }, "no name"},
 		{"duplicate name", func(c *Config) { c.Tenants[1].Name = "lc" }, "duplicate"},
 		{"lc without target", func(c *Config) { c.Tenants[0].TargetBytes = 0 }, "TargetBytes"},
-		{"negative penalty", func(c *Config) { c.Tenants[1].MissPenalty = -1 }, "MissPenalty"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -108,34 +108,36 @@ func newGovernorMetrics(c *Cache, reg *metrics.Registry) *governorMetrics {
 	return m
 }
 
+// The live cache presents itself to the policy layer with these fixed
+// parameters.
+const (
+	// epochCycles is the interval length presented to the policy as
+	// View.IntervalCycles, and the synthetic deadline for latency-critical
+	// tenants, which have no request deadlines in live mode.
+	epochCycles = 1_000_000
+	// policyCurvePoints is the interpolation granularity of the curves
+	// handed to the policy.
+	policyCurvePoints = 256
+	// tenantMissPenalty weighs every tenant's misses equally in policy
+	// decisions.
+	tenantMissPenalty = 1
+)
+
 // GovernorConfig tunes the governor.
 type GovernorConfig struct {
 	// Epoch is the background reconfiguration period (Start); 0 = 100ms.
 	Epoch time.Duration
-	// EpochCycles is the interval length presented to the policy as
-	// View.IntervalCycles (and the synthetic deadline for latency-critical
-	// tenants, which have no request deadlines in live mode); 0 = 1e6.
-	EpochCycles uint64
 	// MinTenantBytes floors every tenant's quota so a cold or bursty tenant
 	// is never starved to zero by one bad epoch; 0 = capacity/256.
 	MinTenantBytes int64
-	// CurvePoints is the interpolation granularity of the curves handed to
-	// the policy; 0 = 256.
-	CurvePoints int
 }
 
 func (g GovernorConfig) withDefaults(capacity int64) GovernorConfig {
 	if g.Epoch == 0 {
 		g.Epoch = 100 * time.Millisecond
 	}
-	if g.EpochCycles == 0 {
-		g.EpochCycles = 1_000_000
-	}
 	if g.MinTenantBytes == 0 {
 		g.MinTenantBytes = capacity / 256
-	}
-	if g.CurvePoints == 0 {
-		g.CurvePoints = 256
 	}
 	return g
 }
@@ -194,7 +196,6 @@ func (g *Governor) step() ([]int64, error) {
 	c := g.cache
 	n := c.NumTenants()
 	lines := c.CapacityLines()
-	lineBytes := c.lineBytes
 	stats := c.Stats()
 
 	apps := make([]policy.AppObservation, n)
@@ -215,7 +216,7 @@ func (g *Governor) step() ([]int64, error) {
 					curve.TotalLines = uint64(float64(curve.TotalLines) * float64(avg) / float64(lineBytes))
 				}
 			}
-			curve = curve.Interpolate(g.cfg.CurvePoints)
+			curve = curve.Interpolate(policyCurvePoints)
 		} else {
 			// A silent tenant contributes a flat zero curve: no utility, so
 			// utility policies shrink it toward the floor until it speaks.
@@ -227,12 +228,12 @@ func (g *Governor) step() ([]int64, error) {
 			LatencyCritical:    tc.LatencyCritical,
 			Active:             true,
 			Curve:              curve,
-			MissPenalty:        tc.missPenalty(),
+			MissPenalty:        tenantMissPenalty,
 			CyclesPerAccessHit: 1,
 			CurrentTarget:      targets[t],
 			Occupancy:          uint64(stats[t].BytesUsed / lineBytes),
 			LCTargetLines:      uint64(tc.TargetBytes / lineBytes),
-			DeadlineCycles:     g.cfg.EpochCycles,
+			DeadlineCycles:     epochCycles,
 			Misses:             stats[t].Misses,
 			Snap:               g.lastSnap[t].UMON,
 		}
@@ -241,8 +242,8 @@ func (g *Governor) step() ([]int64, error) {
 	view := &policy.PlantView{
 		Apps:        apps,
 		Lines:       lines,
-		EpochCycles: g.cfg.EpochCycles,
-		Clock:       g.epochs * g.cfg.EpochCycles,
+		EpochCycles: epochCycles,
+		Clock:       g.epochs * epochCycles,
 	}
 	policy.ApplyResizes(targets, g.pol.Reconfigure(view))
 

@@ -98,7 +98,7 @@ func NewHTTPHandler(c *Cache, g *Governor, reg *metrics.Registry) http.Handler {
 func debugSnapshot(c *Cache, g *Governor) DebugPayload {
 	p := DebugPayload{
 		CapacityBytes: c.cfg.CapacityBytes,
-		LineBytes:     c.lineBytes,
+		LineBytes:     lineBytes,
 	}
 	for t, st := range c.Stats() {
 		td := TenantDebug{

@@ -45,15 +45,12 @@ type Scale struct {
 	// slot).
 	Parallelism int
 	// Warm is the warm pool the experiment's runs go through: exactly-repeated
-	// calibration/isolation/baseline runs are memoized, and sweeps that share
-	// a warmup prefix (the flash-crowd magnitude sweep) warm once per scheme
-	// and fork each sweep point from the snapshot. Every reuse is
-	// exact-identity keyed or quiescence-verified, so tables are
-	// byte-identical to re-warming every run (pinned by the golden table
-	// digests in golden_test.go). Leave nil: each experiment entry point
-	// allocates its own through withPool. Set it explicitly (as
-	// cmd/experiments does) to share warm state across several experiments in
-	// one invocation.
+	// calibration/isolation/baseline runs are memoized. Every reuse is
+	// exact-identity keyed, so tables are byte-identical to re-running every
+	// run (pinned by the golden table digests in golden_test.go). Leave nil:
+	// each experiment entry point allocates its own through withPool. Set it
+	// explicitly (as cmd/experiments does) to share warm state across several
+	// experiments in one invocation.
 	Warm *sim.WarmPool
 
 	// Deprecated: ignored — sub-mix work always shards over Parallelism;

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // The golden net for the experiment tables: every experiment path's rendered
@@ -14,10 +13,9 @@ import (
 // path produced before that path was deleted (no warm pool, no sub-mix
 // sharding, parallelism 1), and the shipping path — always pooled, always
 // sharded — must reproduce it at parallelism 1 and 4. One pin per path
-// therefore carries both properties the checkpoint engine and the sharded
-// runners claim: reuse is exact-identity memoization plus
-// quiescence-verified forking, never approximation, and worker count never
-// changes a simulated event.
+// therefore carries both properties the warm pool and the sharded runners
+// claim: reuse is exact-identity memoization, never approximation, and
+// worker count never changes a simulated event.
 
 // renderTables flattens tables to one string so differences show as a plain
 // byte mismatch.
@@ -44,7 +42,7 @@ type goldenPath struct {
 // change (DESIGN.md §10 has the re-pin recipe); anything else moving it is a
 // determinism regression.
 var goldenPaths = []goldenPath{
-	// The checkpoint-fork showcase: warm once per scheme, fork per magnitude.
+	// The flash-crowd sweep: every (magnitude, scheme) cell is a straight run.
 	{"flash", 0.02, 0x15799a4a6099156a, FlashRecovery},
 	// The load sweep memoizes the per-profile calibration across load points.
 	{"fig1a", 0.02, 0x8becdb6be33b5704, Fig1LoadLatency},
@@ -71,11 +69,9 @@ var goldenPaths = []goldenPath{
 	}},
 }
 
-// goldenRun is one (path, parallelism) run: its tables and the warm pool it
-// ran through.
+// goldenRun is one (path, parallelism) run's tables.
 type goldenRun struct {
 	tables []Table
-	pool   *sim.WarmPool
 }
 
 type goldenKey struct {
@@ -107,7 +103,7 @@ func goldenTables(t *testing.T, name string, parallelism int) goldenRun {
 		if err != nil {
 			t.Fatalf("%s at parallelism %d: %v", name, parallelism, err)
 		}
-		goldenRuns[key] = goldenRun{tables: tables, pool: scale.Warm}
+		goldenRuns[key] = goldenRun{tables: tables}
 		return goldenRuns[key]
 	}
 	t.Fatalf("no golden path %q", name)
@@ -131,47 +127,5 @@ func TestExperimentTableGoldenDigests(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestFlashWarmForkActuallyForks asserts the engine is live, not just
-// falling back to a full re-warm per cell: across the magnitude sweep the
-// warm pool must end up holding exactly one checkpoint per scheme.
-func TestFlashWarmForkActuallyForks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("transient sweeps are slow")
-	}
-	for _, par := range []int{1, 4} {
-		if got, want := goldenTables(t, "flash", par).pool.CheckpointCount(), len(StandardSchemes()); got != want {
-			t.Errorf("flash sweep at parallelism %d created %d warm checkpoints, want one per scheme (%d)", par, got, want)
-		}
-	}
-}
-
-// TestRetimeArrivalsMatchesFreshProcess pins the schedule-swap primitive at
-// the workload level: a constant-schedule process retimed to a quiescent
-// burst draws the same arrivals as a process built with that schedule from
-// scratch, as long as draws stay inside the quiescent prefix.
-func TestRetimeArrivalsMatchesFreshProcess(t *testing.T) {
-	sched := workload.ScheduleSpec{Kind: workload.SchedBurst, AtCycle: 1 << 40, DurationCycles: 1 << 20, Mult: 3}
-	plain, err := workload.NewScheduledArrivals(10_000, 7, workload.ScheduleSpec{}, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := workload.NewScheduledArrivals(10_000, 7, sched, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	swapped, ok := workload.RetimeArrivals(plain, sched)
-	if !ok {
-		t.Fatal("retiming a Poisson process to a quiescent burst should succeed")
-	}
-	prevA, prevB := uint64(0), uint64(0)
-	for i := 0; i < 1000; i++ {
-		prevA = fresh.Next(prevA)
-		prevB = swapped.Next(prevB)
-		if prevA != prevB {
-			t.Fatalf("arrival %d: fresh %d != swapped %d", i, prevA, prevB)
-		}
 	}
 }

@@ -67,20 +67,14 @@ type ScenarioOutcome struct {
 // then every scheme run (single-node) or every (scheme, node) simulation
 // (cluster.RunAll) — landing in index-addressed slots, so results are
 // bit-identical at any workers value. A nil pool disables warm-state reuse.
-// progress is ignored — the runner narrates nothing, ScenarioTables renders
-// the outcome — and is kept only until bench/ stops passing it.
-func RunScenario(spec scenario.Spec, workers int, pool *sim.WarmPool, progress func(format string, args ...any)) (*ScenarioOutcome, error) {
-	return RunScenarioTraced(spec, workers, pool, nil)
-}
-
-// RunScenarioTraced is RunScenario with an optional trace recorder: when rec
-// is non-nil every scheme run records its simulator events into it — one
-// trace pid per scheme in single-node mode, one per (scheme, node) in cluster
-// mode, each named for the viewer. Calibration and baseline runs are never
-// traced (they are shared warm-pool state, not part of any scheme's story).
-// Tracing is observational only: outcomes are bit-identical with rec nil or
-// not.
-func RunScenarioTraced(spec scenario.Spec, workers int, pool *sim.WarmPool, rec *trace.Recorder) (*ScenarioOutcome, error) {
+//
+// When rec is non-nil every scheme run records its simulator events into it
+// — one trace pid per scheme in single-node mode, one per (scheme, node) in
+// cluster mode, each named for the viewer. Calibration and baseline runs are
+// never traced (they are shared warm-pool state, not part of any scheme's
+// story). Tracing is observational only: outcomes are bit-identical with rec
+// nil or not.
+func RunScenario(spec scenario.Spec, workers int, pool *sim.WarmPool, rec *trace.Recorder) (*ScenarioOutcome, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -126,11 +120,11 @@ type batchSlot struct {
 
 // batchSlots expands the scenario's batch and trace entries into app slots,
 // in declaration order. Each distinct trace file is opened once — every slot
-// (and every fork the schemes' runs make) replays a cursor over the same
-// loaded image, which is why the traces are never closed here: the mmap'd
-// words must outlive the streams, i.e. the whole run. Missing, truncated or
-// malformed trace files fail here, at experiment build time, with the
-// offending entry and path in the error.
+// of every scheme's run replays a cursor over the same loaded image, which is
+// why the traces are never closed here: the mmap'd words must outlive the
+// streams, i.e. the whole run. Missing, truncated or malformed trace files
+// fail here, at experiment build time, with the offending entry and path in
+// the error.
 func batchSlots(spec scenario.Spec) ([]batchSlot, error) {
 	var out []batchSlot
 	traces := make(map[string]*tracein.Trace)

@@ -101,7 +101,7 @@ func TestScenarioMatrixDeterministicUnderWorkers(t *testing.T) {
 		}
 	}
 	rec := trace.NewRecorder(1 << 12)
-	traced, err := RunScenarioTraced(spec, 5, sim.NewWarmPool(), rec)
+	traced, err := RunScenario(spec, 5, sim.NewWarmPool(), rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/cache"
@@ -51,10 +50,10 @@ type transientRun struct {
 	res    sim.Result
 }
 
-// transientMixSpecs assembles the transient mix's machine configuration and
-// application slots for one scheme and schedule. Every run derives its seeds
-// from scale.Seed only, so a fixed seed is bit-identical at any parallelism.
-func transientMixSpecs(cfg sim.Config, scale Scale, scheme Scheme, sched workload.ScheduleSpec, base sim.LCBaseline, reqFactor float64) (sim.Config, []sim.AppSpec, error) {
+// runTransientMix runs the transient mix under one scheme with the given
+// schedule, windowed latency recording on. Every run derives its seeds from
+// scale.Seed only, so a fixed seed is bit-identical at any parallelism.
+func runTransientMix(cfg sim.Config, scale Scale, scheme Scheme, sched workload.ScheduleSpec, base sim.LCBaseline, reqFactor float64) (sim.Result, error) {
 	runCfg := cfg
 	runCfg.LatencyWindowCycles = transientWindowCycles(cfg)
 	if scheme.Unpartitioned {
@@ -76,73 +75,12 @@ func transientMixSpecs(cfg sim.Config, scale Scale, scheme Scheme, sched workloa
 	for _, name := range transientBatchNames() {
 		p, err := workload.BatchByName(name)
 		if err != nil {
-			return sim.Config{}, nil, err
+			return sim.Result{}, err
 		}
 		batch := p
 		specs = append(specs, sim.AppSpec{Batch: &batch, ROIInstructions: scale.BatchROI})
 	}
-	return runCfg, specs, nil
-}
-
-// runTransientMix runs the transient mix under one scheme with the given
-// schedule, windowed latency recording on.
-func runTransientMix(cfg sim.Config, scale Scale, scheme Scheme, sched workload.ScheduleSpec, base sim.LCBaseline, reqFactor float64) (sim.Result, error) {
-	runCfg, specs, err := transientMixSpecs(cfg, scale, scheme, sched, base, reqFactor)
-	if err != nil {
-		return sim.Result{}, err
-	}
 	return sim.RunMix(runCfg, specs, scheme.NewPolicy())
-}
-
-// runTransientMixWarmFork is runTransientMix through the warm-fork engine: a
-// sweep over schedules that share a quiescent prefix (flash magnitudes, burst
-// intensities) warms each scheme once up to the first rate deviation,
-// checkpoints, and forks every sweep point from the snapshot with the
-// schedule swapped in. The checkpoint key deliberately excludes the schedule
-// — interchangeability up to the warm boundary is exactly what
-// RunFromCheckpointWithSchedule verifies per fork, and any fork the engine
-// cannot prove safe falls back to a full re-warm, so results are
-// byte-identical to runTransientMix either way (pinned by the flash golden
-// table digest).
-func runTransientMixWarmFork(cfg sim.Config, scale Scale, scheme Scheme, sched workload.ScheduleSpec, base sim.LCBaseline, reqFactor float64) (sim.Result, error) {
-	warmCycle := sched.QuiescentUntil()
-	if warmCycle == 0 || warmCycle == ^uint64(0) {
-		// A schedule modulated from cycle 0 (nothing shareable) or a constant
-		// schedule (no sweep to fork): a straight run is the fast path.
-		return runTransientMix(cfg, scale, scheme, sched, base, reqFactor)
-	}
-	// Pause a margin before the first rate deviation: an idle app jumps its
-	// clock to its next arrival and draws one arrival ahead, so pausing
-	// exactly at the deviation would often consume a draw past it (a draw the
-	// swapped schedule would have modulated differently), forcing the
-	// fallback re-warm. Eight mean interarrivals plus the scheduler quantum
-	// make the overshoot chance negligible (~e^-8) while keeping almost all
-	// of the quiescent prefix shared.
-	margin := uint64(8*base.MeanInterarrival) + cfg.StepQuantumCycles
-	if warmCycle <= margin {
-		return runTransientMix(cfg, scale, scheme, sched, base, reqFactor)
-	}
-	warmCycle -= margin
-	runCfg, specs, err := transientMixSpecs(cfg, scale, scheme, sched, base, reqFactor)
-	if err != nil {
-		return sim.Result{}, err
-	}
-	key := fmt.Sprintf("transient-warm|%#v|%s|%#v|%v|%d|%v|%d",
-		runCfg.PoolIdentity(), scheme.Name, base, reqFactor, scale.BatchROI, scale.Seed, warmCycle)
-	cp, err := scale.Warm.Checkpoint(key, func() (*sim.Checkpoint, error) {
-		return sim.WarmCheckpoint(runCfg, specs, scheme.NewPolicy(), warmCycle)
-	})
-	if err != nil {
-		return sim.Result{}, err
-	}
-	res, err := sim.RunFromCheckpointWithSchedule(cp, sched)
-	if errors.Is(err, sim.ErrScheduleSwapUnsafe) {
-		// The warm prefix consumed a draw past the quiescent boundary
-		// (possible when an idle app's clock overshoots the pause): re-warm
-		// from cold. Any other error is a real failure and propagates.
-		return runTransientMix(cfg, scale, scheme, sched, base, reqFactor)
-	}
-	return res, err
 }
 
 // transientBaseline calibrates the latency-critical app the transient mixes
@@ -343,21 +281,11 @@ func FlashMagnitudes() []float64 { return []float64{2, 4, 8} }
 // pooled p95 before the spike, the pooled p95 through the spike (three decay
 // constants), the pooled p95 after, and how many windows the tail needed to
 // come back within 25% of steady ("-" when it never does inside the run).
-// The (magnitude, scheme) grid shards across the worker pool with
-// bit-identical results at any parallelism.
-//
-// The sweep exploits that every magnitude's schedule is quiescent until the
-// spike: each scheme warms once up to the spike onset and every magnitude
-// forks from that snapshot, eliminating the repeated warmup (the schedule
-// swap is verified per fork, falling back to a full re-warm if unsafe, so the
-// table is byte-identical to re-warming every cell).
+// The spike hits at window 4. Every (magnitude, scheme) cell is one straight
+// run, and the grid shards across the worker pool with bit-identical results
+// at any parallelism.
 func FlashRecovery(cfg sim.Config, scale Scale) ([]Table, error) {
-	return FlashRecoveryAt(cfg, scale, 4, FlashMagnitudes())
-}
-
-// FlashRecoveryAt is FlashRecovery with the spike window and the magnitude
-// sweep exposed, so benchmarks (and tests) can shape the shared warm prefix.
-func FlashRecoveryAt(cfg sim.Config, scale Scale, spikeWindow uint64, mags []float64) ([]Table, error) {
+	const spikeWindow = 4
 	scale = scale.withPool()
 	base, reqFactor, err := transientBaseline(cfg, scale)
 	if err != nil {
@@ -370,6 +298,7 @@ func FlashRecoveryAt(cfg sim.Config, scale Scale, spikeWindow uint64, mags []flo
 		scheme string
 		cells  []string
 	}
+	mags := FlashMagnitudes()
 	rows := make([]flashRow, len(mags)*len(schemes))
 	if err := parallel.For(len(rows), scale.parallelism(), func(i int) error {
 		mag := mags[i/len(schemes)]
@@ -380,7 +309,7 @@ func FlashRecoveryAt(cfg sim.Config, scale Scale, spikeWindow uint64, mags []flo
 			Mult:        mag,
 			DecayCycles: window,
 		}
-		res, err := runTransientMixWarmFork(cfg, scale, scheme, sched, base, reqFactor)
+		res, err := runTransientMix(cfg, scale, scheme, sched, base, reqFactor)
 		if err != nil {
 			return err
 		}

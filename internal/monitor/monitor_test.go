@@ -326,12 +326,26 @@ func TestReuseProfiler(t *testing.T) {
 	if math.Abs(b[len(b)-1]-0.25) > 1e-9 {
 		t.Errorf("miss fraction wrong: %v", b)
 	}
-	if r.Accesses() != 4 || r.Misses() != 1 {
-		t.Errorf("counters wrong")
+	// Four accesses, one miss: the fractions are the counts over four and
+	// account for every access.
+	sum := 0.0
+	for _, v := range b {
+		sum += v
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		t.Errorf("breakdown sums to %v, want 1: %v", sum, b)
 	}
 	r.Reset()
-	if r.Accesses() != 0 || r.Misses() != 0 {
-		t.Errorf("reset did not clear")
+	for i, v := range r.Breakdown() {
+		if v != 0 {
+			t.Errorf("after Reset, bucket %d = %v, want 0", i, v)
+		}
+	}
+	// A cleared profiler counts from zero again: one miss is the whole
+	// breakdown.
+	r.Record(false, 0)
+	if b := r.Breakdown(); b[len(b)-1] != 1 {
+		t.Errorf("after Reset and one miss, breakdown = %v, want all misses", b)
 	}
 	// Degenerate construction clamps.
 	tiny := NewReuseProfiler(0)

@@ -52,12 +52,6 @@ func (r *ReuseProfiler) Clone() *ReuseProfiler {
 	return &c
 }
 
-// Accesses returns the total number of recorded accesses.
-func (r *ReuseProfiler) Accesses() uint64 { return r.accesses }
-
-// Misses returns the number of recorded misses.
-func (r *ReuseProfiler) Misses() uint64 { return r.misses }
-
 // Breakdown returns the fraction of accesses that were hits of each age
 // (index 0 = same request, last index = oldest bucket) followed by the miss
 // fraction as the final element, matching the stacking order of Figure 2.

@@ -6,16 +6,15 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/policy"
-	"repro/internal/workload"
 )
 
 // This file implements warm-state checkpointing: a simulation can be paused
 // at a scheduler boundary (Simulator.RunUntil), deep-copied into a
 // Checkpoint, and forked any number of times — each fork finishing the run
-// independently and bit-identically to a run that never paused. Sweeps use
-// this to pay for the shared warmup prefix (warm LLC/L1/L2 contents, UMON
-// tags, queue state, RNG cursors) once instead of once per sweep point; see
-// DESIGN.md §8 for the checkpoint contract.
+// independently and bit-identically to a run that never paused. No
+// production path forks: every experiment runs straight through, and the
+// engine is kept for its measurements and tests; see DESIGN.md §8 for the
+// checkpoint contract.
 
 // Checkpoint is an immutable deep snapshot of a paused simulation. It may be
 // forked concurrently: forking only reads the snapshot.
@@ -94,60 +93,6 @@ func RunFromCheckpoint(cp *Checkpoint) (Result, error) {
 	return s.Run()
 }
 
-// ErrScheduleSwapUnsafe marks a refused schedule swap: the checkpoint cannot
-// prove the fork would be bit-identical (a draw was consumed past a
-// quiescent prefix, the target schedule is stateful, or the arrival process
-// cannot be retimed). Callers fall back to a full re-warm on this error —
-// and only on this error, so genuine engine failures still surface.
-var ErrScheduleSwapUnsafe = fmt.Errorf("sim: schedule swap cannot be proven bit-identical; re-warm instead")
-
-// swapRefused wraps a refusal reason with the ErrScheduleSwapUnsafe sentinel.
-func swapRefused(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrScheduleSwapUnsafe, fmt.Sprintf(format, args...))
-}
-
-// RunFromCheckpointWithSchedule forks the checkpoint, swaps every
-// latency-critical slot's load schedule for sched, and runs the fork to
-// completion. This is the sweep-point fork: one checkpoint warmed through a
-// schedule's quiescent prefix (multiplier 1) fans out to every sweep
-// magnitude. The swap is refused — with an error wrapping
-// ErrScheduleSwapUnsafe, so callers can fall back to a full re-warm —
-// unless it is provably bit-identical: both the checkpoint's schedule and
-// sched must still have been quiescent at every arrival draw the warm
-// prefix consumed (workload.ScheduleSpec.QuiescentUntil).
-func RunFromCheckpointWithSchedule(cp *Checkpoint, sched workload.ScheduleSpec) (Result, error) {
-	if err := sched.Validate(); err != nil {
-		return Result{}, err
-	}
-	s, err := cp.fork()
-	if err != nil {
-		return Result{}, err
-	}
-	for _, a := range s.apps {
-		if !a.isLC() {
-			continue
-		}
-		if a.spec.Arrivals != nil {
-			return Result{}, swapRefused("app %q replays an explicit arrival stream", a.spec.Name())
-		}
-		if q := a.spec.Sched.QuiescentUntil(); a.maxDrawPrev >= q {
-			return Result{}, swapRefused("app %q consumed an arrival draw at cycle %d, past its warm schedule's quiescent prefix (%d)",
-				a.spec.Name(), a.maxDrawPrev, q)
-		}
-		if q := sched.QuiescentUntil(); a.maxDrawPrev >= q {
-			return Result{}, swapRefused("app %q consumed an arrival draw at cycle %d, past the target schedule's quiescent prefix (%d)",
-				a.spec.Name(), a.maxDrawPrev, q)
-		}
-		arr, ok := workload.RetimeArrivals(a.arrivals, sched)
-		if !ok {
-			return Result{}, swapRefused("app %q's arrival process (%T) cannot be retimed to %s", a.spec.Name(), a.arrivals, sched)
-		}
-		a.arrivals = arr
-		a.spec.Sched = sched
-	}
-	return s.Run()
-}
-
 // WarmCheckpoint builds a simulator for the given configuration, runs it up
 // to warmCycle, and returns the checkpoint measured runs fork from. A warm
 // cycle past the run's natural end simply checkpoints the completed run.
@@ -162,13 +107,12 @@ func WarmCheckpoint(cfg Config, specs []AppSpec, pol policy.Policy, warmCycle ui
 	return s.Checkpoint()
 }
 
-// WarmPool memoizes expensive, exactly-repeated computations across a sweep:
-// completed run results (calibration and isolation baselines that several
-// experiments request with identical inputs) and warm checkpoints (shared
-// warmup prefixes forked per sweep point). Keys must capture the complete
-// identity of the computation — configuration, workload specs, policy and
-// seeds — because a pool hit returns the first computation's output verbatim
-// (results are deep-copied per caller, so consumers can mutate them freely).
+// WarmPool memoizes completed run results across a sweep: calibration and
+// isolation baselines that several experiments request with identical
+// inputs. Keys must capture the complete identity of the computation —
+// configuration, workload specs, policy and seeds — because a pool hit
+// returns the first computation's output verbatim (results are deep-copied
+// per caller, so consumers can mutate them freely).
 //
 // The pool trades memory for time and holds every entry for its lifetime
 // (eviction would be safe — recomputation is deterministic — but nothing
@@ -179,46 +123,24 @@ func WarmCheckpoint(cfg Config, specs []AppSpec, pol policy.Policy, warmCycle ui
 // lookups of one key run its compute function exactly once.
 type WarmPool struct {
 	mu      sync.Mutex
-	results map[string]*poolEntry[Result]
-	checks  map[string]*poolEntry[*Checkpoint]
+	results map[string]*poolEntry
 }
 
-type poolEntry[T any] struct {
+type poolEntry struct {
 	once sync.Once
-	val  T
+	val  Result
 	err  error
 }
 
 // NewWarmPool returns an empty pool.
 func NewWarmPool() *WarmPool {
-	return &WarmPool{
-		results: make(map[string]*poolEntry[Result]),
-		checks:  make(map[string]*poolEntry[*Checkpoint]),
-	}
+	return &WarmPool{results: make(map[string]*poolEntry)}
 }
 
-func poolGet[T any](p *WarmPool, m map[string]*poolEntry[T], key string, compute func() (T, error)) (T, error) {
-	p.mu.Lock()
-	e, ok := m[key]
-	if !ok {
-		e = &poolEntry[T]{}
-		m[key] = e
-	}
-	p.mu.Unlock()
-	e.once.Do(func() { e.val, e.err = compute() })
-	return e.val, e.err
-}
-
-// CheckpointCount returns how many warm checkpoints the pool holds (for
-// tests and diagnostics).
-func (p *WarmPool) CheckpointCount() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.checks)
-}
+// CheckpointCount returns 0: the pool memoizes run results only.
+//
+// Deprecated: kept only until bench/ stops reading it.
+func (p *WarmPool) CheckpointCount() int { return 0 }
 
 // ResultCount returns how many memoized run results the pool holds (for
 // tests and diagnostics).
@@ -238,19 +160,16 @@ func (p *WarmPool) Result(key string, compute func() (Result, error)) (Result, e
 	if p == nil {
 		return compute()
 	}
-	res, err := poolGet(p, p.results, key, compute)
-	if err != nil {
-		return Result{}, err
+	p.mu.Lock()
+	e, ok := p.results[key]
+	if !ok {
+		e = &poolEntry{}
+		p.results[key] = e
 	}
-	return res.Clone(), nil
-}
-
-// Checkpoint returns the memoized warm checkpoint for key, computing it on
-// first use. Checkpoints are immutable and fork-on-use, so the same pointer
-// is shared by all consumers.
-func (p *WarmPool) Checkpoint(key string, compute func() (*Checkpoint, error)) (*Checkpoint, error) {
-	if p == nil {
-		return compute()
+	p.mu.Unlock()
+	e.once.Do(func() { e.val, e.err = compute() })
+	if e.err != nil {
+		return Result{}, e.err
 	}
-	return poolGet(p, p.checks, key, compute)
+	return e.val.Clone(), nil
 }

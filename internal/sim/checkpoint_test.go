@@ -94,82 +94,6 @@ func TestCheckpointForkMatchesStraightRun(t *testing.T) {
 	}
 }
 
-// TestScheduleSwapForkMatchesNaive proves the sweep-point fork: a checkpoint
-// warmed under one burst magnitude, forked with the schedule swapped to
-// another magnitude, reproduces the naive full re-warm run of that magnitude
-// bit for bit. This is the mechanism the flash sweep amortises its warmup
-// with.
-func TestScheduleSwapForkMatchesNaive(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 42
-	cfg.LatencyWindowCycles = 200_000
-	const at = 500_000
-	schedFor := func(mult float64) workload.ScheduleSpec {
-		return workload.ScheduleSpec{Kind: workload.SchedBurst, AtCycle: at, DurationCycles: 500_000, Mult: mult}
-	}
-
-	// Warm once under the anchor magnitude, pausing at the burst onset.
-	cp, err := WarmCheckpoint(cfg, goldenSpecs(t, schedFor(4)), core.NewUbikWithSlack(0.05), at)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mult := range []float64{2, 4, 8} {
-		forked, err := RunFromCheckpointWithSchedule(cp, schedFor(mult))
-		if err != nil {
-			t.Fatal(err)
-		}
-		naive, err := RunMix(cfg, goldenSpecs(t, schedFor(mult)), core.NewUbikWithSlack(0.05))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := resultDigest(forked), resultDigest(naive); got != want {
-			t.Errorf("mult %g: forked digest %#x != naive digest %#x", mult, got, want)
-		}
-	}
-
-	// The anchor's own schedule through the swap path must also reproduce the
-	// burst golden digest when the schedule matches the pinned burst run.
-	burst, err := workload.ParseSchedule("burst:at=5e5,dur=5e5,x=4")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpBurst, err := WarmCheckpoint(cfg, goldenSpecs(t, burst), core.NewUbikWithSlack(0.05), burst.AtCycle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunFromCheckpointWithSchedule(cpBurst, burst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const wantBurst = uint64(0x78997f0b3064a37c) // TestGoldenDigestBurstSchedule's constant
-	if got := resultDigest(res); got != wantBurst {
-		t.Errorf("swap-forked burst digest = %#x, want the golden %#x", got, wantBurst)
-	}
-}
-
-// TestScheduleSwapRejectsUnsafeTargets: swapping to a schedule whose
-// modulation would already have been visible during the warm prefix must be
-// refused (the fork could not be bit-identical), as must stateful MMPP
-// targets.
-func TestScheduleSwapRejectsUnsafeTargets(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 42
-	cp, err := WarmCheckpoint(cfg, goldenSpecs(t, workload.ScheduleSpec{}), policy.NewLRU(), 400_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, bad := range []workload.ScheduleSpec{
-		{Kind: workload.SchedBurst, AtCycle: 1_000, DurationCycles: 1_000_000, Mult: 3},     // bursts inside the warm prefix
-		{Kind: workload.SchedDiurnal, PeriodCycles: 4_000_000, Amp: 0.5},                    // modulated from cycle 0
-		{Kind: workload.SchedMMPP, Mult: 4, OnCycles: 2_000_000, OffCycles: 8e6, Low: 1},    // stateful dwell sequence
-		{Kind: workload.SchedRamp, AtCycle: 0, DurationCycles: 1_000_000, From: 2, To: 0.5}, // From != 1
-	} {
-		if _, err := RunFromCheckpointWithSchedule(cp, bad); err == nil {
-			t.Errorf("swap to %s should have been refused", bad)
-		}
-	}
-}
-
 // TestForkMutationIsolation proves a forked run never aliases parent state:
 // two forks of one checkpoint run concurrently (the race detector patrols
 // shared mutable state), and a third fork run afterwards still reproduces the

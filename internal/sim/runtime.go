@@ -86,11 +86,6 @@ type appRuntime struct {
 	recorder           *queueing.Recorder
 	active             bool
 	accessesSinceCheck uint64
-	// maxDrawPrev is the largest `prev` this app has passed to its arrival
-	// process. Schedule-swap forking consults it: a checkpoint can be
-	// replayed under a different load schedule only if every draw so far saw
-	// the same (unit) rate multiplier under both schedules.
-	maxDrawPrev uint64
 
 	// Batch region of interest. roiReached records that the app has retired
 	// its region of interest (it keeps running — and contending for cache —
@@ -262,7 +257,6 @@ func (a *appRuntime) enqueueArrivals(now uint64, coalesce uint64) {
 		}
 		a.queue.Push(req)
 		a.generated++
-		a.maxDrawPrev = a.nextArrivalRaw
 		a.nextArrivalRaw = a.arrivals.Next(a.nextArrivalRaw)
 		a.nextArrivalVisible = a.nextArrivalRaw + coalesce
 	}

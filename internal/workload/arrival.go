@@ -222,38 +222,6 @@ func (u UniformArrivals) Next(prev uint64) uint64 {
 // CloneArrival implements ClonableArrival (the process is a stateless value).
 func (u UniformArrivals) CloneArrival() ArrivalProcess { return u }
 
-// RetimeArrivals rebuilds an arrival process under a different load schedule
-// while preserving its random-draw cursor — the schedule-swap half of
-// warm-state forking: a checkpoint warmed under one schedule is forked into a
-// sweep point by swapping the spec. The caller is responsible for validity
-// (both old and new schedules must have been quiescent — multiplier 1 — over
-// every `prev` the process has already been asked about; see
-// ScheduleSpec.QuiescentUntil). MMPP targets are rejected: their dwell state
-// cannot be continued across a swap. ok is false when the process or spec
-// does not support swapping.
-func RetimeArrivals(p ArrivalProcess, spec ScheduleSpec) (ArrivalProcess, bool) {
-	if spec.Kind == SchedMMPP {
-		return nil, false
-	}
-	switch src := p.(type) {
-	case *PoissonArrivals:
-		if spec.IsConstant() {
-			return src.CloneArrival(), true
-		}
-		return &ModulatedArrivals{MeanInterarrival: src.MeanInterarrival, rng: src.rng.Clone(), eval: spec.NewEval(0)}, true
-	case *ModulatedArrivals:
-		if spec.IsConstant() {
-			// A modulated process that has only ever seen multiplier 1 is
-			// draw-for-draw a Poisson process (as long as gaps stay below the
-			// modulator's overflow clamp, which quiescent gaps do).
-			return &PoissonArrivals{MeanInterarrival: src.MeanInterarrival, rng: src.rng.Clone()}, true
-		}
-		return &ModulatedArrivals{MeanInterarrival: src.MeanInterarrival, rng: src.rng.Clone(), eval: spec.NewEval(0)}, true
-	default:
-		return nil, false
-	}
-}
-
 // MeanInterarrivalForLoad converts a target offered load rho (0 < rho < 1) and
 // a mean service time (cycles) into the mean interarrival time that produces
 // that load: rho = lambda/mu = meanService/meanInterarrival.

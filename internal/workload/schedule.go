@@ -357,30 +357,6 @@ func (e *ScheduleEval) Clone() *ScheduleEval {
 	return &c
 }
 
-// QuiescentUntil returns the first cycle at which the schedule's multiplier
-// can deviate from 1: the constant schedule never does (MaxUint64), one-shot
-// and repeating bursts, flash crowds and unit-start ramps are quiescent until
-// their AtCycle, and shapes that modulate from the start (diurnal, MMPP,
-// ramps with From != 1) return 0. Warm-state forking uses this to decide
-// whether a checkpoint taken under one schedule can be replayed under
-// another: two schedules that are both quiescent past every arrival draw the
-// checkpoint consumed are interchangeable up to that point.
-func (s ScheduleSpec) QuiescentUntil() uint64 {
-	switch s.Kind {
-	case "", SchedConstant:
-		return math.MaxUint64
-	case SchedBurst, SchedFlash:
-		return s.AtCycle
-	case SchedRamp:
-		if s.From == 1 {
-			return s.AtCycle
-		}
-		return 0
-	default: // diurnal, MMPP: modulated from the first cycle
-		return 0
-	}
-}
-
 // dwell draws an exponentially distributed dwell time with the given mean,
 // at least one cycle.
 func (e *ScheduleEval) dwell(mean float64) uint64 {
