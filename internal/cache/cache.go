@@ -58,21 +58,10 @@ type Cache interface {
 	PartitionStats(part PartitionID) PartitionStats
 	// ResetStats clears all cumulative statistics (occupancy is preserved).
 	ResetStats()
-	// Seal freezes the current state — contents, partition state and
-	// statistics — into an immutable Sealed image and leaves the receiver
-	// running as a copy-on-write fork of that image: subsequent accesses
-	// materialise storage chunks on demand. Sealing a cache that is itself an
-	// untouched fork of an earlier snapshot is O(1) and returns that snapshot.
-	Seal() Sealed
-}
-
-// Sealed is an immutable snapshot of a cache's complete state. Forking is
-// cheap (bookkeeping proportional to the chunk count, not the capacity) and
-// safe from multiple goroutines concurrently.
-type Sealed interface {
-	// Fork returns a new independent cache initialised from the snapshot:
-	// accesses to the fork cannot affect the snapshot or any other fork.
-	Fork() Cache
+	// Reset returns the cache to its freshly constructed state without new
+	// allocations: contents, partition state and statistics are cleared in
+	// place.
+	Reset()
 }
 
 // Stats holds cumulative whole-cache statistics.
@@ -152,15 +141,6 @@ func newPartitionTable(n int) *partitionTable {
 		sizes:   make([]uint64, n),
 		stats:   make([]PartitionStats, n),
 	}
-}
-
-// clone returns a deep copy of the table.
-func (t *partitionTable) clone() *partitionTable {
-	c := newPartitionTable(len(t.targets))
-	copy(c.targets, t.targets)
-	copy(c.sizes, t.sizes)
-	copy(c.stats, t.stats)
-	return c
 }
 
 // reset clears the table to its freshly constructed state in place.

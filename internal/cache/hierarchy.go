@@ -116,9 +116,7 @@ func DefaultHierarchy() HierarchyConfig {
 // A private-level slot is two interleaved words — the line address and its
 // LRU stamp, where stamp 0 means invalid (16 bytes per way, so a 4-way set is
 // a single 64-byte hardware cache line and the fused probe+fill scan touches
-// exactly one line per L1 access). Slots live in a flat word slice that can
-// be carved out of a per-application arena slab: the whole hierarchy's
-// private state then clones with one copy.
+// exactly one line per L1 access). Slots live in a flat word slice.
 
 // PrivateLevel is one private set-associative filter cache with LRU
 // replacement. It stores only tags — private levels filter the stream; the
@@ -133,31 +131,20 @@ type PrivateLevel struct {
 	stats     LevelStats
 }
 
-// LevelWords returns the storage a level needs, in 8-byte words, for use with
-// NewPrivateLevelIn (0 for a disabled level).
-func LevelWords(cfg LevelConfig) int { return int(2 * cfg.Lines) }
-
-// NewPrivateLevelIn builds a private level over caller-provided zeroed
-// storage of exactly LevelWords(cfg) words (pass nil to self-allocate). It
-// returns nil (a valid "always miss" level for the Hierarchy) when the level
-// is disabled.
-func NewPrivateLevelIn(cfg LevelConfig, words []uint64) (*PrivateLevel, error) {
+// newPrivateLevel builds a private level. It returns nil (a valid "always
+// miss" level for the Hierarchy) when the level is disabled.
+func newPrivateLevel(cfg LevelConfig) (*PrivateLevel, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if !cfg.Enabled() {
 		return nil, nil
 	}
-	if words == nil {
-		words = make([]uint64, LevelWords(cfg))
-	} else if len(words) != LevelWords(cfg) {
-		return nil, fmt.Errorf("cache: private level given %d words of storage, needs %d", len(words), LevelWords(cfg))
-	}
 	return &PrivateLevel{
 		numSets:   cfg.Lines / uint64(cfg.Ways),
 		ways:      uint64(cfg.Ways),
 		inclusive: cfg.Inclusive,
-		words:     words,
+		words:     make([]uint64, 2*cfg.Lines),
 	}, nil
 }
 
@@ -207,25 +194,6 @@ func (l *PrivateLevel) access(hash, addr uint64) (hit bool, evicted uint64, evic
 	}
 	set[victim], set[victim+1] = addr, l.clock
 	return false, evicted, evictedValid
-}
-
-// CloneIn returns a deep copy of the level (tags, LRU stamps, statistics) over
-// caller-provided storage of the same size (nil to self-allocate); a
-// per-application arena slab passes its carved regions here so all levels of
-// a forked hierarchy land in one contiguous block. Cloning a nil level
-// returns nil, matching the "always miss" convention.
-func (l *PrivateLevel) CloneIn(words []uint64) *PrivateLevel {
-	if l == nil {
-		return nil
-	}
-	n := *l
-	if words == nil {
-		n.words = append([]uint64(nil), l.words...)
-	} else {
-		copy(words, l.words)
-		n.words = words
-	}
-	return &n
 }
 
 // Reset returns the level to its freshly constructed state in place.
@@ -294,72 +262,24 @@ type Hierarchy struct {
 }
 
 // NewHierarchy builds the private levels for one application in front of the
-// shared cache, self-allocating their storage. With both levels disabled the
-// hierarchy degenerates to a direct LLC passthrough.
+// shared cache. With both levels disabled the hierarchy degenerates to a
+// direct LLC passthrough.
 func NewHierarchy(cfg HierarchyConfig, llc Cache) (*Hierarchy, error) {
-	return NewHierarchyIn(cfg, llc, nil)
-}
-
-// HierarchyWords returns the storage both private levels need, in words, for
-// use with NewHierarchyIn.
-func HierarchyWords(cfg HierarchyConfig) int {
-	return LevelWords(cfg.L1) + LevelWords(cfg.L2)
-}
-
-// NewHierarchyIn is NewHierarchy with caller-provided zeroed storage of
-// exactly HierarchyWords(cfg) words (nil to self-allocate): the L1 occupies
-// the low words, the L2 the rest, so one application's whole private-level
-// state is a single contiguous region of its arena slab.
-func NewHierarchyIn(cfg HierarchyConfig, llc Cache, words []uint64) (*Hierarchy, error) {
 	if llc == nil {
 		return nil, fmt.Errorf("cache: hierarchy needs a shared LLC")
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if words != nil && len(words) != HierarchyWords(cfg) {
-		return nil, fmt.Errorf("cache: hierarchy given %d words of storage, needs %d", len(words), HierarchyWords(cfg))
-	}
-	var w1, w2 []uint64
-	if words != nil {
-		w1 = words[:LevelWords(cfg.L1)]
-		w2 = words[LevelWords(cfg.L1):]
-		if len(w1) == 0 {
-			w1 = nil
-		}
-		if len(w2) == 0 {
-			w2 = nil
-		}
-	}
-	l1, err := NewPrivateLevelIn(cfg.L1, w1)
+	l1, err := newPrivateLevel(cfg.L1)
 	if err != nil {
 		return nil, err
 	}
-	l2, err := NewPrivateLevelIn(cfg.L2, w2)
+	l2, err := newPrivateLevel(cfg.L2)
 	if err != nil {
 		return nil, err
 	}
 	return &Hierarchy{l1: l1, l2: l2, llc: llc}, nil
-}
-
-// CloneWithLLCIn returns a deep copy of the private levels (including their
-// back-invalidation statistics) chained in front of the given shared LLC.
-// Hierarchies do not own the LLC, so forking a simulation forks the LLC once
-// and rebinds every application's hierarchy clone to it through this method.
-// words is the forked application's arena region (nil to self-allocate).
-func (h *Hierarchy) CloneWithLLCIn(llc Cache, words []uint64) *Hierarchy {
-	var w1, w2 []uint64
-	if words != nil {
-		n1 := 0
-		if h.l1 != nil {
-			n1 = len(h.l1.words)
-			w1 = words[:n1]
-		}
-		if h.l2 != nil {
-			w2 = words[n1 : n1+len(h.l2.words)]
-		}
-	}
-	return &Hierarchy{l1: h.l1.CloneIn(w1), l2: h.l2.CloneIn(w2), llc: llc}
 }
 
 // Reset returns both private levels to their freshly constructed state in

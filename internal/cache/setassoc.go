@@ -1,25 +1,19 @@
 package cache
 
-import (
-	"fmt"
-
-	"repro/internal/arena"
-)
+import "fmt"
 
 // SetAssoc is a set-associative cache array with LRU ordering inside each set.
 // It supports three victim-selection modes: unpartitioned LRU, Vantage-style
 // partitioning (soft partitioning on a set-associative array, as in Figure 13
 // of the paper), and way-partitioning.
 //
-// Line state lives in one contiguous arena slab, four words per line
-// (address, lastUse, metadata, part<<1|valid) in set-major order, so a whole
-// set is one contiguous run: an access touches one storage range, and
-// Seal/Fork give chunk-granular copy-on-write snapshots like the zcache's.
+// Line state lives in one contiguous slab, four words per line (address,
+// lastUse, metadata, part<<1|valid) in set-major order, so a whole set is one
+// contiguous run and an access touches one storage range.
 type SetAssoc struct {
 	numSets  uint64
 	ways     int
 	mode     ReplacementMode
-	slab     *arena.Arena
 	words    []uint64 // 4 * numSets * ways, set-major
 	parts    *partitionTable
 	stats    Stats
@@ -54,13 +48,11 @@ func NewSetAssoc(totalLines uint64, ways int, mode ReplacementMode, numPartition
 	if mode == ModeWayPartition && numPartitions > ways {
 		return nil, fmt.Errorf("cache: way-partitioning cannot support %d partitions with %d ways", numPartitions, ways)
 	}
-	slab := arena.New(int(saStride * totalLines))
 	c := &SetAssoc{
 		numSets: numSets,
 		ways:    ways,
 		mode:    mode,
-		slab:    slab,
-		words:   slab.Data(),
+		words:   make([]uint64, saStride*totalLines),
 		parts:   newPartitionTable(numPartitions),
 	}
 	if mode == ModeWayPartition {
@@ -206,8 +198,8 @@ func (c *SetAssoc) syncTargetsFromWays() {
 
 // Access implements Cache. This is one of the simulator's two hot paths: the
 // hit scan is a single pass over the set's contiguous words with the
-// per-partition stat row hoisted out, set indexing avoids the 64-bit modulo,
-// and a single EnsureRange covers the whole set's copy-on-write chunks.
+// per-partition stat row hoisted out, and set indexing avoids the 64-bit
+// modulo.
 func (c *SetAssoc) Access(addr uint64, part PartitionID, meta uint64) AccessResult {
 	if uint(part) >= uint(len(c.parts.stats)) {
 		part = 0
@@ -219,11 +211,7 @@ func (c *SetAssoc) Access(addr uint64, part PartitionID, meta uint64) AccessResu
 
 	setIdx := reduceRange(hashAddr(addr), c.numSets)
 	base := setIdx * uint64(c.ways) * saStride
-	end := base + uint64(c.ways)*saStride
-	if c.slab.Pending() {
-		c.slab.EnsureRange(base, end)
-	}
-	set := c.words[base:end]
+	set := c.words[base : base+uint64(c.ways)*saStride]
 
 	// Lookup.
 	for i := 0; i < len(set); i += saStride {
@@ -351,45 +339,11 @@ func (c *SetAssoc) lruVictim(set []uint64) int {
 	return best
 }
 
-// setAssocSnapshot is a sealed set-associative image, mirroring the zcache's.
-type setAssocSnapshot struct {
-	tpl  SetAssoc
-	snap *arena.Snapshot
-}
-
-// Seal implements Cache.
-func (c *SetAssoc) Seal() Sealed {
-	snap := c.slab.Seal()
-	c.words = c.slab.Data()
-	tpl := *c
-	tpl.parts = c.parts.clone()
-	if c.wayOwner != nil {
-		tpl.wayOwner = append([]PartitionID(nil), c.wayOwner...)
-	}
-	tpl.slab = nil
-	tpl.words = nil
-	return &setAssocSnapshot{tpl: tpl, snap: snap}
-}
-
-// Fork implements Sealed.
-func (zs *setAssocSnapshot) Fork() Cache {
-	n := zs.tpl
-	n.parts = zs.tpl.parts.clone()
-	if zs.tpl.wayOwner != nil {
-		n.wayOwner = append([]PartitionID(nil), zs.tpl.wayOwner...)
-	}
-	n.slab = zs.snap.Fork()
-	n.words = n.slab.Data()
-	return &n
-}
-
-// Reset returns the cache to its freshly constructed state without new
-// allocations: the slab is detached from any parent snapshot and zeroed in
-// place, partition state and counters are cleared, and the way assignment is
-// restored to the construction-time spread.
+// Reset implements Cache: the slab is zeroed in place, partition state and
+// counters are cleared, and the way assignment is restored to the
+// construction-time spread.
 func (c *SetAssoc) Reset() {
-	c.slab.Reset()
-	c.words = c.slab.Data()
+	clear(c.words)
 	c.clock = 0
 	c.stats = Stats{}
 	c.parts.reset()
@@ -403,7 +357,6 @@ func (c *SetAssoc) Reset() {
 func (c *SetAssoc) Contains(addr uint64) bool {
 	setIdx := reduceRange(hashAddr(addr), c.numSets)
 	base := setIdx * uint64(c.ways) * saStride
-	c.slab.EnsureRange(base, base+uint64(c.ways)*saStride)
 	for w := 0; w < c.ways; w++ {
 		i := base + uint64(w)*saStride
 		if c.words[i+saFlags]&saValidBit != 0 && c.words[i+saAddr] == addr {

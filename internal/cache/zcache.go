@@ -3,8 +3,6 @@ package cache
 import (
 	"fmt"
 	"math/bits"
-
-	"repro/internal/arena"
 )
 
 // ZCache is a skew-associative cache in the style of Sanchez & Kozyrakis
@@ -21,33 +19,26 @@ import (
 // The replacement walk is the simulator's hottest code (every simulated miss
 // visits ~candidates scattered slots), and its cost is instructions and
 // branch mispredicts, not memory: the whole array sits in the host L2. So the
-// array is one contiguous arena slab of 32-byte slots, [addr, info, meta,
-// stamp] per line, and a slot never straddles a host cache line:
+// array is one contiguous slab of 32-byte slots, [addr, info, meta, stamp]
+// per line, and a slot never straddles a host cache line:
 //
 //   - a hit reads and writes one host line, and the walk's info load brings
 //     in the address a BFS expansion of that node needs;
 //   - stamp is the generation of the last walk that visited the slot, so
 //     "already a candidate" is a compare against a word the info load already
 //     fetched, and clearing between walks is one counter increment. Stamps
-//     are part of the slab, so the generation is part of the cache's state:
-//     it travels through Seal and Fork and keeps counting across Reset;
+//     are part of the slab, and the generation keeps counting across Reset;
 //   - victims are scored without branches. Which candidate is best so far is
 //     data-dependent and mispredicts (the unpartitioned LRU walk used to
 //     measure slower than the Vantage one for exactly that reason), so the
 //     running best is updated through a borrow-derived select mask instead.
 //
 // All walk state is preallocated; an access never allocates.
-//
-// The slab makes snapshots cheap: Seal freezes the whole array as an
-// immutable arena.Snapshot and Fork starts a copy-on-write child, so forking
-// stops scaling with the LLC size. A fork faults 4 KiB chunks in as hits
-// touch them and takes the rest of its copy at its first miss (see Access).
 type ZCache struct {
 	numSetsPerWay uint64
 	ways          int
 	candidates    int
 	mode          ReplacementMode
-	slab          *arena.Arena
 	words         []uint64 // slab storage: slotWords words per line
 	parts         *partitionTable
 	stats         Stats
@@ -61,10 +52,9 @@ type ZCache struct {
 	wayMuls   []uint64 // per-way odd multipliers for skewed indexing
 }
 
-// Layout of a slot. arena.ChunkWords is a multiple of slotWords, so a slot
-// never spans two copy-on-write chunks and one Ensure covers it; the slab base
-// is 32-byte aligned (TestSlotsDoNotStraddleHostLines), so it never spans two
-// host cache lines either.
+// Layout of a slot. The slab base is 32-byte aligned
+// (TestSlotsDoNotStraddleHostLines), so a slot never spans two host cache
+// lines.
 const (
 	slotWords = 4
 	slotAddr  = 0
@@ -129,14 +119,12 @@ func NewZCache(totalLines uint64, ways, candidates int, mode ReplacementMode, nu
 	for w := range wayMuls {
 		wayMuls[w] = splitmix64(uint64(w)) | 1
 	}
-	slab := arena.New(int(slotWords * totalLines))
 	return &ZCache{
 		numSetsPerWay: totalLines / uint64(ways),
 		ways:          ways,
 		candidates:    candidates,
 		mode:          mode,
-		slab:          slab,
-		words:         slab.Data(),
+		words:         make([]uint64, slotWords*totalLines),
 		parts:         newPartitionTable(numPartitions),
 		walkNodes:     make([]walkNode, candidates),
 		overTab:       make([]uint64, numPartitions),
@@ -225,15 +213,10 @@ func (c *ZCache) Access(addr uint64, part PartitionID, meta uint64) AccessResult
 
 	// Lookup: the line can only be in one of its ways' positions, and
 	// everything a hit reads or writes is in that one slot.
-	slab := c.slab
-	pending := slab.Pending()
 	words := c.words
 	h := baseHash(addr)
 	for w := 0; w < c.ways; w++ {
 		off := c.slotOffset(h, w)
-		if pending {
-			slab.Ensure(off)
-		}
 		s := words[off : off+slotWords : off+slotWords]
 		if inf := s[slotInfo]; s[slotAddr] == addr && inf&zValidBit != 0 {
 			c.stats.Hits++
@@ -250,15 +233,9 @@ func (c *ZCache) Access(addr uint64, part PartitionID, meta uint64) AccessResult
 		}
 	}
 
-	// Miss: run the replacement walk. It lands on ~candidates scattered slots,
-	// which is most of a forked slab's chunks within a miss or two, so a
-	// copy-on-write fork takes the rest of its copy here, once, and the walk
-	// (and the relocation below) run on plain memory.
+	// Miss: run the replacement walk.
 	c.stats.Misses++
 	ps.Misses++
-	if pending {
-		slab.MaterializeAll()
-	}
 
 	victim, forced := c.replacementWalk(h, part)
 	nodes := c.walkNodes
@@ -382,51 +359,11 @@ func (c *ZCache) replacementWalk(h uint64, inserting PartitionID) (int, bool) {
 	return int(best), c.mode == ModeVantage && bestOver == 0
 }
 
-// zcacheSnapshot is a sealed zcache image: the slot slab as an immutable
-// arena snapshot plus a frozen copy of the scalar state and partition table.
-type zcacheSnapshot struct {
-	tpl  ZCache
-	snap *arena.Snapshot
-}
-
-// Seal implements Cache. The slot slab is frozen into an immutable snapshot
-// (O(1) when the cache is itself an untouched fork of an earlier snapshot —
-// repeated checkpoints of a paused simulation cost nothing) and the receiver
-// keeps running as a copy-on-write fork of it. The walk generation is sealed
-// with the slab whose stamps it is compared against.
-func (c *ZCache) Seal() Sealed {
-	snap := c.slab.Seal()
-	c.words = c.slab.Data()
-	tpl := *c
-	tpl.parts = c.parts.clone()
-	tpl.slab = nil
-	tpl.words = nil
-	tpl.walkNodes = nil
-	tpl.overTab = nil
-	return &zcacheSnapshot{tpl: tpl, snap: snap}
-}
-
-// Fork implements Sealed: it builds an independent zcache whose slab is a
-// lazy copy-on-write fork of the snapshot, so the fork's cost is bookkeeping
-// proportional to the chunk count, not the LLC size.
-func (zs *zcacheSnapshot) Fork() Cache {
-	n := zs.tpl
-	n.parts = zs.tpl.parts.clone()
-	n.slab = zs.snap.Fork()
-	n.words = n.slab.Data()
-	n.walkNodes = make([]walkNode, n.candidates)
-	n.overTab = make([]uint64, len(n.parts.targets))
-	return &n
-}
-
-// Reset returns the cache to its freshly constructed state without new
-// allocations: the slab is detached from any parent snapshot and zeroed in
-// place, and partition state and counters are cleared. The walk generation
-// keeps counting, so no stamp written before the reset can alias a later
-// walk.
+// Reset implements Cache: the slab is zeroed in place, and partition state
+// and counters are cleared. The walk generation keeps counting, so no stamp
+// written before the reset can alias a later walk.
 func (c *ZCache) Reset() {
-	c.slab.Reset()
-	c.words = c.slab.Data()
+	clear(c.words)
 	c.clock = 0
 	c.stats = Stats{}
 	c.parts.reset()
@@ -437,7 +374,6 @@ func (c *ZCache) Contains(addr uint64) bool {
 	h := baseHash(addr)
 	for w := 0; w < c.ways; w++ {
 		off := c.slotOffset(h, w)
-		c.slab.Ensure(off)
 		if c.words[off+slotAddr] == addr && c.words[off+slotInfo]&zValidBit != 0 {
 			return true
 		}

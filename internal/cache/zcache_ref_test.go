@@ -44,14 +44,6 @@ func newRefZCache(totalLines uint64, ways, cand int, mode ReplacementMode, parts
 	}
 }
 
-func (r *refZCache) clone() *refZCache {
-	c := *r
-	c.lines = append([]refLine(nil), r.lines...)
-	c.targets = append([]uint64(nil), r.targets...)
-	c.sizes = append([]uint64(nil), r.sizes...)
-	return &c
-}
-
 func (r *refZCache) reset() {
 	clear(r.lines)
 	clear(r.targets)
@@ -213,10 +205,11 @@ func (p walkPair) check(t *testing.T, span uint64) {
 
 // TestWalkMatchesReference drives the optimised zcache and the reference with
 // the same random stream — accesses from valid and out-of-range partitions,
-// retargeting, Seal/Fork (both sides keep running) and Reset — and requires
-// every AccessResult, the statistics, the partition sizes and the final
-// contents to agree. Over a million accesses across the grid (each step drives
-// up to three live pairs); a tenth with -short.
+// retargeting and Reset — and requires every AccessResult, the statistics,
+// the partition sizes and the final contents to agree. Reset zeroes the slab,
+// stamps included, while the walk generation keeps counting, so the accesses
+// after it also pin the stamps' lifetime. About 830,000 accesses across the
+// grid; a tenth with -short.
 func TestWalkMatchesReference(t *testing.T) {
 	setsPerWay := []uint64{13, 97, 384} // none a power of two
 	cfg := 0
@@ -258,27 +251,15 @@ func runWalkDifferential(t *testing.T, mode ReplacementMode, ways, cand, parts i
 	}
 	rng := rand.New(rand.NewSource(seed))
 	span := 3 * lines
-	pairs := []walkPair{{c, newRefZCache(lines, ways, cand, mode, parts)}}
+	p := walkPair{c, newRefZCache(lines, ways, cand, mode, parts)}
 	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(1000); {
 		case op < 8:
 			q := PartitionID(rng.Intn(parts))
 			target := uint64(rng.Int63n(int64(2*lines/uint64(parts) + 2)))
-			for _, p := range pairs {
-				p.c.SetPartitionTarget(q, target)
-				p.ref.targets[q] = target
-			}
-		case op < 11:
-			// Seal one pair and keep both the parent and a fork running.
-			p := pairs[rng.Intn(len(pairs))]
-			fork := walkPair{p.c.Seal().Fork().(*ZCache), p.ref.clone()}
-			if len(pairs) < 3 {
-				pairs = append(pairs, fork)
-			} else {
-				pairs[rng.Intn(len(pairs))] = fork
-			}
-		case op < 12:
-			p := pairs[rng.Intn(len(pairs))]
+			p.c.SetPartitionTarget(q, target)
+			p.ref.targets[q] = target
+		case op < 9:
 			p.check(t, span)
 			p.c.Reset()
 			p.ref.reset()
@@ -286,73 +267,18 @@ func runWalkDifferential(t *testing.T, mode ReplacementMode, ways, cand, parts i
 			addr := uint64(rng.Int63n(int64(span)))
 			part := PartitionID(rng.Intn(parts+1) - rng.Intn(2)) // sometimes -1 or parts
 			meta := rng.Uint64()
-			for i, p := range pairs {
-				got, want := p.c.Access(addr, part, meta), p.ref.access(addr, part, meta)
-				if got != want {
-					t.Fatalf("step %d pair %d: Access(%d, %d) = %+v, reference %+v", step, i, addr, part, got, want)
-				}
+			got, want := p.c.Access(addr, part, meta), p.ref.access(addr, part, meta)
+			if got != want {
+				t.Fatalf("step %d: Access(%d, %d) = %+v, reference %+v", step, addr, part, got, want)
 			}
 		}
 	}
-	for _, p := range pairs {
-		p.check(t, span)
-	}
-}
-
-// TestForkWalkIgnoresParentStamps pins the lifetime of the walk generation.
-// Stamps live in the slab, so a sealed image carries every stamp the parent's
-// walks left behind, and a fork that restarted its generation count would
-// mistake the stamps of the parent's first walks for "already a candidate" in
-// its own first walks. That only shows while those early stamps are still in
-// place, so the arrays here are small and sealed a few walks after they fill:
-// parent and fork must both keep choosing exactly the victims of a twin that
-// was never sealed, across a second seal and a Reset as well.
-func TestForkWalkIgnoresParentStamps(t *testing.T) {
-	const lines, span = 64, 400
-	drive := func(rng *rand.Rand, accesses int, caches ...*ZCache) {
-		t.Helper()
-		for i := 0; i < accesses; i++ {
-			addr, part, meta := uint64(rng.Intn(span)), PartitionID(rng.Intn(2)), rng.Uint64()
-			want := caches[0].Access(addr, part, meta)
-			for j, c := range caches[1:] {
-				if got := c.Access(addr, part, meta); got != want {
-					t.Fatalf("access %d: cache %d = %+v, unsealed twin %+v", i, j+1, got, want)
-				}
-			}
-		}
-		for a := uint64(0); a < span; a++ {
-			for j, c := range caches[1:] {
-				if c.Contains(a) != caches[0].Contains(a) {
-					t.Fatalf("cache %d disagrees with the unsealed twin on Contains(%d)", j+1, a)
-				}
-			}
-		}
-	}
-	for seed := int64(0); seed < 64; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		twin, _ := NewZCache(lines, 4, 16, ModeVantage, 2)
-		parent, _ := NewZCache(lines, 4, 16, ModeVantage, 2)
-		for _, c := range []*ZCache{twin, parent} {
-			c.SetPartitionTarget(0, lines/3)
-			c.SetPartitionTarget(1, 2*lines/3)
-		}
-		drive(rng, lines+int(seed), twin, parent)
-		fork := parent.Seal().Fork().(*ZCache)
-		drive(rng, 200, twin, parent, fork)
-		grandchild := fork.Seal().Fork().(*ZCache)
-		drive(rng, 200, twin, parent, fork, grandchild)
-
-		for _, c := range []*ZCache{twin, grandchild} {
-			c.Reset()
-			c.SetPartitionTarget(0, lines/2)
-		}
-		drive(rng, 200, twin, grandchild)
-	}
+	p.check(t, span)
 }
 
 // TestSlotsDoNotStraddleHostLines checks what the slot layout relies on: the
 // slab starts on a 32-byte boundary, so a 32-byte slot sits inside one
-// 64-byte host cache line — for fresh, sealed and forked slabs alike.
+// 64-byte host cache line.
 func TestSlotsDoNotStraddleHostLines(t *testing.T) {
 	if unsafe.Sizeof(uint64(0))*slotWords != 32 {
 		t.Fatalf("a slot is %d bytes, want 32", unsafe.Sizeof(uint64(0))*slotWords)
@@ -362,11 +288,8 @@ func TestSlotsDoNotStraddleHostLines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fork := c.Seal().Fork().(*ZCache)
-		for name, z := range map[string]*ZCache{"sealed parent": c, "fork": fork} {
-			if addr := uintptr(unsafe.Pointer(&z.words[0])); addr%32 != 0 {
-				t.Errorf("%d lines, %s: slab base %#x is not 32-byte aligned", lines, name, addr)
-			}
+		if addr := uintptr(unsafe.Pointer(&c.words[0])); addr%32 != 0 {
+			t.Errorf("%d lines: slab base %#x is not 32-byte aligned", lines, addr)
 		}
 	}
 }

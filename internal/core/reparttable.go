@@ -125,8 +125,8 @@ func BuildRepartTable(apps []int, curves []monitor.MissCurve, weights []float64,
 }
 
 // Clone returns a deep copy of the table: budget rows, app indices and the
-// retained miss curves are all duplicated, so a forked Ubik instance shares
-// no mutable state with its parent.
+// retained miss curves are all duplicated, so a cloned Ubik instance shares
+// no mutable state with the original.
 func (t *RepartTable) Clone() *RepartTable {
 	if t == nil {
 		return nil

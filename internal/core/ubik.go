@@ -98,10 +98,10 @@ func (s *lcState) clone() *lcState {
 
 // Clone implements policy.Policy: every piece of Ubik's runtime state — the
 // per-app sizings, boost phases and their UMON snapshots, the slack
-// controllers, and the batch repartitioning table — is deep-copied, so a
-// forked run's de-boost decisions and reconfigurations cannot alias the
-// parent's state. Sizes for apps mid-boost carry over exactly (the checkpoint
-// contract: a fork resumed immediately behaves identically to the original).
+// controllers, and the batch repartitioning table — is deep-copied, so the
+// copy's de-boost decisions and reconfigurations cannot alias the original's
+// state. Sizes for apps mid-boost carry over exactly: the copy behaves
+// identically to the original from this point on.
 func (u *Ubik) Clone() policy.Policy {
 	c := &Ubik{
 		cfg:             u.cfg,

@@ -51,12 +51,6 @@ func (p *MLPProfiler) AvgMissPenalty(fallback float64) float64 {
 	return p.decayedStall / p.decayedMisses
 }
 
-// Clone returns an independent copy of the profiler.
-func (p *MLPProfiler) Clone() *MLPProfiler {
-	c := *p
-	return &c
-}
-
 // Reset clears the profiler.
 func (p *MLPProfiler) Reset() {
 	p.misses = 0

@@ -44,14 +44,6 @@ func (r *ReuseProfiler) Record(hit bool, age uint64) {
 	r.hitsByAge[age]++
 }
 
-// Clone returns a deep copy of the profiler.
-func (r *ReuseProfiler) Clone() *ReuseProfiler {
-	c := *r
-	c.hitsByAge = make([]uint64, len(r.hitsByAge))
-	copy(c.hitsByAge, r.hitsByAge)
-	return &c
-}
-
 // Breakdown returns the fraction of accesses that were hits of each age
 // (index 0 = same request, last index = oldest bucket) followed by the miss
 // fraction as the final element, matching the stacking order of Figure 2.

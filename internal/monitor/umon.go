@@ -37,24 +37,9 @@ type UMON struct {
 	// Shadow tags, two words per tag (addr, valid) in a flat set-major slab:
 	// words[2*(set*ways+pos)] holds the address at LRU stack position pos of
 	// the set (position 0 is MRU), the adjacent word its valid flag. The flat
-	// layout lets the slab live in a per-application arena, so cloning a
-	// monitor is one copy, and keeps each set's LRU stack contiguous.
+	// layout keeps each set's LRU stack contiguous.
 	words []uint64
 	state UMONSnapshot
-}
-
-// UMONWords returns the tag storage a monitor with the given geometry needs,
-// in 8-byte words, for use with NewUMONIn. It applies the same sample-set
-// clamp as NewUMON.
-func UMONWords(modelLines uint64, ways, sampleSets int) int {
-	totalSets := modelLines / uint64(ways)
-	if totalSets == 0 {
-		totalSets = 1
-	}
-	if uint64(sampleSets) > totalSets {
-		sampleSets = int(totalSets)
-	}
-	return 2 * ways * sampleSets
 }
 
 // UMONSnapshot captures the monitor's counters at a point in time, so that
@@ -83,13 +68,6 @@ func (s UMONSnapshot) clone() UMONSnapshot {
 // NewUMON builds a utility monitor modelling a cache of modelLines lines with
 // the given associativity, keeping tags for sampleSets sets.
 func NewUMON(modelLines uint64, ways, sampleSets int) (*UMON, error) {
-	return NewUMONIn(modelLines, ways, sampleSets, nil)
-}
-
-// NewUMONIn is NewUMON over caller-provided zeroed tag storage of exactly
-// UMONWords(modelLines, ways, sampleSets) words (nil to self-allocate), so
-// the shadow directory can live in a per-application arena slab.
-func NewUMONIn(modelLines uint64, ways, sampleSets int, words []uint64) (*UMON, error) {
 	if modelLines == 0 || ways <= 0 || sampleSets <= 0 {
 		return nil, fmt.Errorf("monitor: UMON needs positive modelLines, ways and sampleSets")
 	}
@@ -100,17 +78,12 @@ func NewUMONIn(modelLines uint64, ways, sampleSets int, words []uint64) (*UMON, 
 	if uint64(sampleSets) > totalSets {
 		sampleSets = int(totalSets)
 	}
-	if words == nil {
-		words = make([]uint64, 2*ways*sampleSets)
-	} else if len(words) != 2*ways*sampleSets {
-		return nil, fmt.Errorf("monitor: UMON given %d words of tag storage, needs %d", len(words), 2*ways*sampleSets)
-	}
 	u := &UMON{
 		modelLines: modelLines,
 		ways:       ways,
 		sampleSets: sampleSets,
 		totalSets:  totalSets,
-		words:      words,
+		words:      make([]uint64, 2*ways*sampleSets),
 	}
 	u.state.HitsAtWay = make([]uint64, ways)
 	return u, nil
@@ -160,26 +133,6 @@ func (u *UMON) Access(addr uint64) {
 
 // Snapshot returns a copy of the monitor's counters.
 func (u *UMON) Snapshot() UMONSnapshot { return u.state.clone() }
-
-// Clone returns a deep copy of the monitor: shadow tags and counters are
-// duplicated so accesses presented to either copy cannot affect the other.
-func (u *UMON) Clone() *UMON {
-	return u.CloneIn(nil)
-}
-
-// CloneIn is Clone with caller-provided tag storage of the same size (nil to
-// self-allocate); forked simulations pass their arena region here.
-func (u *UMON) CloneIn(words []uint64) *UMON {
-	c := *u
-	if words == nil {
-		c.words = append([]uint64(nil), u.words...)
-	} else {
-		copy(words, u.words)
-		c.words = words
-	}
-	c.state = u.state.clone()
-	return &c
-}
 
 // Reset returns the monitor to its freshly constructed state in place: tags
 // flushed, counters cleared, no new allocations.

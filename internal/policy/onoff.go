@@ -30,11 +30,10 @@ func NewOnOff() *OnOff { return &OnOff{Buckets: 256} }
 func (*OnOff) Name() string { return "OnOff" }
 
 // Clone implements Policy: the precomputed per-active-count allocation table
-// and the app index slices are deep-copied, so a forked run's transitions
-// (which read the table) and reconfigurations (which rebuild it) cannot alias
-// the original's state. This is the mid-epoch state a checkpoint must carry —
-// after a Reconfigure, the table is what OnActive/OnIdle switch between until
-// the next interval.
+// and the app index slices are deep-copied, so the copy's transitions (which
+// read the table) and reconfigurations (which rebuild it) cannot alias the
+// original's state. After a Reconfigure, the table is what OnActive/OnIdle
+// switch between until the next interval.
 func (p *OnOff) Clone() Policy {
 	c := &OnOff{Buckets: p.Buckets}
 	if p.precomputed != nil {

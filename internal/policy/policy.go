@@ -90,10 +90,11 @@ type Policy interface {
 	// OnRequestComplete is called when a latency-critical request finishes,
 	// with its total latency in cycles.
 	OnRequestComplete(app int, latencyCycles uint64, v View) []Resize
-	// Clone returns a deep copy of the policy's runtime state, so a
-	// checkpointed simulation can fork mid-run: the copy must behave exactly
-	// like the original from this point on, and mutations through either copy
-	// must not be observable through the other.
+	// Clone returns a deep copy of the policy's runtime state: the copy must
+	// behave exactly like the original from this point on, and mutations
+	// through either copy must not be observable through the other. It now
+	// serves only sim.Checkpoint's re-run, which clones the policy as the
+	// simulator received it.
 	Clone() Policy
 }
 

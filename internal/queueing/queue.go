@@ -66,24 +66,6 @@ func (q *FIFO) Pop() *Request {
 	return r
 }
 
-// Clone returns a deep copy of the queue; every queued request is duplicated
-// so mutations through either queue cannot alias the other. The copies are
-// block-allocated — two allocations regardless of queue depth — because
-// checkpoint forking clones every latency-critical queue and deep queues
-// (bursts) would otherwise cost one allocation per waiting request.
-func (q *FIFO) Clone() FIFO {
-	if len(q.items) == 0 {
-		return FIFO{}
-	}
-	block := make([]Request, len(q.items))
-	items := make([]*Request, len(q.items))
-	for i, r := range q.items {
-		block[i] = *r
-		items[i] = &block[i]
-	}
-	return FIFO{items: items}
-}
-
 // Recorder collects completed requests and exposes the latency statistics the
 // paper reports: mean latency, tail latency (mean beyond a percentile), and
 // service-time distributions. With a window width configured it additionally
@@ -115,24 +97,6 @@ func NewRecorderWindowed(n int, windowCycles uint64) *Recorder {
 		rec.windows = stats.NewWindowed(windowCycles)
 	}
 	return rec
-}
-
-// Clone returns a deep copy of the recorder (samples, windows and the
-// per-request slice); recording into either copy cannot affect the other.
-func (rec *Recorder) Clone() *Recorder {
-	c := &Recorder{
-		latencies:    rec.latencies.Clone(),
-		serviceTimes: rec.serviceTimes.Clone(),
-		completed:    rec.completed,
-	}
-	if rec.windows != nil {
-		c.windows = rec.windows.Clone()
-	}
-	if rec.perRequest != nil {
-		c.perRequest = make([]float64, len(rec.perRequest), cap(rec.perRequest))
-		copy(c.perRequest, rec.perRequest)
-	}
-	return c
 }
 
 // Record adds a completed request; warmup requests are excluded from the

@@ -4,107 +4,53 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/cache"
 	"repro/internal/policy"
 )
 
-// This file implements warm-state checkpointing: a simulation can be paused
-// at a scheduler boundary (Simulator.RunUntil), deep-copied into a
-// Checkpoint, and forked any number of times — each fork finishing the run
-// independently and bit-identically to a run that never paused. No
-// production path forks: every experiment runs straight through, and the
-// engine is kept for its measurements and tests; see DESIGN.md §8 for the
-// checkpoint contract.
-
-// Checkpoint is an immutable deep snapshot of a paused simulation. It may be
-// forked concurrently: forking only reads the snapshot.
+// Checkpoint records a simulation's inputs so the run can be finished again
+// elsewhere. It copies no run state: RunFromCheckpoint re-runs the recorded
+// inputs from cycle 0, which the pause contract (a paused-and-resumed run
+// retraces the straight run, see DESIGN.md §8) makes bit-identical to
+// resuming the paused simulator.
+//
+// Deprecated: no run checkpoints; kept only until bench/ stops measuring it.
 type Checkpoint struct {
-	// src is the template simulator: every application runtime and the
-	// policy, but no LLC of its own (it never runs).
-	src *Simulator
-	// sealed is the LLC's immutable delta image. Forking it costs chunk-count
-	// bookkeeping instead of an LLC-sized copy, and is a pure read — safe
-	// from any number of goroutines.
-	sealed cache.Sealed
+	cfg    Config
+	specs  []AppSpec
+	policy policy.Policy
 }
 
-// forkWithLLC deep-copies the simulator — every application runtime and the
-// policy — binding the copy to the given (already forked) shared LLC.
-// Scheduler heap state is not copied: it is a pure function of the per-app
-// clocks and is rebuilt when the fork resumes. It only reads s.
-func (s *Simulator) forkWithLLC(llc cache.Cache) (*Simulator, error) {
-	n := &Simulator{
-		cfg:              s.cfg,
-		llc:              llc,
-		policy:           s.policy.Clone(),
-		nextReconfig:     s.nextReconfig,
-		reconfigurations: s.reconfigurations,
-		targetSamples:    append([]float64(nil), s.targetSamples...),
-		targetSampleN:    s.targetSampleN,
-		measureArmed:     s.measureArmed,
-	}
-	for _, a := range s.apps {
-		ca, err := a.clone(llc)
-		if err != nil {
-			return nil, err
-		}
-		n.apps = append(n.apps, ca)
-	}
-	n.view = &simView{s: n}
-	return n, nil
-}
-
-// Checkpoint captures the simulation's complete mutable state. The simulator
-// must be paused (between Run/RunUntil calls); the returned snapshot is
-// independent of the simulator, which may keep running afterwards. It fails
-// only when an application slot carries a non-clonable custom arrival
-// process.
+// Checkpoint records the simulator's inputs. It fails while a run is in
+// progress, after a ColdRestart (the restarted state is not a function of
+// the inputs), and for a slot with explicit AppSpec.Arrivals, which the run
+// consumes in place.
+//
+// Deprecated: see Checkpoint.
 func (s *Simulator) Checkpoint() (*Checkpoint, error) {
 	if s.running != nil {
 		return nil, fmt.Errorf("sim: checkpoint requires a paused simulator")
 	}
-	// Seal the LLC once, here, on the caller's goroutine: the checkpoint keeps
-	// the immutable image and every later fork is a pure read of it. The live
-	// simulator continues as a copy-on-write fork of its own snapshot,
-	// materialising storage chunks as it dirties them.
-	sealed := s.llc.Seal()
-	snap, err := s.forkWithLLC(nil)
-	if err != nil {
-		return nil, err
+	if s.initial == nil {
+		return nil, fmt.Errorf("sim: checkpoint after a cold restart cannot be re-run from its inputs")
 	}
-	return &Checkpoint{src: snap, sealed: sealed}, nil
+	cp := &Checkpoint{cfg: s.cfg, policy: s.initial}
+	cp.cfg.Trace = nil
+	for _, a := range s.apps {
+		if a.spec.Arrivals != nil {
+			return nil, fmt.Errorf("sim: app %q replays explicit arrivals, which its run consumes; it cannot be checkpointed", a.spec.Name())
+		}
+		cp.specs = append(cp.specs, a.spec)
+	}
+	return cp, nil
 }
 
-// fork builds a fresh runnable simulator from the checkpoint: the template's
-// applications and policy bound to a copy-on-write fork of the sealed LLC.
-// Only reads the snapshot, so concurrent forks are safe.
-func (cp *Checkpoint) fork() (*Simulator, error) {
-	return cp.src.forkWithLLC(cp.sealed.Fork())
-}
-
-// RunFromCheckpoint forks the checkpoint and runs the fork to completion.
-// The result is bit-identical to running the original configuration straight
-// through (locked by the differential tests in checkpoint_test.go).
+// RunFromCheckpoint runs the checkpoint's inputs to completion. The result
+// is bit-identical to running the original configuration straight through.
+// It only reads the checkpoint, so concurrent and repeated calls are safe.
+//
+// Deprecated: see Checkpoint.
 func RunFromCheckpoint(cp *Checkpoint) (Result, error) {
-	s, err := cp.fork()
-	if err != nil {
-		return Result{}, err
-	}
-	return s.Run()
-}
-
-// WarmCheckpoint builds a simulator for the given configuration, runs it up
-// to warmCycle, and returns the checkpoint measured runs fork from. A warm
-// cycle past the run's natural end simply checkpoints the completed run.
-func WarmCheckpoint(cfg Config, specs []AppSpec, pol policy.Policy, warmCycle uint64) (*Checkpoint, error) {
-	s, err := New(cfg, specs, pol)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.RunUntil(warmCycle); err != nil {
-		return nil, err
-	}
-	return s.Checkpoint()
+	return RunMix(cp.cfg, cp.specs, cp.policy.Clone())
 }
 
 // WarmPool memoizes completed run results across a sweep: calibration and

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -31,8 +30,9 @@ func goldenSpecs(t testing.TB, sched workload.ScheduleSpec) []AppSpec {
 // TestPauseResumeMatchesStraightRun proves the pause primitive is invisible:
 // a run interrupted at several RunUntil boundaries and resumed retraces the
 // uninterrupted trajectory bit for bit — including the hierarchy golden
-// digest, so this also pins the checkpoint engine against the pre-existing
-// constants.
+// digest, so this also pins the pause primitive against the pre-existing
+// constants. It is the contract the deprecated Checkpoint shim's re-run
+// leans on.
 func TestPauseResumeMatchesStraightRun(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 42
@@ -57,11 +57,12 @@ func TestPauseResumeMatchesStraightRun(t *testing.T) {
 	}
 }
 
-// TestCheckpointForkMatchesStraightRun proves forking is invisible: runs
-// forked from a mid-run checkpoint reproduce the uninterrupted run exactly,
-// for both the flat and hierarchy golden configurations, and a checkpoint can
-// be forked repeatedly.
-func TestCheckpointForkMatchesStraightRun(t *testing.T) {
+// TestCheckpointReRunsToTheStraightResult pins the deprecated checkpoint
+// shim: a checkpoint taken mid-run re-runs to the uninterrupted run's golden
+// digest, for both the flat and hierarchy configurations and on every call.
+// It also pins the two states the shim refuses to record: a cold-restarted
+// simulator and a slot replaying explicit arrivals.
+func TestCheckpointReRunsToTheStraightResult(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		flat bool
@@ -76,76 +77,54 @@ func TestCheckpointForkMatchesStraightRun(t *testing.T) {
 			if tc.flat {
 				cfg.Hierarchy = HierarchyForKB(0, 0, false)
 			}
-			specs := goldenSpecs(t, workload.ScheduleSpec{})
-			cp, err := WarmCheckpoint(cfg, specs, core.NewUbikWithSlack(0.05), 500_000)
+			s, err := New(cfg, goldenSpecs(t, workload.ScheduleSpec{}), core.NewUbikWithSlack(0.05))
 			if err != nil {
 				t.Fatal(err)
 			}
-			for fork := 0; fork < 2; fork++ {
+			if err := s.RunUntil(500_000); err != nil {
+				t.Fatal(err)
+			}
+			cp, err := s.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for run := 0; run < 2; run++ {
 				res, err := RunFromCheckpoint(cp)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got := resultDigest(res); got != tc.want {
-					t.Errorf("fork %d digest = %#x, want the golden %#x", fork, got, tc.want)
+					t.Errorf("re-run %d digest = %#x, want the golden %#x", run, got, tc.want)
 				}
+			}
+			if err := s.ColdRestart(policy.NewLRU()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Checkpoint(); err == nil {
+				t.Error("Checkpoint after ColdRestart accepted")
 			}
 		})
 	}
-}
 
-// TestForkMutationIsolation proves a forked run never aliases parent state:
-// two forks of one checkpoint run concurrently (the race detector patrols
-// shared mutable state), and a third fork run afterwards still reproduces the
-// uninterrupted run, which it could not if the earlier runs had scribbled on
-// the checkpoint.
-func TestForkMutationIsolation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Seed = 42
-	specs := goldenSpecs(t, workload.ScheduleSpec{})
-	pol := core.NewUbikWithSlack(0.05)
-
-	straight, err := RunMix(cfg, specs, pol.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := resultDigest(straight)
-
-	cp, err := WarmCheckpoint(cfg, specs, pol, 500_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	digests := make([]uint64, 2)
-	errs := make([]error, 2)
-	for i := range digests {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := RunFromCheckpoint(cp)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			digests[i] = resultDigest(res)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
+	t.Run("explicit arrivals", func(t *testing.T) {
+		lc, err := workload.LCByName("masstree")
 		if err != nil {
-			t.Fatalf("concurrent fork %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if digests[i] != want {
-			t.Errorf("concurrent fork %d digest = %#x, want %#x", i, digests[i], want)
+		specs := []AppSpec{{
+			LC:               &lc,
+			Arrivals:         workload.NewReplayArrivals([]uint64{100, 200, 300, 400}),
+			ExplicitRequests: 3,
+			ExplicitWarmup:   1,
+		}}
+		s, err := New(DefaultConfig(), specs, core.NewUbikWithSlack(0.05))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	res, err := RunFromCheckpoint(cp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resultDigest(res); got != want {
-		t.Errorf("post-run fork digest = %#x, want %#x (earlier forks mutated the checkpoint)", got, want)
-	}
+		if _, err := s.Checkpoint(); err == nil {
+			t.Error("Checkpoint of a slot with explicit arrivals accepted")
+		}
+	})
 }
 
 // TestWarmPoolMemoizesAndIsolates: one key computes once, hits return deep
@@ -192,13 +171,10 @@ func TestWarmPoolMemoizesAndIsolates(t *testing.T) {
 	}
 }
 
-// FuzzCheckpointRoundTrip fuzzes the checkpoint engine end to end: for an
-// arbitrary seed, warm boundary, scheduler quantum and burst magnitude,
-// (1) a run forked from a checkpoint matches the straight run (fork
-// transparency), and (2) a checkpoint of a fork of a checkpoint — taken at
-// the same boundary, with nothing run in between — forks to the same result
-// (Snapshot→Restore→Snapshot is a fixed point).
-func FuzzCheckpointRoundTrip(f *testing.F) {
+// FuzzPauseResume fuzzes the pause contract end to end: for an arbitrary
+// seed, pause boundary, scheduler quantum and burst magnitude, a run paused
+// by RunUntil and finished by Run matches the straight run's digest.
+func FuzzPauseResume(f *testing.F) {
 	f.Add(uint64(1), uint64(200_000), uint64(1024), 2.0)
 	f.Add(uint64(42), uint64(0), uint64(0), 1.0)
 	f.Add(uint64(7), uint64(5_000_000), uint64(64), 6.0)
@@ -215,37 +191,23 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 
 		straight, err := RunMix(cfg, specs, core.NewUbikWithSlack(0.05))
 		if err != nil {
-			t.Skip() // unstable configuration; nothing to round-trip
+			t.Skip() // unstable configuration; nothing to compare
 		}
 		want := resultDigest(straight)
 
-		cp, err := WarmCheckpoint(cfg, specs, core.NewUbikWithSlack(0.05), warmCycle)
+		s, err := New(cfg, specs, core.NewUbikWithSlack(0.05))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunFromCheckpoint(cp)
+		if err := s.RunUntil(warmCycle); err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := resultDigest(res); got != want {
-			t.Fatalf("forked digest %#x != straight digest %#x (seed=%d warm=%d quantum=%d)", got, want, cfg.Seed, warmCycle, cfg.StepQuantumCycles)
-		}
-
-		// Fixed point: re-checkpoint a fork without running it further.
-		fork, err := cp.fork()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp2, err := fork.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res2, err := RunFromCheckpoint(cp2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := resultDigest(res2); got != want {
-			t.Fatalf("double-checkpoint digest %#x != straight digest %#x", got, want)
+			t.Fatalf("paused-and-resumed digest %#x != straight digest %#x (seed=%d pause=%d quantum=%d)", got, want, cfg.Seed, warmCycle, cfg.StepQuantumCycles)
 		}
 	})
 }

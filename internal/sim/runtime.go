@@ -25,13 +25,6 @@ type appRuntime struct {
 	// when the spec carries one.
 	stream workload.AddressStream
 
-	// slab is the app's arena: one contiguous word block holding the UMON
-	// shadow tags (the first umonWords words) followed by the private L1/L2
-	// level storage, so cloning the app's cache-shaped state is a single
-	// allocation instead of one per component.
-	slab      []uint64
-	umonWords int
-
 	// Timing parameters.
 	apki           float64
 	baseCPI        float64
@@ -97,8 +90,7 @@ type appRuntime struct {
 	// done marks an app that has no further work to simulate.
 	done bool
 
-	// tr records structured run events (Config.Trace); nil means off. Shared
-	// with clones: a fork's events land in the same ring as its parent's.
+	// tr records structured run events (Config.Trace); nil means off.
 	tr *trace.Sink
 }
 
@@ -112,16 +104,7 @@ func newAppRuntime(idx int, spec AppSpec, cfg Config) (*appRuntime, error) {
 		seed = workload.SplitSeed(cfg.Seed, uint64(idx)+101)
 	}
 	a := &appRuntime{idx: idx, spec: spec, tr: cfg.Trace}
-	modelLines := cfg.LLC.Lines
-	uw := monitor.UMONWords(modelLines, cfg.UMONWays, cfg.UMONSampleSets)
-	hw := cache.HierarchyWords(cfg.Hierarchy)
-	var tagWords []uint64
-	if uw > 0 {
-		a.slab = make([]uint64, uw+hw)
-		a.umonWords = uw
-		tagWords = a.slab[:uw]
-	}
-	umon, err := monitor.NewUMONIn(modelLines, cfg.UMONWays, cfg.UMONSampleSets, tagWords)
+	umon, err := monitor.NewUMON(cfg.LLC.Lines, cfg.UMONWays, cfg.UMONSampleSets)
 	if err != nil {
 		return nil, err
 	}
@@ -218,11 +201,7 @@ func (a *appRuntime) attachHierarchy(cfg cache.HierarchyConfig, llc cache.Cache)
 	if !cfg.Enabled() {
 		return nil
 	}
-	var words []uint64
-	if a.slab != nil && len(a.slab)-a.umonWords == cache.HierarchyWords(cfg) {
-		words = a.slab[a.umonWords:]
-	}
-	h, err := cache.NewHierarchyIn(cfg, llc, words)
+	h, err := cache.NewHierarchy(cfg, llc)
 	if err != nil {
 		return err
 	}
@@ -260,74 +239,6 @@ func (a *appRuntime) enqueueArrivals(now uint64, coalesce uint64) {
 		a.nextArrivalRaw = a.arrivals.Next(a.nextArrivalRaw)
 		a.nextArrivalVisible = a.nextArrivalRaw + coalesce
 	}
-}
-
-// clone returns a deep copy of the app runtime bound to the forked run's
-// shared LLC. Every piece of mutable state — streams and their RNG cursors,
-// the arrival process, monitoring hardware, private cache levels, the request
-// queue and recorder — is duplicated; immutable configuration (the spec's
-// profile pointers, precomputed cycle costs) is shared. It fails only when
-// the slot's arrival process cannot be duplicated (a non-clonable custom
-// ArrivalProcess).
-func (a *appRuntime) clone(llc cache.Cache) (*appRuntime, error) {
-	c := *a
-	if a.lcApp != nil {
-		c.lcApp = a.lcApp.Clone()
-		c.stream = c.lcApp.Stream()
-	}
-	if a.batchApp != nil {
-		c.batchApp = a.batchApp.Clone()
-		c.stream = c.batchApp.Stream()
-	}
-	if a.spec.Trace != nil {
-		// Trace-backed slots replay through a.stream, not the profile stream
-		// the lcApp/batchApp branches just re-derived: fork the replay cursor
-		// (the backing words are immutable and stay shared).
-		c.stream = a.stream.CloneAddressStream()
-	}
-	// One allocation covers the fork's UMON tags and private levels; CloneIn /
-	// CloneWithLLCIn fill the carved regions from the parent's slab.
-	var uWords, hWords []uint64
-	if a.slab != nil {
-		c.slab = make([]uint64, len(a.slab))
-		uWords = c.slab[:a.umonWords]
-		if len(c.slab) > a.umonWords {
-			hWords = c.slab[a.umonWords:]
-		}
-	}
-	if a.hier != nil {
-		c.hier = a.hier.CloneWithLLCIn(llc, hWords)
-	}
-	c.umon = a.umon.CloneIn(uWords)
-	c.mlp = a.mlp.Clone()
-	if a.reuse != nil {
-		c.reuse = a.reuse.Clone()
-	}
-	c.umonAtReconfig = a.umonAtReconfig
-	if a.umonAtReconfig.HitsAtWay != nil {
-		c.umonAtReconfig.HitsAtWay = append([]uint64(nil), a.umonAtReconfig.HitsAtWay...)
-	}
-	c.queue = a.queue.Clone()
-	if a.current != nil {
-		cur := *a.current
-		c.current = &cur
-	}
-	if a.arrivals != nil {
-		ca, ok := a.arrivals.(workload.ClonableArrival)
-		if !ok {
-			return nil, fmt.Errorf("sim: app %q has a non-clonable arrival process (%T); checkpointing requires workload.ClonableArrival", a.spec.Name(), a.arrivals)
-		}
-		c.arrivals = ca.CloneArrival()
-		if a.spec.Arrivals != nil {
-			// An explicit stream lives in the spec as well; point the forked
-			// spec at the forked cursor so nothing aliases the parent.
-			c.spec.Arrivals = c.arrivals
-		}
-	}
-	if a.recorder != nil {
-		c.recorder = a.recorder.Clone()
-	}
-	return &c, nil
 }
 
 // startNextRequest pops the next queued request and prepares its access budget.

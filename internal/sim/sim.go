@@ -20,6 +20,9 @@ type Simulator struct {
 	llc    cache.Cache
 	policy policy.Policy
 	view   *simView
+	// initial is a copy of the policy as New received it, for Checkpoint's
+	// re-run; ColdRestart clears it.
+	initial policy.Policy
 
 	// Event scheduling state: sched is a min-heap of not-yet-finished apps
 	// ordered by (local clock, slot index); running is the app currently
@@ -61,6 +64,7 @@ func New(cfg Config, specs []AppSpec, pol policy.Policy) (*Simulator, error) {
 		cfg:           cfg,
 		llc:           llc,
 		policy:        pol,
+		initial:       pol.Clone(),
 		nextReconfig:  cfg.ReconfigIntervalCycles,
 		targetSamples: make([]float64, len(specs)),
 	}
@@ -264,8 +268,6 @@ func (s *Simulator) Run() (Result, error) {
 // pauses. Pausing happens only at scheduler pop boundaries — the exact points
 // an uninterrupted run re-evaluates which application to step — so resuming
 // with Run (or another RunUntil) is bit-identical to never having paused.
-// This is the warm boundary primitive: run the shared warmup prefix once,
-// checkpoint, and fork the measured remainder.
 func (s *Simulator) RunUntil(stopCycle uint64) error {
 	return s.runLoop(stopCycle)
 }
@@ -287,29 +289,12 @@ func (s *Simulator) ColdRestart(pol policy.Policy) error {
 	if s.running != nil {
 		return fmt.Errorf("sim: cold restart is only legal at a paused scheduler boundary")
 	}
-	// The built-in cache arrays, the hierarchy levels and all monitors reset
-	// in place — their storage lives in arenas and per-app slabs, so a restart
-	// reuses it instead of reallocating LLC-sized structures. A custom cache
-	// without Reset falls back to a fresh build (and hierarchy rebind).
-	if r, ok := s.llc.(interface{ Reset() }); ok {
-		r.Reset()
-	} else {
-		llc, err := cache.New(s.cfg.LLC)
-		if err != nil {
-			return err
-		}
-		s.llc = llc
-		for _, a := range s.apps {
-			a.hier = nil
-			if a.slab != nil {
-				clear(a.slab[a.umonWords:])
-			}
-			if err := a.attachHierarchy(s.cfg.Hierarchy, llc); err != nil {
-				return err
-			}
-		}
-	}
+	// The LLC, the hierarchy levels and all monitors reset in place, so a
+	// restart reuses their storage instead of reallocating LLC-sized
+	// structures.
+	s.llc.Reset()
 	s.policy = pol
+	s.initial = nil
 	s.cfg.Trace.Record(trace.KindRestart, 0, s.globalTime(), 0, 0, 0)
 	for _, a := range s.apps {
 		if a.hier != nil {

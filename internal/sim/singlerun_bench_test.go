@@ -10,9 +10,7 @@ import (
 
 // largeRunSetup builds the big-LLC four-app mix the single-run speed work is
 // measured against: two latency-critical apps at realistic request factors
-// plus two long batch apps on a 16384-line LLC. The same mix backs both
-// benchmarks so the checkpoint numbers are taken from a warmed large state,
-// not a toy one.
+// plus two long batch apps on a 16384-line LLC.
 func largeRunSetup(tb testing.TB) (Config, []AppSpec) {
 	cfg := DefaultConfig()
 	cfg.Seed = 7
@@ -50,27 +48,6 @@ func BenchmarkSingleLargeRun(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := RunMix(cfg, specs, core.NewUbikWithSlack(0.05)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkCheckpointClone measures checkpointing a warmed large-run state:
-// Checkpoint seals the arena-backed LLC and copies only dirty chunks.
-func BenchmarkCheckpointClone(b *testing.B) {
-	b.Run("delta", func(b *testing.B) {
-		cfg, specs := largeRunSetup(b)
-		s, err := New(cfg, specs, core.NewUbikWithSlack(0.05))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := s.RunUntil(2_000_000); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Checkpoint(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -72,27 +72,27 @@ func TestGoldenDigestTraceReplay(t *testing.T) {
 	}
 }
 
-// TestTraceReplayCheckpointForkMatchesStraightRun proves trace-backed runs
-// are checkpoint/fork-safe: a run warmed to a checkpoint and forked twice
-// reproduces the straight run's golden digest bit for bit, both forks — the
-// replay cursor is the stream's only mutable state and forks share the
-// immutable backing words.
-func TestTraceReplayCheckpointForkMatchesStraightRun(t *testing.T) {
+// TestTraceReplayPauseResumeMatchesStraightRun proves trace-backed runs keep
+// the pause contract: a run paused at a RunUntil boundary and resumed
+// reproduces the straight run's golden digest bit for bit — the replay
+// cursor is the stream's only mutable state and it never rewinds.
+func TestTraceReplayPauseResumeMatchesStraightRun(t *testing.T) {
 	ts := goldenTraceStream(t)
 	cfg := DefaultConfig()
 	cfg.Seed = 42
-	cp, err := WarmCheckpoint(cfg, goldenTraceSpecs(t, ts), core.NewUbikWithSlack(0.05), 500_000)
+	s, err := New(cfg, goldenTraceSpecs(t, ts), core.NewUbikWithSlack(0.05))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for fork := 0; fork < 2; fork++ {
-		res, err := RunFromCheckpoint(cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := resultDigest(res); got != goldenTraceDigest {
-			t.Errorf("trace-backed fork %d digest = %#x, want the straight-run golden %#x", fork, got, goldenTraceDigest)
-		}
+	if err := s.RunUntil(500_000); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resultDigest(res); got != goldenTraceDigest {
+		t.Errorf("trace-backed paused-and-resumed digest = %#x, want the straight-run golden %#x", got, goldenTraceDigest)
 	}
 }
 

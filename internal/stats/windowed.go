@@ -38,17 +38,6 @@ func NewWindowed(widthCycles uint64) *Windowed {
 // Width returns the window width in cycles.
 func (w *Windowed) Width() uint64 { return w.width }
 
-// Clone returns a deep copy of the collector and all its window samples.
-func (w *Windowed) Clone() *Windowed {
-	c := &Windowed{width: w.width, samples: make([]*Sample, len(w.samples))}
-	for i, s := range w.samples {
-		if s != nil {
-			c.samples[i] = s.Clone()
-		}
-	}
-	return c
-}
-
 // maxWindows bounds the window slice so one extreme timestamp (a
 // pathological arrival clock) cannot balloon memory; observations past the
 // cap fold into the final window.

@@ -132,7 +132,7 @@ func memAppBase(app int) uint64 { return uint64(app+1) << 44 }
 // appGen is the per-app draw state: one RNG per app column so the pattern of
 // one column is independent of how many others the trace interleaves.
 type appGen struct {
-	rng  *workload.Rand
+	rng  *rand.Rand
 	zipf *rand.Zipf
 	scan uint64
 }
@@ -146,12 +146,12 @@ func Generate(spec GenSpec) ([]Record, error) {
 
 	gens := make([]appGen, g.Apps)
 	for a := range gens {
-		rng := workload.NewClonableRand(workload.SplitSeed(g.Seed, uint64(a+1)))
-		gens[a] = appGen{rng: rng, zipf: rand.NewZipf(rng.Rand, g.ZipfS, 1, g.Keys-1)}
+		rng := workload.NewRand(workload.SplitSeed(g.Seed, uint64(a+1)))
+		gens[a] = appGen{rng: rng, zipf: rand.NewZipf(rng, g.ZipfS, 1, g.Keys-1)}
 	}
 	// A separate RNG times records and draws kv op mixes, so the key pattern
 	// of an app column does not depend on the trace's op/timing draws.
-	meta := workload.NewClonableRand(workload.SplitSeed(g.Seed, 0))
+	meta := workload.NewRand(workload.SplitSeed(g.Seed, 0))
 
 	zipfDraw := func(ag *appGen) uint64 { return ag.zipf.Uint64() }
 	scanDraw := func(ag *appGen) uint64 {

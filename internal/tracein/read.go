@@ -26,7 +26,7 @@ var hostLittleEndian = func() bool {
 // Trace is a loaded trace: a validated header plus records packed as three
 // uint64 words each. The words are immutable after load; when the trace came
 // through the mmap fast path they alias the mapped file image directly, so
-// streams and forks replay straight out of the page cache with zero copies.
+// streams replay straight out of the page cache with zero copies.
 type Trace struct {
 	kind Kind
 	apps int
@@ -72,7 +72,7 @@ func (t *Trace) Close() error {
 
 // MemStream builds a workload.TraceStream replaying the given app column of a
 // mem trace. For a single-app trace the stream is a strided view over the
-// packed records themselves — zero copies, and forks share the mmap'd image;
+// packed records themselves — zero copies, and clones share the mmap'd image;
 // multi-app traces extract the app's addresses once at build time (the
 // extracted slice is then shared by every clone the same way).
 func (t *Trace) MemStream(app int) (*workload.TraceStream, error) {
@@ -207,7 +207,7 @@ func binarySize(name string, h Header) (int64, error) {
 
 // Open loads a trace file. Binary traces take the mmap fast path on
 // little-endian unix hosts — the records are validated and then replayed in
-// place, shared by every stream and fork — and fall back to a buffered
+// place, shared by every stream — and fall back to a buffered
 // decode elsewhere. CSV traces stream through a bufio reader. All parse
 // errors carry the file name and the failing record's offset.
 func Open(path string) (*Trace, error) {

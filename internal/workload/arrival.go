@@ -1,6 +1,9 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // ArrivalProcess generates request arrival times for an open-loop latency-
 // critical server. The paper's methodology (Section 3.2) uses exponential
@@ -12,21 +15,11 @@ type ArrivalProcess interface {
 	Next(prev uint64) uint64
 }
 
-// ClonableArrival is an arrival process that can be deep-copied mid-stream:
-// the clone continues the identical arrival sequence independently of the
-// original. Every built-in process implements it; the simulator's
-// checkpoint/fork engine requires it of any slot it snapshots.
-type ClonableArrival interface {
-	ArrivalProcess
-	// CloneArrival returns an independent copy continuing the same sequence.
-	CloneArrival() ArrivalProcess
-}
-
 // PoissonArrivals produces exponential interarrival times with the given mean
 // (in cycles).
 type PoissonArrivals struct {
 	MeanInterarrival float64
-	rng              *Rand
+	rng              *rand.Rand
 }
 
 // NewPoissonArrivals returns a Poisson arrival process with the given mean
@@ -35,7 +28,7 @@ func NewPoissonArrivals(meanInterarrival float64, seed uint64) (*PoissonArrivals
 	if meanInterarrival <= 0 {
 		return nil, fmt.Errorf("workload: mean interarrival must be positive, got %v", meanInterarrival)
 	}
-	return &PoissonArrivals{MeanInterarrival: meanInterarrival, rng: NewClonableRand(seed)}, nil
+	return &PoissonArrivals{MeanInterarrival: meanInterarrival, rng: NewRand(seed)}, nil
 }
 
 // Next implements ArrivalProcess.
@@ -45,11 +38,6 @@ func (p *PoissonArrivals) Next(prev uint64) uint64 {
 		gap = 1
 	}
 	return prev + uint64(gap)
-}
-
-// CloneArrival implements ClonableArrival.
-func (p *PoissonArrivals) CloneArrival() ArrivalProcess {
-	return &PoissonArrivals{MeanInterarrival: p.MeanInterarrival, rng: p.rng.Clone()}
 }
 
 // ModulatedArrivals produces exponential interarrival times whose
@@ -62,7 +50,7 @@ func (p *PoissonArrivals) CloneArrival() ArrivalProcess {
 // PoissonArrivals seeded identically, bit for bit.
 type ModulatedArrivals struct {
 	MeanInterarrival float64
-	rng              *Rand
+	rng              *rand.Rand
 	eval             *ScheduleEval
 }
 
@@ -78,14 +66,9 @@ func NewModulatedArrivals(meanInterarrival float64, seed uint64, spec ScheduleSp
 	}
 	return &ModulatedArrivals{
 		MeanInterarrival: meanInterarrival,
-		rng:              NewClonableRand(seed),
+		rng:              NewRand(seed),
 		eval:             spec.NewEval(schedSeed),
 	}, nil
-}
-
-// CloneArrival implements ClonableArrival.
-func (m *ModulatedArrivals) CloneArrival() ArrivalProcess {
-	return &ModulatedArrivals{MeanInterarrival: m.MeanInterarrival, rng: m.rng.Clone(), eval: m.eval.Clone()}
 }
 
 // Next implements ArrivalProcess.
@@ -155,8 +138,7 @@ const replayExhaustedGap = 1 << 40
 //
 // Exhaustion is explicit: exactly Len() recorded times exist, the Len()+1-th
 // Next call (and every later one) returns prev+replayExhaustedGap and bumps
-// Overruns(). Exhaustion state survives CloneArrival, so a clone taken
-// mid-exhaustion continues the identical (sentinel) sequence.
+// Overruns().
 type ReplayArrivals struct {
 	times []uint64
 	pos   int
@@ -170,14 +152,6 @@ type ReplayArrivals struct {
 // be sorted ascending (the order requests arrive in).
 func NewReplayArrivals(times []uint64) *ReplayArrivals {
 	return &ReplayArrivals{times: times}
-}
-
-// CloneArrival implements ClonableArrival. The (immutable) time slice is
-// shared; the replay cursor and the overrun count are copied, so a clone taken
-// mid-exhaustion round-trips: it reports Exhausted and produces the same
-// sentinel gaps the original would.
-func (r *ReplayArrivals) CloneArrival() ArrivalProcess {
-	return &ReplayArrivals{times: r.times, pos: r.pos, over: r.over}
 }
 
 // Next implements ArrivalProcess.
@@ -218,9 +192,6 @@ func (u UniformArrivals) Next(prev uint64) uint64 {
 	}
 	return prev + u.Interarrival
 }
-
-// CloneArrival implements ClonableArrival (the process is a stateless value).
-func (u UniformArrivals) CloneArrival() ArrivalProcess { return u }
 
 // MeanInterarrivalForLoad converts a target offered load rho (0 < rho < 1) and
 // a mean service time (cycles) into the mean interarrival time that produces

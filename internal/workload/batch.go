@@ -230,17 +230,11 @@ func NewBatchApp(profile BatchProfile, appIndex int, seed uint64) (*BatchApp, er
 	if err := profile.Validate(); err != nil {
 		return nil, err
 	}
-	st, err := NewStream(appIndex, profile.Layers, profile.StreamWeight, NewClonableRand(SplitSeed(seed, 3)))
+	st, err := NewStream(appIndex, profile.Layers, profile.StreamWeight, NewRand(SplitSeed(seed, 3)))
 	if err != nil {
 		return nil, err
 	}
 	return &BatchApp{Profile: profile, stream: st}, nil
-}
-
-// Clone returns a deep copy whose address stream continues identically and
-// independently of the original.
-func (a *BatchApp) Clone() *BatchApp {
-	return &BatchApp{Profile: a.Profile, stream: a.stream.Clone()}
 }
 
 // Stream returns the application's address stream.

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 )
 
@@ -184,7 +185,7 @@ func AllLCProfiles() []LCProfile {
 type LCApp struct {
 	Profile LCProfile
 	stream  *Stream
-	rng     *Rand
+	rng     *rand.Rand
 }
 
 // NewLCApp instantiates profile for mix slot appIndex with the given seed.
@@ -192,7 +193,7 @@ func NewLCApp(profile LCProfile, appIndex int, seed uint64) (*LCApp, error) {
 	if err := profile.Validate(); err != nil {
 		return nil, err
 	}
-	addrRng := NewClonableRand(SplitSeed(seed, 1))
+	addrRng := NewRand(SplitSeed(seed, 1))
 	st, err := NewStream(appIndex, profile.Layers, profile.StreamWeight, addrRng)
 	if err != nil {
 		return nil, err
@@ -200,22 +201,15 @@ func NewLCApp(profile LCProfile, appIndex int, seed uint64) (*LCApp, error) {
 	return &LCApp{
 		Profile: profile,
 		stream:  st,
-		rng:     NewClonableRand(SplitSeed(seed, 2)),
+		rng:     NewRand(SplitSeed(seed, 2)),
 	}, nil
-}
-
-// Clone returns a deep copy whose address and service-demand streams continue
-// identically and independently of the original. The profile (including its
-// layer slice) is immutable after construction and is shared.
-func (a *LCApp) Clone() *LCApp {
-	return &LCApp{Profile: a.Profile, stream: a.stream.Clone(), rng: a.rng.Clone()}
 }
 
 // Stream returns the application's address stream.
 func (a *LCApp) Stream() *Stream { return a.stream }
 
 // NextServiceDemand draws the next request's service demand in instructions.
-func (a *LCApp) NextServiceDemand() uint64 { return a.Profile.Service.Sample(a.rng.Rand) }
+func (a *LCApp) NextServiceDemand() uint64 { return a.Profile.Service.Sample(a.rng) }
 
 // InstructionsPerAccess returns the average number of instructions between
 // consecutive LLC accesses.

@@ -21,36 +21,11 @@ func NewSource(seed uint64) rand.Source64 {
 	return &splitmix64{state: seed}
 }
 
-// NewRand returns a *rand.Rand backed by a splitmix64 source.
+// NewRand returns a *rand.Rand backed by a splitmix64 source. All workload
+// randomness (address streams, service-demand draws, arrival processes, MMPP
+// dwells) draws through one.
 func NewRand(seed uint64) *rand.Rand {
 	return rand.New(NewSource(seed))
-}
-
-// Rand is a *rand.Rand whose underlying splitmix64 source can be duplicated,
-// so any object holding one can be checkpointed mid-stream: the clone
-// continues the identical draw sequence while leaving the original
-// untouched. All checkpointable workload state (address streams, service
-// demand draws, arrival processes, MMPP dwells) draws through a Rand; the
-// non-cloneable NewRand stays for one-shot consumers (mix sampling, balancer
-// seeds, profile jitter).
-type Rand struct {
-	*rand.Rand
-	src *splitmix64
-}
-
-// NewClonableRand returns a deterministic, cloneable RNG seeded with seed. It
-// produces exactly the sequence NewRand(seed) produces.
-func NewClonableRand(seed uint64) *Rand {
-	src := &splitmix64{state: seed}
-	return &Rand{Rand: rand.New(src), src: src}
-}
-
-// Clone returns an independent copy that continues the identical sequence.
-// (math/rand.Rand buffers state only for Read, which the workloads never
-// call, so duplicating the source is sufficient.)
-func (r *Rand) Clone() *Rand {
-	src := &splitmix64{state: r.src.state}
-	return &Rand{Rand: rand.New(src), src: src}
 }
 
 func (s *splitmix64) next() uint64 {

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -330,7 +331,7 @@ type ScheduleEval struct {
 
 	// MMPP state: rng draws the dwell times, high is the current state, and
 	// phaseEnd is when the next state flip happens.
-	rng      *Rand
+	rng      *rand.Rand
 	high     bool
 	phaseEnd uint64
 }
@@ -341,20 +342,10 @@ type ScheduleEval struct {
 func (s ScheduleSpec) NewEval(seed uint64) *ScheduleEval {
 	e := &ScheduleEval{spec: s}
 	if s.Kind == SchedMMPP {
-		e.rng = NewClonableRand(seed)
+		e.rng = NewRand(seed)
 		e.phaseEnd = e.dwell(s.OffCycles) // start in the low state
 	}
 	return e
-}
-
-// Clone returns an independent copy of the evaluator, continuing the
-// identical multiplier trajectory (including the MMPP dwell stream).
-func (e *ScheduleEval) Clone() *ScheduleEval {
-	c := *e
-	if e.rng != nil {
-		c.rng = e.rng.Clone()
-	}
-	return &c
 }
 
 // dwell draws an exponentially distributed dwell time with the given mean,

@@ -57,7 +57,7 @@ type layerState struct {
 
 // Stream generates the LLC line-address stream for one application instance.
 type Stream struct {
-	rng        *Rand
+	rng        *rand.Rand
 	layers     []layerState
 	cumWeights []float64 // cumulative layer weights; last entry adds streaming
 	totalW     float64
@@ -70,7 +70,7 @@ type Stream struct {
 // NewStream builds an address stream for application slot appIndex (its
 // position in the mix, used to keep address spaces disjoint), with the given
 // layers and streaming weight.
-func NewStream(appIndex int, layers []Layer, streamWeight float64, rng *Rand) (*Stream, error) {
+func NewStream(appIndex int, layers []Layer, streamWeight float64, rng *rand.Rand) (*Stream, error) {
 	if streamWeight < 0 {
 		return nil, fmt.Errorf("workload: negative stream weight %v", streamWeight)
 	}
@@ -83,7 +83,7 @@ func NewStream(appIndex int, layers []Layer, streamWeight float64, rng *Rand) (*
 		}
 		ls := layerState{cfg: l, base: appBase + uint64(i+1)<<layerAddressBits}
 		if l.ZipfS > 1 && l.Lines > 1 {
-			ls.zipf = rand.NewZipf(rng.Rand, l.ZipfS, 1, l.Lines-1)
+			ls.zipf = rand.NewZipf(rng, l.ZipfS, 1, l.Lines-1)
 		}
 		s.layers = append(s.layers, ls)
 		total += l.Weight
@@ -134,25 +134,6 @@ func (s *Stream) layerAddress(ls *layerState) uint64 {
 		return ls.base + shift + off
 	}
 	return ls.base + off
-}
-
-// Clone returns a deep copy of the stream that continues the identical
-// address sequence independently of the original. Zipf samplers carry no
-// mutable state of their own (all their fields are constants precomputed from
-// the layer parameters), so they are rebuilt over the cloned RNG; layer
-// configurations and cumulative weights are immutable after construction and
-// can be shared.
-func (s *Stream) Clone() *Stream {
-	c := *s
-	c.rng = s.rng.Clone()
-	c.layers = make([]layerState, len(s.layers))
-	copy(c.layers, s.layers)
-	for i := range c.layers {
-		if l := c.layers[i].cfg; c.layers[i].zipf != nil {
-			c.layers[i].zipf = rand.NewZipf(c.rng.Rand, l.ZipfS, 1, l.Lines-1)
-		}
-	}
-	return &c
 }
 
 // Footprint returns the total number of distinct lines in persistent layers,

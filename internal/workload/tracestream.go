@@ -4,10 +4,7 @@ import "fmt"
 
 // AddressStream is the address-generation interface the simulator steps
 // applications through. Two implementations exist: the synthetic layered
-// generator (*Stream) and the recorded-trace replayer (*TraceStream). Both
-// obey the same checkpoint/clone contract the simulator's fork engine relies
-// on: CloneAddressStream yields an independent copy continuing the identical
-// sequence.
+// generator (*Stream) and the recorded-trace replayer (*TraceStream).
 type AddressStream interface {
 	// BeginRequest tells the stream a new request is starting.
 	BeginRequest()
@@ -17,9 +14,6 @@ type AddressStream interface {
 	Next() uint64
 	// Footprint returns the stream's long-lived working set in lines.
 	Footprint() uint64
-	// CloneAddressStream returns a deep copy that continues the identical
-	// address sequence independently of the original.
-	CloneAddressStream() AddressStream
 }
 
 var (
@@ -27,15 +21,12 @@ var (
 	_ AddressStream = (*TraceStream)(nil)
 )
 
-// CloneAddressStream implements AddressStream.
-func (s *Stream) CloneAddressStream() AddressStream { return s.Clone() }
-
 // TraceStream replays a recorded address sequence — the trace-ingestion
 // counterpart of Stream. The backing words are immutable and shared by every
 // clone (for a single-app binary trace they alias the mmap'd file image
 // directly, via the stride/offset view); the position cursor, the wrap count
 // and the request counter are the stream's only mutable state, so cloning is
-// a value copy and checkpoint/fork safety is structural.
+// a value copy: one loaded trace seeds any number of concurrent runs.
 //
 // The stream wraps at the end and keeps replaying from the top: simulator
 // address streams must be effectively inexhaustible (a batch app contends for
@@ -116,6 +107,3 @@ func (t *TraceStream) Clone() *TraceStream {
 	c := *t
 	return &c
 }
-
-// CloneAddressStream implements AddressStream.
-func (t *TraceStream) CloneAddressStream() AddressStream { return t.Clone() }

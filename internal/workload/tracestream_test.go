@@ -51,7 +51,7 @@ func TestTraceStreamRejectsBadViews(t *testing.T) {
 	}
 }
 
-// TestTraceStreamCloneContract checks the checkpoint/fork contract: a clone
+// TestTraceStreamCloneContract checks the per-run template copy: a clone
 // continues the identical sequence, advances independently and shares the
 // backing words.
 func TestTraceStreamCloneContract(t *testing.T) {
@@ -75,26 +75,6 @@ func TestTraceStreamCloneContract(t *testing.T) {
 		a, b := ts.Next(), c.Next()
 		if a != b {
 			t.Fatalf("divergence at step %d: %d vs %d", i, a, b)
-		}
-	}
-}
-
-// TestStreamAddressStreamAdapter pins that the AddressStream wrapper on the
-// synthetic *Stream delegates to Clone: the cloned stream continues the
-// identical draw sequence.
-func TestStreamAddressStreamAdapter(t *testing.T) {
-	st, err := NewStream(0, []Layer{{Name: "hot", Lines: 64, Weight: 1}}, 0, NewClonableRand(42))
-	if err != nil {
-		t.Fatalf("NewStream: %v", err)
-	}
-	var as AddressStream = st
-	as.BeginRequest()
-	as.Next()
-	c := as.CloneAddressStream()
-	for i := 0; i < 16; i++ {
-		a, b := as.Next(), c.Next()
-		if a != b {
-			t.Fatalf("clone divergence at step %d: %d vs %d", i, a, b)
 		}
 	}
 }
@@ -136,45 +116,5 @@ func TestReplayArrivalsBoundary(t *testing.T) {
 	}
 	if r.Overruns() != 2 {
 		t.Fatalf("Overruns = %d, want 2", r.Overruns())
-	}
-}
-
-// TestReplayArrivalsCloneMidExhaustion verifies CloneArrival round-trips
-// exhaustion state: a clone taken after the stream ran out reports Exhausted
-// and continues the identical sentinel sequence.
-func TestReplayArrivalsCloneMidExhaustion(t *testing.T) {
-	r := NewReplayArrivals([]uint64{3, 9})
-	prev := uint64(0)
-	prev = r.Next(prev)
-	prev = r.Next(prev)
-	prev = r.Next(prev) // first overrun
-
-	c := r.CloneArrival().(*ReplayArrivals)
-	if !c.Exhausted() || c.Overruns() != r.Overruns() || c.Remaining() != 0 {
-		t.Fatalf("clone mid-exhaustion: Exhausted=%v Overruns=%d Remaining=%d",
-			c.Exhausted(), c.Overruns(), c.Remaining())
-	}
-	for i := 0; i < 3; i++ {
-		a, b := r.Next(prev), c.Next(prev)
-		if a != b {
-			t.Fatalf("clone sentinel divergence at step %d: %d vs %d", i, a, b)
-		}
-		prev = a
-	}
-
-	// A clone taken mid-replay (not yet exhausted) also round-trips.
-	r2 := NewReplayArrivals([]uint64{3, 9, 27})
-	r2.Next(0)
-	c2 := r2.CloneArrival().(*ReplayArrivals)
-	if c2.Exhausted() || c2.Remaining() != 2 {
-		t.Fatalf("mid-replay clone: Exhausted=%v Remaining=%d", c2.Exhausted(), c2.Remaining())
-	}
-	p1, p2 := uint64(3), uint64(3)
-	for i := 0; i < 4; i++ {
-		a, b := r2.Next(p1), c2.Next(p2)
-		if a != b {
-			t.Fatalf("mid-replay clone divergence at step %d: %d vs %d", i, a, b)
-		}
-		p1, p2 = a, b
 	}
 }

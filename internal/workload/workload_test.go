@@ -175,11 +175,11 @@ func TestDistStrings(t *testing.T) {
 
 func TestStreamDisjointAddressSpaces(t *testing.T) {
 	layers := []Layer{{Name: "l", Lines: 1000, Weight: 1}}
-	s0, err := NewStream(0, layers, 0, NewClonableRand(1))
+	s0, err := NewStream(0, layers, 0, NewRand(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := NewStream(1, layers, 0, NewClonableRand(1))
+	s1, err := NewStream(1, layers, 0, NewRand(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestStreamDisjointAddressSpaces(t *testing.T) {
 
 func TestStreamPerRequestRemap(t *testing.T) {
 	layers := []Layer{{Name: "tmp", Lines: 64, Weight: 1, PerRequest: true}}
-	s, err := NewStream(0, layers, 0, NewClonableRand(7))
+	s, err := NewStream(0, layers, 0, NewRand(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestStreamPerRequestRemap(t *testing.T) {
 
 func TestStreamPersistentReuse(t *testing.T) {
 	layers := []Layer{{Name: "hot", Lines: 64, Weight: 1}}
-	s, err := NewStream(0, layers, 0, NewClonableRand(9))
+	s, err := NewStream(0, layers, 0, NewRand(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestStreamPersistentReuse(t *testing.T) {
 }
 
 func TestStreamStreamingNeverRepeats(t *testing.T) {
-	s, err := NewStream(0, nil, 1.0, NewClonableRand(11))
+	s, err := NewStream(0, nil, 1.0, NewRand(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestStreamStreamingNeverRepeats(t *testing.T) {
 
 func TestStreamZipfSkew(t *testing.T) {
 	layers := []Layer{{Name: "z", Lines: 10000, Weight: 1, ZipfS: 1.3}}
-	s, err := NewStream(0, layers, 0, NewClonableRand(13))
+	s, err := NewStream(0, layers, 0, NewRand(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,16 +282,16 @@ func TestStreamZipfSkew(t *testing.T) {
 }
 
 func TestStreamValidation(t *testing.T) {
-	if _, err := NewStream(0, []Layer{{Name: "bad", Lines: 0, Weight: 1}}, 0, NewClonableRand(1)); err == nil {
+	if _, err := NewStream(0, []Layer{{Name: "bad", Lines: 0, Weight: 1}}, 0, NewRand(1)); err == nil {
 		t.Errorf("zero-line layer should be rejected")
 	}
-	if _, err := NewStream(0, []Layer{{Name: "bad", Lines: 1, Weight: -1}}, 0, NewClonableRand(1)); err == nil {
+	if _, err := NewStream(0, []Layer{{Name: "bad", Lines: 1, Weight: -1}}, 0, NewRand(1)); err == nil {
 		t.Errorf("negative weight should be rejected")
 	}
-	if _, err := NewStream(0, nil, 0, NewClonableRand(1)); err == nil {
+	if _, err := NewStream(0, nil, 0, NewRand(1)); err == nil {
 		t.Errorf("stream with no weight should be rejected")
 	}
-	if _, err := NewStream(0, nil, -0.5, NewClonableRand(1)); err == nil {
+	if _, err := NewStream(0, nil, -0.5, NewRand(1)); err == nil {
 		t.Errorf("negative stream weight should be rejected")
 	}
 }
@@ -302,7 +302,7 @@ func TestStreamFootprint(t *testing.T) {
 		{Name: "b", Lines: 200, Weight: 0.3, PerRequest: true},
 		{Name: "c", Lines: 50, Weight: 0.2},
 	}
-	s, err := NewStream(0, layers, 0.1, NewClonableRand(1))
+	s, err := NewStream(0, layers, 0.1, NewRand(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +498,7 @@ func TestStreamAddressesWithinLayerBounds(t *testing.T) {
 	f := func(seed uint64, lines uint16) bool {
 		n := uint64(lines)%4096 + 1
 		layers := []Layer{{Name: "l", Lines: n, Weight: 1}}
-		s, err := NewStream(2, layers, 0, NewClonableRand(seed))
+		s, err := NewStream(2, layers, 0, NewRand(seed))
 		if err != nil {
 			return false
 		}
