@@ -1,6 +1,9 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // This file implements the private (per-core) cache levels the simulated
 // system places in front of the shared LLC — the L1/L2 filters of Table 2.
@@ -9,30 +12,12 @@ import "fmt"
 // L2-filtered miss stream (which is what UMON curves and Ubik's transient
 // analysis assume) instead of the raw access stream.
 //
-// The levels sit on the simulator's hottest path — most accesses resolve in
-// an L1 probe — so they use the same discipline as the LLC models: flat
-// structure-of-arrays storage, no allocation after construction, and
-// divide-free set indexing (the shared hashAddr mix plus Lemire's
-// multiply-shift reduction).
-
-// LevelStats holds cumulative statistics for one private level.
-type LevelStats struct {
-	Accesses  uint64
-	Hits      uint64
-	Misses    uint64
-	Evictions uint64
-	// BackInvalidations counts lines removed from upper levels to preserve
-	// inclusion when this level evicted them.
-	BackInvalidations uint64
-}
-
-// HitRate returns hits/accesses, or 0 when there have been no accesses.
-func (s LevelStats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
+// Every simulated access walks the levels, and in the simulated mixes about
+// nine in ten miss both and go on to the LLC, so the miss path is the one
+// that matters. The levels use the same discipline as the LLC models: flat
+// storage, no allocation after construction, divide-free set indexing (the
+// shared hashAddr mix plus Lemire's multiply-shift reduction), and sets kept
+// in recency order so that neither a hit nor a miss searches for a victim.
 
 // LevelConfig describes one private cache level. Lines == 0 disables the
 // level entirely (accesses pass straight through to the next level), which is
@@ -113,22 +98,23 @@ func DefaultHierarchy() HierarchyConfig {
 	}
 }
 
-// A private-level slot is two interleaved words — the line address and its
-// LRU stamp, where stamp 0 means invalid (16 bytes per way, so a 4-way set is
-// a single 64-byte hardware cache line and the fused probe+fill scan touches
-// exactly one line per L1 access). Slots live in a flat word slice.
-
 // PrivateLevel is one private set-associative filter cache with LRU
 // replacement. It stores only tags — private levels filter the stream; the
 // simulator's line metadata lives on LLC lines. The access path never
 // allocates.
+//
+// Each set keeps its valid lines' addresses in recency order, most recent
+// first, as a prefix of the set's ways, and fill[set] counts them. Recency
+// order is the LRU state itself, so there are no per-way stamps and no victim
+// search: the LRU line is the last valid way. The count, not an invalid-address
+// sentinel, marks the prefix's end, because a replayed trace may use every
+// 64-bit address.
 type PrivateLevel struct {
 	numSets   uint64
-	ways      uint64
+	ways      int
 	inclusive bool
-	words     []uint64 // 2 per slot: addr, use (0 = invalid)
-	clock     uint64
-	stats     LevelStats
+	tags      []uint64 // ways per set, valid lines first, most recent first
+	fill      []int    // valid lines per set
 }
 
 // newPrivateLevel builds a private level. It returns nil (a valid "always
@@ -140,93 +126,79 @@ func newPrivateLevel(cfg LevelConfig) (*PrivateLevel, error) {
 	if !cfg.Enabled() {
 		return nil, nil
 	}
+	numSets := cfg.Lines / uint64(cfg.Ways)
 	return &PrivateLevel{
-		numSets:   cfg.Lines / uint64(cfg.Ways),
-		ways:      uint64(cfg.Ways),
+		numSets:   numSets,
+		ways:      cfg.Ways,
 		inclusive: cfg.Inclusive,
-		words:     make([]uint64, 2*cfg.Lines),
+		tags:      make([]uint64, cfg.Lines),
+		fill:      make([]int, numSets),
 	}, nil
 }
 
 // NumLines returns the level's capacity in lines.
-func (l *PrivateLevel) NumLines() uint64 { return l.numSets * l.ways }
+func (l *PrivateLevel) NumLines() uint64 { return l.numSets * uint64(l.ways) }
 
 // Inclusive reports whether the level back-invalidates upper levels.
 func (l *PrivateLevel) Inclusive() bool { return l.inclusive }
 
-// Stats returns the level's cumulative statistics.
-func (l *PrivateLevel) Stats() LevelStats { return l.stats }
-
-// ResetStats clears the statistics (contents are preserved).
-func (l *PrivateLevel) ResetStats() { l.stats = LevelStats{} }
-
-// set returns addr's set as its word slice (2 words per way), given the
+// set returns the index of addr's set and its valid prefix, given the
 // already-mixed address hash (one hashAddr serves every level of a hierarchy
 // walk).
-func (l *PrivateLevel) set(hash uint64) []uint64 {
-	base := reduceRange(hash, l.numSets) * l.ways * 2
-	return l.words[base : base+l.ways*2]
+func (l *PrivateLevel) set(hash uint64) (int, []uint64) {
+	s := int(reduceRange(hash, l.numSets))
+	base := s * l.ways
+	return s, l.tags[base : base+l.fill[s] : base+l.ways]
 }
 
-// access is the fused probe+fill: one scan over the set either finds addr
-// (hit, LRU stamp refreshed) or selects the LRU victim and inserts addr in
-// its place. The returned eviction information lets inclusive levels
-// back-invalidate upstream. This is the hierarchy hot path.
+// access is the fused probe+fill: one pass shifts each valid way down by one
+// until it finds addr (a hit) or the last valid way falls off, and addr goes
+// in front. A miss on a full set returns the fallen-off LRU line as the
+// victim, which lets inclusive levels back-invalidate upstream; a miss on a
+// set that is not full appends and evicts nothing (evicted is then 0 and
+// meaningless). This is the hierarchy hot path.
 func (l *PrivateLevel) access(hash, addr uint64) (hit bool, evicted uint64, evictedValid bool) {
-	l.clock++
-	l.stats.Accesses++
-	set := l.set(hash)
-	victim, victimUse := 0, ^uint64(0)
-	for i := 0; i < len(set); i += 2 {
-		if set[i+1] != 0 && set[i] == addr {
-			set[i+1] = l.clock
-			l.stats.Hits++
+	s, set := l.set(hash)
+	prev := addr
+	for i, cur := range set {
+		set[i] = prev
+		if cur == addr {
 			return true, 0, false
 		}
-		if set[i+1] < victimUse {
-			victim, victimUse = i, set[i+1]
-		}
+		prev = cur
 	}
-	l.stats.Misses++
-	evicted, evictedValid = set[victim], victimUse != 0
-	if evictedValid {
-		l.stats.Evictions++
+	if len(set) < l.ways {
+		// In place: set's capacity ends at the set's last way.
+		l.fill[s] = len(append(set, prev))
+		return false, 0, false
 	}
-	set[victim], set[victim+1] = addr, l.clock
-	return false, evicted, evictedValid
+	return false, prev, true
 }
 
-// Reset returns the level to its freshly constructed state in place.
+// Reset returns the level to its freshly constructed state in place. Only
+// the counts need clearing: ways past a set's count are never read.
 func (l *PrivateLevel) Reset() {
 	if l == nil {
 		return
 	}
-	clear(l.words)
-	l.clock = 0
-	l.stats = LevelStats{}
+	clear(l.fill)
 }
 
 // Invalidate removes addr from the level if present (back-invalidation from
-// an inclusive lower level).
+// an inclusive lower level), closing the gap so the valid lines stay a
+// recency-ordered prefix.
 func (l *PrivateLevel) Invalidate(addr uint64) {
-	set := l.set(hashAddr(addr))
-	for i := 0; i < len(set); i += 2 {
-		if set[i+1] != 0 && set[i] == addr {
-			set[i+1] = 0
-			return
-		}
+	s, set := l.set(hashAddr(addr))
+	if i := slices.Index(set, addr); i >= 0 {
+		copy(set[i:], set[i+1:])
+		l.fill[s]--
 	}
 }
 
-// Contains reports whether addr is cached (used by tests; no stat updates).
+// Contains reports whether addr is cached (used by tests).
 func (l *PrivateLevel) Contains(addr uint64) bool {
-	set := l.set(hashAddr(addr))
-	for i := 0; i < len(set); i += 2 {
-		if set[i+1] != 0 && set[i] == addr {
-			return true
-		}
-	}
-	return false
+	_, set := l.set(hashAddr(addr))
+	return slices.Contains(set, addr)
 }
 
 // Hierarchy levels for HierarchyResult.Level.
@@ -301,8 +273,8 @@ func (h *Hierarchy) L2() *PrivateLevel { return h.l2 }
 // traditional probe-then-fill-on-the-way-back (the line is filled into every
 // missed level regardless of where the access is ultimately served) but costs
 // one scan instead of two. The address mix is computed once and shared by
-// both levels. The walk is allocation-free; in the common case (an L1 hit) it
-// is a single one-cache-line scan.
+// both levels. The walk is allocation-free; in the common case (a miss in
+// both private levels) it is one pass over each set followed by the LLC.
 func (h *Hierarchy) Access(addr uint64, part PartitionID, meta uint64) HierarchyResult {
 	if level, served := h.AccessPrivate(addr); served {
 		return HierarchyResult{Level: level}
@@ -333,7 +305,6 @@ func (h *Hierarchy) AccessPrivate(addr uint64) (level int, served bool) {
 			// Inclusive L2: the victim the fill displaced must leave L1 too.
 			if evictedValid && h.l2.inclusive && h.l1 != nil {
 				h.l1.Invalidate(evicted)
-				h.l2.stats.BackInvalidations++
 			}
 			if hit {
 				return LevelL2, true
