@@ -172,7 +172,6 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		parallelism  = fs.Int("parallelism", 0, "workers for independent simulations: sweep points, isolation baselines, cluster nodes (0 = GOMAXPROCS); results are identical at any setting")
 		l1KB         = fs.Float64("l1kb", 32, "private L1 size in model KB (0 disables the level)")
 		l2KB         = fs.Float64("l2kb", 256, "private L2 size in model KB (0 disables the level)")
-		noHier       = fs.Bool("nohier", false, "disable the private L1/L2 levels entirely (flat pre-hierarchy LLC)")
 		csv          = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		jsonOut      = fs.Bool("json", false, "emit one JSON array of all result tables instead of aligned text")
 		list         = fs.Bool("list", false, "list available experiments and exit")
@@ -227,7 +226,7 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		conflict := ""
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "exp", "loadsched", "scale", "seed", "requests", "l1kb", "l2kb", "nohier", "list":
+			case "exp", "loadsched", "scale", "seed", "requests", "l1kb", "l2kb", "list":
 				if conflict == "" {
 					conflict = f.Name
 				}
@@ -270,9 +269,6 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	x.scale.Warm = sim.NewWarmPool()
 	x.cfg = sim.DefaultConfig()
 	x.cfg.Seed = *seed
-	if *noHier {
-		*l1KB, *l2KB = 0, 0 // a size of 0 disables the level
-	}
 	x.cfg.Hierarchy = sim.HierarchyForKB(*l1KB, *l2KB, false)
 
 	x.mainComparison = sync.OnceValues(func() ([]experiment.MixRecord, error) {

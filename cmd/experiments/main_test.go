@@ -285,7 +285,6 @@ func TestScenarioFlags(t *testing.T) {
 		{"scenario conflicts with -requests", []string{"-scenario", example, "-requests", "0.1"}, "-requests conflicts with -scenario"},
 		{"scenario conflicts with -l1kb", []string{"-scenario", example, "-l1kb", "64"}, "-l1kb conflicts with -scenario"},
 		{"scenario conflicts with -l2kb", []string{"-scenario", example, "-l2kb", "512"}, "-l2kb conflicts with -scenario"},
-		{"scenario conflicts with -nohier", []string{"-scenario", example, "-nohier"}, "-nohier conflicts with -scenario"},
 		{"scenario conflicts with -list", []string{"-scenario", example, "-list"}, "-list conflicts with -scenario"},
 		{"-report without -scenario", []string{"-exp", "table1", "-report", "out"}, "-report and -validate only apply to -scenario runs"},
 		{"-validate without -scenario", []string{"-validate"}, "-report and -validate only apply to -scenario runs"},

@@ -20,8 +20,8 @@ import (
 // in recency order so that neither a hit nor a miss searches for a victim.
 
 // LevelConfig describes one private cache level. Lines == 0 disables the
-// level entirely (accesses pass straight through to the next level), which is
-// how the flat pre-hierarchy behaviour is reproduced bit-for-bit.
+// level entirely (accesses pass straight through to the next level); a
+// hierarchy with both levels disabled is the flat machine.
 type LevelConfig struct {
 	// Lines is the level's capacity in cache lines (0 = level disabled).
 	Lines uint64
@@ -63,15 +63,12 @@ func (c LevelConfig) String() string {
 }
 
 // HierarchyConfig describes the private levels of one core's memory
-// hierarchy. The zero value (both levels disabled) models the flat
-// pre-hierarchy system where every access goes straight to the LLC.
+// hierarchy. The zero value (both levels disabled) models the flat machine,
+// where every access goes straight to the LLC.
 type HierarchyConfig struct {
 	L1 LevelConfig
 	L2 LevelConfig
 }
-
-// Enabled reports whether any private level is configured.
-func (c HierarchyConfig) Enabled() bool { return c.L1.Enabled() || c.L2.Enabled() }
 
 // Validate reports configuration problems.
 func (c HierarchyConfig) Validate() error {

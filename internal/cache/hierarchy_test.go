@@ -33,14 +33,14 @@ func TestHierarchyConfigValidate(t *testing.T) {
 	if err := (HierarchyConfig{}).Validate(); err != nil {
 		t.Errorf("zero hierarchy should be valid (flat system): %v", err)
 	}
-	if (HierarchyConfig{}).Enabled() {
-		t.Errorf("zero hierarchy should be disabled")
+	if zero := (HierarchyConfig{}); zero.L1.Enabled() || zero.L2.Enabled() {
+		t.Errorf("zero hierarchy should have both levels disabled")
 	}
 	if err := DefaultHierarchy().Validate(); err != nil {
 		t.Errorf("default hierarchy invalid: %v", err)
 	}
-	if !DefaultHierarchy().Enabled() {
-		t.Errorf("default hierarchy should be enabled")
+	if def := DefaultHierarchy(); !def.L1.Enabled() || !def.L2.Enabled() {
+		t.Errorf("default hierarchy should have both levels enabled")
 	}
 	inverted := HierarchyConfig{
 		L1: LevelConfig{Lines: 256, Ways: 4},

@@ -284,7 +284,7 @@ func buildPlan(spec Spec) (*queryPlan, error) {
 		return nil, err
 	}
 	arrSeed := spec.arrivalSeed()
-	proc, err := workload.NewScheduledArrivals(spec.QueryMeanInterarrival,
+	proc, err := workload.NewModulatedArrivals(spec.QueryMeanInterarrival,
 		workload.SplitSeed(arrSeed, 7), spec.Sched, workload.SplitSeed(arrSeed, 11))
 	if err != nil {
 		return nil, err

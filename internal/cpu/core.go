@@ -151,22 +151,12 @@ func (m Model) ComputeCyclesPerAccess(baseCPI, apki float64) float64 {
 	return cpi * 1000 / apki
 }
 
-// AccessCycles returns the total cycles one LLC access epoch consumes:
-// the compute time between accesses plus the exposed hit or miss penalty.
-func (m Model) AccessCycles(baseCPI, apki, appMLP float64, miss bool) float64 {
-	c := m.ComputeCyclesPerAccess(baseCPI, apki)
-	if miss {
-		return c + m.MissPenalty(appMLP)
-	}
-	return c + m.HitPenalty(appMLP)
-}
-
 // AccessCyclesAtLevel returns the total cycles one access epoch consumes when
 // the access is served at the given hierarchy level (1 = L1 hit, 2 = L2 hit,
 // 3 = LLC hit, 0 = memory): the compute time between accesses plus the
 // exposed level latency. OOO cores hide latency in proportion to the
-// application's MLP; in-order cores expose it fully — the same c / M
-// decomposition AccessCycles applies to the flat two-latency model.
+// application's MLP; in-order cores expose it fully. At levels 3 and 0 this
+// is c plus HitPenalty and MissPenalty respectively.
 func (m Model) AccessCyclesAtLevel(baseCPI, apki, appMLP float64, level int) float64 {
 	c := m.ComputeCyclesPerAccess(baseCPI, apki)
 	lat := m.LevelLatency(level)
@@ -185,7 +175,8 @@ func (m Model) AccessCyclesAtLevel(baseCPI, apki, appMLP float64, level int) flo
 //
 // With private levels in front of the LLC, DemandAccesses counts every access
 // the core issues while LLCAccesses counts only the filtered stream that
-// reaches the shared cache; on a flat hierarchy the two are equal.
+// reaches the shared cache; on a flat machine (no private levels) the two are
+// equal.
 type PerfCounters struct {
 	Instructions   uint64
 	Cycles         uint64
@@ -194,18 +185,6 @@ type PerfCounters struct {
 	LLCMisses      uint64
 	L1Hits         uint64
 	L2Hits         uint64
-}
-
-// Add accumulates the counters from a single flat-hierarchy access epoch
-// (every access reaches the LLC).
-func (p *PerfCounters) Add(instructions, cycles uint64, miss bool) {
-	p.Instructions += instructions
-	p.Cycles += cycles
-	p.DemandAccesses++
-	p.LLCAccesses++
-	if miss {
-		p.LLCMisses++
-	}
 }
 
 // AddAtLevel accumulates the counters from one access epoch served at the

@@ -69,12 +69,19 @@ func TestValidateRejectsInvertedLatencyOrderings(t *testing.T) {
 func TestAccessCyclesAtLevel(t *testing.T) {
 	for _, k := range []Kind{OutOfOrder, InOrder} {
 		m := DefaultModel(k)
-		// Level 3 matches the flat hit cost, level 0 the flat miss cost.
-		if got, want := m.AccessCyclesAtLevel(0.7, 10, 2, 3), m.AccessCycles(0.7, 10, 2, false); got != want {
-			t.Errorf("%v: LLC-level cycles %v != flat hit cycles %v", k, got, want)
+		// Level 3 costs c + L3/mlp, level 0 c + Mem/mlp (OOO); an in-order
+		// core exposes the full latency. These are the flat machine's hit
+		// and miss costs.
+		c := m.ComputeCyclesPerAccess(0.7, 10)
+		wantLLC, wantMem := c+m.L3HitLatencyCycles/2, c+m.MemLatencyCycles/2
+		if k == InOrder {
+			wantLLC, wantMem = c+m.L3HitLatencyCycles, c+m.MemLatencyCycles
 		}
-		if got, want := m.AccessCyclesAtLevel(0.7, 10, 2, 0), m.AccessCycles(0.7, 10, 2, true); got != want {
-			t.Errorf("%v: memory-level cycles %v != flat miss cycles %v", k, got, want)
+		if got := m.AccessCyclesAtLevel(0.7, 10, 2, 3); got != wantLLC {
+			t.Errorf("%v: LLC-level cycles %v, want %v", k, got, wantLLC)
+		}
+		if got := m.AccessCyclesAtLevel(0.7, 10, 2, 0); got != wantMem {
+			t.Errorf("%v: memory-level cycles %v, want %v", k, got, wantMem)
 		}
 		// Deeper levels cost strictly more under Table 2 latencies.
 		prev := 0.0
@@ -113,12 +120,6 @@ func TestPerfCountersAtLevel(t *testing.T) {
 	d := p.Sub(snap)
 	if d.DemandAccesses != 1 || d.L1Hits != 1 || d.LLCAccesses != 0 {
 		t.Errorf("windowed per-level counters wrong: %+v", d)
-	}
-	// The flat Add counts every access as a demand access reaching the LLC.
-	var flat PerfCounters
-	flat.Add(100, 70, false)
-	if flat.DemandAccesses != 1 || flat.LLCAccesses != 1 || flat.L1Hits+flat.L2Hits != 0 {
-		t.Errorf("flat Add counters wrong: %+v", flat)
 	}
 }
 
@@ -175,29 +176,14 @@ func TestComputeCyclesPerAccess(t *testing.T) {
 	}
 }
 
-func TestAccessCycles(t *testing.T) {
-	m := DefaultModel(OutOfOrder)
-	hit := m.AccessCycles(1.0, 10, 2, false)
-	miss := m.AccessCycles(1.0, 10, 2, true)
-	if miss <= hit {
-		t.Errorf("a miss must cost more than a hit: hit=%v miss=%v", hit, miss)
-	}
-	if math.Abs(hit-(100+10)) > 1e-9 {
-		t.Errorf("hit cycles = %v, want 110", hit)
-	}
-	if math.Abs(miss-(100+100)) > 1e-9 {
-		t.Errorf("miss cycles = %v, want 200", miss)
-	}
-}
-
 func TestInOrderMoreSensitiveToMisses(t *testing.T) {
 	// The Figure 11 premise: the relative cost of a miss is higher on an
 	// in-order core, for any application parameters.
 	ooo := DefaultModel(OutOfOrder)
 	ino := DefaultModel(InOrder)
 	for _, mlp := range []float64{1.5, 2, 4} {
-		oooRatio := ooo.AccessCycles(0.7, 10, mlp, true) / ooo.AccessCycles(0.7, 10, mlp, false)
-		inoRatio := ino.AccessCycles(0.7, 10, mlp, true) / ino.AccessCycles(0.7, 10, mlp, false)
+		oooRatio := ooo.AccessCyclesAtLevel(0.7, 10, mlp, 0) / ooo.AccessCyclesAtLevel(0.7, 10, mlp, 3)
+		inoRatio := ino.AccessCyclesAtLevel(0.7, 10, mlp, 0) / ino.AccessCyclesAtLevel(0.7, 10, mlp, 3)
 		if inoRatio <= oooRatio {
 			t.Errorf("in-order miss/hit cost ratio (%v) should exceed OOO's (%v) at MLP %v", inoRatio, oooRatio, mlp)
 		}
@@ -206,8 +192,8 @@ func TestInOrderMoreSensitiveToMisses(t *testing.T) {
 
 func TestPerfCounters(t *testing.T) {
 	var p PerfCounters
-	p.Add(100, 70, false)
-	p.Add(100, 170, true)
+	p.AddAtLevel(100, 70, 3)
+	p.AddAtLevel(100, 170, 0)
 	if p.Instructions != 200 || p.Cycles != 240 || p.LLCAccesses != 2 || p.LLCMisses != 1 {
 		t.Errorf("counters wrong: %+v", p)
 	}
@@ -221,7 +207,7 @@ func TestPerfCounters(t *testing.T) {
 		t.Errorf("APKI wrong: %v", p.APKI())
 	}
 	snap := p
-	p.Add(100, 100, false)
+	p.AddAtLevel(100, 100, 3)
 	d := p.Sub(snap)
 	if d.Instructions != 100 || d.Cycles != 100 || d.LLCAccesses != 1 || d.LLCMisses != 0 {
 		t.Errorf("Sub wrong: %+v", d)

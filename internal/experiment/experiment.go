@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/cache"
 	"repro/internal/mix"
@@ -159,66 +158,34 @@ func instanceSeed(scaleSeed uint64, lc mix.LCConfig, instance int) uint64 {
 	return workload.SplitSeed(scaleSeed^h, uint64(instance)+1)
 }
 
-// Baselines caches the isolation measurements every comparison needs: per
-// LC-configuration service-time calibration, pooled isolated tail latencies on
-// matched seeds, and per batch application isolated IPCs.
+// Baselines gives a mix comparison the isolation measurements it is
+// normalised against (Section 6): per LC-configuration service-time
+// calibration, pooled isolated tail latencies on matched seeds, and per batch
+// application isolated IPCs. It holds no memo of its own: every run goes
+// through the scale's warm pool, which memoizes each by exact identity.
 type Baselines struct {
 	cfg   sim.Config
 	scale Scale
-
-	mu       sync.Mutex
-	lc       map[string]sim.LCBaseline
-	lcPooled map[string]*stats.Sample
-	batchIPC map[string]float64
 }
 
-// NewBaselines returns an empty baseline cache for the given machine
-// configuration and scale.
+// NewBaselines returns the baselines for the given machine configuration and
+// scale, giving the scale a fresh warm pool unless the caller shared one.
 func NewBaselines(cfg sim.Config, scale Scale) *Baselines {
-	return &Baselines{
-		cfg:      cfg,
-		scale:    scale,
-		lc:       make(map[string]sim.LCBaseline),
-		lcPooled: make(map[string]*stats.Sample),
-		batchIPC: make(map[string]float64),
-	}
+	return &Baselines{cfg: cfg, scale: scale.withPool()}
 }
 
-// memo returns m[key], computing and storing it on first use. compute runs
-// outside the lock; racing first uses compute the same deterministic value.
-func memo[T any](b *Baselines, m map[string]T, key string, compute func() (T, error)) (T, error) {
-	b.mu.Lock()
-	v, ok := m[key]
-	b.mu.Unlock()
-	if ok {
-		return v, nil
-	}
-	v, err := compute()
-	if err == nil {
-		b.mu.Lock()
-		m[key] = v
-		b.mu.Unlock()
-	}
-	return v, err
-}
-
-// LC returns (computing on first use) the calibration baseline for an LC
-// configuration: mean service time, arrival rate for its load, and its
-// isolated tail latency (the deadline).
+// LC returns the calibration baseline for an LC configuration: mean service
+// time, arrival rate for its load, and its isolated tail latency (the
+// deadline).
 func (b *Baselines) LC(lc mix.LCConfig) (sim.LCBaseline, error) {
-	return memo(b, b.lc, lc.Name(), func() (sim.LCBaseline, error) {
-		return sim.MeasureLCBaselinePooled(b.scale.Warm, b.cfg, lc.App, lc.App.TargetLines(), lc.Level.Value(), b.scale.requestFactor())
-	})
+	return sim.MeasureLCBaselinePooled(b.scale.Warm, b.cfg, lc.App, lc.App.TargetLines(), lc.Level.Value(), b.scale.requestFactor())
 }
 
-// isolated runs instance i of an LC configuration alone, with exactly the seed
-// the mix instance uses, and returns its request latencies.
-func (b *Baselines) isolated(lc mix.LCConfig, i int) ([]float64, error) {
-	base, err := b.LC(lc)
-	if err != nil {
-		return nil, err
-	}
-	res, err := sim.RunIsolatedLCPooled(b.scale.Warm, b.cfg, lc.App, lc.App.TargetLines(), base.MeanInterarrival,
+// isolated runs instance i of an LC configuration alone at the calibrated
+// arrival spacing, with exactly the seed the mix instance uses, and returns
+// its request latencies.
+func (b *Baselines) isolated(lc mix.LCConfig, meanInterarrival float64, i int) ([]float64, error) {
+	res, err := sim.RunIsolatedLCPooled(b.scale.Warm, b.cfg, lc.App, lc.App.TargetLines(), meanInterarrival,
 		b.scale.requestFactor(), instanceSeed(b.scale.Seed, lc, i))
 	if err != nil {
 		return nil, err
@@ -230,42 +197,30 @@ func (b *Baselines) isolated(lc mix.LCConfig, i int) ([]float64, error) {
 	return lcRes[0].Latencies.Values(), nil
 }
 
-// pooledIsolated returns (computing on first use) the configuration's isolated
-// latencies pooled in instance order; latencies supplies instance i's.
-func (b *Baselines) pooledIsolated(lc mix.LCConfig, latencies func(i int) ([]float64, error)) (*stats.Sample, error) {
-	return memo(b, b.lcPooled, lc.Name(), func() (*stats.Sample, error) {
-		pooled := stats.NewSample(256)
-		for i := 0; i < lc.Instances; i++ {
-			lat, err := latencies(i)
-			if err != nil {
-				return nil, err
-			}
-			pooled.AddAll(lat)
-		}
-		return pooled, nil
-	})
-}
-
 // PooledIsolatedTail returns the pooled isolated tail latency across the
 // configuration's instances, run with exactly the seeds the mix instances use.
-// A cold key runs its instances serially (the caller may be a worker); Sweep
-// warms every key through one flat list first.
+// A cold instance runs serially (the caller may be a worker); Sweep warms
+// every instance through one flat list first.
 func (b *Baselines) PooledIsolatedTail(lc mix.LCConfig, percentile float64) (float64, error) {
-	pooled, err := b.pooledIsolated(lc, func(i int) ([]float64, error) { return b.isolated(lc, i) })
+	base, err := b.LC(lc)
 	if err != nil {
 		return 0, err
 	}
-	b.mu.Lock() // tail queries sort the shared sample in place
-	defer b.mu.Unlock()
+	pooled := stats.NewSample(256)
+	for i := 0; i < lc.Instances; i++ {
+		lat, err := b.isolated(lc, base.MeanInterarrival, i)
+		if err != nil {
+			return 0, err
+		}
+		pooled.AddAll(lat)
+	}
 	return pooled.TailMean(percentile)
 }
 
-// BatchIPC returns (computing on first use) the isolated IPC of a batch
-// application on a private target-sized LLC.
+// BatchIPC returns the isolated IPC of a batch application on a private
+// target-sized LLC.
 func (b *Baselines) BatchIPC(p workload.BatchProfile) (float64, error) {
-	return memo(b, b.batchIPC, p.Name, func() (float64, error) {
-		return sim.MeasureBatchBaselineIPCPooled(b.scale.Warm, b.cfg, p, sim.LinesFor2MB, b.scale.BatchROI)
-	})
+	return sim.MeasureBatchBaselineIPCPooled(b.scale.Warm, b.cfg, p, sim.LinesFor2MB, b.scale.BatchROI)
 }
 
 // MixRecord is the outcome of running one mix under one scheme.
@@ -376,11 +331,10 @@ func Sweep(cfg sim.Config, scale Scale, baselines *Baselines, mixes []mix.Mix, s
 	return records, nil
 }
 
-// warmBaselines populates the baseline caches for every distinct
-// latency-critical configuration and batch profile the mixes reference, one
-// flat job list per dependency phase (each key is computed exactly once; the
-// computations are independent, seed-determined simulations, so warming order
-// cannot affect any value).
+// warmBaselines runs, through the warm pool, every baseline the mixes
+// reference, one flat job list per dependency phase (each run is computed
+// exactly once; the runs are independent, seed-determined simulations, so
+// warming order cannot affect any value).
 func warmBaselines(cfg sim.Config, scale Scale, baselines *Baselines, mixes []mix.Mix) error {
 	var lcs []mix.LCConfig
 	seenLC := map[string]bool{}
@@ -400,10 +354,11 @@ func warmBaselines(cfg sim.Config, scale Scale, baselines *Baselines, mixes []mi
 	}
 	// Phase 1, what depends on nothing: every calibration and batch IPC.
 	workers := scale.parallelism()
+	bases := make([]sim.LCBaseline, len(lcs))
 	if err := parallel.For(len(lcs)+len(batches), workers, func(i int) error {
 		var err error
 		if i < len(lcs) {
-			_, err = baselines.LC(lcs[i])
+			bases[i], err = baselines.LC(lcs[i])
 		} else {
 			_, err = baselines.BatchIPC(batches[i-len(lcs)])
 		}
@@ -412,7 +367,7 @@ func warmBaselines(cfg sim.Config, scale Scale, baselines *Baselines, mixes []mi
 		return err
 	}
 	// Phase 2, what needs a calibrated arrival rate: every (configuration,
-	// instance) isolation run in one list, then pooled per configuration.
+	// instance) isolation run in one list.
 	type instance struct{ lc, i int }
 	var instances []instance
 	for l, lc := range lcs {
@@ -420,22 +375,11 @@ func warmBaselines(cfg sim.Config, scale Scale, baselines *Baselines, mixes []mi
 			instances = append(instances, instance{l, i})
 		}
 	}
-	runs := make([][]float64, len(instances))
-	if err := parallel.For(len(runs), workers, func(k int) error {
-		var err error
-		runs[k], err = baselines.isolated(lcs[instances[k].lc], instances[k].i)
+	return parallel.For(len(instances), workers, func(k int) error {
+		l := instances[k].lc
+		_, err := baselines.isolated(lcs[l], bases[l].MeanInterarrival, instances[k].i)
 		return err
-	}); err != nil {
-		return err
-	}
-	for _, lc := range lcs {
-		mine := runs[:lc.Instances]
-		if _, err := baselines.pooledIsolated(lc, func(i int) ([]float64, error) { return mine[i], nil }); err != nil {
-			return err
-		}
-		runs = runs[lc.Instances:]
-	}
-	return nil
+	})
 }
 
 // MixesFor builds the (possibly sampled) mix list for the given scale.

@@ -182,9 +182,10 @@ func TestBaselinesCaching(t *testing.T) {
 }
 
 // TestWarmedPooledTailSharedByWorkers pins what Sweep's mix jobs rely on: the
-// pooled sample warmBaselines caches is read by every job of its
-// configuration at once, and a tail query sorts it in place — so concurrent
-// readers must agree with a serial reader (and stay clean under -race).
+// isolation runs warmBaselines puts in the warm pool are read by every job of
+// their configuration at once, each job pooling and sorting its own copy of
+// the latencies — so concurrent readers must agree with a serial reader (and
+// stay clean under -race).
 func TestWarmedPooledTailSharedByWorkers(t *testing.T) {
 	cfg, scale := microConfig(), microScale()
 	lc := mix.LCConfig{App: mustLC(t, "masstree"), Level: mix.LowLoad, Instances: 2}

@@ -48,77 +48,6 @@ func (r *Registry) WriteText(w io.Writer) error {
 	return bw.Flush()
 }
 
-// SnapshotMetric is one instrument's state in a JSON snapshot.
-type SnapshotMetric struct {
-	Name   string            `json:"name"`
-	Type   string            `json:"type"`
-	Labels map[string]string `json:"labels,omitempty"`
-	// Value is the counter count or gauge value. Histograms report Sum,
-	// Count and Buckets instead.
-	Value   float64          `json:"value,omitempty"`
-	Sum     float64          `json:"sum,omitempty"`
-	Count   uint64           `json:"count,omitempty"`
-	Buckets []SnapshotBucket `json:"buckets,omitempty"`
-}
-
-// SnapshotBucket is one cumulative histogram bucket; UpperBound is
-// math.Inf(1) for the last bucket, serialised as "+Inf".
-type SnapshotBucket struct {
-	UpperBound float64 `json:"le"`
-	Cumulative uint64  `json:"cumulative"`
-}
-
-// MarshalJSON renders the +Inf bound as the string "+Inf" (JSON numbers
-// cannot express infinity).
-func (b SnapshotBucket) MarshalJSON() ([]byte, error) {
-	le := "\"+Inf\""
-	if !math.IsInf(b.UpperBound, 1) {
-		le = formatFloat(b.UpperBound)
-	}
-	return []byte(fmt.Sprintf(`{"le":%s,"cumulative":%d}`, le, b.Cumulative)), nil
-}
-
-// Snapshot returns every instrument's current state, in the same stable
-// order as WriteText. Collectors run first.
-func (r *Registry) Snapshot() []SnapshotMetric {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, fn := range r.collectors {
-		fn()
-	}
-	fams := append([]*family(nil), r.families...)
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-
-	var out []SnapshotMetric
-	for _, f := range fams {
-		for _, ch := range f.children {
-			m := SnapshotMetric{Name: f.name, Type: string(f.kind)}
-			if len(ch.labels) > 0 {
-				m.Labels = make(map[string]string, len(ch.labels))
-				for _, l := range ch.labels {
-					m.Labels[l.Key] = l.Value
-				}
-			}
-			switch f.kind {
-			case kindCounter:
-				m.Value = float64(ch.counterValue())
-			case kindGauge:
-				m.Value = ch.g.Value()
-			case kindHistogram:
-				bounds, cum := ch.h.CumulativeBuckets()
-				m.Sum = ch.h.Sum()
-				m.Count = ch.h.Count()
-				m.Buckets = make([]SnapshotBucket, len(bounds))
-				for i := range bounds {
-					m.Buckets[i] = SnapshotBucket{UpperBound: bounds[i], Cumulative: cum[i]}
-				}
-			}
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // counterValue reads whichever counter representation the child holds.
 func (ch *child) counterValue() uint64 {
 	if ch.sc != nil {

@@ -1,9 +1,8 @@
 // Package metrics is the repo's dependency-free observability core: typed
 // counters, gauges and fixed-bucket histograms behind a registry that exposes
-// them in Prometheus text format (Registry.WriteText) and as JSON-encodable
-// snapshots (Registry.Snapshot). It exists so the live cache service, the
-// governor and the simulator can be instrumented without importing anything,
-// and without costing the hot path an allocation.
+// them in Prometheus text format (Registry.WriteText). It exists so the live
+// cache service, the governor and the simulator can be instrumented without
+// importing anything, and without costing the hot path an allocation.
 //
 // Zero-allocation contract: every write-side operation — Counter.Inc/Add,
 // ShardedCounter.Add, Gauge.Set/Add, Histogram.Observe — performs no heap
@@ -177,12 +176,11 @@ const (
 
 // child is one labelled instrument inside a family.
 type child struct {
-	labels []Label // sorted by key
-	sig    string  // canonical label signature, the dedup + sort key
-	c      *Counter
-	sc     *ShardedCounter
-	g      *Gauge
-	h      *Histogram
+	sig string // canonical label signature, the dedup + sort key
+	c   *Counter
+	sc  *ShardedCounter
+	g   *Gauge
+	h   *Histogram
 }
 
 // family groups the children sharing one metric name (and therefore one HELP
@@ -212,7 +210,7 @@ func NewRegistry() *Registry {
 }
 
 // OnCollect registers a callback run (under the registry lock, in
-// registration order) at the start of every WriteText/Snapshot.
+// registration order) at the start of every WriteText.
 // Collectors bridge state kept elsewhere — e.g. per-shard counters summed
 // under their own locks — into registered instruments at scrape time, so hot
 // paths that already maintain counters pay nothing extra for exposition.
@@ -308,7 +306,7 @@ func (r *Registry) register(name, help string, kind metricKind, labels []Label) 
 	if ch := f.bySig[sig]; ch != nil {
 		return ch
 	}
-	ch := &child{labels: sorted, sig: sig}
+	ch := &child{sig: sig}
 	f.bySig[sig] = ch
 	// Insert keeping children sorted by signature, so exposition order is
 	// stable regardless of registration order.

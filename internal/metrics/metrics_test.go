@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"encoding/json"
 	"math"
 	"strings"
 	"sync"
@@ -186,39 +185,6 @@ func TestRegisterIdempotent(t *testing.T) {
 	}
 }
 
-// TestJSONSnapshot checks the JSON API round-trips and mirrors the text
-// exposition, including the "+Inf" bucket spelling.
-func TestJSONSnapshot(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("ops_total", "ops", L("tenant", "0")).Add(4)
-	r.Gauge("quota_bytes", "quota").Set(1024)
-	r.Histogram("lat_seconds", "", []float64{0.5}).Observe(0.25)
-
-	data, err := json.Marshal(r.Snapshot())
-	if err != nil {
-		t.Fatalf("Marshal(Snapshot): %v", err)
-	}
-	var got []map[string]any
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v\n%s", err, data)
-	}
-	if len(got) != 3 {
-		t.Fatalf("snapshot has %d metrics, want 3", len(got))
-	}
-	// Sorted by name: lat_seconds, ops_total, quota_bytes.
-	if got[0]["name"] != "lat_seconds" || got[1]["name"] != "ops_total" || got[2]["name"] != "quota_bytes" {
-		t.Fatalf("snapshot order wrong: %v %v %v", got[0]["name"], got[1]["name"], got[2]["name"])
-	}
-	buckets := got[0]["buckets"].([]any)
-	last := buckets[len(buckets)-1].(map[string]any)
-	if last["le"] != "+Inf" {
-		t.Errorf("last bucket le = %v, want \"+Inf\"", last["le"])
-	}
-	if got[1]["value"].(float64) != 4 {
-		t.Errorf("counter value = %v, want 4", got[1]["value"])
-	}
-}
-
 // TestOnCollect proves collectors run before every scrape, under the lock.
 func TestOnCollect(t *testing.T) {
 	r := NewRegistry()
@@ -235,14 +201,17 @@ func TestOnCollect(t *testing.T) {
 		t.Errorf("collector did not sync before scrape:\n%s", sb.String())
 	}
 	authoritative = 99
-	snap := r.Snapshot()
-	if snap[0].Value != 99 {
-		t.Errorf("collector did not sync before snapshot: %v", snap[0].Value)
+	sb.Reset()
+	if err := r.WriteText(&sb); err != nil {
+		t.Fatalf("WriteText: %v", err)
+	}
+	if !strings.Contains(sb.String(), "synced_total 99\n") {
+		t.Errorf("collector did not sync before the second scrape:\n%s", sb.String())
 	}
 }
 
 // TestConcurrentWritersAndScraper is the -race soak: hammer every instrument
-// kind from several goroutines while a scraper loops WriteText and Snapshot,
+// kind from several goroutines while a scraper loops WriteText,
 // then check conservation (no lost updates).
 func TestConcurrentWritersAndScraper(t *testing.T) {
 	r := NewRegistry()
@@ -269,7 +238,6 @@ func TestConcurrentWritersAndScraper(t *testing.T) {
 				t.Errorf("WriteText during soak: %v", err)
 				return
 			}
-			r.Snapshot()
 		}
 	}()
 	var writersDone sync.WaitGroup

@@ -360,7 +360,7 @@ func TestDefaults(t *testing.T) {
 	// Negative cache sizes disable the level without underflowing the line count.
 	s.Machine = Machine{L1KB: -1, L2KB: -1}
 	hier := s.BaseConfig().Hierarchy
-	if hier.Enabled() {
+	if hier.L1.Enabled() || hier.L2.Enabled() {
 		t.Errorf("negative l1_kb/l2_kb must disable the levels, got %+v", hier)
 	}
 }

@@ -23,9 +23,9 @@ type Config struct {
 	LLC cache.ArrayConfig
 	// Hierarchy configures each application's private L1/L2 filter levels in
 	// front of the shared LLC (Table 2's per-core caches). The zero value
-	// disables both levels and reproduces the flat single-level system
-	// bit-for-bit; with levels enabled the LLC, the UMONs and the reuse
-	// profilers all observe the L2-filtered miss stream.
+	// disables both levels: a flat machine, where every access reaches the
+	// LLC. With levels enabled the LLC, the UMONs and the reuse profilers all
+	// observe the L2-filtered miss stream.
 	Hierarchy cache.HierarchyConfig
 	// Core is the core-timing model (OOO by default).
 	Core cpu.Model

@@ -31,19 +31,16 @@ type appRuntime struct {
 	mlpFactor      float64
 	instrPerAccess uint64 // batch instructions per access
 
-	// Per-access cycle costs, precomputed from the core model at construction
-	// (they depend only on per-app constants, and doAccess runs once per
-	// simulated access).
-	hitCycles   uint64
-	missCycles  uint64
-	missPenalty float64
-
-	// Private cache levels (nil when the configuration has no hierarchy, in
-	// which case doAccess takes the flat single-level path) and the
-	// precomputed cycle cost of an access served at each hierarchy level,
-	// indexed by cache.LevelL1/LevelL2/LevelLLC/LevelMemory.
+	// The private cache levels in front of the shared LLC (a flat machine's
+	// hierarchy has none and passes every access straight through), and the
+	// cycle cost of an access served at each hierarchy level, indexed by
+	// cache.LevelL1/LevelL2/LevelLLC/LevelMemory. The costs and the exposed
+	// miss penalty are precomputed from the core model at construction (they
+	// depend only on per-app constants, and doAccess runs once per simulated
+	// access).
 	hier        *cache.Hierarchy
 	levelCycles [cache.NumLevels]uint64
+	missPenalty float64
 
 	// Local clock and counters.
 	clock    uint64
@@ -146,12 +143,10 @@ func newAppRuntime(idx int, spec AppSpec, cfg Config) (*appRuntime, error) {
 			if interarrival <= 0 {
 				return nil, fmt.Errorf("sim: app %q has no mean interarrival; calibrate the load first", spec.Name())
 			}
-			// The constant schedule takes the plain Poisson path (identical
-			// code, identical seeds) so pre-schedule runs reproduce bit for
-			// bit; a time-varying schedule wraps the same exponential stream
-			// in the rate modulator, with the schedule's own randomness (MMPP
-			// dwells) on an independent derived seed.
-			arr, err := workload.NewScheduledArrivals(interarrival, workload.SplitSeed(seed, 7),
+			// Exponential interarrivals at the schedule's rate (the constant
+			// schedule is plain Poisson), with the schedule's own randomness
+			// (MMPP dwells) on an independent derived seed.
+			arr, err := workload.NewModulatedArrivals(interarrival, workload.SplitSeed(seed, 7),
 				spec.Sched, workload.SplitSeed(seed, 11))
 			if err != nil {
 				return nil, err
@@ -185,28 +180,11 @@ func newAppRuntime(idx int, spec AppSpec, cfg Config) (*appRuntime, error) {
 		ipa = 1
 	}
 	a.instrPerAccess = uint64(ipa + 0.5)
-	a.hitCycles = uint64(cfg.Core.AccessCycles(a.baseCPI, a.apki, a.mlpFactor, false))
-	a.missCycles = uint64(cfg.Core.AccessCycles(a.baseCPI, a.apki, a.mlpFactor, true))
 	a.missPenalty = cfg.Core.MissPenalty(a.mlpFactor)
 	for level := range a.levelCycles {
 		a.levelCycles[level] = uint64(cfg.Core.AccessCyclesAtLevel(a.baseCPI, a.apki, a.mlpFactor, level))
 	}
 	return a, nil
-}
-
-// attachHierarchy gives the app its private L1/L2 levels in front of the
-// shared LLC. Called by the simulator once the LLC exists; a nil hierarchy
-// (flat configuration) leaves doAccess on the single-level path.
-func (a *appRuntime) attachHierarchy(cfg cache.HierarchyConfig, llc cache.Cache) error {
-	if !cfg.Enabled() {
-		return nil
-	}
-	h, err := cache.NewHierarchy(cfg, llc)
-	if err != nil {
-		return err
-	}
-	a.hier = h
-	return nil
 }
 
 // isLC reports whether the slot is latency-critical.

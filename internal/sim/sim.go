@@ -74,7 +74,8 @@ func New(cfg Config, specs []AppSpec, pol policy.Policy) (*Simulator, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := a.attachHierarchy(cfg.Hierarchy, llc); err != nil {
+		// Each app's private levels sit in front of the one shared LLC.
+		if a.hier, err = cache.NewHierarchy(cfg.Hierarchy, llc); err != nil {
 			return nil, err
 		}
 		s.apps = append(s.apps, a)
@@ -297,9 +298,7 @@ func (s *Simulator) ColdRestart(pol policy.Policy) error {
 	s.initial = nil
 	s.cfg.Trace.Record(trace.KindRestart, 0, s.globalTime(), 0, 0, 0)
 	for _, a := range s.apps {
-		if a.hier != nil {
-			a.hier.Reset()
-		}
+		a.hier.Reset()
 		a.umon.Reset()
 		a.mlp.Reset()
 		if a.reuse != nil {
@@ -472,43 +471,13 @@ func (s *Simulator) completeRequest(a *appRuntime) {
 }
 
 // doAccess performs one memory access for an application and advances its
-// clock. With private levels attached it walks the hierarchy, and the
-// monitoring hardware (UMON, MLP and reuse profilers) observes only the
-// L2-filtered stream that reaches the shared LLC — the stream a real LLC-side
-// UMON samples. The flat path is kept byte-for-byte identical to the
-// pre-hierarchy simulator so zero-size configurations reproduce old results
-// exactly.
+// clock: probe the private levels, fall through to the shared LLC on an L2
+// miss, and feed the monitoring hardware (UMON, MLP and reuse profilers) from
+// the L2-filtered stream that reaches the LLC only — the stream a real
+// LLC-side UMON samples. A flat machine is a hierarchy with no private
+// levels, so there every access reaches the LLC.
 func (s *Simulator) doAccess(a *appRuntime, meta uint64, instructions uint64) {
 	addr := a.stream.Next()
-	if a.hier != nil {
-		s.doHierAccess(a, addr, meta, instructions)
-		return
-	}
-	res := s.llc.Access(addr, partID(a.idx), meta)
-	miss := !res.Hit
-	cycles := a.hitCycles
-	if miss {
-		cycles = a.missCycles
-	}
-	a.counters.Add(instructions, cycles, miss)
-	a.clock += cycles
-	a.umon.Access(addr)
-	if miss {
-		a.mlp.RecordMiss(a.missPenalty)
-	}
-	if a.reuse != nil {
-		age := uint64(0)
-		if res.Hit && meta >= res.PrevMeta {
-			age = meta - res.PrevMeta
-		}
-		a.reuse.Record(res.Hit, age)
-	}
-}
-
-// doHierAccess is the hierarchy counterpart of doAccess's flat body: probe
-// the private levels, fall through to the shared LLC on an L2 miss, and feed
-// the monitors from the filtered stream only.
-func (s *Simulator) doHierAccess(a *appRuntime, addr, meta uint64, instructions uint64) {
 	res := a.hier.Access(addr, partID(a.idx), meta)
 	cycles := a.levelCycles[res.Level]
 	a.counters.AddAtLevel(instructions, cycles, res.Level)

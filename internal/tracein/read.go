@@ -83,34 +83,19 @@ func (t *Trace) MemStream(app int) (*workload.TraceStream, error) {
 		return nil, fmt.Errorf("tracein: trace app %d out of range (trace has %d apps, columns 0..%d)", app, t.apps, t.apps-1)
 	}
 	if t.apps == 1 {
-		return workload.NewTraceStream(t.words, recordWords, 2, t.n, t.footprint(0))
+		return workload.NewTraceStream(t.words, recordWords, 2, t.n)
 	}
-	distinct := make(map[uint64]struct{})
 	var addrs []uint64
 	for i := 0; i < t.n; i++ {
 		w := t.words[i*recordWords:]
 		if a, _, _ := unpackMeta(w[1]); int(a) == app {
 			addrs = append(addrs, w[2])
-			distinct[w[2]] = struct{}{}
 		}
 	}
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("tracein: trace app %d has no records (declared apps %d; pick a populated column)", app, t.apps)
 	}
-	return workload.NewTraceStreamAddrs(addrs, uint64(len(distinct)))
-}
-
-// footprint counts distinct keys for one app column (single-app fast path
-// passes 0 and counts every record).
-func (t *Trace) footprint(app int) uint64 {
-	distinct := make(map[uint64]struct{})
-	for i := 0; i < t.n; i++ {
-		w := t.words[i*recordWords:]
-		if a, _, _ := unpackMeta(w[1]); t.apps == 1 || int(a) == app {
-			distinct[w[2]] = struct{}{}
-		}
-	}
-	return uint64(len(distinct))
+	return workload.NewTraceStream(addrs, 1, 0, len(addrs))
 }
 
 // FromRecords builds an in-memory trace from already-materialised records,

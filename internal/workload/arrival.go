@@ -15,39 +15,14 @@ type ArrivalProcess interface {
 	Next(prev uint64) uint64
 }
 
-// PoissonArrivals produces exponential interarrival times with the given mean
-// (in cycles).
-type PoissonArrivals struct {
-	MeanInterarrival float64
-	rng              *rand.Rand
-}
-
-// NewPoissonArrivals returns a Poisson arrival process with the given mean
-// interarrival time in cycles.
-func NewPoissonArrivals(meanInterarrival float64, seed uint64) (*PoissonArrivals, error) {
-	if meanInterarrival <= 0 {
-		return nil, fmt.Errorf("workload: mean interarrival must be positive, got %v", meanInterarrival)
-	}
-	return &PoissonArrivals{MeanInterarrival: meanInterarrival, rng: NewRand(seed)}, nil
-}
-
-// Next implements ArrivalProcess.
-func (p *PoissonArrivals) Next(prev uint64) uint64 {
-	gap := p.rng.ExpFloat64() * p.MeanInterarrival
-	if gap < 1 {
-		gap = 1
-	}
-	return prev + uint64(gap)
-}
-
 // ModulatedArrivals produces exponential interarrival times whose
 // instantaneous rate is the base rate (1/MeanInterarrival) multiplied by a
 // load schedule evaluated at the previous arrival time — a piecewise
 // approximation of a non-homogeneous Poisson process that stays exactly
 // reproducible: one exponential draw per arrival regardless of the schedule,
-// so the same seed yields matched randomness across schedules. With the
-// constant schedule it generates the same arrival sequence as
-// PoissonArrivals seeded identically, bit for bit.
+// so the same seed yields matched randomness across schedules. The constant
+// schedule's multiplier is exactly 1, which makes it the plain Poisson
+// process of Section 3.2.
 type ModulatedArrivals struct {
 	MeanInterarrival float64
 	rng              *rand.Rand
@@ -55,8 +30,12 @@ type ModulatedArrivals struct {
 }
 
 // NewModulatedArrivals returns an arrival process whose rate follows spec.
-// seed drives the exponential draws (exactly like NewPoissonArrivals) and
-// schedSeed drives the schedule's own randomness (MMPP dwell times).
+// Both the simulator's per-slot streams and the cluster front-end's global
+// query stream construct their processes here, so the two layers can never
+// drift apart: a cluster front-end seeded with a node's arrival seeds
+// generates exactly the stream that node would have generated for itself.
+// seed drives the exponential draws and schedSeed the schedule's own
+// randomness (MMPP dwell times); callers split them from one parent seed.
 func NewModulatedArrivals(meanInterarrival float64, seed uint64, spec ScheduleSpec, schedSeed uint64) (*ModulatedArrivals, error) {
 	if meanInterarrival <= 0 {
 		return nil, fmt.Errorf("workload: mean interarrival must be positive, got %v", meanInterarrival)
@@ -80,29 +59,12 @@ func (m *ModulatedArrivals) Next(prev uint64) uint64 {
 	// Bound the gap so a low-rate phase cannot push arrival clocks toward
 	// uint64 wraparound. The clamp only binds for mean interarrivals far
 	// beyond anything the simulator produces (exponential draws stay under
-	// ~37x the mean), so it never perturbs the constant-schedule match with
-	// PoissonArrivals.
+	// ~45x the mean, and the largest mean is calibration's 1e12 cycles), so
+	// it never perturbs the constant schedule.
 	if gap > 1e14 {
 		gap = 1e14
 	}
 	return prev + uint64(gap)
-}
-
-// NewScheduledArrivals builds the arrival process a latency-critical request
-// stream is driven by: plain Poisson for the constant schedule (so
-// pre-schedule seeds reproduce bit for bit) and the rate-modulated process
-// otherwise. Both the simulator's per-slot streams and the cluster front-end's
-// global query stream construct their processes through this one factory, so
-// the two layers can never drift apart: a cluster front-end seeded with a
-// node's arrival seeds generates exactly the stream that node would have
-// generated for itself. seed drives the exponential draws and schedSeed the
-// schedule's own randomness (MMPP dwells); callers split them from one parent
-// seed.
-func NewScheduledArrivals(meanInterarrival float64, seed uint64, spec ScheduleSpec, schedSeed uint64) (ArrivalProcess, error) {
-	if spec.IsConstant() {
-		return NewPoissonArrivals(meanInterarrival, seed)
-	}
-	return NewModulatedArrivals(meanInterarrival, seed, spec, schedSeed)
 }
 
 // DrawArrivals materialises the first n arrival times of a process using the
@@ -178,20 +140,6 @@ func (r *ReplayArrivals) Exhausted() bool { return r.pos >= len(r.times) }
 // sentinel rather than a recorded time. Any nonzero value means the consumer
 // asked for more arrivals than were provisioned.
 func (r *ReplayArrivals) Overruns() int { return r.over }
-
-// UniformArrivals produces deterministic, evenly spaced arrivals; useful in
-// tests and for isolating queueing effects.
-type UniformArrivals struct {
-	Interarrival uint64
-}
-
-// Next implements ArrivalProcess.
-func (u UniformArrivals) Next(prev uint64) uint64 {
-	if u.Interarrival == 0 {
-		return prev + 1
-	}
-	return prev + u.Interarrival
-}
 
 // MeanInterarrivalForLoad converts a target offered load rho (0 < rho < 1) and
 // a mean service time (cycles) into the mean interarrival time that produces

@@ -135,15 +135,3 @@ func (s *Stream) layerAddress(ls *layerState) uint64 {
 	}
 	return ls.base + off
 }
-
-// Footprint returns the total number of distinct lines in persistent layers,
-// the application's long-lived working set.
-func (s *Stream) Footprint() uint64 {
-	var total uint64
-	for _, ls := range s.layers {
-		if !ls.cfg.PerRequest {
-			total += ls.cfg.Lines
-		}
-	}
-	return total
-}

@@ -12,8 +12,6 @@ type AddressStream interface {
 	RequestID() uint64
 	// Next returns the next LLC line address.
 	Next() uint64
-	// Footprint returns the stream's long-lived working set in lines.
-	Footprint() uint64
 }
 
 var (
@@ -35,11 +33,10 @@ var (
 // recording has been replayed — unlike an arrival replay, where running past
 // the end is a provisioning error (see ReplayArrivals).
 type TraceStream struct {
-	words     []uint64
-	stride    int
-	offset    int
-	n         int
-	footprint uint64
+	words  []uint64
+	stride int
+	offset int
+	n      int
 
 	pos       int
 	wraps     uint64
@@ -50,7 +47,7 @@ type TraceStream struct {
 // i lives at words[i*stride+offset]. The words slice is treated as immutable
 // and is shared, not copied — passing a view of an mmap'd trace image makes
 // every clone replay straight out of the page cache.
-func NewTraceStream(words []uint64, stride, offset, n int, footprint uint64) (*TraceStream, error) {
+func NewTraceStream(words []uint64, stride, offset, n int) (*TraceStream, error) {
 	if stride < 1 || offset < 0 || offset >= stride {
 		return nil, fmt.Errorf("workload: trace stream stride %d / offset %d is not a valid record view", stride, offset)
 	}
@@ -60,12 +57,15 @@ func NewTraceStream(words []uint64, stride, offset, n int, footprint uint64) (*T
 	if need := (n-1)*stride + offset + 1; need > len(words) {
 		return nil, fmt.Errorf("workload: trace stream view wants %d words, backing holds %d", need, len(words))
 	}
-	return &TraceStream{words: words, stride: stride, offset: offset, n: n, footprint: footprint}, nil
+	return &TraceStream{words: words, stride: stride, offset: offset, n: n}, nil
 }
 
 // NewTraceStreamAddrs builds a replay stream over a plain address slice.
-func NewTraceStreamAddrs(addrs []uint64, footprint uint64) (*TraceStream, error) {
-	return NewTraceStream(addrs, 1, 0, len(addrs), footprint)
+//
+// Deprecated: the second parameter is ignored; kept only until bench/ stops
+// passing it.
+func NewTraceStreamAddrs(addrs []uint64, _ uint64) (*TraceStream, error) {
+	return NewTraceStream(addrs, 1, 0, len(addrs))
 }
 
 // BeginRequest implements AddressStream.
@@ -85,10 +85,6 @@ func (t *TraceStream) Next() uint64 {
 	}
 	return a
 }
-
-// Footprint implements AddressStream: the number of distinct lines in the
-// recording, computed once at load time.
-func (t *TraceStream) Footprint() uint64 { return t.footprint }
 
 // Len returns the number of recorded addresses.
 func (t *TraceStream) Len() int { return t.n }

@@ -19,15 +19,12 @@ func TestTraceStreamReplaysAndWraps(t *testing.T) {
 	if ts.Pos() != 1 {
 		t.Fatalf("Pos = %d, want 1", ts.Pos())
 	}
-	if ts.Footprint() != 3 {
-		t.Fatalf("Footprint = %d, want 3", ts.Footprint())
-	}
 }
 
 func TestTraceStreamStridedView(t *testing.T) {
 	// A stride-3/offset-2 view over packed trace records: [c0,m0,a0, c1,m1,a1].
 	words := []uint64{100, 0, 7, 200, 0, 9}
-	ts, err := NewTraceStream(words, 3, 2, 2, 2)
+	ts, err := NewTraceStream(words, 3, 2, 2)
 	if err != nil {
 		t.Fatalf("NewTraceStream: %v", err)
 	}
@@ -37,13 +34,13 @@ func TestTraceStreamStridedView(t *testing.T) {
 }
 
 func TestTraceStreamRejectsBadViews(t *testing.T) {
-	if _, err := NewTraceStream([]uint64{1, 2}, 0, 0, 1, 1); err == nil {
+	if _, err := NewTraceStream([]uint64{1, 2}, 0, 0, 1); err == nil {
 		t.Fatal("stride 0 accepted")
 	}
-	if _, err := NewTraceStream([]uint64{1, 2}, 2, 2, 1, 1); err == nil {
+	if _, err := NewTraceStream([]uint64{1, 2}, 2, 2, 1); err == nil {
 		t.Fatal("offset >= stride accepted")
 	}
-	if _, err := NewTraceStream([]uint64{1, 2}, 1, 0, 3, 1); err == nil {
+	if _, err := NewTraceStream([]uint64{1, 2}, 1, 0, 3); err == nil {
 		t.Fatal("view past backing accepted")
 	}
 	if _, err := NewTraceStreamAddrs(nil, 0); err == nil {

@@ -253,9 +253,6 @@ func TestStreamStreamingNeverRepeats(t *testing.T) {
 		}
 		seen[a] = true
 	}
-	if s.Footprint() != 0 {
-		t.Errorf("pure streaming footprint should be 0")
-	}
 }
 
 func TestStreamZipfSkew(t *testing.T) {
@@ -293,21 +290,6 @@ func TestStreamValidation(t *testing.T) {
 	}
 	if _, err := NewStream(0, nil, -0.5, NewRand(1)); err == nil {
 		t.Errorf("negative stream weight should be rejected")
-	}
-}
-
-func TestStreamFootprint(t *testing.T) {
-	layers := []Layer{
-		{Name: "a", Lines: 100, Weight: 0.5},
-		{Name: "b", Lines: 200, Weight: 0.3, PerRequest: true},
-		{Name: "c", Lines: 50, Weight: 0.2},
-	}
-	s, err := NewStream(0, layers, 0.1, NewRand(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Footprint(); got != 150 {
-		t.Errorf("Footprint = %d, want 150 (persistent layers only)", got)
 	}
 }
 
@@ -429,7 +411,7 @@ func TestBatchJitterDistinct(t *testing.T) {
 }
 
 func TestPoissonArrivals(t *testing.T) {
-	p, err := NewPoissonArrivals(1000, 1)
+	p, err := NewModulatedArrivals(1000, 1, ScheduleSpec{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,19 +430,8 @@ func TestPoissonArrivals(t *testing.T) {
 	if math.Abs(mean-1000) > 50 {
 		t.Errorf("empirical mean interarrival %v far from 1000", mean)
 	}
-	if _, err := NewPoissonArrivals(0, 1); err == nil {
+	if _, err := NewModulatedArrivals(0, 1, ScheduleSpec{}, 2); err == nil {
 		t.Errorf("zero interarrival should error")
-	}
-}
-
-func TestUniformArrivals(t *testing.T) {
-	u := UniformArrivals{Interarrival: 50}
-	if u.Next(100) != 150 {
-		t.Errorf("uniform arrival wrong")
-	}
-	z := UniformArrivals{}
-	if z.Next(100) != 101 {
-		t.Errorf("zero-interarrival should advance by 1")
 	}
 }
 
