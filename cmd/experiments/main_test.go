@@ -273,6 +273,24 @@ func TestScenarioFlags(t *testing.T) {
 			}
 		}
 	})
+	t.Run("validate-only refuses an LLC beyond the zcache cap", func(t *testing.T) {
+		t.Parallel()
+		dir := t.TempDir()
+		for _, block := range []string{
+			`"machine": { "llc_mb": 128 },`,
+			`"cluster": { "nodes": 2, "overrides": [ { "node": 1, "llc_mb": 128 } ] },`,
+		} {
+			file := filepath.Join(dir, "big.json")
+			writeFile(t, file, `{ "version": 1, "name": "big", `+block+`
+  "apps": [ { "lc": "masstree", "load": 0.2 }, { "batch": "mcf" } ],
+  "schemes": [ { "name": "ubik" } ] }`)
+			var stdout, stderr bytes.Buffer
+			err := run([]string{"-scenario", file, "-validate"}, &stdout, &stderr)
+			if err == nil || !strings.Contains(err.Error(), "at most 65534 lines") {
+				t.Errorf("%s: -validate returned %v, want the zcache line cap", block, err)
+			}
+		}
+	})
 	cases := []struct {
 		name    string
 		args    []string

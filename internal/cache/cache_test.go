@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -51,6 +52,15 @@ func TestZCacheConstruction(t *testing.T) {
 	if _, err := NewZCache(1024, 4, 52, ModeVantage, 0); err == nil {
 		t.Errorf("zero partitions should fail")
 	}
+	// Above the line cap the victim key's 16-bit excess could overflow;
+	// both the constructor and config validation must say so.
+	const capMsg = "at most 65534 lines"
+	if _, err := NewZCache(1<<16, 4, 52, ModeVantage, 2); err == nil || !strings.Contains(err.Error(), capMsg) {
+		t.Errorf("NewZCache(65536 lines) = %v, want an error naming %q", err, capMsg)
+	}
+	if err := DefaultZ452(1<<16, 2).Validate(); err == nil || !strings.Contains(err.Error(), capMsg) {
+		t.Errorf("Validate(65536-line zcache) = %v, want an error naming %q", err, capMsg)
+	}
 }
 
 func TestConfigFactory(t *testing.T) {
@@ -59,6 +69,8 @@ func TestConfigFactory(t *testing.T) {
 		{Kind: ArraySetAssoc, Lines: 1024, Ways: 16, Mode: ModeWayPartition, Partitions: 6},
 		{Kind: ArraySetAssoc, Lines: 1024, Ways: 64, Mode: ModeVantage, Partitions: 6},
 		DefaultZ452(2048, 6),
+		// The zcache's line cap does not bind set-associative arrays.
+		{Kind: ArraySetAssoc, Lines: 1 << 16, Ways: 16, Mode: ModeVantage, Partitions: 2},
 	}
 	for _, cfg := range cfgs {
 		c, err := New(cfg)

@@ -55,8 +55,11 @@ func (c ArrayConfig) Validate() error {
 	if c.Partitions <= 0 {
 		return fmt.Errorf("cache: config needs at least one partition")
 	}
-	if c.Kind == ArrayZCache && c.Candidates < c.Ways {
-		return fmt.Errorf("cache: zcache config needs candidates >= ways")
+	if c.Kind == ArrayZCache {
+		if c.Candidates < c.Ways {
+			return fmt.Errorf("cache: zcache config needs candidates >= ways")
+		}
+		return checkZLines(c.Lines)
 	}
 	return nil
 }

@@ -19,11 +19,15 @@ import (
 // The replacement walk is the simulator's hottest code (every simulated miss
 // visits ~candidates scattered slots), and its cost is instructions and
 // branch mispredicts, not memory: the whole array sits in the host L2. So the
-// array is one contiguous slab of 32-byte slots, [addr, info, meta, stamp]
+// array is one contiguous slab of 32-byte slots, [tag, info, meta, stamp]
 // per line, and a slot never straddles a host cache line:
 //
+//   - tag is the line's base hash fmix64(addr), not its address. fmix64 is a
+//     bijection, so comparing tags is comparing addresses, and a BFS
+//     expansion of a node folds its stored tag through the way multipliers
+//     with no rehash;
 //   - a hit reads and writes one host line, and the walk's info load brings
-//     in the address a BFS expansion of that node needs;
+//     in the tag a BFS expansion of that node needs;
 //   - stamp is the generation of the last walk that visited the slot, so
 //     "already a candidate" is a compare against a word the info load already
 //     fetched, and clearing between walks is one counter increment. Stamps
@@ -37,9 +41,8 @@ import (
 type ZCache struct {
 	numSetsPerWay uint64
 	ways          int
-	candidates    int
 	mode          ReplacementMode
-	words         []uint64 // slab storage: slotWords words per line
+	slots         []zslot
 	parts         *partitionTable
 	stats         Stats
 	clock         uint64
@@ -52,16 +55,15 @@ type ZCache struct {
 	wayMuls   []uint64 // per-way odd multipliers for skewed indexing
 }
 
-// Layout of a slot. The slab base is 32-byte aligned
-// (TestSlotsDoNotStraddleHostLines), so a slot never spans two host cache
-// lines.
-const (
-	slotWords = 4
-	slotAddr  = 0
-	slotInfo  = 1
-	slotMeta  = 2
-	slotStamp = 3
-)
+// zslot is one line of the slab. It is 32 bytes and the slab base is 32-byte
+// aligned (TestSlotsDoNotStraddleHostLines), so a slot never spans two host
+// cache lines.
+type zslot struct {
+	tag   uint64 // baseHash of the line's address
+	info  uint64 // lastUse|partition|valid, packed as below
+	meta  uint64
+	stamp uint64 // generation of the last walk that visited the slot
+}
 
 // Packing of the per-slot info word. The access clock fits comfortably in 48
 // bits (2.8e14 accesses per cache instance); the partition count is capped at
@@ -72,19 +74,27 @@ const (
 	zPartMask  = uint64(0x7fff)
 	zUseShift  = 16
 	zMaxParts  = int(zPartMask)
+	// The walk's victim key holds a quota excess above 48 bits of ^lastUse.
+	// An excess is at most lines+1 (target 0, every line, plus the incoming
+	// one), so capping lines keeps it in 16 bits.
+	zExcessShift = 64 - zUseShift
+	zMaxLines    = 1<<(64-zExcessShift) - 2
 )
 
-// infoPart extracts the owning partition from an info word.
-func infoPart(inf uint64) PartitionID {
-	return PartitionID(inf >> zPartShift & zPartMask)
-}
-
-// walkNode is one node of the replacement-candidate BFS: the word offset of
-// its slot in the slab and its parent's index in the walk buffer (-1 for the
+// walkNode is one node of the replacement-candidate BFS: the index of its
+// slot in the slab and its parent's index in the walk buffer (-1 for the
 // incoming address's own slots).
 type walkNode struct {
-	off    uint64
+	idx    uint32
 	parent int32
+}
+
+// checkZLines refuses a line count the victim key cannot score exactly.
+func checkZLines(lines uint64) error {
+	if lines > zMaxLines {
+		return fmt.Errorf("cache: a zcache holds at most %d lines (its quota excesses must fit 16 bits), got %d", zMaxLines, lines)
+	}
+	return nil
 }
 
 // NewZCache builds a zcache with totalLines lines, the given number of ways
@@ -111,6 +121,9 @@ func NewZCache(totalLines uint64, ways, candidates int, mode ReplacementMode, nu
 	if totalLines == 0 || totalLines%uint64(ways) != 0 {
 		return nil, fmt.Errorf("cache: total lines %d must be a positive multiple of ways %d", totalLines, ways)
 	}
+	if err := checkZLines(totalLines); err != nil {
+		return nil, err
+	}
 	// Each way indexes through its own odd multiplier applied to one shared
 	// base mix of the address: a full independent hash per way costs ~3x more
 	// on the walk, and multiply-shift families are what hardware skew caches
@@ -122,24 +135,14 @@ func NewZCache(totalLines uint64, ways, candidates int, mode ReplacementMode, nu
 	return &ZCache{
 		numSetsPerWay: totalLines / uint64(ways),
 		ways:          ways,
-		candidates:    candidates,
 		mode:          mode,
-		words:         make([]uint64, slotWords*totalLines),
+		slots:         make([]zslot, totalLines),
 		parts:         newPartitionTable(numPartitions),
 		walkNodes:     make([]walkNode, candidates),
 		overTab:       make([]uint64, numPartitions),
 		wayMuls:       wayMuls,
 	}, nil
 }
-
-// Mode returns the replacement mode.
-func (c *ZCache) Mode() ReplacementMode { return c.mode }
-
-// Ways returns the number of hash ways.
-func (c *ZCache) Ways() int { return c.ways }
-
-// Candidates returns the replacement-walk candidate budget.
-func (c *ZCache) Candidates() int { return c.candidates }
 
 // NumLines implements Cache.
 func (c *ZCache) NumLines() uint64 { return uint64(c.ways) * c.numSetsPerWay }
@@ -193,12 +196,12 @@ func (c *ZCache) SetPartitionTarget(p PartitionID, lines uint64) {
 	c.parts.targets[p] = lines
 }
 
-// slotOffset returns the word offset in the slab of the slot that an address
-// with base hash h maps to in the given way. The hash is folded through the
-// way's multiplier so callers that probe several ways pay the full address mix
-// only once.
-func (c *ZCache) slotOffset(h uint64, way int) uint64 {
-	return (uint64(way)*c.numSetsPerWay + reduceRange(h*c.wayMuls[way], c.numSetsPerWay)) * slotWords
+// slotIndex returns the slab index of the slot that an address with base
+// hash h maps to in the given way. The hash is folded through the way's
+// multiplier so callers that probe several ways pay the full address mix only
+// once, and the walk, which reads h from a slot's tag, not at all.
+func (c *ZCache) slotIndex(h uint64, way int) uint64 {
+	return uint64(way)*c.numSetsPerWay + reduceRange(h*c.wayMuls[way], c.numSetsPerWay)
 }
 
 // Access implements Cache.
@@ -213,22 +216,21 @@ func (c *ZCache) Access(addr uint64, part PartitionID, meta uint64) AccessResult
 
 	// Lookup: the line can only be in one of its ways' positions, and
 	// everything a hit reads or writes is in that one slot.
-	words := c.words
+	slots := c.slots
 	h := baseHash(addr)
 	for w := 0; w < c.ways; w++ {
-		off := c.slotOffset(h, w)
-		s := words[off : off+slotWords : off+slotWords]
-		if inf := s[slotInfo]; s[slotAddr] == addr && inf&zValidBit != 0 {
+		s := &slots[c.slotIndex(h, w)]
+		if inf := s.info; s.tag == h && inf&zValidBit != 0 {
 			c.stats.Hits++
 			ps.Hits++
-			res := AccessResult{Hit: true, PrevMeta: s[slotMeta]}
+			res := AccessResult{Hit: true, PrevMeta: s.meta}
 			// A hit refreshes the line's recency but must not change its
 			// partition ownership (in the workloads used here address
 			// spaces are disjoint per app, but the occupancy counters
 			// would silently diverge if a cross-partition hit relabelled
 			// the line without moving the sizes).
-			s[slotInfo] = c.clock<<zUseShift | inf&(1<<zUseShift-1)
-			s[slotMeta] = meta
+			s.info = c.clock<<zUseShift | inf&(1<<zUseShift-1)
+			s.meta = meta
 			return res
 		}
 	}
@@ -240,8 +242,8 @@ func (c *ZCache) Access(addr uint64, part PartitionID, meta uint64) AccessResult
 	victim, forced := c.replacementWalk(h, part)
 	nodes := c.walkNodes
 	res := AccessResult{}
-	if vinf := words[nodes[victim].off+slotInfo]; vinf&zValidBit != 0 {
-		vp := infoPart(vinf)
+	if vinf := slots[nodes[victim].idx].info; vinf&zValidBit != 0 {
+		vp := PartitionID(vinf >> zPartShift & zPartMask)
 		res.Evicted = true
 		res.EvictedPartition = vp
 		res.ForcedEviction = forced
@@ -262,13 +264,14 @@ func (c *ZCache) Access(addr uint64, part PartitionID, meta uint64) AccessResult
 	node := nodes[victim]
 	for node.parent >= 0 {
 		parent := nodes[node.parent]
-		copy(words[node.off:node.off+slotStamp], words[parent.off:parent.off+slotStamp])
+		dst, src := &slots[node.idx], &slots[parent.idx]
+		dst.tag, dst.info, dst.meta = src.tag, src.info, src.meta
 		node = parent
 	}
-	s := words[node.off : node.off+slotWords : node.off+slotWords]
-	s[slotAddr] = addr
-	s[slotInfo] = c.clock<<zUseShift | uint64(part)<<zPartShift | zValidBit
-	s[slotMeta] = meta
+	s := &slots[node.idx]
+	s.tag = h
+	s.info = c.clock<<zUseShift | uint64(part)<<zPartShift | zValidBit
+	s.meta = meta
 	c.parts.sizes[part]++
 	return res
 }
@@ -286,17 +289,18 @@ func (c *ZCache) Access(addr uint64, part PartitionID, meta uint64) AccessResult
 //
 // Candidates are scored as they are appended. An invalid slot wins outright
 // and ends the walk. Otherwise the victim is the candidate with the greatest
-// (quota excess, ^lastUse) pair, first one winning ties: the most over-quota
-// partition's least recently used line under Vantage, and — because the pair
-// degenerates to ^lastUse when no candidate is over quota — the global LRU
-// line when the eviction has to be forced. In LRU mode the excess table stays
-// all-zero and the same comparison is plain LRU. The running best is replaced
-// through a select mask derived from the borrow of a two-word subtraction, so
-// scoring costs no data-dependent branch.
+// key excess<<48 | ^lastUse (48 bits), first one winning ties: the most
+// over-quota partition's least recently used line under Vantage, and —
+// because the key degenerates to ^lastUse when no candidate is over quota —
+// the global LRU line when the eviction has to be forced. In LRU mode the
+// excess table stays all-zero and the same comparison is plain LRU. The
+// running best is replaced through a select mask derived from the borrow of
+// one subtraction, so scoring costs no data-dependent branch.
 func (c *ZCache) replacementWalk(h uint64, inserting PartitionID) (int, bool) {
-	// Partition sizes and targets cannot change during a walk, so the quota
-	// excess each candidate would be scored with is precomputed per
-	// partition; scoring a candidate is then a single indexed load.
+	// Partition sizes and targets cannot change during a walk, so the key
+	// half each candidate's partition contributes is precomputed; scoring a
+	// candidate is then one indexed load and an or. zMaxLines keeps every
+	// excess below 1<<16, so the shift loses nothing.
 	over := c.overTab
 	if c.mode == ModeVantage {
 		targets, sizes := c.parts.targets, c.parts.sizes
@@ -307,7 +311,7 @@ func (c *ZCache) replacementWalk(h uint64, inserting PartitionID) (int, bool) {
 			}
 			over[p] = 0
 			if size > targets[p] {
-				over[p] = size - targets[p]
+				over[p] = (size - targets[p]) << zExcessShift
 			}
 		}
 	}
@@ -318,52 +322,50 @@ func (c *ZCache) replacementWalk(h uint64, inserting PartitionID) (int, bool) {
 	// that use them, whereas hoisting them too leaves the compiler short of
 	// registers and it spills the loop-carried values instead.
 	c.gen++
-	words := c.words
+	slots := c.slots
 
-	var best, bestOver, bestNotUse uint64
+	var best, bestKey uint64
 	// The buffer itself is the BFS queue: scan is the node being expanded,
 	// starting from the virtual parent (-1) of the incoming address's slots,
 	// and w the way its next child is looked up in.
 	n, w, scan := 0, 0, int32(-1)
 	for n < len(c.walkNodes) {
-		off := c.slotOffset(h, w)
-		s := words[off : off+slotWords : off+slotWords]
-		if s[slotStamp] != c.gen {
-			s[slotStamp] = c.gen
-			c.walkNodes[n] = walkNode{off: off, parent: scan}
-			inf := s[slotInfo]
+		i := c.slotIndex(h, w)
+		s := &slots[i]
+		if s.stamp != c.gen {
+			s.stamp = c.gen
+			c.walkNodes[n] = walkNode{idx: uint32(i), parent: scan}
+			inf := s.info
 			if inf&zValidBit == 0 {
 				return n, false
 			}
-			o, notUse := c.overTab[inf>>zPartShift&zPartMask], ^(inf >> zUseShift)
-			_, lt := bits.Sub64(bestNotUse, notUse, 0)
-			_, lt = bits.Sub64(bestOver, o, lt)
-			sel := -lt // all ones iff (bestOver, bestNotUse) < (o, notUse)
+			key := c.overTab[inf>>zPartShift&zPartMask] | ^inf>>zUseShift
+			_, lt := bits.Sub64(bestKey, key, 0)
+			sel := -lt // all ones iff bestKey < key
 			best ^= (best ^ uint64(n)) & sel
-			bestOver ^= (bestOver ^ o) & sel
-			bestNotUse ^= (bestNotUse ^ notUse) & sel
+			bestKey ^= (bestKey ^ key) & sel
 			n++
 		}
 		if w++; w == len(c.wayMuls) {
 			// Every node reached here holds a valid line (an invalid slot
-			// would have ended the walk above), and its address is on the
-			// host line its info load already brought in.
+			// would have ended the walk above), and its tag is on the host
+			// line its info load already brought in.
 			if scan++; int(scan) >= n {
 				break
 			}
-			w, h = 0, baseHash(words[c.walkNodes[scan].off+slotAddr])
+			w, h = 0, slots[c.walkNodes[scan].idx].tag
 		}
 	}
 	// All candidates at or below target under Vantage: forced (the situation
 	// the large walk makes negligibly rare).
-	return int(best), c.mode == ModeVantage && bestOver == 0
+	return int(best), c.mode == ModeVantage && bestKey>>zExcessShift == 0
 }
 
 // Reset implements Cache: the slab is zeroed in place, and partition state
 // and counters are cleared. The walk generation keeps counting, so no stamp
 // written before the reset can alias a later walk.
 func (c *ZCache) Reset() {
-	clear(c.words)
+	clear(c.slots)
 	c.clock = 0
 	c.stats = Stats{}
 	c.parts.reset()
@@ -373,8 +375,7 @@ func (c *ZCache) Reset() {
 func (c *ZCache) Contains(addr uint64) bool {
 	h := baseHash(addr)
 	for w := 0; w < c.ways; w++ {
-		off := c.slotOffset(h, w)
-		if c.words[off+slotAddr] == addr && c.words[off+slotInfo]&zValidBit != 0 {
+		if s := &c.slots[c.slotIndex(h, w)]; s.tag == h && s.info&zValidBit != 0 {
 			return true
 		}
 	}

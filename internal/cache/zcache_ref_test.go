@@ -280,16 +280,81 @@ func runWalkDifferential(t *testing.T, mode ReplacementMode, ways, cand, parts i
 // slab starts on a 32-byte boundary, so a 32-byte slot sits inside one
 // 64-byte host cache line.
 func TestSlotsDoNotStraddleHostLines(t *testing.T) {
-	if unsafe.Sizeof(uint64(0))*slotWords != 32 {
-		t.Fatalf("a slot is %d bytes, want 32", unsafe.Sizeof(uint64(0))*slotWords)
+	if unsafe.Sizeof(zslot{}) != 32 {
+		t.Fatalf("a slot is %d bytes, want 32", unsafe.Sizeof(zslot{}))
 	}
 	for _, lines := range []uint64{4, 12, 68, 388, 1024, 6144, 16384} {
 		c, err := NewZCache(lines, 4, 4, ModeLRU, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if addr := uintptr(unsafe.Pointer(&c.words[0])); addr%32 != 0 {
+		if addr := uintptr(unsafe.Pointer(&c.slots[0])); addr%32 != 0 {
 			t.Errorf("%d lines: slab base %#x is not 32-byte aligned", lines, addr)
 		}
 	}
+}
+
+// FuzzWalkMatchesReference runs runWalkDifferential on fuzzed shapes: mode,
+// ways ∈ {2, 4, 8}, candidate budget, partition count, sets per way and the
+// seed of the access stream.
+func FuzzWalkMatchesReference(f *testing.F) {
+	f.Add(uint8(0), uint8(1), uint16(48), uint8(5), uint16(97), int64(1))
+	f.Add(uint8(1), uint8(0), uint16(0), uint8(0), uint16(13), int64(2))
+	f.Add(uint8(0), uint8(2), uint16(300), uint8(63), uint16(384), int64(3))
+	f.Fuzz(func(t *testing.T, mode, waySel uint8, cand uint16, parts uint8, spw uint16, seed int64) {
+		ways := []int{2, 4, 8}[waySel%3]
+		m := ModeVantage
+		if mode%2 == 1 {
+			m = ModeLRU
+		}
+		runWalkDifferential(t, m, ways, ways+int(cand%300), 1+int(parts%64), 1+uint64(spw%400), seed)
+	})
+}
+
+// TestWalkAtLineCap drives a cache of zMaxLines-2 lines (the largest
+// multiple of 4 under the cap) against the reference through both extremes
+// of the 16-bit excess field of the victim key. Partition 0, target 0, first
+// holds every line, so the miss after that scores it at excess lines+1; then
+// partition 1 misses until both partitions are tens of thousands of lines
+// over quota and the walk keeps choosing between two large excesses.
+func TestWalkAtLineCap(t *testing.T) {
+	const lines, ways, cand = zMaxLines - 2, 4, 52
+	c, err := NewZCache(lines, ways, cand, ModeVantage, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := walkPair{c, newRefZCache(lines, ways, cand, ModeVantage, 2)}
+	access := func(addr uint64, part PartitionID) {
+		t.Helper()
+		if got, want := p.c.Access(addr, part, addr), p.ref.access(addr, part, addr); got != want {
+			t.Fatalf("Access(%d, %d) = %+v, reference %+v", addr, part, got, want)
+		}
+	}
+	// Fill: touch an address only while one of its own slots is empty, so
+	// each access fills a slot without evicting.
+	addr := uint64(0)
+	for ; p.c.PartitionSize(0) < lines; addr++ {
+		for w := 0; w < ways; w++ {
+			if p.c.slots[p.c.slotIndex(baseHash(addr), w)].info&zValidBit == 0 {
+				access(addr, 0)
+				break
+			}
+		}
+	}
+	access(addr, 0)
+	if got := c.overTab[0] >> zExcessShift; got != lines+1 {
+		t.Fatalf("excess of the full partition scored as %d, want %d", got, lines+1)
+	}
+	steps := 40_000
+	if testing.Short() {
+		steps = 4_000
+	}
+	for i := 0; i < steps; i++ {
+		addr++
+		access(addr, 1)
+	}
+	if s0, s1 := c.PartitionSize(0), c.PartitionSize(1); s0 < 20_000 || s1 < uint64(min(steps, 20_000)) {
+		t.Fatalf("partition sizes %d and %d, want both far over their zero targets", s0, s1)
+	}
+	p.check(t, addr+1)
 }

@@ -111,8 +111,8 @@ func newGovernorMetrics(c *Cache, reg *metrics.Registry) *governorMetrics {
 // The live cache presents itself to the policy layer with these fixed
 // parameters.
 const (
-	// epochCycles is the interval length presented to the policy as
-	// View.IntervalCycles, and the synthetic deadline for latency-critical
+	// epochCycles is the interval length recorded as PlantView.EpochCycles,
+	// the clock's unit, and the synthetic deadline for latency-critical
 	// tenants, which have no request deadlines in live mode.
 	epochCycles = 1_000_000
 	// policyCurvePoints is the interpolation granularity of the curves

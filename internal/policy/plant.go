@@ -85,9 +85,6 @@ func (v *PlantView) CyclesPerAccessHit(app int) float64 { return v.Apps[app].Cyc
 // CurrentTarget implements View.
 func (v *PlantView) CurrentTarget(app int) uint64 { return v.Apps[app].CurrentTarget }
 
-// PartitionOccupancy implements View.
-func (v *PlantView) PartitionOccupancy(app int) uint64 { return v.Apps[app].Occupancy }
-
 // LCTargetLines implements View.
 func (v *PlantView) LCTargetLines(app int) uint64 { return v.Apps[app].LCTargetLines }
 
@@ -102,9 +99,6 @@ func (v *PlantView) PartitionMisses(app int) uint64 { return v.Apps[app].Misses 
 
 // UMONSnapshot implements View.
 func (v *PlantView) UMONSnapshot(app int) monitor.UMONSnapshot { return v.Apps[app].Snap }
-
-// IntervalCycles implements View.
-func (v *PlantView) IntervalCycles() uint64 { return v.EpochCycles }
 
 // Now implements View.
 func (v *PlantView) Now() uint64 { return v.Clock }

@@ -39,8 +39,6 @@ type View interface {
 	CyclesPerAccessHit(app int) float64
 	// CurrentTarget returns the application's current partition target.
 	CurrentTarget(app int) uint64
-	// PartitionOccupancy returns the partition's current size in lines.
-	PartitionOccupancy(app int) uint64
 	// LCTargetLines returns a latency-critical application's configured target
 	// allocation (the "runs alone on a 2 MB LLC" size); 0 for batch apps.
 	LCTargetLines(app int) uint64
@@ -60,8 +58,6 @@ type View interface {
 	// UMONMissesAtSince estimates how many misses the application would have
 	// incurred since the snapshot at the given allocation.
 	UMONMissesAtSince(app int, since monitor.UMONSnapshot, lines uint64) float64
-	// IntervalCycles returns the reconfiguration interval length in cycles.
-	IntervalCycles() uint64
 	// Now returns the current simulated time in cycles.
 	Now() uint64
 }

@@ -574,6 +574,12 @@ func (s Spec) validateCluster() error {
 		if o.LLCMB < 0 || o.Weight < 0 {
 			return fmt.Errorf("scenario: cluster.overrides[%d] needs positive llc_mb and weight", i)
 		}
+		if node := s.BaseConfig(); o.LLCMB > 0 {
+			node.LLC.Lines = lines(o.LLCMB) // as the run builds the node
+			if err := node.Validate(); err != nil {
+				return fmt.Errorf("scenario: cluster.overrides[%d]: %w", i, err)
+			}
+		}
 		if !seen[o.Node] {
 			seen[o.Node] = true
 			if o.Weight > 0 {

@@ -251,6 +251,10 @@ func TestValidate(t *testing.T) {
 		}, "instantaneous"},
 		{"tiny report window", func(s *Spec) { s.Report.WindowCycles = 100 }, "latency window must be 0 (off) or at least 1024"},
 		{"private level larger than the LLC", func(s *Spec) { s.Machine = Machine{LLCMB: 0.1} }, "must be smaller than the LLC"},
+		{"LLC beyond the zcache cap", func(s *Spec) { s.Machine.LLCMB = 128 }, "at most 65534 lines"},
+		{"node LLC beyond the zcache cap", func(s *Spec) {
+			s.Cluster = &Cluster{Nodes: 2, Overrides: []NodeOverride{{Node: 1, LLCMB: 128}}}
+		}, "cluster.overrides[0]: cache: a zcache holds at most 65534 lines"},
 	}
 	if err := valid().Validate(); err != nil {
 		t.Fatalf("the base spec must validate: %v", err)

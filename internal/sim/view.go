@@ -78,10 +78,6 @@ func (v *simView) CurrentTarget(app int) uint64 {
 	return v.s.llc.PartitionTarget(partID(app))
 }
 
-func (v *simView) PartitionOccupancy(app int) uint64 {
-	return v.s.llc.PartitionSize(partID(app))
-}
-
 func (v *simView) LCTargetLines(app int) uint64 {
 	return v.s.apps[app].spec.targetLines()
 }
@@ -117,7 +113,5 @@ func (v *simView) UMONSnapshot(app int) monitor.UMONSnapshot {
 func (v *simView) UMONMissesAtSince(app int, since monitor.UMONSnapshot, lines uint64) float64 {
 	return v.s.apps[app].umon.MissesAtSizeSince(since, lines)
 }
-
-func (v *simView) IntervalCycles() uint64 { return v.s.cfg.ReconfigIntervalCycles }
 
 func (v *simView) Now() uint64 { return v.s.globalTime() }
