@@ -223,7 +223,7 @@ func TestWalkMatchesReference(t *testing.T) {
 					name := fmt.Sprintf("%v/w%d/c%d/p%d/s%d", mode, ways, cand, parts, spw)
 					t.Run(name, func(t *testing.T) {
 						t.Parallel()
-						runWalkDifferential(t, mode, ways, cand, parts, spw, seed)
+						runWalkDifferential(t, mode, ways, cand, parts, spw, seed, walkSteps(cand))
 					})
 				}
 			}
@@ -231,14 +231,10 @@ func TestWalkMatchesReference(t *testing.T) {
 	}
 }
 
-func runWalkDifferential(t *testing.T, mode ReplacementMode, ways, cand, parts int, spw uint64, seed int64) {
-	lines := spw * uint64(ways)
-	c, err := NewZCache(lines, ways, cand, mode, parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The reference's dedup is quadratic in the candidate count, so the wide
-	// walks get fewer accesses.
+// walkSteps is the number of random operations runWalkDifferential runs for
+// a candidate budget. The reference's dedup is quadratic in the candidate
+// count, so the wide walks get fewer; a tenth with -short.
+func walkSteps(cand int) int {
 	steps := 16000
 	switch {
 	case cand > 100:
@@ -248,6 +244,15 @@ func runWalkDifferential(t *testing.T, mode ReplacementMode, ways, cand, parts i
 	}
 	if testing.Short() {
 		steps /= 10
+	}
+	return steps
+}
+
+func runWalkDifferential(t *testing.T, mode ReplacementMode, ways, cand, parts int, spw uint64, seed int64, steps int) {
+	lines := spw * uint64(ways)
+	c, err := NewZCache(lines, ways, cand, mode, parts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	span := 3 * lines
@@ -295,19 +300,22 @@ func TestSlotsDoNotStraddleHostLines(t *testing.T) {
 }
 
 // FuzzWalkMatchesReference runs runWalkDifferential on fuzzed shapes: mode,
-// ways ∈ {2, 4, 8}, candidate budget, partition count, sets per way and the
-// seed of the access stream.
+// ways ∈ {2, 4, 8}, candidate budget, partition count, sets per way, the
+// seed of the access stream and its length, 1 + n mod walkSteps' count. The
+// seeds take that full count (n = 11999 and 15999); small n, which the
+// fuzzer's minimizer moves towards, are short streams that run fast.
 func FuzzWalkMatchesReference(f *testing.F) {
-	f.Add(uint8(0), uint8(1), uint16(48), uint8(5), uint16(97), int64(1))
-	f.Add(uint8(1), uint8(0), uint16(0), uint8(0), uint16(13), int64(2))
-	f.Add(uint8(0), uint8(2), uint16(300), uint8(63), uint16(384), int64(3))
-	f.Fuzz(func(t *testing.T, mode, waySel uint8, cand uint16, parts uint8, spw uint16, seed int64) {
+	f.Add(uint8(0), uint8(1), uint16(48), uint8(5), uint16(97), int64(1), uint16(11999))
+	f.Add(uint8(1), uint8(0), uint16(0), uint8(0), uint16(13), int64(2), uint16(15999))
+	f.Add(uint8(0), uint8(2), uint16(300), uint8(63), uint16(384), int64(3), uint16(15999))
+	f.Fuzz(func(t *testing.T, mode, waySel uint8, cand uint16, parts uint8, spw uint16, seed int64, n uint16) {
 		ways := []int{2, 4, 8}[waySel%3]
 		m := ModeVantage
 		if mode%2 == 1 {
 			m = ModeLRU
 		}
-		runWalkDifferential(t, m, ways, ways+int(cand%300), 1+int(parts%64), 1+uint64(spw%400), seed)
+		c := ways + int(cand%300)
+		runWalkDifferential(t, m, ways, c, 1+int(parts%64), 1+uint64(spw%400), seed, 1+int(n)%walkSteps(c))
 	})
 }
 

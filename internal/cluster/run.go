@@ -34,11 +34,12 @@ type Result struct {
 	// Fanout, Quorum and Balancer echo the resolved query model.
 	Fanout, Quorum int
 	Balancer       string
-	// QueryLatencies holds the measured query latencies (quorum-joined).
+	// QueryLatencies holds the measured query latencies (quorum-joined),
+	// sorted before aggregate returns so queries on it only read.
+	// Read-only.
 	QueryLatencies *stats.Sample
 	// PerQueryLatencies holds the same latencies in query arrival order
-	// (percentile queries sort the sample's backing array in place; this
-	// slice keeps its order). Read-only.
+	// (the sample is held sorted; this slice keeps its order). Read-only.
 	PerQueryLatencies []float64
 	// Mean, P95, P99 and TailMean summarise the query latencies; TailMean is
 	// the mean beyond Spec.TailPercentile (the paper's tail metric, lifted to
@@ -348,9 +349,13 @@ func aggregate(spec Spec, plan *queryPlan, results []sim.Result) (Result, error)
 	if tm, err := res.QueryLatencies.TailMean(spec.tailPercentile()); err == nil {
 		res.TailMean = tm
 	}
+	// Like a node's sim.Result, the cluster result is read-only once
+	// returned: its samples are sorted, so queries on them only read.
+	res.QueryLatencies.Sort()
 	if queryWindows != nil {
+		queryWindows.Sort()
 		res.Windows = queryWindows.Stats(spec.tailPercentile())
-		res.WindowSamples = queryWindows.SamplesCopy()
+		res.WindowSamples = queryWindows.Samples()
 	}
 	return res, nil
 }

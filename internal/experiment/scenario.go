@@ -371,12 +371,17 @@ func runScenarioCluster(out *ScenarioOutcome, spec scenario.Spec, schemes []scen
 
 // pooledLCWindowStats pools the per-window latency samples of every
 // latency-critical instance and summarises each window — the single-node
-// counterpart of the cluster's query windows.
+// counterpart of the cluster's query windows, and the per-window series of
+// fig7 and flash.
 func pooledLCWindowStats(res sim.Result, width uint64, tailPct float64) []stats.WindowStat {
 	lcs := res.LCResults()
-	out := make([]stats.WindowStat, windowCount(lcs))
+	n := 0
+	for _, a := range lcs {
+		n = max(n, len(a.WindowSamples))
+	}
+	out := make([]stats.WindowStat, n)
 	for w := range out {
-		pooled := pooledWindow(lcs, w)
+		pooled := pooledRange(lcs, w, w+1)
 		st := stats.WindowStat{
 			Index:      uint64(w),
 			StartCycle: uint64(w) * width,

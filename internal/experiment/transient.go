@@ -99,18 +99,6 @@ func transientBaseline(cfg sim.Config, scale Scale) (sim.LCBaseline, float64, er
 	return base, reqFactor, nil
 }
 
-// pooledWindow merges one window's latency samples across all
-// latency-critical instances of a run.
-func pooledWindow(lcs []sim.AppResult, idx int) *stats.Sample {
-	var parts []*stats.Sample
-	for _, a := range lcs {
-		if idx < len(a.WindowSamples) {
-			parts = append(parts, a.WindowSamples[idx])
-		}
-	}
-	return stats.PoolWindows(parts)
-}
-
 // pooledRange merges a half-open window range [from, to) across instances.
 func pooledRange(lcs []sim.AppResult, from, to int) *stats.Sample {
 	var parts []*stats.Sample
@@ -120,17 +108,6 @@ func pooledRange(lcs []sim.AppResult, from, to int) *stats.Sample {
 		}
 	}
 	return stats.PoolWindows(parts)
-}
-
-// windowCount returns the longest window series across the run's LC apps.
-func windowCount(lcs []sim.AppResult) int {
-	n := 0
-	for _, a := range lcs {
-		if len(a.WindowSamples) > n {
-			n = len(a.WindowSamples)
-		}
-	}
-	return n
 }
 
 // phaseBounds maps a schedule onto [transientStart, transientEnd) window
@@ -193,20 +170,16 @@ func Fig7Transient(cfg sim.Config, scale Scale, sched workload.ScheduleSpec) ([]
 	}
 
 	window := transientWindowCycles(cfg)
+	wins := make([][]stats.WindowStat, len(runs))
 	maxWin := 0
-	for _, r := range runs {
-		if n := windowCount(r.res.LCResults()); n > maxWin {
-			maxWin = n
-		}
-	}
-
-	// Pool each (scheme, window) once; both percentile tables and the
-	// request-count column read from the cache.
-	pooled := make([][]*stats.Sample, len(runs))
 	for i, r := range runs {
-		pooled[i] = make([]*stats.Sample, maxWin)
-		for w := 0; w < maxWin; w++ {
-			pooled[i][w] = pooledWindow(r.res.LCResults(), w)
+		wins[i] = pooledLCWindowStats(r.res, window, cfg.TailPercentile)
+		maxWin = max(maxWin, len(wins[i]))
+	}
+	// Pad shorter runs with empty windows so every column spans maxWin rows.
+	for i := range wins {
+		for len(wins[i]) < maxWin {
+			wins[i] = append(wins[i], stats.WindowStat{})
 		}
 	}
 
@@ -226,10 +199,14 @@ func Fig7Transient(cfg sim.Config, scale Scale, sched workload.ScheduleSpec) ([]
 			row := []string{
 				fmt.Sprintf("%d", w),
 				fmt.Sprintf("%d", uint64(w)*window),
-				fmt.Sprintf("%d", pooled[0][w].Len()),
+				fmt.Sprintf("%d", wins[0][w].Count),
 			}
 			for i := range runs {
-				row = append(row, f0(pooled[i][w].PercentileOrZero(pct)))
+				v := wins[i][w].P95
+				if pct == 99 {
+					v = wins[i][w].P99
+				}
+				row = append(row, f0(v))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -314,7 +291,8 @@ func FlashRecovery(cfg sim.Config, scale Scale) ([]Table, error) {
 			return err
 		}
 		lcs := res.LCResults()
-		wins := windowCount(lcs)
+		perWindow := pooledLCWindowStats(res, window, cfg.TailPercentile)
+		wins := len(perWindow)
 		start, end, ok := phaseBounds(sched, window, wins)
 		if !ok {
 			return fmt.Errorf("experiment: flash run too short to contain the spike (%d windows)", wins)
@@ -325,11 +303,10 @@ func FlashRecovery(cfg sim.Config, scale Scale) ([]Table, error) {
 		steadyP95 := steady.PercentileOrZero(95)
 		recovery := "-"
 		for w := start; w < wins; w++ {
-			pw := pooledWindow(lcs, w)
-			if pw.Len() == 0 {
+			if perWindow[w].Count == 0 {
 				continue
 			}
-			if pw.PercentileOrZero(95) <= 1.25*steadyP95 {
+			if perWindow[w].P95 <= 1.25*steadyP95 {
 				recovery = fmt.Sprintf("%d", w-start)
 				break
 			}

@@ -44,9 +44,6 @@ type FIFO struct {
 	items []*Request
 }
 
-// Len returns the number of queued requests.
-func (q *FIFO) Len() int { return len(q.items) }
-
 // Empty reports whether the queue has no requests.
 func (q *FIFO) Empty() bool { return len(q.items) == 0 }
 
@@ -129,10 +126,9 @@ func (rec *Recorder) WindowStats(tailPercentile float64) []stats.WindowStat {
 
 // WindowSamples returns the raw per-window latency samples backing
 // WindowStats (nil when windowing is off), for exact phase pooling across
-// windows and application instances. The samples are live: strictly
-// read-only, and not to be retained past the recorder's next Record — the
-// recorder keeps appending into them. Results that outlive the recorder must
-// use WindowSamplesCopy.
+// windows and application instances. They are the recorder's own samples,
+// not copies: read-only, and growing with every later Record, so hand them
+// out only once the run has finished.
 func (rec *Recorder) WindowSamples() []*stats.Sample {
 	if rec.windows == nil {
 		return nil
@@ -140,22 +136,15 @@ func (rec *Recorder) WindowSamples() []*stats.Sample {
 	return rec.windows.Samples()
 }
 
-// WindowSamplesCopy returns a deep copy of the per-window latency samples
-// (nil when windowing is off) that later Records cannot mutate — the safe
-// form for result structs that outlive the recorder or span a paused run.
-func (rec *Recorder) WindowSamplesCopy() []*stats.Sample {
-	if rec.windows == nil {
-		return nil
+// Sort sorts every sample the recorder holds (latencies, service times and
+// each latency window), so queries on them afterwards only read: a finished
+// run's samples can then be shared by concurrent readers.
+func (rec *Recorder) Sort() {
+	rec.latencies.Sort()
+	rec.serviceTimes.Sort()
+	if rec.windows != nil {
+		rec.windows.Sort()
 	}
-	return rec.windows.SamplesCopy()
-}
-
-// WindowCycles returns the configured window width (0 when windowing is off).
-func (rec *Recorder) WindowCycles() uint64 {
-	if rec.windows == nil {
-		return 0
-	}
-	return rec.windows.Width()
 }
 
 // Completed returns the number of measured (non-warmup) requests.
@@ -187,10 +176,10 @@ func (rec *Recorder) KeepPerRequest(n int) {
 // PerRequestLatencies returns the measured (non-warmup) request latencies in
 // completion order — which, for the single-worker FIFO server every
 // latency-critical slot runs, is also request-ID (arrival) order. Unlike the
-// Latencies sample, whose backing array percentile queries sort in place,
-// this slice keeps its order, so a cluster aggregator can join a node's i-th
-// leaf request back to the query that produced it. Nil unless KeepPerRequest
-// was called before recording. Read-only.
+// Latencies sample, which a finished run holds sorted, this slice keeps its
+// order, so a cluster aggregator can join a node's i-th leaf request back to
+// the query that produced it. Nil unless KeepPerRequest was called before
+// recording. Read-only.
 func (rec *Recorder) PerRequestLatencies() []float64 { return rec.perRequest }
 
 // Latencies returns the latency sample for further analysis.

@@ -57,8 +57,10 @@ func RunFromCheckpoint(cp *Checkpoint) (Result, error) {
 // isolation baselines that several experiments request with identical
 // inputs. Keys must capture the complete identity of the computation —
 // configuration, workload specs, policy and seeds — because a pool hit
-// returns the first computation's output verbatim (results are deep-copied
-// per caller, so consumers can mutate them freely).
+// returns the first computation's output verbatim. Every hit shares that one
+// Result: a finished run is read-only (Run sorts its samples before
+// returning, so queries on them only read), and consumers must not modify
+// it.
 //
 // The pool trades memory for time and holds every entry for its lifetime
 // (eviction would be safe — recomputation is deterministic — but nothing
@@ -100,8 +102,7 @@ func (p *WarmPool) ResultCount() int {
 }
 
 // Result returns the memoized run result for key, computing it on first use.
-// The returned Result is a deep copy, so callers may mutate it (or sort its
-// samples through percentile queries) without affecting other consumers.
+// Every caller gets the same read-only Result, safe to query concurrently.
 func (p *WarmPool) Result(key string, compute func() (Result, error)) (Result, error) {
 	if p == nil {
 		return compute()
@@ -117,5 +118,5 @@ func (p *WarmPool) Result(key string, compute func() (Result, error)) (Result, e
 	if e.err != nil {
 		return Result{}, e.err
 	}
-	return e.val.Clone(), nil
+	return e.val, nil
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -127,48 +129,94 @@ func TestCheckpointReRunsToTheStraightResult(t *testing.T) {
 	})
 }
 
-// TestWarmPoolMemoizesAndIsolates: one key computes once, hits return deep
-// copies (sorting one consumer's sample must not reorder another's), and a
-// nil pool stays a pass-through.
+// TestWarmPoolMemoizesAndIsolates: concurrent lookups of one key compute
+// once and all get that one Result, not copies; and because a finished run
+// is read-only, readers querying it from several goroutines at once (CDF,
+// TailMean, Values, per-window Percentile) agree with an unshared run and
+// never write to it, which the race detector checks. A nil pool stays a
+// pass-through.
 func TestWarmPoolMemoizesAndIsolates(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 42
-	lc, err := workload.LCByName("masstree")
+	cfg.LatencyWindowCycles = 200_000
+	specs := goldenSpecs(t, workload.ScheduleSpec{})
+	want, err := RunMix(cfg, specs, policy.NewLRU())
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantReadout := readout(t, want)
+
 	pool := NewWarmPool()
 	computes := 0
-	get := func() Result {
-		res, err := pool.Result("k", func() (Result, error) {
-			computes++
-			return RunMix(cfg, goldenSpecs(t, workload.ScheduleSpec{}), policy.NewLRU())
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	const readers = 4
+	got := make([]Result, readers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := pool.Result("k", func() (Result, error) {
+				computes++
+				return RunMix(cfg, specs, policy.NewLRU())
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = res
+			if !slices.Equal(readout(t, res), wantReadout) {
+				t.Errorf("reader %d: pooled result reads differently from an unshared run", i)
+			}
+		}()
 	}
-	a, b := get(), get()
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
 	if computes != 1 {
 		t.Fatalf("computed %d times, want 1", computes)
 	}
-	if resultDigest(a) != resultDigest(b) {
-		t.Fatal("pool hit returned a different result")
-	}
-	// Mutate a's sample; b must be unaffected.
-	lcs := a.LCResults()
-	if len(lcs) == 0 || lcs[0].Latencies == nil {
-		t.Fatalf("unexpected result shape for %s", lc.Name)
-	}
-	lcs[0].Latencies.Add(1e18)
-	if resultDigest(get()) != resultDigest(b) {
-		t.Fatal("mutating a pooled result leaked into the pool")
+	for i, res := range got {
+		if res.Apps[0].Latencies != got[0].Apps[0].Latencies || &res.Apps[0] != &got[0].Apps[0] {
+			t.Errorf("reader %d got a copy, not the pooled result", i)
+		}
 	}
 	var nilPool *WarmPool
 	if _, err := nilPool.Result("k", func() (Result, error) { return Result{}, nil }); err != nil {
 		t.Fatalf("nil pool: %v", err)
 	}
+}
+
+// readout queries every latency-critical sample of res the way report code
+// does and returns what it read.
+func readout(t *testing.T, res Result) []float64 {
+	var out []float64
+	for _, a := range res.LCResults() {
+		cdf, err := a.ServiceTimes.CDF(50)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		for _, p := range cdf {
+			out = append(out, p.Value, p.Fraction)
+		}
+		tm, err := a.Latencies.TailMean(95)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		out = append(out, tm)
+		out = append(out, a.Latencies.Values()...)
+		if len(a.WindowSamples) < 2 {
+			t.Errorf("want several latency windows, got %d", len(a.WindowSamples))
+		}
+		for _, w := range a.WindowSamples {
+			if w != nil {
+				out = append(out, w.PercentileOrZero(99))
+			}
+		}
+	}
+	return out
 }
 
 // FuzzPauseResume fuzzes the pause contract end to end: for an arbitrary

@@ -20,12 +20,14 @@ type AppResult struct {
 	MeanServiceTime float64
 	Requests        uint64
 	// Latencies and ServiceTimes carry the raw samples for CDFs and custom
-	// percentiles.
+	// percentiles. They are the run's own recorder samples, sorted before
+	// Run returns: every query on them only reads, so one Result (a warm-pool
+	// hit) can be queried from many goroutines at once. Read-only: never Add
+	// to them.
 	Latencies    *stats.Sample
 	ServiceTimes *stats.Sample
 	// RequestLatencies holds the measured latencies in request-ID (arrival)
-	// order — unlike the Latencies sample, whose backing array percentile
-	// queries sort in place. The cluster aggregator joins a node's i-th leaf
+	// order — unlike the Latencies sample, which is held sorted. The cluster aggregator joins a node's i-th leaf
 	// request back to its query through this slice. Only populated for slots
 	// with an explicit arrival stream (cluster leaves); nil otherwise.
 	// Read-only.
@@ -44,7 +46,8 @@ type AppResult struct {
 	Windows []stats.WindowStat
 	// WindowSamples carries the raw per-window latency samples backing
 	// Windows (index-aligned, nil entries for empty windows), so phases can
-	// be pooled exactly across windows and instances. Read-only.
+	// be pooled exactly across windows and instances. Sorted and shared like
+	// Latencies: read-only.
 	WindowSamples []*stats.Sample
 
 	// Batch (and general) metrics. With private levels enabled, MissRate and
@@ -78,37 +81,6 @@ type Result struct {
 	// victimise an at-or-under-target partition (a health metric for the
 	// partitioning scheme).
 	ForcedEvictionFraction float64
-}
-
-// Clone returns a deep copy of the result: samples, window series and
-// latency slices are all duplicated. Warm-pool hits hand each consumer a
-// clone so one consumer's in-place percentile sorting (or pooling) cannot
-// race another's.
-func (r Result) Clone() Result {
-	c := r
-	c.Apps = make([]AppResult, len(r.Apps))
-	for i, a := range r.Apps {
-		ca := a
-		if a.Latencies != nil {
-			ca.Latencies = a.Latencies.Clone()
-		}
-		if a.ServiceTimes != nil {
-			ca.ServiceTimes = a.ServiceTimes.Clone()
-		}
-		ca.RequestLatencies = append([]float64(nil), a.RequestLatencies...)
-		ca.ReuseBreakdown = append([]float64(nil), a.ReuseBreakdown...)
-		ca.Windows = append([]stats.WindowStat(nil), a.Windows...)
-		if a.WindowSamples != nil {
-			ca.WindowSamples = make([]*stats.Sample, len(a.WindowSamples))
-			for j, s := range a.WindowSamples {
-				if s != nil {
-					ca.WindowSamples[j] = s.Clone()
-				}
-			}
-		}
-		c.Apps[i] = ca
-	}
-	return c
 }
 
 // LCResults returns the latency-critical app results.

@@ -560,6 +560,10 @@ func (s *Simulator) collect() Result {
 			ar.MeanPartitionTarget = float64(s.llc.PartitionTarget(partID(a.idx)))
 		}
 		if a.isLC() {
+			// The result shares the recorder's samples: collect runs only
+			// once the run is complete, when nothing records into them any
+			// more, and sorting them first makes every later query a read.
+			a.recorder.Sort()
 			ar.MeanLatency = a.recorder.MeanLatency()
 			ar.TailLatency = a.recorder.TailLatency(s.cfg.TailPercentile)
 			ar.MeanServiceTime = a.recorder.MeanServiceTime()
@@ -570,10 +574,7 @@ func (s *Simulator) collect() Result {
 			ar.ReuseBreakdown = a.reuse.Breakdown()
 			ar.Schedule = a.spec.Sched.String()
 			ar.Windows = a.recorder.WindowStats(s.cfg.TailPercentile)
-			// Deep copy: the recorder keeps recording if the run resumes
-			// (RunUntil), which would otherwise grow the result's windows
-			// after the fact.
-			ar.WindowSamples = a.recorder.WindowSamplesCopy()
+			ar.WindowSamples = a.recorder.WindowSamples()
 		}
 		res.Apps = append(res.Apps, ar)
 	}

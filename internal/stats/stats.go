@@ -14,6 +14,13 @@ var ErrEmpty = errors.New("stats: empty sample")
 
 // Sample accumulates floating-point observations and answers summary queries.
 // The zero value is an empty sample ready for use.
+//
+// Order-statistic queries (Min, Max, Percentile, TailMean, Values, CDF) sort
+// the observations in place on first use, so on an unsorted sample a query
+// writes. Once Sort has run and no Add follows, every query only reads, and
+// any number of goroutines may query the sample concurrently: that is how a
+// finished run hands its samples out (sim.Simulator.Run sorts each one before
+// returning).
 type Sample struct {
 	values []float64
 	sorted bool
@@ -23,16 +30,6 @@ type Sample struct {
 // NewSample returns a sample pre-sized for n observations.
 func NewSample(n int) *Sample {
 	return &Sample{values: make([]float64, 0, n)}
-}
-
-// Clone returns a deep copy of the sample: further observations (and the
-// in-place sorting percentile queries perform) on either copy cannot affect
-// the other.
-func (s *Sample) Clone() *Sample {
-	c := *s
-	c.values = make([]float64, len(s.values))
-	copy(c.values, s.values)
-	return &c
 }
 
 // Add appends one observation.
@@ -52,9 +49,6 @@ func (s *Sample) AddAll(vs []float64) {
 // Len returns the number of observations.
 func (s *Sample) Len() int { return len(s.values) }
 
-// Sum returns the sum of all observations.
-func (s *Sample) Sum() float64 { return s.sum }
-
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 {
 	if len(s.values) == 0 {
@@ -68,7 +62,7 @@ func (s *Sample) Min() float64 {
 	if len(s.values) == 0 {
 		return 0
 	}
-	s.ensureSorted()
+	s.Sort()
 	return s.values[0]
 }
 
@@ -77,11 +71,14 @@ func (s *Sample) Max() float64 {
 	if len(s.values) == 0 {
 		return 0
 	}
-	s.ensureSorted()
+	s.Sort()
 	return s.values[len(s.values)-1]
 }
 
-func (s *Sample) ensureSorted() {
+// Sort orders the observations, which order-statistic queries otherwise do
+// lazily on first use. After Sort, and until the next Add, no query writes to
+// the sample.
+func (s *Sample) Sort() {
 	if !s.sorted {
 		sort.Float64s(s.values)
 		s.sorted = true
@@ -100,7 +97,7 @@ func (s *Sample) Percentile(p float64) (float64, error) {
 	if p >= 100 {
 		return s.Max(), nil
 	}
-	s.ensureSorted()
+	s.Sort()
 	rank := p / 100 * float64(len(s.values)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
@@ -129,7 +126,7 @@ func (s *Sample) TailMean(p float64) (float64, error) {
 	if len(s.values) == 0 {
 		return 0, ErrEmpty
 	}
-	s.ensureSorted()
+	s.Sort()
 	start := int(math.Floor(p / 100 * float64(len(s.values))))
 	if start >= len(s.values) {
 		start = len(s.values) - 1
@@ -146,7 +143,7 @@ func (s *Sample) TailMean(p float64) (float64, error) {
 
 // Values returns a copy of the observations in sorted order.
 func (s *Sample) Values() []float64 {
-	s.ensureSorted()
+	s.Sort()
 	out := make([]float64, len(s.values))
 	copy(out, s.values)
 	return out
@@ -167,7 +164,7 @@ func (s *Sample) CDF(points int) ([]CDFPoint, error) {
 	if points < 2 {
 		points = 2
 	}
-	s.ensureSorted()
+	s.Sort()
 	out := make([]CDFPoint, 0, points)
 	n := len(s.values)
 	for i := 0; i < points; i++ {
@@ -193,13 +190,4 @@ func WeightedSpeedup(ipcs, baselines []float64) (float64, error) {
 		sum += ipcs[i] / baselines[i]
 	}
 	return sum / float64(len(ipcs)), nil
-}
-
-// Degradation returns value/baseline, the ratio used for tail-latency
-// degradation (>1 means worse than baseline).
-func Degradation(value, baseline float64) float64 {
-	if baseline <= 0 {
-		return math.Inf(1)
-	}
-	return value / baseline
 }

@@ -25,8 +25,25 @@ func TestSampleBasics(t *testing.T) {
 	if got := s.Max(); got != 4 {
 		t.Errorf("Max = %v, want 4", got)
 	}
-	if got := s.Sum(); got != 10 {
-		t.Errorf("Sum = %v, want 10", got)
+}
+
+// TestSortThenAdd: Sort orders the observations up front, and an Add after
+// it marks the sample unsorted again, so the next query re-sorts.
+func TestSortThenAdd(t *testing.T) {
+	s := NewSample(4)
+	s.AddAll([]float64{3, 1, 2})
+	s.Sort()
+	if got := s.Values(); got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("Values after Sort = %v, want [1 2 3]", got)
+	}
+	s.Add(0)
+	if got := s.Min(); got != 0 {
+		t.Errorf("Min after a post-Sort Add = %v, want 0", got)
+	}
+	var empty Sample
+	empty.Sort()
+	if got := empty.Values(); len(got) != 0 {
+		t.Errorf("sorted empty sample has values %v", got)
 	}
 }
 
@@ -248,15 +265,6 @@ func TestWeightedSpeedup(t *testing.T) {
 	}
 	if _, err := WeightedSpeedup([]float64{1}, []float64{0}); err == nil {
 		t.Errorf("expected error on zero baseline")
-	}
-}
-
-func TestDegradation(t *testing.T) {
-	if got := Degradation(2, 1); got != 2 {
-		t.Errorf("Degradation(2,1) = %v, want 2", got)
-	}
-	if !math.IsInf(Degradation(1, 0), 1) {
-		t.Errorf("Degradation with zero baseline should be +Inf")
 	}
 }
 

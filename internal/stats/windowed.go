@@ -35,9 +35,6 @@ func NewWindowed(widthCycles uint64) *Windowed {
 	return &Windowed{width: widthCycles}
 }
 
-// Width returns the window width in cycles.
-func (w *Windowed) Width() uint64 { return w.width }
-
 // maxWindows bounds the window slice so one extreme timestamp (a
 // pathological arrival clock) cannot balloon memory; observations past the
 // cap fold into the final window.
@@ -60,27 +57,19 @@ func (w *Windowed) Add(cycle uint64, v float64) {
 
 // Samples returns the per-window samples, indexed by window number; entries
 // are nil for windows that received no observations. The slice and samples
-// are live — callers must treat them as strictly read-only AND must not
-// retain them past the collector's next Add: the collector keeps recording
-// into the same Sample values, so a retained window silently grows. Results
-// that outlive the collector (or a run that resumes recording) must use
-// SamplesCopy instead.
+// are the collector's own, not copies: callers must treat them as read-only,
+// and later Adds keep growing them, so hand them out only once recording has
+// finished. After Sort they are then safe to query from many goroutines.
 func (w *Windowed) Samples() []*Sample { return w.samples }
 
-// SamplesCopy returns a deep copy of the per-window samples: a fresh slice of
-// fresh Samples that later Adds to the collector cannot mutate. Use this when
-// handing window samples out in a result struct.
-func (w *Windowed) SamplesCopy() []*Sample {
-	if w.samples == nil {
-		return nil
-	}
-	out := make([]*Sample, len(w.samples))
-	for i, s := range w.samples {
+// Sort sorts every window's sample (see Sample.Sort), so later queries on
+// them only read.
+func (w *Windowed) Sort() {
+	for _, s := range w.samples {
 		if s != nil {
-			out[i] = s.Clone()
+			s.Sort()
 		}
 	}
-	return out
 }
 
 // Stats summarises every window from 0 through the last one that received an
