@@ -291,6 +291,19 @@ func TestScenarioFlags(t *testing.T) {
 			}
 		}
 	})
+	t.Run("validate-only refuses a cluster report window below the floor", func(t *testing.T) {
+		t.Parallel()
+		file := filepath.Join(t.TempDir(), "window.json")
+		writeFile(t, file, `{ "version": 1, "name": "window", "cluster": { "nodes": 2 },
+  "report": { "window_cycles": 100 },
+  "apps": [ { "lc": "masstree", "load": 0.2 }, { "batch": "mcf" } ],
+  "schemes": [ { "name": "ubik" } ] }`)
+		var stdout, stderr bytes.Buffer
+		err := run([]string{"-scenario", file, "-validate"}, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "latency window must be 0 (off) or at least 1024") {
+			t.Errorf("-validate returned %v, want the latency window floor", err)
+		}
+	})
 	cases := []struct {
 		name    string
 		args    []string

@@ -99,10 +99,6 @@ type Spec struct {
 	// plan is part of the serial front-end plan, so faulted runs stay
 	// bit-identical at any parallelism.
 	Faults []Fault
-	// WindowCycles, when positive, buckets query latencies into
-	// arrival-cycle windows of this width (per-phase cluster tails for
-	// time-varying runs). Same floor as sim.Config.LatencyWindowCycles.
-	WindowCycles uint64
 	// TailPercentile is the percentile for Result.TailMean (0 = 95).
 	TailPercentile float64
 }
@@ -148,8 +144,6 @@ type Shape struct {
 	Hedged bool
 	// Balancer is the leaf-assignment policy.
 	Balancer BalancerKind
-	// WindowCycles is the query-latency window width (0 = off).
-	WindowCycles uint64
 	// TailPercentile is the tail metric percentile (0 = 95).
 	TailPercentile float64
 	// Faults is the fault plan.
@@ -160,7 +154,7 @@ type Shape struct {
 func (s Spec) shape() Shape {
 	return Shape{
 		Nodes: len(s.Nodes), Fanout: s.Fanout, Quorum: s.Quorum, Hedged: s.hedged(),
-		Balancer: s.Balancer, WindowCycles: s.WindowCycles, TailPercentile: s.TailPercentile,
+		Balancer: s.Balancer, TailPercentile: s.TailPercentile,
 		Faults: s.Faults,
 	}
 }
@@ -191,9 +185,6 @@ func (sh Shape) Validate() error {
 	}
 	if err := sh.Balancer.check(); err != nil {
 		return err
-	}
-	if sh.WindowCycles > 0 && sh.WindowCycles < 1024 {
-		return fmt.Errorf("cluster: window width must be 0 (off) or at least 1024 cycles, got %d", sh.WindowCycles)
 	}
 	if sh.TailPercentile < 0 || sh.TailPercentile >= 100 {
 		return fmt.Errorf("cluster: tail percentile must be in (0,100), got %v", sh.TailPercentile)

@@ -46,14 +46,6 @@ func resultDigest(res sim.Result) uint64 {
 		for _, frac := range a.ReuseBreakdown {
 			mixF(frac)
 		}
-		for _, w := range a.Windows {
-			mix(w.Index)
-			mix(w.Count)
-			mixF(w.Mean)
-			mixF(w.P95)
-			mixF(w.P99)
-			mixF(w.TailMean)
-		}
 	}
 	return h
 }
@@ -139,7 +131,7 @@ func TestSingleNodeIdentity(t *testing.T) {
 }
 
 // testClusterSpec is a small heterogeneous 3-node cluster exercising
-// fan-out, quorum, hedging, a global burst schedule, windowed stats and a
+// fan-out, quorum, hedging, a global burst schedule and a
 // straggler node with a smaller LLC — the full surface, sized for unit tests.
 func testClusterSpec(t *testing.T, balancer BalancerKind) Spec {
 	t.Helper()
@@ -183,7 +175,6 @@ func testClusterSpec(t *testing.T, balancer BalancerKind) Spec {
 		Sched:                 sched,
 		HedgeDelayCycles:      30_000,
 		Seed:                  9,
-		WindowCycles:          500_000,
 	}
 }
 
@@ -207,8 +198,8 @@ func TestClusterDeterministicUnderParallelism(t *testing.T) {
 				if res.Queries != 60 {
 					t.Fatalf("aggregated %d queries, want 60", res.Queries)
 				}
-				if len(res.Windows) == 0 || len(res.Nodes[0].Windows) == 0 {
-					t.Fatalf("windowed stats missing: %d query windows, %d node-0 windows", len(res.Windows), len(res.Nodes[0].Windows))
+				if len(res.QueryArrivals) != 60 || len(res.PerQueryLatencies) != 60 {
+					t.Fatalf("query record holds %d arrivals and %d latencies, want 60 each", len(res.QueryArrivals), len(res.PerQueryLatencies))
 				}
 				if i == 0 {
 					reference = res
@@ -363,7 +354,6 @@ func TestSpecValidation(t *testing.T) {
 		{"negative warmup", func(s *Spec) { s.WarmupQueries = -1 }, "negative warmup"},
 		{"bad interarrival", func(s *Spec) { s.QueryMeanInterarrival = 0 }, "interarrival must be positive"},
 		{"bad balancer", func(s *Spec) { s.Balancer = "magic" }, "unknown balancer"},
-		{"tiny window", func(s *Spec) { s.WindowCycles = 10 }, "window width"},
 		{"no policy", func(s *Spec) { s.Nodes[0].NewPolicy = nil }, "policy constructor"},
 		{"batch slot is LC", func(s *Spec) { s.Nodes[0].Batch = append(s.Nodes[0].Batch, s.Nodes[0].LC) }, "batch slot"},
 		{"bad percentile", func(s *Spec) { s.TailPercentile = 100 }, "tail percentile"},

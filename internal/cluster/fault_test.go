@@ -8,12 +8,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
 // faultTestSpec is a small 3-node round-robin cluster for fault-plan tests:
-// fan-out 1 so every query's latency is one node's leaf latency, windowed
-// stats on, no schedule so fault effects are the only transient.
+// fan-out 1 so every query's latency is one node's leaf latency, and no
+// schedule, so fault effects are the only transient.
 func faultTestSpec(t *testing.T, faults []Fault) Spec {
 	t.Helper()
 	lc, err := workload.LCByName("xapian")
@@ -42,7 +43,6 @@ func faultTestSpec(t *testing.T, faults []Fault) Spec {
 		WarmupQueries:         6,
 		QueryMeanInterarrival: 50_000 / 3.0,
 		Seed:                  7,
-		WindowCycles:          500_000,
 		Faults:                faults,
 	}
 }
@@ -146,14 +146,15 @@ func TestFailSlowConfinedToWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hw := stats.WindowStats(500_000, 95, healthy.Record())
+	sw := stats.WindowStats(500_000, 95, slow.Record())
 	checked := 0
-	for i := range healthy.Windows {
-		if healthy.Windows[i].EndCycle > faultStart || i >= len(slow.Windows) {
+	for i := range hw {
+		if hw[i].EndCycle > faultStart || i >= len(sw) {
 			break
 		}
-		if !reflect.DeepEqual(healthy.Windows[i], slow.Windows[i]) {
-			t.Errorf("pre-fault window %d differs: healthy %+v, fail-slow %+v",
-				i, healthy.Windows[i], slow.Windows[i])
+		if hw[i] != sw[i] {
+			t.Errorf("pre-fault window %d differs: healthy %+v, fail-slow %+v", i, hw[i], sw[i])
 		}
 		checked++
 	}

@@ -22,9 +22,6 @@ type NodeResult struct {
 	// LeafMean, LeafP95 and LeafP99 summarise the node's measured leaf
 	// latencies.
 	LeafMean, LeafP95, LeafP99 float64
-	// Windows holds the node's per-arrival-window leaf latency statistics
-	// when Spec.WindowCycles is set (nil otherwise).
-	Windows []stats.WindowStat
 }
 
 // Result is the outcome of a cluster run.
@@ -39,8 +36,11 @@ type Result struct {
 	// Read-only.
 	QueryLatencies *stats.Sample
 	// PerQueryLatencies holds the same latencies in query arrival order
-	// (the sample is held sorted; this slice keeps its order). Read-only.
+	// (the sample is held sorted; this slice keeps its order), and
+	// QueryArrivals each measured query's arrival cycle: the query record
+	// every per-window view of the run is computed from (Record). Read-only.
 	PerQueryLatencies []float64
+	QueryArrivals     []uint64
 	// Mean, P95, P99 and TailMean summarise the query latencies; TailMean is
 	// the mean beyond Spec.TailPercentile (the paper's tail metric, lifted to
 	// queries).
@@ -50,11 +50,12 @@ type Result struct {
 	HedgeWins uint64
 	// Nodes holds the per-node breakdowns, index-aligned with Spec.Nodes.
 	Nodes []NodeResult
-	// Windows and WindowSamples hold the per-arrival-window query-latency
-	// statistics when Spec.WindowCycles is set (nil otherwise); pool ranges
-	// with stats.PoolWindows exactly as for single-node windowed runs.
-	Windows       []stats.WindowStat
-	WindowSamples []*stats.Sample
+}
+
+// Record returns the query record as a series for stats.WindowStats and
+// stats.PoolRange.
+func (r Result) Record() stats.Series {
+	return stats.Series{Arrivals: r.QueryArrivals, Values: r.PerQueryLatencies}
 }
 
 // PerNodeRequests mirrors the simulator's request-count scaling
@@ -281,19 +282,13 @@ func aggregate(spec Spec, plan *queryPlan, results []sim.Result) (Result, error)
 	}
 
 	res := Result{
-		Fanout:         spec.Fanout,
-		Quorum:         quorum,
-		Balancer:       string(spec.Balancer),
-		QueryLatencies: stats.NewSample(spec.Queries),
-		Nodes:          make([]NodeResult, m),
-	}
-	var queryWindows *stats.Windowed
-	nodeWindows := make([]*stats.Windowed, m)
-	if spec.WindowCycles > 0 {
-		queryWindows = stats.NewWindowed(spec.WindowCycles)
-		for n := range nodeWindows {
-			nodeWindows[n] = stats.NewWindowed(spec.WindowCycles)
-		}
+		Fanout:            spec.Fanout,
+		Quorum:            quorum,
+		Balancer:          string(spec.Balancer),
+		QueryLatencies:    stats.NewSample(spec.Queries),
+		PerQueryLatencies: make([]float64, 0, spec.Queries),
+		QueryArrivals:     make([]uint64, 0, spec.Queries),
+		Nodes:             make([]NodeResult, m),
 	}
 
 	total := spec.WarmupQueries + spec.Queries
@@ -314,9 +309,7 @@ func aggregate(spec Spec, plan *queryPlan, results []sim.Result) (Result, error)
 		}
 		res.QueryLatencies.Add(lat)
 		res.PerQueryLatencies = append(res.PerQueryLatencies, lat)
-		if queryWindows != nil {
-			queryWindows.Add(plan.arrivals[q], lat)
-		}
+		res.QueryArrivals = append(res.QueryArrivals, plan.arrivals[q])
 	}
 	res.Queries = uint64(res.QueryLatencies.Len())
 
@@ -325,22 +318,13 @@ func aggregate(spec Spec, plan *queryPlan, results []sim.Result) (Result, error)
 	for n := 0; n < m; n++ {
 		leafSample := stats.NewSample(len(leafLat[n]))
 		leafSample.AddAll(leafLat[n])
-		nr := NodeResult{
+		res.Nodes[n] = NodeResult{
 			Sim:      results[n],
 			Leaves:   uint64(leafSample.Len()),
 			LeafMean: leafSample.Mean(),
 			LeafP95:  leafSample.PercentileOrZero(95),
 			LeafP99:  leafSample.PercentileOrZero(99),
 		}
-		if nodeWindows[n] != nil {
-			for i, t := range plan.nodeTimes[n] {
-				if i >= plan.nodeWarmup[n] {
-					nodeWindows[n].Add(t, leafLat[n][i-plan.nodeWarmup[n]])
-				}
-			}
-			nr.Windows = nodeWindows[n].Stats(spec.tailPercentile())
-		}
-		res.Nodes[n] = nr
 	}
 
 	res.Mean = res.QueryLatencies.Mean()
@@ -352,11 +336,6 @@ func aggregate(spec Spec, plan *queryPlan, results []sim.Result) (Result, error)
 	// Like a node's sim.Result, the cluster result is read-only once
 	// returned: its samples are sorted, so queries on them only read.
 	res.QueryLatencies.Sort()
-	if queryWindows != nil {
-		queryWindows.Sort()
-		res.Windows = queryWindows.Stats(spec.tailPercentile())
-		res.WindowSamples = queryWindows.Samples()
-	}
 	return res, nil
 }
 

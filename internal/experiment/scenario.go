@@ -163,7 +163,6 @@ func batchSlots(spec scenario.Spec) ([]batchSlot, error) {
 func runScenarioSingle(out *ScenarioOutcome, spec scenario.Spec, schemes []scenario.ResolvedScheme,
 	workers int, pool *sim.WarmPool, rec *trace.Recorder) error {
 	cfg := out.Cfg
-	cfg.LatencyWindowCycles = out.WindowCycles
 	seed := spec.SeedOrDefault()
 	reqFactor := spec.RequestFactorOrDefault()
 
@@ -257,7 +256,7 @@ func runScenarioSingle(out *ScenarioOutcome, spec scenario.Spec, schemes []scena
 			sc.Degradation = sc.PooledLCTail / baseTail
 		}
 		if out.WindowCycles > 0 {
-			sc.Windows = pooledLCWindowStats(res, out.WindowCycles, spec.TailPercentileOrDefault())
+			sc.Windows = stats.WindowStats(out.WindowCycles, spec.TailPercentileOrDefault(), lcRecords(res)...)
 		}
 		out.Schemes[i] = sc
 		return nil
@@ -305,9 +304,6 @@ func runScenarioCluster(out *ScenarioOutcome, spec scenario.Spec, schemes []scen
 			}
 			nodeCfg.LLC.Lines = uint64(spec.NodeLLCMB(i) * workload.LinesPerMB)
 			nodeCfg.Seed = workload.SplitSeed(seed, 0xD0+uint64(i))
-			// The cluster aggregator windows query and leaf latencies itself
-			// from the plan; per-node windowed recording would duplicate it.
-			nodeCfg.LatencyWindowCycles = 0
 			node := cluster.NodeSpec{
 				Config: nodeCfg,
 				LC: sim.AppSpec{
@@ -336,7 +332,6 @@ func runScenarioCluster(out *ScenarioOutcome, spec scenario.Spec, schemes []scen
 			HedgeDelayCycles: uint64(c.Hedge * base.TailLatency),
 			Seed:             seed,
 			Faults:           spec.ClusterFaults(),
-			WindowCycles:     out.WindowCycles,
 			TailPercentile:   spec.TailPercentileOrDefault(),
 		}
 		cl.SizeForPerNodeLoad(cluster.PerNodeRequests(profile.Requests, reqFactor),
@@ -360,7 +355,10 @@ func runScenarioCluster(out *ScenarioOutcome, spec scenario.Spec, schemes []scen
 	out.Schemes = make([]ScenarioScheme, len(schemes))
 	for i, rs := range schemes {
 		res := &results[i]
-		sc := ScenarioScheme{Scheme: rs.Scheme, PolicyName: rs.NewPolicy().Name(), Cluster: res, Windows: res.Windows}
+		sc := ScenarioScheme{Scheme: rs.Scheme, PolicyName: rs.NewPolicy().Name(), Cluster: res}
+		if out.WindowCycles > 0 {
+			sc.Windows = stats.WindowStats(out.WindowCycles, spec.TailPercentileOrDefault(), res.Record())
+		}
 		if base.TailLatency > 0 {
 			sc.TailAmplification = res.P95 / base.TailLatency
 		}
@@ -369,34 +367,14 @@ func runScenarioCluster(out *ScenarioOutcome, spec scenario.Spec, schemes []scen
 	return nil
 }
 
-// pooledLCWindowStats pools the per-window latency samples of every
-// latency-critical instance and summarises each window — the single-node
-// counterpart of the cluster's query windows, and the per-window series of
-// fig7 and flash.
-func pooledLCWindowStats(res sim.Result, width uint64, tailPct float64) []stats.WindowStat {
-	lcs := res.LCResults()
-	n := 0
-	for _, a := range lcs {
-		n = max(n, len(a.WindowSamples))
-	}
-	out := make([]stats.WindowStat, n)
-	for w := range out {
-		pooled := pooledRange(lcs, w, w+1)
-		st := stats.WindowStat{
-			Index:      uint64(w),
-			StartCycle: uint64(w) * width,
-			EndCycle:   uint64(w+1) * width,
-			Count:      uint64(pooled.Len()),
-		}
-		if pooled.Len() > 0 {
-			st.Mean = pooled.Mean()
-			st.P95 = pooled.PercentileOrZero(95)
-			st.P99 = pooled.PercentileOrZero(99)
-			if tm, err := pooled.TailMean(tailPct); err == nil {
-				st.TailMean = tm
-			}
-		}
-		out[w] = st
+// lcRecords returns the request record of every latency-critical instance of
+// a run: pooled by stats.WindowStats and stats.PoolRange, they give the
+// single-node counterpart of the cluster's query windows, and the per-window
+// series and phases of fig7 and flash.
+func lcRecords(res sim.Result) []stats.Series {
+	var out []stats.Series
+	for _, a := range res.LCResults() {
+		out = append(out, a.Record())
 	}
 	return out
 }

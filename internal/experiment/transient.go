@@ -51,11 +51,10 @@ type transientRun struct {
 }
 
 // runTransientMix runs the transient mix under one scheme with the given
-// schedule, windowed latency recording on. Every run derives its seeds from
-// scale.Seed only, so a fixed seed is bit-identical at any parallelism.
+// schedule; callers window its request records. Every run derives its seeds
+// from scale.Seed only, so a fixed seed is bit-identical at any parallelism.
 func runTransientMix(cfg sim.Config, scale Scale, scheme Scheme, sched workload.ScheduleSpec, base sim.LCBaseline, reqFactor float64) (sim.Result, error) {
 	runCfg := cfg
-	runCfg.LatencyWindowCycles = transientWindowCycles(cfg)
 	if scheme.Unpartitioned {
 		runCfg.LLC.Mode = cache.ModeLRU
 	}
@@ -97,17 +96,6 @@ func transientBaseline(cfg sim.Config, scale Scale) (sim.LCBaseline, float64, er
 		return sim.LCBaseline{}, 0, err
 	}
 	return base, reqFactor, nil
-}
-
-// pooledRange merges a half-open window range [from, to) across instances.
-func pooledRange(lcs []sim.AppResult, from, to int) *stats.Sample {
-	var parts []*stats.Sample
-	for _, a := range lcs {
-		for i := from; i < to && i < len(a.WindowSamples); i++ {
-			parts = append(parts, a.WindowSamples[i])
-		}
-	}
-	return stats.PoolWindows(parts)
 }
 
 // phaseBounds maps a schedule onto [transientStart, transientEnd) window
@@ -173,7 +161,7 @@ func Fig7Transient(cfg sim.Config, scale Scale, sched workload.ScheduleSpec) ([]
 	wins := make([][]stats.WindowStat, len(runs))
 	maxWin := 0
 	for i, r := range runs {
-		wins[i] = pooledLCWindowStats(r.res, window, cfg.TailPercentile)
+		wins[i] = stats.WindowStats(window, cfg.TailPercentile, lcRecords(r.res)...)
 		maxWin = max(maxWin, len(wins[i]))
 	}
 	// Pad shorter runs with empty windows so every column spans maxWin rows.
@@ -220,7 +208,7 @@ func Fig7Transient(cfg sim.Config, scale Scale, sched workload.ScheduleSpec) ([]
 	}
 	start, end, hasPhases := phaseBounds(sched, window, maxWin)
 	for _, r := range runs {
-		lcs := r.res.LCResults()
+		recs := lcRecords(r.res)
 		ranges := []struct {
 			name     string
 			from, to int
@@ -236,7 +224,7 @@ func Fig7Transient(cfg sim.Config, scale Scale, sched workload.ScheduleSpec) ([]
 			}
 		}
 		for _, ph := range ranges {
-			pooled := pooledRange(lcs, ph.from, ph.to)
+			pooled := stats.PoolRange(window, ph.from, ph.to, recs...)
 			phase.Rows = append(phase.Rows, []string{
 				r.scheme, ph.name,
 				fmt.Sprintf("%d", pooled.Len()),
@@ -290,16 +278,16 @@ func FlashRecovery(cfg sim.Config, scale Scale) ([]Table, error) {
 		if err != nil {
 			return err
 		}
-		lcs := res.LCResults()
-		perWindow := pooledLCWindowStats(res, window, cfg.TailPercentile)
+		recs := lcRecords(res)
+		perWindow := stats.WindowStats(window, cfg.TailPercentile, recs...)
 		wins := len(perWindow)
 		start, end, ok := phaseBounds(sched, window, wins)
 		if !ok {
 			return fmt.Errorf("experiment: flash run too short to contain the spike (%d windows)", wins)
 		}
-		steady := pooledRange(lcs, 0, start)
-		spike := pooledRange(lcs, start, end)
-		post := pooledRange(lcs, end, wins)
+		steady := stats.PoolRange(window, 0, start, recs...)
+		spike := stats.PoolRange(window, start, end, recs...)
+		post := stats.PoolRange(window, end, wins, recs...)
 		steadyP95 := steady.PercentileOrZero(95)
 		recovery := "-"
 		for w := start; w < wins; w++ {

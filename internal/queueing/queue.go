@@ -65,16 +65,14 @@ func (q *FIFO) Pop() *Request {
 
 // Recorder collects completed requests and exposes the latency statistics the
 // paper reports: mean latency, tail latency (mean beyond a percentile), and
-// service-time distributions. With a window width configured it additionally
-// buckets latencies by arrival cycle, so time-varying runs can report
-// per-phase tails (during-burst vs steady-state) instead of one run-wide
-// number.
+// service-time distributions. It also keeps the measured requests' record —
+// each one's arrival cycle and latency, in request order — from which every
+// per-window or per-phase view of a time-varying run is computed afterwards
+// (stats.WindowStats).
 type Recorder struct {
 	latencies    *stats.Sample
 	serviceTimes *stats.Sample
-	windows      *stats.Windowed
-	perRequest   []float64 // nil unless KeepPerRequest enabled recording
-	completed    uint64
+	record       stats.Series
 }
 
 // NewRecorder returns an empty recorder sized for n requests.
@@ -82,73 +80,43 @@ func NewRecorder(n int) *Recorder {
 	return &Recorder{
 		latencies:    stats.NewSample(n),
 		serviceTimes: stats.NewSample(n),
+		record:       stats.Series{Arrivals: make([]uint64, 0, n), Values: make([]float64, 0, n)},
 	}
-}
-
-// NewRecorderWindowed returns a recorder that also buckets latencies into
-// arrival-cycle windows of the given width; windowCycles = 0 yields a plain
-// recorder (identical to NewRecorder).
-func NewRecorderWindowed(n int, windowCycles uint64) *Recorder {
-	rec := NewRecorder(n)
-	if windowCycles > 0 {
-		rec.windows = stats.NewWindowed(windowCycles)
-	}
-	return rec
 }
 
 // Record adds a completed request; warmup requests are excluded from the
-// statistics. Windowed latencies are keyed by the request's
-// arrival cycle: a request that arrived during a burst counts against the
-// burst's window even if it completed after the burst ended.
+// statistics and the record.
 func (rec *Recorder) Record(r *Request) {
 	if r.Warmup {
 		return
 	}
-	rec.completed++
-	if rec.perRequest != nil {
-		rec.perRequest = append(rec.perRequest, float64(r.Latency()))
-	}
 	rec.latencies.Add(float64(r.Latency()))
 	rec.serviceTimes.Add(float64(r.ServiceTime()))
-	if rec.windows != nil {
-		rec.windows.Add(r.ArrivalCycle, float64(r.Latency()))
-	}
+	rec.record.Arrivals = append(rec.record.Arrivals, r.ArrivalCycle)
+	rec.record.Values = append(rec.record.Values, float64(r.Latency()))
 }
 
-// WindowStats summarises the recorded latencies per arrival window (nil when
-// windowing is off). tailPercentile selects each window's TailMean.
-func (rec *Recorder) WindowStats(tailPercentile float64) []stats.WindowStat {
-	if rec.windows == nil {
-		return nil
-	}
-	return rec.windows.Stats(tailPercentile)
-}
-
-// WindowSamples returns the raw per-window latency samples backing
-// WindowStats (nil when windowing is off), for exact phase pooling across
-// windows and application instances. They are the recorder's own samples,
-// not copies: read-only, and growing with every later Record, so hand them
-// out only once the run has finished.
-func (rec *Recorder) WindowSamples() []*stats.Sample {
-	if rec.windows == nil {
-		return nil
-	}
-	return rec.windows.Samples()
-}
-
-// Sort sorts every sample the recorder holds (latencies, service times and
-// each latency window), so queries on them afterwards only read: a finished
-// run's samples can then be shared by concurrent readers.
+// Sort sorts the latency and service-time samples, so queries on them
+// afterwards only read: a finished run's samples can then be shared by
+// concurrent readers.
 func (rec *Recorder) Sort() {
 	rec.latencies.Sort()
 	rec.serviceTimes.Sort()
-	if rec.windows != nil {
-		rec.windows.Sort()
-	}
 }
 
+// Requests returns the measured (non-warmup) requests' record: arrival
+// cycles and latencies in completion order — which, for the single-worker
+// FIFO server every latency-critical slot runs, is also request-ID (arrival)
+// order. Unlike the Latencies sample, which a finished run holds sorted, the
+// record keeps its order, so a cluster aggregator can join a node's i-th leaf
+// request back to the query that produced it, and a window or phase of the
+// run is a range of arrival cycles. The slices are the recorder's own:
+// read-only, and growing with every later Record, so hand them out only once
+// the run has finished.
+func (rec *Recorder) Requests() stats.Series { return rec.record }
+
 // Completed returns the number of measured (non-warmup) requests.
-func (rec *Recorder) Completed() uint64 { return rec.completed }
+func (rec *Recorder) Completed() uint64 { return uint64(len(rec.record.Values)) }
 
 // MeanLatency returns the mean request latency in cycles.
 func (rec *Recorder) MeanLatency() float64 { return rec.latencies.Mean() }
@@ -162,25 +130,6 @@ func (rec *Recorder) TailLatency(percentile float64) float64 {
 	}
 	return v
 }
-
-// KeepPerRequest enables order-preserving per-request recording, pre-sized
-// for n measured requests. Off by default: only consumers that need to join
-// latencies back to individual requests (the cluster aggregator) pay the
-// extra copy.
-func (rec *Recorder) KeepPerRequest(n int) {
-	if rec.perRequest == nil {
-		rec.perRequest = make([]float64, 0, n)
-	}
-}
-
-// PerRequestLatencies returns the measured (non-warmup) request latencies in
-// completion order — which, for the single-worker FIFO server every
-// latency-critical slot runs, is also request-ID (arrival) order. Unlike the
-// Latencies sample, which a finished run holds sorted, this slice keeps its
-// order, so a cluster aggregator can join a node's i-th leaf request back to
-// the query that produced it. Nil unless KeepPerRequest was called before
-// recording. Read-only.
-func (rec *Recorder) PerRequestLatencies() []float64 { return rec.perRequest }
 
 // Latencies returns the latency sample for further analysis.
 func (rec *Recorder) Latencies() *stats.Sample { return rec.latencies }

@@ -2,7 +2,10 @@ package queueing
 
 import (
 	"math"
+	"slices"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 func TestRequestTimings(t *testing.T) {
@@ -180,30 +183,38 @@ func TestTailAtLeastMean(t *testing.T) {
 	}
 }
 
-// TestRecorderWindowed checks the windowed recorder: latencies bucket by
-// arrival cycle, warmups stay out, and the plain statistics are identical to
-// an unwindowed recorder fed the same requests.
+// TestRecorderWindowed checks the recorder's request record: arrival
+// cycles and latencies in request order, warmups left out, the plain
+// statistics unchanged by it, and windows computed from it bucketing by
+// arrival cycle (a request that arrives in one window and completes in the
+// next counts against its arrival window).
 func TestRecorderWindowed(t *testing.T) {
-	plain := NewRecorder(8)
-	win := NewRecorderWindowed(8, 1000)
+	rec := NewRecorder(8)
 	reqs := []*Request{
 		{ArrivalCycle: 0, StartCycle: 10, CompletionCycle: 110},       // window 0, latency 110
+		{ArrivalCycle: 100, CompletionCycle: 999, Warmup: true},       // excluded
 		{ArrivalCycle: 900, StartCycle: 900, CompletionCycle: 1500},   // window 0 (arrival), latency 600
 		{ArrivalCycle: 1500, StartCycle: 1500, CompletionCycle: 1700}, // window 1
 		{ArrivalCycle: 3100, StartCycle: 3100, CompletionCycle: 3400}, // window 3 (window 2 empty)
-		{ArrivalCycle: 100, CompletionCycle: 999, Warmup: true},       // excluded
 	}
 	for _, r := range reqs {
-		plain.Record(r)
-		win.Record(r)
+		rec.Record(r)
 	}
-	if win.MeanLatency() != plain.MeanLatency() || win.TailLatency(95) != plain.TailLatency(95) {
-		t.Errorf("windowing must not change the aggregate statistics")
+	got := rec.Requests()
+	if !slices.Equal(got.Arrivals, []uint64{0, 900, 1500, 3100}) || !slices.Equal(got.Values, []float64{110, 600, 200, 300}) {
+		t.Errorf("record = %v / %v, want the four measured requests in order", got.Arrivals, got.Values)
 	}
-	if win.Completed() != 4 {
-		t.Errorf("completed = %d, want 4 (the warmup stays out)", win.Completed())
+	if rec.Completed() != 4 {
+		t.Errorf("completed = %d, want 4 (the warmup stays out)", rec.Completed())
 	}
-	st := win.WindowStats(95)
+	if rec.MeanLatency() != 302.5 {
+		t.Errorf("mean latency = %v, want 302.5", rec.MeanLatency())
+	}
+	rec.Sort()
+	if got := rec.Requests(); !slices.Equal(got.Values, []float64{110, 600, 200, 300}) {
+		t.Errorf("Sort reordered the record: %v", got.Values)
+	}
+	st := stats.WindowStats(1000, 95, rec.Requests())
 	if len(st) != 4 {
 		t.Fatalf("expected 4 windows, got %d", len(st))
 	}
@@ -215,21 +226,5 @@ func TestRecorderWindowed(t *testing.T) {
 	}
 	if st[0].Mean != 355 { // (110 + 600) / 2
 		t.Errorf("window 0 mean = %v, want 355", st[0].Mean)
-	}
-	if samples := win.WindowSamples(); len(samples) != 4 || samples[2] != nil {
-		t.Errorf("WindowSamples shape wrong: %v", samples)
-	}
-}
-
-// TestRecorderWindowedDisabled pins that a zero width produces a recorder
-// indistinguishable from NewRecorder.
-func TestRecorderWindowedDisabled(t *testing.T) {
-	rec := NewRecorderWindowed(4, 0)
-	rec.Record(&Request{ArrivalCycle: 5, CompletionCycle: 25})
-	if rec.WindowStats(95) != nil || rec.WindowSamples() != nil {
-		t.Errorf("zero window width should disable windowing")
-	}
-	if rec.MeanLatency() != 20 {
-		t.Errorf("plain statistics should still work: mean %v", rec.MeanLatency())
 	}
 }

@@ -469,13 +469,18 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario: schemes[%d]: slack must be in (0,1), got %v", i, sc.Slack)
 		}
 	}
-	// The machine and report settings are judged by the layer they lower to.
+	// The report window is the one width a user sets (every window table is
+	// computed from the run's request record at it), so its floor lives here.
+	if w := s.Report.WindowCycles; w > 0 && w < 1024 {
+		return fmt.Errorf("scenario: report.window_cycles: latency window must be 0 (off) or at least 1024 cycles, got %d", w)
+	}
+	// The machine and the other report settings are judged by the layer they
+	// lower to.
 	cfg := s.BaseConfig()
 	if s.Cluster == nil {
 		if len(s.Faults) > 0 {
 			return fmt.Errorf("scenario: faults need a cluster (fault plans target fleet nodes)")
 		}
-		cfg.LatencyWindowCycles = s.Report.WindowCycles
 		return cfg.Validate()
 	}
 	if err := cfg.Validate(); err != nil {
@@ -540,8 +545,8 @@ func (s Spec) clusterShape() cluster.Shape {
 	c := s.Cluster
 	return cluster.Shape{
 		Nodes: c.Nodes, Fanout: c.FanoutOrDefault(), Quorum: c.Quorum, Hedged: c.Hedge > 0,
-		Balancer: c.BalancerKind(), WindowCycles: s.Report.WindowCycles,
-		TailPercentile: s.Report.TailPercentile, Faults: s.ClusterFaults(),
+		Balancer: c.BalancerKind(), TailPercentile: s.Report.TailPercentile,
+		Faults: s.ClusterFaults(),
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/policy"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -132,13 +133,12 @@ func TestCheckpointReRunsToTheStraightResult(t *testing.T) {
 // TestWarmPoolMemoizesAndIsolates: concurrent lookups of one key compute
 // once and all get that one Result, not copies; and because a finished run
 // is read-only, readers querying it from several goroutines at once (CDF,
-// TailMean, Values, per-window Percentile) agree with an unshared run and
-// never write to it, which the race detector checks. A nil pool stays a
-// pass-through.
+// TailMean, Values, windows of the request record) agree with an unshared
+// run and never write to it, which the race detector checks. A nil pool
+// stays a pass-through.
 func TestWarmPoolMemoizesAndIsolates(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 42
-	cfg.LatencyWindowCycles = 200_000
 	specs := goldenSpecs(t, workload.ScheduleSpec{})
 	want, err := RunMix(cfg, specs, policy.NewLRU())
 	if err != nil {
@@ -207,13 +207,12 @@ func readout(t *testing.T, res Result) []float64 {
 		}
 		out = append(out, tm)
 		out = append(out, a.Latencies.Values()...)
-		if len(a.WindowSamples) < 2 {
-			t.Errorf("want several latency windows, got %d", len(a.WindowSamples))
+		windows := stats.WindowStats(200_000, 95, a.Record())
+		if len(windows) < 2 {
+			t.Errorf("want several latency windows, got %d", len(windows))
 		}
-		for _, w := range a.WindowSamples {
-			if w != nil {
-				out = append(out, w.PercentileOrZero(99))
-			}
+		for _, w := range windows {
+			out = append(out, w.P99)
 		}
 	}
 	return out

@@ -41,13 +41,6 @@ type Config struct {
 	CoalesceDelayCycles uint64
 	// TailPercentile is the percentile used for tail-latency metrics (95).
 	TailPercentile float64
-	// LatencyWindowCycles, when positive, buckets each latency-critical app's
-	// request latencies into arrival-cycle windows of this width and reports
-	// per-window statistics in AppResult.Windows — how time-varying load runs
-	// report during-burst vs steady-state tails. 0 (the default) disables
-	// windowed recording and leaves results identical to the pre-window
-	// simulator.
-	LatencyWindowCycles uint64
 	// UMONWays and UMONSampleSets size the per-core utility monitors.
 	UMONWays       int
 	UMONSampleSets int
@@ -159,9 +152,6 @@ func (c Config) Validate() error {
 	}
 	if c.LCCheckAccessInterval == 0 {
 		return fmt.Errorf("sim: LC check interval must be positive")
-	}
-	if c.LatencyWindowCycles > 0 && c.LatencyWindowCycles < 1024 {
-		return fmt.Errorf("sim: latency window must be 0 (off) or at least 1024 cycles, got %d", c.LatencyWindowCycles)
 	}
 	return nil
 }

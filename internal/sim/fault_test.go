@@ -5,16 +5,16 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
-// slowGoldenRun is goldenRun with a slow-window plan attached to the LC slot
-// and windowed recording on, so tests can compare per-window stats.
+// slowGoldenRun is goldenRun with a slow-window plan attached to the LC slot;
+// tests compare its 200k-cycle latency windows.
 func slowGoldenRun(t *testing.T, windows []SlowWindow) Result {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Seed = 42
-	cfg.LatencyWindowCycles = 200_000
 	lc, err := workload.LCByName("masstree")
 	if err != nil {
 		t.Fatal(err)
@@ -94,13 +94,14 @@ func TestSlowWindowConfinement(t *testing.T) {
 	}
 	healthy := slowGoldenRun(t, nil)
 	noop := slowGoldenRun(t, []SlowWindow{})
-	if resultDigest(healthy) != resultDigest(noop) {
+	if windowedDigest(healthy, 200_000) != windowedDigest(noop, 200_000) {
 		t.Error("an empty slow-window slice must be a bit-identical no-op")
 	}
 
 	const faultStart = 600_000
 	slow := slowGoldenRun(t, []SlowWindow{{StartCycle: faultStart, EndCycle: 1 << 60, Factor: 4}})
-	hw, sw := healthy.LCResults()[0].Windows, slow.LCResults()[0].Windows
+	hw := stats.WindowStats(200_000, 95, healthy.LCResults()[0].Record())
+	sw := stats.WindowStats(200_000, 95, slow.LCResults()[0].Record())
 	checked := 0
 	for i := range hw {
 		if hw[i].EndCycle > faultStart || i >= len(sw) {

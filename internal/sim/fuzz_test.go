@@ -13,11 +13,11 @@ func FuzzConfigValidate(f *testing.F) {
 	def := DefaultConfig()
 	f.Add(def.ReconfigIntervalCycles, def.LCCheckAccessInterval, def.CoalesceDelayCycles,
 		def.TailPercentile, def.UMONWays, def.UMONSampleSets, def.MissCurvePoints,
-		def.StepQuantumCycles, def.LatencyWindowCycles, def.LLC.Lines, def.LLC.Ways, def.LLC.Partitions)
-	f.Add(uint64(0), uint64(0), uint64(0), math.NaN(), -1, 0, 1, uint64(0), uint64(1), uint64(0), 0, -3)
-	f.Add(^uint64(0), ^uint64(0), ^uint64(0), 100.0, 1<<30, 1<<30, 1<<30, ^uint64(0), uint64(1023), ^uint64(0), 1<<20, 1<<20)
+		def.StepQuantumCycles, def.LLC.Lines, def.LLC.Ways, def.LLC.Partitions)
+	f.Add(uint64(0), uint64(0), uint64(0), math.NaN(), -1, 0, 1, uint64(0), uint64(0), 0, -3)
+	f.Add(^uint64(0), ^uint64(0), ^uint64(0), 100.0, 1<<30, 1<<30, 1<<30, ^uint64(0), ^uint64(0), 1<<20, 1<<20)
 	f.Fuzz(func(t *testing.T, reconfig, lcCheck, coalesce uint64, pct float64,
-		umonWays, umonSets, curvePts int, quantum, window, llcLines uint64, llcWays, parts int) {
+		umonWays, umonSets, curvePts int, quantum, llcLines uint64, llcWays, parts int) {
 		cfg := DefaultConfig()
 		cfg.ReconfigIntervalCycles = reconfig
 		cfg.LCCheckAccessInterval = lcCheck
@@ -27,7 +27,6 @@ func FuzzConfigValidate(f *testing.F) {
 		cfg.UMONSampleSets = umonSets
 		cfg.MissCurvePoints = curvePts
 		cfg.StepQuantumCycles = quantum
-		cfg.LatencyWindowCycles = window
 		cfg.LLC.Lines = llcLines
 		cfg.LLC.Ways = llcWays
 		cfg.LLC.Partitions = parts

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -13,7 +14,13 @@ import (
 // a golden test can pin a run's full numeric output in a single constant.
 // Floats are hashed by their IEEE-754 bit patterns: the digest detects any
 // change, including ones far below display precision.
-func resultDigest(res Result) uint64 {
+func resultDigest(res Result) uint64 { return windowedDigest(res, 0) }
+
+// windowedDigest is resultDigest that also hashes each latency-critical
+// app's per-window statistics, computed from its request record at the given
+// window width (0 hashes none, so window-less digests keep the values
+// captured before windowed statistics existed).
+func windowedDigest(res Result, width uint64) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -43,9 +50,10 @@ func resultDigest(res Result) uint64 {
 		for _, frac := range a.ReuseBreakdown {
 			mixF(frac)
 		}
-		// Windowed stats are hashed only when present, so window-less runs
-		// keep the digests captured before windowed recording existed.
-		for _, w := range a.Windows {
+		if width == 0 || !a.LatencyCritical {
+			continue
+		}
+		for _, w := range stats.WindowStats(width, 95, a.Record()) {
 			mix(w.Index)
 			mix(w.Count)
 			mixF(w.Mean)
@@ -111,14 +119,13 @@ func TestGoldenDigestHierarchy(t *testing.T) {
 }
 
 // goldenBurstRun is the scenario-engine analogue of goldenRun: the same
-// fixed-seed mix driven through a 4x load burst with windowed latency
-// recording, exercising the schedule evaluator, the modulated arrival
-// process and the per-window statistics end to end.
+// fixed-seed mix driven through a 4x load burst, exercising the schedule
+// evaluator and the modulated arrival process end to end; the test windows
+// its request record.
 func goldenBurstRun(t *testing.T) Result {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Seed = 42
-	cfg.LatencyWindowCycles = 200_000
 	lc, err := workload.LCByName("masstree")
 	if err != nil {
 		t.Fatal(err)
@@ -149,10 +156,10 @@ func goldenBurstRun(t *testing.T) Result {
 func TestGoldenDigestBurstSchedule(t *testing.T) {
 	res := goldenBurstRun(t)
 	lcs := res.LCResults()
-	if len(lcs) != 1 || len(lcs[0].Windows) == 0 {
-		t.Fatalf("burst golden run should produce windowed LC stats, got %+v", lcs)
+	if len(lcs) != 1 || len(lcs[0].RequestArrivals) == 0 {
+		t.Fatalf("burst golden run should record LC requests, got %+v", lcs)
 	}
-	got := resultDigest(res)
+	got := windowedDigest(res, 200_000)
 	const want = uint64(0x78997f0b3064a37c) // scenario engine: 4x burst + 200k-cycle windows
 	if got != want {
 		t.Errorf("burst-schedule golden digest = %#x, want %#x (transient numerics changed; update only if intended)", got, want)

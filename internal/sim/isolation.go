@@ -38,12 +38,6 @@ func isolationConfig(cfg Config, lines uint64) Config {
 	llc.Partitions = 1
 	llc.Mode = cache.ModeLRU
 	iso.LLC = llc
-	// Isolation and calibration runs are steady-state by construction (the
-	// baseline a time-varying mix is compared against), so windowed latency
-	// recording stays off even when the mix configuration enables it —
-	// calibration's enormous interarrival gaps would otherwise spread a
-	// handful of requests over millions of windows.
-	iso.LatencyWindowCycles = 0
 	return iso
 }
 
@@ -63,14 +57,15 @@ func alignLines(lines uint64, llc cache.ArrayConfig) uint64 {
 	return lines
 }
 
-// isolationKey builds the warm-pool identity of an isolation-family run: the
-// full isolated machine configuration (every Config field is a plain value,
-// so %#v captures it exactly), the complete application profile, and the
-// run parameters. Two isolation runs with equal keys are the same
-// deterministic computation. Wall-clock-only knobs are cleared first
-// (Config.PoolIdentity) so runs that differ only in parallelism share an
-// entry.
-func isolationKey(kind string, iso Config, profile workload.LCProfile, args ...any) string {
+// isolationKey builds the warm-pool identity of an isolation-family run
+// (calibration, isolated latency-critical and batch baseline runs): the full
+// isolated machine configuration (every Config field is a plain value, so
+// %#v captures it exactly), the complete application profile (an LC or a
+// batch profile value), and the run parameters. Two isolation runs with
+// equal keys are the same deterministic computation. Wall-clock-only knobs
+// are cleared first (Config.PoolIdentity) so runs that differ only in
+// parallelism share an entry.
+func isolationKey(kind string, iso Config, profile any, args ...any) string {
 	return fmt.Sprintf("%s|%#v|%#v|%v", kind, iso.PoolIdentity(), profile, args)
 }
 
@@ -202,7 +197,7 @@ func MeasureBatchBaselineIPCPooled(pool *WarmPool, cfg Config, profile workload.
 		ROIInstructions: roiInstructions,
 		Seed:            workload.SplitSeed(cfg.Seed, 0xBEEF),
 	}
-	res, err := pool.Result(fmt.Sprintf("batch|%#v|%#v|%d", iso.PoolIdentity(), profile, roiInstructions), func() (Result, error) {
+	res, err := pool.Result(isolationKey("batch", iso, profile, roiInstructions), func() (Result, error) {
 		return RunMix(iso, []AppSpec{spec}, policy.NewLRU())
 	})
 	if err != nil {

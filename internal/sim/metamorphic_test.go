@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/policy"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -69,12 +70,11 @@ func TestLargerLLCNeverRaisesIsolatedMissRate(t *testing.T) {
 }
 
 // burstMixRun drives the shared scenario-path mix: one LC app on the given
-// schedule with windowed recording, one batch app, under StaticLC.
-func burstMixRun(t *testing.T, sched workload.ScheduleSpec, quantum uint64, window uint64) Result {
+// schedule, one batch app, under StaticLC.
+func burstMixRun(t *testing.T, sched workload.ScheduleSpec, quantum uint64) Result {
 	t.Helper()
 	cfg := testConfig()
 	cfg.StepQuantumCycles = quantum
-	cfg.LatencyWindowCycles = window
 	lc := smallLC(t, "masstree")
 	batch := smallBatch(t, "mcf")
 	specs := []AppSpec{
@@ -106,16 +106,16 @@ func TestScenarioPathDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, quantum := range []uint64{0, 1024} {
-			a := burstMixRun(t, sched, quantum, 200_000)
-			b := burstMixRun(t, sched, quantum, 200_000)
-			da, db := resultDigest(a), resultDigest(b)
+			a := burstMixRun(t, sched, quantum)
+			b := burstMixRun(t, sched, quantum)
+			da, db := windowedDigest(a, 200_000), windowedDigest(b, 200_000)
 			if da != db {
 				t.Errorf("%s quantum=%d: runs not bit-identical (%#x vs %#x)", s, quantum, da, db)
 			}
 			lc := a.LCResults()[0]
-			if lc.Requests == 0 || len(lc.Windows) == 0 {
-				t.Errorf("%s quantum=%d: incomplete scenario run: %d requests, %d windows",
-					s, quantum, lc.Requests, len(lc.Windows))
+			if lc.Requests == 0 || len(lc.RequestArrivals) != int(lc.Requests) {
+				t.Errorf("%s quantum=%d: incomplete scenario run: %d requests, %d recorded",
+					s, quantum, lc.Requests, len(lc.RequestArrivals))
 			}
 			if lc.Schedule != sched.String() {
 				t.Errorf("%s: result should carry the schedule, got %q", s, lc.Schedule)
@@ -133,10 +133,10 @@ func TestUnitBurstMatchesConstant(t *testing.T) {
 	if err := unit.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	a := burstMixRun(t, unit, 1024, 200_000)
-	b := burstMixRun(t, workload.ScheduleSpec{}, 1024, 200_000)
+	a := burstMixRun(t, unit, 1024)
+	b := burstMixRun(t, workload.ScheduleSpec{}, 1024)
 	// The schedule strings differ by design; everything numeric must match.
-	if da, db := resultDigest(a), resultDigest(b); da != db {
+	if da, db := windowedDigest(a, 200_000), windowedDigest(b, 200_000); da != db {
 		t.Errorf("multiplier-1 burst differs from constant schedule: %#x vs %#x", da, db)
 	}
 }
@@ -151,7 +151,6 @@ func TestBurstRaisesInWindowArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
-	cfg.LatencyWindowCycles = 100_000
 	lc := smallLC(t, "masstree")
 	batch := smallBatch(t, "mcf")
 	specs := []AppSpec{
@@ -162,16 +161,16 @@ func TestBurstRaisesInWindowArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	app := res.LCResults()[0]
+	windows := stats.WindowStats(100_000, 95, res.LCResults()[0].Record())
 	const winPerPhase = 4 // 4e5 cycles per phase / 1e5-cycle windows
-	if len(app.Windows) < 4*winPerPhase {
-		t.Fatalf("run too short to cover burst and recovery: %d windows", len(app.Windows))
+	if len(windows) < 4*winPerPhase {
+		t.Fatalf("run too short to cover burst and recovery: %d windows", len(windows))
 	}
 	var burstN, postN uint64
-	for _, w := range app.Windows[winPerPhase : 2*winPerPhase] { // [4e5, 8e5): the burst
+	for _, w := range windows[winPerPhase : 2*winPerPhase] { // [4e5, 8e5): the burst
 		burstN += w.Count
 	}
-	for _, w := range app.Windows[3*winPerPhase : 4*winPerPhase] { // [1.2e6, 1.6e6): steady again
+	for _, w := range windows[3*winPerPhase : 4*winPerPhase] { // [1.2e6, 1.6e6): steady again
 		postN += w.Count
 	}
 	if burstN <= 2*postN {

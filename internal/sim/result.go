@@ -26,11 +26,14 @@ type AppResult struct {
 	// to them.
 	Latencies    *stats.Sample
 	ServiceTimes *stats.Sample
-	// RequestLatencies holds the measured latencies in request-ID (arrival)
-	// order — unlike the Latencies sample, which is held sorted. The cluster aggregator joins a node's i-th leaf
-	// request back to its query through this slice. Only populated for slots
-	// with an explicit arrival stream (cluster leaves); nil otherwise.
-	// Read-only.
+	// RequestArrivals and RequestLatencies are the run's request record:
+	// every measured request's arrival cycle and latency, in request-ID
+	// (arrival) order — unlike the Latencies sample, which is held sorted.
+	// Every windowed or per-phase view of a time-varying run is computed
+	// from it (stats.WindowStats over Record()), and the cluster aggregator
+	// joins a node's i-th leaf request back to its query through it. Both
+	// hold Requests entries. Read-only.
+	RequestArrivals  []uint64
 	RequestLatencies []float64
 	// ReuseBreakdown is the Figure 2 classification: hit fractions by
 	// requests-since-last-touch, then the miss fraction.
@@ -40,15 +43,6 @@ type AppResult struct {
 	// Schedule is the app's load schedule in flag syntax ("const" when
 	// steady).
 	Schedule string
-	// Windows holds per-arrival-window latency statistics when
-	// Config.LatencyWindowCycles is set (nil otherwise): the per-phase
-	// p95/p99 view of a time-varying run.
-	Windows []stats.WindowStat
-	// WindowSamples carries the raw per-window latency samples backing
-	// Windows (index-aligned, nil entries for empty windows), so phases can
-	// be pooled exactly across windows and instances. Sorted and shared like
-	// Latencies: read-only.
-	WindowSamples []*stats.Sample
 
 	// Batch (and general) metrics. With private levels enabled, MissRate and
 	// APKI describe the L2-filtered stream the shared LLC observes.
@@ -65,6 +59,12 @@ type AppResult struct {
 	// MeanPartitionTarget is the time-averaged partition target in lines,
 	// sampled at reconfigurations (diagnostic).
 	MeanPartitionTarget float64
+}
+
+// Record returns the app's request record as a series for stats.WindowStats
+// and stats.PoolRange.
+func (a AppResult) Record() stats.Series {
+	return stats.Series{Arrivals: a.RequestArrivals, Values: a.RequestLatencies}
 }
 
 // Result is the outcome of one simulation run.

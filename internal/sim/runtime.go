@@ -121,13 +121,11 @@ func newAppRuntime(idx int, spec AppSpec, cfg Config) (*appRuntime, error) {
 		a.reuse = monitor.NewReuseProfiler(monitor.DefaultReuseMaxAge)
 		a.toGenerate = spec.requestCount() + spec.warmupCount()
 		a.warmupRequests = spec.warmupCount()
-		a.recorder = queueing.NewRecorderWindowed(spec.requestCount(), cfg.LatencyWindowCycles)
+		a.recorder = queueing.NewRecorder(spec.requestCount())
 		if spec.Arrivals != nil {
 			// An explicit pre-generated stream (a cluster leaf stream)
 			// replays verbatim; the generating front-end already applied the
-			// rate, the schedule and the seeds. The cluster aggregator joins
-			// leaves back to queries by request ID, so keep the
-			// order-preserving latency copy for these slots only.
+			// rate, the schedule and the seeds.
 			if ra, ok := spec.Arrivals.(*workload.ReplayArrivals); ok && ra.Remaining() < a.toGenerate {
 				// Refuse under-provisioned replays up front: past the end the
 				// process can only emit its exhaustion sentinel, which would
@@ -136,7 +134,6 @@ func newAppRuntime(idx int, spec AppSpec, cfg Config) (*appRuntime, error) {
 				return nil, fmt.Errorf("sim: app %q replays an arrival stream with %d times remaining but the run needs %d (%d warmup + %d measured); provision the full stream",
 					spec.Name(), ra.Remaining(), a.toGenerate, a.warmupRequests, spec.requestCount())
 			}
-			a.recorder.KeepPerRequest(spec.requestCount())
 			a.arrivals = spec.Arrivals
 		} else {
 			interarrival := spec.MeanInterarrival

@@ -570,11 +570,10 @@ func (s *Simulator) collect() Result {
 			ar.Requests = a.recorder.Completed()
 			ar.Latencies = a.recorder.Latencies()
 			ar.ServiceTimes = a.recorder.ServiceTimes()
-			ar.RequestLatencies = a.recorder.PerRequestLatencies()
+			record := a.recorder.Requests()
+			ar.RequestArrivals, ar.RequestLatencies = record.Arrivals, record.Values
 			ar.ReuseBreakdown = a.reuse.Breakdown()
 			ar.Schedule = a.spec.Sched.String()
-			ar.Windows = a.recorder.WindowStats(s.cfg.TailPercentile)
-			ar.WindowSamples = a.recorder.WindowSamples()
 		}
 		res.Apps = append(res.Apps, ar)
 	}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -576,5 +577,54 @@ func TestUnstableLoadDetected(t *testing.T) {
 	_, err := RunMix(isolationConfig(cfg, lc.TargetLines()), []AppSpec{spec}, policy.NewLRU())
 	if err == nil {
 		t.Skip("run finished within the cap; nothing to assert")
+	}
+}
+
+// TestRequestRecordInRequestOrder checks the record every latency-critical
+// AppResult carries: Requests arrival cycles and latencies, in request
+// order, holding the same latencies as the sorted sample — for a Poisson
+// slot and for an explicit-arrival (cluster leaf) slot, whose record must
+// replay its measured arrival times exactly.
+func TestRequestRecordInRequestOrder(t *testing.T) {
+	check := func(name string, a AppResult) {
+		t.Helper()
+		if a.Requests == 0 || len(a.RequestArrivals) != int(a.Requests) || len(a.RequestLatencies) != int(a.Requests) {
+			t.Fatalf("%s: %d requests but a record of %d arrivals and %d latencies",
+				name, a.Requests, len(a.RequestArrivals), len(a.RequestLatencies))
+		}
+		if !slices.IsSorted(a.RequestArrivals) {
+			t.Errorf("%s: record arrivals are not in request order", name)
+		}
+		sorted := slices.Clone(a.RequestLatencies)
+		slices.Sort(sorted)
+		if !slices.Equal(sorted, a.Latencies.Values()) {
+			t.Errorf("%s: record latencies differ from the latency sample", name)
+		}
+	}
+	poisson := goldenRun(t, DefaultConfig()).LCResults()
+	if len(poisson) != 1 {
+		t.Fatalf("want one latency-critical result, got %d", len(poisson))
+	}
+	check("poisson", poisson[0])
+
+	lc := smallLC(t, "masstree")
+	times := make([]uint64, 40)
+	for i := range times {
+		times[i] = uint64(i+1) * 60_000
+	}
+	const warmup = 5
+	res, err := RunMix(testConfig(), []AppSpec{{
+		LC:               &lc,
+		Arrivals:         workload.NewReplayArrivals(times),
+		ExplicitRequests: len(times) - warmup,
+		ExplicitWarmup:   warmup,
+	}}, policy.NewLRU())
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := res.LCResults()[0]
+	check("explicit", leaf)
+	if !slices.Equal(leaf.RequestArrivals, times[warmup:]) {
+		t.Errorf("explicit slot recorded arrivals %v, want the measured replay times %v", leaf.RequestArrivals, times[warmup:])
 	}
 }

@@ -1,6 +1,6 @@
 package stats
 
-// WindowStat summarises one fixed-width time window of a windowed sample:
+// WindowStat summarises one fixed-width time window of a recorded series:
 // the per-phase latency statistics the transient experiments report instead
 // of a single run-wide tail.
 type WindowStat struct {
@@ -13,85 +13,64 @@ type WindowStat struct {
 	Count uint64
 	// Mean, P95 and P99 summarise the window's observations (0 when empty).
 	Mean, P95, P99 float64
-	// TailMean is the mean beyond the percentile passed to Stats — the
-	// paper's tail metric, per window.
+	// TailMean is the mean beyond the tail percentile passed to
+	// WindowStats — the paper's tail metric, per window.
 	TailMean float64
 }
 
-// Windowed accumulates observations into fixed-width time windows so tail
-// statistics can be reported per phase of a time-varying run (steady state vs
-// burst vs recovery) rather than once over the whole run.
-type Windowed struct {
-	width   uint64
-	samples []*Sample
+// Series is a record of observations in the order they were made: value
+// Values[i] arrived at cycle Arrivals[i]. A run's request record is one
+// Series; windows, phases and pools over several records are all views of
+// it, computed after the run.
+type Series struct {
+	Arrivals []uint64
+	Values   []float64
 }
 
-// NewWindowed returns a windowed collector with the given window width in
-// cycles (clamped to at least 1).
-func NewWindowed(widthCycles uint64) *Windowed {
-	if widthCycles == 0 {
-		widthCycles = 1
-	}
-	return &Windowed{width: widthCycles}
-}
-
-// maxWindows bounds the window slice so one extreme timestamp (a
+// maxWindows bounds the window count so one extreme timestamp (a
 // pathological arrival clock) cannot balloon memory; observations past the
 // cap fold into the final window.
 const maxWindows = 1 << 20
 
-// Add records one observation at the given cycle.
-func (w *Windowed) Add(cycle uint64, v float64) {
-	idx := cycle / w.width
-	if idx >= maxWindows {
-		idx = maxWindows - 1
-	}
-	for uint64(len(w.samples)) <= idx {
-		w.samples = append(w.samples, nil)
-	}
-	if w.samples[idx] == nil {
-		w.samples[idx] = NewSample(16)
-	}
-	w.samples[idx].Add(v)
+// windowIndex returns the window an arrival cycle falls in.
+func windowIndex(cycle, width uint64) int {
+	return int(min(cycle/width, maxWindows-1))
 }
 
-// Samples returns the per-window samples, indexed by window number; entries
-// are nil for windows that received no observations. The slice and samples
-// are the collector's own, not copies: callers must treat them as read-only,
-// and later Adds keep growing them, so hand them out only once recording has
-// finished. After Sort they are then safe to query from many goroutines.
-func (w *Windowed) Samples() []*Sample { return w.samples }
-
-// Sort sorts every window's sample (see Sample.Sort), so later queries on
-// them only read.
-func (w *Windowed) Sort() {
-	for _, s := range w.samples {
-		if s != nil {
-			s.Sort()
+// WindowStats buckets the observations of every series by arrival cycle into
+// windows of the given width (clamped to at least 1) and summarises each
+// window, pooling the series: window w's statistics are those of every
+// observation of every series that arrived in it. The result runs from
+// window 0 through the last window any observation landed in; empty windows
+// stay in place with Count 0, keeping the series aligned across runs.
+// tailPercentile selects each window's TailMean.
+func WindowStats(width uint64, tailPercentile float64, series ...Series) []WindowStat {
+	width = max(width, 1)
+	n := 0
+	for _, s := range series {
+		for _, at := range s.Arrivals {
+			n = max(n, windowIndex(at, width)+1)
 		}
 	}
-}
-
-// Stats summarises every window from 0 through the last one that received an
-// observation (empty windows appear with Count 0, keeping the series aligned
-// across runs). tailPercentile selects the TailMean percentile.
-func (w *Windowed) Stats(tailPercentile float64) []WindowStat {
-	out := make([]WindowStat, len(w.samples))
-	for i, s := range w.samples {
+	windows := make([]Sample, n)
+	for _, s := range series {
+		for i, at := range s.Arrivals {
+			windows[windowIndex(at, width)].Add(s.Values[i])
+		}
+	}
+	out := make([]WindowStat, n)
+	for i := range windows {
+		s := &windows[i]
 		st := WindowStat{
 			Index:      uint64(i),
-			StartCycle: uint64(i) * w.width,
-			EndCycle:   uint64(i+1) * w.width,
+			StartCycle: uint64(i) * width,
+			EndCycle:   uint64(i+1) * width,
+			Count:      uint64(s.Len()),
 		}
-		if s != nil && s.Len() > 0 {
-			st.Count = uint64(s.Len())
+		if s.Len() > 0 {
 			st.Mean = s.Mean()
-			if p, err := s.Percentile(95); err == nil {
-				st.P95 = p
-			}
-			if p, err := s.Percentile(99); err == nil {
-				st.P99 = p
-			}
+			st.P95 = s.PercentileOrZero(95)
+			st.P99 = s.PercentileOrZero(99)
 			if tm, err := s.TailMean(tailPercentile); err == nil {
 				st.TailMean = tm
 			}
@@ -101,14 +80,18 @@ func (w *Windowed) Stats(tailPercentile float64) []WindowStat {
 	return out
 }
 
-// PoolWindows merges a range of per-window samples (e.g. all windows of one
-// schedule phase, possibly across several application instances) into one
-// sample for exact pooled percentiles. Nil samples are skipped.
-func PoolWindows(samples []*Sample) *Sample {
+// PoolRange pools every observation of every series whose arrival window
+// (same width and folding as WindowStats) lies in [from, to) into one
+// sample — a schedule phase across application instances, for exact pooled
+// percentiles.
+func PoolRange(width uint64, from, to int, series ...Series) *Sample {
+	width = max(width, 1)
 	pooled := NewSample(64)
-	for _, s := range samples {
-		if s != nil {
-			pooled.AddAll(s.Values())
+	for _, s := range series {
+		for i, at := range s.Arrivals {
+			if w := windowIndex(at, width); w >= from && w < to {
+				pooled.Add(s.Values[i])
+			}
 		}
 	}
 	return pooled

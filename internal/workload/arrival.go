@@ -87,8 +87,7 @@ func DrawArrivals(p ArrivalProcess, n int) []uint64 {
 // at construction any slot whose replay stream holds fewer times than the run
 // needs (see sim.AppSpec). The sentinel exists so that an off-by-one consumer
 // still moves its clock strictly forward instead of replaying the final time
-// silently — and Exhausted()/Overruns() make the condition observable rather
-// than a quiet repetition.
+// silently.
 const replayExhaustedGap = 1 << 40
 
 // ReplayArrivals replays a pre-generated arrival sequence verbatim — the
@@ -98,16 +97,11 @@ const replayExhaustedGap = 1 << 40
 // times are returned untouched, a single-node split reproduces the generating
 // process bit for bit.
 //
-// Exhaustion is explicit: exactly Len() recorded times exist, the Len()+1-th
-// Next call (and every later one) returns prev+replayExhaustedGap and bumps
-// Overruns().
+// Exhaustion is explicit: once Remaining() reaches 0, every further Next call
+// returns prev+replayExhaustedGap.
 type ReplayArrivals struct {
 	times []uint64
 	pos   int
-	// over counts Next calls made after the recorded times ran out. It is
-	// diagnostic state, not a cursor: each overrun call returns the sentinel
-	// gap relative to the caller's prev.
-	over int
 }
 
 // NewReplayArrivals returns a process that replays times in order. times must
@@ -119,7 +113,6 @@ func NewReplayArrivals(times []uint64) *ReplayArrivals {
 // Next implements ArrivalProcess.
 func (r *ReplayArrivals) Next(prev uint64) uint64 {
 	if r.pos >= len(r.times) {
-		r.over++
 		return prev + replayExhaustedGap
 	}
 	t := r.times[r.pos]
@@ -127,19 +120,8 @@ func (r *ReplayArrivals) Next(prev uint64) uint64 {
 	return t
 }
 
-// Len returns the total number of recorded arrival times.
-func (r *ReplayArrivals) Len() int { return len(r.times) }
-
 // Remaining returns how many replay times have not been consumed yet.
 func (r *ReplayArrivals) Remaining() int { return len(r.times) - r.pos }
-
-// Exhausted reports whether every recorded time has been consumed.
-func (r *ReplayArrivals) Exhausted() bool { return r.pos >= len(r.times) }
-
-// Overruns returns how many Next calls were answered with the exhaustion
-// sentinel rather than a recorded time. Any nonzero value means the consumer
-// asked for more arrivals than were provisioned.
-func (r *ReplayArrivals) Overruns() int { return r.over }
 
 // MeanInterarrivalForLoad converts a target offered load rho (0 < rho < 1) and
 // a mean service time (cycles) into the mean interarrival time that produces

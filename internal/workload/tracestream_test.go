@@ -78,13 +78,12 @@ func TestTraceStreamCloneContract(t *testing.T) {
 
 // TestReplayArrivalsBoundary pins end-of-sequence behaviour at exactly
 // len(times) and len(times)+1 requests: the recorded times replay verbatim,
-// the next call returns the sentinel gap and flips Exhausted/Overruns.
+// Remaining counts down to 0, and every later call returns the sentinel gap.
 func TestReplayArrivalsBoundary(t *testing.T) {
 	times := []uint64{5, 17, 40}
 	r := NewReplayArrivals(times)
-	if r.Len() != 3 || r.Remaining() != 3 || r.Exhausted() || r.Overruns() != 0 {
-		t.Fatalf("fresh state: Len=%d Remaining=%d Exhausted=%v Overruns=%d",
-			r.Len(), r.Remaining(), r.Exhausted(), r.Overruns())
+	if r.Remaining() != 3 {
+		t.Fatalf("fresh state: Remaining=%d, want 3", r.Remaining())
 	}
 	prev := uint64(0)
 	for i, want := range times {
@@ -93,25 +92,20 @@ func TestReplayArrivalsBoundary(t *testing.T) {
 			t.Fatalf("Next #%d = %d, want %d", i, prev, want)
 		}
 	}
-	// Exactly len(times) requests: exhausted, but no overrun yet.
-	if !r.Exhausted() || r.Remaining() != 0 || r.Overruns() != 0 {
-		t.Fatalf("at boundary: Exhausted=%v Remaining=%d Overruns=%d",
-			r.Exhausted(), r.Remaining(), r.Overruns())
+	if r.Remaining() != 0 {
+		t.Fatalf("at boundary: Remaining=%d, want 0", r.Remaining())
 	}
-	// Request len(times)+1: sentinel gap, overrun counted.
+	// Request len(times)+1: sentinel gap.
 	got := r.Next(prev)
 	if got != prev+replayExhaustedGap {
 		t.Fatalf("overrun Next = %d, want prev+sentinel = %d", got, prev+replayExhaustedGap)
-	}
-	if r.Overruns() != 1 {
-		t.Fatalf("Overruns = %d, want 1", r.Overruns())
 	}
 	// Every later call keeps moving the clock strictly forward.
 	got2 := r.Next(got)
 	if got2 != got+replayExhaustedGap {
 		t.Fatalf("second overrun Next = %d, want %d", got2, got+replayExhaustedGap)
 	}
-	if r.Overruns() != 2 {
-		t.Fatalf("Overruns = %d, want 2", r.Overruns())
+	if r.Remaining() != 0 {
+		t.Fatalf("after overruns: Remaining=%d, want 0", r.Remaining())
 	}
 }
