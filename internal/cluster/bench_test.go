@@ -73,7 +73,7 @@ func BenchmarkClusterAggregate(b *testing.B) {
 		for i := range lats {
 			lats[i] = float64(20_000 + (i*7919)%60_000)
 		}
-		results[n] = sim.Result{Apps: []sim.AppResult{{LatencyCritical: true, RequestLatencies: lats}}}
+		results[n] = fakeNodeResult(lats...)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -234,9 +235,13 @@ func TestHedgingCountsWins(t *testing.T) {
 }
 
 // fakeNodeResult builds a sim.Result whose single LC slot reports the given
-// per-request latencies (the only field the aggregator joins on).
+// per-request latencies the way a finished run does: the record the
+// aggregator joins on, and the sorted sample it reads per-node stats from.
 func fakeNodeResult(latencies ...float64) sim.Result {
-	return sim.Result{Apps: []sim.AppResult{{LatencyCritical: true, RequestLatencies: latencies}}}
+	sample := stats.NewSample(len(latencies))
+	sample.AddAll(latencies)
+	sample.Sort()
+	return sim.Result{Apps: []sim.AppResult{{LatencyCritical: true, RequestLatencies: latencies, Latencies: sample}}}
 }
 
 // fakeSpec builds a validated-shaped spec for direct aggregate tests (nodes

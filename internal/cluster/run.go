@@ -257,35 +257,35 @@ func runNode(spec Spec, plan *queryPlan, n int, schemeKey string, pool *sim.Warm
 func aggregate(spec Spec, plan *queryPlan, results []sim.Result) (Result, error) {
 	m := len(spec.Nodes)
 	quorum := spec.quorum()
-	// Per-node measured leaf latencies in leaf order (the simulator's
-	// request-ID order), offset by the node's warmup prefix.
-	leafLat := make([][]float64, m)
+	// Per-node LC results: their record holds the measured leaf latencies in
+	// leaf order (the simulator's request-ID order), offset by the node's
+	// warmup prefix.
+	leaves := make([]sim.AppResult, m)
 	for n := 0; n < m; n++ {
 		want := len(plan.nodeTimes[n]) - plan.nodeWarmup[n]
 		if want < 1 && len(spec.Faults) > 0 {
 			// Node skipped by the runner (down for the whole measured run):
-			// no measured query references its leaves, so an empty slice is
-			// never indexed.
+			// no measured query references its leaves, so its empty record
+			// is never indexed.
 			continue
 		}
 		lcs := results[n].LCResults()
 		if len(lcs) != 1 {
 			return Result{}, fmt.Errorf("cluster: node %d produced %d latency-critical results, want 1", n, len(lcs))
 		}
-		leafLat[n] = lcs[0].RequestLatencies
-		if len(leafLat[n]) != want {
-			return Result{}, fmt.Errorf("cluster: node %d recorded %d measured leaves, want %d", n, len(leafLat[n]), want)
+		leaves[n] = lcs[0]
+		if got := len(leaves[n].RequestLatencies); got != want {
+			return Result{}, fmt.Errorf("cluster: node %d recorded %d measured leaves, want %d", n, got, want)
 		}
 	}
 	latOf := func(ref leafRef) float64 {
-		return leafLat[ref.node][int(ref.index)-plan.nodeWarmup[ref.node]]
+		return leaves[ref.node].RequestLatencies[int(ref.index)-plan.nodeWarmup[ref.node]]
 	}
 
 	res := Result{
 		Fanout:            spec.Fanout,
 		Quorum:            quorum,
 		Balancer:          string(spec.Balancer),
-		QueryLatencies:    stats.NewSample(spec.Queries),
 		PerQueryLatencies: make([]float64, 0, spec.Queries),
 		QueryArrivals:     make([]uint64, 0, spec.Queries),
 		Nodes:             make([]NodeResult, m),
@@ -307,23 +307,27 @@ func aggregate(spec Spec, plan *queryPlan, results []sim.Result) (Result, error)
 				res.HedgeWins++
 			}
 		}
-		res.QueryLatencies.Add(lat)
 		res.PerQueryLatencies = append(res.PerQueryLatencies, lat)
 		res.QueryArrivals = append(res.QueryArrivals, plan.arrivals[q])
 	}
+	// The sorted sample is derived once from the query record, adding in
+	// query order so its running sum (and so Mean) matches the record's.
+	res.QueryLatencies = stats.NewSample(len(res.PerQueryLatencies))
+	res.QueryLatencies.AddAll(res.PerQueryLatencies)
+	res.QueryLatencies.Sort()
 	res.Queries = uint64(res.QueryLatencies.Len())
 
 	// Per-node breakdowns over measured leaves (including hedge leaves: they
-	// are real served requests).
+	// are real served requests), read from the node's own sorted latency
+	// sample: it holds the record's latencies, summed in the same request
+	// order. A node skipped for a whole-run node-down has none and reads 0.
 	for n := 0; n < m; n++ {
-		leafSample := stats.NewSample(len(leafLat[n]))
-		leafSample.AddAll(leafLat[n])
-		res.Nodes[n] = NodeResult{
-			Sim:      results[n],
-			Leaves:   uint64(leafSample.Len()),
-			LeafMean: leafSample.Mean(),
-			LeafP95:  leafSample.PercentileOrZero(95),
-			LeafP99:  leafSample.PercentileOrZero(99),
+		res.Nodes[n] = NodeResult{Sim: results[n]}
+		if l := leaves[n].Latencies; l != nil {
+			res.Nodes[n].Leaves = uint64(l.Len())
+			res.Nodes[n].LeafMean = l.Mean()
+			res.Nodes[n].LeafP95 = l.PercentileOrZero(95)
+			res.Nodes[n].LeafP99 = l.PercentileOrZero(99)
 		}
 	}
 
@@ -333,9 +337,6 @@ func aggregate(spec Spec, plan *queryPlan, results []sim.Result) (Result, error)
 	if tm, err := res.QueryLatencies.TailMean(spec.tailPercentile()); err == nil {
 		res.TailMean = tm
 	}
-	// Like a node's sim.Result, the cluster result is read-only once
-	// returned: its samples are sorted, so queries on them only read.
-	res.QueryLatencies.Sort()
 	return res, nil
 }
 

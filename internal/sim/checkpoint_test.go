@@ -253,6 +253,7 @@ func FuzzPauseResume(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkServer(t, s)
 		if got := resultDigest(res); got != want {
 			t.Fatalf("paused-and-resumed digest %#x != straight digest %#x (seed=%d pause=%d quantum=%d)", got, want, cfg.Seed, warmCycle, cfg.StepQuantumCycles)
 		}

@@ -27,11 +27,7 @@ func slowGoldenRun(t *testing.T, windows []SlowWindow) Result {
 		{LC: &lc, Load: 0.2, MeanInterarrival: 60_000, DeadlineCycles: 45_000, RequestFactor: 0.05, SlowWindows: windows},
 		{Batch: &batch, ROIInstructions: 300_000},
 	}
-	res, err := RunMix(cfg, specs, core.NewUbikWithSlack(0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return runChecked(t, cfg, specs, core.NewUbikWithSlack(0.05))
 }
 
 // TestSlowWindowValidation enumerates the malformed slow-window plans
@@ -148,9 +144,15 @@ func TestColdRestart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := s.RunUntil(600_000); err != nil {
+		if err := s.RunUntil(620_000); err != nil {
 			t.Fatal(err)
 		}
+		a := s.apps[0]
+		if !a.inService {
+			t.Fatal("no request in flight at the restart; move the pause point")
+		}
+		inFlight := a.served - 1
+		start, restartClock := a.reqs[inFlight].start, a.clock
 		if err := s.ColdRestart(nil); err == nil {
 			t.Fatal("ColdRestart must reject a nil policy")
 		}
@@ -160,6 +162,11 @@ func TestColdRestart(t *testing.T) {
 		res, err := s.Run()
 		if err != nil {
 			t.Fatal(err)
+		}
+		checkServer(t, s)
+		if r := a.reqs[inFlight]; r.start != start || r.completion <= restartClock {
+			t.Errorf("the request in flight at the restart ran [%d, %d), want it kept from start %d to completion past the restart at %d",
+				r.start, r.completion, start, restartClock)
 		}
 		return res
 	}

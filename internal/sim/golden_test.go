@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -65,10 +66,26 @@ func windowedDigest(res Result, width uint64) uint64 {
 	return h
 }
 
+// runChecked is RunMix that also checks the finished run's servers against
+// Lindley's recursion (checkServer).
+func runChecked(t *testing.T, cfg Config, specs []AppSpec, pol policy.Policy) Result {
+	t.Helper()
+	s, err := New(cfg, specs, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkServer(t, s)
+	return res
+}
+
 // goldenRun executes the short fixed-seed mix the golden digests pin: one
 // latency-critical app (fixed interarrival, so no calibration run is needed)
-// plus one batch app under Ubik, exercising the cache, monitor, queueing and
-// policy layers end to end.
+// plus one batch app under Ubik, exercising the cache, monitor, request
+// record and policy layers end to end.
 func goldenRun(t *testing.T, cfg Config) Result {
 	t.Helper()
 	cfg.Seed = 42
@@ -84,11 +101,7 @@ func goldenRun(t *testing.T, cfg Config) Result {
 		{LC: &lc, Load: 0.2, MeanInterarrival: 60_000, DeadlineCycles: 45_000, RequestFactor: 0.05},
 		{Batch: &batch, ROIInstructions: 300_000},
 	}
-	res, err := RunMix(cfg, specs, core.NewUbikWithSlack(0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return runChecked(t, cfg, specs, core.NewUbikWithSlack(0.05))
 }
 
 // TestGoldenDigestFlat pins the numeric output of a short fixed-seed run on
@@ -142,11 +155,7 @@ func goldenBurstRun(t *testing.T) Result {
 		{LC: &lc, Load: 0.2, MeanInterarrival: 60_000, DeadlineCycles: 45_000, RequestFactor: 0.05, Sched: sched},
 		{Batch: &batch, ROIInstructions: 300_000},
 	}
-	res, err := RunMix(cfg, specs, core.NewUbikWithSlack(0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return runChecked(t, cfg, specs, core.NewUbikWithSlack(0.05))
 }
 
 // TestGoldenDigestBurstSchedule pins the scenario engine's numerics (arrival

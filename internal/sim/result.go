@@ -20,10 +20,10 @@ type AppResult struct {
 	MeanServiceTime float64
 	Requests        uint64
 	// Latencies and ServiceTimes carry the raw samples for CDFs and custom
-	// percentiles. They are the run's own recorder samples, sorted before
-	// Run returns: every query on them only reads, so one Result (a warm-pool
-	// hit) can be queried from many goroutines at once. Read-only: never Add
-	// to them.
+	// percentiles. Run derives them once from the slot's request record and
+	// sorts them before returning: every query on them only reads, so one
+	// Result (a warm-pool hit) can be queried from many goroutines at once.
+	// Read-only: never Add to them.
 	Latencies    *stats.Sample
 	ServiceTimes *stats.Sample
 	// RequestArrivals and RequestLatencies are the run's request record:

@@ -6,14 +6,21 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/monitor"
-	"repro/internal/queueing"
+	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
+// request is one latency-critical request in its slot's record: when it
+// arrived, its work in instructions, and the cycles the slot's single worker
+// started and completed it.
+type request struct {
+	arrival, demand, start, completion uint64
+}
+
 // appRuntime holds the per-application state of a running simulation: its
 // address stream, timing parameters, local clock, monitoring hardware, and —
-// for latency-critical apps — its request queue and latency recorder.
+// for latency-critical apps — its request record.
 type appRuntime struct {
 	idx  int
 	spec AppSpec
@@ -61,19 +68,23 @@ type appRuntime struct {
 	countersAtMeasure cpu.PerfCounters
 	measureStartCycle uint64
 
-	// Latency-critical serving state.
-	queue              queueing.FIFO
-	current            *queueing.Request
-	accessesLeft       uint64
-	reqInstrPerAccess  uint64
+	// Latency-critical serving state. reqs is the slot's request record,
+	// sized for every request the run generates, warm-up first (so the
+	// measured requests are its suffix past warmupRequests). It is also the
+	// single worker's FIFO queue: reqs[:generated] have arrived,
+	// reqs[served:generated] wait, and while inService the request in
+	// service is reqs[served-1].
+	reqs               []request
 	generated          int
+	served             int
+	inService          bool
 	toGenerate         int
 	warmupRequests     int
-	completed          int
+	accessesLeft       uint64
+	reqInstrPerAccess  uint64
 	nextArrivalRaw     uint64
 	nextArrivalVisible uint64
 	arrivals           workload.ArrivalProcess
-	recorder           *queueing.Recorder
 	active             bool
 	accessesSinceCheck uint64
 
@@ -121,7 +132,7 @@ func newAppRuntime(idx int, spec AppSpec, cfg Config) (*appRuntime, error) {
 		a.reuse = monitor.NewReuseProfiler(monitor.DefaultReuseMaxAge)
 		a.toGenerate = spec.requestCount() + spec.warmupCount()
 		a.warmupRequests = spec.warmupCount()
-		a.recorder = queueing.NewRecorder(spec.requestCount())
+		a.reqs = make([]request, a.toGenerate)
 		if spec.Arrivals != nil {
 			// An explicit pre-generated stream (a cluster leaf stream)
 			// replays verbatim; the generating front-end already applied the
@@ -189,10 +200,13 @@ func (a *appRuntime) isLC() bool { return a.lcApp != nil }
 
 // hasWork reports whether a latency-critical app currently has a request in
 // service or waiting.
-func (a *appRuntime) hasWork() bool { return a.current != nil || !a.queue.Empty() }
+func (a *appRuntime) hasWork() bool { return a.inService || a.queued() }
 
-// enqueueArrivals materialises every request whose (coalesced) arrival time is
-// at or before now.
+// queued reports whether a request has arrived and waits for the worker.
+func (a *appRuntime) queued() bool { return a.served < a.generated }
+
+// enqueueArrivals records every request whose (coalesced) arrival time is at
+// or before now.
 func (a *appRuntime) enqueueArrivals(now uint64, coalesce uint64) {
 	for a.generated < a.toGenerate && a.nextArrivalVisible <= now {
 		demand := a.lcApp.NextServiceDemand()
@@ -203,45 +217,61 @@ func (a *appRuntime) enqueueArrivals(now uint64, coalesce uint64) {
 				a.tr.Record(trace.KindFault, int32(a.idx), a.nextArrivalRaw, 0, drawn, demand)
 			}
 		}
-		req := &queueing.Request{
-			ID:            uint64(a.generated),
-			ArrivalCycle:  a.nextArrivalRaw,
-			ServiceDemand: demand,
-			Warmup:        a.generated < a.warmupRequests,
-		}
-		a.queue.Push(req)
+		a.reqs[a.generated] = request{arrival: a.nextArrivalRaw, demand: demand}
 		a.generated++
 		a.nextArrivalRaw = a.arrivals.Next(a.nextArrivalRaw)
 		a.nextArrivalVisible = a.nextArrivalRaw + coalesce
 	}
 }
 
-// startNextRequest pops the next queued request and prepares its access budget.
+// startNextRequest starts the oldest queued request and prepares its access
+// budget.
 func (a *appRuntime) startNextRequest() {
-	req := a.queue.Pop()
-	req.StartCycle = a.clock
-	a.current = req
+	req := &a.reqs[a.served]
+	a.served++
+	a.inService = true
+	req.start = a.clock
 	a.stream.BeginRequest()
-	accesses := uint64(float64(req.ServiceDemand)*a.apki/1000 + 0.5)
+	accesses := uint64(float64(req.demand)*a.apki/1000 + 0.5)
 	if accesses < 1 {
 		accesses = 1
 	}
 	a.accessesLeft = accesses
-	ipa := req.ServiceDemand / accesses
+	ipa := req.demand / accesses
 	if ipa < 1 {
 		ipa = 1
 	}
 	a.reqInstrPerAccess = ipa
 }
 
-// finishedAllRequests reports whether the app has generated and completed all
-// its requests.
-func (a *appRuntime) finishedAllRequests() bool {
-	return a.generated >= a.toGenerate && !a.hasWork()
+// collectRequests derives an LC slot's latency outputs, once, from the
+// measured suffix of its request record (collect runs only once the run is
+// complete, so every request in it has completed): the arrival-order record,
+// and the latency and service-time samples, each built by adding in request
+// order and then sorted, so every later query on them only reads.
+func (a *appRuntime) collectRequests(ar *AppResult, tailPercentile float64) {
+	measured := a.reqs[a.warmupRequests:]
+	n := len(measured)
+	ar.Requests = uint64(n)
+	ar.RequestArrivals = make([]uint64, n)
+	ar.RequestLatencies = make([]float64, n)
+	ar.Latencies = stats.NewSample(n)
+	ar.ServiceTimes = stats.NewSample(n)
+	for i, r := range measured {
+		lat := float64(r.completion - r.arrival)
+		ar.RequestArrivals[i] = r.arrival
+		ar.RequestLatencies[i] = lat
+		ar.Latencies.Add(lat)
+		ar.ServiceTimes.Add(float64(r.completion - r.start))
+	}
+	ar.Latencies.Sort()
+	ar.ServiceTimes.Sort()
+	ar.MeanLatency = ar.Latencies.Mean()
+	ar.MeanServiceTime = ar.ServiceTimes.Mean()
+	if tail, err := ar.Latencies.TailMean(tailPercentile); err == nil {
+		ar.TailLatency = tail
+	}
 }
-
-// instructionsDone returns the instructions retired so far.
-func (a *appRuntime) instructionsDone() uint64 { return a.counters.Instructions }
 
 // startMeasurement snapshots counters at the start of the measured window.
 func (a *appRuntime) startMeasurement() {

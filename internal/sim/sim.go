@@ -278,7 +278,7 @@ func (s *Simulator) RunUntil(stopCycle uint64) error {
 // policy are rebuilt from scratch — exactly the state a restarted server loses
 // — while everything that survives a restart in the modelled system is kept:
 // local clocks, queued and in-flight requests, arrival cursors, random
-// streams, performance counters and the latency recorders. The in-flight
+// streams, performance counters and the request record. The in-flight
 // request (if any) finishes its remaining accesses against the cold cache,
 // and the reconfiguration cadence continues on its original boundaries, so a
 // restarted run stays deterministic at any parallelism. pol must be a fresh
@@ -401,7 +401,7 @@ func (s *Simulator) stepBatch(a *appRuntime) {
 func (s *Simulator) stepLC(a *appRuntime) {
 	a.enqueueArrivals(a.clock, s.cfg.CoalesceDelayCycles)
 
-	if a.current != nil {
+	if a.inService {
 		s.doAccess(a, a.stream.RequestID(), a.reqInstrPerAccess)
 		a.accessesLeft--
 		a.accessesSinceCheck++
@@ -416,7 +416,7 @@ func (s *Simulator) stepLC(a *appRuntime) {
 	}
 
 	// No request in service.
-	if a.queue.Empty() {
+	if !a.queued() {
 		if a.generated >= a.toGenerate {
 			a.done = true
 			return
@@ -432,7 +432,7 @@ func (s *Simulator) stepLC(a *appRuntime) {
 			return
 		}
 		a.enqueueArrivals(a.clock, s.cfg.CoalesceDelayCycles)
-		if a.queue.Empty() {
+		if !a.queued() {
 			return
 		}
 	}
@@ -448,16 +448,14 @@ func (s *Simulator) stepLC(a *appRuntime) {
 // completeRequest finishes the in-flight request, fires the policy hooks, and
 // either starts the next queued request or transitions to idle.
 func (s *Simulator) completeRequest(a *appRuntime) {
-	req := a.current
-	req.CompletionCycle = a.clock
-	a.recorder.Record(req)
-	a.completed++
-	a.current = nil
-	s.applyResizes(s.policy.OnRequestComplete(a.idx, req.Latency(), s.view))
+	req := &a.reqs[a.served-1]
+	req.completion = a.clock
+	a.inService = false
+	s.applyResizes(s.policy.OnRequestComplete(a.idx, req.completion-req.arrival, s.view))
 	s.applyResizes(s.policy.OnLCCheck(a.idx, s.view))
 
 	a.enqueueArrivals(a.clock, s.cfg.CoalesceDelayCycles)
-	if !a.queue.Empty() {
+	if a.queued() {
 		a.startNextRequest()
 		return
 	}
@@ -560,18 +558,7 @@ func (s *Simulator) collect() Result {
 			ar.MeanPartitionTarget = float64(s.llc.PartitionTarget(partID(a.idx)))
 		}
 		if a.isLC() {
-			// The result shares the recorder's samples: collect runs only
-			// once the run is complete, when nothing records into them any
-			// more, and sorting them first makes every later query a read.
-			a.recorder.Sort()
-			ar.MeanLatency = a.recorder.MeanLatency()
-			ar.TailLatency = a.recorder.TailLatency(s.cfg.TailPercentile)
-			ar.MeanServiceTime = a.recorder.MeanServiceTime()
-			ar.Requests = a.recorder.Completed()
-			ar.Latencies = a.recorder.Latencies()
-			ar.ServiceTimes = a.recorder.ServiceTimes()
-			record := a.recorder.Requests()
-			ar.RequestArrivals, ar.RequestLatencies = record.Arrivals, record.Values
+			a.collectRequests(&ar, s.cfg.TailPercentile)
 			ar.ReuseBreakdown = a.reuse.Breakdown()
 			ar.Schedule = a.spec.Sched.String()
 		}

@@ -390,11 +390,7 @@ func TestSchedulerQuantumDeterminism(t *testing.T) {
 			{LC: &lc, Load: 0.2, MeanInterarrival: 60_000, RequestFactor: 0.05},
 			{Batch: &batch},
 		}
-		res, err := RunMix(cfg, specs, policy.NewStaticLC())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return runChecked(t, cfg, specs, policy.NewStaticLC())
 	}
 	for _, quantum := range []uint64{0, 1024, 50_000} {
 		a, b := run(quantum), run(quantum)
@@ -613,15 +609,12 @@ func TestRequestRecordInRequestOrder(t *testing.T) {
 		times[i] = uint64(i+1) * 60_000
 	}
 	const warmup = 5
-	res, err := RunMix(testConfig(), []AppSpec{{
+	res := runChecked(t, testConfig(), []AppSpec{{
 		LC:               &lc,
 		Arrivals:         workload.NewReplayArrivals(times),
 		ExplicitRequests: len(times) - warmup,
 		ExplicitWarmup:   warmup,
 	}}, policy.NewLRU())
-	if err != nil {
-		t.Fatal(err)
-	}
 	leaf := res.LCResults()[0]
 	check("explicit", leaf)
 	if !slices.Equal(leaf.RequestArrivals, times[warmup:]) {
