@@ -1,142 +1,53 @@
-// Package queueing provides the open-loop request queue and latency
-// accounting used for latency-critical applications: requests arrive according
-// to an arrival process, wait in a FIFO queue, are serviced one at a time
-// (the paper's single-worker configuration), and have their total latency
-// (queueing + service) recorded.
+// Package queueing holds a latency-critical slot's request record and the
+// derivation of the slot's latency outputs from it. The record is one Request
+// per request the slot generates, warm-up first; the simulator serves it by
+// index as its single worker's FIFO queue (internal/sim), so the record is the
+// only store of each request's timings.
 package queueing
 
 import "repro/internal/stats"
 
-// Request is one latency-critical request.
+// Request is one latency-critical request in its slot's record: when it
+// arrived, its work in instructions, and the cycles the slot's single worker
+// started and completed it. The server keeps Arrival <= Start < Completion.
 type Request struct {
-	// ID is the request's sequence number (0-based) within its application.
-	ID uint64
-	// ArrivalCycle is when the request entered the queue.
-	ArrivalCycle uint64
-	// StartCycle is when the server began executing it.
-	StartCycle uint64
-	// CompletionCycle is when it finished.
-	CompletionCycle uint64
-	// ServiceDemand is the request's work in instructions.
-	ServiceDemand uint64
-	// Warmup marks requests excluded from measurement.
-	Warmup bool
+	Arrival, Demand, Start, Completion uint64
 }
 
 // Latency returns the request's total latency (queueing plus service).
-func (r Request) Latency() uint64 {
-	if r.CompletionCycle < r.ArrivalCycle {
-		return 0
+func (r Request) Latency() uint64 { return r.Completion - r.Arrival }
+
+// ServiceTime returns the time the worker spent on the request.
+func (r Request) ServiceTime() uint64 { return r.Completion - r.Start }
+
+// Derived is what a completed record yields: the measured requests' arrival
+// cycles and latencies in request order, and their latency and service-time
+// samples, each built by adding in request order and then sorted, so every
+// later query on them only reads.
+type Derived struct {
+	Record       stats.Series
+	Latencies    *stats.Sample
+	ServiceTimes *stats.Sample
+}
+
+// Derive computes a completed record's outputs, once, leaving out its first
+// warmup requests.
+func Derive(reqs []Request, warmup int) Derived {
+	measured := reqs[warmup:]
+	n := len(measured)
+	d := Derived{
+		Record:       stats.Series{Arrivals: make([]uint64, n), Values: make([]float64, n)},
+		Latencies:    stats.NewSample(n),
+		ServiceTimes: stats.NewSample(n),
 	}
-	return r.CompletionCycle - r.ArrivalCycle
-}
-
-// ServiceTime returns the time the request spent being serviced.
-func (r Request) ServiceTime() uint64 {
-	if r.CompletionCycle < r.StartCycle {
-		return 0
+	for i, r := range measured {
+		lat := float64(r.Latency())
+		d.Record.Arrivals[i] = r.Arrival
+		d.Record.Values[i] = lat
+		d.Latencies.Add(lat)
+		d.ServiceTimes.Add(float64(r.ServiceTime()))
 	}
-	return r.CompletionCycle - r.StartCycle
+	d.Latencies.Sort()
+	d.ServiceTimes.Sort()
+	return d
 }
-
-// FIFO is a first-in-first-out request queue.
-type FIFO struct {
-	items []*Request
-}
-
-// Empty reports whether the queue has no requests.
-func (q *FIFO) Empty() bool { return len(q.items) == 0 }
-
-// Push enqueues a request.
-func (q *FIFO) Push(r *Request) { q.items = append(q.items, r) }
-
-// Pop dequeues the oldest request, or returns nil if the queue is empty.
-func (q *FIFO) Pop() *Request {
-	if len(q.items) == 0 {
-		return nil
-	}
-	r := q.items[0]
-	// Avoid retaining popped requests in the backing array.
-	copy(q.items, q.items[1:])
-	q.items[len(q.items)-1] = nil
-	q.items = q.items[:len(q.items)-1]
-	return r
-}
-
-// Recorder collects completed requests and exposes the latency statistics the
-// paper reports: mean latency, tail latency (mean beyond a percentile), and
-// service-time distributions. It also keeps the measured requests' record —
-// each one's arrival cycle and latency, in request order — from which every
-// per-window or per-phase view of a time-varying run is computed afterwards
-// (stats.WindowStats).
-type Recorder struct {
-	latencies    *stats.Sample
-	serviceTimes *stats.Sample
-	record       stats.Series
-}
-
-// NewRecorder returns an empty recorder sized for n requests.
-func NewRecorder(n int) *Recorder {
-	return &Recorder{
-		latencies:    stats.NewSample(n),
-		serviceTimes: stats.NewSample(n),
-		record:       stats.Series{Arrivals: make([]uint64, 0, n), Values: make([]float64, 0, n)},
-	}
-}
-
-// Record adds a completed request; warmup requests are excluded from the
-// statistics and the record.
-func (rec *Recorder) Record(r *Request) {
-	if r.Warmup {
-		return
-	}
-	rec.latencies.Add(float64(r.Latency()))
-	rec.serviceTimes.Add(float64(r.ServiceTime()))
-	rec.record.Arrivals = append(rec.record.Arrivals, r.ArrivalCycle)
-	rec.record.Values = append(rec.record.Values, float64(r.Latency()))
-}
-
-// Sort sorts the latency and service-time samples, so queries on them
-// afterwards only read: a finished run's samples can then be shared by
-// concurrent readers.
-func (rec *Recorder) Sort() {
-	rec.latencies.Sort()
-	rec.serviceTimes.Sort()
-}
-
-// Requests returns the measured (non-warmup) requests' record: arrival
-// cycles and latencies in completion order — which, for the single-worker
-// FIFO server every latency-critical slot runs, is also request-ID (arrival)
-// order. Unlike the Latencies sample, which a finished run holds sorted, the
-// record keeps its order, so a cluster aggregator can join a node's i-th leaf
-// request back to the query that produced it, and a window or phase of the
-// run is a range of arrival cycles. The slices are the recorder's own:
-// read-only, and growing with every later Record, so hand them out only once
-// the run has finished.
-func (rec *Recorder) Requests() stats.Series { return rec.record }
-
-// Completed returns the number of measured (non-warmup) requests.
-func (rec *Recorder) Completed() uint64 { return uint64(len(rec.record.Values)) }
-
-// MeanLatency returns the mean request latency in cycles.
-func (rec *Recorder) MeanLatency() float64 { return rec.latencies.Mean() }
-
-// TailLatency returns the mean latency of requests at or beyond the given
-// percentile (the paper's tail metric), or 0 if nothing was recorded.
-func (rec *Recorder) TailLatency(percentile float64) float64 {
-	v, err := rec.latencies.TailMean(percentile)
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
-// Latencies returns the latency sample for further analysis.
-func (rec *Recorder) Latencies() *stats.Sample { return rec.latencies }
-
-// ServiceTimes returns the service-time sample (no queueing delay), the
-// quantity plotted in Figure 1b.
-func (rec *Recorder) ServiceTimes() *stats.Sample { return rec.serviceTimes }
-
-// MeanServiceTime returns the mean service time in cycles.
-func (rec *Recorder) MeanServiceTime() float64 { return rec.serviceTimes.Mean() }

@@ -1,220 +1,145 @@
 package queueing
 
 import (
-	"math"
 	"slices"
 	"testing"
 
 	"repro/internal/stats"
 )
 
+// lat is a measured request that started on arrival and took v cycles.
+func lat(v uint64) Request { return Request{Completion: v} }
+
+// tail returns the derived latency sample's tail mean, 0 when it is empty.
+func tail(d Derived, p float64) float64 {
+	v, err := d.Latencies.TailMean(p)
+	if err != nil {
+		return 0
+	}
+	return v
+}
+
 func TestRequestTimings(t *testing.T) {
-	r := Request{ArrivalCycle: 100, StartCycle: 150, CompletionCycle: 400}
+	r := Request{Arrival: 100, Start: 150, Completion: 400}
 	if r.Latency() != 300 {
 		t.Errorf("Latency = %d, want 300", r.Latency())
 	}
 	if r.ServiceTime() != 250 {
 		t.Errorf("ServiceTime = %d, want 250", r.ServiceTime())
 	}
-	// Degenerate orderings clamp to zero rather than underflowing.
-	weird := Request{ArrivalCycle: 500, StartCycle: 400, CompletionCycle: 300}
-	if weird.Latency() != 0 || weird.ServiceTime() != 0 {
-		t.Errorf("inverted timestamps should clamp to 0")
-	}
-}
-
-func TestFIFOOrdering(t *testing.T) {
-	var q FIFO
-	if !q.Empty() {
-		t.Errorf("new queue should be empty")
-	}
-	if q.Pop() != nil {
-		t.Errorf("pop on empty queue should return nil")
-	}
-	for i := uint64(0); i < 5; i++ {
-		q.Push(&Request{ID: i})
-	}
-	if q.Empty() {
-		t.Errorf("queue should hold the pushed requests")
-	}
-	for i := uint64(0); i < 5; i++ {
-		r := q.Pop()
-		if r == nil || r.ID != i {
-			t.Fatalf("FIFO order violated at %d", i)
-		}
-	}
-	if !q.Empty() {
-		t.Errorf("queue should be empty after popping everything")
-	}
-}
-
-func TestFIFOInterleavedPushPop(t *testing.T) {
-	var q FIFO
-	next := uint64(0)
-	expect := uint64(0)
-	for round := 0; round < 100; round++ {
-		for i := 0; i < 3; i++ {
-			q.Push(&Request{ID: next})
-			next++
-		}
-		for i := 0; i < 2; i++ {
-			r := q.Pop()
-			if r.ID != expect {
-				t.Fatalf("FIFO order violated: got %d want %d", r.ID, expect)
-			}
-			expect++
-		}
-	}
-	left := 0
-	for r := q.Pop(); r != nil; r = q.Pop() {
-		if r.ID != expect {
-			t.Fatalf("FIFO order violated: got %d want %d", r.ID, expect)
-		}
-		expect++
-		left++
-	}
-	if left != 100 {
-		t.Errorf("queue should hold the 100 leftover requests, had %d", left)
+	// Served on arrival, latency and service time coincide.
+	if r := (Request{Arrival: 70, Start: 70, Completion: 90}); r.Latency() != 20 || r.ServiceTime() != 20 {
+		t.Errorf("a request served on arrival: latency %d, service %d, want 20 each", r.Latency(), r.ServiceTime())
 	}
 }
 
 func TestRecorder(t *testing.T) {
-	rec := NewRecorder(10)
-	// Two measured requests with latencies 100 and 300, one warmup.
-	rec.Record(&Request{ArrivalCycle: 0, StartCycle: 10, CompletionCycle: 100})
-	rec.Record(&Request{ArrivalCycle: 0, StartCycle: 0, CompletionCycle: 300})
-	rec.Record(&Request{ArrivalCycle: 0, StartCycle: 0, CompletionCycle: 999, Warmup: true})
-	if rec.Completed() != 2 {
-		t.Errorf("Completed = %d, want 2", rec.Completed())
+	// One warm-up request, then two measured ones with latencies 100 and 300.
+	reqs := []Request{
+		{Arrival: 0, Start: 0, Completion: 999},
+		{Arrival: 0, Start: 10, Completion: 100},
+		{Arrival: 0, Start: 0, Completion: 300},
 	}
-	if math.Abs(rec.MeanLatency()-200) > 1e-9 {
-		t.Errorf("MeanLatency = %v, want 200", rec.MeanLatency())
+	d := Derive(reqs, 1)
+	if d.Latencies.Len() != 2 || d.ServiceTimes.Len() != 2 || len(d.Record.Arrivals) != 2 {
+		t.Errorf("samples hold %d latencies, %d service times, %d record entries; want only the 2 measured requests",
+			d.Latencies.Len(), d.ServiceTimes.Len(), len(d.Record.Arrivals))
 	}
-	if math.Abs(rec.MeanServiceTime()-195) > 1e-9 {
-		t.Errorf("MeanServiceTime = %v, want 195", rec.MeanServiceTime())
+	if d.Latencies.Mean() != 200 {
+		t.Errorf("mean latency = %v, want 200", d.Latencies.Mean())
+	}
+	if d.ServiceTimes.Mean() != 195 {
+		t.Errorf("mean service time = %v, want 195", d.ServiceTimes.Mean())
 	}
 	// The tail over two points is the larger one.
-	if math.Abs(rec.TailLatency(95)-300) > 1e-9 {
-		t.Errorf("TailLatency = %v, want 300", rec.TailLatency(95))
-	}
-	if rec.Latencies().Len() != 2 || rec.ServiceTimes().Len() != 2 {
-		t.Errorf("samples should hold only measured requests")
-	}
-}
-
-func TestRecorderEmpty(t *testing.T) {
-	rec := NewRecorder(0)
-	if rec.TailLatency(95) != 0 {
-		t.Errorf("tail latency of empty recorder should be 0")
-	}
-	if rec.MeanLatency() != 0 || rec.MeanServiceTime() != 0 {
-		t.Errorf("means of empty recorder should be 0")
+	if got := tail(d, 95); got != 300 {
+		t.Errorf("tail latency = %v, want 300", got)
 	}
 }
 
 func TestTailPercentileEdgeCases(t *testing.T) {
-	lat := func(v uint64) *Request { return &Request{ArrivalCycle: 0, StartCycle: 0, CompletionCycle: v} }
-
-	// Zero samples: every percentile is 0, not a panic.
-	empty := NewRecorder(0)
-	for _, p := range []float64{0, 50, 95, 100} {
-		if got := empty.TailLatency(p); got != 0 {
-			t.Errorf("empty TailLatency(%v) = %v, want 0", p, got)
+	// Zero measured requests, or only warm-up ones: empty samples, zero
+	// means and no tail.
+	for _, reqs := range [][]Request{nil, {lat(123), lat(456)}} {
+		d := Derive(reqs, len(reqs))
+		if d.Latencies.Len() != 0 || d.Latencies.Mean() != 0 || d.ServiceTimes.Mean() != 0 {
+			t.Errorf("%d warm-up requests: %d latencies, means %v/%v; want an empty record",
+				len(reqs), d.Latencies.Len(), d.Latencies.Mean(), d.ServiceTimes.Mean())
+		}
+		if _, err := d.Latencies.TailMean(95); err == nil {
+			t.Errorf("%d warm-up requests: the empty sample reports a tail", len(reqs))
 		}
 	}
 
 	// One sample: every percentile is that sample.
-	one := NewRecorder(1)
-	one.Record(lat(700))
+	one := Derive([]Request{lat(700)}, 0)
 	for _, p := range []float64{0, 50, 95, 99.9, 100} {
-		if got := one.TailLatency(p); got != 700 {
-			t.Errorf("single-sample TailLatency(%v) = %v, want 700", p, got)
+		if got := tail(one, p); got != 700 {
+			t.Errorf("single-sample tail(%v) = %v, want 700", p, got)
 		}
 	}
 
 	// p = 100 on many samples: the tail window clamps to the last
 	// observation (the maximum), never an empty slice.
-	many := NewRecorder(10)
+	var reqs []Request
 	for i := uint64(1); i <= 10; i++ {
-		many.Record(lat(i * 10))
+		reqs = append(reqs, lat(i*10))
 	}
-	if got := many.TailLatency(100); got != 100 {
-		t.Errorf("TailLatency(100) = %v, want the max 100", got)
+	if got := tail(Derive(reqs, 0), 100); got != 100 {
+		t.Errorf("tail(100) = %v, want the max 100", got)
 	}
 
 	// Duplicate latencies: ties across the percentile boundary must not
 	// distort the tail mean (all observations equal => tail mean equal).
-	dup := NewRecorder(8)
-	for i := 0; i < 8; i++ {
-		dup.Record(lat(250))
-	}
+	dup := Derive(slices.Repeat([]Request{lat(250)}, 8), 0)
 	for _, p := range []float64{50, 95, 100} {
-		if got := dup.TailLatency(p); got != 250 {
-			t.Errorf("all-duplicates TailLatency(%v) = %v, want 250", p, got)
+		if got := tail(dup, p); got != 250 {
+			t.Errorf("all-duplicates tail(%v) = %v, want 250", p, got)
 		}
 	}
 
-	// A mixed sample where the tail window is entirely duplicates.
-	mixed := NewRecorder(10)
-	for i := 0; i < 5; i++ {
-		mixed.Record(lat(10))
-	}
-	for i := 0; i < 5; i++ {
-		mixed.Record(lat(400))
-	}
-	if got := mixed.TailLatency(95); got != 400 {
-		t.Errorf("duplicate-tail TailLatency(95) = %v, want 400", got)
-	}
-	// Only warmups recorded behaves like an empty recorder.
-	warm := NewRecorder(2)
-	warm.Record(&Request{CompletionCycle: 123, Warmup: true})
-	if warm.TailLatency(95) != 0 || warm.Completed() != 0 {
-		t.Errorf("warmup-only recorder should report no measured tail")
+	// A mixed sample whose tail window is entirely duplicates.
+	mixed := Derive(append(slices.Repeat([]Request{lat(10)}, 5), slices.Repeat([]Request{lat(400)}, 5)...), 0)
+	if got := tail(mixed, 95); got != 400 {
+		t.Errorf("duplicate-tail tail(95) = %v, want 400", got)
 	}
 }
 
 func TestTailAtLeastMean(t *testing.T) {
-	rec := NewRecorder(100)
+	var reqs []Request
 	for i := 0; i < 100; i++ {
-		rec.Record(&Request{ArrivalCycle: 0, StartCycle: 0, CompletionCycle: uint64(100 + i*7)})
+		reqs = append(reqs, lat(uint64(100+i*7)))
 	}
-	if rec.TailLatency(95) < rec.MeanLatency() {
-		t.Errorf("tail latency (%v) should be at least the mean (%v)", rec.TailLatency(95), rec.MeanLatency())
+	d := Derive(reqs, 0)
+	if got := tail(d, 95); got < d.Latencies.Mean() {
+		t.Errorf("tail latency (%v) should be at least the mean (%v)", got, d.Latencies.Mean())
 	}
 }
 
-// TestRecorderWindowed checks the recorder's request record: arrival
-// cycles and latencies in request order, warmups left out, the plain
-// statistics unchanged by it, and windows computed from it bucketing by
-// arrival cycle (a request that arrives in one window and completes in the
-// next counts against its arrival window).
+// TestRecorderWindowed checks the derived request record: arrival cycles
+// and latencies in request order, warm-up left out, the sorted samples not
+// reordering it, and windows computed from it bucketing by arrival cycle (a
+// request that arrives in one window and completes in the next counts
+// against its arrival window).
 func TestRecorderWindowed(t *testing.T) {
-	rec := NewRecorder(8)
-	reqs := []*Request{
-		{ArrivalCycle: 0, StartCycle: 10, CompletionCycle: 110},       // window 0, latency 110
-		{ArrivalCycle: 100, CompletionCycle: 999, Warmup: true},       // excluded
-		{ArrivalCycle: 900, StartCycle: 900, CompletionCycle: 1500},   // window 0 (arrival), latency 600
-		{ArrivalCycle: 1500, StartCycle: 1500, CompletionCycle: 1700}, // window 1
-		{ArrivalCycle: 3100, StartCycle: 3100, CompletionCycle: 3400}, // window 3 (window 2 empty)
+	reqs := []Request{
+		{Arrival: 100, Start: 100, Completion: 999},    // warm-up, excluded
+		{Arrival: 0, Start: 10, Completion: 110},       // window 0, latency 110
+		{Arrival: 900, Start: 900, Completion: 1500},   // window 0 (arrival), latency 600
+		{Arrival: 1500, Start: 1500, Completion: 1700}, // window 1
+		{Arrival: 3100, Start: 3100, Completion: 3400}, // window 3 (window 2 empty)
 	}
-	for _, r := range reqs {
-		rec.Record(r)
+	d := Derive(reqs, 1)
+	if !slices.Equal(d.Record.Arrivals, []uint64{0, 900, 1500, 3100}) || !slices.Equal(d.Record.Values, []float64{110, 600, 200, 300}) {
+		t.Errorf("record = %v / %v, want the four measured requests in order", d.Record.Arrivals, d.Record.Values)
 	}
-	got := rec.Requests()
-	if !slices.Equal(got.Arrivals, []uint64{0, 900, 1500, 3100}) || !slices.Equal(got.Values, []float64{110, 600, 200, 300}) {
-		t.Errorf("record = %v / %v, want the four measured requests in order", got.Arrivals, got.Values)
+	if v := d.Latencies.Values(); !slices.Equal(v, []float64{110, 200, 300, 600}) {
+		t.Errorf("latency sample = %v, want it sorted", v)
 	}
-	if rec.Completed() != 4 {
-		t.Errorf("completed = %d, want 4 (the warmup stays out)", rec.Completed())
+	if d.Latencies.Mean() != 302.5 {
+		t.Errorf("mean latency = %v, want 302.5", d.Latencies.Mean())
 	}
-	if rec.MeanLatency() != 302.5 {
-		t.Errorf("mean latency = %v, want 302.5", rec.MeanLatency())
-	}
-	rec.Sort()
-	if got := rec.Requests(); !slices.Equal(got.Values, []float64{110, 600, 200, 300}) {
-		t.Errorf("Sort reordered the record: %v", got.Values)
-	}
-	st := stats.WindowStats(1000, 95, rec.Requests())
+	st := stats.WindowStats(1000, 95, d.Record)
 	if len(st) != 4 {
 		t.Fatalf("expected 4 windows, got %d", len(st))
 	}

@@ -152,7 +152,7 @@ func TestColdRestart(t *testing.T) {
 			t.Fatal("no request in flight at the restart; move the pause point")
 		}
 		inFlight := a.served - 1
-		start, restartClock := a.reqs[inFlight].start, a.clock
+		start, restartClock := a.reqs[inFlight].Start, a.clock
 		if err := s.ColdRestart(nil); err == nil {
 			t.Fatal("ColdRestart must reject a nil policy")
 		}
@@ -164,9 +164,9 @@ func TestColdRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkServer(t, s)
-		if r := a.reqs[inFlight]; r.start != start || r.completion <= restartClock {
+		if r := a.reqs[inFlight]; r.Start != start || r.Completion <= restartClock {
 			t.Errorf("the request in flight at the restart ran [%d, %d), want it kept from start %d to completion past the restart at %d",
-				r.start, r.completion, start, restartClock)
+				r.Start, r.Completion, start, restartClock)
 		}
 		return res
 	}

@@ -6,17 +6,10 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/monitor"
-	"repro/internal/stats"
+	"repro/internal/queueing"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-// request is one latency-critical request in its slot's record: when it
-// arrived, its work in instructions, and the cycles the slot's single worker
-// started and completed it.
-type request struct {
-	arrival, demand, start, completion uint64
-}
 
 // appRuntime holds the per-application state of a running simulation: its
 // address stream, timing parameters, local clock, monitoring hardware, and —
@@ -74,7 +67,7 @@ type appRuntime struct {
 	// single worker's FIFO queue: reqs[:generated] have arrived,
 	// reqs[served:generated] wait, and while inService the request in
 	// service is reqs[served-1].
-	reqs               []request
+	reqs               []queueing.Request
 	generated          int
 	served             int
 	inService          bool
@@ -132,7 +125,7 @@ func newAppRuntime(idx int, spec AppSpec, cfg Config) (*appRuntime, error) {
 		a.reuse = monitor.NewReuseProfiler(monitor.DefaultReuseMaxAge)
 		a.toGenerate = spec.requestCount() + spec.warmupCount()
 		a.warmupRequests = spec.warmupCount()
-		a.reqs = make([]request, a.toGenerate)
+		a.reqs = make([]queueing.Request, a.toGenerate)
 		if spec.Arrivals != nil {
 			// An explicit pre-generated stream (a cluster leaf stream)
 			// replays verbatim; the generating front-end already applied the
@@ -217,7 +210,7 @@ func (a *appRuntime) enqueueArrivals(now uint64, coalesce uint64) {
 				a.tr.Record(trace.KindFault, int32(a.idx), a.nextArrivalRaw, 0, drawn, demand)
 			}
 		}
-		a.reqs[a.generated] = request{arrival: a.nextArrivalRaw, demand: demand}
+		a.reqs[a.generated] = queueing.Request{Arrival: a.nextArrivalRaw, Demand: demand}
 		a.generated++
 		a.nextArrivalRaw = a.arrivals.Next(a.nextArrivalRaw)
 		a.nextArrivalVisible = a.nextArrivalRaw + coalesce
@@ -230,42 +223,28 @@ func (a *appRuntime) startNextRequest() {
 	req := &a.reqs[a.served]
 	a.served++
 	a.inService = true
-	req.start = a.clock
+	req.Start = a.clock
 	a.stream.BeginRequest()
-	accesses := uint64(float64(req.demand)*a.apki/1000 + 0.5)
+	accesses := uint64(float64(req.Demand)*a.apki/1000 + 0.5)
 	if accesses < 1 {
 		accesses = 1
 	}
 	a.accessesLeft = accesses
-	ipa := req.demand / accesses
+	ipa := req.Demand / accesses
 	if ipa < 1 {
 		ipa = 1
 	}
 	a.reqInstrPerAccess = ipa
 }
 
-// collectRequests derives an LC slot's latency outputs, once, from the
-// measured suffix of its request record (collect runs only once the run is
-// complete, so every request in it has completed): the arrival-order record,
-// and the latency and service-time samples, each built by adding in request
-// order and then sorted, so every later query on them only reads.
+// collectRequests sets an LC slot's latency outputs from its request record
+// (collect runs only once the run is complete, so every request in it has
+// completed).
 func (a *appRuntime) collectRequests(ar *AppResult, tailPercentile float64) {
-	measured := a.reqs[a.warmupRequests:]
-	n := len(measured)
-	ar.Requests = uint64(n)
-	ar.RequestArrivals = make([]uint64, n)
-	ar.RequestLatencies = make([]float64, n)
-	ar.Latencies = stats.NewSample(n)
-	ar.ServiceTimes = stats.NewSample(n)
-	for i, r := range measured {
-		lat := float64(r.completion - r.arrival)
-		ar.RequestArrivals[i] = r.arrival
-		ar.RequestLatencies[i] = lat
-		ar.Latencies.Add(lat)
-		ar.ServiceTimes.Add(float64(r.completion - r.start))
-	}
-	ar.Latencies.Sort()
-	ar.ServiceTimes.Sort()
+	d := queueing.Derive(a.reqs, a.warmupRequests)
+	ar.Requests = uint64(len(d.Record.Arrivals))
+	ar.RequestArrivals, ar.RequestLatencies = d.Record.Arrivals, d.Record.Values
+	ar.Latencies, ar.ServiceTimes = d.Latencies, d.ServiceTimes
 	ar.MeanLatency = ar.Latencies.Mean()
 	ar.MeanServiceTime = ar.ServiceTimes.Mean()
 	if tail, err := ar.Latencies.TailMean(tailPercentile); err == nil {

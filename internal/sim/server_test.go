@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/policy"
+	"repro/internal/queueing"
 	"repro/internal/workload"
 )
 
@@ -48,20 +49,20 @@ func checkServer(t testing.TB, s *Simulator) {
 		}
 		prev := uint64(0)
 		for i, r := range a.reqs {
-			if want := max(r.arrival+coalesce, prev); r.start != want {
+			if want := max(r.Arrival+coalesce, prev); r.Start != want {
 				t.Errorf("slot %d request %d: start %d, want max(arrival %d + coalesce %d, previous completion %d) = %d",
-					a.idx, i, r.start, r.arrival, coalesce, prev, want)
+					a.idx, i, r.Start, r.Arrival, coalesce, prev, want)
 				return
 			}
-			if r.completion <= r.start || r.completion < prev {
-				t.Errorf("slot %d request %d: completion %d after start %d and previous completion %d", a.idx, i, r.completion, r.start, prev)
+			if r.Completion <= r.Start || r.Completion < prev {
+				t.Errorf("slot %d request %d: completion %d after start %d and previous completion %d", a.idx, i, r.Completion, r.Start, prev)
 				return
 			}
-			if want := inflateDemand(draws.NextServiceDemand(), r.arrival, a.spec.SlowWindows); r.demand != want {
-				t.Errorf("slot %d request %d: demand %d, want the draw inflated by its arrival's window, %d", a.idx, i, r.demand, want)
+			if want := inflateDemand(draws.NextServiceDemand(), r.Arrival, a.spec.SlowWindows); r.Demand != want {
+				t.Errorf("slot %d request %d: demand %d, want the draw inflated by its arrival's window, %d", a.idx, i, r.Demand, want)
 				return
 			}
-			prev = r.completion
+			prev = r.Completion
 		}
 	}
 }
@@ -86,10 +87,10 @@ func (p *idleProbe) Reconfigure(v policy.View) []policy.Resize {
 
 // busyIn returns the cycles of [from, to) a slot's worker spent serving
 // requests, from the record's [start, completion) spans.
-func busyIn(reqs []request, from, to uint64) uint64 {
+func busyIn(reqs []queueing.Request, from, to uint64) uint64 {
 	var busy uint64
 	for _, r := range reqs {
-		if lo, hi := max(r.start, from), min(r.completion, to); lo < hi {
+		if lo, hi := max(r.Start, from), min(r.Completion, to); lo < hi {
 			busy += hi - lo
 		}
 	}
@@ -187,19 +188,19 @@ func TestRequestPathDoesNotAllocate(t *testing.T) {
 // the mean beyond the percentile, ties included.
 func TestCollectDerivesFromRecord(t *testing.T) {
 	lc := smallLC(t, "masstree")
-	warm := request{arrival: 0, start: 2_000, completion: 9_999}
-	served := func(arrival, start uint64, latency uint64) request {
-		return request{arrival: arrival, start: start, completion: arrival + latency}
+	warm := queueing.Request{Arrival: 0, Start: 2_000, Completion: 9_999}
+	served := func(arrival, start uint64, latency uint64) queueing.Request {
+		return queueing.Request{Arrival: arrival, Start: start, Completion: arrival + latency}
 	}
 	cases := []struct {
 		name                    string
-		measured                []request
+		measured                []queueing.Request
 		mean, service, tail     float64
 		sortedLatencies, latsIn []float64
 	}{
 		{
 			name: "mixed",
-			measured: []request{
+			measured: []queueing.Request{
 				served(10_000, 10_010, 110),
 				served(10_900, 10_900, 600),
 				served(11_500, 11_500, 200),
@@ -211,7 +212,7 @@ func TestCollectDerivesFromRecord(t *testing.T) {
 		},
 		{
 			name: "all ties",
-			measured: []request{
+			measured: []queueing.Request{
 				served(10_000, 10_000, 250), served(11_000, 11_000, 250),
 				served(12_000, 12_000, 250), served(13_000, 13_000, 250),
 			},
@@ -221,7 +222,7 @@ func TestCollectDerivesFromRecord(t *testing.T) {
 		},
 		{
 			name: "tied tail",
-			measured: []request{
+			measured: []queueing.Request{
 				served(10_000, 10_000, 400), served(11_000, 11_000, 10),
 				served(12_000, 12_000, 400), served(13_000, 13_000, 10),
 			},
@@ -242,7 +243,7 @@ func TestCollectDerivesFromRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := s.apps[0]
-		a.reqs = append([]request{warm}, c.measured...)
+		a.reqs = append([]queueing.Request{warm}, c.measured...)
 		a.generated, a.served = len(a.reqs), len(a.reqs)
 		got := s.collect().Apps[0]
 		if got.Requests != uint64(len(c.measured)) || got.Latencies.Len() != len(c.measured) || got.ServiceTimes.Len() != len(c.measured) {
@@ -258,7 +259,7 @@ func TestCollectDerivesFromRecord(t *testing.T) {
 		}
 		var arrivals []uint64
 		for _, r := range c.measured {
-			arrivals = append(arrivals, r.arrival)
+			arrivals = append(arrivals, r.Arrival)
 		}
 		if !slices.Equal(got.RequestArrivals, arrivals) || !slices.Equal(got.RequestLatencies, c.latsIn) {
 			t.Errorf("%s: record %v / %v, want %v / %v in request order", c.name, got.RequestArrivals, got.RequestLatencies, arrivals, c.latsIn)

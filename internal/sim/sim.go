@@ -449,9 +449,9 @@ func (s *Simulator) stepLC(a *appRuntime) {
 // either starts the next queued request or transitions to idle.
 func (s *Simulator) completeRequest(a *appRuntime) {
 	req := &a.reqs[a.served-1]
-	req.completion = a.clock
+	req.Completion = a.clock
 	a.inService = false
-	s.applyResizes(s.policy.OnRequestComplete(a.idx, req.completion-req.arrival, s.view))
+	s.applyResizes(s.policy.OnRequestComplete(a.idx, req.Latency(), s.view))
 	s.applyResizes(s.policy.OnLCCheck(a.idx, s.view))
 
 	a.enqueueArrivals(a.clock, s.cfg.CoalesceDelayCycles)
