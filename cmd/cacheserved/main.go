@@ -163,7 +163,6 @@ func run(args []string, out io.Writer) error {
 		traceFile  = fs.String("trace-file", "", "replay a recorded kv trace (tracegen -kind kv, or internal/tracein CSV/binary) instead of the synthetic workload; the recording fixes the tenants, keys and op mix")
 		httpAddr   = fs.String("http", "", "serve /metrics, /debug/tenants and /debug/pprof on this address (e.g. :8080; empty = off)")
 		linger     = fs.Duration("linger", 0, "with -http: keep serving this long after the load completes")
-		sweep      = fs.Duration("sweep", 0, "background expiry sweep interval (0 = lazy expiry only)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -230,7 +229,6 @@ func run(args []string, out io.Writer) error {
 		CapacityBytes: capBytes,
 		Shards:        *shards,
 		SampleRate:    *sample,
-		SweepInterval: *sweep,
 		Metrics:       reg,
 		Tenants:       tcfgs,
 	})

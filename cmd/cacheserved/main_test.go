@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -129,7 +131,7 @@ func TestRunServesObservability(t *testing.T) {
 		errCh <- run([]string{
 			"-capacity", "4m", "-ops", "40000", "-keys", "5000",
 			"-goroutines", "2", "-sample", "1", "-epoch", "5ms",
-			"-sweep", "10ms", "-http", "127.0.0.1:0", "-linger", "30s",
+			"-http", "127.0.0.1:0", "-linger", "30s",
 		}, &out)
 	}()
 
@@ -466,6 +468,58 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	} {
 		if err := run(args, &out); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
+		}
+	}
+}
+
+// TestFlagClasses pins what each flag moves. Timings differ run to run, so
+// the summary's duration and rate and the latency columns are masked; beyond
+// them an observational flag leaves stdout equal apart from the lines it
+// prints itself, and a behavioural flag changes it. The base run holds the
+// governor off (-epoch 1h), so -policy and -sample move only the header that
+// names them; TestRunUCP and the cacheserve governor tests pin what they
+// govern. -trace-file replaces the synthetic flags (TestRunTraceReplay).
+func TestFlagClasses(t *testing.T) {
+	base := []string{"-capacity", "1m", "-shards", "8", "-ops", "100000", "-keys", "5000",
+		"-goroutines", "1", "-epoch", "1h", "-tenants", "lc:zipf:target=256k,b:zipf,s:scan"}
+	timing := regexp.MustCompile(` in \S+ \([0-9.]+M ops/sec aggregate,`)
+	out := func(flags ...string) []string {
+		var b strings.Builder
+		if err := run(append(base[:len(base):len(base)], flags...), &b); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(timing.ReplaceAllString(b.String(), ""), "\n")
+		for i, line := range lines {
+			if f := strings.Fields(line); len(f) == 10 {
+				f[3], f[4], f[5] = "-", "-", "-"
+				lines[i] = strings.Join(f, " ")
+			}
+		}
+		return lines
+	}
+	without := func(lines []string, own []string) string {
+		kept := slices.DeleteFunc(slices.Clone(lines), func(l string) bool {
+			return slices.ContainsFunc(own, func(p string) bool { return strings.HasPrefix(l, p) })
+		})
+		return strings.Join(kept, "\n")
+	}
+	want := out()
+	for _, c := range []struct{ flags, own []string }{
+		{[]string{"-goroutines", "4"}, []string{"replayed "}},
+		{[]string{"-http", "127.0.0.1:0"}, []string{"serving "}},
+		{[]string{"-http", "127.0.0.1:0", "-linger", "1ms"}, []string{"serving ", "lingering "}},
+	} {
+		if got := without(out(c.flags...), c.own); got != without(want, c.own) {
+			t.Errorf("observational %v moved the output:\n%s\nwant:\n%s", c.flags, got, without(want, c.own))
+		}
+	}
+	for _, flags := range [][]string{
+		{"-capacity", "2m"}, {"-shards", "4"}, {"-tenants", "lc:zipf:target=256k,b:zipf"},
+		{"-policy", "ucp"}, {"-sample", "0.5"}, {"-epoch", "1ms"}, {"-keys", "4000"},
+		{"-valuesize", "256"}, {"-zipf", "1.3"}, {"-ops", "50000"}, {"-setfrac", "0.3"}, {"-seed", "2"},
+	} {
+		if slices.Equal(out(flags...), want) {
+			t.Errorf("behavioural %v left the output unchanged", flags)
 		}
 	}
 }

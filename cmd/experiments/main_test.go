@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -252,6 +253,70 @@ func TestRunFig7DeterministicAcrossParallelism(t *testing.T) {
 		a, b := out("4"), out("1")
 		if a != b {
 			t.Errorf("%v: output differs across -parallelism:\n--- p4\n%s\n--- p1\n%s", args, a, b)
+		}
+	}
+}
+
+// TestFlagClasses pins what each flag moves. An observational flag leaves
+// stdout byte-equal apart from the line it prints itself; a behavioural flag
+// changes stdout. Flags go after a paper run (fig1a, the cheapest experiment
+// reading -scale, -seed, -requests and the private levels; fig7 for
+// -loadsched) or a tiny scenario run. -parallelism is pinned by
+// TestRunFig7DeterministicAcrossParallelism.
+func TestFlagClasses(t *testing.T) {
+	if testing.Short() {
+		t.Skip("end-to-end runs are slow")
+	}
+	dir := t.TempDir()
+	file := filepath.Join(dir, "tiny.json")
+	writeFile(t, file, `{ "version": 1, "name": "tiny", "request_factor": 0.03,
+  "apps": [ { "lc": "masstree", "load": 0.2 }, { "batch": "mcf" } ], "schemes": [ { "name": "ubik" } ] }`)
+	paper := []string{"-exp", "fig1a", "-requests", "0.01"}
+	fig7 := []string{"-exp", "fig7", "-requests", "0.002"}
+	scen := []string{"-scenario", file}
+	out := func(base []string, flags ...string) string {
+		var stdout, stderr bytes.Buffer
+		if err := run(append(base[:len(base):len(base)], flags...), &stdout, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		return stdout.String()
+	}
+	want := map[string]string{} // each base run's stdout, by its second argument
+	for _, base := range [][]string{paper, fig7, scen} {
+		want[base[1]] = out(base)
+	}
+	for _, c := range []struct {
+		base, flags []string
+		own         string // prefix of the line the flag prints; "" = none
+	}{
+		{paper, []string{"-cpuprofile", filepath.Join(dir, "cpu.pprof")}, ""},
+		{paper, []string{"-memprofile", filepath.Join(dir, "mem.pprof")}, ""},
+		{scen, []string{"-trace", filepath.Join(dir, "trace.json")}, "trace: "},
+		{scen, []string{"-report", filepath.Join(dir, "report")}, "report written: "},
+	} {
+		got := out(c.base, c.flags...)
+		if c.own != "" {
+			lines := strings.SplitAfter(got, "\n")
+			i := slices.IndexFunc(lines, func(l string) bool { return strings.HasPrefix(l, c.own) })
+			if i < 0 {
+				t.Errorf("%v printed no %q line:\n%s", c.flags, c.own, got)
+				continue
+			}
+			got = strings.Join(slices.Delete(lines, i, i+1), "")
+		}
+		if got != want[c.base[1]] {
+			t.Errorf("observational %v moved stdout beyond its own line:\n%s\nwant:\n%s", c.flags, got, want[c.base[1]])
+		}
+	}
+	for _, c := range []struct{ base, flags []string }{
+		{paper, []string{"-seed", "2"}}, {paper, []string{"-requests", "0.02"}},
+		{paper, []string{"-scale", "default"}}, {paper, []string{"-l1kb", "64"}},
+		{paper, []string{"-l2kb", "512"}}, {paper, []string{"-exp", "fig2"}},
+		{paper, []string{"-csv"}}, {paper, []string{"-json"}}, {paper, []string{"-list"}},
+		{fig7, []string{"-loadsched", "const"}}, {scen, []string{"-validate"}},
+	} {
+		if out(c.base, c.flags...) == want[c.base[1]] {
+			t.Errorf("behavioural %v left stdout unchanged", c.flags)
 		}
 	}
 }

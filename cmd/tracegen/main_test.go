@@ -1,6 +1,7 @@
 package main
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -85,5 +86,42 @@ func TestRejectsContradictoryFlags(t *testing.T) {
 				t.Errorf("error %q does not contain %q", err, c.wantErr)
 			}
 		})
+	}
+}
+
+// TestFlagClasses pins that every flag shaping the records is behavioural:
+// moving it from the base run's value changes the written trace.
+func TestFlagClasses(t *testing.T) {
+	dir := t.TempDir()
+	kv := []string{"-kind", "kv", "-gen", "mixed", "-records", "2000", "-apps", "2", "-keys", "400"}
+	phase := append(kv[:len(kv):len(kv)], "-gen", "phase")
+	trace := func(name string, args []string) string {
+		path := filepath.Join(dir, name)
+		if err := run(append([]string{"-out", path}, args...), &strings.Builder{}); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	for _, c := range []struct{ base, flag []string }{
+		{kv, []string{"-kind", "mem"}},
+		{kv, []string{"-gen", "zipf"}},
+		{kv, []string{"-records", "1000"}},
+		{kv, []string{"-apps", "3"}},
+		{kv, []string{"-keys", "300"}},
+		{kv, []string{"-zipf", "1.3"}},
+		{kv, []string{"-setfrac", "0.3"}},
+		{kv, []string{"-valuesize", "64"}},
+		{kv, []string{"-meangap", "50"}},
+		{kv, []string{"-seed", "2"}},
+		{kv, []string{"-csv"}},
+		{phase, []string{"-phases", "2"}},
+	} {
+		if trace("base", c.base) == trace("flip", append(c.base[:len(c.base):len(c.base)], c.flag...)) {
+			t.Errorf("%v leaves the trace unchanged", c.flag)
+		}
 	}
 }

@@ -89,7 +89,7 @@ func TestRunEndToEnd(t *testing.T) {
 		},
 		{
 			name:   "lru on flat hierarchy",
-			fields: mix + `, "machine": { "flat": true }, "schemes": [ { "name": "lru" } ]`,
+			fields: mix + `, "machine": { "l1_kb": -1, "l2_kb": -1 }, "schemes": [ { "name": "lru" } ]`,
 			args:   []string{"-csv"},
 			// A flat machine has no private levels, so nothing hits in them.
 			want: []string{"scheme,pooled_lc_tail,", ",0,masstree,lc,", ",0.000,0.000\n"},

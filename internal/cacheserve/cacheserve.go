@@ -97,9 +97,9 @@ type Config struct {
 	// SampleRate is the fraction of accesses fed into the per-tenant UMONs
 	// (0 disables sampling and therefore governing; 1 feeds everything).
 	SampleRate float64
-	// UMONWays and UMONSampleSets set the shadow-tag geometry of the
-	// per-tenant monitors (0 = 16 ways / 256 sampled sets).
-	UMONWays, UMONSampleSets int
+	// UMONSampleSets is the number of sampled sets in each per-tenant
+	// monitor (0 = 256); every monitor has umonWays ways.
+	UMONSampleSets int
 	// Tenants declares the tenants (at least one).
 	Tenants []TenantConfig
 	// Metrics, when set, registers the cache's metric families (see
@@ -153,6 +153,9 @@ func (c Config) Validate() error {
 // lineBytes is the accounting granularity that maps bytes to the policy
 // layer's "lines": quota bytes = allocation lines × lineBytes.
 const lineBytes = 64
+
+// umonWays is the associativity of each per-tenant monitor's shadow tags.
+const umonWays = 16
 
 // entryOverhead approximates the bookkeeping bytes charged per entry on top
 // of key and value (its slab slot and index share).
@@ -319,17 +322,13 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	if cfg.SampleRate > 0 {
-		ways := cfg.UMONWays
-		if ways == 0 {
-			ways = 16
-		}
 		sets := cfg.UMONSampleSets
 		if sets == 0 {
 			sets = 256
 		}
 		c.feeds = make([]*monitor.SampledUMON, nt)
 		for t := range c.feeds {
-			u, err := monitor.NewUMON(c.CapacityLines(), ways, sets)
+			u, err := monitor.NewUMON(c.CapacityLines(), umonWays, sets)
 			if err != nil {
 				return nil, err
 			}

@@ -13,13 +13,6 @@ type Config struct {
 	// Slack is the allowed tail-latency degradation (0 = strict Ubik,
 	// 0.05 = the paper's default "Ubik with slack").
 	Slack float64
-	// Buckets is the allocation granularity (256 in the paper).
-	Buckets int
-	// Options is the number of idle-size candidates evaluated per app (16).
-	Options int
-	// DeboostGuard is the safety margin (in misses) added to the de-boosting
-	// comparison to absorb UMON sampling error.
-	DeboostGuard float64
 	// BoostTimeoutDeadlines caps how long an application may stay boosted, in
 	// multiples of its deadline, as a backstop against profiling noise.
 	BoostTimeoutDeadlines float64
@@ -31,6 +24,17 @@ type Config struct {
 	// accurate de-boosting mechanism exists to avoid). Used by the ablation.
 	DisableDeboost bool
 }
+
+// Ubik's fixed parameters, at the paper's values.
+const (
+	// buckets is the allocation granularity.
+	buckets = 256
+	// idleOptions is the number of idle-size candidates evaluated per app.
+	idleOptions = 16
+	// deboostGuard is the safety margin (in misses) added to the de-boosting
+	// comparison to absorb UMON sampling error.
+	deboostGuard = 4
+)
 
 // lcState is Ubik's per-latency-critical-application runtime state.
 type lcState struct {
@@ -71,15 +75,6 @@ func NewUbikWithSlack(slack float64) *Ubik {
 
 // NewUbikWithConfig returns Ubik with explicit tunables.
 func NewUbikWithConfig(cfg Config) *Ubik {
-	if cfg.Buckets <= 0 {
-		cfg.Buckets = 256
-	}
-	if cfg.Options <= 0 {
-		cfg.Options = 16
-	}
-	if cfg.DeboostGuard <= 0 {
-		cfg.DeboostGuard = 4
-	}
 	if cfg.BoostTimeoutDeadlines <= 0 {
 		cfg.BoostTimeoutDeadlines = 2
 	}
@@ -161,7 +156,7 @@ func (u *Ubik) Reconfigure(v policy.View) []policy.Resize {
 		}
 	}
 	total := v.TotalLines()
-	bucketLines := total / uint64(u.cfg.Buckets)
+	bucketLines := total / buckets
 	if bucketLines == 0 {
 		bucketLines = 1
 	}
@@ -184,7 +179,7 @@ func (u *Ubik) Reconfigure(v policy.View) []policy.Resize {
 		curves[j] = v.MissCurve(app)
 		weights[j] = v.MissPenalty(app)
 	}
-	u.repart = BuildRepartTable(u.batchApps, curves, weights, baseline, total, u.cfg.Buckets)
+	u.repart = BuildRepartTable(u.batchApps, curves, weights, baseline, total, buckets)
 
 	// Size every latency-critical partition.
 	sBoostMax := total
@@ -206,7 +201,7 @@ func (u *Ubik) Reconfigure(v policy.View) []policy.Resize {
 			SActive:         st.sActive,
 			SBoostMax:       sBoostMax,
 			DeadlineCycles:  v.DeadlineCycles(app),
-			Options:         u.cfg.Options,
+			Options:         idleOptions,
 			BucketLines:     bucketLines,
 			IdleFraction:    v.IdleFraction(app),
 			ExactTransients: u.cfg.ExactTransients,
@@ -336,7 +331,7 @@ func (u *Ubik) OnLCCheck(app int, v policy.View) []policy.Resize {
 	// sizing for the rest of this active period.
 	if u.cfg.Slack > 0 && !st.reverted {
 		atTarget := v.UMONMissesAtSince(app, st.boostSnap, v.LCTargetLines(app))
-		if actual > (atTarget+u.cfg.DeboostGuard)*(1+st.slackCtl.MissSlack()) {
+		if actual > (atTarget+deboostGuard)*(1+st.slackCtl.MissSlack()) {
 			st.reverted = true
 			st.sActive = v.LCTargetLines(app)
 			st.sizing.SBoost = st.strictBoost
@@ -349,7 +344,7 @@ func (u *Ubik) OnLCCheck(app int, v policy.View) []policy.Resize {
 
 	deadline := v.DeadlineCycles(app)
 	timedOut := deadline > 0 && float64(v.Now()-st.boostStart) > u.cfg.BoostTimeoutDeadlines*float64(deadline)
-	recovered := !u.cfg.DisableDeboost && wouldHave >= actual+u.cfg.DeboostGuard
+	recovered := !u.cfg.DisableDeboost && wouldHave >= actual+deboostGuard
 	if recovered || timedOut {
 		st.boosting = false
 		return u.retarget(v)

@@ -80,7 +80,7 @@ func TestUbikNames(t *testing.T) {
 		t.Errorf("slack Ubik name wrong: %s", NewUbikWithSlack(0.05).Name())
 	}
 	cfg := NewUbik().Config()
-	if cfg.Buckets != 256 || cfg.Options != 16 {
+	if cfg.BoostTimeoutDeadlines != 2 {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 }

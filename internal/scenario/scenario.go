@@ -77,8 +77,6 @@ type Machine struct {
 	L2KB float64 `json:"l2_kb,omitempty"`
 	// InclusiveL2 makes the private L2 inclusive of L1.
 	InclusiveL2 bool `json:"inclusive_l2,omitempty"`
-	// Flat disables both private levels (the pre-hierarchy machine).
-	Flat bool `json:"flat,omitempty"`
 }
 
 // App is one application entry of the mix. Exactly one of LC, Batch and
@@ -253,22 +251,18 @@ func (s Spec) BaseConfig() sim.Config {
 	if s.Machine.LLCMB != 0 {
 		cfg.LLC = cache.DefaultZ452(lines(s.Machine.LLCMB), cfg.LLC.Partitions)
 	}
-	if s.Machine.Flat {
-		cfg.Hierarchy = cache.HierarchyConfig{}
-	} else {
-		l1, l2 := s.Machine.L1KB, s.Machine.L2KB
-		if l1 == 0 {
-			l1 = defaultL1KB
-		} else if l1 < 0 {
-			l1 = 0 // negative = level disabled
-		}
-		if l2 == 0 {
-			l2 = defaultL2KB
-		} else if l2 < 0 {
-			l2 = 0
-		}
-		cfg.Hierarchy = sim.HierarchyForKB(l1, l2, s.Machine.InclusiveL2)
+	l1, l2 := s.Machine.L1KB, s.Machine.L2KB
+	if l1 == 0 {
+		l1 = defaultL1KB
+	} else if l1 < 0 {
+		l1 = 0 // negative = level disabled
 	}
+	if l2 == 0 {
+		l2 = defaultL2KB
+	} else if l2 < 0 {
+		l2 = 0
+	}
+	cfg.Hierarchy = sim.HierarchyForKB(l1, l2, s.Machine.InclusiveL2)
 	return cfg
 }
 
@@ -440,9 +434,6 @@ func (s Spec) Validate() error {
 	}
 	if s.Machine.LLCMB < 0 {
 		return fmt.Errorf("scenario: machine.llc_mb must be positive, got %v", s.Machine.LLCMB)
-	}
-	if s.Machine.Flat && (s.Machine.L1KB != 0 || s.Machine.L2KB != 0 || s.Machine.InclusiveL2) {
-		return fmt.Errorf("scenario: machine.flat disables the private levels; drop l1_kb/l2_kb/inclusive_l2")
 	}
 	if len(s.Apps) == 0 {
 		return fmt.Errorf("scenario: apps is required (at least one entry)")

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/cluster"
 )
 
@@ -50,7 +51,7 @@ func TestRoundTripFixedPoint(t *testing.T) {
 		},
 		"flat machine": {
 			Version: 1, Name: "flat",
-			Machine: Machine{Flat: true},
+			Machine: Machine{L1KB: -1, L2KB: -1},
 			Apps:    []App{{LC: "moses", Load: 0.25}, {Batch: "soplex"}},
 			Schemes: []Scheme{{Name: "ucp"}, {Name: "staticlc"}, {Name: "onoff"}},
 		},
@@ -139,6 +140,11 @@ func TestParseErrors(t *testing.T) {
 			[]string{"unknown field apps[0].laod", "the app object accepts:"},
 		},
 		{
+			"the removed flat spelling is an unknown field",
+			`{"version": 1, "name": "x", "machine": {"flat": true}, "apps": [{"lc": "xapian", "load": 0.3}], "schemes": [{"name": "lru"}]}`,
+			[]string{"unknown field machine.flat", "l1_kb"},
+		},
+		{
 			"type mismatch reports field and position",
 			`{"version": 1, "name": "x", "apps": [{"lc": "xapian", "load": "high"}], "schemes": [{"name": "lru"}]}`,
 			[]string{"field apps.load", "cannot use JSON string", "float64", "line 1"},
@@ -216,7 +222,6 @@ func TestValidate(t *testing.T) {
 		{"no schemes", func(s *Spec) { s.Schemes = nil }, "schemes is required"},
 		{"unknown scheme", func(s *Spec) { s.Schemes[0].Name = "belady" }, "unknown scheme"},
 		{"slack on non-ubik", func(s *Spec) { s.Schemes = []Scheme{{Name: "lru", Slack: 0.1}} }, "slack only applies to ubik"},
-		{"flat plus l1", func(s *Spec) { s.Machine = Machine{Flat: true, L1KB: 32} }, "machine.flat"},
 		{"faults without cluster", func(s *Spec) {
 			s.Faults = []Fault{{Kind: "restart", Node: 0, AtCycle: 5}}
 		}, "faults need a cluster"},
@@ -361,10 +366,10 @@ func TestDefaults(t *testing.T) {
 	if got := s.WindowCycles(cfg); got != cfg.ReconfigIntervalCycles {
 		t.Errorf("a time-varying scenario should window at the reconfig interval, got %d", got)
 	}
-	// Negative cache sizes disable the level without underflowing the line count.
-	s.Machine = Machine{L1KB: -1, L2KB: -1}
-	hier := s.BaseConfig().Hierarchy
-	if hier.L1.Enabled() || hier.L2.Enabled() {
-		t.Errorf("negative l1_kb/l2_kb must disable the levels, got %+v", hier)
+	// Negative cache sizes disable the level without underflowing the line
+	// count; both negative (even with inclusive_l2) is the flat machine.
+	s.Machine = Machine{L1KB: -1, L2KB: -1, InclusiveL2: true}
+	if hier := s.BaseConfig().Hierarchy; hier != (cache.HierarchyConfig{}) {
+		t.Errorf("negative l1_kb/l2_kb must build the flat machine, got %+v", hier)
 	}
 }

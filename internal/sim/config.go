@@ -32,13 +32,6 @@ type Config struct {
 	// ReconfigIntervalCycles is how often the policy's Reconfigure runs (the
 	// paper uses 50 ms; the scaled default is 2M cycles).
 	ReconfigIntervalCycles uint64
-	// LCCheckAccessInterval is how many LLC accesses a latency-critical app
-	// performs between OnLCCheck calls (emulating the de-boost circuit's
-	// continuous comparison).
-	LCCheckAccessInterval uint64
-	// CoalesceDelayCycles models interrupt coalescing: a fixed delay added to
-	// every request arrival (Section 3.2).
-	CoalesceDelayCycles uint64
 	// TailPercentile is the percentile used for tail-latency metrics (95).
 	TailPercentile float64
 	// UMONWays and UMONSampleSets size the per-core utility monitors.
@@ -68,6 +61,16 @@ type Config struct {
 	// warm-pool identities (see PoolIdentity).
 	Trace *trace.Sink
 }
+
+// lcCheckAccessInterval is how many LLC accesses a latency-critical app
+// performs between OnLCCheck calls, emulating the de-boost circuit's
+// continuous comparison.
+const lcCheckAccessInterval = 32
+
+// coalesceDelayCycles models interrupt coalescing (Section 3.2): the worker
+// sees each request this long after it arrives. Slow windows and latency are
+// still measured from the raw arrival.
+const coalesceDelayCycles = 2_000
 
 // LinesFor2MB is the scaled line count standing in for a 2 MB LLC bank.
 const LinesFor2MB = 2 * workload.LinesPerMB
@@ -105,8 +108,6 @@ func DefaultConfig() Config {
 		Hierarchy:              cache.DefaultHierarchy(),
 		Core:                   cpu.DefaultModel(cpu.OutOfOrder),
 		ReconfigIntervalCycles: 2_000_000,
-		LCCheckAccessInterval:  32,
-		CoalesceDelayCycles:    2_000,
 		TailPercentile:         95,
 		UMONWays:               32,
 		UMONSampleSets:         64,
@@ -149,9 +150,6 @@ func (c Config) Validate() error {
 	}
 	if c.MissCurvePoints < 2 {
 		return fmt.Errorf("sim: miss curve needs at least 2 points")
-	}
-	if c.LCCheckAccessInterval == 0 {
-		return fmt.Errorf("sim: LC check interval must be positive")
 	}
 	return nil
 }

@@ -115,6 +115,22 @@ func TestSlowWindowConfinement(t *testing.T) {
 		t.Errorf("inflated run's mean service time %f should exceed healthy %f",
 			slow.LCResults()[0].MeanServiceTime, healthy.LCResults()[0].MeanServiceTime)
 	}
+
+	// A window opening one cycle after a request's raw arrival covers its
+	// coalesced (visible) arrival but not the raw one, which is what the
+	// window is matched against: that request keeps its drawn demand
+	// (runChecked re-draws it), so its latency is the healthy run's.
+	rec := healthy.LCResults()[0]
+	k := len(rec.RequestArrivals) / 2
+	a := rec.RequestArrivals[k]
+	edge := slowGoldenRun(t, []SlowWindow{{StartCycle: a + 1, EndCycle: a + 1 + 400_000, Factor: 4}}).LCResults()[0]
+	if edge.RequestArrivals[k] != a || edge.RequestLatencies[k] != rec.RequestLatencies[k] {
+		t.Errorf("request %d arriving at %d, one cycle before the window: latency %v, want the healthy %v",
+			k, a, edge.RequestLatencies[k], rec.RequestLatencies[k])
+	}
+	if edge.MeanServiceTime <= rec.MeanServiceTime {
+		t.Errorf("the window after request %d inflates nothing: mean service time %f, healthy %f", k, edge.MeanServiceTime, rec.MeanServiceTime)
+	}
 }
 
 // TestColdRestart pins the restart contract: a mid-run cold restart is

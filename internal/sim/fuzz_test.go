@@ -11,17 +11,14 @@ import (
 // malformed configurations must be rejected with an error, never a panic.
 func FuzzConfigValidate(f *testing.F) {
 	def := DefaultConfig()
-	f.Add(def.ReconfigIntervalCycles, def.LCCheckAccessInterval, def.CoalesceDelayCycles,
-		def.TailPercentile, def.UMONWays, def.UMONSampleSets, def.MissCurvePoints,
-		def.StepQuantumCycles, def.LLC.Lines, def.LLC.Ways, def.LLC.Partitions)
-	f.Add(uint64(0), uint64(0), uint64(0), math.NaN(), -1, 0, 1, uint64(0), uint64(0), 0, -3)
-	f.Add(^uint64(0), ^uint64(0), ^uint64(0), 100.0, 1<<30, 1<<30, 1<<30, ^uint64(0), ^uint64(0), 1<<20, 1<<20)
-	f.Fuzz(func(t *testing.T, reconfig, lcCheck, coalesce uint64, pct float64,
+	f.Add(def.ReconfigIntervalCycles, def.TailPercentile, def.UMONWays, def.UMONSampleSets,
+		def.MissCurvePoints, def.StepQuantumCycles, def.LLC.Lines, def.LLC.Ways, def.LLC.Partitions)
+	f.Add(uint64(0), math.NaN(), -1, 0, 1, uint64(0), uint64(0), 0, -3)
+	f.Add(^uint64(0), 100.0, 1<<30, 1<<30, 1<<30, ^uint64(0), ^uint64(0), 1<<20, 1<<20)
+	f.Fuzz(func(t *testing.T, reconfig uint64, pct float64,
 		umonWays, umonSets, curvePts int, quantum, llcLines uint64, llcWays, parts int) {
 		cfg := DefaultConfig()
 		cfg.ReconfigIntervalCycles = reconfig
-		cfg.LCCheckAccessInterval = lcCheck
-		cfg.CoalesceDelayCycles = coalesce
 		cfg.TailPercentile = pct
 		cfg.UMONWays = umonWays
 		cfg.UMONSampleSets = umonSets

@@ -155,7 +155,7 @@ func newAppRuntime(idx int, spec AppSpec, cfg Config) (*appRuntime, error) {
 			a.arrivals = arr
 		}
 		a.nextArrivalRaw = a.arrivals.Next(0)
-		a.nextArrivalVisible = a.nextArrivalRaw + cfg.CoalesceDelayCycles
+		a.nextArrivalVisible = a.nextArrivalRaw + coalesceDelayCycles
 	} else {
 		b, err := workload.NewBatchApp(*spec.Batch, idx, seed)
 		if err != nil {
@@ -200,7 +200,7 @@ func (a *appRuntime) queued() bool { return a.served < a.generated }
 
 // enqueueArrivals records every request whose (coalesced) arrival time is at
 // or before now.
-func (a *appRuntime) enqueueArrivals(now uint64, coalesce uint64) {
+func (a *appRuntime) enqueueArrivals(now uint64) {
 	for a.generated < a.toGenerate && a.nextArrivalVisible <= now {
 		demand := a.lcApp.NextServiceDemand()
 		if len(a.spec.SlowWindows) > 0 {
@@ -213,7 +213,7 @@ func (a *appRuntime) enqueueArrivals(now uint64, coalesce uint64) {
 		a.reqs[a.generated] = queueing.Request{Arrival: a.nextArrivalRaw, Demand: demand}
 		a.generated++
 		a.nextArrivalRaw = a.arrivals.Next(a.nextArrivalRaw)
-		a.nextArrivalVisible = a.nextArrivalRaw + coalesce
+		a.nextArrivalVisible = a.nextArrivalRaw + coalesceDelayCycles
 	}
 }
 

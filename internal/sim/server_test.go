@@ -14,7 +14,7 @@ import (
 // Lindley's recursion for the single worker serving an open-loop FIFO that
 // the slot models. For every request i, warm-up included,
 //
-//	start_i = max(arrival_i + CoalesceDelayCycles, completion_{i-1})
+//	start_i = max(arrival_i + coalesceDelayCycles, completion_{i-1})
 //
 // with completion_{-1} the slot's starting clock (0); every request takes
 // positive service time, and completions never go backwards.
@@ -30,7 +30,6 @@ import (
 //     from the slot's seed and inflating it by its arrival alone.
 func checkServer(t testing.TB, s *Simulator) {
 	t.Helper()
-	coalesce := s.cfg.CoalesceDelayCycles
 	for _, a := range s.apps {
 		if !a.isLC() {
 			continue
@@ -49,9 +48,9 @@ func checkServer(t testing.TB, s *Simulator) {
 		}
 		prev := uint64(0)
 		for i, r := range a.reqs {
-			if want := max(r.Arrival+coalesce, prev); r.Start != want {
+			if want := max(r.Arrival+coalesceDelayCycles, prev); r.Start != want {
 				t.Errorf("slot %d request %d: start %d, want max(arrival %d + coalesce %d, previous completion %d) = %d",
-					a.idx, i, r.Start, r.Arrival, coalesce, prev, want)
+					a.idx, i, r.Start, r.Arrival, coalesceDelayCycles, prev, want)
 				return
 			}
 			if r.Completion <= r.Start || r.Completion < prev {
@@ -170,7 +169,7 @@ func TestRequestPathDoesNotAllocate(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(runs, func() {
 		a.clock = a.nextArrivalVisible
-		a.enqueueArrivals(a.clock, s.cfg.CoalesceDelayCycles)
+		a.enqueueArrivals(a.clock)
 		if !a.inService {
 			a.startNextRequest()
 		}

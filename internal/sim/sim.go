@@ -399,13 +399,13 @@ func (s *Simulator) stepBatch(a *appRuntime) {
 // of the in-flight request, a request completion, an idle->active transition,
 // or an idle-time jump to the next arrival.
 func (s *Simulator) stepLC(a *appRuntime) {
-	a.enqueueArrivals(a.clock, s.cfg.CoalesceDelayCycles)
+	a.enqueueArrivals(a.clock)
 
 	if a.inService {
 		s.doAccess(a, a.stream.RequestID(), a.reqInstrPerAccess)
 		a.accessesLeft--
 		a.accessesSinceCheck++
-		if a.accessesSinceCheck >= s.cfg.LCCheckAccessInterval {
+		if a.accessesSinceCheck >= lcCheckAccessInterval {
 			a.accessesSinceCheck = 0
 			s.applyResizes(s.policy.OnLCCheck(a.idx, s.view))
 		}
@@ -431,7 +431,7 @@ func (s *Simulator) stepLC(a *appRuntime) {
 			a.clock = a.nextArrivalVisible
 			return
 		}
-		a.enqueueArrivals(a.clock, s.cfg.CoalesceDelayCycles)
+		a.enqueueArrivals(a.clock)
 		if !a.queued() {
 			return
 		}
@@ -454,7 +454,7 @@ func (s *Simulator) completeRequest(a *appRuntime) {
 	s.applyResizes(s.policy.OnRequestComplete(a.idx, req.Latency(), s.view))
 	s.applyResizes(s.policy.OnLCCheck(a.idx, s.view))
 
-	a.enqueueArrivals(a.clock, s.cfg.CoalesceDelayCycles)
+	a.enqueueArrivals(a.clock)
 	if a.queued() {
 		a.startNextRequest()
 		return

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -63,11 +64,6 @@ func TestConfigValidate(t *testing.T) {
 	bad.MissCurvePoints = 1
 	if err := bad.Validate(); err == nil {
 		t.Errorf("single-point curves should be invalid")
-	}
-	bad = DefaultConfig()
-	bad.LCCheckAccessInterval = 0
-	if err := bad.Validate(); err == nil {
-		t.Errorf("zero check interval should be invalid")
 	}
 	bad = DefaultConfig()
 	bad.LLC.Lines = 0
@@ -564,15 +560,16 @@ func TestHierarchyFiltersMonitoredStream(t *testing.T) {
 }
 
 func TestUnstableLoadDetected(t *testing.T) {
-	// An offered load near 100% with a hard MaxCycles cap should abort rather
-	// than loop forever.
+	// An offered load far beyond the service rate with a hard MaxCycles cap
+	// must abort with an error naming the cap rather than loop forever. The
+	// run is seed-fixed and always outlasts the cap.
 	cfg := testConfig()
 	cfg.MaxCycles = 20_000_000
 	lc := smallLC(t, "moses")
 	spec := AppSpec{LC: &lc, Load: 0.9, MeanInterarrival: 1000, RequestFactor: 0.3}
 	_, err := RunMix(isolationConfig(cfg, lc.TargetLines()), []AppSpec{spec}, policy.NewLRU())
-	if err == nil {
-		t.Skip("run finished within the cap; nothing to assert")
+	if err == nil || !strings.Contains(err.Error(), "MaxCycles=20000000") {
+		t.Fatalf("RunMix returned %v, want the MaxCycles=20000000 abort", err)
 	}
 }
 
