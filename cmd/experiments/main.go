@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 
@@ -188,10 +187,6 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		return err
 	}
 	defer finishProf(&retErr)
-	workers := *parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if *csv && *jsonOut {
 		return fmt.Errorf("-csv and -json are mutually exclusive; pick one output format")
 	}
@@ -235,7 +230,7 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		if conflict != "" {
 			return fmt.Errorf("-%s conflicts with -scenario: the scenario file defines the whole run (drop -%s or edit %s)", conflict, conflict, *scenarioPath)
 		}
-		return runScenario(stdout, *scenarioPath, workers, *tracePath, *reportDir, *validate, emit, flushJSON)
+		return runScenario(stdout, *scenarioPath, *parallelism, *tracePath, *reportDir, *validate, emit, flushJSON)
 	}
 	if *reportDir != "" || *validate {
 		return fmt.Errorf("-report and -validate only apply to -scenario runs")
@@ -259,7 +254,7 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		return err
 	}
 	x.scale.Seed = *seed
-	x.scale.Parallelism = workers
+	x.scale.Parallelism = *parallelism
 	if *requests > 0 {
 		x.scale.RequestFactor = *requests
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -140,11 +139,11 @@ func nodeKey(node NodeSpec, schemeKey string, times []uint64, warmup int, slow [
 
 // RunAll plans, simulates and aggregates a list of clusters as one schedule:
 // every spec is validated and planned up front (serial), every (cluster, node)
-// simulation of the whole list goes into one flat job list over at most
-// workers goroutines (<= 1 runs inline), and each cluster's serial aggregator
-// joins its leaf latencies into query latencies. The unit of scheduling is the
-// node, so S clusters of M nodes keep up to S*M workers busy; results[i]
-// belongs to specs[i], bit-identical at any workers value.
+// simulation of the whole list becomes one sim.Job of one flat list run by
+// sim.RunJobs over workers goroutines (<= 0 = GOMAXPROCS), and each cluster's
+// serial aggregator joins its leaf latencies into query latencies. The unit
+// of scheduling is the node, so S clusters of M nodes keep up to S*M workers
+// busy; results[i] belongs to specs[i], bit-identical at any workers value.
 //
 // Node simulations are memoized through pool (nil runs every node): a node
 // whose (configuration, policy, leaf stream) identity repeats — the full-size
@@ -162,8 +161,9 @@ func RunAll(specs []Spec, keys []string, workers int, pool *sim.WarmPool) ([]Res
 		}
 		return fmt.Errorf("%s: %w", keys[c], err)
 	}
-	type job struct{ c, n int }
-	var jobs []job
+	type slot struct{ c, n int }
+	var jobs []sim.Job
+	var slots []slot
 	plans := make([]*queryPlan, len(specs))
 	sims := make([][]sim.Result, len(specs))
 	for c, spec := range specs {
@@ -176,13 +176,22 @@ func RunAll(specs []Spec, keys []string, workers int, pool *sim.WarmPool) ([]Res
 		}
 		sims[c] = make([]sim.Result, len(spec.Nodes))
 		for n := range spec.Nodes {
-			jobs = append(jobs, job{c, n})
+			job, ok, err := nodeJob(spec, plans[c], n, keys[c])
+			if err != nil {
+				return nil, named(c, err)
+			}
+			if ok {
+				jobs, slots = append(jobs, job), append(slots, slot{c, n})
+			}
 		}
 	}
-	if err := parallel.For(len(jobs), workers, func(i int) (err error) {
-		c, n := jobs[i].c, jobs[i].n
-		sims[c][n], err = runNode(specs[c], plans[c], n, keys[c], pool)
-		return named(c, err)
+	if err := sim.RunJobs(jobs, workers, pool, func(i int, res sim.Result, err error) error {
+		c, n := slots[i].c, slots[i].n
+		if err != nil {
+			return named(c, fmt.Errorf("cluster: node %d: %w", n, err))
+		}
+		sims[c][n] = res
+		return nil
 	}); err != nil {
 		return nil, err
 	}
@@ -196,59 +205,40 @@ func RunAll(specs []Spec, keys []string, workers int, pool *sim.WarmPool) ([]Res
 	return out, nil
 }
 
-// runNode simulates node n of a planned cluster: replay the leaf arrivals the
-// front-end dealt it, under its fail-slow windows and rolling restarts.
-func runNode(spec Spec, plan *queryPlan, n int, schemeKey string, pool *sim.WarmPool) (sim.Result, error) {
+// nodeJob is node n of a planned cluster as a job: replay the leaf arrivals
+// the front-end dealt it, under its fail-slow windows and rolling restarts.
+// ok is false for a node routed around for the whole measured run (a long
+// node-down window), which legitimately serves nothing: its slot stays empty
+// and the aggregator skips it.
+func nodeJob(spec Spec, plan *queryPlan, n int, schemeKey string) (job sim.Job, ok bool, err error) {
 	node := spec.Nodes[n]
 	times := plan.nodeTimes[n]
 	warmup := plan.nodeWarmup[n]
 	measured := len(times) - warmup
 	if measured < 1 {
 		if len(spec.Faults) > 0 {
-			// A node routed around for the whole measured run (a long
-			// node-down window) legitimately serves nothing; leave its
-			// slot empty and let the aggregator skip it.
-			return sim.Result{}, nil
+			return sim.Job{}, false, nil
 		}
-		return sim.Result{}, fmt.Errorf("cluster: node %d received no measured leaves (only %d warmup); raise Queries or rebalance", n, warmup)
+		return sim.Job{}, false, fmt.Errorf("cluster: node %d received no measured leaves (only %d warmup); raise Queries or rebalance", n, warmup)
 	}
 	slow := slowWindowsFor(spec.Faults, n)
 	restarts := restartsFor(spec.Faults, n)
-	res, err := pool.Result(nodeKey(node, schemeKey, times, warmup, slow, restarts), func() (sim.Result, error) {
-		lc := node.LC
-		lc.Arrivals = workload.NewReplayArrivals(times)
-		lc.ExplicitRequests = measured
-		lc.ExplicitWarmup = warmup
-		lc.Sched = workload.ScheduleSpec{} // the replayed stream already carries the global schedule
-		lc.SlowWindows = slow
-		specs := make([]sim.AppSpec, 0, 1+len(node.Batch))
-		specs = append(specs, lc)
-		specs = append(specs, node.Batch...)
-		if len(restarts) == 0 {
-			return sim.RunMix(node.Config, specs, node.NewPolicy())
-		}
-		// Rolling restart: run to each restart boundary, dump the node's
-		// warm state (caches, monitors, policy), and continue. RunUntil
-		// pauses only at scheduler pop boundaries, so the restarted run is
-		// deterministic at any parallelism.
-		s, err := sim.New(node.Config, specs, node.NewPolicy())
-		if err != nil {
-			return sim.Result{}, err
-		}
-		for _, r := range restarts {
-			if err := s.RunUntil(r); err != nil {
-				return sim.Result{}, err
-			}
-			if err := s.ColdRestart(node.NewPolicy()); err != nil {
-				return sim.Result{}, err
-			}
-		}
-		return s.Run()
-	})
-	if err != nil {
-		return sim.Result{}, fmt.Errorf("cluster: node %d: %w", n, err)
-	}
-	return res, nil
+	lc := node.LC
+	lc.Arrivals = workload.NewReplayArrivals(times)
+	lc.ExplicitRequests = measured
+	lc.ExplicitWarmup = warmup
+	lc.Sched = workload.ScheduleSpec{} // the replayed stream already carries the global schedule
+	lc.SlowWindows = slow
+	specs := make([]sim.AppSpec, 0, 1+len(node.Batch))
+	specs = append(specs, lc)
+	specs = append(specs, node.Batch...)
+	return sim.Job{
+		Config:    node.Config,
+		Specs:     specs,
+		NewPolicy: node.NewPolicy,
+		Restarts:  restarts,
+		Key:       nodeKey(node, schemeKey, times, warmup, slow, restarts),
+	}, true, nil
 }
 
 // aggregate joins per-node leaf latencies into query latencies and builds the

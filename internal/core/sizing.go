@@ -46,9 +46,6 @@ type SizingInput struct {
 	// DeadlineCycles is the tail-latency deadline by which lost progress must
 	// be recovered.
 	DeadlineCycles uint64
-	// Options is the number of idle-size candidates to evaluate (16 in the
-	// paper).
-	Options int
 	// BucketLines is the allocation granularity of the boost-size search.
 	BucketLines uint64
 	// IdleFraction is the fraction of time the application has recently spent
@@ -68,10 +65,6 @@ type SizingInput struct {
 // SActive) is always feasible, so the result is always usable.
 func ComputeSizing(in SizingInput) Sizing {
 	best := Sizing{SIdle: in.SActive, SBoost: in.SActive, SActive: in.SActive, Gain: 0}
-	options := in.Options
-	if options < 1 {
-		options = 16
-	}
 	bucket := in.BucketLines
 	if bucket == 0 {
 		bucket = 1
@@ -90,8 +83,8 @@ func ComputeSizing(in SizingInput) Sizing {
 		missCost = func(uint64) float64 { return 0 }
 	}
 
-	for i := 1; i <= options; i++ {
-		sIdle := in.SActive * uint64(options-i) / uint64(options)
+	for i := 1; i <= idleOptions; i++ {
+		sIdle := in.SActive * uint64(idleOptions-i) / uint64(idleOptions)
 		pIdle := in.Curve.MissProbAt(sIdle)
 
 		var loss float64

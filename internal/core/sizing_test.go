@@ -19,7 +19,6 @@ func sensitiveInput() SizingInput {
 		SActive:        1024,
 		SBoostMax:      2048,
 		DeadlineCycles: 400_000,
-		Options:        16,
 		BucketLines:    24,
 		IdleFraction:   0.8,
 		BatchHitsGain:  func(extra uint64) float64 { return float64(extra) * 2 },
@@ -112,7 +111,6 @@ func TestComputeSizingCostBenefit(t *testing.T) {
 
 func TestComputeSizingDefaults(t *testing.T) {
 	in := sensitiveInput()
-	in.Options = 0
 	in.BucketLines = 0
 	in.BatchHitsGain = nil
 	in.BatchMissCost = nil

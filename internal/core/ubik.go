@@ -201,7 +201,6 @@ func (u *Ubik) Reconfigure(v policy.View) []policy.Resize {
 			SActive:         st.sActive,
 			SBoostMax:       sBoostMax,
 			DeadlineCycles:  v.DeadlineCycles(app),
-			Options:         idleOptions,
 			BucketLines:     bucketLines,
 			IdleFraction:    v.IdleFraction(app),
 			ExactTransients: u.cfg.ExactTransients,

@@ -37,13 +37,7 @@ func AblationTransientBound(cfg sim.Config, scale Scale) (Table, error) {
 // runAblation sweeps the given Ubik variants over the scaled mix matrix and
 // summarises tail degradation and weighted speedup.
 func runAblation(cfg sim.Config, scale Scale, id, title string, schemes []Scheme) (Table, error) {
-	scale = scale.withPool()
-	mixes, err := MixesFor(scale)
-	if err != nil {
-		return Table{}, err
-	}
-	baselines := NewBaselines(cfg, scale)
-	records, err := Sweep(cfg, scale, baselines, mixes, schemes)
+	records, err := sweepMatrix(scale, schemes, cfg)
 	if err != nil {
 		return Table{}, err
 	}
@@ -53,7 +47,7 @@ func runAblation(cfg sim.Config, scale Scale, id, title string, schemes []Scheme
 		Header: []string{"variant", "avg_tail_degradation", "worst_tail_degradation", "avg_weighted_speedup"},
 	}
 	for _, s := range schemes {
-		t.Rows = append(t.Rows, summaryRow(s.Name, filterRecords(records, s.Name, nil)))
+		t.Rows = append(t.Rows, summaryRow(s.Name, filterRecords(records[0], s.Name, nil)))
 	}
 	return t, nil
 }

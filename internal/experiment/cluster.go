@@ -35,21 +35,6 @@ func clusterFanouts(nodes int) []int {
 // experiments drive.
 const clusterService = "specjbb"
 
-// clusterBaseline calibrates the replicated service at low load, at the
-// scale's request factor.
-func clusterBaseline(cfg sim.Config, scale Scale, service string) (sim.LCBaseline, float64, error) {
-	profile, err := workload.LCByName(service)
-	if err != nil {
-		return sim.LCBaseline{}, 0, err
-	}
-	reqFactor := scale.requestFactor()
-	base, err := sim.MeasureLCBaselinePooled(scale.Warm, cfg, profile, profile.TargetLines(), 0.2, reqFactor)
-	if err != nil {
-		return sim.LCBaseline{}, 0, err
-	}
-	return base, reqFactor, nil
-}
-
 // buildClusterSpec assembles an M-node cluster for one scheme: every node
 // hosts one replica of the calibrated service plus the standard batch set,
 // with its own derived seeds; stragglerIdx >= 0 shrinks that node's LLC to a
@@ -66,9 +51,7 @@ func buildClusterSpec(cfg sim.Config, scale Scale, scheme Scheme, base sim.LCBas
 		if i == stragglerIdx {
 			nodeCfg.LLC = cache.DefaultZ452(cfg.LLC.Lines/4, cfg.LLC.Partitions)
 		}
-		if scheme.Unpartitioned {
-			nodeCfg.LLC.Mode = cache.ModeLRU
-		}
+		nodeCfg = schemeConfig(nodeCfg, scheme.Unpartitioned)
 		profile := base.Profile
 		node := cluster.NodeSpec{
 			Config: nodeCfg,
@@ -116,7 +99,7 @@ func ClusterTail(cfg sim.Config, scale Scale) ([]Table, error) {
 // lighter service profile to stay fast).
 func clusterTailTables(cfg sim.Config, scale Scale, schemes []Scheme, nodes int, service string) ([]Table, error) {
 	scale = scale.withPool()
-	base, reqFactor, err := clusterBaseline(cfg, scale, service)
+	base, reqFactor, err := serviceBaseline(cfg, scale, service, scale.requestFactor())
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +115,7 @@ func clusterTailTables(cfg sim.Config, scale Scale, schemes []Scheme, nodes int,
 			specs, keys = append(specs, spec), append(keys, scheme.Name)
 		}
 	}
-	runs, err := cluster.RunAll(specs, keys, scale.parallelism(), scale.Warm)
+	runs, err := cluster.RunAll(specs, keys, scale.Parallelism, scale.Warm)
 	if err != nil {
 		return nil, err
 	}
@@ -199,7 +182,7 @@ func ClusterHetero(cfg sim.Config, scale Scale) ([]Table, error) {
 // clusterHeteroTables is ClusterHetero parameterised for tests.
 func clusterHeteroTables(cfg sim.Config, scale Scale, nodes int, service string) ([]Table, error) {
 	scale = scale.withPool()
-	base, reqFactor, err := clusterBaseline(cfg, scale, service)
+	base, reqFactor, err := serviceBaseline(cfg, scale, service, scale.requestFactor())
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +209,7 @@ func clusterHeteroTables(cfg sim.Config, scale Scale, nodes int, service string)
 			}
 		}
 	}
-	cells, err := cluster.RunAll(specs, keys, scale.parallelism(), scale.Warm)
+	cells, err := cluster.RunAll(specs, keys, scale.Parallelism, scale.Warm)
 	if err != nil {
 		return nil, err
 	}

@@ -8,12 +8,10 @@ package experiment
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro/internal/cache"
 	"repro/internal/mix"
-	"repro/internal/parallel"
 	"repro/internal/policy"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -36,27 +34,28 @@ type Scale struct {
 	LoadPoints int
 	// Seed drives mix selection and all run randomness.
 	Seed uint64
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS), at the mix
-	// level and below it: load-sweep points, per-instance isolation baselines
-	// and baseline cache warming all shard over the same worker count.
-	// Results are bit-identical at any setting (each shard is an independent,
-	// seed-determined simulation whose output lands in an index-addressed
-	// slot).
+	// Parallelism bounds concurrent simulations (<= 0 = GOMAXPROCS): every
+	// job list an experiment hands sim.RunJobs — calibrations, isolation
+	// baselines, load-sweep points, mix and cluster node runs — runs on at
+	// most this many workers. Results are bit-identical at any setting (each
+	// job is an independent, seed-determined simulation whose output lands in
+	// its own slot).
 	Parallelism int
 	// Warm is the warm pool the experiment's runs go through: exactly-repeated
 	// calibration/isolation/baseline runs are memoized. Every reuse is
 	// exact-identity keyed, so tables are byte-identical to re-running every
 	// run (pinned by the golden table digests in golden_test.go). Leave nil:
-	// each experiment entry point allocates its own through withPool. Set it
-	// explicitly (as cmd/experiments does) to share warm state across several
-	// experiments in one invocation.
+	// each entry point whose runs can repeat (sweeps, cluster grids)
+	// allocates its own through withPool. Set it explicitly (as
+	// cmd/experiments does) to share warm state across several experiments in
+	// one invocation.
 	Warm *sim.WarmPool
 
 	// Deprecated: ignored — sub-mix work always shards over Parallelism;
 	// kept only until bench/ stops assigning it.
 	SubMixSharding bool
-	// Deprecated: ignored — experiments always run through a warm pool; kept
-	// only until bench/ stops assigning it.
+	// Deprecated: ignored — runs that can repeat always go through a warm
+	// pool; kept only until bench/ stops assigning it.
 	WarmReuse bool
 }
 
@@ -83,17 +82,6 @@ func DefaultScale() Scale {
 // request counts); expect hours of runtime.
 func FullScale() Scale {
 	return Scale{RequestFactor: 1.0, MixesPerLC: 40, BatchROI: 1_500_000, LoadPoints: 9, Seed: 1}
-}
-
-func (s Scale) parallelism() int {
-	if s.Parallelism > 0 {
-		return s.Parallelism
-	}
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 func (s Scale) requestFactor() float64 {
@@ -158,11 +146,120 @@ func instanceSeed(scaleSeed uint64, lc mix.LCConfig, instance int) uint64 {
 	return workload.SplitSeed(scaleSeed^h, uint64(instance)+1)
 }
 
+// schemeConfig is the machine a scheme runs on: the unpartitioned schemes
+// (LRU) switch the LLC to ModeLRU.
+func schemeConfig(cfg sim.Config, unpartitioned bool) sim.Config {
+	if unpartitioned {
+		cfg.LLC.Mode = cache.ModeLRU
+	}
+	return cfg
+}
+
+// jobList is one dependency phase of a fan-out: jobs, each with the closure
+// that keeps what the experiment needs of its result, on the worker that ran
+// it; a keep writes only to its own job's slots.
+type jobList struct {
+	jobs  []sim.Job
+	keeps []func(sim.Result) error
+}
+
+func (l *jobList) add(j sim.Job, keep func(sim.Result) error) {
+	l.jobs = append(l.jobs, j)
+	l.keeps = append(l.keeps, keep)
+}
+
+// run runs the list through sim.RunJobs (workers <= 0 = GOMAXPROCS).
+func (l *jobList) run(workers int, pool *sim.WarmPool) error {
+	return sim.RunJobs(l.jobs, workers, pool, func(i int, res sim.Result, err error) error {
+		if err != nil {
+			return err
+		}
+		return l.keeps[i](res)
+	})
+}
+
+// lcBaselines measures the isolation baselines (Section 6) of out, each
+// given as a Profile at a Load, in two phases: calibrate adds one calibration
+// per distinct profile; once that list has run, measure sets each arrival
+// spacing and adds the load run, whose tail is the deadline.
+type lcBaselines struct {
+	cfg       sim.Config
+	reqFactor float64
+	out       []sim.LCBaseline
+}
+
+func (b *lcBaselines) calibrate(l *jobList) {
+	seen := map[string]bool{}
+	for _, t := range b.out {
+		p := t.Profile
+		if seen[p.Name] {
+			continue
+		}
+		seen[p.Name] = true
+		l.add(sim.CalibrationJob(b.cfg, p, p.TargetLines(), b.reqFactor), func(res sim.Result) error {
+			for k := range b.out {
+				if b.out[k].Profile.Name == p.Name {
+					b.out[k].MeanServiceCycles = res.Apps[0].MeanServiceTime
+				}
+			}
+			return nil
+		})
+	}
+}
+
+func (b *lcBaselines) measure(l *jobList) error {
+	for k := range b.out {
+		base := &b.out[k]
+		var err error
+		if base.MeanInterarrival, err = workload.MeanInterarrivalForLoad(base.MeanServiceCycles, base.Load); err != nil {
+			return err
+		}
+		p := base.Profile
+		l.add(sim.BaselineJob(b.cfg, p, p.TargetLines(), base.Load, base.MeanInterarrival, b.reqFactor), func(res sim.Result) error {
+			base.MeanLatency, base.TailLatency = res.Apps[0].MeanLatency, res.Apps[0].TailLatency
+			return nil
+		})
+	}
+	return nil
+}
+
+// measureBaselines runs both phases of lcBaselines as two job lists.
+func measureBaselines(cfg sim.Config, targets []sim.LCBaseline, reqFactor float64, workers int, pool *sim.WarmPool) ([]sim.LCBaseline, error) {
+	b := &lcBaselines{cfg, reqFactor, targets}
+	var calib, runs jobList
+	b.calibrate(&calib)
+	if err := calib.run(workers, pool); err != nil {
+		return nil, err
+	}
+	if err := b.measure(&runs); err != nil {
+		return nil, err
+	}
+	if err := runs.run(workers, pool); err != nil {
+		return nil, err
+	}
+	return b.out, nil
+}
+
+// serviceBaseline measures the named latency-critical service's baseline at
+// low load (0.2) and reqFactor, which it returns alongside.
+func serviceBaseline(cfg sim.Config, scale Scale, service string, reqFactor float64) (sim.LCBaseline, float64, error) {
+	profile, err := workload.LCByName(service)
+	if err != nil {
+		return sim.LCBaseline{}, 0, err
+	}
+	bases, err := measureBaselines(cfg, []sim.LCBaseline{{Profile: profile, Load: 0.2}}, reqFactor, scale.Parallelism, scale.Warm)
+	if err != nil {
+		return sim.LCBaseline{}, 0, err
+	}
+	return bases[0], reqFactor, nil
+}
+
 // Baselines gives a mix comparison the isolation measurements it is
 // normalised against (Section 6): per LC-configuration service-time
-// calibration, pooled isolated tail latencies on matched seeds, and per batch
-// application isolated IPCs. It holds no memo of its own: every run goes
-// through the scale's warm pool, which memoizes each by exact identity.
+// calibration and load baseline, pooled isolated tail latencies on matched
+// seeds, and per batch application isolated IPCs, all measured on its
+// machine through the scale's warm pool, which memoizes each run by exact
+// identity.
 type Baselines struct {
 	cfg   sim.Config
 	scale Scale
@@ -174,53 +271,88 @@ func NewBaselines(cfg sim.Config, scale Scale) *Baselines {
 	return &Baselines{cfg: cfg, scale: scale.withPool()}
 }
 
-// LC returns the calibration baseline for an LC configuration: mean service
-// time, arrival rate for its load, and its isolated tail latency (the
-// deadline).
-func (b *Baselines) LC(lc mix.LCConfig) (sim.LCBaseline, error) {
-	return sim.MeasureLCBaselinePooled(b.scale.Warm, b.cfg, lc.App, lc.App.TargetLines(), lc.Level.Value(), b.scale.requestFactor())
+// lcKey identifies a latency-critical configuration within a sweep group.
+type lcKey struct {
+	name      string
+	instances int
 }
 
-// isolated runs instance i of an LC configuration alone at the calibrated
-// arrival spacing, with exactly the seed the mix instance uses, and returns
-// its request latencies.
-func (b *Baselines) isolated(lc mix.LCConfig, meanInterarrival float64, i int) ([]float64, error) {
-	res, err := sim.RunIsolatedLCPooled(b.scale.Warm, b.cfg, lc.App, lc.App.TargetLines(), meanInterarrival,
-		b.scale.requestFactor(), instanceSeed(b.scale.Seed, lc, i))
-	if err != nil {
-		return nil, err
-	}
-	lcRes := res.LCResults()
-	if len(lcRes) != 1 {
-		return nil, fmt.Errorf("experiment: isolation run returned %d LC results", len(lcRes))
-	}
-	return lcRes[0].Latencies.Values(), nil
+// isolation is what a group of mixes is normalised against, measured once
+// per distinct LC configuration and batch application by calibrate, measure
+// and pool, each after the previous phase's list has run.
+type isolation struct {
+	b       *Baselines
+	lcs     []mix.LCConfig
+	lcIndex map[lcKey]int
+	base    *lcBaselines        // index-aligned with lcs
+	lats    [][]*stats.Sample   // per lcs entry, per instance
+	tails   []float64           // pooled isolated tail per lcs entry
+	ipcs    map[string]*float64 // per batch application
 }
 
-// PooledIsolatedTail returns the pooled isolated tail latency across the
-// configuration's instances, run with exactly the seeds the mix instances use.
-// A cold instance runs serially (the caller may be a worker); Sweep warms
-// every instance through one flat list first.
-func (b *Baselines) PooledIsolatedTail(lc mix.LCConfig, percentile float64) (float64, error) {
-	base, err := b.LC(lc)
-	if err != nil {
-		return 0, err
-	}
-	pooled := stats.NewSample(256)
-	for i := 0; i < lc.Instances; i++ {
-		lat, err := b.isolated(lc, base.MeanInterarrival, i)
-		if err != nil {
-			return 0, err
+// calibrate collects the distinct LC configurations and batch applications
+// of mixes, in first-seen order, and adds what depends on nothing: every
+// calibration and batch IPC.
+func (b *Baselines) calibrate(l *jobList, mixes []mix.Mix) *isolation {
+	iso := &isolation{b: b, lcIndex: map[lcKey]int{}, ipcs: map[string]*float64{},
+		base: &lcBaselines{cfg: b.cfg, reqFactor: b.scale.requestFactor()}}
+	for _, m := range mixes {
+		k := lcKey{m.LC.Name(), m.LC.Instances}
+		if _, ok := iso.lcIndex[k]; !ok {
+			iso.lcIndex[k] = len(iso.lcs)
+			iso.lcs = append(iso.lcs, m.LC)
+			iso.base.out = append(iso.base.out, sim.LCBaseline{Profile: m.LC.App, Load: m.LC.Level.Value()})
 		}
-		pooled.AddAll(lat)
+		for _, p := range m.Batch.Apps {
+			if iso.ipcs[p.Name] == nil {
+				ipc := new(float64)
+				iso.ipcs[p.Name] = ipc
+				l.add(sim.BatchBaselineJob(b.cfg, p, sim.LinesFor2MB, b.scale.BatchROI), func(res sim.Result) error {
+					*ipc = res.Apps[0].IPC
+					return nil
+				})
+			}
+		}
 	}
-	return pooled.TailMean(percentile)
+	iso.base.calibrate(l)
+	return iso
 }
 
-// BatchIPC returns the isolated IPC of a batch application on a private
-// target-sized LLC.
-func (b *Baselines) BatchIPC(p workload.BatchProfile) (float64, error) {
-	return sim.MeasureBatchBaselineIPCPooled(b.scale.Warm, b.cfg, p, sim.LinesFor2MB, b.scale.BatchROI)
+// measure adds what needs a calibrated arrival spacing: every load baseline
+// and every (configuration, instance) isolation run, on exactly the seed the
+// mix instance uses.
+func (iso *isolation) measure(l *jobList) error {
+	if err := iso.base.measure(l); err != nil {
+		return err
+	}
+	iso.lats = make([][]*stats.Sample, len(iso.lcs))
+	for c, lc := range iso.lcs {
+		iso.lats[c] = make([]*stats.Sample, lc.Instances)
+		for i := range lc.Instances {
+			l.add(sim.IsolatedLCJob(iso.b.cfg, lc.App, lc.App.TargetLines(), iso.base.out[c].MeanInterarrival,
+				iso.b.scale.requestFactor(), instanceSeed(iso.b.scale.Seed, lc, i)), func(res sim.Result) error {
+				iso.lats[c][i] = res.Apps[0].Latencies
+				return nil
+			})
+		}
+	}
+	return nil
+}
+
+// pool pools each configuration's isolated instance latencies into its tail.
+func (iso *isolation) pool(percentile float64) error {
+	iso.tails = make([]float64, len(iso.lcs))
+	for c, lats := range iso.lats {
+		pooled := stats.NewSample(256)
+		for _, lat := range lats {
+			pooled.AddAll(lat.Values())
+		}
+		var err error
+		if iso.tails[c], err = pooled.TailMean(percentile); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // MixRecord is the outcome of running one mix under one scheme.
@@ -240,31 +372,14 @@ type MixRecord struct {
 	BaselineTailCycles float64
 }
 
-// RunMixScheme runs one mix under one scheme and computes its record.
-func RunMixScheme(cfg sim.Config, scale Scale, baselines *Baselines, m mix.Mix, scheme Scheme) (MixRecord, error) {
-	base, err := baselines.LC(m.LC)
-	if err != nil {
-		return MixRecord{}, err
-	}
-	baseTail, err := baselines.PooledIsolatedTail(m.LC, cfg.TailPercentile)
-	if err != nil {
-		return MixRecord{}, err
-	}
-	var batchBaselines []float64
-	for _, p := range m.Batch.Apps {
-		ipc, err := baselines.BatchIPC(p)
-		if err != nil {
-			return MixRecord{}, err
-		}
-		batchBaselines = append(batchBaselines, ipc)
-	}
-
-	runCfg := cfg
-	if scheme.Unpartitioned {
-		runCfg.LLC.Mode = cache.ModeLRU
-	}
+// addMix adds the run of mix m under scheme s on cfg: its LC instances at
+// the calibrated arrival spacing and deadline, on the seeds their isolation
+// runs used, plus its batch apps. Its keep sets *rec.
+func (iso *isolation) addMix(l *jobList, cfg sim.Config, scale Scale, m mix.Mix, s Scheme, rec *MixRecord) {
+	c := iso.lcIndex[lcKey{m.LC.Name(), m.LC.Instances}]
+	base := iso.base.out[c]
 	var specs []sim.AppSpec
-	for i := 0; i < m.LC.Instances; i++ {
+	for i := range m.LC.Instances {
 		app := m.LC.App
 		specs = append(specs, sim.AppSpec{
 			LC:               &app,
@@ -275,111 +390,82 @@ func RunMixScheme(cfg sim.Config, scale Scale, baselines *Baselines, m mix.Mix, 
 			Seed:             instanceSeed(scale.Seed, m.LC, i),
 		})
 	}
-	for i := range m.Batch.Apps {
-		p := m.Batch.Apps[i]
+	var ipcs []float64
+	for _, p := range m.Batch.Apps {
 		specs = append(specs, sim.AppSpec{Batch: &p, ROIInstructions: scale.BatchROI})
+		ipcs = append(ipcs, *iso.ipcs[p.Name])
 	}
-	res, err := sim.RunMix(runCfg, specs, scheme.NewPolicy())
-	if err != nil {
-		return MixRecord{}, err
-	}
-	ws, err := res.WeightedSpeedup(batchBaselines)
-	if err != nil {
-		return MixRecord{}, err
-	}
-	pooled := res.PooledLCTail(cfg.TailPercentile)
-	rec := MixRecord{
-		Mix:                m,
-		Scheme:             scheme.Name,
-		PooledTailCycles:   pooled,
-		BaselineTailCycles: baseTail,
-		WeightedSpeedup:    ws,
-	}
-	if baseTail > 0 {
-		rec.TailDegradation = pooled / baseTail
-	}
-	return rec, nil
-}
-
-// Sweep runs every mix under every scheme, in parallel across mixes, and
-// returns all records. Baseline caches are warmed first, sharded across the
-// worker pool, so the mix jobs never race to compute the same baseline key.
-func Sweep(cfg sim.Config, scale Scale, baselines *Baselines, mixes []mix.Mix, schemes []Scheme) ([]MixRecord, error) {
-	type job struct {
-		m mix.Mix
-		s Scheme
-	}
-	var jobs []job
-	for _, m := range mixes {
-		for _, s := range schemes {
-			jobs = append(jobs, job{m: m, s: s})
+	l.add(sim.Job{Config: schemeConfig(cfg, s.Unpartitioned), Specs: specs, NewPolicy: s.NewPolicy}, func(res sim.Result) error {
+		baseTail := iso.tails[c]
+		ws, err := res.WeightedSpeedup(ipcs)
+		if err != nil {
+			return err
 		}
-	}
-	if err := warmBaselines(cfg, scale, baselines, mixes); err != nil {
-		return nil, err
-	}
-
-	records := make([]MixRecord, len(jobs))
-	err := parallel.For(len(jobs), scale.parallelism(), func(i int) error {
-		var err error
-		records[i], err = RunMixScheme(cfg, scale, baselines, jobs[i].m, jobs[i].s)
-		return err
+		pooled := res.PooledLCTail(cfg.TailPercentile)
+		*rec = MixRecord{Mix: m, Scheme: s.Name, PooledTailCycles: pooled, BaselineTailCycles: baseTail, WeightedSpeedup: ws}
+		if baseTail > 0 {
+			rec.TailDegradation = pooled / baseTail
+		}
+		return nil
 	})
+}
+
+// Sweep runs every mix under every scheme and returns the records in (mix,
+// scheme) order: a sweep of one group.
+func Sweep(cfg sim.Config, scale Scale, baselines *Baselines, mixes []mix.Mix, schemes []Scheme) ([]MixRecord, error) {
+	records, err := sweep(scale, baselines.scale.Warm, []sweepGroup{{cfg, baselines, mixes, schemes}})
 	if err != nil {
 		return nil, err
 	}
-	return records, nil
+	return records[0], nil
 }
 
-// warmBaselines runs, through the warm pool, every baseline the mixes
-// reference, one flat job list per dependency phase (each run is computed
-// exactly once; the runs are independent, seed-determined simulations, so
-// warming order cannot affect any value).
-func warmBaselines(cfg sim.Config, scale Scale, baselines *Baselines, mixes []mix.Mix) error {
-	var lcs []mix.LCConfig
-	seenLC := map[string]bool{}
-	var batches []workload.BatchProfile
-	seenBatch := map[string]bool{}
-	for _, m := range mixes {
-		if key := m.LC.Name(); !seenLC[key] {
-			seenLC[key] = true
-			lcs = append(lcs, m.LC)
+// sweepGroup is one machine's share of a sweep: every mix under every scheme
+// on cfg, normalised against isolation runs on the baselines' machine.
+type sweepGroup struct {
+	cfg       sim.Config
+	baselines *Baselines
+	mixes     []mix.Mix
+	schemes   []Scheme
+}
+
+// sweep runs all groups as three job lists: {every calibration ∪ batch IPC},
+// {every load baseline ∪ isolation instance}, {every (mix, scheme) run}, each
+// mix job carrying its deadline, arrival spacing, pooled isolated tail and
+// batch IPCs as values. records[g] is group g's, in (mix, scheme) order.
+func sweep(scale Scale, pool *sim.WarmPool, groups []sweepGroup) ([][]MixRecord, error) {
+	isos := make([]*isolation, len(groups))
+	var calib, measure, mixes jobList
+	for g, grp := range groups {
+		isos[g] = grp.baselines.calibrate(&calib, grp.mixes)
+	}
+	if err := calib.run(scale.Parallelism, pool); err != nil {
+		return nil, err
+	}
+	for _, iso := range isos {
+		if err := iso.measure(&measure); err != nil {
+			return nil, err
 		}
-		for _, p := range m.Batch.Apps {
-			if !seenBatch[p.Name] {
-				seenBatch[p.Name] = true
-				batches = append(batches, p)
+	}
+	if err := measure.run(scale.Parallelism, pool); err != nil {
+		return nil, err
+	}
+	records := make([][]MixRecord, len(groups))
+	for g, grp := range groups {
+		if err := isos[g].pool(grp.cfg.TailPercentile); err != nil {
+			return nil, err
+		}
+		records[g] = make([]MixRecord, len(grp.mixes)*len(grp.schemes))
+		for i, m := range grp.mixes {
+			for j, s := range grp.schemes {
+				isos[g].addMix(&mixes, grp.cfg, scale, m, s, &records[g][i*len(grp.schemes)+j])
 			}
 		}
 	}
-	// Phase 1, what depends on nothing: every calibration and batch IPC.
-	workers := scale.parallelism()
-	bases := make([]sim.LCBaseline, len(lcs))
-	if err := parallel.For(len(lcs)+len(batches), workers, func(i int) error {
-		var err error
-		if i < len(lcs) {
-			bases[i], err = baselines.LC(lcs[i])
-		} else {
-			_, err = baselines.BatchIPC(batches[i-len(lcs)])
-		}
-		return err
-	}); err != nil {
-		return err
+	if err := mixes.run(scale.Parallelism, pool); err != nil {
+		return nil, err
 	}
-	// Phase 2, what needs a calibrated arrival rate: every (configuration,
-	// instance) isolation run in one list.
-	type instance struct{ lc, i int }
-	var instances []instance
-	for l, lc := range lcs {
-		for i := 0; i < lc.Instances; i++ {
-			instances = append(instances, instance{l, i})
-		}
-	}
-	return parallel.For(len(instances), workers, func(k int) error {
-		l := instances[k].lc
-		_, err := baselines.isolated(lcs[l], bases[l].MeanInterarrival, instances[k].i)
-		return err
-	})
+	return records, nil
 }
 
 // MixesFor builds the (possibly sampled) mix list for the given scale.

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/mix"
-	"repro/internal/parallel"
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -39,12 +38,6 @@ func TestScalePresets(t *testing.T) {
 	var zero Scale
 	if zero.requestFactor() != 1 {
 		t.Errorf("zero request factor should default to 1")
-	}
-	if zero.parallelism() < 1 {
-		t.Errorf("parallelism should be at least 1")
-	}
-	if (Scale{Parallelism: 3}).parallelism() != 3 {
-		t.Errorf("explicit parallelism ignored")
 	}
 }
 
@@ -146,46 +139,60 @@ func TestMixesFor(t *testing.T) {
 	}
 }
 
+// measureIsolation runs a group's isolation phases as sweep does, through
+// the baselines' warm pool.
+func measureIsolation(b *Baselines, mixes []mix.Mix, workers int) (*isolation, error) {
+	var calib, measure jobList
+	iso := b.calibrate(&calib, mixes)
+	if err := calib.run(workers, b.scale.Warm); err != nil {
+		return nil, err
+	}
+	if err := iso.measure(&measure); err != nil {
+		return nil, err
+	}
+	if err := measure.run(workers, b.scale.Warm); err != nil {
+		return nil, err
+	}
+	return iso, iso.pool(95)
+}
+
 func TestBaselinesCaching(t *testing.T) {
 	cfg := microConfig()
 	scale := microScale()
 	b := NewBaselines(cfg, scale)
 	lc := mix.LCConfig{App: mustLC(t, "masstree"), Level: mix.LowLoad, Instances: 2}
-	first, err := b.LC(lc)
+	batch, _ := workload.BatchByName("povray")
+	mixes := []mix.Mix{{LC: lc, Batch: mix.BatchMix{Apps: []workload.BatchProfile{batch}}}}
+	first, err := measureIsolation(b, mixes, scale.Parallelism)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := b.LC(lc)
+	entries := b.scale.Warm.ResultCount()
+	second, err := measureIsolation(b, mixes, scale.Parallelism)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.MeanInterarrival != second.MeanInterarrival {
+	if b.scale.Warm.ResultCount() != entries {
+		t.Errorf("a repeated measurement added pool entries (%d -> %d)", entries, b.scale.Warm.ResultCount())
+	}
+	if first.base.out[0].MeanInterarrival != second.base.out[0].MeanInterarrival {
 		t.Errorf("cached baseline should be identical")
 	}
-	tail1, err := b.PooledIsolatedTail(lc, 95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail2, _ := b.PooledIsolatedTail(lc, 95)
+	tail1, tail2 := first.tails[0], second.tails[0]
 	if tail1 != tail2 || tail1 <= 0 {
 		t.Errorf("pooled isolated tail should be cached and positive")
 	}
-	batch, _ := workload.BatchByName("povray")
-	ipc1, err := b.BatchIPC(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ipc2, _ := b.BatchIPC(batch)
+	ipc1, ipc2 := *first.ipcs["povray"], *second.ipcs["povray"]
 	if ipc1 != ipc2 || ipc1 <= 0 {
 		t.Errorf("batch IPC should be cached and positive")
 	}
 }
 
-// TestWarmedPooledTailSharedByWorkers pins what Sweep's mix jobs rely on: the
-// isolation runs warmBaselines puts in the warm pool are read by every job of
-// their configuration at once, each job pooling and sorting its own copy of
-// the latencies — so concurrent readers must agree with a serial reader (and
-// stay clean under -race).
+// TestWarmedPooledTailSharedByWorkers pins what measurements through one warm
+// pool rely on: the isolation runs a sweep put in the pool are read by every
+// later measurement of their configuration at once, each pooling and sorting
+// its own copy of the latencies — so concurrent readers must agree with a
+// serial reader (and stay clean under -race).
 func TestWarmedPooledTailSharedByWorkers(t *testing.T) {
 	cfg, scale := microConfig(), microScale()
 	lc := mix.LCConfig{App: mustLC(t, "masstree"), Level: mix.LowLoad, Instances: 2}
@@ -194,26 +201,33 @@ func TestWarmedPooledTailSharedByWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	mixes := []mix.Mix{{ID: 0, LC: lc, Batch: batches[0]}}
-	serial := NewBaselines(cfg, scale)
-	want, err := serial.PooledIsolatedTail(lc, 95)
+	serial, err := measureIsolation(NewBaselines(cfg, scale), mixes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := serial.tails[0]
 	warmed := NewBaselines(cfg, scale)
-	if err := warmBaselines(cfg, scale, warmed, mixes); err != nil {
+	if _, err := measureIsolation(warmed, mixes, 4); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]float64, 8)
-	var lined sync.WaitGroup // start barrier: every reader queries at once
+	var lined, wg sync.WaitGroup // lined is the start barrier: every reader queries at once
 	lined.Add(len(got))
-	if err := parallel.For(len(got), len(got), func(i int) (err error) {
-		lined.Done()
-		lined.Wait()
-		got[i], err = warmed.PooledIsolatedTail(lc, 95)
-		return err
-	}); err != nil {
-		t.Fatal(err)
+	wg.Add(len(got))
+	for i := range got {
+		go func() {
+			defer wg.Done()
+			lined.Done()
+			lined.Wait()
+			iso, err := measureIsolation(warmed, mixes, 1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = iso.tails[0]
+		}()
 	}
+	wg.Wait()
 	for i, v := range got {
 		if v != want {
 			t.Errorf("reader %d saw pooled tail %v, want %v", i, v, want)
@@ -455,12 +469,19 @@ func TestFig2BreakdownMicro(t *testing.T) {
 		t.Skip("characterization runs are slow")
 	}
 	cfg := microConfig()
-	tables, err := Fig2Breakdown(cfg, microScale())
+	tables, err := Fig2Breakdown(cfg, microScale()) // 4 workers
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tables) != 2 {
 		t.Fatalf("expected 2MB and 8MB tables")
+	}
+	serial := microScale()
+	serial.Parallelism = 1
+	if again, err := Fig2Breakdown(cfg, serial); err != nil {
+		t.Fatal(err)
+	} else if !reflect.DeepEqual(again, tables) {
+		t.Error("fig2 tables differ between workers 1 and 4")
 	}
 	for _, tab := range tables {
 		if len(tab.Rows) != 5 {

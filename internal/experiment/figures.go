@@ -6,34 +6,29 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/mix"
-	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 // Fig1LoadLatency reproduces Figure 1a: mean and tail latency as a function of
 // offered load for every latency-critical application running alone on a 2 MB
-// LLC. The (application, load point) grid is sharded across the worker pool;
-// every point is an independent seed-determined calibration whose row lands
-// in its grid slot, so the tables are identical at any parallelism.
+// LLC. The (application, load point) grid is two job lists — one calibration
+// per application, then every point's load run — each an independent
+// seed-determined run whose row lands in its grid slot, so the tables are
+// identical at any parallelism.
 func Fig1LoadLatency(cfg sim.Config, scale Scale) ([]Table, error) {
-	scale = scale.withPool()
 	points := scale.LoadPoints
 	if points < 2 {
 		points = 4
 	}
 	profiles := workload.AllLCProfiles()
-	rows := make([][]string, len(profiles)*points)
-	err := parallel.For(len(rows), scale.parallelism(), func(i int) error {
-		p := profiles[i/points]
-		load := 0.1 + 0.8*float64(i%points)/float64(points-1)
-		base, err := sim.MeasureLCBaselinePooled(scale.Warm, cfg, p, p.TargetLines(), load, scale.requestFactor())
-		if err != nil {
-			return err
+	var targets []sim.LCBaseline
+	for _, p := range profiles {
+		for i := range points {
+			targets = append(targets, sim.LCBaseline{Profile: p, Load: 0.1 + 0.8*float64(i)/float64(points-1)})
 		}
-		rows[i] = []string{f3(load), f0(base.MeanLatency), f0(base.TailLatency)}
-		return nil
-	})
+	}
+	bases, err := measureBaselines(cfg, targets, scale.requestFactor(), scale.Parallelism, scale.Warm)
 	if err != nil {
 		return nil, err
 	}
@@ -43,36 +38,70 @@ func Fig1LoadLatency(cfg sim.Config, scale Scale) ([]Table, error) {
 			ID:     "fig1a-" + p.Name,
 			Title:  fmt.Sprintf("Load-latency for %s (cycles, isolated, 2 MB LLC)", p.Name),
 			Header: []string{"load", "mean_latency", "tail95_latency"},
-			Rows:   rows[pi*points : (pi+1)*points],
+		}
+		for _, base := range bases[pi*points : (pi+1)*points] {
+			t.Rows = append(t.Rows, []string{f3(base.Load), f0(base.MeanLatency), f0(base.TailLatency)})
 		}
 		tables = append(tables, t)
 	}
 	return tables, nil
 }
 
+// lowLoadIsolation runs every latency-critical profile alone at its low-load
+// arrival spacing, on the seed of a single-instance mix's instance, once per
+// private LLC size (0 = the profile's target), as two job lists: one
+// calibration per profile, then every isolated run. out[s][p] is the one app
+// result of size s's run of profile p.
+func lowLoadIsolation(cfg sim.Config, scale Scale, sizes []uint64) ([][]sim.AppResult, error) {
+	profiles := workload.AllLCProfiles()
+	var targets []sim.LCBaseline
+	for _, p := range profiles {
+		targets = append(targets, sim.LCBaseline{Profile: p, Load: mix.LowLoad.Value()})
+	}
+	b := &lcBaselines{cfg, scale.requestFactor(), targets}
+	var calib, runs jobList
+	b.calibrate(&calib)
+	if err := calib.run(scale.Parallelism, scale.Warm); err != nil {
+		return nil, err
+	}
+	out := make([][]sim.AppResult, len(sizes))
+	for s, lines := range sizes {
+		out[s] = make([]sim.AppResult, len(profiles))
+		for i, p := range profiles {
+			interarrival, err := workload.MeanInterarrivalForLoad(b.out[i].MeanServiceCycles, b.out[i].Load)
+			if err != nil {
+				return nil, err
+			}
+			lc := mix.LCConfig{App: p, Level: mix.LowLoad, Instances: 1}
+			runs.add(sim.IsolatedLCJob(cfg, p, lines, interarrival, scale.requestFactor(), instanceSeed(scale.Seed, lc, 0)),
+				func(res sim.Result) error {
+					out[s][i] = res.Apps[0]
+					return nil
+				})
+		}
+	}
+	if err := runs.run(scale.Parallelism, scale.Warm); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 // Fig1ServiceCDF reproduces Figure 1b: the CDF of request service times (no
 // queueing delay) per latency-critical application.
 func Fig1ServiceCDF(cfg sim.Config, scale Scale) ([]Table, error) {
-	scale = scale.withPool()
+	runs, err := lowLoadIsolation(cfg, scale, []uint64{0})
+	if err != nil {
+		return nil, err
+	}
 	var tables []Table
-	for _, p := range workload.AllLCProfiles() {
-		lc := mix.LCConfig{App: p, Level: mix.LowLoad, Instances: 1}
-		base, err := sim.MeasureLCBaselinePooled(scale.Warm, cfg, p, p.TargetLines(), lc.Level.Value(), scale.requestFactor())
-		if err != nil {
-			return nil, err
-		}
-		res, err := sim.RunIsolatedLCPooled(scale.Warm, cfg, p, p.TargetLines(), base.MeanInterarrival, scale.requestFactor(), instanceSeed(scale.Seed, lc, 0))
-		if err != nil {
-			return nil, err
-		}
-		lcRes := res.LCResults()[0]
+	for _, lcRes := range runs[0] {
 		cdf, err := lcRes.ServiceTimes.CDF(11)
 		if err != nil {
 			return nil, err
 		}
 		t := Table{
-			ID:     "fig1b-" + p.Name,
-			Title:  fmt.Sprintf("Service time CDF for %s (cycles)", p.Name),
+			ID:     "fig1b-" + lcRes.Name,
+			Title:  fmt.Sprintf("Service time CDF for %s (cycles)", lcRes.Name),
 			Header: []string{"service_time", "fraction"},
 		}
 		for _, pt := range cdf {
@@ -87,34 +116,21 @@ func Fig1ServiceCDF(cfg sim.Config, scale Scale) ([]Table, error) {
 // and hits classified by how many requests ago the line was last touched, with
 // 2 MB and 8 MB LLCs, plus each application's APKI.
 func Fig2Breakdown(cfg sim.Config, scale Scale) ([]Table, error) {
-	scale = scale.withPool()
-	sizes := []struct {
-		label string
-		lines uint64
-	}{
-		{"2MB", sim.LinesFor2MB},
-		{"8MB", 4 * sim.LinesFor2MB},
+	labels := []string{"2MB", "8MB"}
+	runs, err := lowLoadIsolation(cfg, scale, []uint64{sim.LinesFor2MB, 4 * sim.LinesFor2MB})
+	if err != nil {
+		return nil, err
 	}
 	var tables []Table
-	for _, sz := range sizes {
+	for s, label := range labels {
 		t := Table{
-			ID:    "fig2-" + sz.label,
-			Title: fmt.Sprintf("LLC access breakdown, %s LLC (fractions of accesses)", sz.label),
+			ID:    "fig2-" + label,
+			Title: fmt.Sprintf("LLC access breakdown, %s LLC (fractions of accesses)", label),
 			Header: []string{"app", "apki", "hits_same_req", "hits_1_ago", "hits_2_ago", "hits_3_ago",
 				"hits_4_ago", "hits_5_ago", "hits_6_ago", "hits_7_ago", "hits_8plus", "misses", "cross_request_hit_frac"},
 		}
-		for _, p := range workload.AllLCProfiles() {
-			lc := mix.LCConfig{App: p, Level: mix.LowLoad, Instances: 1}
-			base, err := sim.MeasureLCBaselinePooled(scale.Warm, cfg, p, p.TargetLines(), lc.Level.Value(), scale.requestFactor())
-			if err != nil {
-				return nil, err
-			}
-			res, err := sim.RunIsolatedLCPooled(scale.Warm, cfg, p, sz.lines, base.MeanInterarrival, scale.requestFactor(), instanceSeed(scale.Seed, lc, 0))
-			if err != nil {
-				return nil, err
-			}
-			lcRes := res.LCResults()[0]
-			row := []string{p.Name, f1(lcRes.APKI)}
+		for _, lcRes := range runs[s] {
+			row := []string{lcRes.Name, f1(lcRes.APKI)}
 			var hits, cross float64
 			for i, frac := range lcRes.ReuseBreakdown {
 				row = append(row, f3(frac))
@@ -141,13 +157,42 @@ func Fig2Breakdown(cfg sim.Config, scale Scale) ([]Table, error) {
 // and returns the per-mix records; Figure 9, Table 3 and Figure 10 are
 // different aggregations of these records.
 func RunMainComparison(cfg sim.Config, scale Scale) ([]MixRecord, error) {
+	records, err := sweepMatrix(scale, StandardSchemes(), cfg)
+	if err != nil {
+		return nil, err
+	}
+	return records[0], nil
+}
+
+// sweepMatrix runs schemes over the scaled mix matrix on every machine of
+// cfgs as one sweep (three job lists); records[i] belongs to cfgs[i], whose
+// isolation runs use the same machine as the mixes they normalise.
+func sweepMatrix(scale Scale, schemes []Scheme, cfgs ...sim.Config) ([][]MixRecord, error) {
 	scale = scale.withPool()
 	mixes, err := MixesFor(scale)
 	if err != nil {
 		return nil, err
 	}
-	baselines := NewBaselines(cfg, scale)
-	return Sweep(cfg, scale, baselines, mixes, StandardSchemes())
+	groups := make([]sweepGroup, len(cfgs))
+	for i, cfg := range cfgs {
+		groups[i] = sweepGroup{cfg, NewBaselines(cfg, scale), mixes, schemes}
+	}
+	return sweep(scale, scale.Warm, groups)
+}
+
+// ubikSummary runs Ubik (5% slack) over the mix matrix on every machine of
+// cfgs as one sweep and summarises tail degradation and weighted speedup in
+// one row per machine.
+func ubikSummary(scale Scale, id, title, column string, names []string, cfgs []sim.Config) ([]Table, error) {
+	records, err := sweepMatrix(scale, StandardSchemes()[4:5], cfgs...) // the Ubik scheme only
+	if err != nil {
+		return nil, err
+	}
+	t := Table{ID: id, Title: title, Header: []string{column, "avg_tail_degradation", "worst_tail_degradation", "avg_weighted_speedup"}}
+	for i, name := range names {
+		t.Rows = append(t.Rows, summaryRow(name, records[i]))
+	}
+	return []Table{t}, nil
 }
 
 // Fig9Distributions formats the per-mix distributions of tail-latency
@@ -279,17 +324,11 @@ func Fig11InOrder(cfg sim.Config, scale Scale) ([]Table, []MixRecord, error) {
 // Fig12Slack runs Ubik with 0%, 1%, 5% and 10% slack over the mix matrix and
 // returns per-application tables (Figure 12).
 func Fig12Slack(cfg sim.Config, scale Scale) ([]Table, []MixRecord, error) {
-	scale = scale.withPool()
-	mixes, err := MixesFor(scale)
+	records, err := sweepMatrix(scale, UbikSlackSchemes(), cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	baselines := NewBaselines(cfg, scale)
-	records, err := Sweep(cfg, scale, baselines, mixes, UbikSlackSchemes())
-	if err != nil {
-		return nil, nil, err
-	}
-	return PerAppTables(records, "fig12", "Ubik slack sensitivity"), records, nil
+	return PerAppTables(records[0], "fig12", "Ubik slack sensitivity"), records[0], nil
 }
 
 // Fig13ArrayConfigs returns the five partitioning-scheme/array combinations of
@@ -314,28 +353,14 @@ func Fig13ArrayConfigs(lines uint64, partitions int) []struct {
 // organisation of Figure 13 and summarises tail degradation and weighted
 // speedup per configuration.
 func Fig13PartScheme(cfg sim.Config, scale Scale) ([]Table, error) {
-	scale = scale.withPool()
-	mixes, err := MixesFor(scale)
-	if err != nil {
-		return nil, err
-	}
-	summary := Table{
-		ID:     "fig13",
-		Title:  "Ubik (5% slack) under different partitioning schemes and arrays",
-		Header: []string{"config", "avg_tail_degradation", "worst_tail_degradation", "avg_weighted_speedup"},
-	}
-	ubik := StandardSchemes()[4:5] // the Ubik scheme only
+	var names []string
+	var cfgs []sim.Config
 	for _, ac := range Fig13ArrayConfigs(cfg.LLC.Lines, cfg.LLC.Partitions) {
 		runCfg := cfg
 		runCfg.LLC = ac.LLC
-		baselines := NewBaselines(runCfg, scale)
-		records, err := Sweep(runCfg, scale, baselines, mixes, ubik)
-		if err != nil {
-			return nil, err
-		}
-		summary.Rows = append(summary.Rows, summaryRow(ac.Name, records))
+		names, cfgs = append(names, ac.Name), append(cfgs, runCfg)
 	}
-	return []Table{summary}, nil
+	return ubikSummary(scale, "fig13", "Ubik (5% slack) under different partitioning schemes and arrays", "config", names, cfgs)
 }
 
 // Fig14HierarchyConfigs returns the private-level configurations of the
@@ -371,28 +396,14 @@ func Fig14HierarchyConfigs() []struct {
 // are recomputed per configuration (isolation runs use the same private
 // levels as the mix they normalise).
 func Fig14HierarchySweep(cfg sim.Config, scale Scale) ([]Table, error) {
-	scale = scale.withPool()
-	mixes, err := MixesFor(scale)
-	if err != nil {
-		return nil, err
-	}
-	summary := Table{
-		ID:     "fig14",
-		Title:  "Ubik (5% slack) under different private L1/L2 hierarchies",
-		Header: []string{"hierarchy", "avg_tail_degradation", "worst_tail_degradation", "avg_weighted_speedup"},
-	}
-	ubik := StandardSchemes()[4:5] // the Ubik scheme only
+	var names []string
+	var cfgs []sim.Config
 	for _, hc := range Fig14HierarchyConfigs() {
 		runCfg := cfg
 		runCfg.Hierarchy = hc.Hier
-		baselines := NewBaselines(runCfg, scale)
-		records, err := Sweep(runCfg, scale, baselines, mixes, ubik)
-		if err != nil {
-			return nil, err
-		}
-		summary.Rows = append(summary.Rows, summaryRow(hc.Name, records))
+		names, cfgs = append(names, hc.Name), append(cfgs, runCfg)
 	}
-	return []Table{summary}, nil
+	return ubikSummary(scale, "fig14", "Ubik (5% slack) under different private L1/L2 hierarchies", "hierarchy", names, cfgs)
 }
 
 // Table1Workloads reproduces Table 1: the latency-critical workload

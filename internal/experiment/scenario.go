@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/cache"
 	"repro/internal/cluster"
-	"repro/internal/parallel"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -62,11 +60,11 @@ type ScenarioOutcome struct {
 }
 
 // RunScenario runs a scenario: calibrate each latency-critical entry once,
-// then run every scheme of the matrix over the same plan. workers bounds
-// parallel simulations: each phase is one flat job list — every baseline,
-// then every scheme run (single-node) or every (scheme, node) simulation
-// (cluster.RunAll) — landing in index-addressed slots, so results are
-// bit-identical at any workers value. A nil pool disables warm-state reuse.
+// then run every scheme of the matrix over the same plan, as one job list
+// per dependency phase on workers goroutines (<= 0 = GOMAXPROCS): the
+// calibrations, the baselines, then every scheme run or (cluster.RunAll)
+// every (scheme, node) simulation. Results are bit-identical at any workers
+// value. A nil pool disables warm-state reuse.
 //
 // When rec is non-nil every scheme run records its simulator events into it
 // — one trace pid per scheme in single-node mode, one per (scheme, node) in
@@ -78,32 +76,24 @@ func RunScenario(spec scenario.Spec, workers int, pool *sim.WarmPool, rec *trace
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	if workers < 1 {
-		workers = 1
-	}
 	cfg := spec.BaseConfig()
 	out := &ScenarioOutcome{Spec: spec, Cfg: cfg, WindowCycles: spec.WindowCycles(cfg)}
 	schemes, err := spec.ResolvedSchemes()
 	if err != nil {
 		return nil, err
 	}
-	reqFactor := spec.RequestFactorOrDefault()
-	lcApps := spec.LCApps()
-	for _, a := range lcApps {
+	var targets []sim.LCBaseline
+	for _, a := range spec.LCApps() {
 		profile, err := workload.LCByName(a.LC)
 		if err != nil {
 			return nil, err
 		}
-		base, err := sim.MeasureLCBaselinePooled(pool, cfg, profile, profile.TargetLines(), a.Load, reqFactor)
-		if err != nil {
-			return nil, err
-		}
-		out.Baselines = append(out.Baselines, base)
+		targets = append(targets, sim.LCBaseline{Profile: profile, Load: a.Load})
 	}
 	if spec.IsCluster() {
-		err = runScenarioCluster(out, spec, schemes, workers, pool, rec)
+		err = runScenarioCluster(out, spec, schemes, targets, workers, pool, rec)
 	} else {
-		err = runScenarioSingle(out, spec, schemes, workers, pool, rec)
+		err = runScenarioSingle(out, spec, schemes, targets, workers, pool, rec)
 	}
 	if err != nil {
 		return nil, err
@@ -157,65 +147,74 @@ func batchSlots(spec scenario.Spec) ([]batchSlot, error) {
 	return out, nil
 }
 
-// runScenarioSingle runs the single-node mix under every scheme in two flat
-// phases: every baseline (isolation runs on the exact instance seeds of the
-// mix, batch baseline IPCs), then one RunMix per scheme.
+// runScenarioSingle runs the single-node mix under every scheme in three
+// job lists: every calibration and batch slot's baseline IPC, then every
+// load baseline and the isolated run of every LC instance on its mix seed,
+// then one run per scheme.
 func runScenarioSingle(out *ScenarioOutcome, spec scenario.Spec, schemes []scenario.ResolvedScheme,
-	workers int, pool *sim.WarmPool, rec *trace.Recorder) error {
+	targets []sim.LCBaseline, workers int, pool *sim.WarmPool, rec *trace.Recorder) error {
 	cfg := out.Cfg
 	seed := spec.SeedOrDefault()
 	reqFactor := spec.RequestFactorOrDefault()
-
-	// Build the mix slots — every LC entry expanded to its instances (global
-	// instance indices drive the per-slot seeds), then the batch slots.
-	var specs []sim.AppSpec
-	for entry, a := range spec.LCApps() {
-		profile, err := workload.LCByName(a.LC)
-		if err != nil {
-			return err
-		}
-		base := out.Baselines[entry]
-		sched, err := a.ScheduleSpec()
-		if err != nil {
-			return err
-		}
-		for i := 0; i < a.InstancesOrDefault(); i++ {
-			specs = append(specs, sim.AppSpec{
-				LC: &profile, Load: a.Load, MeanInterarrival: base.MeanInterarrival,
-				DeadlineCycles: uint64(base.TailLatency), RequestFactor: reqFactor,
-				Seed: workload.SplitSeed(seed, uint64(1000+len(specs))), Sched: sched,
-			})
-		}
-	}
 	batches, err := batchSlots(spec)
 	if err != nil {
 		return err
 	}
 
-	// The baselines are one flat job list: the isolated run of every LC
-	// instance on its mix seed, then every batch slot's baseline IPC. Trace
-	// slots normalise against the stand-in profile's synthetic baseline (a
-	// fixed, deterministic reference): the warm pool memoises baselines by
-	// profile, and two different recordings sharing the trace-replay profile
-	// must not collide in it.
-	isoRuns := make([]sim.Result, len(specs))
+	b := &lcBaselines{cfg, reqFactor, targets}
+	var calib, isolated jobList
+	b.calibrate(&calib)
+	// Trace slots normalise against the stand-in profile's synthetic
+	// baseline (a fixed, deterministic reference): the warm pool memoises
+	// baselines by profile, and two different recordings sharing the
+	// trace-replay profile must not collide in it.
 	out.BatchBaselineIPC = make([]float64, len(batches))
-	if err := parallel.For(len(isoRuns)+len(batches), workers, func(i int) error {
-		var err error
-		if i < len(isoRuns) {
-			a := specs[i]
-			isoRuns[i], err = sim.RunIsolatedLCPooled(pool, cfg, *a.LC, a.LC.TargetLines(), a.MeanInterarrival, reqFactor, a.Seed)
-			return err
-		}
-		p := batches[i-len(isoRuns)].profile
-		out.BatchBaselineIPC[i-len(isoRuns)], err = sim.MeasureBatchBaselineIPCPooled(pool, cfg, p, sim.LinesFor2MB, p.ROIInstructions)
-		return err
-	}); err != nil {
+	for i := range batches {
+		p := batches[i].profile
+		calib.add(sim.BatchBaselineJob(cfg, p, sim.LinesFor2MB, p.ROIInstructions), func(res sim.Result) error {
+			out.BatchBaselineIPC[i] = res.Apps[0].IPC
+			return nil
+		})
+	}
+	if err := calib.run(workers, pool); err != nil {
 		return err
 	}
+
+	// Build the mix slots — every LC entry expanded to its instances (global
+	// instance indices drive the per-slot seeds), then the batch slots — and
+	// run each LC slot alone on its seed beside the load baselines.
+	if err := b.measure(&isolated); err != nil {
+		return err
+	}
+	var specs []sim.AppSpec
+	var entries []int
+	var lats []*stats.Sample
+	for entry, a := range spec.LCApps() {
+		sched, err := a.ScheduleSpec()
+		if err != nil {
+			return err
+		}
+		for range a.InstancesOrDefault() {
+			k := len(specs)
+			lc := sim.AppSpec{
+				LC: &b.out[entry].Profile, Load: a.Load, MeanInterarrival: b.out[entry].MeanInterarrival,
+				RequestFactor: reqFactor, Seed: workload.SplitSeed(seed, uint64(1000+k)), Sched: sched,
+			}
+			specs, entries, lats = append(specs, lc), append(entries, entry), append(lats, nil)
+			isolated.add(sim.IsolatedLCJob(cfg, *lc.LC, 0, lc.MeanInterarrival, reqFactor, lc.Seed), func(res sim.Result) error {
+				lats[k] = res.Apps[0].Latencies
+				return nil
+			})
+		}
+	}
+	if err := isolated.run(workers, pool); err != nil {
+		return err
+	}
+	out.Baselines = b.out
 	pooledBase := stats.NewSample(256)
-	for _, iso := range isoRuns {
-		pooledBase.AddAll(iso.LCResults()[0].Latencies.Values())
+	for i, lat := range lats {
+		pooledBase.AddAll(lat.Values())
+		specs[i].DeadlineCycles = uint64(b.out[entries[i]].TailLatency)
 	}
 	baseTail, err := pooledBase.TailMean(cfg.TailPercentile)
 	if err != nil {
@@ -226,18 +225,18 @@ func runScenarioSingle(out *ScenarioOutcome, spec scenario.Spec, schemes []scena
 		specs = append(specs, sim.AppSpec{Batch: &batches[i].profile, Trace: batches[i].trace})
 	}
 
-	out.Schemes = make([]ScenarioScheme, len(schemes))
-	return parallel.For(len(schemes), workers, func(i int) error {
-		rs := schemes[i]
-		runCfg := cfg
+	jobs := make([]sim.Job, len(schemes))
+	for i, rs := range schemes {
+		runCfg := schemeConfig(cfg, rs.Unpartitioned)
 		if rec != nil {
 			rec.SetPIDName(int32(i), "scheme "+rs.Scheme.Name)
 			runCfg.Trace = rec.NewSink(int32(i))
 		}
-		if rs.Unpartitioned {
-			runCfg.LLC.Mode = cache.ModeLRU
-		}
-		res, err := sim.RunMix(runCfg, specs, rs.NewPolicy())
+		jobs[i] = sim.Job{Config: runCfg, Specs: specs, NewPolicy: rs.NewPolicy}
+	}
+	out.Schemes = make([]ScenarioScheme, len(schemes))
+	return sim.RunJobs(jobs, workers, pool, func(i int, res sim.Result, err error) error {
+		rs := schemes[i]
 		if err != nil {
 			return fmt.Errorf("scheme %s: %w", rs.Scheme.Name, err)
 		}
@@ -268,17 +267,18 @@ func runScenarioSingle(out *ScenarioOutcome, spec scenario.Spec, schemes []scena
 // cache mode and policy differ, so every scheme replays the identical query
 // plan.
 func runScenarioCluster(out *ScenarioOutcome, spec scenario.Spec, schemes []scenario.ResolvedScheme,
-	workers int, pool *sim.WarmPool, rec *trace.Recorder) error {
+	targets []sim.LCBaseline, workers int, pool *sim.WarmPool, rec *trace.Recorder) error {
 	cfg := out.Cfg
 	seed := spec.SeedOrDefault()
 	reqFactor := spec.RequestFactorOrDefault()
 	c := spec.Cluster
 	lcApp := spec.LCApps()[0]
-	profile, err := workload.LCByName(lcApp.LC)
-	if err != nil {
+	var err error
+	if out.Baselines, err = measureBaselines(cfg, targets, reqFactor, workers, pool); err != nil {
 		return err
 	}
 	base := out.Baselines[0]
+	profile := base.Profile
 	sched, err := lcApp.ScheduleSpec()
 	if err != nil {
 		return err
@@ -299,9 +299,7 @@ func runScenarioCluster(out *ScenarioOutcome, spec scenario.Spec, schemes []scen
 				rec.SetPIDName(pid, fmt.Sprintf("scheme %s node %d", rs.Scheme.Name, i))
 				nodeCfg.Trace = rec.NewSink(pid)
 			}
-			if rs.Unpartitioned {
-				nodeCfg.LLC.Mode = cache.ModeLRU
-			}
+			nodeCfg = schemeConfig(nodeCfg, rs.Unpartitioned)
 			nodeCfg.LLC.Lines = uint64(spec.NodeLLCMB(i) * workload.LinesPerMB)
 			nodeCfg.Seed = workload.SplitSeed(seed, 0xD0+uint64(i))
 			node := cluster.NodeSpec{

@@ -3,8 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/cache"
-	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -44,20 +42,10 @@ const transientLCInstances = 2
 
 func transientBatchNames() []string { return []string{"mcf", "libquantum", "soplex"} }
 
-// transientRun holds one scheme's (or one sweep point's) windowed mix run.
-type transientRun struct {
-	scheme string
-	res    sim.Result
-}
-
-// runTransientMix runs the transient mix under one scheme with the given
+// transientJob is the transient mix under one scheme with the given
 // schedule; callers window its request records. Every run derives its seeds
 // from scale.Seed only, so a fixed seed is bit-identical at any parallelism.
-func runTransientMix(cfg sim.Config, scale Scale, scheme Scheme, sched workload.ScheduleSpec, base sim.LCBaseline, reqFactor float64) (sim.Result, error) {
-	runCfg := cfg
-	if scheme.Unpartitioned {
-		runCfg.LLC.Mode = cache.ModeLRU
-	}
+func transientJob(cfg sim.Config, scale Scale, scheme Scheme, sched workload.ScheduleSpec, base sim.LCBaseline, reqFactor float64) (sim.Job, error) {
 	var specs []sim.AppSpec
 	for i := 0; i < transientLCInstances; i++ {
 		profile := base.Profile
@@ -74,28 +62,19 @@ func runTransientMix(cfg sim.Config, scale Scale, scheme Scheme, sched workload.
 	for _, name := range transientBatchNames() {
 		p, err := workload.BatchByName(name)
 		if err != nil {
-			return sim.Result{}, err
+			return sim.Job{}, err
 		}
 		batch := p
 		specs = append(specs, sim.AppSpec{Batch: &batch, ROIInstructions: scale.BatchROI})
 	}
-	return sim.RunMix(runCfg, specs, scheme.NewPolicy())
+	return sim.Job{Config: schemeConfig(cfg, scheme.Unpartitioned), Specs: specs, NewPolicy: scheme.NewPolicy}, nil
 }
 
 // transientBaseline calibrates the latency-critical app the transient mixes
 // drive: specjbb at low load, with a doubled request factor so even quick
 // scales span enough windows to show the transition.
 func transientBaseline(cfg sim.Config, scale Scale) (sim.LCBaseline, float64, error) {
-	profile, err := workload.LCByName("specjbb")
-	if err != nil {
-		return sim.LCBaseline{}, 0, err
-	}
-	reqFactor := scale.requestFactor() * 2
-	base, err := sim.MeasureLCBaselinePooled(scale.Warm, cfg, profile, profile.TargetLines(), 0.2, reqFactor)
-	if err != nil {
-		return sim.LCBaseline{}, 0, err
-	}
-	return base, reqFactor, nil
+	return serviceBaseline(cfg, scale, "specjbb", scale.requestFactor()*2)
 }
 
 // phaseBounds maps a schedule onto [transientStart, transientEnd) window
@@ -136,7 +115,6 @@ func phaseBounds(sched workload.ScheduleSpec, window uint64, windows int) (int, 
 // simulation landing in an index-addressed slot, so the tables are
 // bit-identical at any parallelism.
 func Fig7Transient(cfg sim.Config, scale Scale, sched workload.ScheduleSpec) ([]Table, error) {
-	scale = scale.withPool()
 	if err := sched.Validate(); err != nil {
 		return nil, err
 	}
@@ -145,23 +123,27 @@ func Fig7Transient(cfg sim.Config, scale Scale, sched workload.ScheduleSpec) ([]
 		return nil, err
 	}
 	schemes := StandardSchemes()
-	runs := make([]transientRun, len(schemes))
-	if err := parallel.For(len(schemes), scale.parallelism(), func(i int) error {
-		res, err := runTransientMix(cfg, scale, schemes[i], sched, base, reqFactor)
+	recs := make([][]stats.Series, len(schemes))
+	var runs jobList
+	for i, scheme := range schemes {
+		job, err := transientJob(cfg, scale, scheme, sched, base, reqFactor)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		runs[i] = transientRun{scheme: schemes[i].Name, res: res}
-		return nil
-	}); err != nil {
+		runs.add(job, func(res sim.Result) error {
+			recs[i] = lcRecords(res)
+			return nil
+		})
+	}
+	if err := runs.run(scale.Parallelism, scale.Warm); err != nil {
 		return nil, err
 	}
 
 	window := transientWindowCycles(cfg)
-	wins := make([][]stats.WindowStat, len(runs))
+	wins := make([][]stats.WindowStat, len(schemes))
 	maxWin := 0
-	for i, r := range runs {
-		wins[i] = stats.WindowStats(window, cfg.TailPercentile, lcRecords(r.res)...)
+	for i := range schemes {
+		wins[i] = stats.WindowStats(window, cfg.TailPercentile, recs[i]...)
 		maxWin = max(maxWin, len(wins[i]))
 	}
 	// Pad shorter runs with empty windows so every column spans maxWin rows.
@@ -178,8 +160,8 @@ func Fig7Transient(cfg sim.Config, scale Scale, sched workload.ScheduleSpec) ([]
 			Title:  fmt.Sprintf("Tail latency (p%.0f, cycles) vs time under %s, pooled over %d LC instances", pct, sched, transientLCInstances),
 			Header: []string{"window", "start_cycles", "requests"},
 		}
-		for _, r := range runs {
-			t.Header = append(t.Header, r.scheme)
+		for _, scheme := range schemes {
+			t.Header = append(t.Header, scheme.Name)
 		}
 		for w := 0; w < maxWin; w++ {
 			// The arrival sequence is schedule- and seed-determined, not
@@ -189,7 +171,7 @@ func Fig7Transient(cfg sim.Config, scale Scale, sched workload.ScheduleSpec) ([]
 				fmt.Sprintf("%d", uint64(w)*window),
 				fmt.Sprintf("%d", wins[0][w].Count),
 			}
-			for i := range runs {
+			for i := range schemes {
 				v := wins[i][w].P95
 				if pct == 99 {
 					v = wins[i][w].P99
@@ -207,8 +189,7 @@ func Fig7Transient(cfg sim.Config, scale Scale, sched workload.ScheduleSpec) ([]
 		Header: []string{"scheme", "phase", "requests", "mean", "p95", "p99"},
 	}
 	start, end, hasPhases := phaseBounds(sched, window, maxWin)
-	for _, r := range runs {
-		recs := lcRecords(r.res)
+	for i, scheme := range schemes {
 		ranges := []struct {
 			name     string
 			from, to int
@@ -224,9 +205,9 @@ func Fig7Transient(cfg sim.Config, scale Scale, sched workload.ScheduleSpec) ([]
 			}
 		}
 		for _, ph := range ranges {
-			pooled := stats.PoolRange(window, ph.from, ph.to, recs...)
+			pooled := stats.PoolRange(window, ph.from, ph.to, recs[i]...)
 			phase.Rows = append(phase.Rows, []string{
-				r.scheme, ph.name,
+				scheme.Name, ph.name,
 				fmt.Sprintf("%d", pooled.Len()),
 				f0(pooled.Mean()),
 				f0(pooled.PercentileOrZero(95)),
@@ -251,21 +232,16 @@ func FlashMagnitudes() []float64 { return []float64{2, 4, 8} }
 // at any parallelism.
 func FlashRecovery(cfg sim.Config, scale Scale) ([]Table, error) {
 	const spikeWindow = 4
-	scale = scale.withPool()
 	base, reqFactor, err := transientBaseline(cfg, scale)
 	if err != nil {
 		return nil, err
 	}
 	window := transientWindowCycles(cfg)
 	schemes := StandardSchemes()
-	type flashRow struct {
-		mag    float64
-		scheme string
-		cells  []string
-	}
 	mags := FlashMagnitudes()
-	rows := make([]flashRow, len(mags)*len(schemes))
-	if err := parallel.For(len(rows), scale.parallelism(), func(i int) error {
+	rows := make([][]string, len(mags)*len(schemes))
+	var runs jobList
+	for i := range rows {
 		mag := mags[i/len(schemes)]
 		scheme := schemes[i%len(schemes)]
 		sched := workload.ScheduleSpec{
@@ -274,44 +250,43 @@ func FlashRecovery(cfg sim.Config, scale Scale) ([]Table, error) {
 			Mult:        mag,
 			DecayCycles: window,
 		}
-		res, err := runTransientMix(cfg, scale, scheme, sched, base, reqFactor)
+		job, err := transientJob(cfg, scale, scheme, sched, base, reqFactor)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		recs := lcRecords(res)
-		perWindow := stats.WindowStats(window, cfg.TailPercentile, recs...)
-		wins := len(perWindow)
-		start, end, ok := phaseBounds(sched, window, wins)
-		if !ok {
-			return fmt.Errorf("experiment: flash run too short to contain the spike (%d windows)", wins)
-		}
-		steady := stats.PoolRange(window, 0, start, recs...)
-		spike := stats.PoolRange(window, start, end, recs...)
-		post := stats.PoolRange(window, end, wins, recs...)
-		steadyP95 := steady.PercentileOrZero(95)
-		recovery := "-"
-		for w := start; w < wins; w++ {
-			if perWindow[w].Count == 0 {
-				continue
+		runs.add(job, func(res sim.Result) error {
+			recs := lcRecords(res)
+			perWindow := stats.WindowStats(window, cfg.TailPercentile, recs...)
+			wins := len(perWindow)
+			start, end, ok := phaseBounds(sched, window, wins)
+			if !ok {
+				return fmt.Errorf("experiment: flash run too short to contain the spike (%d windows)", wins)
 			}
-			if perWindow[w].P95 <= 1.25*steadyP95 {
-				recovery = fmt.Sprintf("%d", w-start)
-				break
+			steady := stats.PoolRange(window, 0, start, recs...)
+			spike := stats.PoolRange(window, start, end, recs...)
+			post := stats.PoolRange(window, end, wins, recs...)
+			steadyP95 := steady.PercentileOrZero(95)
+			recovery := "-"
+			for w := start; w < wins; w++ {
+				if perWindow[w].Count == 0 {
+					continue
+				}
+				if perWindow[w].P95 <= 1.25*steadyP95 {
+					recovery = fmt.Sprintf("%d", w-start)
+					break
+				}
 			}
-		}
-		rows[i] = flashRow{
-			mag:    mag,
-			scheme: scheme.Name,
-			cells: []string{
+			rows[i] = []string{
 				fmt.Sprintf("%g", mag), scheme.Name,
 				f0(steadyP95),
 				f0(spike.PercentileOrZero(95)),
 				f0(post.PercentileOrZero(95)),
 				recovery,
-			},
-		}
-		return nil
-	}); err != nil {
+			}
+			return nil
+		})
+	}
+	if err := runs.run(scale.Parallelism, scale.Warm); err != nil {
 		return nil, err
 	}
 
@@ -321,8 +296,6 @@ func FlashRecovery(cfg sim.Config, scale Scale) ([]Table, error) {
 			spikeWindow, window, transientLCInstances),
 		Header: []string{"spike_x", "scheme", "steady_p95", "spike_p95", "post_p95", "recovery_windows"},
 	}
-	for _, r := range rows {
-		t.Rows = append(t.Rows, r.cells)
-	}
+	t.Rows = rows
 	return []Table{t}, nil
 }

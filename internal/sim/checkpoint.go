@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/policy"
 )
@@ -51,72 +50,4 @@ func (s *Simulator) Checkpoint() (*Checkpoint, error) {
 // Deprecated: see Checkpoint.
 func RunFromCheckpoint(cp *Checkpoint) (Result, error) {
 	return RunMix(cp.cfg, cp.specs, cp.policy.Clone())
-}
-
-// WarmPool memoizes completed run results across a sweep: calibration and
-// isolation baselines that several experiments request with identical
-// inputs. Keys must capture the complete identity of the computation —
-// configuration, workload specs, policy and seeds — because a pool hit
-// returns the first computation's output verbatim. Every hit shares that one
-// Result: a finished run is read-only (Run sorts its samples before
-// returning, so queries on them only read), and consumers must not modify
-// it.
-//
-// The pool trades memory for time and holds every entry for its lifetime
-// (eviction would be safe — recomputation is deterministic — but nothing
-// needs it yet): scope a pool to one invocation or sweep, as the cmds do,
-// and prefer nil (no reuse, nothing retained) where no key can repeat.
-// A nil *WarmPool is valid and disables reuse: every lookup just runs the
-// compute function. All methods are safe for concurrent use, and concurrent
-// lookups of one key run its compute function exactly once.
-type WarmPool struct {
-	mu      sync.Mutex
-	results map[string]*poolEntry
-}
-
-type poolEntry struct {
-	once sync.Once
-	val  Result
-	err  error
-}
-
-// NewWarmPool returns an empty pool.
-func NewWarmPool() *WarmPool {
-	return &WarmPool{results: make(map[string]*poolEntry)}
-}
-
-// CheckpointCount returns 0: the pool memoizes run results only.
-//
-// Deprecated: kept only until bench/ stops reading it.
-func (p *WarmPool) CheckpointCount() int { return 0 }
-
-// ResultCount returns how many memoized run results the pool holds (for
-// tests and diagnostics).
-func (p *WarmPool) ResultCount() int {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.results)
-}
-
-// Result returns the memoized run result for key, computing it on first use.
-// Every caller gets the same read-only Result, safe to query concurrently.
-func (p *WarmPool) Result(key string, compute func() (Result, error)) (Result, error) {
-	if p == nil {
-		return compute()
-	}
-	p.mu.Lock()
-	e, ok := p.results[key]
-	if !ok {
-		e = &poolEntry{}
-		p.results[key] = e
-	}
-	p.mu.Unlock()
-	e.once.Do(func() { e.val, e.err = compute() })
-	if e.err != nil {
-		return Result{}, e.err
-	}
-	return e.val, nil
 }

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -130,12 +129,12 @@ func TestCheckpointReRunsToTheStraightResult(t *testing.T) {
 	})
 }
 
-// TestWarmPoolMemoizesAndIsolates: concurrent lookups of one key compute
-// once and all get that one Result, not copies; and because a finished run
-// is read-only, readers querying it from several goroutines at once (CDF,
-// TailMean, Values, windows of the request record) agree with an unshared
-// run and never write to it, which the race detector checks. A nil pool
-// stays a pass-through.
+// TestWarmPoolMemoizesAndIsolates: concurrent jobs with one key compute
+// once and every done call gets that one Result, not copies; and because a
+// finished run is read-only, readers querying it from several goroutines at
+// once (CDF, TailMean, Values, windows of the request record) agree with an
+// unshared run and never write to it, which the race detector checks. A nil
+// pool stays a pass-through.
 func TestWarmPoolMemoizesAndIsolates(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 42
@@ -149,27 +148,26 @@ func TestWarmPoolMemoizesAndIsolates(t *testing.T) {
 	pool := NewWarmPool()
 	computes := 0
 	const readers = 4
-	got := make([]Result, readers)
-	var wg sync.WaitGroup
-	for i := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := pool.Result("k", func() (Result, error) {
-				computes++
-				return RunMix(cfg, specs, policy.NewLRU())
-			})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			got[i] = res
-			if !slices.Equal(readout(t, res), wantReadout) {
-				t.Errorf("reader %d: pooled result reads differently from an unshared run", i)
-			}
-		}()
+	jobs := make([]Job, readers)
+	for i := range jobs {
+		jobs[i] = Job{Config: cfg, Specs: specs, Key: "k", NewPolicy: func() policy.Policy {
+			computes++
+			return policy.NewLRU()
+		}}
 	}
-	wg.Wait()
+	got := make([]Result, readers)
+	if err := RunJobs(jobs, readers, pool, func(i int, res Result, err error) error {
+		if err != nil {
+			return err
+		}
+		got[i] = res
+		if !slices.Equal(readout(t, res), wantReadout) {
+			t.Errorf("reader %d: pooled result reads differently from an unshared run", i)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if t.Failed() {
 		return
 	}
@@ -181,8 +179,7 @@ func TestWarmPoolMemoizesAndIsolates(t *testing.T) {
 			t.Errorf("reader %d got a copy, not the pooled result", i)
 		}
 	}
-	var nilPool *WarmPool
-	if _, err := nilPool.Result("k", func() (Result, error) { return Result{}, nil }); err != nil {
+	if err := RunJobs(jobs[:1], 1, nil, func(_ int, _ Result, err error) error { return err }); err != nil {
 		t.Fatalf("nil pool: %v", err)
 	}
 }

@@ -1,16 +1,21 @@
-package parallel
+package sim
 
 import (
 	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/policy"
+	"repro/internal/workload"
 )
+
+// The For tests run RunJobs' claim loop (forEach) directly.
 
 func TestForCoversAllIndices(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
 		out := make([]int, 100)
-		if err := For(len(out), workers, func(i int) error {
+		if err := forEach(len(out), workers, func(i int) error {
 			out[i] = i + 1
 			return nil
 		}); err != nil {
@@ -27,7 +32,7 @@ func TestForCoversAllIndices(t *testing.T) {
 func TestForReturnsLowestIndexError(t *testing.T) {
 	errA := errors.New("a")
 	errB := errors.New("b")
-	err := For(10, 4, func(i int) error {
+	err := forEach(10, 4, func(i int) error {
 		switch i {
 		case 3:
 			return errA
@@ -49,7 +54,7 @@ func TestForStopsClaimingAfterError(t *testing.T) {
 	boom := errors.New("boom")
 	var started atomic.Int64
 	zeroDone := make(chan struct{})
-	err := For(n, workers, func(i int) error {
+	err := forEach(n, workers, func(i int) error {
 		started.Add(1)
 		if i == 0 {
 			for started.Load() < workers {
@@ -78,7 +83,7 @@ func TestForLowestIndexErrorWhenHigherFailsFirst(t *testing.T) {
 	errLow := errors.New("low")
 	errHigh := errors.New("high")
 	highFailed := make(chan struct{})
-	err := For(10, 4, func(i int) error {
+	err := forEach(10, 4, func(i int) error {
 		switch i {
 		case 3:
 			<-highFailed
@@ -96,7 +101,38 @@ func TestForLowestIndexErrorWhenHigherFailsFirst(t *testing.T) {
 }
 
 func TestForEmpty(t *testing.T) {
-	if err := For(0, 4, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := forEach(0, 4, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunJobsComputesRepeatedKeyOnce: a key listed twice in one job list runs
+// once, and both done calls see that one result; an unkeyed job with the
+// same inputs runs on its own and reads the same.
+func TestRunJobsComputesRepeatedKeyOnce(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Seed = 42
+	var runs atomic.Int64
+	job := Job{Config: cfg, Specs: goldenSpecs(t, workload.ScheduleSpec{}), Key: "k", NewPolicy: func() policy.Policy {
+		runs.Add(1)
+		return policy.NewLRU()
+	}}
+	unkeyed := job
+	unkeyed.Key = ""
+	got := make([]Result, 3)
+	if err := RunJobs([]Job{job, job, unkeyed}, 3, NewWarmPool(), func(i int, res Result, err error) error {
+		got[i] = res
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if n := runs.Load(); n != 2 {
+		t.Fatalf("%d runs, want 2 (the repeated key once, the unkeyed job once)", n)
+	}
+	if &got[0].Apps[0] != &got[1].Apps[0] {
+		t.Error("the two done calls of one key saw different results")
+	}
+	if &got[2].Apps[0] == &got[0].Apps[0] || got[2].Apps[0].TailLatency != got[0].Apps[0].TailLatency {
+		t.Error("the unkeyed job must run on its own and read the same")
 	}
 }
