@@ -32,8 +32,8 @@ type NodeSpec struct {
 	Config sim.Config
 	// LC is the replica slot template: the latency-critical profile serving
 	// this node's leaf stream, with its load, deadline and seed. The runner
-	// fills in the Arrivals/ExplicitRequests/ExplicitWarmup fields from the
-	// plan; everything else is passed through.
+	// fills in the ArrivalTimes/ExplicitWarmup fields from the plan;
+	// everything else is passed through.
 	LC sim.AppSpec
 	// Batch holds the node's co-located batch application slots.
 	Batch []sim.AppSpec
@@ -88,8 +88,8 @@ type Spec struct {
 	HedgeDelayCycles uint64
 	// Seed drives the balancer's randomness.
 	Seed uint64
-	// ArrivalSeed drives the global arrival process (split exactly like a
-	// node slot's arrival seeds, so a one-node cluster seeded with that
+	// ArrivalSeed drives the global arrival process (workload.ArrivalTimes,
+	// as a node slot's own seed does, so a one-node cluster seeded with that
 	// slot's effective seed replays its stream bit for bit). 0 derives one
 	// from Seed.
 	ArrivalSeed uint64
@@ -274,15 +274,13 @@ func buildPlan(spec Spec) (*queryPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	arrSeed := spec.arrivalSeed()
-	proc, err := workload.NewModulatedArrivals(spec.QueryMeanInterarrival,
-		workload.SplitSeed(arrSeed, 7), spec.Sched, workload.SplitSeed(arrSeed, 11))
+	total := spec.WarmupQueries + spec.Queries
+	arrivals, err := workload.ArrivalTimes(spec.QueryMeanInterarrival, spec.arrivalSeed(), spec.Sched, total)
 	if err != nil {
 		return nil, err
 	}
-	total := spec.WarmupQueries + spec.Queries
 	plan := &queryPlan{
-		arrivals:   workload.DrawArrivals(proc, total),
+		arrivals:   arrivals,
 		primaries:  make([][]leafRef, total),
 		hedges:     make([]leafRef, total),
 		nodeTimes:  make([][]uint64, m),

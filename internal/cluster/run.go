@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/sim"
@@ -105,38 +103,6 @@ func Run(spec Spec, workers int) (Result, error) {
 	return res[0], nil
 }
 
-// nodeKey is the warm-pool identity of one node simulation: the complete
-// node machine configuration and app specs, the policy identity the caller
-// vouches for (schemeKey — policy constructors are opaque closures, so the
-// caller must key them uniquely within the pool's lifetime), and a SHA-256
-// digest of the exact leaf arrival stream the front-end dealt the node
-// (lossless in practice: a collision of the full 256-bit digest is beyond
-// anything the fleet sizes here can produce, and keeping thousands of raw
-// arrival times per key would defeat the pool). Two node runs with equal
-// keys are the same deterministic computation — the straggler experiments
-// re-simulate every healthy node once per cluster variant today, and this is
-// what lets the pool collapse those repeats.
-func nodeKey(node NodeSpec, schemeKey string, times []uint64, warmup int, slow []sim.SlowWindow, restarts []uint64) string {
-	hash := sha256.New()
-	var buf [8]byte
-	for _, t := range times {
-		binary.LittleEndian.PutUint64(buf[:], t)
-		hash.Write(buf[:])
-	}
-	h := hash.Sum(nil)
-	// Pointer fields (profiles) are fingerprinted by value — %#v of a struct
-	// holding pointers would print addresses, which are meaningless as
-	// identity.
-	lc := node.LC
-	var batch []string
-	for _, b := range node.Batch {
-		batch = append(batch, fmt.Sprintf("%#v|%d|%d", *b.Batch, b.ROIInstructions, b.Seed))
-	}
-	return fmt.Sprintf("clnode|%s|%#v|%#v|%v|%v|%d|%d|%v|%d|%v|warm=%d|slow=%v|restart=%v|times=%d:%x",
-		schemeKey, node.Config.PoolIdentity(), *lc.LC, lc.Load, lc.MeanInterarrival, lc.TargetLines, lc.DeadlineCycles,
-		lc.RequestFactor, lc.Seed, batch, warmup, slow, restarts, len(times), h)
-}
-
 // RunAll plans, simulates and aggregates a list of clusters as one schedule:
 // every spec is validated and planned up front (serial), every (cluster, node)
 // simulation of the whole list becomes one sim.Job of one flat list run by
@@ -146,11 +112,13 @@ func nodeKey(node NodeSpec, schemeKey string, times []uint64, warmup int, slow [
 // busy; results[i] belongs to specs[i], bit-identical at any workers value.
 //
 // Node simulations are memoized through pool (nil runs every node): a node
-// whose (configuration, policy, leaf stream) identity repeats — the full-size
-// nodes of a straggler-vs-uniform comparison, identical replicas across sweep
-// variants — is simulated once. keys[i] must uniquely identify what specs[i]'s
-// NewPolicy constructs (pool keys cannot see inside the closure); a non-empty
-// key also prefixes every error from its cluster.
+// job whose (policy, configuration, leaf arrival times, slots) identity
+// repeats — the full-size nodes of a straggler-vs-uniform comparison,
+// identical replicas across sweep variants — is simulated once. keys[i] is
+// the sim.Job key of specs[i]'s nodes: it must uniquely name what the nodes'
+// NewPolicy constructs (no key can see inside the closure), and an empty key
+// runs them unpooled; a non-empty key also prefixes every error from its
+// cluster.
 func RunAll(specs []Spec, keys []string, workers int, pool *sim.WarmPool) ([]Result, error) {
 	if len(keys) != len(specs) {
 		return nil, fmt.Errorf("cluster: %d keys for %d specs", len(keys), len(specs))
@@ -221,14 +189,11 @@ func nodeJob(spec Spec, plan *queryPlan, n int, schemeKey string) (job sim.Job, 
 		}
 		return sim.Job{}, false, fmt.Errorf("cluster: node %d received no measured leaves (only %d warmup); raise Queries or rebalance", n, warmup)
 	}
-	slow := slowWindowsFor(spec.Faults, n)
-	restarts := restartsFor(spec.Faults, n)
 	lc := node.LC
-	lc.Arrivals = workload.NewReplayArrivals(times)
-	lc.ExplicitRequests = measured
+	lc.ArrivalTimes = times
 	lc.ExplicitWarmup = warmup
-	lc.Sched = workload.ScheduleSpec{} // the replayed stream already carries the global schedule
-	lc.SlowWindows = slow
+	lc.Sched = workload.ScheduleSpec{} // the dealt times already carry the global schedule
+	lc.SlowWindows = slowWindowsFor(spec.Faults, n)
 	specs := make([]sim.AppSpec, 0, 1+len(node.Batch))
 	specs = append(specs, lc)
 	specs = append(specs, node.Batch...)
@@ -236,8 +201,8 @@ func nodeJob(spec Spec, plan *queryPlan, n int, schemeKey string) (job sim.Job, 
 		Config:    node.Config,
 		Specs:     specs,
 		NewPolicy: node.NewPolicy,
-		Restarts:  restarts,
-		Key:       nodeKey(node, schemeKey, times, warmup, slow, restarts),
+		Restarts:  restartsFor(spec.Faults, n),
+		Key:       schemeKey,
 	}, true, nil
 }
 

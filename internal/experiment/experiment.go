@@ -254,21 +254,22 @@ func serviceBaseline(cfg sim.Config, scale Scale, service string, reqFactor floa
 	return bases[0], reqFactor, nil
 }
 
-// Baselines gives a mix comparison the isolation measurements it is
-// normalised against (Section 6): per LC-configuration service-time
-// calibration and load baseline, pooled isolated tail latencies on matched
-// seeds, and per batch application isolated IPCs, all measured on its
-// machine through the scale's warm pool, which memoizes each run by exact
-// identity.
+// Baselines is the warm pool a mix comparison's isolation measurements
+// (Section 6) go through: per LC-configuration service-time calibration and
+// load baseline, pooled isolated tail latencies on matched seeds, and per
+// batch application isolated IPCs. They are measured on the machine, seed
+// and request factor the sweep is given, so they always match its mixes;
+// the pool memoizes each run by exact identity.
 type Baselines struct {
-	cfg   sim.Config
-	scale Scale
+	pool *sim.WarmPool
 }
 
-// NewBaselines returns the baselines for the given machine configuration and
-// scale, giving the scale a fresh warm pool unless the caller shared one.
-func NewBaselines(cfg sim.Config, scale Scale) *Baselines {
-	return &Baselines{cfg: cfg, scale: scale.withPool()}
+// NewBaselines returns baselines measured through the scale's warm pool, or
+// through a fresh one when the scale shares none. The configuration is
+// ignored (a sweep measures its baselines on its own machine); the parameter
+// stays only until bench/ stops passing it.
+func NewBaselines(_ sim.Config, scale Scale) *Baselines {
+	return &Baselines{pool: scale.withPool().Warm}
 }
 
 // lcKey identifies a latency-critical configuration within a sweep group.
@@ -281,7 +282,8 @@ type lcKey struct {
 // per distinct LC configuration and batch application by calibrate, measure
 // and pool, each after the previous phase's list has run.
 type isolation struct {
-	b       *Baselines
+	cfg     sim.Config
+	scale   Scale
 	lcs     []mix.LCConfig
 	lcIndex map[lcKey]int
 	base    *lcBaselines        // index-aligned with lcs
@@ -292,10 +294,10 @@ type isolation struct {
 
 // calibrate collects the distinct LC configurations and batch applications
 // of mixes, in first-seen order, and adds what depends on nothing: every
-// calibration and batch IPC.
-func (b *Baselines) calibrate(l *jobList, mixes []mix.Mix) *isolation {
-	iso := &isolation{b: b, lcIndex: map[lcKey]int{}, ipcs: map[string]*float64{},
-		base: &lcBaselines{cfg: b.cfg, reqFactor: b.scale.requestFactor()}}
+// calibration and batch IPC, on cfg at scale.
+func calibrate(l *jobList, cfg sim.Config, scale Scale, mixes []mix.Mix) *isolation {
+	iso := &isolation{cfg: cfg, scale: scale, lcIndex: map[lcKey]int{}, ipcs: map[string]*float64{},
+		base: &lcBaselines{cfg: cfg, reqFactor: scale.requestFactor()}}
 	for _, m := range mixes {
 		k := lcKey{m.LC.Name(), m.LC.Instances}
 		if _, ok := iso.lcIndex[k]; !ok {
@@ -307,7 +309,7 @@ func (b *Baselines) calibrate(l *jobList, mixes []mix.Mix) *isolation {
 			if iso.ipcs[p.Name] == nil {
 				ipc := new(float64)
 				iso.ipcs[p.Name] = ipc
-				l.add(sim.BatchBaselineJob(b.cfg, p, sim.LinesFor2MB, b.scale.BatchROI), func(res sim.Result) error {
+				l.add(sim.BatchBaselineJob(cfg, p, sim.LinesFor2MB, scale.BatchROI), func(res sim.Result) error {
 					*ipc = res.Apps[0].IPC
 					return nil
 				})
@@ -329,8 +331,8 @@ func (iso *isolation) measure(l *jobList) error {
 	for c, lc := range iso.lcs {
 		iso.lats[c] = make([]*stats.Sample, lc.Instances)
 		for i := range lc.Instances {
-			l.add(sim.IsolatedLCJob(iso.b.cfg, lc.App, lc.App.TargetLines(), iso.base.out[c].MeanInterarrival,
-				iso.b.scale.requestFactor(), instanceSeed(iso.b.scale.Seed, lc, i)), func(res sim.Result) error {
+			l.add(sim.IsolatedLCJob(iso.cfg, lc.App, lc.App.TargetLines(), iso.base.out[c].MeanInterarrival,
+				iso.scale.requestFactor(), instanceSeed(iso.scale.Seed, lc, i)), func(res sim.Result) error {
 				iso.lats[c][i] = res.Apps[0].Latencies
 				return nil
 			})
@@ -372,10 +374,12 @@ type MixRecord struct {
 	BaselineTailCycles float64
 }
 
-// addMix adds the run of mix m under scheme s on cfg: its LC instances at
-// the calibrated arrival spacing and deadline, on the seeds their isolation
-// runs used, plus its batch apps. Its keep sets *rec.
-func (iso *isolation) addMix(l *jobList, cfg sim.Config, scale Scale, m mix.Mix, s Scheme, rec *MixRecord) {
+// addMix adds the run of mix m under scheme s on the isolation runs'
+// machine: its LC instances at the calibrated arrival spacing and deadline,
+// on the seeds their isolation runs used, plus its batch apps. Its keep sets
+// *rec.
+func (iso *isolation) addMix(l *jobList, m mix.Mix, s Scheme, rec *MixRecord) {
+	cfg, scale := iso.cfg, iso.scale
 	c := iso.lcIndex[lcKey{m.LC.Name(), m.LC.Instances}]
 	base := iso.base.out[c]
 	var specs []sim.AppSpec
@@ -411,9 +415,10 @@ func (iso *isolation) addMix(l *jobList, cfg sim.Config, scale Scale, m mix.Mix,
 }
 
 // Sweep runs every mix under every scheme and returns the records in (mix,
-// scheme) order: a sweep of one group.
+// scheme) order: a sweep of one group. The isolation runs use cfg and scale
+// too; baselines supplies only the warm pool.
 func Sweep(cfg sim.Config, scale Scale, baselines *Baselines, mixes []mix.Mix, schemes []Scheme) ([]MixRecord, error) {
-	records, err := sweep(scale, baselines.scale.Warm, []sweepGroup{{cfg, baselines, mixes, schemes}})
+	records, err := sweep(scale, baselines.pool, []sweepGroup{{cfg, mixes, schemes}})
 	if err != nil {
 		return nil, err
 	}
@@ -421,12 +426,11 @@ func Sweep(cfg sim.Config, scale Scale, baselines *Baselines, mixes []mix.Mix, s
 }
 
 // sweepGroup is one machine's share of a sweep: every mix under every scheme
-// on cfg, normalised against isolation runs on the baselines' machine.
+// on cfg, normalised against isolation runs on the same machine.
 type sweepGroup struct {
-	cfg       sim.Config
-	baselines *Baselines
-	mixes     []mix.Mix
-	schemes   []Scheme
+	cfg     sim.Config
+	mixes   []mix.Mix
+	schemes []Scheme
 }
 
 // sweep runs all groups as three job lists: {every calibration ∪ batch IPC},
@@ -437,7 +441,7 @@ func sweep(scale Scale, pool *sim.WarmPool, groups []sweepGroup) ([][]MixRecord,
 	isos := make([]*isolation, len(groups))
 	var calib, measure, mixes jobList
 	for g, grp := range groups {
-		isos[g] = grp.baselines.calibrate(&calib, grp.mixes)
+		isos[g] = calibrate(&calib, grp.cfg, scale, grp.mixes)
 	}
 	if err := calib.run(scale.Parallelism, pool); err != nil {
 		return nil, err
@@ -458,7 +462,7 @@ func sweep(scale Scale, pool *sim.WarmPool, groups []sweepGroup) ([][]MixRecord,
 		records[g] = make([]MixRecord, len(grp.mixes)*len(grp.schemes))
 		for i, m := range grp.mixes {
 			for j, s := range grp.schemes {
-				isos[g].addMix(&mixes, grp.cfg, scale, m, s, &records[g][i*len(grp.schemes)+j])
+				isos[g].addMix(&mixes, m, s, &records[g][i*len(grp.schemes)+j])
 			}
 		}
 	}

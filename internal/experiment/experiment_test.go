@@ -139,18 +139,18 @@ func TestMixesFor(t *testing.T) {
 	}
 }
 
-// measureIsolation runs a group's isolation phases as sweep does, through
-// the baselines' warm pool.
-func measureIsolation(b *Baselines, mixes []mix.Mix, workers int) (*isolation, error) {
+// measureIsolation runs a group's isolation phases on cfg at scale as sweep
+// does, through the baselines' warm pool.
+func measureIsolation(cfg sim.Config, scale Scale, b *Baselines, mixes []mix.Mix, workers int) (*isolation, error) {
 	var calib, measure jobList
-	iso := b.calibrate(&calib, mixes)
-	if err := calib.run(workers, b.scale.Warm); err != nil {
+	iso := calibrate(&calib, cfg, scale, mixes)
+	if err := calib.run(workers, b.pool); err != nil {
 		return nil, err
 	}
 	if err := iso.measure(&measure); err != nil {
 		return nil, err
 	}
-	if err := measure.run(workers, b.scale.Warm); err != nil {
+	if err := measure.run(workers, b.pool); err != nil {
 		return nil, err
 	}
 	return iso, iso.pool(95)
@@ -163,17 +163,17 @@ func TestBaselinesCaching(t *testing.T) {
 	lc := mix.LCConfig{App: mustLC(t, "masstree"), Level: mix.LowLoad, Instances: 2}
 	batch, _ := workload.BatchByName("povray")
 	mixes := []mix.Mix{{LC: lc, Batch: mix.BatchMix{Apps: []workload.BatchProfile{batch}}}}
-	first, err := measureIsolation(b, mixes, scale.Parallelism)
+	first, err := measureIsolation(cfg, scale, b, mixes, scale.Parallelism)
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries := b.scale.Warm.ResultCount()
-	second, err := measureIsolation(b, mixes, scale.Parallelism)
+	entries := b.pool.ResultCount()
+	second, err := measureIsolation(cfg, scale, b, mixes, scale.Parallelism)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.scale.Warm.ResultCount() != entries {
-		t.Errorf("a repeated measurement added pool entries (%d -> %d)", entries, b.scale.Warm.ResultCount())
+	if b.pool.ResultCount() != entries {
+		t.Errorf("a repeated measurement added pool entries (%d -> %d)", entries, b.pool.ResultCount())
 	}
 	if first.base.out[0].MeanInterarrival != second.base.out[0].MeanInterarrival {
 		t.Errorf("cached baseline should be identical")
@@ -201,13 +201,13 @@ func TestWarmedPooledTailSharedByWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	mixes := []mix.Mix{{ID: 0, LC: lc, Batch: batches[0]}}
-	serial, err := measureIsolation(NewBaselines(cfg, scale), mixes, 1)
+	serial, err := measureIsolation(cfg, scale, NewBaselines(cfg, scale), mixes, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := serial.tails[0]
 	warmed := NewBaselines(cfg, scale)
-	if _, err := measureIsolation(warmed, mixes, 4); err != nil {
+	if _, err := measureIsolation(cfg, scale, warmed, mixes, 4); err != nil {
 		t.Fatal(err)
 	}
 	got := make([]float64, 8)
@@ -219,7 +219,7 @@ func TestWarmedPooledTailSharedByWorkers(t *testing.T) {
 			defer wg.Done()
 			lined.Done()
 			lined.Wait()
-			iso, err := measureIsolation(warmed, mixes, 1)
+			iso, err := measureIsolation(cfg, scale, warmed, mixes, 1)
 			if err != nil {
 				t.Error(err)
 				return
@@ -296,6 +296,23 @@ func TestMicroSweepAndAggregations(t *testing.T) {
 	}
 	if names := recordSchemes(records); len(names) != 2 {
 		t.Errorf("expected 2 schemes in records, got %v", names)
+	}
+
+	// The isolation runs use the machine, seed and request factor the sweep
+	// is given: baselines built for another machine contribute only their
+	// warm pool, so the records match.
+	other, otherScale := microConfig(), microScale()
+	other.Core = cpu.DefaultModel(cpu.InOrder)
+	other.LLC.Lines *= 2
+	otherScale.Seed, otherScale.RequestFactor = 99, 2*scale.RequestFactor
+	again, err := Sweep(cfg, scale, NewBaselines(other, otherScale), mixes, schemes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range again {
+		if !reflect.DeepEqual(r, records[i]) {
+			t.Errorf("record %d with another machine's baselines = %+v, want %+v", i, r, records[i])
+		}
 	}
 }
 

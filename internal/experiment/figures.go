@@ -175,7 +175,7 @@ func sweepMatrix(scale Scale, schemes []Scheme, cfgs ...sim.Config) ([][]MixReco
 	}
 	groups := make([]sweepGroup, len(cfgs))
 	for i, cfg := range cfgs {
-		groups[i] = sweepGroup{cfg, NewBaselines(cfg, scale), mixes, schemes}
+		groups[i] = sweepGroup{cfg, mixes, schemes}
 	}
 	return sweep(scale, scale.Warm, groups)
 }

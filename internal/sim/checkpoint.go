@@ -20,9 +20,8 @@ type Checkpoint struct {
 }
 
 // Checkpoint records the simulator's inputs. It fails while a run is in
-// progress, after a ColdRestart (the restarted state is not a function of
-// the inputs), and for a slot with explicit AppSpec.Arrivals, which the run
-// consumes in place.
+// progress and after a ColdRestart (the restarted state is not a function of
+// the inputs).
 //
 // Deprecated: see Checkpoint.
 func (s *Simulator) Checkpoint() (*Checkpoint, error) {
@@ -35,9 +34,6 @@ func (s *Simulator) Checkpoint() (*Checkpoint, error) {
 	cp := &Checkpoint{cfg: s.cfg, policy: s.initial}
 	cp.cfg.Trace = nil
 	for _, a := range s.apps {
-		if a.spec.Arrivals != nil {
-			return nil, fmt.Errorf("sim: app %q replays explicit arrivals, which its run consumes; it cannot be checkpointed", a.spec.Name())
-		}
 		cp.specs = append(cp.specs, a.spec)
 	}
 	return cp, nil

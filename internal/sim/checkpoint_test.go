@@ -62,8 +62,9 @@ func TestPauseResumeMatchesStraightRun(t *testing.T) {
 // TestCheckpointReRunsToTheStraightResult pins the deprecated checkpoint
 // shim: a checkpoint taken mid-run re-runs to the uninterrupted run's golden
 // digest, for both the flat and hierarchy configurations and on every call.
-// It also pins the two states the shim refuses to record: a cold-restarted
-// simulator and a slot replaying explicit arrivals.
+// It also pins the state the shim refuses to record, a cold-restarted
+// simulator, and that a slot replaying explicit arrival times re-runs to its
+// straight run (the times are inputs, not run state).
 func TestCheckpointReRunsToTheStraightResult(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -114,17 +115,31 @@ func TestCheckpointReRunsToTheStraightResult(t *testing.T) {
 			t.Fatal(err)
 		}
 		specs := []AppSpec{{
-			LC:               &lc,
-			Arrivals:         workload.NewReplayArrivals([]uint64{100, 200, 300, 400}),
-			ExplicitRequests: 3,
-			ExplicitWarmup:   1,
+			LC:             &lc,
+			ArrivalTimes:   []uint64{100, 200, 300, 400},
+			ExplicitWarmup: 1,
 		}}
+		straight, err := RunMix(DefaultConfig(), specs, core.NewUbikWithSlack(0.05))
+		if err != nil {
+			t.Fatal(err)
+		}
 		s, err := New(DefaultConfig(), specs, core.NewUbikWithSlack(0.05))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.Checkpoint(); err == nil {
-			t.Error("Checkpoint of a slot with explicit arrivals accepted")
+		if err := s.RunUntil(250); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := s.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunFromCheckpoint(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := resultDigest(res), resultDigest(straight); got != want {
+			t.Errorf("re-run of a slot with explicit arrivals digests %#x, want the straight run's %#x", got, want)
 		}
 	})
 }

@@ -9,6 +9,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/cpu"
@@ -58,7 +59,7 @@ type Config struct {
 	// the sink's ring (see internal/trace). Recording is strictly
 	// observational: the hooks only read simulator state, so numerics are
 	// bit-identical with tracing on or off, and the field is excluded from
-	// warm-pool identities (see PoolIdentity).
+	// warm-pool identities (see poolIdentity).
 	Trace *trace.Sink
 }
 
@@ -154,11 +155,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// PoolIdentity returns the configuration with every field that cannot change
-// results cleared — the form memoization keys must format: two runs differing
-// only in those fields produce bit-identical results and have to share a
-// warm-pool entry.
-func (c Config) PoolIdentity() Config {
+// poolIdentity returns the configuration with every field that cannot change
+// results cleared — the form a warm-pool key holds: two runs differing only
+// in those fields produce bit-identical results and have to share an entry.
+func (c Config) poolIdentity() Config {
 	c.IntraParallel = 0 // ignored by the run
 	c.Trace = nil       // observational
 	return c
@@ -173,11 +173,13 @@ type AppSpec struct {
 	// slots).
 	Batch *workload.BatchProfile
 
-	// Load is the offered load for a latency-critical app (fraction of the
-	// isolated service rate, e.g. 0.2 or 0.6). Ignored if MeanInterarrival is
-	// set explicitly.
+	// Load is the offered load a latency-critical app reports (fraction of
+	// the isolated service rate, e.g. 0.2 or 0.6). The run never reads it:
+	// MeanInterarrival sets the arrival rate.
 	Load float64
-	// MeanInterarrival overrides the arrival rate directly (cycles).
+	// MeanInterarrival is a latency-critical app's mean arrival spacing in
+	// cycles (workload.MeanInterarrivalForLoad turns a calibrated service time
+	// and a load into one). Required unless ArrivalTimes is set.
 	MeanInterarrival float64
 	// Sched modulates the arrival rate over simulated time (bursts, ramps,
 	// diurnal cycles, flash crowds, MMPP bursty traffic). The zero value is
@@ -201,26 +203,23 @@ type AppSpec struct {
 	// run seed and the slot index.
 	Seed uint64
 
-	// Arrivals overrides the slot's arrival process with an explicit,
-	// pre-generated stream — how the cluster front-end hands each node its
-	// share of a globally split query stream. When set, ExplicitRequests and
-	// ExplicitWarmup size the run (the profile's request counts and
-	// RequestFactor are ignored), Sched must be constant (a cluster-wide
-	// schedule is already baked into the stream by the front-end), and
-	// Load/MeanInterarrival become optional. Only latency-critical slots may
-	// set it.
-	Arrivals workload.ArrivalProcess
-	// ExplicitRequests is the number of measured requests when Arrivals is
-	// set (must be at least 1; the replayed stream must carry
-	// ExplicitWarmup+ExplicitRequests times).
-	ExplicitRequests int
-	// ExplicitWarmup is the number of leading warmup requests when Arrivals
-	// is set. The replayed stream must present warmup arrivals strictly
-	// before measured ones (the cluster planner guarantees this).
+	// ArrivalTimes, when set, are the slot's request arrival cycles, warm-up
+	// first, replayed verbatim — how the cluster front-end hands each node its
+	// share of a globally split query stream. They size the run: the first
+	// ExplicitWarmup times are warm-up and the rest (at least one) are
+	// measured, so the profile's request counts and RequestFactor are
+	// ignored. Sched must be constant (a cluster-wide schedule is already in
+	// the times) and MeanInterarrival becomes optional. When unset the run
+	// draws its own times (workload.ArrivalTimes with the slot's seed). Only
+	// latency-critical slots may set it.
+	ArrivalTimes []uint64
+	// ExplicitWarmup is the number of leading warm-up requests when
+	// ArrivalTimes is set. Warm-up times must not follow measured ones (the
+	// cluster planner guarantees this).
 	ExplicitWarmup int
 
 	// Trace replaces the slot's synthetic address stream with a recorded one
-	// — the trace-replay analogue of Arrivals. The stream is a template: the
+	// — the trace-replay analogue of ArrivalTimes. The stream is a template: the
 	// simulator clones it at construction (sharing the immutable backing
 	// words, typically an mmap'd trace image loaded by internal/tracein), so
 	// one loaded trace deterministically seeds any number of runs, each
@@ -290,24 +289,26 @@ func (s AppSpec) Validate() error {
 		if err := s.LC.Validate(); err != nil {
 			return err
 		}
-		if s.Arrivals == nil && s.MeanInterarrival == 0 && (s.Load <= 0 || s.Load >= 1) {
-			return fmt.Errorf("sim: latency-critical app %q needs a load in (0,1) or an explicit interarrival", s.LC.Name)
-		}
 		if err := s.Sched.Validate(); err != nil {
 			return err
 		}
-		if s.Arrivals != nil {
-			if s.ExplicitRequests < 1 {
-				return fmt.Errorf("sim: app %q with an explicit arrival stream needs ExplicitRequests >= 1", s.LC.Name)
+		if s.ArrivalTimes != nil {
+			if s.ExplicitWarmup < 0 || s.ExplicitWarmup >= len(s.ArrivalTimes) {
+				return fmt.Errorf("sim: app %q replays %d arrival times with %d warm-up; at least one must be measured", s.LC.Name, len(s.ArrivalTimes), s.ExplicitWarmup)
 			}
-			if s.ExplicitWarmup < 0 {
-				return fmt.Errorf("sim: app %q has negative ExplicitWarmup", s.LC.Name)
+			if !slices.IsSorted(s.ArrivalTimes) {
+				return fmt.Errorf("sim: app %q arrival times are not in ascending order", s.LC.Name)
 			}
 			if !s.Sched.IsConstant() {
-				return fmt.Errorf("sim: app %q cannot combine a load schedule with an explicit arrival stream (the stream already carries the schedule)", s.LC.Name)
+				return fmt.Errorf("sim: app %q cannot combine a load schedule with explicit arrival times (the times already carry the schedule)", s.LC.Name)
 			}
-		} else if s.ExplicitRequests != 0 || s.ExplicitWarmup != 0 {
-			return fmt.Errorf("sim: app %q sets explicit request counts without an explicit arrival stream", s.LC.Name)
+		} else {
+			if !(s.MeanInterarrival > 0) {
+				return fmt.Errorf("sim: latency-critical app %q needs a positive mean interarrival (calibrate the load first) or explicit arrival times", s.LC.Name)
+			}
+			if s.ExplicitWarmup != 0 {
+				return fmt.Errorf("sim: app %q sets an explicit warm-up count without explicit arrival times", s.LC.Name)
+			}
 		}
 		for i, w := range s.SlowWindows {
 			if w.EndCycle <= w.StartCycle {
@@ -329,8 +330,8 @@ func (s AppSpec) Validate() error {
 		if !s.Sched.IsConstant() {
 			return fmt.Errorf("sim: batch app %q cannot have a load schedule (no arrival process)", s.Batch.Name)
 		}
-		if s.Arrivals != nil {
-			return fmt.Errorf("sim: batch app %q cannot have an arrival process", s.Batch.Name)
+		if s.ArrivalTimes != nil {
+			return fmt.Errorf("sim: batch app %q cannot have arrival times", s.Batch.Name)
 		}
 		if len(s.SlowWindows) > 0 {
 			return fmt.Errorf("sim: batch app %q cannot have slow windows (no requests to inflate)", s.Batch.Name)
@@ -356,8 +357,8 @@ func (s AppSpec) requestCount() int {
 	if !s.IsLC() {
 		return 0
 	}
-	if s.Arrivals != nil {
-		return s.ExplicitRequests
+	if s.ArrivalTimes != nil {
+		return len(s.ArrivalTimes) - s.ExplicitWarmup
 	}
 	f := s.RequestFactor
 	if f <= 0 {
@@ -375,7 +376,7 @@ func (s AppSpec) warmupCount() int {
 	if !s.IsLC() {
 		return 0
 	}
-	if s.Arrivals != nil {
+	if s.ArrivalTimes != nil {
 		return s.ExplicitWarmup
 	}
 	f := s.RequestFactor

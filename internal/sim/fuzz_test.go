@@ -61,7 +61,7 @@ func FuzzAppSpecScheduleValidate(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := AppSpec{LC: &lc, Load: 0.2}
+		spec := AppSpec{LC: &lc, Load: 0.2, MeanInterarrival: 60_000}
 		spec.Sched.Kind = workload.ScheduleKind(kind)
 		spec.Sched.AtCycle = at
 		spec.Sched.DurationCycles = dur

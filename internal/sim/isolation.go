@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"repro/internal/cache"
 	"repro/internal/policy"
 	"repro/internal/workload"
@@ -55,20 +53,13 @@ func alignLines(lines uint64, llc cache.ArrayConfig) uint64 {
 	return lines
 }
 
-// isolationJob runs spec alone under LRU on a private LLC of lines lines,
-// keyed for the warm pool by its complete identity: the isolated machine
-// (every Config field is a plain value, so %#v captures it exactly, and
-// PoolIdentity clears the wall-clock-only knobs), the app's profile value
-// (the one spec points to) and every other field of its spec.
-func isolationJob(cfg Config, lines uint64, spec AppSpec, profile any) Job {
-	iso := isolationConfig(cfg, lines)
-	params := spec
-	params.LC, params.Batch = nil, nil
+// isolationJob runs spec alone under LRU on a private LLC of lines lines.
+func isolationJob(cfg Config, lines uint64, spec AppSpec) Job {
 	return Job{
-		Config:    iso,
+		Config:    isolationConfig(cfg, lines),
 		Specs:     []AppSpec{spec},
 		NewPolicy: func() policy.Policy { return policy.NewLRU() },
-		Key:       fmt.Sprintf("iso|%#v|%#v|%#v", iso.PoolIdentity(), profile, params),
+		Key:       "lru",
 	}
 }
 
@@ -79,7 +70,7 @@ func lcJob(cfg Config, profile workload.LCProfile, targetLines uint64, spec AppS
 		targetLines = profile.TargetLines()
 	}
 	spec.LC, spec.TargetLines = &profile, targetLines
-	return isolationJob(cfg, targetLines, spec, profile)
+	return isolationJob(cfg, targetLines, spec)
 }
 
 // CalibrationJob measures an application's mean request service time
@@ -112,7 +103,7 @@ func IsolatedLCJob(cfg Config, profile workload.LCProfile, targetLines uint64, m
 // weighted-speedup metric.
 func BatchBaselineJob(cfg Config, profile workload.BatchProfile, lines uint64, roiInstructions uint64) Job {
 	return isolationJob(cfg, lines, AppSpec{Batch: &profile, ROIInstructions: roiInstructions,
-		Seed: workload.SplitSeed(cfg.Seed, 0xBEEF)}, profile)
+		Seed: workload.SplitSeed(cfg.Seed, 0xBEEF)})
 }
 
 // RunIsolatedLC runs IsolatedLCJob.

@@ -1,27 +1,114 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/policy"
+	"repro/internal/workload"
 )
 
-// Job is one simulation run as a value: the machine, the app slots, the
+// Job is one simulation run as plain data: the machine, the app slots, the
 // policy constructor and the cycles (increasing) at which the run pauses and
 // ColdRestarts under a fresh NewPolicy() — rolling restarts; none for a
-// straight run. Key is the run's complete identity in the warm pool: jobs
-// with equal non-empty keys must be the same deterministic computation (the
-// caller vouches for what NewPolicy builds, which no key can see); an empty
-// key bypasses the pool. Every simulation fan-out is a list of Jobs handed to
-// RunJobs.
+// straight run. Key names what NewPolicy builds, the one input the job
+// cannot show as a value (the caller vouches that equal keys build equal
+// policies); the warm pool keys the job by it together with everything else
+// the job holds (see poolKey). An empty key bypasses the pool. Every
+// simulation fan-out is a list of Jobs handed to RunJobs.
 type Job struct {
 	Config    Config
 	Specs     []AppSpec
 	NewPolicy func() policy.Policy
 	Restarts  []uint64
 	Key       string
+}
+
+// poolKey is a job's identity in the warm pool: what its NewPolicy builds,
+// its machine with the fields that cannot change results cleared, and a
+// digest of its inputs. Jobs with equal keys are the same deterministic
+// computation.
+type poolKey struct {
+	policy string
+	cfg    Config
+	inputs [sha256.Size]byte
+}
+
+// poolKey derives the job's warm-pool key. The inputs digest covers every
+// spec by value — profiles dereferenced, arrival times and slow windows
+// included — and the restart cycles. A slot's recorded Trace is the one
+// input named by reference, by its template's address and cursor, so two
+// opens of a trace never share an entry; traces returns those templates,
+// which the pool entry holds so no other trace can reuse the address.
+func (j Job) poolKey() (k poolKey, traces []*workload.TraceStream) {
+	var buf []byte
+	buf = appendValue(buf, reflect.ValueOf(j.Specs), &traces)
+	buf = appendValue(buf, reflect.ValueOf(j.Restarts), &traces)
+	return poolKey{policy: j.Key, cfg: j.Config.poolIdentity(), inputs: sha256.Sum256(buf)}, traces
+}
+
+var traceStreamType = reflect.TypeFor[*workload.TraceStream]()
+
+// appendValue appends an unambiguous encoding of v to buf: numbers by their
+// bits, strings, slices and arrays length-prefixed, pointers as a nil marker
+// or what they point to, interfaces as their dynamic type's name and value,
+// structs field by field. Two values encode alike exactly when they are
+// equal as data, so a field added to a spec or a profile joins the key with
+// no edit here.
+func appendValue(buf []byte, v reflect.Value, traces *[]*workload.TraceStream) []byte {
+	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			return append(buf, 1)
+		}
+		return append(buf, 0)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return binary.LittleEndian.AppendUint64(buf, uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return binary.LittleEndian.AppendUint64(buf, v.Uint())
+	case reflect.Float32, reflect.Float64:
+		return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float()))
+	case reflect.String:
+		return appendString(buf, v.String())
+	case reflect.Slice, reflect.Array:
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.Len()))
+		for i := range v.Len() {
+			buf = appendValue(buf, v.Index(i), traces)
+		}
+		return buf
+	case reflect.Pointer:
+		if v.IsNil() {
+			return append(buf, 0)
+		}
+		if v.Type() == traceStreamType {
+			ts := v.Interface().(*workload.TraceStream)
+			*traces = append(*traces, ts)
+			buf = binary.LittleEndian.AppendUint64(append(buf, 2), uint64(v.Pointer()))
+			return binary.LittleEndian.AppendUint64(buf, uint64(ts.Pos()))
+		}
+		return appendValue(append(buf, 1), v.Elem(), traces)
+	case reflect.Interface:
+		if v.IsNil() {
+			return append(buf, 0)
+		}
+		return appendValue(appendString(append(buf, 1), v.Elem().Type().String()), v.Elem(), traces)
+	case reflect.Struct:
+		for i := range v.NumField() {
+			buf = appendValue(buf, v.Field(i), traces)
+		}
+		return buf
+	}
+	panic(fmt.Sprintf("sim: a warm-pool key cannot hold a %s", v.Type()))
+}
+
+func appendString(buf []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint64(buf, uint64(len(s))), s...)
 }
 
 // run simulates the job, straight or through its cold restarts. RunUntil
@@ -57,7 +144,7 @@ func (j Job) run() (Result, error) {
 // dependency phase: RunJobs is never entered from inside a job or a done.
 func RunJobs(jobs []Job, workers int, pool *WarmPool, done func(i int, res Result, err error) error) error {
 	return forEach(len(jobs), workers, func(i int) error {
-		res, err := pool.result(jobs[i].Key, jobs[i].run)
+		res, err := pool.result(jobs[i])
 		return done(i, res, err)
 	})
 }
@@ -110,28 +197,30 @@ func forEach(n, workers int, fn func(int) error) error {
 	return nil
 }
 
-// WarmPool memoizes completed run results by job key across a sweep: the
-// calibrations and isolation baselines several experiments share, and
-// repeated cluster node runs. A hit returns the first computation's Result
-// verbatim and shared: a finished run is read-only (Run sorts its samples
-// before returning), and consumers must not modify it. The pool holds every
-// entry for its lifetime, so scope one to an invocation or sweep, and pass
-// nil (no reuse) where no key can repeat. RunJobs is its one reader; it is
-// safe for concurrent use, and concurrent lookups of one key run it once.
+// WarmPool memoizes completed run results by job identity (poolKey) across a
+// sweep: the calibrations and isolation baselines several experiments share,
+// and repeated cluster node runs. A hit returns the first computation's
+// Result verbatim and shared: a finished run is read-only (Run sorts its
+// samples before returning), and consumers must not modify it. The pool
+// holds every entry for its lifetime, so scope one to an invocation or
+// sweep, and pass nil (no reuse) where no job can repeat. RunJobs is its one
+// reader; it is safe for concurrent use, and concurrent lookups of one key
+// run it once.
 type WarmPool struct {
 	mu      sync.Mutex
-	results map[string]*poolEntry
+	results map[poolKey]*poolEntry
 }
 
 type poolEntry struct {
-	once sync.Once
-	val  Result
-	err  error
+	once   sync.Once
+	val    Result
+	err    error
+	traces []*workload.TraceStream // the key's trace templates, kept alive
 }
 
 // NewWarmPool returns an empty pool.
 func NewWarmPool() *WarmPool {
-	return &WarmPool{results: make(map[string]*poolEntry)}
+	return &WarmPool{results: make(map[poolKey]*poolEntry)}
 }
 
 // CheckpointCount returns 0: the pool memoizes run results only.
@@ -150,20 +239,21 @@ func (p *WarmPool) ResultCount() int {
 	return len(p.results)
 }
 
-// result returns the memoized result for key, computing it on first use; an
-// empty key is not memoized.
-func (p *WarmPool) result(key string, compute func() (Result, error)) (Result, error) {
-	if p == nil || key == "" {
-		return compute()
+// result returns the memoized result of j, running it on first use; an
+// unkeyed job is not memoized.
+func (p *WarmPool) result(j Job) (Result, error) {
+	if p == nil || j.Key == "" {
+		return j.run()
 	}
+	k, traces := j.poolKey()
 	p.mu.Lock()
-	e, ok := p.results[key]
+	e, ok := p.results[k]
 	if !ok {
-		e = &poolEntry{}
-		p.results[key] = e
+		e = &poolEntry{traces: traces}
+		p.results[k] = e
 	}
 	p.mu.Unlock()
-	e.once.Do(func() { e.val, e.err = compute() })
+	e.once.Do(func() { e.val, e.err = j.run() })
 	if e.err != nil {
 		return Result{}, e.err
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -108,31 +109,103 @@ func TestForEmpty(t *testing.T) {
 
 // TestRunJobsComputesRepeatedKeyOnce: a key listed twice in one job list runs
 // once, and both done calls see that one result; an unkeyed job with the
-// same inputs runs on its own and reads the same.
+// same inputs runs on its own and reads the same; and a job with the same
+// key but one input changed (a slot seed, or one explicit arrival time) is
+// another computation and runs on its own.
 func TestRunJobsComputesRepeatedKeyOnce(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 42
 	var runs atomic.Int64
-	job := Job{Config: cfg, Specs: goldenSpecs(t, workload.ScheduleSpec{}), Key: "k", NewPolicy: func() policy.Policy {
+	newPolicy := func() policy.Policy {
 		runs.Add(1)
 		return policy.NewLRU()
-	}}
-	unkeyed := job
-	unkeyed.Key = ""
-	got := make([]Result, 3)
-	if err := RunJobs([]Job{job, job, unkeyed}, 3, NewWarmPool(), func(i int, res Result, err error) error {
-		got[i] = res
-		return err
-	}); err != nil {
+	}
+	for _, tc := range []struct {
+		name   string
+		specs  []AppSpec
+		change func(*AppSpec)
+	}{
+		{"seed", goldenSpecs(t, workload.ScheduleSpec{}), func(s *AppSpec) { s.Seed = 7 }},
+		{"arrival time", explicitSpecs(t), func(s *AppSpec) {
+			s.ArrivalTimes = slices.Clone(s.ArrivalTimes)
+			s.ArrivalTimes[len(s.ArrivalTimes)-1]++
+		}},
+	} {
+		runs.Store(0)
+		job := Job{Config: cfg, Specs: tc.specs, Key: "k", NewPolicy: newPolicy}
+		unkeyed := job
+		unkeyed.Key = ""
+		changed := job
+		changed.Specs = slices.Clone(job.Specs)
+		tc.change(&changed.Specs[0])
+		got := make([]Result, 4)
+		if err := RunJobs([]Job{job, job, unkeyed, changed}, 4, NewWarmPool(), func(i int, res Result, err error) error {
+			got[i] = res
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if n := runs.Load(); n != 3 {
+			t.Fatalf("%s: %d runs, want 3 (the repeated key once, the unkeyed job once, the changed job once)", tc.name, n)
+		}
+		if &got[0].Apps[0] != &got[1].Apps[0] {
+			t.Errorf("%s: the two done calls of one key saw different results", tc.name)
+		}
+		if &got[2].Apps[0] == &got[0].Apps[0] || got[2].Apps[0].TailLatency != got[0].Apps[0].TailLatency {
+			t.Errorf("%s: the unkeyed job must run on its own and read the same", tc.name)
+		}
+		if &got[3].Apps[0] == &got[0].Apps[0] || slices.Equal(got[3].Apps[0].RequestLatencies, got[0].Apps[0].RequestLatencies) &&
+			slices.Equal(got[3].Apps[0].RequestArrivals, got[0].Apps[0].RequestArrivals) {
+			t.Errorf("%s: the changed job must run on its own and read differently", tc.name)
+		}
+	}
+}
+
+// explicitSpecs is one latency-critical slot replaying 40 explicit arrival
+// times, five of them warm-up.
+func explicitSpecs(t testing.TB) []AppSpec {
+	t.Helper()
+	lc, err := workload.LCByName("masstree")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n := runs.Load(); n != 2 {
-		t.Fatalf("%d runs, want 2 (the repeated key once, the unkeyed job once)", n)
+	times := make([]uint64, 40)
+	for i := range times {
+		times[i] = uint64(i+1) * 60_000
 	}
-	if &got[0].Apps[0] != &got[1].Apps[0] {
-		t.Error("the two done calls of one key saw different results")
+	return []AppSpec{{LC: &lc, ArrivalTimes: times, ExplicitWarmup: 5}}
+}
+
+// TestPoolKeyNamesTraceByTemplate: a slot's recorded trace is keyed by its
+// template, so two opens of one recording never share an entry, one template
+// at one cursor always keys alike, and the key's templates are handed back
+// for the pool entry to hold.
+func TestPoolKeyNamesTraceByTemplate(t *testing.T) {
+	open := func() *workload.TraceStream {
+		ts, err := workload.NewTraceStream([]uint64{64, 128, 192}, 1, 0, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ts
 	}
-	if &got[2].Apps[0] == &got[0].Apps[0] || got[2].Apps[0].TailLatency != got[0].Apps[0].TailLatency {
-		t.Error("the unkeyed job must run on its own and read the same")
+	withTrace := func(ts *workload.TraceStream) Job {
+		specs := goldenSpecs(t, workload.ScheduleSpec{})
+		specs[1].Trace = ts
+		return Job{Config: DefaultConfig(), Specs: specs, Key: "k"}
+	}
+	a, b := open(), open()
+	ka, pinned := withTrace(a).poolKey()
+	if again, _ := withTrace(a).poolKey(); again != ka {
+		t.Error("one template keyed differently twice")
+	}
+	if kb, _ := withTrace(b).poolKey(); kb == ka {
+		t.Error("two opens of one recording share a key")
+	}
+	if len(pinned) != 1 || pinned[0] != a {
+		t.Errorf("key handed back %v, want the one template", pinned)
+	}
+	a.Next()
+	if moved, _ := withTrace(a).poolKey(); moved == ka {
+		t.Error("a template at another cursor keeps its key")
 	}
 }

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"fmt"
-
 	"repro/internal/cache"
 	"repro/internal/cpu"
 	"repro/internal/monitor"
@@ -62,11 +60,11 @@ type appRuntime struct {
 	measureStartCycle uint64
 
 	// Latency-critical serving state. reqs is the slot's request record,
-	// sized for every request the run generates, warm-up first (so the
-	// measured requests are its suffix past warmupRequests). It is also the
-	// single worker's FIFO queue: reqs[:generated] have arrived,
-	// reqs[served:generated] wait, and while inService the request in
-	// service is reqs[served-1].
+	// one entry per request the run generates, warm-up first (so the
+	// measured requests are its suffix past warmupRequests), each Arrival
+	// filled at construction. It is also the single worker's FIFO queue:
+	// reqs[:generated] have arrived, reqs[served:generated] wait, and while
+	// inService the request in service is reqs[served-1].
 	reqs               []queueing.Request
 	generated          int
 	served             int
@@ -75,9 +73,6 @@ type appRuntime struct {
 	warmupRequests     int
 	accessesLeft       uint64
 	reqInstrPerAccess  uint64
-	nextArrivalRaw     uint64
-	nextArrivalVisible uint64
-	arrivals           workload.ArrivalProcess
 	active             bool
 	accessesSinceCheck uint64
 
@@ -125,37 +120,18 @@ func newAppRuntime(idx int, spec AppSpec, cfg Config) (*appRuntime, error) {
 		a.reuse = monitor.NewReuseProfiler(monitor.DefaultReuseMaxAge)
 		a.toGenerate = spec.requestCount() + spec.warmupCount()
 		a.warmupRequests = spec.warmupCount()
-		a.reqs = make([]queueing.Request, a.toGenerate)
-		if spec.Arrivals != nil {
-			// An explicit pre-generated stream (a cluster leaf stream)
-			// replays verbatim; the generating front-end already applied the
-			// rate, the schedule and the seeds.
-			if ra, ok := spec.Arrivals.(*workload.ReplayArrivals); ok && ra.Remaining() < a.toGenerate {
-				// Refuse under-provisioned replays up front: past the end the
-				// process can only emit its exhaustion sentinel, which would
-				// silently stretch every missing interarrival to the sentinel
-				// gap instead of replaying recorded times.
-				return nil, fmt.Errorf("sim: app %q replays an arrival stream with %d times remaining but the run needs %d (%d warmup + %d measured); provision the full stream",
-					spec.Name(), ra.Remaining(), a.toGenerate, a.warmupRequests, spec.requestCount())
-			}
-			a.arrivals = spec.Arrivals
-		} else {
-			interarrival := spec.MeanInterarrival
-			if interarrival <= 0 {
-				return nil, fmt.Errorf("sim: app %q has no mean interarrival; calibrate the load first", spec.Name())
-			}
-			// Exponential interarrivals at the schedule's rate (the constant
-			// schedule is plain Poisson), with the schedule's own randomness
-			// (MMPP dwells) on an independent derived seed.
-			arr, err := workload.NewModulatedArrivals(interarrival, workload.SplitSeed(seed, 7),
-				spec.Sched, workload.SplitSeed(seed, 11))
-			if err != nil {
+		times := spec.ArrivalTimes
+		if times == nil {
+			// The slot draws its own stream: exponential interarrivals at
+			// the schedule's rate (the constant schedule is plain Poisson).
+			if times, err = workload.ArrivalTimes(spec.MeanInterarrival, seed, spec.Sched, a.toGenerate); err != nil {
 				return nil, err
 			}
-			a.arrivals = arr
 		}
-		a.nextArrivalRaw = a.arrivals.Next(0)
-		a.nextArrivalVisible = a.nextArrivalRaw + coalesceDelayCycles
+		a.reqs = make([]queueing.Request, a.toGenerate)
+		for i := range a.reqs {
+			a.reqs[i].Arrival = times[i]
+		}
 	} else {
 		b, err := workload.NewBatchApp(*spec.Batch, idx, seed)
 		if err != nil {
@@ -198,22 +174,21 @@ func (a *appRuntime) hasWork() bool { return a.inService || a.queued() }
 // queued reports whether a request has arrived and waits for the worker.
 func (a *appRuntime) queued() bool { return a.served < a.generated }
 
-// enqueueArrivals records every request whose (coalesced) arrival time is at
-// or before now.
+// enqueueArrivals admits every request whose (coalesced) arrival time is at
+// or before now, drawing its service demand.
 func (a *appRuntime) enqueueArrivals(now uint64) {
-	for a.generated < a.toGenerate && a.nextArrivalVisible <= now {
+	for a.generated < a.toGenerate && a.reqs[a.generated].Arrival+coalesceDelayCycles <= now {
+		req := &a.reqs[a.generated]
 		demand := a.lcApp.NextServiceDemand()
 		if len(a.spec.SlowWindows) > 0 {
 			drawn := demand
-			demand = inflateDemand(demand, a.nextArrivalRaw, a.spec.SlowWindows)
+			demand = inflateDemand(demand, req.Arrival, a.spec.SlowWindows)
 			if demand != drawn {
-				a.tr.Record(trace.KindFault, int32(a.idx), a.nextArrivalRaw, 0, drawn, demand)
+				a.tr.Record(trace.KindFault, int32(a.idx), req.Arrival, 0, drawn, demand)
 			}
 		}
-		a.reqs[a.generated] = queueing.Request{Arrival: a.nextArrivalRaw, Demand: demand}
+		req.Demand = demand
 		a.generated++
-		a.nextArrivalRaw = a.arrivals.Next(a.nextArrivalRaw)
-		a.nextArrivalVisible = a.nextArrivalRaw + coalesceDelayCycles
 	}
 }
 

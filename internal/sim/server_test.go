@@ -168,7 +168,7 @@ func TestRequestPathDoesNotAllocate(t *testing.T) {
 		t.Fatalf("slot generates only %d requests, want more than %d", a.toGenerate, 2*runs)
 	}
 	allocs := testing.AllocsPerRun(runs, func() {
-		a.clock = a.nextArrivalVisible
+		a.clock = a.reqs[a.generated].Arrival + coalesceDelayCycles
 		a.enqueueArrivals(a.clock)
 		if !a.inService {
 			a.startNextRequest()
@@ -231,12 +231,10 @@ func TestCollectDerivesFromRecord(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		times := make([]uint64, 1+len(c.measured))
 		s, err := New(testConfig(), []AppSpec{{
-			LC:               &lc,
-			Arrivals:         workload.NewReplayArrivals(times),
-			ExplicitRequests: len(c.measured),
-			ExplicitWarmup:   1,
+			LC:             &lc,
+			ArrivalTimes:   make([]uint64, 1+len(c.measured)),
+			ExplicitWarmup: 1,
 		}}, policy.NewLRU())
 		if err != nil {
 			t.Fatal(err)

@@ -426,9 +426,9 @@ func (s *Simulator) stepLC(a *appRuntime) {
 		// chance to take this app's cache space) before the arrival is served.
 		// Processing the arrival in the same step would let the request see
 		// the cache as it was when the app went idle, hiding inertia.
-		if a.nextArrivalVisible > a.clock {
-			a.idleInInterval += a.nextArrivalVisible - a.clock
-			a.clock = a.nextArrivalVisible
+		if next := a.reqs[a.generated].Arrival + coalesceDelayCycles; next > a.clock {
+			a.idleInInterval += next - a.clock
+			a.clock = next
 			return
 		}
 		a.enqueueArrivals(a.clock)

@@ -84,8 +84,10 @@ func TestPoolIdentityDropsWallClockKnobs(t *testing.T) {
 	a := DefaultConfig()
 	b := DefaultConfig()
 	b.Trace = trace.NewRecorder(16).NewSink(0)
-	if a.PoolIdentity() != b.PoolIdentity() {
-		t.Error("PoolIdentity should be identical with and without a trace sink")
+	ka, _ := Job{Config: a, Key: "k"}.poolKey()
+	kb, _ := Job{Config: b, Key: "k"}.poolKey()
+	if ka != kb {
+		t.Error("the pool key should be identical with and without a trace sink")
 	}
 	if a == b {
 		t.Error("test needs the raw configs to differ")
@@ -96,8 +98,8 @@ func TestAppSpecValidate(t *testing.T) {
 	lc := smallLC(t, "masstree")
 	batch := smallBatch(t, "mcf")
 	good := []AppSpec{
-		{LC: &lc, Load: 0.2},
 		{LC: &lc, MeanInterarrival: 1000},
+		{LC: &lc, ArrivalTimes: []uint64{10, 20}, ExplicitWarmup: 1},
 		{Batch: &batch},
 	}
 	for i, s := range good {
@@ -108,8 +110,13 @@ func TestAppSpecValidate(t *testing.T) {
 	bad := []AppSpec{
 		{},
 		{LC: &lc, Batch: &batch},
-		{LC: &lc},            // no load
-		{LC: &lc, Load: 1.5}, // out of range
+		{LC: &lc},            // no arrival rate
+		{LC: &lc, Load: 0.2}, // a load alone is only reported; the run needs a calibrated interarrival
+		{LC: &lc, Load: 1.5},
+		{LC: &lc, ArrivalTimes: []uint64{10, 20}, ExplicitWarmup: 2}, // nothing measured
+		{LC: &lc, ArrivalTimes: []uint64{20, 10}},                    // out of order
+		{LC: &lc, MeanInterarrival: 1000, ExplicitWarmup: 1},         // warm-up count without times
+		{Batch: &batch, ArrivalTimes: []uint64{10}},
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -607,10 +614,9 @@ func TestRequestRecordInRequestOrder(t *testing.T) {
 	}
 	const warmup = 5
 	res := runChecked(t, testConfig(), []AppSpec{{
-		LC:               &lc,
-		Arrivals:         workload.NewReplayArrivals(times),
-		ExplicitRequests: len(times) - warmup,
-		ExplicitWarmup:   warmup,
+		LC:             &lc,
+		ArrivalTimes:   times,
+		ExplicitWarmup: warmup,
 	}}, policy.NewLRU())
 	leaf := res.LCResults()[0]
 	check("explicit", leaf)

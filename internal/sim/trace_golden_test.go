@@ -96,10 +96,10 @@ func TestTraceReplayPauseResumeMatchesStraightRun(t *testing.T) {
 	}
 }
 
-// TestTraceReplayUnderProvisionedArrivalsRejected pins the ReplayArrivals
-// bugfix at the sim boundary: a slot whose explicit arrival stream holds
-// fewer times than the run needs is rejected at construction instead of
-// silently stretching the missing arrivals by the exhaustion sentinel.
+// TestTraceReplayUnderProvisionedArrivalsRejected pins the boundary of an
+// explicit arrival record at the sim boundary: the times are the run's
+// requests, so a record whose warm-up leaves nothing to measure is rejected
+// at construction, and exactly one measured time is accepted.
 func TestTraceReplayUnderProvisionedArrivalsRejected(t *testing.T) {
 	lc, err := workload.LCByName("masstree")
 	if err != nil {
@@ -107,19 +107,18 @@ func TestTraceReplayUnderProvisionedArrivalsRejected(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Seed = 42
-	specs := []AppSpec{{
-		LC:               &lc,
-		Arrivals:         workload.NewReplayArrivals([]uint64{100, 200, 300}),
-		ExplicitRequests: 3,
-		ExplicitWarmup:   1, // needs 4 times, stream holds 3
-	}}
-	_, err = RunMix(cfg, specs, core.NewUbikWithSlack(0.05))
-	if err == nil {
-		t.Fatal("under-provisioned replay stream accepted")
+	for _, warmup := range []int{3, 4} {
+		specs := []AppSpec{{LC: &lc, ArrivalTimes: []uint64{100, 200, 300}, ExplicitWarmup: warmup}}
+		if _, err := RunMix(cfg, specs, core.NewUbikWithSlack(0.05)); err == nil {
+			t.Fatalf("%d warm-up of 3 arrival times accepted", warmup)
+		}
 	}
-	// Exactly provisioned is accepted.
-	specs[0].Arrivals = workload.NewReplayArrivals([]uint64{100, 200, 300, 400})
-	if _, err := RunMix(cfg, specs, core.NewUbikWithSlack(0.05)); err != nil {
-		t.Fatalf("exactly provisioned replay stream rejected: %v", err)
+	specs := []AppSpec{{LC: &lc, ArrivalTimes: []uint64{100, 200, 300, 400}, ExplicitWarmup: 3}}
+	res, err := RunMix(cfg, specs, core.NewUbikWithSlack(0.05))
+	if err != nil {
+		t.Fatalf("one measured arrival time rejected: %v", err)
+	}
+	if got := res.Apps[0].Requests; got != 1 {
+		t.Fatalf("%d measured requests, want 1", got)
 	}
 }

@@ -194,17 +194,17 @@ func TestScheduleMMPPDeterministicAndBounded(t *testing.T) {
 // TestModulatedConstantMatchesPoisson pins the constant schedule to the plain
 // Poisson process of Section 3.2, written out inline as an independent
 // reference: each gap is one exponential draw scaled by the mean, at least one
-// cycle, from the same seed.
+// cycle, from the draw seed split off the slot seed.
 func TestModulatedConstantMatchesPoisson(t *testing.T) {
 	const mean = 50_000
-	m, err := NewModulatedArrivals(mean, 99, ScheduleSpec{}, 123)
+	times, err := ArrivalTimes(mean, 99, ScheduleSpec{}, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := NewRand(99)
-	var pt, mt uint64
-	for i := 0; i < 10_000; i++ {
-		pt, mt = pt+max(1, uint64(ref.ExpFloat64()*mean)), m.Next(mt)
+	ref := NewRand(SplitSeed(99, 7))
+	var pt uint64
+	for i, mt := range times {
+		pt += max(1, uint64(ref.ExpFloat64()*mean))
 		if pt != mt {
 			t.Fatalf("arrival %d differs: poisson %d vs modulated-const %d", i, pt, mt)
 		}
@@ -219,14 +219,20 @@ func TestModulatedBurstCompressesArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewModulatedArrivals(10_000, 42, spec, 43)
+	// About 3,000 arrivals fall before 15M cycles; 10,000 leave ample room.
+	times, err := ArrivalTimes(10_000, 42, spec, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if times[len(times)-1] < 15_000_000 {
+		t.Fatalf("stream ends at cycle %d, before 15M", times[len(times)-1])
+	}
 	var inBurst, outBurst, nIn, nOut float64
 	var prev uint64
-	for prev < 15_000_000 {
-		next := m.Next(prev)
+	for _, next := range times {
+		if prev >= 15_000_000 {
+			break
+		}
 		gap := float64(next - prev)
 		if prev >= 5_000_000 && prev < 10_000_000 {
 			inBurst += gap

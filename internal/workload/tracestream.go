@@ -31,7 +31,7 @@ var (
 // cache until the latency-critical side finishes, however long that takes).
 // The wrap is deliberate and observable — Wraps() reports how many times the
 // recording has been replayed — unlike an arrival replay, where running past
-// the end is a provisioning error (see ReplayArrivals).
+// the end cannot happen (sim.AppSpec.ArrivalTimes holds one time per request).
 type TraceStream struct {
 	words  []uint64
 	stride int

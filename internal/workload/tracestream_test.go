@@ -1,6 +1,9 @@
 package workload
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestTraceStreamReplaysAndWraps(t *testing.T) {
 	ts, err := NewTraceStreamAddrs([]uint64{10, 20, 30}, 3)
@@ -76,36 +79,26 @@ func TestTraceStreamCloneContract(t *testing.T) {
 	}
 }
 
-// TestReplayArrivalsBoundary pins end-of-sequence behaviour at exactly
-// len(times) and len(times)+1 requests: the recorded times replay verbatim,
-// Remaining counts down to 0, and every later call returns the sentinel gap.
+// TestReplayArrivalsBoundary pins the stream's prefix property at the
+// boundary a replayed slot relies on: the n times drawn for an n-request run
+// are exactly the first n of a longer draw from the same seed and schedule,
+// so a slot handed a stream's prefix replays what it would have drawn.
 func TestReplayArrivalsBoundary(t *testing.T) {
-	times := []uint64{5, 17, 40}
-	r := NewReplayArrivals(times)
-	if r.Remaining() != 3 {
-		t.Fatalf("fresh state: Remaining=%d, want 3", r.Remaining())
+	sched, err := ParseSchedule("mmpp:x=3,on=2e5,off=4e5")
+	if err != nil {
+		t.Fatal(err)
 	}
-	prev := uint64(0)
-	for i, want := range times {
-		prev = r.Next(prev)
-		if prev != want {
-			t.Fatalf("Next #%d = %d, want %d", i, prev, want)
+	long, err := ArrivalTimes(5_000, 17, sched, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 1, 3, 399, 400} {
+		short, err := ArrivalTimes(5_000, 17, sched, n)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if r.Remaining() != 0 {
-		t.Fatalf("at boundary: Remaining=%d, want 0", r.Remaining())
-	}
-	// Request len(times)+1: sentinel gap.
-	got := r.Next(prev)
-	if got != prev+replayExhaustedGap {
-		t.Fatalf("overrun Next = %d, want prev+sentinel = %d", got, prev+replayExhaustedGap)
-	}
-	// Every later call keeps moving the clock strictly forward.
-	got2 := r.Next(got)
-	if got2 != got+replayExhaustedGap {
-		t.Fatalf("second overrun Next = %d, want %d", got2, got+replayExhaustedGap)
-	}
-	if r.Remaining() != 0 {
-		t.Fatalf("after overruns: Remaining=%d, want 0", r.Remaining())
+		if !slices.Equal(short, long[:n]) {
+			t.Fatalf("ArrivalTimes(n=%d) is not the %d-prefix of the 400-time stream", n, n)
+		}
 	}
 }

@@ -411,15 +411,17 @@ func TestBatchJitterDistinct(t *testing.T) {
 }
 
 func TestPoissonArrivals(t *testing.T) {
-	p, err := NewModulatedArrivals(1000, 1, ScheduleSpec{}, 2)
+	const n = 20000
+	times, err := ArrivalTimes(1000, 1, ScheduleSpec{}, n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(times) != n {
+		t.Fatalf("got %d arrival times, want %d", len(times), n)
+	}
 	var prev uint64
 	var sum float64
-	n := 20000
-	for i := 0; i < n; i++ {
-		next := p.Next(prev)
+	for _, next := range times {
 		if next <= prev {
 			t.Fatalf("arrival times must strictly increase")
 		}
@@ -430,7 +432,7 @@ func TestPoissonArrivals(t *testing.T) {
 	if math.Abs(mean-1000) > 50 {
 		t.Errorf("empirical mean interarrival %v far from 1000", mean)
 	}
-	if _, err := NewModulatedArrivals(0, 1, ScheduleSpec{}, 2); err == nil {
+	if _, err := ArrivalTimes(0, 1, ScheduleSpec{}, n); err == nil {
 		t.Errorf("zero interarrival should error")
 	}
 }
